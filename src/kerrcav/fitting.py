@@ -22,10 +22,13 @@ from .sweeps import ConfigError
 
 FREE_NAMES = ("omega0", "kerr", "gamma1", "gamma2", "gamma3")
 MAX_EVALUATIONS = 100_000
+# Objective value for parameters at which the model is invalid or undefined.
+PENALTY = 1e30
 
 
 class NonConvergence(RuntimeError):
-    """Minimizer hit the evaluation budget; ``best`` holds the best-so-far fit."""
+    """Minimizer hit the evaluation budget, or the model was undefined at
+    every evaluated point; ``best`` holds the best-so-far fit."""
 
     def __init__(self, best: "FitResult"):
         self.best = best
@@ -106,7 +109,8 @@ def run_fit(problem: FitProblem, max_evaluations: int = MAX_EVALUATIONS) -> FitR
 
     Returns the fitted parameters with the final RMS residual.  Raises
     :class:`NonConvergence` (carrying the best-so-far result) if the
-    evaluation budget is exhausted first.
+    evaluation budget is exhausted first, or if the best objective value is
+    still the penalty, so that no evaluated point had a defined model.
     """
     names = problem.free
     x0 = np.array([getattr(problem.initial, n) for n in names], dtype=float)
@@ -120,7 +124,7 @@ def run_fit(problem: FitProblem, max_evaluations: int = MAX_EVALUATIONS) -> FitR
     def objective(z):
         params = _with_values(problem.initial, names, z * scale)
         if not validate(params).ok:
-            return 1e30
+            return PENALTY
         total = 0.0
         try:
             for omega_p, b1_in, observed in problem.refl_data:
@@ -129,10 +133,10 @@ def run_fit(problem: FitProblem, max_evaluations: int = MAX_EVALUATIONS) -> FitR
             for omega_p, b1_in, observed in problem.gain_data:
                 predicted = predict_gain(params, omega_p, b1_in, problem.psi1)
                 if not math.isfinite(predicted):
-                    return 1e30
+                    return PENALTY
                 total += (predicted - observed) ** 2
         except (ArithmeticError, ValueError):
-            return 1e30
+            return PENALTY
         return total
 
     result = minimize(objective, x0 / scale, method="Nelder-Mead",
@@ -143,8 +147,8 @@ def run_fit(problem: FitProblem, max_evaluations: int = MAX_EVALUATIONS) -> FitR
     fit = FitResult(params=fitted,
                     rms_residual=math.sqrt(max(result.fun, 0.0) / n_data),
                     n_evaluations=int(result.nfev),
-                    converged=bool(result.success))
-    if not result.success:
+                    converged=bool(result.success and result.fun < PENALTY))
+    if not fit.converged:
         raise NonConvergence(fit)
     return fit
 

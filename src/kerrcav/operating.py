@@ -8,24 +8,44 @@ it is single valued: solving the pump cubic for the detuning gives
 
 with the two signs tracing the low- and high-frequency sides of the pulled
 resonance.  Folds (vertical tangents, where the system switches branch) are
-the zeros of d(omega_p)/dE on the side the Kerr constant pulls toward; the
-critical point is where the two folds coalesce.
+the zeros of d(omega_p)/dE on the side the Kerr constant pulls toward,
+
+    |K| + head'(E) / (2 sqrt(head(E))) = 0,
+
+i.e. the double roots of the pump cubic.  head' < 0 for every E > 0, so the
+squared condition head'^2 = 4 K^2 head has no other solutions and itself
+forces head >= 0.  In the units x = E*|K|/gamma, r = gamma3/|K| and
+sigma = 2*gamma1*b_in^2*|K|/gamma^3 it is the fold polynomial
+
+    P(x) = [sigma + 2 r x^2 (1 + r x)]^2 - 4 x^3 [sigma - x (1 + r x)^2]
+         = 4 (1 + r^2) x^4 (1 + r x)^2 - 4 sigma (1 - r^2) x^3
+           + 4 r sigma x^2 + sigma^2,
+
+of degree 6 (4 when gamma3 = 0), and every positive real root of P is a
+fold.  On a fold sqrt(head) = -head'/(2|K|), so its pump frequency is
+
+    omega_p = omega0 + K*E + [2*gamma1*b_in^2 / E^2
+                              + 2*gamma3*(gamma + gamma3*E)] / (2K),
+
+which needs no square root and so keeps its precision near the curve top,
+where head cancels.  The critical point is where the two folds coalesce.
 """
 
 import math
 from dataclasses import dataclass
 
-from .model import SQRT3, DeviceParams, PumpDrive
-from .steady import cubic_coefficients
+import numpy as np
 
-# Fold pairs closer than this (slope units of |kerr|) cannot be separated
-# numerically and are reported as a single tangency point.
+from .cubic import real_roots
+from .model import SQRT3, DeviceParams, PumpDrive
+
+# A fold-side slope maximum within this fraction of |kerr| of zero marks a
+# tangency: the fold pair cannot be separated numerically and is reported
+# as a single point.
 TANGENCY_TOL = 1e-5
 # Denominator |K| - sqrt(3)*gamma3 below this fraction of |K| makes the
 # critical-point formulas numerically explosive.
 ILL_CONDITION_TOL = 1e-9
-
-_GRID = 1600
 
 
 @dataclass(frozen=True)
@@ -61,20 +81,18 @@ def curve_head(params: DeviceParams, drive: PumpDrive, energy: float) -> float:
 
 
 def max_curve_energy(params: DeviceParams, drive: PumpDrive) -> float:
-    """Largest photon number on the response curve (the peak), by bisection."""
+    """Largest photon number on the response curve (the peak).
+
+    head(E) = 0 there: the one positive root of
+    gamma3^2 E^3 + 2 gamma gamma3 E^2 + gamma^2 E - 2 gamma1 b_in^2,
+    which is linear when gamma3 = 0.
+    """
     if drive.amplitude == 0.0:
         return 0.0
-    hi = 1.0
-    while curve_head(params, drive, hi) > 0.0:
-        hi *= 2.0
-    lo = 1e-300
-    for _ in range(220):
-        mid = 0.5 * (lo + hi)
-        if curve_head(params, drive, mid) > 0.0:
-            lo = mid
-        else:
-            hi = mid
-    return lo
+    g = params.gamma
+    g3 = params.gamma3
+    return max(real_roots(g3 * g3, 2.0 * g * g3, g * g,
+                          -2.0 * params.gamma1 * drive.amplitude**2))
 
 
 def curve_omega_p(params: DeviceParams, drive: PumpDrive, energy: float):
@@ -94,109 +112,88 @@ def _fold_slope(params: DeviceParams, drive: PumpDrive, energy: float) -> float:
     head = curve_head(params, drive, energy)
     if head <= 0.0:
         return -math.inf
+    return abs(params.kerr) + _head_slope(params, drive, energy) \
+        / (2.0 * math.sqrt(head))
+
+
+def _head_slope(params: DeviceParams, drive: PumpDrive, energy: float) -> float:
+    """d(head)/dE, negative for every E > 0."""
     g3 = params.gamma3
-    dhead = -2.0 * params.gamma1 * drive.amplitude**2 / energy**2 \
+    return -2.0 * params.gamma1 * drive.amplitude**2 / energy**2 \
         - 2.0 * g3 * (params.gamma + g3 * energy)
-    return abs(params.kerr) + dhead / (2.0 * math.sqrt(head))
 
 
-def fold_side_omega_p(params: DeviceParams, drive: PumpDrive, energy: float) -> float:
-    """Pump frequency at E on the side of the curve that can fold."""
-    lo, hi = curve_omega_p(params, drive, energy)
-    return lo if params.kerr < 0.0 else hi
+def _fold_omega_p(params: DeviceParams, drive: PumpDrive, energy: float) -> float:
+    """Fold-side pump frequency at a fold, where sqrt(head) = -head'/(2|K|)."""
+    return params.omega0 + params.kerr * energy \
+        - _head_slope(params, drive, energy) / (2.0 * params.kerr)
 
 
-def _bisect_slope_zero(params, drive, lo, hi, f_lo):
-    for _ in range(200):
-        mid = 0.5 * (lo + hi)
-        fm = _fold_slope(params, drive, mid)
-        if fm == 0.0:
-            return mid
-        if (fm > 0.0) == (f_lo > 0.0):
-            lo, f_lo = mid, fm
-        else:
-            hi = mid
-        if hi - lo <= 1e-13 * hi:
+def _polish(poly, x: float) -> float:
+    """Newton steps on the polynomial, kept while they shrink |poly(x)|.
+
+    The companion-matrix roots lose digits when gamma3 is tiny next to
+    |kerr| (two roots then sit near x = -|kerr|/gamma3): without these
+    steps the folds are 1e-10 off in relative E at gamma3 = 1e-16 |kerr|.
+    """
+    deriv = np.polyder(poly)
+    value = np.polyval(poly, x)
+    for _ in range(3):
+        slope = np.polyval(deriv, x)
+        if slope == 0.0:
             break
-    return 0.5 * (lo + hi)
+        candidate = x - value / slope
+        candidate_value = np.polyval(poly, candidate)
+        if abs(candidate_value) >= abs(value):
+            break
+        x, value = float(candidate), candidate_value
+    return x
 
 
 def instability_locus(params: DeviceParams, drive: PumpDrive):
     """All (omega_p, E) fold points of the response curve, ascending in E.
 
-    Empty when the drive is sub-critical or when |kerr| <= sqrt(3)*gamma3
-    (no fold can exist for any drive).  A maximum slope within TANGENCY_TOL
-    of zero is reported as the single coalesced tangency point.
+    The folds are the positive real roots of the fold polynomial P(x) of
+    the module docstring, x = E |kerr| / gamma, and each fold frequency
+    comes from the root-free form of omega_p.  Empty when the drive is
+    sub-critical or when |kerr| <= sqrt(3)*gamma3 (no fold can exist for
+    any drive).
+
+    Tangency: when the maximum of the fold-side slope lies within
+    TANGENCY_TOL*|kerr| of zero, the pair is reported as the single
+    coalesced point.  That is the case when P has two positive real roots
+    and the slope at their midpoint is at most the tolerance, or when P
+    has no positive real root but a complex-conjugate pair whose real part
+    has a slope within the tolerance of zero.
     """
     if drive.amplitude == 0.0:
         return []
-    if abs(params.kerr) <= SQRT3 * params.gamma3:
+    k = abs(params.kerr)
+    if k <= SQRT3 * params.gamma3:
         return []
-    e_top = max_curve_energy(params, drive)
-    # the lower fold can sit many decades below the curve top at extreme
-    # drives; the geometric half of the grid covers that range
-    lo_es = [e_top * x for x in _geomspace(1e-14, 0.5, _GRID // 2)]
-    hi_es = [e_top * (0.5 + 0.5 * (1.0 - 1e-10) * k / (_GRID // 2))
-             for k in range(1, _GRID // 2 + 1)]
-    grid = lo_es + hi_es
-    slopes = [_fold_slope(params, drive, e) for e in grid]
-
-    zeros = []
-    for i in range(len(grid) - 1):
-        if slopes[i] == 0.0:
-            zeros.append(grid[i])
-        elif slopes[i] * slopes[i + 1] < 0.0:
-            zeros.append(_bisect_slope_zero(params, drive, grid[i], grid[i + 1], slopes[i]))
-
-    # refine the grid maximum to catch tangencies and unresolved close pairs
-    imax = max(range(len(grid)), key=lambda i: slopes[i])
-    a = grid[max(0, imax - 1)]
-    b = grid[min(len(grid) - 1, imax + 1)]
-    e_peak, s_peak = _refine_max(params, drive, a, b)
-    tol = TANGENCY_TOL * abs(params.kerr)
-    if not zeros:
-        if abs(s_peak) <= tol:
-            zeros.append(e_peak)
-        elif s_peak > tol:
-            # positive bump the grid stepped over: bisect both flanks
-            zeros.append(_bisect_slope_zero(params, drive, a, e_peak,
-                                            _fold_slope(params, drive, a)))
-            zeros.append(_bisect_slope_zero(params, drive, e_peak, b, s_peak))
-
-    zeros.sort()
-    deduped: list[float] = []
-    for z in zeros:
-        if deduped and abs(z - deduped[-1]) <= 1e-9 * e_top:
-            continue
-        deduped.append(z)
-    return [(fold_side_omega_p(params, drive, e), e) for e in deduped]
-
-
-def _refine_max(params, drive, a, b):
-    """Golden-section maximization of the fold slope on [a, b]."""
-    gr = (math.sqrt(5.0) - 1.0) / 2.0
-    c = b - gr * (b - a)
-    d = a + gr * (b - a)
-    fc = _fold_slope(params, drive, c)
-    fd = _fold_slope(params, drive, d)
-    for _ in range(200):
-        if fc > fd:
-            b, d, fd = d, c, fc
-            c = b - gr * (b - a)
-            fc = _fold_slope(params, drive, c)
-        else:
-            a, c, fc = c, d, fd
-            d = a + gr * (b - a)
-            fd = _fold_slope(params, drive, d)
-        if b - a <= 1e-14 * max(abs(a), abs(b)):
-            break
-    e = 0.5 * (a + b)
-    return e, _fold_slope(params, drive, e)
-
-
-def _geomspace(lo, hi, n):
-    ratio = (hi / lo) ** (1.0 / (n - 1))
-    return [lo * ratio**k for k in range(n)]
+    r = params.gamma3 / k
+    sigma = 2.0 * params.gamma1 * drive.amplitude**2 * k / params.gamma**3
+    c4 = 4.0 * (1.0 + r * r)
+    # P(x) = c4 x^4 (1 + r x)^2 - 4 sigma (1 - r^2) x^3 + 4 r sigma x^2
+    #        + sigma^2; np.roots drops the leading zeros when gamma3 = 0
+    poly = np.array([c4 * r * r, 2.0 * c4 * r, c4,
+                     -4.0 * sigma * (1.0 - r * r), 4.0 * r * sigma, 0.0,
+                     sigma * sigma])
+    roots = np.roots(poly)
+    unit = params.gamma / k
+    folds = sorted(unit * _polish(poly, float(z.real)) for z in roots
+                   if z.imag == 0.0 and z.real > 0.0)
+    tol = TANGENCY_TOL * k
+    if len(folds) == 2:
+        mid = 0.5 * (folds[0] + folds[1])
+        if _fold_slope(params, drive, mid) <= tol:
+            folds = [mid]
+    elif not folds:
+        pairs = (unit * float(z.real) for z in roots
+                 if z.imag > 0.0 and z.real > 0.0)
+        folds = [e for e in pairs
+                 if abs(_fold_slope(params, drive, e)) <= tol][:1]
+    return [(_fold_omega_p(params, drive, e), e) for e in folds]
 
 
 def critical_point(params: DeviceParams) -> CriticalPoint:
@@ -264,10 +261,3 @@ def coalescence_residual(params: DeviceParams, omega_p: float, energy: float) ->
     t1 = 6.0 * (k * k + g3 * g3) * energy
     t2 = 4.0 * (delta * k + params.gamma * g3)
     return abs(t1 + t2) / (abs(t1) + abs(t2))
-
-
-def discriminant_at(params: DeviceParams, drive: PumpDrive) -> float:
-    """Discriminant of the pump cubic (sign flips at fold frequencies)."""
-    from .cubic import cubic_discriminant
-
-    return cubic_discriminant(*cubic_coefficients(params, drive))

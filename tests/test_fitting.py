@@ -124,6 +124,18 @@ def test_non_convergence_reports_best_so_far():
     assert math.isfinite(best.rms_residual)
 
 
+def test_fit_undefined_everywhere_is_not_converged():
+    """With every b1_in zero the reflection is undefined at every point and
+    every objective value is the penalty: a failure, not a fit."""
+    rows = tuple((w, 0.0, r) for w, _, r
+                 in synth_refl_rows(TRUE, fractions=(0.7,), n_points=11))
+    problem = FitProblem(initial=guessed(TRUE, 0.1), free=FREE,
+                         bounds=BOUNDS, refl_data=rows)
+    with pytest.raises(NonConvergence) as excinfo:
+        run_fit(problem)
+    assert not excinfo.value.best.converged
+
+
 def test_fixed_parameters_stay_fixed():
     rows = synth_refl_rows(TRUE, fractions=(0.7,), n_points=41)
     start = guessed(TRUE, 0.05)

@@ -6,7 +6,8 @@ import pytest
 from kerrcav import (DeviceParams, PumpDrive, coalescence_residual,
                      critical_point, curve_omega_p, fold_condition_residual,
                      instability_locus, max_curve_energy,
-                     response_peak_detuning, solve_pump_energy, steady_state)
+                     cubic_coefficients, response_peak_detuning,
+                     solve_pump_energy, steady_state)
 from oracles import brute_force_critical, fold_frequencies_from_root_count
 
 SQRT3 = math.sqrt(3.0)
@@ -105,6 +106,36 @@ def test_locus_points_sit_at_critical_slowing_down(fig_device):
                                            energy) <= 1e-10
 
 
+def double_root_residuals(params, omega_p, amplitude, energy):
+    """|c(E)| and |E c'(E)| of the pump cubic, each over its sum of |terms|."""
+    c3, c2, c1, c0 = cubic_coefficients(
+        params, PumpDrive(omega_p=omega_p, amplitude=amplitude))
+    t3, t2, t1 = c3 * energy**3, c2 * energy**2, c1 * energy
+    value = abs(t3 + t2 + t1 + c0) / (abs(t3) + abs(t2) + abs(t1) + abs(c0))
+    slope = abs(3.0 * t3 + 2.0 * t2 + t1) \
+        / (3.0 * abs(t3) + 2.0 * abs(t2) + abs(t1))
+    return value, slope
+
+
+@pytest.mark.parametrize("gamma3", [0.0, 1e-22])
+@pytest.mark.parametrize("factor", [300.0, 1000.0])
+def test_locus_keeps_upper_fold_far_above_critical(factor, gamma3):
+    """Single-port device far above critical: the upper fold sits about
+    1/(4 sigma^2) below the curve top in relative E (1e-13 at 1000x) and
+    must still be found, as a double root of the pump cubic.  A two-photon
+    loss 1e-16 of |kerr| puts two more roots of the fold polynomial near
+    E = -gamma/gamma3, which must not cost the folds their precision."""
+    device = DeviceParams(omega0=1.0, kerr=-1e-6, gamma1=0.01, gamma2=0.0,
+                          gamma3=gamma3)
+    amplitude = factor * critical_point(device).drive
+    points = instability_locus(device,
+                               PumpDrive(omega_p=1.0, amplitude=amplitude))
+    assert len(points) == 2
+    for omega_p, energy in points:
+        assert max(double_root_residuals(device, omega_p, amplitude,
+                                         energy)) <= 1e-12
+
+
 def test_locus_positive_kerr_mirror(fig_device):
     mirrored = DeviceParams(omega0=1.0, kerr=-fig_device.kerr,
                             gamma1=fig_device.gamma1, gamma2=fig_device.gamma2,
@@ -198,7 +229,8 @@ def test_brute_force_detection_matches_closed_form(fig_device):
 def test_locus_matches_transitions_across_random_devices():
     """Randomized consistency: for random lossy devices at random drive
     factors the two folds always agree with the root-count transitions and
-    sit at critical slowing down."""
+    sit at critical slowing down; at and just above the critical drive the
+    locus is the single tangency point."""
     rng = np.random.default_rng(99)
     tested = 0
     while tested < 25:
@@ -214,6 +246,12 @@ def test_locus_matches_transitions_across_random_devices():
         tested += 1
         drive = PumpDrive(omega_p=1.0,
                           amplitude=rng.uniform(1.2, 30.0) * crit.drive)
+        # inside the tangency band the folds coalesce into one point
+        for factor in (1.0, 1.0 + 1e-7):
+            tangency = instability_locus(
+                params, PumpDrive(omega_p=1.0, amplitude=factor * crit.drive))
+            assert len(tangency) == 1
+            assert tangency[0][1] == pytest.approx(crit.energy, rel=1e-4)
         points = instability_locus(params, drive)
         transitions = fold_frequencies_from_root_count(
             params, drive.amplitude, lambda p, d: solve_pump_energy(p, d))
