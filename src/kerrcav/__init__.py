@@ -11,8 +11,7 @@ from .fitting import (FitProblem, FitResult, NonConvergence, load_fit_problem,
                       predict_gain, predict_reflection, run_fit)
 from .model import (DeviceParams, DeviceValidation, PumpDrive, validate)
 from .noise import (SqueezeAtPump, SqueezeResult, ThermalEnv, lo_phase_extrema,
-                    noise_power, noise_power_dc, squeeze_vs_pump,
-                    thermal_occupation)
+                    noise_power, squeeze_vs_pump, thermal_occupation)
 from .operating import (CriticalPoint, coalescence_residual, critical_point,
                         curve_omega_p, fold_condition_residual,
                         instability_locus, max_curve_energy,
@@ -22,7 +21,8 @@ from .smallsignal import (SingularResponse, SmallSignalResponse,
                           transfer_coefficients)
 from .steady import (DegenerateModel, SteadyState, UndefinedForZeroDrive,
                      cubic_coefficients, reflection_coefficient,
-                     solve_pump_energy, steady_state, steady_states)
+                     settled_state, solve_pump_energy, steady_state,
+                     steady_states)
 from .stripline import (LineProfile, ModeSolution, ResolutionError,
                         SameModeError, cross_kerr, derive_device,
                         gamma2_from_profile, gamma3_from_profile,
@@ -47,11 +47,11 @@ __all__ = [
     "instability_locus", "intermodulation_gain", "kerr_constant",
     "linearize", "lo_phase_extrema", "load_config", "load_config_file",
     "load_fit_problem", "load_profile", "max_curve_energy", "noise_power",
-    "noise_power_dc", "parametric_gain", "parse_json", "predict_gain",
-    "predict_reflection", "real_roots", "reflection_coefficient", "render",
+    "parametric_gain", "parse_json", "predict_gain", "predict_reflection",
+    "real_roots", "reflection_coefficient", "render",
     "response_peak_detuning", "run_critical", "run_fit", "run_gain_sweep",
     "run_line_derive", "run_squeeze_sweep", "run_steady_sweep",
-    "solve_modes", "solve_pump_energy", "squeeze_vs_pump", "steady_state",
-    "steady_states", "thermal_occupation", "to_csv", "to_json",
-    "transfer_coefficients", "validate",
+    "settled_state", "solve_modes", "solve_pump_energy", "squeeze_vs_pump",
+    "steady_state", "steady_states", "thermal_occupation", "to_csv",
+    "to_json", "transfer_coefficients", "validate",
 ]

@@ -3,7 +3,7 @@
 Subcommands: steady-sweep, gain-sweep, squeeze-sweep, critical, line-derive,
 fit.  Results are emitted as CSV or JSON tables with deterministic
 formatting.  Exit codes: 0 success, 2 configuration error, 3 numeric
-failure (non-convergence), 4 I/O error.
+failure (non-convergence or arithmetic overflow), 4 I/O error.
 """
 
 import argparse
@@ -68,23 +68,14 @@ def _emit(table: Table, args) -> int:
     return EXIT_OK
 
 
-def _load_json(path):
-    try:
-        with open(path, "r", encoding="utf-8") as fh:
-            return json.load(fh)
-    except json.JSONDecodeError as exc:
-        raise ConfigError(
-            "$", f"invalid JSON at line {exc.lineno}, column {exc.colno} "
-                 f"(byte offset {exc.pos}): {exc.msg}") from exc
-
-
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         if args.command == "line-derive":
             table = run_line_derive(args.profile, args.mode_index, args.gamma1)
         elif args.command == "fit":
-            data = _load_json(args.config)
+            with open(args.config, "r", encoding="utf-8") as fh:
+                data = json.load(fh)
             if not isinstance(data, dict) or data.get("schema") != 1:
                 raise ConfigError("schema", "expected 1")
             problem = load_fit_problem(data.get("fit"), "fit")
@@ -119,6 +110,10 @@ def main(argv=None) -> int:
         else:
             print(f"error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
+    except ArithmeticError as exc:
+        # overflow or a singular point outside the guarded evaluations
+        print(f"error: numeric failure: {exc}", file=sys.stderr)
+        return EXIT_NUMERIC
     except OSError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_IO

@@ -17,8 +17,8 @@ from scipy.optimize import minimize
 
 from .model import DeviceParams, PumpDrive, validate
 from .smallsignal import intermodulation_gain
-from .steady import reflection_coefficient, steady_states
-from .sweeps import ConfigError
+from .steady import reflection_coefficient, settled_state
+from .sweeps import ConfigError, _number, load_device
 
 FREE_NAMES = ("omega0", "kerr", "gamma1", "gamma2", "gamma3")
 MAX_EVALUATIONS = 100_000
@@ -85,23 +85,18 @@ def _with_values(base: DeviceParams, names, values) -> DeviceParams:
     return DeviceParams(phi1=base.phi1, phi2=base.phi2, phi3=base.phi3, **fields)
 
 
-def _settled_state(params, drive):
-    branches = steady_states(params, drive)
-    return next((s for s in branches if s.stable), branches[0])
-
-
 def predict_reflection(params: DeviceParams, omega_p: float, b1_in: float,
                        psi1: float = 0.0) -> float:
     """|reflection| on the lowest-energy stable branch."""
     drive = PumpDrive(omega_p=omega_p, amplitude=b1_in, phase=psi1)
-    return abs(reflection_coefficient(_settled_state(params, drive), drive))
+    return abs(reflection_coefficient(settled_state(params, drive), drive))
 
 
 def predict_gain(params: DeviceParams, omega_p: float, b1_in: float,
                  psi1: float = 0.0) -> float:
     """Zero-offset intermodulation gain on the lowest-energy stable branch."""
     drive = PumpDrive(omega_p=omega_p, amplitude=b1_in, phase=psi1)
-    return intermodulation_gain(params, _settled_state(params, drive), drive, 0.0)
+    return intermodulation_gain(params, settled_state(params, drive), drive, 0.0)
 
 
 def run_fit(problem: FitProblem, max_evaluations: int = MAX_EVALUATIONS) -> FitResult:
@@ -157,27 +152,34 @@ def load_fit_problem(data, path="fit") -> FitProblem:
     """Build a :class:`FitProblem` from a parsed JSON config block."""
     if not isinstance(data, dict):
         raise ConfigError(path, "expected an object")
-    from .sweeps import load_device
-
     initial = load_device(data.get("initial"), f"{path}.initial")
     free = data.get("free")
     if not isinstance(free, list) or not free:
         raise ConfigError(f"{path}.free", "expected a non-empty list")
+    raw_bounds = data.get("bounds", {})
+    if not isinstance(raw_bounds, dict):
+        raise ConfigError(f"{path}.bounds", "expected an object")
     bounds = {}
-    for name, pair in dict(data.get("bounds", {})).items():
+    for name, pair in raw_bounds.items():
+        where = f"{path}.bounds.{name}"
         if (not isinstance(pair, list)) or len(pair) != 2:
-            raise ConfigError(f"{path}.bounds.{name}", "expected [lo, hi]")
-        bounds[name] = (float(pair[0]), float(pair[1]))
+            raise ConfigError(where, "expected [lo, hi]")
+        bounds[name] = (_number(pair[0], f"{where}[0]"),
+                        _number(pair[1], f"{where}[1]"))
 
     def rows(key):
+        raw = data.get(key, [])
+        if not isinstance(raw, list):
+            raise ConfigError(f"{path}.{key}", "expected a list")
         out = []
-        for i, row in enumerate(data.get(key, [])):
+        for i, row in enumerate(raw):
+            where = f"{path}.{key}[{i}]"
             if (not isinstance(row, list)) or len(row) != 3:
-                raise ConfigError(f"{path}.{key}[{i}]",
-                                  "expected [omega_p, b1_in, value]")
-            out.append((float(row[0]), float(row[1]), float(row[2])))
+                raise ConfigError(where, "expected [omega_p, b1_in, value]")
+            out.append(tuple(_number(v, f"{where}[{j}]")
+                             for j, v in enumerate(row)))
         return tuple(out)
 
     return FitProblem(initial=initial, free=tuple(free), bounds=bounds,
                       refl_data=rows("refl_data"), gain_data=rows("gain_data"),
-                      psi1=float(data.get("psi1", 0.0)))
+                      psi1=_number(data.get("psi1", 0.0), f"{path}.psi1"))

@@ -20,7 +20,7 @@ from typing import Callable, Sequence
 from .model import DeviceParams, PumpDrive
 from .operating import critical_point
 from .smallsignal import SingularResponse, transfer_coefficients
-from .steady import SteadyState, steady_states
+from .steady import SteadyState, settled_state
 
 
 @dataclass(frozen=True)
@@ -45,11 +45,6 @@ class ThermalEnv:
         return (thermal_occupation(self.theta1),
                 thermal_occupation(self.theta2),
                 thermal_occupation(self.theta3))
-
-    def coth_factors(self) -> tuple[float, float, float]:
-        """coth(theta_i / 2) per bath; 1 at zero temperature."""
-        return tuple(1.0 / math.tanh(t / 2.0) if math.isfinite(t) else 1.0
-                     for t in (self.theta1, self.theta2, self.theta3))
 
 
 def thermal_occupation(theta: float) -> float:
@@ -133,26 +128,6 @@ def noise_power(params: DeviceParams, state: SteadyState, drive: PumpDrive,
     return total
 
 
-def noise_power_dc(params: DeviceParams, state: SteadyState, drive: PumpDrive,
-                   env: ThermalEnv, phi_lo: float) -> float:
-    """Zero-offset noise power via the coth form.
-
-    At omega = 0 the two thermal terms per port share one modulus and
-    collapse to |e^{-i phi} S_i*(0) + e^{i phi} C_i(0)|^2 coth(theta_i/2);
-    agrees with :func:`noise_power` at omega = 0.
-    """
-    try:
-        resp = transfer_coefficients(params, state, drive, 0.0)
-    except SingularResponse:
-        return math.inf
-    sig = (resp.refl_signal, resp.loss_signal, resp.tpl_signal)
-    conj = (resp.refl_conj, resp.loss_conj, resp.tpl_conj)
-    coth = env.coth_factors()
-    lo = cmath.exp(1j * phi_lo)
-    return sum(c * abs(s.conjugate() / lo + lo * k) ** 2
-               for s, k, c in zip(sig, conj, coth))
-
-
 def lo_phase_extrema(params: DeviceParams, state: SteadyState, drive: PumpDrive,
                      env: ThermalEnv, omega: float = 0.0) -> SqueezeResult:
     """Analytic extrema of P over the local-oscillator phase.
@@ -211,8 +186,7 @@ def squeeze_vs_pump(params: DeviceParams, env: ThermalEnv,
     for frac in pump_fractions:
         drive = PumpDrive(omega_p=crit.omega_p, amplitude=frac * crit.drive,
                           phase=psi1)
-        branches = steady_states(params, drive)
-        chosen = next((s for s in branches if s.stable), branches[0])
+        chosen = settled_state(params, drive)
         ext = lo_phase_extrema(params, chosen, drive, env, 0.0)
         rows.append(SqueezeAtPump(
             fraction=frac,

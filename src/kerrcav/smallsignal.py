@@ -82,25 +82,14 @@ def linearize(params: DeviceParams, state: SteadyState, drive: PumpDrive):
     return self_coupling, conj_coupling
 
 
-def relaxation_roots_from(self_coupling: complex, conj_coupling: complex):
-    """Relaxation roots (slow, fast) from the drift coefficients.
-
-    Roots of lambda^2 - 2*Re(self)*lambda + |self|^2 - |conj|^2, evaluated
-    with the complex square root; they satisfy the Vieta relations
-    sum = 2*Re(self) and product = |self|^2 - |conj|^2.
-    """
-    re = self_coupling.real
-    radicand = re * re - abs(self_coupling) ** 2 + abs(conj_coupling) ** 2
-    s = cmath.sqrt(complex(radicand, 0.0))
-    return re - s, re + s
-
-
 def transfer_coefficients(params: DeviceParams, state: SteadyState,
                           drive: PumpDrive, omega: float) -> SmallSignalResponse:
     """Six port-to-output transfer coefficients at offset ``omega``.
 
     ``omega`` is the offset from the pump frequency (rotating-frame
     convention); the conjugate coefficients mix in the image at -omega.
+    The relaxation roots in D are the state's own, so ``state`` must be a
+    steady state of ``drive``.
 
     Raises
     ------
@@ -109,7 +98,7 @@ def transfer_coefficients(params: DeviceParams, state: SteadyState,
         instability, where the gain diverges).
     """
     w, v = linearize(params, state, drive)
-    lam_slow, lam_fast = relaxation_roots_from(w, v)
+    lam_slow, lam_fast = state.lambda_slow, state.lambda_fast
     d = (-1j * omega + lam_slow) * (-1j * omega + lam_fast)
     if abs(d) < SINGULAR_TOL * params.gamma**2:
         raise SingularResponse(

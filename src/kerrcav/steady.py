@@ -173,6 +173,16 @@ def steady_states(params: DeviceParams, drive: PumpDrive) -> list[SteadyState]:
             for i, e in enumerate(solve_pump_energy(params, drive))]
 
 
+def settled_state(params: DeviceParams, drive: PumpDrive) -> SteadyState:
+    """The branch a slowly swept drive settles on.
+
+    That is the lowest-energy stable branch, or the lowest branch when none
+    is stable (a marginal or unstable operating point).
+    """
+    branches = steady_states(params, drive)
+    return next((s for s in branches if s.stable), branches[0])
+
+
 def reflection_coefficient(state: SteadyState, drive: PumpDrive) -> complex:
     """Reflected-over-incoming pump amplitude ratio.
 

@@ -98,24 +98,29 @@ def load_profile(path) -> LineProfile:
     """
     with open(path, "r", encoding="utf-8") as fh:
         data = json.load(fh)
+    if not isinstance(data, dict):
+        raise ValueError(f"profile file {path}: expected an object")
     for key in ("l", "I_c", "hbar", "grid", *PROFILE_KEYS):
         if key not in data:
             raise ValueError(f"profile file {path}: missing key {key!r}")
-    n = int(data["grid"])
+    n = data["grid"]
+    if isinstance(n, bool) or not isinstance(n, int):
+        raise ValueError(f"profile file {path}: grid must be an integer, "
+                         f"got {n!r}")
     for key in PROFILE_KEYS:
+        if not isinstance(data[key], list):
+            raise ValueError(f"profile file {path}: {key!r} must be a list")
         if len(data[key]) != n:
             raise ValueError(
                 f"profile file {path}: array {key!r} has length "
                 f"{len(data[key])}, expected grid = {n}")
-    return LineProfile(
-        length=float(data["l"]), I_c=float(data["I_c"]),
-        hbar=float(data["hbar"]),
-        C=np.array(data["C"], dtype=float),
-        L0=np.array(data["L0"], dtype=float),
-        dL=np.array(data["dL"], dtype=float),
-        R0=np.array(data["R0"], dtype=float),
-        dR=np.array(data["dR"], dtype=float),
-    )
+    try:
+        return LineProfile(
+            length=float(data["l"]), I_c=float(data["I_c"]),
+            hbar=float(data["hbar"]),
+            **{k: np.array(data[k], dtype=float) for k in PROFILE_KEYS})
+    except TypeError as exc:  # a null, list or object where a number belongs
+        raise ValueError(f"profile file {path}: {exc}") from exc
 
 
 def solve_modes(profile: LineProfile, n_modes: int) -> list[ModeSolution]:

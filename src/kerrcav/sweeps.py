@@ -19,7 +19,7 @@ import numpy as np
 from .model import DeviceParams, PumpDrive, validate
 from .noise import ThermalEnv, squeeze_vs_pump
 from .operating import critical_point
-from .smallsignal import intermodulation_gain, parametric_gain
+from .smallsignal import SingularResponse, transfer_coefficients
 from .steady import reflection_coefficient, steady_states
 from .stripline import (derive_device, gamma2_from_profile,
                         gamma3_from_profile, kerr_constant, load_profile,
@@ -69,13 +69,34 @@ def _require(mapping, key, path):
 def _number(value, path, minimum=None, strict=False):
     if isinstance(value, bool) or not isinstance(value, (int, float)):
         raise ConfigError(path, f"expected a number, got {value!r}")
-    v = float(value)
+    try:
+        v = float(value)
+    except OverflowError:
+        v = math.inf
+    if not math.isfinite(v):
+        raise ConfigError(path, f"must be finite (got {v!r})")
     if minimum is not None:
         if strict and not v > minimum:
             raise ConfigError(path, f"must be > {minimum} (got {v!r})")
         if not strict and not v >= minimum:
             raise ConfigError(path, f"must be >= {minimum} (got {v!r})")
     return v
+
+
+def _integer(value, path, minimum):
+    if isinstance(value, bool) or not isinstance(value, int):
+        raise ConfigError(path, f"expected an integer, got {value!r}")
+    if value < minimum:
+        raise ConfigError(path, f"must be >= {minimum} (got {value})")
+    return value
+
+
+def _numbers(data, key, minimum=None):
+    values = data.get(key, [])
+    if not isinstance(values, list):
+        raise ConfigError(key, f"expected a list, got {values!r}")
+    return tuple(_number(v, f"{key}[{i}]", minimum=minimum)
+                 for i, v in enumerate(values))
 
 
 def _theta(value, path):
@@ -89,8 +110,8 @@ def load_device(block, path, base_dir="."):
         raise ConfigError(path, "expected an object")
     if "profile" in block:
         profile_path = os.path.join(base_dir, str(block["profile"]))
-        mode_index = int(_number(_require(block, "mode_index", path),
-                                 f"{path}.mode_index", minimum=1))
+        mode_index = _integer(_require(block, "mode_index", path),
+                              f"{path}.mode_index", minimum=1)
         gamma1 = _number(_require(block, "gamma1", path), f"{path}.gamma1",
                          minimum=0.0)
         return derive_device(load_profile(profile_path), mode_index, gamma1)
@@ -123,16 +144,14 @@ def _resolve_amplitude(value, path, device):
 
 
 def _load_grid(block, path):
+    if not isinstance(block, dict):
+        raise ConfigError(path, "expected an object")
     start = _number(_require(block, "start", path), f"{path}.start")
     stop = _number(_require(block, "stop", path), f"{path}.stop")
-    count = _require(block, "count", path)
-    if isinstance(count, bool) or not isinstance(count, int):
-        raise ConfigError(f"{path}.count", f"expected an integer, got {count!r}")
-    if count < 2:
-        raise ConfigError(f"{path}.count", f"must be >= 2 (got {count})")
-    if not (math.isfinite(start) and math.isfinite(stop)):
-        raise ConfigError(path, "range must be finite")
+    count = _integer(_require(block, "count", path), f"{path}.count", minimum=2)
     step = (stop - start) / (count - 1)
+    if not math.isfinite(step):
+        raise ConfigError(path, "range must be finite (stop - start overflows)")
     return tuple(start + step * i for i in range(count))
 
 
@@ -171,20 +190,12 @@ def load_config(data, base_dir=".") -> SweepConfig:
             theta3=_theta(block.get("theta3", "inf"), "env.theta3"),
         )
 
-    offsets: tuple[float, ...] = ()
-    offsets_absolute = False
     if "offsets" in data and "signal_frequencies" in data:
         raise ConfigError("offsets", "give offsets or signal_frequencies, not both")
-    if "offsets" in data:
-        offsets = tuple(_number(v, f"offsets[{i}]")
-                        for i, v in enumerate(data["offsets"]))
-    elif "signal_frequencies" in data:
-        offsets = tuple(_number(v, f"signal_frequencies[{i}]")
-                        for i, v in enumerate(data["signal_frequencies"]))
-        offsets_absolute = True
-
-    fractions = tuple(_number(v, f"pump_fractions[{i}]", minimum=0.0)
-                      for i, v in enumerate(data.get("pump_fractions", [])))
+    offsets_absolute = "signal_frequencies" in data
+    offsets = _numbers(data, "signal_frequencies" if offsets_absolute
+                       else "offsets")
+    fractions = _numbers(data, "pump_fractions", minimum=0.0)
 
     return SweepConfig(device=device, omega_p_grid=omega_grid,
                        amplitudes=amplitudes, psi1=psi1, env=env,
@@ -241,8 +252,14 @@ def run_gain_sweep(config: SweepConfig) -> Table:
             for state in steady_states(config.device, drive):
                 for value in config.offsets:
                     omega = value - omega_p if config.offsets_absolute else value
-                    gs = parametric_gain(config.device, state, drive, omega)
-                    gi = intermodulation_gain(config.device, state, drive, omega)
+                    try:
+                        resp = transfer_coefficients(config.device, state,
+                                                     drive, omega)
+                    except SingularResponse:
+                        gs = gi = math.inf
+                    else:
+                        gs = abs(resp.refl_signal) ** 2
+                        gi = abs(resp.refl_conj) ** 2
                     diverged = not (math.isfinite(gs) and math.isfinite(gi))
                     table.append(amp, omega_p, state.branch_index, omega,
                                  gs, gi, diverged)

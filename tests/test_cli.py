@@ -85,9 +85,24 @@ def test_config_error_exit_code(tmp_path, capsys):
 def test_malformed_json_reports_location(tmp_path, capsys):
     path = tmp_path / "broken.json"
     path.write_text('{"schema": 1, "device": }')
-    assert main(["critical", "--config", str(path)]) == 2
-    err = capsys.readouterr().err
-    assert "line" in err and "column" in err
+    for command in ("critical", "fit"):
+        assert main([command, "--config", str(path)]) == 2
+        err = capsys.readouterr().err
+        assert "line" in err and "column" in err
+
+
+def test_overflowing_drive_is_numeric_error(tmp_path, capsys):
+    cfg = write_json(tmp_path / "huge.json", {
+        "schema": 1,
+        "device": dict(DEVICE),
+        "drive": {"omega_p": {"start": 0.95, "stop": 1.0, "count": 3},
+                  "b1_in": [1e200]},
+    })
+    assert main(["steady-sweep", "--config", cfg]) == 3
+    captured = capsys.readouterr()
+    assert captured.err.startswith("error:")
+    assert "Traceback" not in captured.err
+    assert captured.out == ""
 
 
 def test_missing_config_is_io_error(tmp_path, capsys):

@@ -166,3 +166,18 @@ def test_load_fit_problem_from_config():
         load_fit_problem({**data, "refl_data": [[1.0, 0.1]]})
     with pytest.raises(ConfigError, match="free"):
         load_fit_problem({**data, "free": []})
+
+
+def test_load_fit_problem_rejects_non_numbers():
+    rows = [list(r) for r in synth_refl_rows(TRUE, fractions=(0.5,), n_points=6)]
+    data = {"initial": {"omega0": 1.0, "kerr": -1.1e-4, "gamma1": 0.009,
+                        "gamma2": 0.012, "gamma3": 2e-5},
+            "free": ["kerr"], "refl_data": rows}
+    for change, field in (({"bounds": {"kerr": [None, 0.0]}}, r"bounds\.kerr\[0\]"),
+                          ({"bounds": [[-1e-3, 0.0]]}, "bounds"),
+                          ({"refl_data": rows[:-1] + [[1.0, "x", 0.5]]},
+                           r"refl_data\[5\]\[1\]"),
+                          ({"refl_data": 5}, "refl_data"),
+                          ({"psi1": math.nan}, "psi1")):
+        with pytest.raises(ConfigError, match=field):
+            load_fit_problem({**data, **change})

@@ -4,8 +4,8 @@ import numpy as np
 import pytest
 
 from kerrcav import (DeviceParams, PumpDrive, ThermalEnv, critical_point,
-                     lo_phase_extrema, noise_power, noise_power_dc,
-                     squeeze_vs_pump, steady_states, thermal_occupation)
+                     lo_phase_extrema, noise_power, squeeze_vs_pump,
+                     steady_states, thermal_occupation)
 from oracles import scan_phase_extrema
 
 SQRT3 = math.sqrt(3.0)
@@ -65,18 +65,8 @@ def test_thermal_floor_without_pump():
     state, drive = settled(params, 1.0, 0.0)
     env = ThermalEnv(theta1=0.8)
     expected = 1.0 / math.tanh(0.4)
-    assert noise_power_dc(params, state, drive, env, 0.3) \
+    assert noise_power(params, state, drive, env, 0.0, 0.3) \
         == pytest.approx(expected, rel=1e-12)
-
-
-def test_dc_form_matches_full_spectrum_at_zero(fig_device):
-    crit = critical_point(fig_device)
-    env = ThermalEnv(theta1=2.0, theta2=5.0, theta3=1.3)
-    state, drive = settled(fig_device, crit.omega_p, 0.8 * crit.drive)
-    for phi in (0.0, 0.4, 1.2, 2.9):
-        assert noise_power_dc(fig_device, state, drive, env, phi) \
-            == pytest.approx(noise_power(fig_device, state, drive, env, 0.0,
-                                         phi), rel=1e-12)
 
 
 def test_hotter_bath_raises_noise(fig_device):
@@ -133,7 +123,7 @@ def test_extrema_match_brute_force_phase_scan():
     state, drive = settled(params, crit.omega_p, 0.05 * crit.drive)
     ext = lo_phase_extrema(params, state, drive, env, 0.0)
     scan_min, scan_max = scan_phase_extrema(
-        lambda phi: noise_power_dc(params, state, drive, env, phi))
+        lambda phi: noise_power(params, state, drive, env, 0.0, phi))
     assert scan_min == pytest.approx(ext.p_min, abs=1e-9)
     assert scan_max == pytest.approx(ext.p_max, abs=1e-9)
 

@@ -8,7 +8,6 @@ from kerrcav import (DeviceParams, PumpDrive, SingularResponse, critical_point,
                      instability_locus, intermodulation_gain, linearize,
                      parametric_gain, steady_state, steady_states,
                      transfer_coefficients)
-from kerrcav.smallsignal import relaxation_roots_from
 
 
 def pumped_state(params, omega_p, amplitude, branch=0):
@@ -65,21 +64,11 @@ def test_relaxation_roots_satisfy_vieta(fig_device):
         state, drive = pumped_state(fig_device, omega_p,
                                     rng.uniform(0.0, 2.0) * crit.drive)
         w, v = linearize(fig_device, state, drive)
-        lam_slow, lam_fast = relaxation_roots_from(w, v)
+        lam_slow, lam_fast = state.lambda_slow, state.lambda_fast
         assert lam_slow * lam_fast == pytest.approx(
             abs(w) ** 2 - abs(v) ** 2, rel=1e-10)
         assert lam_slow + lam_fast == pytest.approx(2.0 * w.real, rel=1e-12)
         assert lam_slow.real <= lam_fast.real
-
-
-def test_linearize_matches_steady_state_roots(fig_device):
-    crit = critical_point(fig_device)
-    for frac in (0.4, 1.5):
-        state, drive = pumped_state(fig_device, crit.omega_p, frac * crit.drive)
-        w, v = linearize(fig_device, state, drive)
-        lam_slow, lam_fast = relaxation_roots_from(w, v)
-        assert lam_slow == pytest.approx(state.lambda_slow, rel=1e-12)
-        assert lam_fast == pytest.approx(state.lambda_fast, rel=1e-12)
 
 
 # -------------------------------------------------------- transfer coefficients

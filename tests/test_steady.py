@@ -6,8 +6,8 @@ import pytest
 
 from kerrcav import (DegenerateModel, DeviceParams, PumpDrive,
                      UndefinedForZeroDrive, critical_point, cubic_coefficients,
-                     reflection_coefficient, solve_pump_energy, steady_state,
-                     steady_states)
+                     reflection_coefficient, settled_state, solve_pump_energy,
+                     steady_state, steady_states)
 
 SQRT3 = math.sqrt(3.0)
 
@@ -321,3 +321,19 @@ def test_branches_sorted_and_indexed(fig_device):
     assert energies == sorted(energies)
     assert [s.branch_index for s in states] == [0, 1, 2]
     assert states[0].stable and not states[1].stable and states[2].stable
+
+
+def test_settled_state_is_lowest_stable_branch(fig_device):
+    from kerrcav import instability_locus
+
+    crit = critical_point(fig_device)
+    drive = PumpDrive(omega_p=crit.omega_p, amplitude=2.0 * crit.drive)
+    folds = instability_locus(fig_device, drive)
+    inside = PumpDrive(omega_p=0.5 * (folds[0][0] + folds[1][0]),
+                       amplitude=drive.amplitude)
+    assert settled_state(fig_device, inside) == steady_states(fig_device, inside)[0]
+    # at the critical point no branch is stable: the lowest one is returned
+    at_crit = PumpDrive(omega_p=crit.omega_p, amplitude=crit.drive)
+    states = steady_states(fig_device, at_crit)
+    assert not any(s.stable for s in states)
+    assert settled_state(fig_device, at_crit) == states[0]

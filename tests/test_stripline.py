@@ -268,3 +268,14 @@ def test_profile_file_round_trip(tmp_path, uniform_profile):
     path.write_text(json.dumps(payload))
     with pytest.raises(ValueError, match="L0"):
         load_profile(path)
+
+
+def test_profile_file_rejects_wrong_types(tmp_path):
+    good = {"l": 1.0, "I_c": 1.0, "hbar": 1.0, "grid": 32,
+            **{k: [1.0] * 32 for k in ("C", "L0", "dL", "R0", "dR")}}
+    path = tmp_path / "line.json"
+    for change, field in (({"C": 5}, "C"), ({"grid": 32.5}, "grid"),
+                          ({"grid": "32"}, "grid"), ({"l": None}, "line.json")):
+        path.write_text(json.dumps({**good, **change}))
+        with pytest.raises(ValueError, match=field):
+            load_profile(path)

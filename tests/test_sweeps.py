@@ -60,6 +60,13 @@ def test_config_rejects_infinite_range():
         load_config(cfg)
 
 
+def test_config_rejects_overflowing_range():
+    cfg = steady_config(0.5)
+    cfg["drive"]["omega_p"].update(start=-1e308, stop=1e308)
+    with pytest.raises(ConfigError, match="finite"):
+        load_config(cfg)
+
+
 def test_times_critical_needs_critical_point():
     cfg = steady_config(0.5)
     cfg["device"]["kerr"] = 0.0
@@ -92,6 +99,41 @@ def test_offsets_and_signal_frequencies_are_exclusive():
     cfg["signal_frequencies"] = [1.0]
     with pytest.raises(ConfigError, match="offsets"):
         load_config(cfg)
+
+
+@pytest.mark.parametrize("key", ["offsets", "signal_frequencies",
+                                 "pump_fractions"])
+def test_config_number_lists_must_be_lists(key):
+    cfg = steady_config(0.5)
+    cfg[key] = 5
+    with pytest.raises(ConfigError, match=key):
+        load_config(cfg)
+
+
+@pytest.mark.parametrize("value", [1.7, 1.0])
+def test_config_mode_index_must_be_integer(tmp_path, value):
+    cfg = {"schema": 1, "device": {"profile": str(tmp_path / "line.json"),
+                                   "mode_index": value, "gamma1": 0.01}}
+    with pytest.raises(ConfigError, match="mode_index"):
+        load_config(cfg)
+
+
+@pytest.mark.parametrize("field, value", [("kerr", math.nan),
+                                          ("gamma3", math.inf),
+                                          ("omega0", -math.inf)])
+def test_config_rejects_non_finite_device_numbers(field, value):
+    cfg = steady_config(0.5)
+    cfg["device"][field] = value
+    # round trip through JSON text: NaN and Infinity are what a file holds
+    with pytest.raises(ConfigError, match=rf"device\.{field}.*finite"):
+        load_config(json.loads(json.dumps(cfg)))
+
+
+def test_config_rejects_non_finite_offsets_and_fractions():
+    cfg = steady_config(0.5)
+    for key in ("offsets", "pump_fractions"):
+        with pytest.raises(ConfigError, match=rf"{key}\[1\]"):
+            load_config({**cfg, key: [0.0, math.inf]})
 
 
 # --------------------------------------------------------------- steady sweep
