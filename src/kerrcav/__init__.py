@@ -6,7 +6,7 @@ gain, homodyne squeezing spectra with thermal inputs, and the derivation of
 the lumped model from a superconducting transmission-line profile.
 """
 
-from .cubic import cubic_discriminant, real_roots
+from .cubic import cubic_discriminant, real_roots, real_roots_array
 from .fitting import (FitProblem, FitResult, NonConvergence, load_fit_problem,
                       predict_gain, predict_reflection, run_fit)
 from .model import (DeviceParams, DeviceValidation, PumpDrive, validate)
@@ -19,10 +19,10 @@ from .operating import (CriticalPoint, coalescence_residual, critical_point,
 from .smallsignal import (SingularResponse, SmallSignalResponse,
                           intermodulation_gain, linearize, parametric_gain,
                           transfer_coefficients)
-from .steady import (DegenerateModel, SteadyState, UndefinedForZeroDrive,
-                     cubic_coefficients, reflection_coefficient,
-                     settled_state, solve_pump_energy, steady_state,
-                     steady_states)
+from .steady import (DegenerateModel, SettledStates, SteadyState,
+                     UndefinedForZeroDrive, cubic_coefficients,
+                     reflection_coefficient, settled_state, settled_states,
+                     solve_pump_energy, steady_state, steady_states)
 from .stripline import (LineProfile, ModeSolution, ResolutionError,
                         SameModeError, cross_kerr, derive_device,
                         gamma2_from_profile, gamma3_from_profile,
@@ -38,7 +38,8 @@ __all__ = [
     "CriticalPoint", "ConfigError", "DegenerateModel", "DeviceParams",
     "DeviceValidation", "FitProblem", "FitResult", "LineProfile",
     "ModeSolution", "NonConvergence", "PumpDrive", "ResolutionError",
-    "SameModeError", "SingularResponse", "SmallSignalResponse",
+    "SameModeError", "SettledStates", "SingularResponse",
+    "SmallSignalResponse",
     "SqueezeAtPump", "SqueezeResult", "SteadyState", "SweepConfig", "Table",
     "ThermalEnv", "UndefinedForZeroDrive", "coalescence_residual",
     "critical_point", "cross_kerr", "cubic_coefficients",
@@ -48,10 +49,10 @@ __all__ = [
     "linearize", "lo_phase_extrema", "load_config", "load_config_file",
     "load_fit_problem", "load_profile", "max_curve_energy", "noise_power",
     "parametric_gain", "parse_json", "predict_gain", "predict_reflection",
-    "real_roots", "reflection_coefficient", "render",
+    "real_roots", "real_roots_array", "reflection_coefficient", "render",
     "response_peak_detuning", "run_critical", "run_fit", "run_gain_sweep",
     "run_line_derive", "run_squeeze_sweep", "run_steady_sweep",
-    "settled_state", "solve_modes", "solve_pump_energy", "squeeze_vs_pump",
+    "settled_state", "settled_states", "solve_modes", "solve_pump_energy", "squeeze_vs_pump",
     "steady_state", "steady_states", "thermal_occupation", "to_csv",
     "to_json", "transfer_coefficients", "validate",
 ]

@@ -10,7 +10,7 @@ import argparse
 import json
 import sys
 
-from .fitting import NonConvergence, load_fit_problem, run_fit
+from .fitting import NonConvergence, check_drives, load_fit_problem, run_fit
 from .sweeps import (ConfigError, load_config_file, run_critical,
                      run_gain_sweep, run_line_derive, run_squeeze_sweep,
                      run_steady_sweep)
@@ -79,6 +79,7 @@ def main(argv=None) -> int:
             if not isinstance(data, dict) or data.get("schema") != 1:
                 raise ConfigError("schema", "expected 1")
             problem = load_fit_problem(data.get("fit"), "fit")
+            check_drives(problem, "fit")
             try:
                 fit = run_fit(problem)
             except NonConvergence as exc:

@@ -4,10 +4,15 @@ Roots are obtained from the Cardano closed form (evaluated trigonometrically
 when all three roots are real, which is the numerically stable variant) and
 then polished with a few Newton steps on the original polynomial.  Leading
 coefficients of exactly zero degrade to the quadratic/linear cases, so a
-vanishing nonlinearity never divides by zero.
+vanishing nonlinearity never divides by zero.  :func:`real_roots_array`
+solves many cubics at once and gives, row for row, the same bits as
+:func:`real_roots`.
 """
 
 import math
+from itertools import repeat
+
+import numpy as np
 
 # A depressed cubic whose roots all sit within TRIPLE_TOL of each other
 # (relative to the inflection point) is treated as a triple root at the
@@ -97,3 +102,159 @@ def real_roots(c3: float, c2: float, c1: float, c0: float) -> list[float]:
               + math.copysign(abs(-q / 2.0 - s) ** (1.0 / 3.0), -q / 2.0 - s)]
 
     return sorted(_polish(t - a / 3.0, c3, c2, c1, c0) for t in ts)
+
+
+# 2*pi*k/3 as real_roots forms it, for the three trigonometric roots
+_THIRDS = tuple(2.0 * math.pi * k / 3.0 for k in range(3))
+
+
+def _libm(fn, x, *args):
+    """``fn`` from ``math`` applied elementwise over the 1-D array ``x``.
+
+    Further arguments are arrays of the same size or scalars.  NumPy's
+    vectorized pow, acos and atan2 differ from the C library's in the last
+    bit on some inputs; calling every library function through ``math``
+    keeps the array path bit-identical to the scalar one, OverflowError
+    included.
+    """
+    more = [a.tolist() if isinstance(a, np.ndarray) else repeat(a)
+            for a in args]
+    return np.fromiter(map(fn, x.tolist(), *more), float, x.size)
+
+
+def _rows(*values):
+    """The values as 1-D float arrays of one length; scalars repeat."""
+    arrays = [np.ravel(np.asarray(v, dtype=float)) for v in values]
+    sizes = {a.size for a in arrays} - {1}
+    if len(sizes) > 1:
+        raise ValueError(f"array sizes {sorted(sizes)} differ")
+    n = sizes.pop() if sizes else 1
+    return [a if a.size == n else np.full(n, a[0]) for a in arrays]
+
+
+def _polish_array(x, c3, c2, c1, c0):
+    """:func:`_polish` on 1-D arrays of roots and their coefficients."""
+    x = x.copy()
+    live = np.arange(x.size)
+    for _ in range(3):
+        if not live.size:
+            break
+        r = x[live]
+        k3, k2, k1, k0 = c3[live], c2[live], c1[live], c0[live]
+        f = ((k3 * r + k2) * r + k1) * r + k0
+        scale = (np.abs(k3 * _libm(math.pow, r, 3.0))
+                 + np.abs(k2 * _libm(math.pow, r, 2.0))
+                 + np.abs(k1 * r) + np.abs(k0))
+        fp = (3.0 * k3 * r + 2.0 * k2) * r + k1
+        candidate = r - f / fp
+        f_new = ((k3 * candidate + k2) * candidate + k1) * candidate + k0
+        step = (~(np.abs(f) <= 1e-15 * scale) & (fp != 0.0)
+                & ~(np.abs(f_new) >= np.abs(f)))
+        live = live[step]
+        x[live] = candidate[step]
+    return x
+
+
+def _degenerate_roots(c2, c1, c0):
+    """real_roots rows whose cubic coefficient is zero."""
+    out = np.full((c2.size, 3), np.nan)
+    linear = (c2 == 0.0) & (c1 != 0.0)
+    out[linear, 0] = -c0[linear] / c1[linear]
+    disc = c1 * c1 - 4.0 * c2 * c0
+    s = np.sqrt(disc)
+    lo = (-c1 - s) / (2.0 * c2)
+    hi = (-c1 + s) / (2.0 * c2)
+    # one root unless disc > 0 (none if disc < 0), a NaN disc included
+    double = (c2 != 0.0) & ~(disc < 0.0) & ~(disc > 0.0)
+    out[double, 0] = lo[double]
+    two = (c2 != 0.0) & (disc > 0.0)
+    out[two, 0] = np.minimum(lo, hi)[two]
+    out[two, 1] = np.maximum(lo, hi)[two]
+    return out
+
+
+def _trig_starts(p, q, a):
+    """The three trigonometric roots of real_roots, before polishing."""
+    m = 2.0 * np.sqrt(-p / 3.0)
+    if np.any(p * m == 0.0):
+        # p * m underflowed: a float division by zero, as real_roots has it
+        raise ZeroDivisionError("float division by zero")
+    arg = np.minimum(1.0, np.maximum(-1.0, 3.0 * q / (p * m)))
+    theta = _libm(math.acos, arg) / 3.0
+    return np.stack([m * _libm(math.cos, theta - third) - a / 3.0
+                     for third in _THIRDS], axis=1)
+
+
+def _cubic_roots(c3, c2, c1, c0):
+    """real_roots rows whose cubic coefficient is nonzero."""
+    out = np.full((c3.size, 3), np.nan)
+    a = c2 / c3
+    b = c1 / c3
+    c = c0 / c3
+    p = b - a * a / 3.0
+    q = 2.0 * _libm(math.pow, a, 3.0) / 27.0 - a * b / 3.0 + c
+    # spread = max(sqrt|p|, |q|^(1/3)) is within tol iff both are; the cube
+    # root is taken only where sqrt|p| already is
+    tol = TRIPLE_TOL * np.abs(a / 3.0)
+    rest = ~((a != 0.0) & (np.sqrt(np.abs(p)) <= tol))
+    near = np.flatnonzero(~rest)
+    if near.size:
+        rest[near] = _libm(math.pow, np.abs(q[near]), 1.0 / 3.0) > tol[near]
+        triple = near[~rest[near]]
+        out[triple, 0] = -a[triple] / 3.0
+    rest = np.flatnonzero(rest)
+
+    a, p, q = a[rest], p[rest], q[rest]
+    p3 = _libm(math.pow, p, 3.0)
+    disc = -4.0 * p3 - 27.0 * q * q
+    neg = np.flatnonzero(p < 0.0)
+    disc_scale = (4.0 * _libm(math.pow, np.abs(p[neg]), 3.0)
+                  + 27.0 * q[neg] * q[neg])
+    trig = neg[disc[neg] >= -1e-14 * disc_scale]
+    single = np.ones(a.size, dtype=bool)
+    single[trig] = False
+    single = np.flatnonzero(single)
+
+    # one real root (Cardano); p = q = 0 gives exactly 0 here
+    qs = q[single]
+    s = np.sqrt(np.maximum(qs * qs / 4.0 + p3[single] / 27.0, 0.0))
+    u = -qs / 2.0 + s
+    v = -qs / 2.0 - s
+    starts = (np.copysign(_libm(math.pow, np.abs(u), 1.0 / 3.0), u)
+              + np.copysign(_libm(math.pow, np.abs(v), 1.0 / 3.0), v)
+              - a[single] / 3.0)
+    which = rest[single]
+    if trig.size:
+        starts = np.concatenate(
+            [starts, _trig_starts(p[trig], q[trig], a[trig]).ravel()])
+        which = np.concatenate([which, np.repeat(rest[trig], 3)])
+    polished = _polish_array(starts, c3[which], c2[which], c1[which],
+                             c0[which])
+    out[rest[single], 0] = polished[:single.size]
+    if trig.size:
+        out[rest[trig]] = np.sort(polished[single.size:].reshape(-1, 3),
+                                  axis=1)
+    return out
+
+
+def real_roots_array(c3, c2, c1, c0) -> np.ndarray:
+    """Real roots of many cubics: row i holds those of
+    c3[i] x^3 + c2[i] x^2 + c1[i] x + c0[i], ascending, padded with NaN.
+
+    The coefficients are scalars or 1-D arrays of one length; the result
+    has shape (n, 3).  Each row is bit-identical to :func:`real_roots` on
+    the same coefficients: the same degenerate cases, triple-root collapse,
+    double-root band and guarded Newton steps, in the same floating-point
+    order.
+    """
+    c3, c2, c1, c0 = _rows(c3, c2, c1, c0)
+    with np.errstate(all="ignore"):
+        lead = c3 == 0.0
+        if not lead.any():
+            return _cubic_roots(c3, c2, c1, c0)
+        roots = np.empty((c3.size, 3))
+        roots[lead] = _degenerate_roots(c2[lead], c1[lead], c0[lead])
+        cubic = np.flatnonzero(~lead)
+        roots[cubic] = _cubic_roots(c3[cubic], c2[cubic], c1[cubic],
+                                    c0[cubic])
+    return roots

@@ -4,7 +4,8 @@ The observables that identify the model are the pump reflection magnitude
 versus pump frequency (optionally at several drive amplitudes: a single
 curve leaves the rates weakly constrained) and, optionally, the zero-offset
 intermodulation gain.  The forward model evaluates the lowest-energy stable
-branch, matching how a slowly swept measurement settles.  Minimization is
+branch, matching how a slowly swept measurement settles, for all data rows
+in one batched pass (:func:`steady.settled_states`).  Minimization is
 Nelder-Mead on parameters rescaled by the initial guess, with a fixed
 simplex initialization so identical problems give identical fits.
 """
@@ -15,9 +16,10 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.optimize import minimize
 
-from .model import DeviceParams, PumpDrive, validate
+from .cubic import _libm
+from .model import DeviceParams, validate
 from .smallsignal import intermodulation_gain
-from .steady import reflection_coefficient, settled_state
+from .steady import settled_states
 from .sweeps import ConfigError, _number, load_device
 
 FREE_NAMES = ("omega0", "kerr", "gamma1", "gamma2", "gamma3")
@@ -85,18 +87,38 @@ def _with_values(base: DeviceParams, names, values) -> DeviceParams:
     return DeviceParams(phi1=base.phi1, phi2=base.phi2, phi3=base.phi3, **fields)
 
 
-def predict_reflection(params: DeviceParams, omega_p: float, b1_in: float,
-                       psi1: float = 0.0) -> float:
-    """|reflection| on the lowest-energy stable branch."""
-    drive = PumpDrive(omega_p=omega_p, amplitude=b1_in, phase=psi1)
-    return abs(reflection_coefficient(settled_state(params, drive), drive))
+def _scalar_or_array(values, omega_p, b1_in):
+    if np.ndim(omega_p) == 0 and np.ndim(b1_in) == 0:
+        return float(values[0])
+    return values
 
 
-def predict_gain(params: DeviceParams, omega_p: float, b1_in: float,
-                 psi1: float = 0.0) -> float:
-    """Zero-offset intermodulation gain on the lowest-energy stable branch."""
-    drive = PumpDrive(omega_p=omega_p, amplitude=b1_in, phase=psi1)
-    return intermodulation_gain(params, settled_state(params, drive), drive, 0.0)
+def predict_reflection(params: DeviceParams, omega_p, b1_in, psi1=0.0):
+    """|reflection| on the lowest-energy stable branch.
+
+    ``omega_p`` and ``b1_in`` are scalars or 1-D arrays of one length; an
+    array in gives an array out, scalars a float.
+
+    Raises
+    ------
+    UndefinedForZeroDrive
+        If any ``b1_in`` is zero.
+    """
+    batch = settled_states(params, omega_p, b1_in, psi1)
+    return _scalar_or_array(batch.reflection_magnitude(), omega_p, b1_in)
+
+
+def predict_gain(params: DeviceParams, omega_p, b1_in, psi1=0.0):
+    """Zero-offset intermodulation gain on the lowest-energy stable branch.
+
+    Takes scalars or arrays as :func:`predict_reflection` does; the settled
+    branches of all drives come from one batched call.
+    """
+    batch = settled_states(params, omega_p, b1_in, psi1)
+    gains = np.array([intermodulation_gain(params, batch.state(i),
+                                           batch.drive(i), 0.0)
+                      for i in range(batch.energy.size)])
+    return _scalar_or_array(gains, omega_p, b1_in)
 
 
 def run_fit(problem: FitProblem, max_evaluations: int = MAX_EVALUATIONS) -> FitResult:
@@ -115,24 +137,30 @@ def run_fit(problem: FitProblem, max_evaluations: int = MAX_EVALUATIONS) -> FitR
         lo, hi = problem.bounds.get(n, (-math.inf, math.inf))
         scaled_bounds.append((lo / s, hi / s))
     n_data = len(problem.refl_data) + len(problem.gain_data)
+    refl = np.array(problem.refl_data, dtype=float).reshape(-1, 3)
+    gain = np.array(problem.gain_data, dtype=float).reshape(-1, 3)
+    observed = np.concatenate([refl[:, 2], gain[:, 2]])
 
     def objective(z):
         params = _with_values(problem.initial, names, z * scale)
         if not validate(params).ok:
             return PENALTY
-        total = 0.0
+        predicted = []
         try:
-            for omega_p, b1_in, observed in problem.refl_data:
-                total += (predict_reflection(params, omega_p, b1_in, problem.psi1)
-                          - observed) ** 2
-            for omega_p, b1_in, observed in problem.gain_data:
-                predicted = predict_gain(params, omega_p, b1_in, problem.psi1)
-                if not math.isfinite(predicted):
-                    return PENALTY
-                total += (predicted - observed) ** 2
+            if len(refl):
+                predicted.append(predict_reflection(
+                    params, refl[:, 0], refl[:, 1], problem.psi1))
+            if len(gain):
+                predicted.append(predict_gain(
+                    params, gain[:, 0], gain[:, 1], problem.psi1))
         except (ArithmeticError, ValueError):
             return PENALTY
-        return total
+        predicted = np.concatenate(predicted)
+        if not np.all(np.isfinite(predicted)):
+            return PENALTY
+        # the squared residuals as a running total in row order
+        squares = _libm(math.pow, predicted - observed, 2.0)
+        return float(np.cumsum(squares)[-1])
 
     result = minimize(objective, x0 / scale, method="Nelder-Mead",
                       bounds=scaled_bounds,
@@ -183,3 +211,25 @@ def load_fit_problem(data, path="fit") -> FitProblem:
     return FitProblem(initial=initial, free=tuple(free), bounds=bounds,
                       refl_data=rows("refl_data"), gain_data=rows("gain_data"),
                       psi1=_number(data.get("psi1", 0.0), f"{path}.psi1"))
+
+
+def check_drives(problem: FitProblem, path="fit") -> None:
+    """Reject data rows whose drive leaves the model undefined.
+
+    ``b1_in`` is an amplitude, so it must be >= 0, and a reflection row
+    needs it > 0: the reflection is undefined at zero drive.  The CLI
+    applies this to fit files; a :class:`FitProblem` built in Python is not
+    checked, and a fit on such rows raises :class:`NonConvergence`.
+
+    Raises
+    ------
+    ConfigError
+        Naming the first offending cell, e.g. ``fit.refl_data[3][1]``.
+    """
+    for key, rows, positive in (("refl_data", problem.refl_data, True),
+                                ("gain_data", problem.gain_data, False)):
+        for i, (_, b1_in, _) in enumerate(rows):
+            if b1_in < 0.0 or (positive and b1_in == 0.0):
+                raise ConfigError(f"{path}.{key}[{i}][1]",
+                                  f"b1_in must be {'>' if positive else '>='}"
+                                  f" 0 (got {b1_in!r})")

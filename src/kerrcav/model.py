@@ -10,7 +10,7 @@ other rate reads as a fraction of the resonance frequency.
 """
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 SQRT3 = math.sqrt(3.0)
 
@@ -51,6 +51,9 @@ class DeviceParams:
         return self.gamma1 + self.gamma2
 
 
+_FIELDS = tuple(f.name for f in fields(DeviceParams))
+
+
 @dataclass(frozen=True)
 class PumpDrive:
     """Incoming pump tone at the test port.
@@ -84,12 +87,14 @@ def validate(params: DeviceParams) -> DeviceValidation:
     """Check the device invariants and whether bistability is reachable.
 
     Returns a report rather than raising: ``violations`` lists every broken
-    invariant (empty means valid).  ``bistability_reachable`` is True iff
-    |kerr| > sqrt(3) * gamma3 with a strict comparison; at exact equality
-    the response curve has no critical point and the flag is False.
-    Pure function: equal inputs give equal reports.
+    invariant (empty means valid); every field must be finite.
+    ``bistability_reachable`` is True iff |kerr| > sqrt(3) * gamma3 with a
+    strict comparison; at exact equality the response curve has no
+    critical point and the flag is False.  Pure function: equal inputs give
+    equal reports.
     """
-    violations = []
+    violations = [f"{name} must be finite" for name in _FIELDS
+                  if not math.isfinite(getattr(params, name))]
     if not params.omega0 > 0.0:
         violations.append("omega0 must be > 0")
     if params.gamma1 < 0.0:

@@ -17,10 +17,12 @@ import math
 from dataclasses import dataclass
 from typing import Callable, Sequence
 
+import numpy as np
+
 from .model import DeviceParams, PumpDrive
 from .operating import critical_point
 from .smallsignal import SingularResponse, transfer_coefficients
-from .steady import SteadyState, settled_state
+from .steady import SteadyState, settled_states
 
 
 @dataclass(frozen=True)
@@ -177,16 +179,18 @@ def squeeze_vs_pump(params: DeviceParams, env: ThermalEnv,
     as fractions of the critical amplitude, so the critical point must
     exist.  Each fraction is solved on its lowest-energy stable branch;
     fractions above 1 are flagged since the branch choice is then a
-    convention (the fold region covers the critical frequency).
+    convention (the fold region covers the critical frequency).  The
+    settled branches of all fractions come from one batched call.
     """
     crit = critical_point(params)
     if not crit.exists:
         raise ValueError("no critical point: |kerr| <= sqrt(3)*gamma3")
+    fractions = np.asarray(pump_fractions, dtype=float)
+    batch = settled_states(params, crit.omega_p, fractions * crit.drive, psi1)
     rows = []
-    for frac in pump_fractions:
-        drive = PumpDrive(omega_p=crit.omega_p, amplitude=frac * crit.drive,
-                          phase=psi1)
-        chosen = settled_state(params, drive)
+    for i, frac in enumerate(fractions.tolist()):
+        chosen = batch.state(i)
+        drive = batch.drive(i)
         ext = lo_phase_extrema(params, chosen, drive, env, 0.0)
         rows.append(SqueezeAtPump(
             fraction=frac,

@@ -10,14 +10,18 @@ whose squared modulus turns the photon number E = B^2 into a real cubic.
 Depending on drive strength the cubic has one, two (fold tangency) or three
 nonnegative roots; with three roots the middle branch is unstable and the
 device is bistable.  Stability of each branch follows from the relaxation
-roots of the linearized dynamics.
+roots of the linearized dynamics.  :func:`settled_states` evaluates the
+branch a slowly swept drive settles on for a whole batch of drives in one
+NumPy pass, bit-identical to the scalar functions.
 """
 
 import cmath
 import math
 from dataclasses import dataclass
 
-from .cubic import real_roots
+import numpy as np
+
+from .cubic import _libm, _rows, real_roots, real_roots_array
 from .model import DeviceParams, PumpDrive
 
 # Roots closer than this (relative) are a fold double root that double
@@ -173,14 +177,198 @@ def steady_states(params: DeviceParams, drive: PumpDrive) -> list[SteadyState]:
             for i, e in enumerate(solve_pump_energy(params, drive))]
 
 
-def settled_state(params: DeviceParams, drive: PumpDrive) -> SteadyState:
-    """The branch a slowly swept drive settles on.
+def _complex(re, im):
+    """re + i im without the rounding of a complex product."""
+    z = np.empty(re.shape, dtype=complex)
+    z.real = re
+    z.imag = im
+    return z
+
+
+@dataclass(frozen=True, eq=False)
+class SettledStates:
+    """The settled branch at each drive of a batch, one array entry each.
+
+    ``omega_p``, ``b_in`` and ``drive_phase`` are the drives, broadcast to
+    one dimension; the other fields are those of :class:`SteadyState`, and
+    ``n_branches`` counts all branches at the drive.
+    """
+
+    omega_p: np.ndarray
+    b_in: np.ndarray
+    drive_phase: np.ndarray
+    energy: np.ndarray
+    amplitude: np.ndarray
+    phase: np.ndarray
+    reflected: np.ndarray
+    lambda_slow: np.ndarray
+    lambda_fast: np.ndarray
+    stable: np.ndarray
+    marginal: np.ndarray
+    branch_index: np.ndarray
+    n_branches: np.ndarray
+
+    def drive(self, i: int) -> PumpDrive:
+        return PumpDrive(omega_p=float(self.omega_p[i]),
+                         amplitude=float(self.b_in[i]),
+                         phase=float(self.drive_phase[i]))
+
+    def state(self, i: int) -> SteadyState:
+        return SteadyState(
+            energy=float(self.energy[i]),
+            amplitude=float(self.amplitude[i]),
+            phase=float(self.phase[i]),
+            reflected=complex(self.reflected[i]),
+            lambda_slow=complex(self.lambda_slow[i]),
+            lambda_fast=complex(self.lambda_fast[i]),
+            stable=bool(self.stable[i]),
+            marginal=bool(self.marginal[i]),
+            branch_index=int(self.branch_index[i]),
+        )
+
+    def reflection_magnitude(self) -> np.ndarray:
+        """|reflection coefficient| at each drive.
+
+        Raises
+        ------
+        UndefinedForZeroDrive
+            If any incoming pump amplitude is zero.
+        """
+        if np.any(self.b_in == 0.0):
+            raise UndefinedForZeroDrive("reflection coefficient needs b_in > 0")
+        # the C library's hypot, as Python's complex abs takes it
+        return np.hypot(self.reflected.real / self.b_in,
+                        self.reflected.imag / self.b_in)
+
+
+def _merge_folds(kept):
+    """solve_pump_energy's fold merge on rows of two or three ascending
+    energies, NaN-padded."""
+    rows = np.arange(len(kept))
+    count = 3 - np.isnan(kept).sum(axis=1)
+    scale = np.maximum(kept[rows, count - 1], 1e-300)
+    merged = np.full_like(kept, np.nan)
+    merged[:, 0] = kept[:, 0]
+    n = np.ones(len(kept), dtype=int)
+    for j in (1, 2):
+        r = kept[:, j]
+        last = merged[rows, n - 1]
+        close = (j < count) & (np.abs(r - last) <= MERGE_TOL * scale)
+        merged[rows[close], n[close] - 1] = 0.5 * (last[close] + r[close])
+        new = (j < count) & ~close
+        merged[rows[new], n[new]] = r[new]
+        n += new
+    return merged
+
+
+def _branch_energies(c3, c2, c1, c0):
+    """:func:`solve_pump_energy` per row: (n, 3) energies, ascending,
+    NaN-padded."""
+    undriven = c0 == 0.0
+    if undriven.any():
+        # an undriven row solves the quadratic factor c3 E^2 + c2 E + c1
+        c3, c2, c1, c0 = (np.where(undriven, 0.0, c3),
+                          np.where(undriven, c3, c2),
+                          np.where(undriven, c2, c1),
+                          np.where(undriven, c1, c0))
+    roots = real_roots_array(c3, c2, c1, c0)
+    # clamp rounding negatives to 0 and drop the rest, which lead a row
+    energy = np.maximum(roots, 0.0)
+    negative = np.flatnonzero(roots[:, 0] < -1e-12)
+    if negative.size:
+        energy[negative] = np.sort(np.where(roots[negative] < -1e-12, np.nan,
+                                            energy[negative]), axis=1)
+    multi = np.flatnonzero(~np.isnan(energy[:, 1]))
+    if multi.size:
+        energy[multi] = _merge_folds(energy[multi])
+    if undriven.any():
+        # E = 0 plus the positive roots of the quadratic factor, unmerged
+        quad = roots[undriven]
+        energy[undriven] = np.sort(np.column_stack(
+            [np.zeros(len(quad)), np.where(quad > 0.0, quad, np.nan)[:, :2]]),
+            axis=1)
+    return energy
+
+
+def settled_states(params: DeviceParams, omega_p, b_in,
+                   phase=0.0) -> SettledStates:
+    """The branch a slowly swept drive settles on, for a batch of drives.
 
     That is the lowest-energy stable branch, or the lowest branch when none
-    is stable (a marginal or unstable operating point).
+    is stable (a marginal or unstable operating point).  ``omega_p``,
+    ``b_in`` and the drive ``phase`` are scalars or 1-D arrays of one
+    length.  Entry i is bit-identical to :func:`steady_states` at drive i:
+    the same roots, clamp and fold merge as :func:`solve_pump_energy` and
+    the same record as :func:`steady_state`.
+
+    Raises
+    ------
+    DegenerateModel
+        If gamma1 + gamma2 == 0.
     """
-    branches = steady_states(params, drive)
-    return next((s for s in branches if s.stable), branches[0])
+    if params.gamma <= 0.0:
+        raise DegenerateModel("gamma1 + gamma2 must be > 0")
+    omega_p, b_in, psi = _rows(omega_p, b_in, phase)
+    k, g3, g = params.kerr, params.gamma3, params.gamma
+    with np.errstate(all="ignore"):
+        # the coefficients as cubic_coefficients forms them
+        delta = params.omega0 - omega_p
+        c3 = k * k + g3 * g3
+        c0 = -2.0 * params.gamma1 * _libm(math.pow, b_in, 2.0)
+        energy = _branch_energies(np.full(delta.size, c3),
+                                  2.0 * (delta * k + g * g3),
+                                  delta * delta + g * g, c0)
+
+        # relaxation_roots of every branch: cmath.sqrt of a real radicand r
+        # is exactly sqrt(r), or i sqrt(-r) when r < 0
+        live = ~np.isnan(energy)
+        n_branches = live.sum(axis=1)
+        e = energy[live]
+        radicand = c3 * e * e - _libm(math.pow, np.repeat(delta, n_branches)
+                                      + 2.0 * k * e, 2.0)
+        root = np.sqrt(np.abs(radicand))
+        s_re = np.where(radicand >= 0.0, root, 0.0)
+        s_im = np.where(radicand >= 0.0, 0.0, root)
+        base = g + 2.0 * g3 * e
+        slow_re = base - s_re
+        marginal = np.abs(slow_re) <= MARGINAL_TOL * g
+        stable = (slow_re > 0.0) & ~marginal
+
+        # the first stable branch, or branch 0 when none is (argmax of an
+        # all-False row), and its steady_state record
+        by_row = np.zeros(energy.shape, dtype=bool)
+        by_row[live] = stable
+        index = by_row.argmax(axis=1)
+        at = np.cumsum(n_branches) - n_branches + index
+        e = e[at]
+        amp = np.sqrt(np.maximum(e, 0.0))
+        # cmath.phase(1j * response) with response = (i delta + g) amp
+        # + (i K + g3) amp^3 is atan2(Re response, -Im response)
+        a3 = _libm(math.pow, amp, 3.0)
+        cavity_phase = np.where(
+            amp == 0.0, 0.0,
+            (psi - params.phi1) + _libm(math.atan2, g * amp + g3 * a3,
+                                        -(delta * amp + k * a3)))
+        # b_in - i sqrt(2 gamma1) amp exp(i turn), in the real and imaginary
+        # parts Python's complex arithmetic forms
+        turn = -((params.phi1 + cavity_phase) - psi)
+        sa = math.sqrt(2.0 * params.gamma1) * amp
+        reflected = _complex(b_in + sa * _libm(math.sin, turn),
+                             -(sa * _libm(math.cos, turn)))
+    return SettledStates(
+        omega_p=omega_p, b_in=b_in, drive_phase=psi,
+        energy=e, amplitude=amp, phase=cavity_phase, reflected=reflected,
+        lambda_slow=_complex(slow_re[at], -s_im[at]),
+        lambda_fast=_complex(base[at] + s_re[at], s_im[at]),
+        stable=stable[at], marginal=marginal[at],
+        branch_index=index, n_branches=n_branches)
+
+
+def settled_state(params: DeviceParams, drive: PumpDrive) -> SteadyState:
+    """The branch a slowly swept drive settles on: :func:`settled_states`
+    for a batch of one drive."""
+    return settled_states(params, drive.omega_p, drive.amplitude,
+                          drive.phase).state(0)
 
 
 def reflection_coefficient(state: SteadyState, drive: PumpDrive) -> complex:

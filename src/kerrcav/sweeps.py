@@ -293,6 +293,7 @@ def run_critical(device: DeviceParams) -> Table:
 
 def run_line_derive(profile_path, mode_index: int, gamma1: float) -> Table:
     """Derived lumped parameters of one line mode, plus the raw quadratures."""
+    gamma1 = _number(gamma1, "--gamma1", minimum=0.0)
     profile = load_profile(profile_path)
     mode = solve_modes(profile, mode_index)[mode_index - 1]
     x = profile.x
@@ -300,7 +301,7 @@ def run_line_derive(profile_path, mode_index: int, gamma1: float) -> Table:
     quad_u2_r0 = float(np.trapezoid(mode.u**2 * profile.R0, x))
     quad_u4_dr = float(np.trapezoid(mode.u**4 * profile.dR, x))
     table = Table(list(LINE_COLUMNS))
-    table.append(mode.omega_n, kerr_constant(profile, mode), float(gamma1),
+    table.append(mode.omega_n, kerr_constant(profile, mode), gamma1,
                  gamma2_from_profile(profile, mode),
                  gamma3_from_profile(profile, mode),
                  quad_u4_dl, quad_u2_r0, quad_u4_dr)

@@ -202,3 +202,35 @@ def test_fit_subcommand(tmp_path, capsys):
     assert header.startswith("omega0,kerr")
     fitted_kerr = float(row.split(",")[1])
     assert fitted_kerr == pytest.approx(DEVICE["kerr"], rel=1e-4)
+
+
+@pytest.mark.parametrize("value", ["nan", "inf", "-0.01"])
+def test_line_derive_rejects_bad_gamma1(tmp_path, capsys, value):
+    profile = profile_file(tmp_path)
+    assert main(["line-derive", "--profile", profile, "--mode-index", "1",
+                 "--gamma1", value]) == 2
+    captured = capsys.readouterr()
+    assert captured.err.startswith("error:") and "gamma1" in captured.err
+    assert "Traceback" not in captured.err
+    assert captured.out == ""
+
+
+@pytest.mark.parametrize("key, row, cell", [
+    ("refl_data", [0.99, 0.0, 0.5], r"fit.refl_data[3][1]"),
+    ("refl_data", [0.99, -0.1, 0.5], r"fit.refl_data[3][1]"),
+    ("gain_data", [0.99, -0.1, 0.0], r"fit.gain_data[0][1]"),
+])
+def test_fit_rejects_drive_rows_without_a_model(tmp_path, capsys, key, row,
+                                                cell):
+    """A reflection row needs b1_in > 0 and a gain row b1_in >= 0."""
+    refl = [[1.0 - 0.01 * i, 0.1, 0.5] for i in range(6)]
+    fit = {"initial": dict(DEVICE), "free": ["kerr"], "refl_data": refl}
+    if key == "refl_data":
+        refl[3] = row
+    else:
+        fit["gain_data"] = [row]
+    cfg = write_json(tmp_path / "fit.json", {"schema": 1, "fit": fit})
+    assert main(["fit", "--config", cfg]) == 2
+    captured = capsys.readouterr()
+    assert captured.err.startswith("error:") and cell in captured.err
+    assert captured.out == ""

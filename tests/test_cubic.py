@@ -1,7 +1,11 @@
+import math
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from kerrcav import cubic_discriminant, real_roots
+from kerrcav import cubic_discriminant, real_roots, real_roots_array
 
 
 def poly(coeffs, x):
@@ -78,3 +82,49 @@ def test_discriminant_signs():
     assert cubic_discriminant(1.0, -7.0, 14.0, -8.0) > 0.0   # three distinct
     assert cubic_discriminant(1.0, 0.0, 1.0, 10.0) < 0.0     # one real
     assert cubic_discriminant(1.0, -11.0, 32.0, -28.0) == pytest.approx(0.0, abs=1e-9)
+
+
+coefficient = st.one_of(st.just(0.0), st.floats(-1e6, 1e6),
+                        st.floats(-1e-6, 1e-6))
+root = st.floats(-1e3, 1e3)
+
+
+@st.composite
+def cubic_rows(draw):
+    """Coefficient rows: arbitrary, with vanishing leading terms, and built
+    from double and triple roots."""
+    rows = []
+    for _ in range(draw(st.integers(1, 8))):
+        shape = draw(st.sampled_from(["any", "double", "triple"]))
+        if shape == "any":
+            rows.append(tuple(draw(coefficient) for _ in range(4)))
+        else:
+            r, s = draw(root), draw(root)
+            if shape == "triple":
+                s = r
+            rows.append(tuple(np.poly([r, r, s]).tolist()))
+    return rows
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(cubic_rows())
+def test_array_roots_match_scalar_roots(rows):
+    """Each row holds real_roots of its coefficients, bit for bit, padded
+    with NaN; where real_roots raises (overflow, a zero division after
+    underflow), the array solver raises the same error."""
+    expected = []
+    for coeffs in rows:
+        try:
+            expected.append(real_roots(*coeffs))
+        except ArithmeticError as exc:
+            with pytest.raises(type(exc)):
+                real_roots_array(*coeffs)
+    if len(expected) < len(rows):
+        with pytest.raises(ArithmeticError):
+            real_roots_array(*zip(*rows))
+        return
+    roots = real_roots_array(*zip(*rows))
+    assert roots.shape == (len(rows), 3)
+    for got, want in zip(roots, expected):
+        padded = np.array(want + [math.nan] * (3 - len(want)))
+        assert np.array_equal(got, padded, equal_nan=True)

@@ -4,8 +4,10 @@ import numpy as np
 import pytest
 
 from kerrcav import (ConfigError, DeviceParams, FitProblem, NonConvergence,
-                     critical_point, load_fit_problem, predict_gain,
-                     predict_reflection, run_fit)
+                     PumpDrive, UndefinedForZeroDrive, critical_point,
+                     intermodulation_gain, load_fit_problem, predict_gain,
+                     predict_reflection, reflection_coefficient, run_fit,
+                     steady_states)
 
 SQRT3 = math.sqrt(3.0)
 
@@ -68,6 +70,46 @@ def test_unknown_free_parameter_rejected():
 def test_empty_data_rejected():
     with pytest.raises(ConfigError):
         FitProblem(initial=TRUE, free=("kerr",), bounds={}, refl_data=())
+
+
+# ------------------------------------------------------------ forward model
+
+def scalar_settled(params, omega_p, b1_in):
+    """The settled branch picked from the scalar steady_states path."""
+    drive = PumpDrive(omega_p=omega_p, amplitude=b1_in)
+    branches = steady_states(params, drive)
+    return next((s for s in branches if s.stable), branches[0]), drive
+
+
+def test_predict_scalar_input():
+    amplitude = 1.3 * critical_point(TRUE).drive
+    for omega_p in (0.95, 0.985, 0.99, 1.0):
+        state, drive = scalar_settled(TRUE, omega_p, amplitude)
+        refl = predict_reflection(TRUE, omega_p, amplitude)
+        gain = predict_gain(TRUE, omega_p, amplitude)
+        assert type(refl) is float and type(gain) is float
+        assert refl == abs(reflection_coefficient(state, drive))
+        assert gain == intermodulation_gain(TRUE, state, drive, 0.0)
+
+
+def test_predict_array_input():
+    crit = critical_point(TRUE)
+    omegas = np.linspace(0.95, 1.005, 23)
+    amplitudes = np.linspace(0.1, 2.0, 23) * crit.drive
+    refl = predict_reflection(TRUE, omegas, amplitudes)
+    gain = predict_gain(TRUE, omegas, amplitudes)
+    assert refl.shape == gain.shape == (23,)
+    for i, (w, b) in enumerate(zip(omegas.tolist(), amplitudes.tolist())):
+        state, drive = scalar_settled(TRUE, w, b)
+        assert refl[i] == abs(reflection_coefficient(state, drive))
+        assert gain[i] == intermodulation_gain(TRUE, state, drive, 0.0)
+    # one pump frequency broadcasts over the drives
+    assert np.array_equal(predict_reflection(TRUE, 0.99, amplitudes),
+                          predict_reflection(TRUE, np.full(23, 0.99),
+                                             amplitudes))
+    with pytest.raises(UndefinedForZeroDrive):
+        predict_reflection(TRUE, omegas, np.where(omegas > 0.98, 0.0,
+                                                  amplitudes))
 
 
 # ------------------------------------------------------------------ round trip

@@ -58,3 +58,11 @@ def test_zero_kerr_and_gamma3_are_allowed():
 
 def test_gamma_property(fig_device):
     assert fig_device.gamma == fig_device.gamma1 + fig_device.gamma2
+
+
+def test_non_finite_fields_flagged(fig_device):
+    from dataclasses import fields, replace
+    for field in fields(DeviceParams):
+        for value in (math.nan, math.inf, -math.inf):
+            report = validate(replace(fig_device, **{field.name: value}))
+            assert f"{field.name} must be finite" in report.violations

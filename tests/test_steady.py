@@ -3,11 +3,14 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from kerrcav import (DegenerateModel, DeviceParams, PumpDrive,
                      UndefinedForZeroDrive, critical_point, cubic_coefficients,
-                     reflection_coefficient, settled_state, solve_pump_energy,
-                     steady_state, steady_states)
+                     instability_locus, reflection_coefficient, settled_state,
+                     settled_states, solve_pump_energy, steady_state,
+                     steady_states)
 
 SQRT3 = math.sqrt(3.0)
 
@@ -337,3 +340,71 @@ def test_settled_state_is_lowest_stable_branch(fig_device):
     states = steady_states(fig_device, at_crit)
     assert not any(s.stable for s in states)
     assert settled_state(fig_device, at_crit) == states[0]
+
+
+# ----------------------------------------------------------- batched kernel
+
+@st.composite
+def device_and_drives(draw):
+    """A random device and 12 drives from 0.1x to 20x its critical drive
+    (or a like scale without one).  A pump frequency lies between the folds
+    when there are two, else across the band the resonance is pulled over.
+    Includes gamma3 = 0, K = gamma3 = 0, gamma2 = 0, zero drive, the
+    critical point and a fold point."""
+    kind = draw(st.sampled_from(["lossy", "no_tpl", "linear"]))
+    kerr = 10.0 ** draw(st.floats(-6.0, -2.0))
+    kerr *= draw(st.sampled_from([-1.0, 1.0]))
+    gamma1 = 10.0 ** draw(st.floats(-3.0, -1.0))
+    gamma2 = draw(st.sampled_from([0.0, 10.0 ** draw(st.floats(-3.0, -1.0))]))
+    gamma3 = abs(kerr) * draw(st.floats(0.0, 0.8))
+    if kind != "lossy":
+        gamma3 = 0.0
+    if kind == "linear":
+        kerr = 0.0
+    params = DeviceParams(omega0=1.0, kerr=kerr, gamma1=gamma1, gamma2=gamma2,
+                          gamma3=gamma3, phi1=draw(st.floats(-3.0, 3.0)))
+    g = params.gamma
+    crit = critical_point(params)
+    b_ref = crit.drive if crit.exists else math.sqrt(g**3 / gamma1 / 1e-4)
+    omega_p, b_in = [], []
+    for _ in range(12):
+        b = b_ref * 10.0 ** draw(st.floats(-1.0, math.log10(20.0)))
+        folds = instability_locus(params, PumpDrive(omega_p=1.0, amplitude=b))
+        if len(folds) == 2:
+            lo, hi = sorted(w for w, _ in folds)
+            w = lo + (hi - lo) * draw(st.floats(0.0, 1.0))
+        else:
+            e_peak = 2.0 * gamma1 * b * b / (g * g)
+            w = (1.0 + kerr * e_peak * draw(st.floats(-0.2, 1.2))
+                 + g * draw(st.floats(-5.0, 5.0)))
+        omega_p.append(w)
+        b_in.append(b)
+    b_in[0] = 0.0
+    if crit.exists:
+        omega_p[1], b_in[1] = crit.omega_p, crit.drive
+        b_in[2] = 3.0 * crit.drive
+        omega_p[2] = instability_locus(
+            params, PumpDrive(omega_p=1.0, amplitude=b_in[2]))[0][0]
+    return params, omega_p, b_in, draw(st.floats(-3.0, 3.0))
+
+
+@settings(max_examples=150, deadline=None, derandomize=True)
+@given(device_and_drives())
+def test_settled_states_match_scalar_path(case):
+    """The kernel gives, drive for drive, the scalar path's branch count,
+    settled branch and |reflection|, bit for bit."""
+    params, omega_p, b_in, psi = case
+    batch = settled_states(params, omega_p, b_in, psi)
+    driven = [i for i, b in enumerate(b_in) if b > 0.0]
+    magnitude = dict(zip(driven, settled_states(
+        params, [omega_p[i] for i in driven], [b_in[i] for i in driven],
+        psi).reflection_magnitude()))
+    for i, (w, b) in enumerate(zip(omega_p, b_in)):
+        drive = PumpDrive(omega_p=w, amplitude=b, phase=psi)
+        branches = steady_states(params, drive)
+        expected = next((s for s in branches if s.stable), branches[0])
+        assert batch.n_branches[i] == len(branches)
+        assert batch.state(i) == expected
+        assert batch.drive(i) == drive
+        if b > 0.0:
+            assert magnitude[i] == abs(reflection_coefficient(expected, drive))
