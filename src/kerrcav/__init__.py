@@ -10,17 +10,19 @@ from .cubic import cubic_discriminant, real_roots, real_roots_array
 from .fitting import (FitProblem, FitResult, NonConvergence, load_fit_problem,
                       predict_gain, predict_reflection, run_fit)
 from .model import (DeviceParams, DeviceValidation, PumpDrive, validate)
-from .noise import (SqueezeAtPump, SqueezeResult, ThermalEnv, lo_phase_extrema,
-                    noise_power, squeeze_vs_pump, thermal_occupation)
+from .noise import (SqueezeAtPump, SqueezeResult, SqueezeResults, ThermalEnv,
+                    lo_phase_extrema, lo_phase_extrema_array, noise_power,
+                    squeeze_vs_pump, thermal_occupation)
 from .operating import (CriticalPoint, coalescence_residual, critical_point,
                         curve_omega_p, fold_condition_residual,
                         instability_locus, max_curve_energy,
                         response_peak_detuning)
 from .smallsignal import (SingularResponse, SmallSignalResponse,
-                          intermodulation_gain, linearize, parametric_gain,
-                          transfer_coefficients)
-from .steady import (DegenerateModel, SettledStates, SteadyState,
-                     UndefinedForZeroDrive, cubic_coefficients,
+                          SmallSignalResponses, intermodulation_gain,
+                          linearize, parametric_gain, transfer_coefficients,
+                          transfer_coefficients_array)
+from .steady import (BranchStates, DegenerateModel, SteadyState,
+                     UndefinedForZeroDrive, branch_states, cubic_coefficients,
                      reflection_coefficient, settled_state, settled_states,
                      solve_pump_energy, steady_state, steady_states)
 from .stripline import (LineProfile, ModeSolution, ResolutionError,
@@ -35,24 +37,26 @@ from .tableio import Table, format_float, parse_json, render, to_csv, to_json
 __version__ = "0.1.0"
 
 __all__ = [
-    "CriticalPoint", "ConfigError", "DegenerateModel", "DeviceParams",
-    "DeviceValidation", "FitProblem", "FitResult", "LineProfile",
-    "ModeSolution", "NonConvergence", "PumpDrive", "ResolutionError",
-    "SameModeError", "SettledStates", "SingularResponse",
-    "SmallSignalResponse",
-    "SqueezeAtPump", "SqueezeResult", "SteadyState", "SweepConfig", "Table",
-    "ThermalEnv", "UndefinedForZeroDrive", "coalescence_residual",
-    "critical_point", "cross_kerr", "cubic_coefficients",
-    "cubic_discriminant", "curve_omega_p", "derive_device", "format_float",
-    "fold_condition_residual", "gamma2_from_profile", "gamma3_from_profile",
-    "instability_locus", "intermodulation_gain", "kerr_constant",
-    "linearize", "lo_phase_extrema", "load_config", "load_config_file",
+    "BranchStates", "ConfigError", "CriticalPoint", "DegenerateModel",
+    "DeviceParams", "DeviceValidation", "FitProblem", "FitResult",
+    "LineProfile", "ModeSolution", "NonConvergence", "PumpDrive",
+    "ResolutionError", "SameModeError", "SingularResponse",
+    "SmallSignalResponse", "SmallSignalResponses", "SqueezeAtPump",
+    "SqueezeResult", "SqueezeResults", "SteadyState", "SweepConfig", "Table",
+    "ThermalEnv", "UndefinedForZeroDrive", "branch_states",
+    "coalescence_residual", "critical_point", "cross_kerr",
+    "cubic_coefficients", "cubic_discriminant", "curve_omega_p",
+    "derive_device", "fold_condition_residual", "format_float",
+    "gamma2_from_profile", "gamma3_from_profile", "instability_locus",
+    "intermodulation_gain", "kerr_constant", "linearize", "lo_phase_extrema",
+    "lo_phase_extrema_array", "load_config", "load_config_file",
     "load_fit_problem", "load_profile", "max_curve_energy", "noise_power",
     "parametric_gain", "parse_json", "predict_gain", "predict_reflection",
     "real_roots", "real_roots_array", "reflection_coefficient", "render",
     "response_peak_detuning", "run_critical", "run_fit", "run_gain_sweep",
     "run_line_derive", "run_squeeze_sweep", "run_steady_sweep",
-    "settled_state", "settled_states", "solve_modes", "solve_pump_energy", "squeeze_vs_pump",
-    "steady_state", "steady_states", "thermal_occupation", "to_csv",
-    "to_json", "transfer_coefficients", "validate",
+    "settled_state", "settled_states", "solve_modes", "solve_pump_energy",
+    "squeeze_vs_pump", "steady_state", "steady_states",
+    "thermal_occupation", "to_csv", "to_json", "transfer_coefficients",
+    "transfer_coefficients_array", "validate",
 ]

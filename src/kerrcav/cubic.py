@@ -10,9 +10,10 @@ solves many cubics at once and gives, row for row, the same bits as
 """
 
 import math
-from itertools import repeat
 
 import numpy as np
+
+from .floatops import libm, rows
 
 # A depressed cubic whose roots all sit within TRIPLE_TOL of each other
 # (relative to the inflection point) is treated as a triple root at the
@@ -20,6 +21,9 @@ import numpy as np
 # coefficient and input rounding (one ulp of a detuning difference enters
 # cube-root amplified) are accounted for.
 TRIPLE_TOL = 1e-4
+# A polished trigonometric root whose cubic value exceeds this fraction of
+# the sum of the terms' magnitudes is no root (rounding leaves ~1e-16).
+ROOT_TOL = 1e-8
 
 
 def cubic_discriminant(c3: float, c2: float, c1: float, c0: float) -> float:
@@ -31,6 +35,14 @@ def cubic_discriminant(c3: float, c2: float, c1: float, c0: float) -> float:
         - 4.0 * c3 * c1**3
         - 27.0 * c3**2 * c0**2
     )
+
+
+def _solves(x: float, c3: float, c2: float, c1: float, c0: float) -> bool:
+    """Whether |cubic(x)| is within ROOT_TOL of the sum of its terms'
+    magnitudes."""
+    f = ((c3 * x + c2) * x + c1) * x + c0
+    scale = abs(c3 * x**3) + abs(c2 * x**2) + abs(c1 * x) + abs(c0)
+    return abs(f) <= ROOT_TOL * scale
 
 
 def _polish(root: float, c3: float, c2: float, c1: float, c0: float) -> float:
@@ -57,8 +69,10 @@ def real_roots(c3: float, c2: float, c1: float, c0: float) -> list[float]:
     """Return all real roots of the cubic, ascending.
 
     Degenerate leading coefficients are handled exactly (quadratic, linear,
-    constant).  A cluster of three mutually unresolvable roots is collapsed
-    to the inflection point -c2/(3*c3), which is exact for a triple root.
+    constant), and so is a zero constant term (x = 0 and the roots of the
+    quadratic factor).  A cluster of three mutually unresolvable roots is
+    collapsed to the inflection point -c2/(3*c3), which is exact for a
+    triple root.
     """
     if c3 == 0.0:
         if c2 == 0.0:
@@ -69,8 +83,16 @@ def real_roots(c3: float, c2: float, c1: float, c0: float) -> list[float]:
         if disc < 0.0:
             return []
         s = math.sqrt(disc)
-        pair = [(-c1 - s) / (2.0 * c2), (-c1 + s) / (2.0 * c2)]
-        return sorted(pair) if disc > 0.0 else [pair[0]]
+        if not disc > 0.0:
+            return [(-c1 - s) / (2.0 * c2)]
+        # the root of larger magnitude without cancellation, the other
+        # from the product of the roots
+        q = -0.5 * (c1 + math.copysign(s, c1))
+        return sorted([q / c2, c0 / q])
+    if c0 == 0.0:
+        # x = 0 is an exact root, once; the rest solve the quadratic factor
+        return sorted([0.0] + [r for r in real_roots(0.0, c3, c2, c1)
+                               if r != 0.0])
 
     a = c2 / c3
     b = c1 / c3
@@ -101,35 +123,17 @@ def real_roots(c3: float, c2: float, c1: float, c0: float) -> list[float]:
         ts = [math.copysign(abs(-q / 2.0 + s) ** (1.0 / 3.0), -q / 2.0 + s)
               + math.copysign(abs(-q / 2.0 - s) ** (1.0 / 3.0), -q / 2.0 - s)]
 
-    return sorted(_polish(t - a / 3.0, c3, c2, c1, c0) for t in ts)
+    roots = sorted(_polish(t - a / 3.0, c3, c2, c1, c0) for t in ts)
+    if len(roots) == 3:
+        # the double-root band also admits one real root beside a complex
+        # pair far smaller in magnitude, where the trigonometric pair
+        # solves nothing
+        roots = [r for r in roots if _solves(r, c3, c2, c1, c0)] or roots
+    return roots
 
 
 # 2*pi*k/3 as real_roots forms it, for the three trigonometric roots
 _THIRDS = tuple(2.0 * math.pi * k / 3.0 for k in range(3))
-
-
-def _libm(fn, x, *args):
-    """``fn`` from ``math`` applied elementwise over the 1-D array ``x``.
-
-    Further arguments are arrays of the same size or scalars.  NumPy's
-    vectorized pow, acos and atan2 differ from the C library's in the last
-    bit on some inputs; calling every library function through ``math``
-    keeps the array path bit-identical to the scalar one, OverflowError
-    included.
-    """
-    more = [a.tolist() if isinstance(a, np.ndarray) else repeat(a)
-            for a in args]
-    return np.fromiter(map(fn, x.tolist(), *more), float, x.size)
-
-
-def _rows(*values):
-    """The values as 1-D float arrays of one length; scalars repeat."""
-    arrays = [np.ravel(np.asarray(v, dtype=float)) for v in values]
-    sizes = {a.size for a in arrays} - {1}
-    if len(sizes) > 1:
-        raise ValueError(f"array sizes {sorted(sizes)} differ")
-    n = sizes.pop() if sizes else 1
-    return [a if a.size == n else np.full(n, a[0]) for a in arrays]
 
 
 def _polish_array(x, c3, c2, c1, c0):
@@ -142,8 +146,8 @@ def _polish_array(x, c3, c2, c1, c0):
         r = x[live]
         k3, k2, k1, k0 = c3[live], c2[live], c1[live], c0[live]
         f = ((k3 * r + k2) * r + k1) * r + k0
-        scale = (np.abs(k3 * _libm(math.pow, r, 3.0))
-                 + np.abs(k2 * _libm(math.pow, r, 2.0))
+        scale = (np.abs(k3 * libm(math.pow, r, 3.0))
+                 + np.abs(k2 * libm(math.pow, r, 2.0))
                  + np.abs(k1 * r) + np.abs(k0))
         fp = (3.0 * k3 * r + 2.0 * k2) * r + k1
         candidate = r - f / fp
@@ -162,14 +166,14 @@ def _degenerate_roots(c2, c1, c0):
     out[linear, 0] = -c0[linear] / c1[linear]
     disc = c1 * c1 - 4.0 * c2 * c0
     s = np.sqrt(disc)
-    lo = (-c1 - s) / (2.0 * c2)
-    hi = (-c1 + s) / (2.0 * c2)
     # one root unless disc > 0 (none if disc < 0), a NaN disc included
     double = (c2 != 0.0) & ~(disc < 0.0) & ~(disc > 0.0)
-    out[double, 0] = lo[double]
+    out[double, 0] = ((-c1 - s) / (2.0 * c2))[double]
     two = (c2 != 0.0) & (disc > 0.0)
-    out[two, 0] = np.minimum(lo, hi)[two]
-    out[two, 1] = np.maximum(lo, hi)[two]
+    q = -0.5 * (c1 + np.copysign(s, c1))
+    big, small = q / c2, c0 / q
+    out[two, 0] = np.minimum(big, small)[two]
+    out[two, 1] = np.maximum(big, small)[two]
     return out
 
 
@@ -180,8 +184,8 @@ def _trig_starts(p, q, a):
         # p * m underflowed: a float division by zero, as real_roots has it
         raise ZeroDivisionError("float division by zero")
     arg = np.minimum(1.0, np.maximum(-1.0, 3.0 * q / (p * m)))
-    theta = _libm(math.acos, arg) / 3.0
-    return np.stack([m * _libm(math.cos, theta - third) - a / 3.0
+    theta = libm(math.acos, arg) / 3.0
+    return np.stack([m * libm(math.cos, theta - third) - a / 3.0
                      for third in _THIRDS], axis=1)
 
 
@@ -192,23 +196,23 @@ def _cubic_roots(c3, c2, c1, c0):
     b = c1 / c3
     c = c0 / c3
     p = b - a * a / 3.0
-    q = 2.0 * _libm(math.pow, a, 3.0) / 27.0 - a * b / 3.0 + c
+    q = 2.0 * libm(math.pow, a, 3.0) / 27.0 - a * b / 3.0 + c
     # spread = max(sqrt|p|, |q|^(1/3)) is within tol iff both are; the cube
     # root is taken only where sqrt|p| already is
     tol = TRIPLE_TOL * np.abs(a / 3.0)
     rest = ~((a != 0.0) & (np.sqrt(np.abs(p)) <= tol))
     near = np.flatnonzero(~rest)
     if near.size:
-        rest[near] = _libm(math.pow, np.abs(q[near]), 1.0 / 3.0) > tol[near]
+        rest[near] = libm(math.pow, np.abs(q[near]), 1.0 / 3.0) > tol[near]
         triple = near[~rest[near]]
         out[triple, 0] = -a[triple] / 3.0
     rest = np.flatnonzero(rest)
 
     a, p, q = a[rest], p[rest], q[rest]
-    p3 = _libm(math.pow, p, 3.0)
+    p3 = libm(math.pow, p, 3.0)
     disc = -4.0 * p3 - 27.0 * q * q
     neg = np.flatnonzero(p < 0.0)
-    disc_scale = (4.0 * _libm(math.pow, np.abs(p[neg]), 3.0)
+    disc_scale = (4.0 * libm(math.pow, np.abs(p[neg]), 3.0)
                   + 27.0 * q[neg] * q[neg])
     trig = neg[disc[neg] >= -1e-14 * disc_scale]
     single = np.ones(a.size, dtype=bool)
@@ -220,8 +224,8 @@ def _cubic_roots(c3, c2, c1, c0):
     s = np.sqrt(np.maximum(qs * qs / 4.0 + p3[single] / 27.0, 0.0))
     u = -qs / 2.0 + s
     v = -qs / 2.0 - s
-    starts = (np.copysign(_libm(math.pow, np.abs(u), 1.0 / 3.0), u)
-              + np.copysign(_libm(math.pow, np.abs(v), 1.0 / 3.0), v)
+    starts = (np.copysign(libm(math.pow, np.abs(u), 1.0 / 3.0), u)
+              + np.copysign(libm(math.pow, np.abs(v), 1.0 / 3.0), v)
               - a[single] / 3.0)
     which = rest[single]
     if trig.size:
@@ -232,8 +236,18 @@ def _cubic_roots(c3, c2, c1, c0):
                              c0[which])
     out[rest[single], 0] = polished[:single.size]
     if trig.size:
-        out[rest[trig]] = np.sort(polished[single.size:].reshape(-1, 3),
-                                  axis=1)
+        roots = polished[single.size:]
+        at = which[single.size:]
+        k3, k2, k1, k0 = c3[at], c2[at], c1[at], c0[at]
+        f = ((k3 * roots + k2) * roots + k1) * roots + k0
+        scale = (np.abs(k3 * libm(math.pow, roots, 3.0))
+                 + np.abs(k2 * libm(math.pow, roots, 2.0))
+                 + np.abs(k1 * roots) + np.abs(k0))
+        solves = (np.abs(f) <= ROOT_TOL * scale).reshape(-1, 3)
+        roots = roots.reshape(-1, 3)
+        # real_roots keeps all three where none solves the cubic
+        drop = ~solves & solves.any(axis=1, keepdims=True)
+        out[rest[trig]] = np.sort(np.where(drop, np.nan, roots), axis=1)
     return out
 
 
@@ -247,14 +261,20 @@ def real_roots_array(c3, c2, c1, c0) -> np.ndarray:
     double-root band and guarded Newton steps, in the same floating-point
     order.
     """
-    c3, c2, c1, c0 = _rows(c3, c2, c1, c0)
+    c3, c2, c1, c0 = rows(c3, c2, c1, c0)
     with np.errstate(all="ignore"):
         lead = c3 == 0.0
-        if not lead.any():
+        if not (lead | (c0 == 0.0)).any():
             return _cubic_roots(c3, c2, c1, c0)
+        factor = ~lead & (c0 == 0.0)
         roots = np.empty((c3.size, 3))
         roots[lead] = _degenerate_roots(c2[lead], c1[lead], c0[lead])
-        cubic = np.flatnonzero(~lead)
+        # x = 0 once, and the nonzero roots of the quadratic factor
+        quad = _degenerate_roots(c3[factor], c2[factor], c1[factor])
+        roots[factor] = np.sort(np.column_stack(
+            [np.zeros(len(quad)), np.where(quad != 0.0, quad, np.nan)[:, :2]]),
+            axis=1)
+        cubic = np.flatnonzero(~lead & ~factor)
         roots[cubic] = _cubic_roots(c3[cubic], c2[cubic], c1[cubic],
                                     c0[cubic])
     return roots

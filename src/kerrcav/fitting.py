@@ -14,11 +14,10 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.optimize import minimize
 
-from .cubic import _libm
+from .floatops import libm
 from .model import DeviceParams, validate
-from .smallsignal import intermodulation_gain
+from .smallsignal import transfer_coefficients_array
 from .steady import settled_states
 from .sweeps import ConfigError, _number, load_device
 
@@ -111,13 +110,12 @@ def predict_reflection(params: DeviceParams, omega_p, b1_in, psi1=0.0):
 def predict_gain(params: DeviceParams, omega_p, b1_in, psi1=0.0):
     """Zero-offset intermodulation gain on the lowest-energy stable branch.
 
-    Takes scalars or arrays as :func:`predict_reflection` does; the settled
-    branches of all drives come from one batched call.
+    Takes scalars or arrays as :func:`predict_reflection` does; all drives
+    are evaluated in one batched pass.
     """
     batch = settled_states(params, omega_p, b1_in, psi1)
-    gains = np.array([intermodulation_gain(params, batch.state(i),
-                                           batch.drive(i), 0.0)
-                      for i in range(batch.energy.size)])
+    _, gains = transfer_coefficients_array(params, batch, 0.0,
+                                           ports=("refl",)).gains()
     return _scalar_or_array(gains, omega_p, b1_in)
 
 
@@ -129,6 +127,10 @@ def run_fit(problem: FitProblem, max_evaluations: int = MAX_EVALUATIONS) -> FitR
     evaluation budget is exhausted first, or if the best objective value is
     still the penalty, so that no evaluated point had a defined model.
     """
+    # imported here: SciPy's optimizer takes longer to import than the
+    # sweeps take to run
+    from scipy.optimize import minimize
+
     names = problem.free
     x0 = np.array([getattr(problem.initial, n) for n in names], dtype=float)
     scale = np.where(x0 != 0.0, np.abs(x0), 1.0)
@@ -159,7 +161,7 @@ def run_fit(problem: FitProblem, max_evaluations: int = MAX_EVALUATIONS) -> FitR
         if not np.all(np.isfinite(predicted)):
             return PENALTY
         # the squared residuals as a running total in row order
-        squares = _libm(math.pow, predicted - observed, 2.0)
+        squares = libm(math.pow, predicted - observed, 2.0)
         return float(np.cumsum(squares)[-1])
 
     result = minimize(objective, x0 / scale, method="Nelder-Mead",

@@ -10,6 +10,8 @@ Bath temperatures enter only through the dimensionless ratios
 theta_i = hbar*omega_p / (k_B * T_i); theta = inf encodes T = 0.  The bath
 occupation is evaluated at the pump frequency for all offsets, which is
 accurate for offsets small compared to the pump frequency.
+:func:`lo_phase_extrema_array` evaluates the extrema of a whole batch of
+branches in one NumPy pass, bit-identical to :func:`lo_phase_extrema`.
 """
 
 import cmath
@@ -19,10 +21,12 @@ from typing import Callable, Sequence
 
 import numpy as np
 
+from . import floatops as fo
 from .model import DeviceParams, PumpDrive
 from .operating import critical_point
-from .smallsignal import SingularResponse, transfer_coefficients
-from .steady import SteadyState, settled_states
+from .smallsignal import (SingularResponse, transfer_coefficients,
+                          transfer_coefficients_array)
+from .steady import BranchStates, SteadyState, settled_states
 
 
 @dataclass(frozen=True)
@@ -157,6 +161,73 @@ def lo_phase_extrema(params: DeviceParams, state: SteadyState, drive: PumpDrive,
                          phi_min=phi_min, phi_max=phi_max)
 
 
+@dataclass(frozen=True, eq=False)
+class SqueezeResults:
+    """:func:`lo_phase_extrema` of each entry of a batch of branches, one
+    array per field, plus the decomposition P(phi) = mean + Re(mod
+    e^{2i phi}) (NaN where ``diverged``)."""
+
+    mean: np.ndarray
+    mod: np.ndarray
+    p_min: np.ndarray
+    p_max: np.ndarray
+    phi_min: np.ndarray
+    phi_max: np.ndarray
+    diverged: np.ndarray
+
+
+def lo_phase_extrema_array(params: DeviceParams, states: BranchStates,
+                           env: ThermalEnv, omega=0.0) -> SqueezeResults:
+    """:func:`lo_phase_extrema` of each entry of ``states`` at offset
+    ``omega`` (a scalar or one value per entry), in one pass.
+
+    Entry i is bit-identical to ``lo_phase_extrema(params, states.state(i),
+    states.drive(i), env, omega[i])``: the same quadratic form, summed port
+    by port in the same order.
+    """
+    omega = np.broadcast_to(np.asarray(omega, dtype=float),
+                            states.energy.shape)
+    # column 0 holds the offsets +omega, column 1 -omega
+    resp = transfer_coefficients_array(params, states,
+                                       np.stack([omega, -omega], axis=1))
+    diverged = resp.singular.any(axis=1)
+    ok = ~diverged
+    coefficients = [
+        [fo.parts(getattr(resp, f"{port}_{kind}")[ok, side])
+         for side, kind in ((0, "signal"), (0, "conj"), (1, "signal"),
+                            (1, "conj"))]
+        for port in ("refl", "loss", "tpl")]
+    with np.errstate(all="ignore"):
+        # the quadratic form, summed port by port as _phase_quadratic does
+        mean = 0.0
+        mod = (0.0, 0.0)
+        for n, (sig_p, conj_p, sig_m, conj_m) in zip(env.occupations(),
+                                                     coefficients):
+            mean = mean + n * (fo.square(fo.modulus(sig_p))
+                               + fo.square(fo.modulus(conj_m)))
+            mean = mean + (n + 1.0) * (fo.square(fo.modulus(sig_m))
+                                       + fo.square(fo.modulus(conj_p)))
+            mod = fo.add(mod, fo.mul(fo.mul((2.0 * n, 0.0), sig_p), conj_m))
+            mod = fo.add(mod, fo.mul(fo.mul((2.0 * (n + 1.0), 0.0), sig_m),
+                                     conj_p))
+        amp = fo.modulus(mod)
+        arg = np.where(amp > 0.0, fo.phase(mod), 0.0)
+        phi_max = fo.remainder(-arg / 2.0, math.pi)
+        phi_min = fo.remainder(phi_max + math.pi / 2.0, math.pi)
+
+    def spread(values, fill):
+        out = np.full(ok.shape, fill)
+        out[ok] = values
+        return out
+
+    return SqueezeResults(
+        mean=spread(mean, math.nan),
+        mod=spread(fo.pack(mod), complex(math.nan, math.nan)),
+        p_min=spread(mean - amp, math.nan), p_max=spread(mean + amp, math.inf),
+        phi_min=spread(phi_min, math.nan), phi_max=spread(phi_max, math.nan),
+        diverged=diverged)
+
+
 @dataclass(frozen=True)
 class SqueezeAtPump:
     """One row of :func:`squeeze_vs_pump`."""
@@ -170,6 +241,23 @@ class SqueezeAtPump:
     diverged: bool
 
 
+def squeeze_columns(params: DeviceParams, env: ThermalEnv,
+                    pump_fractions: Sequence[float],
+                    psi1: float = 0.0) -> dict[str, np.ndarray]:
+    """The fields of :func:`squeeze_vs_pump`'s rows as arrays, by name,
+    from one batched pass."""
+    crit = critical_point(params)
+    if not crit.exists:
+        raise ValueError("no critical point: |kerr| <= sqrt(3)*gamma3")
+    fractions = np.asarray(pump_fractions, dtype=float)
+    states = settled_states(params, crit.omega_p, fractions * crit.drive, psi1)
+    ext = lo_phase_extrema_array(params, states, env, 0.0)
+    return dict(fraction=fractions, drive_amplitude=states.b_in,
+                p_min0=ext.p_min, p_max0=ext.p_max, phi_min=ext.phi_min,
+                above_critical=fractions > 1.0,
+                diverged=ext.diverged | ~states.stable)
+
+
 def squeeze_vs_pump(params: DeviceParams, env: ThermalEnv,
                     pump_fractions: Sequence[float],
                     psi1: float = 0.0) -> list[SqueezeAtPump]:
@@ -179,26 +267,9 @@ def squeeze_vs_pump(params: DeviceParams, env: ThermalEnv,
     as fractions of the critical amplitude, so the critical point must
     exist.  Each fraction is solved on its lowest-energy stable branch;
     fractions above 1 are flagged since the branch choice is then a
-    convention (the fold region covers the critical frequency).  The
-    settled branches of all fractions come from one batched call.
+    convention (the fold region covers the critical frequency).  All
+    fractions are evaluated in one batched pass.
     """
-    crit = critical_point(params)
-    if not crit.exists:
-        raise ValueError("no critical point: |kerr| <= sqrt(3)*gamma3")
-    fractions = np.asarray(pump_fractions, dtype=float)
-    batch = settled_states(params, crit.omega_p, fractions * crit.drive, psi1)
-    rows = []
-    for i, frac in enumerate(fractions.tolist()):
-        chosen = batch.state(i)
-        drive = batch.drive(i)
-        ext = lo_phase_extrema(params, chosen, drive, env, 0.0)
-        rows.append(SqueezeAtPump(
-            fraction=frac,
-            drive_amplitude=drive.amplitude,
-            p_min0=ext.p_min,
-            p_max0=ext.p_max,
-            phi_min=ext.phi_min,
-            above_critical=frac > 1.0,
-            diverged=ext.diverged or not chosen.stable,
-        ))
-    return rows
+    columns = squeeze_columns(params, env, pump_fractions, psi1)
+    return [SqueezeAtPump(**dict(zip(columns, row))) for row in
+            zip(*(c.tolist() for c in columns.values()))]

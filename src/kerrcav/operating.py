@@ -129,6 +129,10 @@ def _fold_omega_p(params: DeviceParams, drive: PumpDrive, energy: float) -> floa
         - _head_slope(params, drive, energy) / (2.0 * params.kerr)
 
 
+# gamma3 / |kerr| below which the fold polynomial is solved in degree 4
+SMALL_GAMMA3 = 1e-20
+
+
 def _polish(poly, x: float) -> float:
     """Newton steps on the polynomial, kept while they shrink |poly(x)|.
 
@@ -179,7 +183,12 @@ def instability_locus(params: DeviceParams, drive: PumpDrive):
     poly = np.array([c4 * r * r, 2.0 * c4 * r, c4,
                      -4.0 * sigma * (1.0 - r * r), 4.0 * r * sigma, 0.0,
                      sigma * sigma])
-    roots = np.roots(poly)
+    # for gamma3 below about 1e-30 |kerr| the companion matrix of the
+    # degree-6 form loses the folds beside its two roots near x = -1/r; the
+    # (1 + r x)^2 factor is then 1 to double precision wherever a fold can
+    # be, so the roots come from the degree-4 form and the Newton steps
+    # polish them on the full one
+    roots = np.roots(poly[2:] if r < SMALL_GAMMA3 else poly)
     unit = params.gamma / k
     folds = sorted(unit * _polish(poly, float(z.real)) for z in roots
                    if z.imag == 0.0 and z.real > 0.0)

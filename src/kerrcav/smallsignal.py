@@ -9,14 +9,20 @@ intermodulation gain and squeezing.  All six share the resolvent denominator
     D(omega) = (-i*omega + lambda_slow) * (-i*omega + lambda_fast),
 
 which vanishes only at marginal operating points, where the gains diverge.
+:func:`transfer_coefficients_array` evaluates the coefficients of a whole
+batch of branches in one NumPy pass, bit-identical to
+:func:`transfer_coefficients`.
 """
 
 import cmath
 import math
 from dataclasses import dataclass
 
+import numpy as np
+
+from . import floatops as fo
 from .model import DeviceParams, PumpDrive
-from .steady import SteadyState
+from .steady import BranchStates, SteadyState
 
 # |D| below this multiple of gamma^2 means operation at an instability.
 SINGULAR_TOL = 1e-14
@@ -161,3 +167,118 @@ def intermodulation_gain(params: DeviceParams, state: SteadyState,
     except SingularResponse:
         return math.inf
     return abs(resp.refl_conj) ** 2
+
+
+PORTS = ("refl", "loss", "tpl")
+
+
+@dataclass(frozen=True, eq=False)
+class SmallSignalResponses:
+    """:class:`SmallSignalResponse` of each (branch, offset) of a batch, one
+    complex array per field, all of the shape of the offsets.
+
+    ``singular`` marks where :func:`transfer_coefficients` raises
+    :class:`SingularResponse`; the coefficients there are garbage.  The
+    coefficients of ports that were not asked for are None.
+    """
+
+    omega: np.ndarray
+    self_coupling: np.ndarray
+    conj_coupling: np.ndarray
+    lambda_slow: np.ndarray
+    lambda_fast: np.ndarray
+    refl_signal: np.ndarray
+    refl_conj: np.ndarray
+    loss_signal: np.ndarray | None
+    loss_conj: np.ndarray | None
+    tpl_signal: np.ndarray | None
+    tpl_conj: np.ndarray | None
+    singular: np.ndarray
+
+    def gains(self):
+        """(G_S, G_I): :func:`parametric_gain` and
+        :func:`intermodulation_gain` at each point, inf where singular."""
+        ok = ~self.singular
+        out = []
+        for coef in (self.refl_signal, self.refl_conj):
+            gain = np.full(ok.shape, math.inf)
+            gain[ok] = fo.square(fo.modulus(fo.parts(coef[ok])))
+            out.append(gain)
+        return tuple(out)
+
+
+def transfer_coefficients_array(params: DeviceParams, states: BranchStates,
+                                omega, ports=PORTS) -> SmallSignalResponses:
+    """:func:`transfer_coefficients` of the entries of ``states`` at the
+    offsets ``omega``, in one pass.
+
+    ``omega`` is a scalar, one offset per entry (shape (n,)) or several
+    per entry (shape (n, m)); the results take its shape.  Each point is
+    bit-identical to ``transfer_coefficients(params, states.state(i),
+    states.drive(i), omega[i, j])``; where that raises
+    :class:`SingularResponse`, ``singular`` is set instead.  The linearized
+    drift and the phase factors are evaluated once per entry, and the
+    coefficients only for the ``ports`` named (the test port "refl" always).
+    """
+    omega = np.asarray(omega, dtype=float)
+
+    def per_entry(z):
+        # an entry's values, aligned with the first axis of omega
+        return [x.reshape(x.shape + (1,) * (omega.ndim - 1)) for x in z]
+
+    g1, g2, g3 = params.gamma1, params.gamma2, params.gamma3
+    p1, p2, p3 = params.phi1, params.phi2, params.phi3
+    phase = states.phase
+    with np.errstate(all="ignore"):
+        # linearize
+        delta = params.omega0 - states.omega_p
+        nonlin = fo.mul(fo.parts(1j * params.kerr + g3), (states.energy, 0.0))
+        w = per_entry(fo.add(
+            fo.add(fo.times_1j((delta, 0.0)), (params.gamma, 0.0)),
+            fo.mul((2.0, 0.0), nonlin)))
+        v = per_entry(fo.mul(nonlin, fo.exp_imag(
+            fo.mul((-0.0, -2.0), (phase, 0.0)))))
+        lam_slow = per_entry(fo.parts(states.lambda_slow))
+        lam_fast = per_entry(fo.parts(states.lambda_fast))
+
+        shift = fo.times_minus_1j((omega, 0.0))
+        d = fo.mul(fo.add(shift, lam_slow), fo.add(shift, lam_fast))
+        singular = fo.modulus(d) < SINGULAR_TOL * params.gamma**2
+        zw = fo.add(shift, (w[0], -w[1]))
+        # the numerators of each port's (signal, conjugate) coefficients
+        numerators = {"refl": (
+            fo.sub(d, fo.mul((2.0 * g1, 0.0), zw)),
+            fo.mul(fo.mul((2.0 * g1, 0.0), v), fo.parts(cmath.exp(-2j * p1))))}
+        if "loss" in ports:
+            s12 = math.sqrt(g1 * g2)
+            numerators["loss"] = (
+                fo.mul(fo.mul((-2.0 * s12, 0.0), zw),
+                       fo.parts(cmath.exp(-1j * (p1 - p2)))),
+                fo.mul(fo.mul((2.0 * s12, 0.0), v),
+                       fo.parts(cmath.exp(-1j * (p1 + p2)))))
+        if "tpl" in ports:
+            s13 = math.sqrt(2.0 * g1 * g3)
+            amp = states.amplitude
+            scale_signal, scale_conj = per_entry([-2.0 * s13 * amp,
+                                                  2.0 * s13 * amp])
+            numerators["tpl"] = (
+                fo.mul(fo.mul((scale_signal, 0.0), zw),
+                       per_entry(fo.exp_imag(
+                           fo.times_minus_1j(((p1 - phase) - p3, 0.0))))),
+                fo.mul(fo.mul((scale_conj, 0.0), v),
+                       per_entry(fo.exp_imag(
+                           fo.times_minus_1j(((p1 + p3) + phase, 0.0))))))
+        shape = singular.shape
+
+        def full(z):
+            return fo.pack(np.broadcast_to(x, shape) for x in z)
+
+        coefficients = {f"{port}_{kind}": full(fo.div(numerator, d))
+                        for port, pair in numerators.items()
+                        for kind, numerator in zip(("signal", "conj"), pair)}
+    return SmallSignalResponses(
+        omega=np.broadcast_to(omega, shape), self_coupling=full(w),
+        conj_coupling=full(v), lambda_slow=full(lam_slow),
+        lambda_fast=full(lam_fast), singular=singular,
+        **{f"{port}_{kind}": coefficients.get(f"{port}_{kind}")
+           for port in PORTS for kind in ("signal", "conj")})

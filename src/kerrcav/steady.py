@@ -10,18 +10,20 @@ whose squared modulus turns the photon number E = B^2 into a real cubic.
 Depending on drive strength the cubic has one, two (fold tangency) or three
 nonnegative roots; with three roots the middle branch is unstable and the
 device is bistable.  Stability of each branch follows from the relaxation
-roots of the linearized dynamics.  :func:`settled_states` evaluates the
-branch a slowly swept drive settles on for a whole batch of drives in one
-NumPy pass, bit-identical to the scalar functions.
+roots of the linearized dynamics.  :func:`branch_states` evaluates every
+branch of a whole batch of drives in one NumPy pass, bit-identical to the
+scalar functions, and :func:`settled_states` picks from it the branch a
+slowly swept drive settles on.
 """
 
 import cmath
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 import numpy as np
 
-from .cubic import _libm, _rows, real_roots, real_roots_array
+from . import floatops as fo
+from .cubic import real_roots, real_roots_array
 from .model import DeviceParams, PumpDrive
 
 # Roots closer than this (relative) are a fold double root that double
@@ -177,26 +179,21 @@ def steady_states(params: DeviceParams, drive: PumpDrive) -> list[SteadyState]:
             for i, e in enumerate(solve_pump_energy(params, drive))]
 
 
-def _complex(re, im):
-    """re + i im without the rounding of a complex product."""
-    z = np.empty(re.shape, dtype=complex)
-    z.real = re
-    z.imag = im
-    return z
-
-
 @dataclass(frozen=True, eq=False)
-class SettledStates:
-    """The settled branch at each drive of a batch, one array entry each.
+class BranchStates:
+    """Steady-state branches of a batch of drives, one array entry each.
 
-    ``omega_p``, ``b_in`` and ``drive_phase`` are the drives, broadcast to
-    one dimension; the other fields are those of :class:`SteadyState`, and
-    ``n_branches`` counts all branches at the drive.
+    ``row`` is the index of the entry's drive in the batch, ``omega_p``,
+    ``b_in`` and ``drive_phase`` are that drive and ``n_branches`` counts
+    all branches at it; the other fields are those of
+    :class:`SteadyState`.  Entries are ordered by drive, then by energy.
     """
 
+    row: np.ndarray
     omega_p: np.ndarray
     b_in: np.ndarray
     drive_phase: np.ndarray
+    n_branches: np.ndarray
     energy: np.ndarray
     amplitude: np.ndarray
     phase: np.ndarray
@@ -206,7 +203,12 @@ class SettledStates:
     stable: np.ndarray
     marginal: np.ndarray
     branch_index: np.ndarray
-    n_branches: np.ndarray
+
+    def take(self, at) -> "BranchStates":
+        """The entries that ``at`` (indices or a mask) selects; ``row``
+        keeps naming their drives in the original batch."""
+        return BranchStates(**{f.name: getattr(self, f.name)[at]
+                               for f in fields(self)})
 
     def drive(self, i: int) -> PumpDrive:
         return PumpDrive(omega_p=float(self.omega_p[i]),
@@ -226,8 +228,13 @@ class SettledStates:
             branch_index=int(self.branch_index[i]),
         )
 
+    def reflection(self):
+        """(real, imaginary) parts of :func:`reflection_coefficient` of each
+        entry; every drive must be nonzero."""
+        return fo.div_float(fo.parts(self.reflected), self.b_in)
+
     def reflection_magnitude(self) -> np.ndarray:
-        """|reflection coefficient| at each drive.
+        """|reflection coefficient| of each entry.
 
         Raises
         ------
@@ -236,7 +243,9 @@ class SettledStates:
         """
         if np.any(self.b_in == 0.0):
             raise UndefinedForZeroDrive("reflection coefficient needs b_in > 0")
-        # the C library's hypot, as Python's complex abs takes it
+        # the signs of zero that the complex quotient adds (its ratio
+        # 0.0 / b_in) do not reach the C library's hypot, which Python's
+        # complex abs takes
         return np.hypot(self.reflected.real / self.b_in,
                         self.reflected.imag / self.b_in)
 
@@ -290,16 +299,15 @@ def _branch_energies(c3, c2, c1, c0):
     return energy
 
 
-def settled_states(params: DeviceParams, omega_p, b_in,
-                   phase=0.0) -> SettledStates:
-    """The branch a slowly swept drive settles on, for a batch of drives.
+def branch_states(params: DeviceParams, omega_p, b_in,
+                  phase=0.0) -> BranchStates:
+    """Every steady-state branch at every drive of a batch, in one pass.
 
-    That is the lowest-energy stable branch, or the lowest branch when none
-    is stable (a marginal or unstable operating point).  ``omega_p``,
-    ``b_in`` and the drive ``phase`` are scalars or 1-D arrays of one
-    length.  Entry i is bit-identical to :func:`steady_states` at drive i:
-    the same roots, clamp and fold merge as :func:`solve_pump_energy` and
-    the same record as :func:`steady_state`.
+    ``omega_p``, ``b_in`` and the drive ``phase`` are scalars or 1-D arrays
+    of one length.  The entries of drive i are bit-identical to
+    :func:`steady_states` at drive i: the same roots, clamp and fold merge
+    as :func:`solve_pump_energy`, the same relaxation roots and the same
+    record as :func:`steady_state`, in CPython's floating-point order.
 
     Raises
     ------
@@ -308,60 +316,76 @@ def settled_states(params: DeviceParams, omega_p, b_in,
     """
     if params.gamma <= 0.0:
         raise DegenerateModel("gamma1 + gamma2 must be > 0")
-    omega_p, b_in, psi = _rows(omega_p, b_in, phase)
+    omega_p, b_in, psi = fo.rows(omega_p, b_in, phase)
     k, g3, g = params.kerr, params.gamma3, params.gamma
     with np.errstate(all="ignore"):
         # the coefficients as cubic_coefficients forms them
         delta = params.omega0 - omega_p
         c3 = k * k + g3 * g3
-        c0 = -2.0 * params.gamma1 * _libm(math.pow, b_in, 2.0)
+        c0 = -2.0 * params.gamma1 * fo.square(b_in)
         energy = _branch_energies(np.full(delta.size, c3),
                                   2.0 * (delta * k + g * g3),
                                   delta * delta + g * g, c0)
-
-        # relaxation_roots of every branch: cmath.sqrt of a real radicand r
-        # is exactly sqrt(r), or i sqrt(-r) when r < 0
         live = ~np.isnan(energy)
-        n_branches = live.sum(axis=1)
+        row, index = np.nonzero(live)
         e = energy[live]
-        radicand = c3 * e * e - _libm(math.pow, np.repeat(delta, n_branches)
-                                      + 2.0 * k * e, 2.0)
-        root = np.sqrt(np.abs(radicand))
-        s_re = np.where(radicand >= 0.0, root, 0.0)
-        s_im = np.where(radicand >= 0.0, 0.0, root)
-        base = g + 2.0 * g3 * e
-        slow_re = base - s_re
-        marginal = np.abs(slow_re) <= MARGINAL_TOL * g
-        stable = (slow_re > 0.0) & ~marginal
+        delta, b_in, psi = delta[row], b_in[row], psi[row]
 
-        # the first stable branch, or branch 0 when none is (argmax of an
-        # all-False row), and its steady_state record
-        by_row = np.zeros(energy.shape, dtype=bool)
-        by_row[live] = stable
-        index = by_row.argmax(axis=1)
-        at = np.cumsum(n_branches) - n_branches + index
-        e = e[at]
+        # relaxation_roots: cmath.sqrt of a real radicand r is exactly
+        # (sqrt(r), 0) for r >= 0 and (0, sqrt(-r)) otherwise
+        radicand = c3 * e * e - fo.square(delta + 2.0 * k * e)
+        root = np.sqrt(np.abs(radicand))
+        s = (np.where(radicand >= 0.0, root, 0.0),
+             np.where(radicand >= 0.0, 0.0, root))
+        base = (g + 2.0 * g3 * e, 0.0)
+        lam_slow = fo.sub(base, s)
+        marginal = np.abs(lam_slow[0]) <= MARGINAL_TOL * g
+        stable = (lam_slow[0] > 0.0) & ~marginal
+
+        # steady_state's record; the phase is 0 where the amplitude is
         amp = np.sqrt(np.maximum(e, 0.0))
-        # cmath.phase(1j * response) with response = (i delta + g) amp
-        # + (i K + g3) amp^3 is atan2(Re response, -Im response)
-        a3 = _libm(math.pow, amp, 3.0)
+        response = fo.add(
+            fo.mul(fo.add(fo.times_1j((delta, 0.0)), (g, 0.0)), (amp, 0.0)),
+            fo.mul(fo.parts(1j * k + g3),
+                   (fo.libm(math.pow, amp, 3.0), 0.0)))
         cavity_phase = np.where(
             amp == 0.0, 0.0,
-            (psi - params.phi1) + _libm(math.atan2, g * amp + g3 * a3,
-                                        -(delta * amp + k * a3)))
-        # b_in - i sqrt(2 gamma1) amp exp(i turn), in the real and imaginary
-        # parts Python's complex arithmetic forms
-        turn = -((params.phi1 + cavity_phase) - psi)
-        sa = math.sqrt(2.0 * params.gamma1) * amp
-        reflected = _complex(b_in + sa * _libm(math.sin, turn),
-                             -(sa * _libm(math.cos, turn)))
-    return SettledStates(
-        omega_p=omega_p, b_in=b_in, drive_phase=psi,
-        energy=e, amplitude=amp, phase=cavity_phase, reflected=reflected,
-        lambda_slow=_complex(slow_re[at], -s_im[at]),
-        lambda_fast=_complex(base[at] + s_re[at], s_im[at]),
-        stable=stable[at], marginal=marginal[at],
-        branch_index=index, n_branches=n_branches)
+            (psi - params.phi1) + fo.phase(fo.times_1j(response)))
+        turn = fo.times_minus_1j(((params.phi1 + cavity_phase) - psi, 0.0))
+        outgoing = fo.mul(fo.mul(fo.parts(1j * math.sqrt(2.0 * params.gamma1)),
+                                 (amp, 0.0)), fo.exp_imag(turn))
+        reflected = fo.sub((b_in, 0.0), outgoing)
+    return BranchStates(
+        row=row, omega_p=omega_p[row], b_in=b_in, drive_phase=psi,
+        n_branches=live.sum(axis=1)[row], energy=e, amplitude=amp,
+        phase=cavity_phase, reflected=fo.pack(reflected),
+        lambda_slow=fo.pack(lam_slow), lambda_fast=fo.pack(fo.add(base, s)),
+        stable=stable, marginal=marginal, branch_index=index)
+
+
+def settled_states(params: DeviceParams, omega_p, b_in,
+                   phase=0.0) -> BranchStates:
+    """The branch a slowly swept drive settles on, for a batch of drives.
+
+    That is the lowest-energy stable branch, or the lowest branch when none
+    is stable (a marginal or unstable operating point): the entries of
+    :func:`branch_states` that hold the first stable branch of each drive,
+    else its branch 0, one per drive.
+
+    Raises
+    ------
+    DegenerateModel
+        If gamma1 + gamma2 == 0.
+    """
+    states = branch_states(params, omega_p, b_in, phase)
+    first = np.flatnonzero(states.branch_index == 0)
+    if first.size == states.energy.size:
+        # one branch at every drive
+        return states
+    by_drive = np.zeros((first.size, 3), dtype=bool)
+    by_drive[states.row, states.branch_index] = states.stable
+    # argmax of an all-False row is branch 0
+    return states.take(first + by_drive.argmax(axis=1))
 
 
 def settled_state(params: DeviceParams, drive: PumpDrive) -> SteadyState:

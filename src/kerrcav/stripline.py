@@ -18,7 +18,6 @@ import json
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg import eigh_tridiagonal
 
 from .model import DeviceParams
 
@@ -136,6 +135,10 @@ def solve_modes(profile: LineProfile, n_modes: int) -> list[ModeSolution]:
         If ``n_modes`` exceeds n_grid / 4 (modes that coarse are not
         resolved at second order).
     """
+    # imported here: SciPy's linear algebra is needed only by the line
+    # modes and slows every other command's start-up
+    from scipy.linalg import eigh_tridiagonal
+
     if n_modes < 1:
         raise ValueError("n_modes must be >= 1")
     if n_modes > profile.n_grid // 4:

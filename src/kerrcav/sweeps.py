@@ -3,12 +3,12 @@
 A sweep is described by a single JSON document (schema 1).  The device block
 is either the lumped parameters inline or a reference to a line-profile file
 plus mode index; drive amplitudes may be given directly or as multiples of
-the critical amplitude, which are resolved at load time.  Grid points are
-evaluated independently and emitted in index order, so outputs are
+the critical amplitude, which are resolved at load time.  Each sweep
+evaluates its whole grid in one NumPy pass, with the same bits as the
+one-point functions, and emits the rows in index order, so outputs are
 deterministic byte for byte.
 """
 
-import cmath
 import json
 import math
 import os
@@ -16,11 +16,12 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .model import DeviceParams, PumpDrive, validate
-from .noise import ThermalEnv, squeeze_vs_pump
+from . import floatops as fo
+from .model import DeviceParams, validate
+from .noise import ThermalEnv, squeeze_columns
 from .operating import critical_point
-from .smallsignal import SingularResponse, transfer_coefficients
-from .steady import reflection_coefficient, steady_states
+from .smallsignal import transfer_coefficients_array
+from .steady import branch_states
 from .stripline import (derive_device, gamma2_from_profile,
                         gamma3_from_profile, kerr_constant, load_profile,
                         solve_modes)
@@ -95,6 +96,15 @@ def _numbers(data, key, minimum=None):
     values = data.get(key, [])
     if not isinstance(values, list):
         raise ConfigError(key, f"expected a list, got {values!r}")
+    if {type(v) for v in values} <= {int, float}:
+        # the common case in one pass; on any doubt, _number names the cell
+        try:
+            floats = tuple(map(float, values))
+        except OverflowError:
+            floats = (math.inf,)
+        if all(map(math.isfinite, floats)) and (
+                minimum is None or min(floats, default=minimum) >= minimum):
+            return floats
     return tuple(_number(v, f"{key}[{i}]", minimum=minimum)
                  for i, v in enumerate(values))
 
@@ -209,6 +219,22 @@ def load_config_file(path) -> SweepConfig:
     return load_config(data, base_dir=os.path.dirname(os.path.abspath(path)))
 
 
+def _table(columns, *values) -> Table:
+    """A table from one array per column.  ``tolist`` turns the cells into
+    Python floats, ints and bools, which is what the table formats."""
+    return Table(list(columns),
+                 list(map(list, zip(*(v.tolist() for v in values)))))
+
+
+def _grid_states(config: SweepConfig):
+    """Every branch at every grid point, amplitude-major."""
+    n_omega, n_amp = len(config.omega_p_grid), len(config.amplitudes)
+    return branch_states(config.device,
+                         np.tile(np.array(config.omega_p_grid), n_amp),
+                         np.repeat(np.array(config.amplitudes), n_omega),
+                         config.psi1)
+
+
 def run_steady_sweep(config: SweepConfig) -> Table:
     """Pump response over the frequency grid, one row per branch.
 
@@ -218,21 +244,17 @@ def run_steady_sweep(config: SweepConfig) -> Table:
     """
     if not config.omega_p_grid or not config.amplitudes:
         raise ConfigError("drive", "steady-sweep needs drive.omega_p and drive.b1_in")
-    table = Table(list(STEADY_COLUMNS))
-    for amp in config.amplitudes:
-        for omega_p in config.omega_p_grid:
-            drive = PumpDrive(omega_p=omega_p, amplitude=amp, phase=config.psi1)
-            for state in steady_states(config.device, drive):
-                if amp > 0.0:
-                    refl = reflection_coefficient(state, drive)
-                    mag, ang = abs(refl), cmath.phase(refl)
-                else:
-                    mag = ang = math.nan
-                table.append(amp, omega_p, state.branch_index, state.energy,
-                             state.amplitude, state.phase, mag, ang,
-                             state.lambda_slow.real, state.lambda_slow.imag,
-                             state.stable)
-    return table
+    states = _grid_states(config)
+    driven = states.b_in > 0.0
+    refl = states.take(driven).reflection()
+    mag = np.full(driven.shape, math.nan)
+    ang = np.full(driven.shape, math.nan)
+    mag[driven] = fo.modulus(refl)
+    ang[driven] = fo.phase(refl)
+    return _table(STEADY_COLUMNS, states.b_in, states.omega_p,
+                  states.branch_index, states.energy, states.amplitude,
+                  states.phase, mag, ang, states.lambda_slow.real,
+                  states.lambda_slow.imag, states.stable)
 
 
 def run_gain_sweep(config: SweepConfig) -> Table:
@@ -245,25 +267,21 @@ def run_gain_sweep(config: SweepConfig) -> Table:
         raise ConfigError("drive", "gain-sweep needs drive.omega_p and drive.b1_in")
     if not config.offsets:
         raise ConfigError("offsets", "gain-sweep needs offsets or signal_frequencies")
-    table = Table(list(GAIN_COLUMNS))
-    for amp in config.amplitudes:
-        for omega_p in config.omega_p_grid:
-            drive = PumpDrive(omega_p=omega_p, amplitude=amp, phase=config.psi1)
-            for state in steady_states(config.device, drive):
-                for value in config.offsets:
-                    omega = value - omega_p if config.offsets_absolute else value
-                    try:
-                        resp = transfer_coefficients(config.device, state,
-                                                     drive, omega)
-                    except SingularResponse:
-                        gs = gi = math.inf
-                    else:
-                        gs = abs(resp.refl_signal) ** 2
-                        gi = abs(resp.refl_conj) ** 2
-                    diverged = not (math.isfinite(gs) and math.isfinite(gi))
-                    table.append(amp, omega_p, state.branch_index, omega,
-                                 gs, gi, diverged)
-    return table
+    states = _grid_states(config)
+    # one row per (branch, offset), branch-major
+    omega = np.array(config.offsets)[None, :]
+    if config.offsets_absolute:
+        omega = omega - states.omega_p[:, None]
+    omega = np.broadcast_to(omega, (states.energy.size, omega.shape[1]))
+    gs, gi = (g.ravel() for g in transfer_coefficients_array(
+        config.device, states, omega, ports=("refl",)).gains())
+
+    def per_row(x):
+        return np.repeat(x, omega.shape[1])
+
+    return _table(GAIN_COLUMNS, per_row(states.b_in), per_row(states.omega_p),
+                  per_row(states.branch_index), omega.ravel(), gs, gi,
+                  ~(np.isfinite(gs) & np.isfinite(gi)))
 
 
 def run_squeeze_sweep(config: SweepConfig) -> Table:
@@ -274,12 +292,11 @@ def run_squeeze_sweep(config: SweepConfig) -> Table:
     if not crit.exists:
         raise ConfigError("device", "squeeze-sweep needs a critical point "
                                     "(|kerr| > sqrt(3)*gamma3)")
-    table = Table(list(SQUEEZE_COLUMNS))
-    for row in squeeze_vs_pump(config.device, config.env,
-                               config.pump_fractions, psi1=config.psi1):
-        table.append(row.fraction, row.p_min0, row.p_max0, row.phi_min,
-                     row.above_critical, row.diverged)
-    return table
+    columns = squeeze_columns(config.device, config.env,
+                              config.pump_fractions, psi1=config.psi1)
+    return _table(SQUEEZE_COLUMNS, *(columns[name] for name in (
+        "fraction", "p_min0", "p_max0", "phi_min", "above_critical",
+        "diverged")))
 
 
 def run_critical(device: DeviceParams) -> Table:

@@ -30,48 +30,94 @@ class Table:
 
 
 def format_float(x: float) -> str:
-    """Fixed 17-significant-digit scientific form; 'nan'/'inf' for non-finite."""
-    if math.isnan(x):
-        return "nan"
-    if math.isinf(x):
-        return "inf" if x > 0 else "-inf"
+    """Fixed 17-significant-digit scientific form; 'nan'/'inf'/'-inf' for
+    non-finite values (which is how Python formats them)."""
     return f"{x:.16e}"
 
 
-def _csv_cell(cell: Cell) -> str:
-    if isinstance(cell, bool):
-        return "true" if cell else "false"
-    if isinstance(cell, int):
-        return str(cell)
-    if isinstance(cell, float):
-        return format_float(cell)
-    return str(cell)
+def _bool_text(cell: bool) -> str:
+    return "true" if cell else "false"
+
+
+def _json_float(cell: float) -> str:
+    text = f"{cell:.16e}"
+    # JSON has no literal for nan/inf; keep them as strings
+    return text if math.isfinite(cell) else f'"{text}"'
+
+
+# cell text by the cell's type; ``object`` formats any other type
+_CSV_CELL = {float: format_float, bool: _bool_text, int: str, str: str,
+             object: str}
+_JSON_CELL = {float: _json_float, bool: _bool_text, int: str, str: json.dumps,
+              object: json.dumps}
+
+
+def _cell_text(cell: Cell, by_type) -> str:
+    text = by_type.get(type(cell))
+    if text is not None:
+        return text(cell)
+    # subclasses format as their base type
+    for kind in (bool, int, float):
+        if isinstance(cell, kind):
+            return by_type[kind](cell)
+    return by_type[object](cell)
+
+
+def _float_texts(values: tuple, quote: bool) -> list[str]:
+    """:func:`format_float` of each value; with ``quote``, non-finite texts
+    in JSON quotes.  A value repeated across the column is formatted once,
+    except zeros: 0.0 and -0.0 are one dict key but two texts."""
+    distinct = dict.fromkeys(values)
+    if 2 * len(distinct) <= len(values):
+        memo = {v: f"{v:.16e}" for v in distinct}
+        texts = list(map(memo.__getitem__, values))
+        if 0.0 in memo:
+            texts = [f"{v:.16e}" if v == 0.0 else t
+                     for v, t in zip(values, texts)]
+    else:
+        texts = ("%.16e\n" * len(values) % values).split("\n")[:-1]
+    if quote and not all(map(math.isfinite, distinct)):
+        # JSON has no literal for nan/inf; keep them as strings
+        texts = [t if math.isfinite(v) else f'"{t}"'
+                 for v, t in zip(values, texts)]
+    return texts
+
+
+def _lines(table: Table, sep: str, quote: bool) -> list[str]:
+    """The rows as text, built column by column: a column of one type is
+    formatted in one pass, each distinct value once."""
+    by_type = _JSON_CELL if quote else _CSV_CELL
+    rows = table.rows
+    widths = {len(row) for row in rows}
+    if len(widths) != 1 or widths == {0}:
+        # no rows, no columns or rows of unequal length
+        return [sep.join(_cell_text(c, by_type) for c in row) for row in rows]
+    columns = []
+    for values in zip(*rows):
+        kinds = set(map(type, values))
+        kind = kinds.pop() if len(kinds) == 1 else None
+        if kind is float:
+            texts = _float_texts(values, quote)
+        elif kind in by_type:
+            memo = {v: by_type[kind](v) for v in dict.fromkeys(values)}
+            texts = list(map(memo.__getitem__, values))
+        else:
+            texts = [_cell_text(c, by_type) for c in values]
+        columns.append(texts)
+    return list(map(sep.join, zip(*columns)))
 
 
 def to_csv(table: Table) -> str:
-    lines = [",".join(table.columns)]
-    lines.extend(",".join(_csv_cell(c) for c in row) for row in table.rows)
+    lines = [",".join(table.columns)] + _lines(table, ",", quote=False)
     return "\n".join(lines) + "\n"
-
-
-def _json_cell(cell: Cell) -> str:
-    if isinstance(cell, bool):
-        return "true" if cell else "false"
-    if isinstance(cell, int):
-        return str(cell)
-    if isinstance(cell, float):
-        text = format_float(cell)
-        # JSON has no literal for nan/inf; keep them as strings
-        return text if math.isfinite(cell) else json.dumps(text)
-    return json.dumps(cell)
 
 
 def to_json(table: Table) -> str:
     lines = ['{"schema": 1,']
     lines.append(f' "columns": {json.dumps(table.columns)},')
     lines.append(' "rows": [')
-    body = [" [" + ", ".join(_json_cell(c) for c in row) + "]" for row in table.rows]
-    lines.append(",\n".join(body))
+    lines.append(",\n".join(f" [{line}]"
+                            for line in _lines(table, ", ", quote=True)))
     lines.append("]}")
     return "\n".join(lines) + "\n"
 

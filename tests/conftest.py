@@ -38,3 +38,24 @@ def make_uniform_profile(n_grid=2000, length=1.0, c=1.0, l0=1.0,
 @pytest.fixture
 def uniform_profile() -> LineProfile:
     return make_uniform_profile()
+
+
+def float_bits(value):
+    """A comparable key for the bits of a number or of a record of numbers:
+    floats by their IEEE bits (so -0.0 differs from 0.0; every NaN counts
+    as one), complex numbers part by part, sequences and dataclasses item
+    by item; callables are skipped."""
+    import dataclasses
+    import struct
+
+    if dataclasses.is_dataclass(value):
+        return tuple(float_bits(getattr(value, f.name))
+                     for f in dataclasses.fields(value)
+                     if not callable(getattr(value, f.name)))
+    if isinstance(value, (tuple, list)):
+        return tuple(float_bits(v) for v in value)
+    if isinstance(value, complex):
+        return float_bits(value.real), float_bits(value.imag)
+    if isinstance(value, float):
+        return "nan" if math.isnan(value) else struct.pack("<d", value)
+    return value

@@ -1,5 +1,8 @@
 import json
 import math
+import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -234,3 +237,16 @@ def test_fit_rejects_drive_rows_without_a_model(tmp_path, capsys, key, row,
     captured = capsys.readouterr()
     assert captured.err.startswith("error:") and cell in captured.err
     assert captured.out == ""
+
+
+def test_cli_import_loads_no_scipy():
+    """SciPy is imported by the fit and the line modes only, so the other
+    commands do not pay its start-up cost."""
+    src = os.path.join(os.path.dirname(__file__), os.pardir, "src")
+    env = dict(os.environ, PYTHONPATH=os.path.abspath(src))
+    out = subprocess.run(
+        [sys.executable, "-c",
+         "import sys, kerrcav.cli; "
+         "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))"],
+        env=env, capture_output=True, text=True, check=True)
+    assert out.stdout.strip() == "[]"

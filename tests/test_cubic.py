@@ -39,6 +39,44 @@ def test_residuals_are_small():
             assert abs(poly(coeffs, r)) <= 1e-10 * scale
 
 
+@pytest.mark.parametrize("coeffs, expected", [
+    ((1.0, -1.5386782449054782e-115, 0.0, 0.0), [0.0, 1.5386782449054782e-115]),
+    ((1.142710336645715e-252, 0.0, 1.0, 0.0), [0.0]),
+    ((2.0, 3.0, 0.0, 0.0), [-1.5, 0.0]),
+])
+def test_zero_constant_term_gives_exact_zero_root(coeffs, expected):
+    """x = 0 solves the cubic exactly when c0 = 0; it is returned once,
+    with the roots of the quadratic factor, by both solvers (badly scaled
+    coefficients once raised or gave a spurious 1.4e-17 double root)."""
+    assert real_roots(*coeffs) == expected
+    padded = expected + [math.nan] * (3 - len(expected))
+    assert np.array_equal(real_roots_array(*coeffs)[0], padded,
+                          equal_nan=True)
+
+
+def test_zero_constant_term_keeps_small_roots_accurate():
+    """The quadratic factor of -0.01 x^3 - 10 x^2 - 0.001 x has roots near
+    -1e-4 and -1e3; the small one must not lose digits to cancellation."""
+    coeffs = (-0.01, -10.0, -0.001, 0.0)
+    for r in real_roots(*coeffs):
+        scale = max(abs(coeffs[0] * r**3), abs(coeffs[1] * r**2),
+                    abs(coeffs[2] * r), 1e-300)
+        assert abs(poly(coeffs, r)) <= 1e-15 * scale
+
+
+@pytest.mark.parametrize("c1", [0.0, 1.0])
+def test_one_real_root_beside_a_small_complex_pair(c1):
+    """-1e-4 x^3 - 1000 x^2 + c1 x - 1 has one real root near -1e7 and a
+    complex pair of modulus ~0.03; the discriminant band once let the
+    trigonometric branch add two spurious roots near 0."""
+    coeffs = (-1e-4, -1000.0, c1, -1.0)
+    expected = [r.real for r in np.roots(coeffs) if r.imag == 0.0]
+    assert real_roots(*coeffs) == pytest.approx(expected, rel=1e-12)
+    got = real_roots_array(*coeffs)[0]
+    assert np.array_equal(got, real_roots(*coeffs) + [math.nan] * 2,
+                          equal_nan=True)
+
+
 def test_linear_degeneration():
     assert real_roots(0.0, 0.0, 2.0, -6.0) == [3.0]
     assert real_roots(0.0, 0.0, 0.0, 1.0) == []

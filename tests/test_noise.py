@@ -3,10 +3,16 @@ import math
 import numpy as np
 import pytest
 
-from kerrcav import (DeviceParams, PumpDrive, ThermalEnv, critical_point,
-                     lo_phase_extrema, noise_power, squeeze_vs_pump,
-                     steady_states, thermal_occupation)
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from conftest import float_bits
+from kerrcav import (DeviceParams, PumpDrive, ThermalEnv, branch_states,
+                     critical_point, lo_phase_extrema, lo_phase_extrema_array,
+                     noise_power, squeeze_vs_pump, steady_states,
+                     thermal_occupation)
 from oracles import scan_phase_extrema
+from test_steady import device_and_drives
 
 SQRT3 = math.sqrt(3.0)
 COLD = ThermalEnv()
@@ -241,3 +247,28 @@ def test_squeeze_vs_pump_flags_above_critical(fig_device):
     rows = squeeze_vs_pump(fig_device, COLD, [0.5, 1.4])
     assert not rows[0].above_critical
     assert rows[1].above_critical
+
+
+# ----------------------------------------------------------------- batched form
+
+theta = st.one_of(st.just(math.inf), st.floats(0.05, 20.0))
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(device_and_drives(), st.builds(ThermalEnv, theta, theta, theta),
+       st.one_of(st.just(0.0), st.floats(-0.05, 0.05)))
+def test_extrema_array_matches_scalar_path(case, env, omega):
+    """The batched LO-phase extrema equal lo_phase_extrema branch by branch,
+    bit for bit, with zero-temperature and hot baths, including the
+    diverged rows at the critical point."""
+    params, omega_p, b_in, psi = case
+    states = branch_states(params, omega_p, b_in, psi)
+    ext = lo_phase_extrema_array(params, states, env, omega)
+    for i in range(states.energy.size):
+        expected = lo_phase_extrema(params, states.state(i), states.drive(i),
+                                    env, omega)
+        got = (ext.p_min[i], ext.p_max[i], ext.phi_min[i], ext.phi_max[i],
+               bool(ext.diverged[i]))
+        assert float_bits(got) == float_bits(
+            (expected.p_min, expected.p_max, expected.phi_min,
+             expected.phi_max, expected.diverged))

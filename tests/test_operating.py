@@ -136,6 +136,27 @@ def test_locus_keeps_upper_fold_far_above_critical(factor, gamma3):
                                          energy)) <= 1e-12
 
 
+@pytest.mark.parametrize("ratio", [1e-35, 2e-159])
+@pytest.mark.parametrize("factor", [1.02, 3.0, 1000.0])
+def test_locus_with_vanishing_two_photon_loss(factor, ratio):
+    """gamma3 far below |kerr| (the fold polynomial's leading coefficients
+    span 1/r^2 = 1e70 or underflow) still gives the two folds of the
+    gamma3 = 0 device, as double roots of the pump cubic."""
+    lossless = DeviceParams(omega0=1.0, kerr=-1e-4, gamma1=0.001,
+                            gamma2=0.1, gamma3=0.0)
+    device = DeviceParams(omega0=1.0, kerr=-1e-4, gamma1=0.001, gamma2=0.1,
+                          gamma3=ratio * 1e-4)
+    drive = PumpDrive(omega_p=1.0,
+                      amplitude=factor * critical_point(lossless).drive)
+    points = instability_locus(device, drive)
+    expected = instability_locus(lossless, drive)
+    assert len(points) == len(expected) == 2
+    for (omega_p, energy), (_, e0) in zip(points, expected):
+        assert energy == pytest.approx(e0, rel=1e-12)
+        assert max(double_root_residuals(device, omega_p, drive.amplitude,
+                                         energy)) <= 1e-12
+
+
 def test_locus_positive_kerr_mirror(fig_device):
     mirrored = DeviceParams(omega0=1.0, kerr=-fig_device.kerr,
                             gamma1=fig_device.gamma1, gamma2=fig_device.gamma2,

@@ -4,10 +4,15 @@ import math
 import numpy as np
 import pytest
 
-from kerrcav import (DeviceParams, PumpDrive, SingularResponse, critical_point,
-                     instability_locus, intermodulation_gain, linearize,
-                     parametric_gain, steady_state, steady_states,
-                     transfer_coefficients)
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from conftest import float_bits
+from kerrcav import (DeviceParams, PumpDrive, SingularResponse, branch_states,
+                     critical_point, instability_locus, intermodulation_gain,
+                     linearize, parametric_gain, steady_state, steady_states,
+                     transfer_coefficients, transfer_coefficients_array)
+from test_steady import device_and_drives
 
 
 def pumped_state(params, omega_p, amplitude, branch=0):
@@ -274,3 +279,56 @@ def test_gain_diverges_on_fold_points(fig_device):
         state = steady_state(fig_device, fold_drive, energy)
         gain = intermodulation_gain(fig_device, state, fold_drive, 0.0)
         assert gain == math.inf or gain > 1e12
+
+
+# ----------------------------------------------------------------- batched form
+
+offsets_per_branch = st.lists(
+    st.one_of(st.just(-0.0), st.floats(-0.1, 0.1, allow_subnormal=False)),
+    max_size=2).map(lambda rest: [0.0] + rest)
+
+
+@settings(max_examples=80, deadline=None, derandomize=True)
+@given(device_and_drives(), offsets_per_branch)
+def test_transfer_array_matches_scalar_path(case, offsets):
+    """Each (branch, offset) of the batched coefficients is the scalar
+    record bit for bit; ``singular`` is set exactly where the scalar path
+    raises SingularResponse (the critical point at zero offset), where both
+    gains are inf.  Offsets are relative, or absolute signal frequencies
+    minus the pump frequency, as the gain sweep forms them."""
+    params, omega_p, b_in, psi = case
+    states = branch_states(params, omega_p, b_in, psi)
+    relative = np.broadcast_to(offsets, (states.energy.size, len(offsets)))
+    absolute = 1.0 + relative - states.omega_p[:, None]
+    for omega in (relative, absolute):
+        resp = transfer_coefficients_array(params, states, omega)
+        gains = transfer_coefficients_array(params, states, omega,
+                                            ports=("refl",)).gains()
+        for (i, j), w in np.ndenumerate(omega):
+            state, drive = states.state(i), states.drive(i)
+            try:
+                expected = transfer_coefficients(params, state, drive, w)
+            except SingularResponse:
+                assert resp.singular[i, j]
+                assert gains[0][i, j] == gains[1][i, j] == math.inf
+                continue
+            assert not resp.singular[i, j]
+            got = [complex(getattr(resp, name)[i, j]) for name in
+                   ("self_coupling", "conj_coupling", "lambda_slow",
+                    "lambda_fast", "refl_signal", "refl_conj", "loss_signal",
+                    "loss_conj", "tpl_signal", "tpl_conj")]
+            assert float_bits(expected) == (float_bits(float(w)),) + tuple(
+                float_bits(z) for z in got)
+            assert float_bits((gains[0][i, j], gains[1][i, j])) == float_bits(
+                (parametric_gain(params, state, drive, w),
+                 intermodulation_gain(params, state, drive, w)))
+
+
+def test_transfer_array_singular_at_critical_point(fig_device):
+    crit = critical_point(fig_device)
+    states = branch_states(fig_device, crit.omega_p, crit.drive)
+    resp = transfer_coefficients_array(fig_device, states, [[0.0, 1e-3]])
+    assert resp.singular.tolist() == [[True, False]]
+    g_s, g_i = resp.gains()
+    assert g_s[0, 0] == g_i[0, 0] == math.inf
+    assert math.isfinite(g_s[0, 1]) and math.isfinite(g_i[0, 1])

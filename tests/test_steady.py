@@ -6,11 +6,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from conftest import float_bits
 from kerrcav import (DegenerateModel, DeviceParams, PumpDrive,
-                     UndefinedForZeroDrive, critical_point, cubic_coefficients,
-                     instability_locus, reflection_coefficient, settled_state,
-                     settled_states, solve_pump_energy, steady_state,
-                     steady_states)
+                     UndefinedForZeroDrive, branch_states, critical_point,
+                     cubic_coefficients, instability_locus,
+                     reflection_coefficient, settled_state, settled_states,
+                     solve_pump_energy, steady_state, steady_states)
 
 SQRT3 = math.sqrt(3.0)
 
@@ -408,3 +409,28 @@ def test_settled_states_match_scalar_path(case):
         assert batch.drive(i) == drive
         if b > 0.0:
             assert magnitude[i] == abs(reflection_coefficient(expected, drive))
+
+
+@settings(max_examples=100, deadline=None, derandomize=True)
+@given(device_and_drives())
+def test_branch_states_match_scalar_path(case):
+    """Every branch of every drive, bit for bit (the sign of zero included):
+    the same entries, in order, as steady_states drive by drive, and the
+    same reflection coefficient."""
+    params, omega_p, b_in, psi = case
+    batch = branch_states(params, omega_p, b_in, psi)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        re, im = batch.reflection()  # garbage at zero drive, not checked
+    expected = []
+    for i, (w, b) in enumerate(zip(omega_p, b_in)):
+        drive = PumpDrive(omega_p=w, amplitude=b, phase=psi)
+        branches = steady_states(params, drive)
+        expected.extend((i, drive, len(branches), s) for s in branches)
+    assert batch.energy.size == len(expected)
+    for j, (i, drive, count, state) in enumerate(expected):
+        assert (batch.row[j], batch.n_branches[j]) == (i, count)
+        assert batch.drive(j) == drive
+        assert float_bits(batch.state(j)) == float_bits(state)
+        if drive.amplitude > 0.0:
+            assert float_bits(complex(re[j], im[j])) == float_bits(
+                reflection_coefficient(state, drive))

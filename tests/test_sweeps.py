@@ -1,13 +1,18 @@
+import cmath
 import json
 import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from kerrcav import (ConfigError, critical_point, load_config,
+from kerrcav import (ConfigError, PumpDrive, SingularResponse, critical_point,
+                     lo_phase_extrema, load_config, reflection_coefficient,
                      run_critical, run_gain_sweep, run_squeeze_sweep,
-                     run_steady_sweep)
-from conftest import make_uniform_profile
+                     run_steady_sweep, settled_state, steady_states,
+                     transfer_coefficients)
+from conftest import float_bits, make_uniform_profile
 
 SQRT3 = math.sqrt(3.0)
 
@@ -286,3 +291,117 @@ def test_run_critical_record():
     assert row[2] == crit.omega_p
     assert row[3] == crit.drive
     assert row[4] is False
+
+
+# ------------------------------------------------- batched sweeps, row by row
+
+def scalar_steady_rows(config):
+    """The steady-sweep rows from the one-point functions."""
+    for amp in config.amplitudes:
+        for omega_p in config.omega_p_grid:
+            drive = PumpDrive(omega_p=omega_p, amplitude=amp, phase=config.psi1)
+            for state in steady_states(config.device, drive):
+                mag = ang = math.nan
+                if amp > 0.0:
+                    refl = reflection_coefficient(state, drive)
+                    mag, ang = abs(refl), cmath.phase(refl)
+                yield [amp, omega_p, state.branch_index, state.energy,
+                       state.amplitude, state.phase, mag, ang,
+                       state.lambda_slow.real, state.lambda_slow.imag,
+                       state.stable]
+
+
+def scalar_gain_rows(config):
+    """The gain-sweep rows from the one-point functions."""
+    for amp in config.amplitudes:
+        for omega_p in config.omega_p_grid:
+            drive = PumpDrive(omega_p=omega_p, amplitude=amp, phase=config.psi1)
+            for state in steady_states(config.device, drive):
+                for value in config.offsets:
+                    omega = value - omega_p if config.offsets_absolute else value
+                    try:
+                        resp = transfer_coefficients(config.device, state,
+                                                     drive, omega)
+                        gs = abs(resp.refl_signal) ** 2
+                        gi = abs(resp.refl_conj) ** 2
+                    except SingularResponse:
+                        gs = gi = math.inf
+                    yield [amp, omega_p, state.branch_index, omega, gs, gi,
+                           not (math.isfinite(gs) and math.isfinite(gi))]
+
+
+def scalar_squeeze_rows(config):
+    """The squeeze-sweep rows from the one-point functions."""
+    crit = critical_point(config.device)
+    for frac in config.pump_fractions:
+        drive = PumpDrive(omega_p=crit.omega_p, amplitude=frac * crit.drive,
+                          phase=config.psi1)
+        state = settled_state(config.device, drive)
+        ext = lo_phase_extrema(config.device, state, drive, config.env, 0.0)
+        yield [frac, ext.p_min, ext.p_max, ext.phi_min, frac > 1.0,
+               ext.diverged or not state.stable]
+
+
+@st.composite
+def sweep_configs(draw):
+    """Sweep configs over random devices: K = gamma3 = 0, gamma3 = 0 and
+    lossy ones; drives from zero through the critical drive (exactly, at
+    the critical pump frequency) to 20x it; relative offsets or absolute
+    signal frequencies; zero-temperature and hot baths."""
+    kind = draw(st.sampled_from(["lossy", "no_tpl", "linear"]))
+    kerr = draw(st.sampled_from([-1.0, 1.0])) * 10.0 ** draw(st.floats(-6, -2))
+    gamma1 = 10.0 ** draw(st.floats(-3.0, -1.0))
+    device = {"omega0": 1.0, "kerr": 0.0 if kind == "linear" else kerr,
+              "gamma1": gamma1,
+              "gamma2": draw(st.sampled_from([0.0, 10.0 ** draw(
+                  st.floats(-3.0, -1.0))])),
+              "gamma3": (abs(kerr) * draw(st.floats(0.0, 0.55))
+                         if kind == "lossy" else 0.0),
+              "phi1": draw(st.floats(-3.0, 3.0)),
+              "phi2": draw(st.floats(-3.0, 3.0)),
+              "phi3": draw(st.floats(-3.0, 3.0))}
+    config = load_config({"schema": 1, "device": device})
+    crit = critical_point(config.device)
+    g = config.device.gamma
+    b_ref = crit.drive if crit.exists else math.sqrt(g**3 / gamma1 / 1e-4)
+    amplitudes = [0.0] + [b_ref * 10.0 ** draw(st.floats(-1.0, 1.3))
+                          for _ in range(draw(st.integers(1, 2)))]
+    span = abs(kerr) * 2.0 * gamma1 * max(amplitudes) ** 2 / g**2 + 5.0 * g
+    centre = 1.0 - 0.5 * span if kerr < 0.0 else 1.0 + 0.5 * span
+    grid = {"start": centre - span, "stop": centre + span,
+            "count": draw(st.integers(2, 40))}
+    if crit.exists and draw(st.booleans()):
+        amplitudes.append({"times_critical": 1.0})
+        grid = {"start": crit.omega_p, "stop": crit.omega_p + span,
+                "count": grid["count"]}
+    theta = st.one_of(st.just("inf"), st.floats(0.05, 20.0))
+    data = {"schema": 1, "device": device,
+            "drive": {"omega_p": grid, "b1_in": amplitudes,
+                      "psi1": draw(st.floats(-3.0, 3.0))},
+            "env": {f"theta{i}": draw(theta) for i in (1, 2, 3)},
+            "pump_fractions": draw(st.lists(
+                st.one_of(st.just(1.0), st.floats(0.0, 3.0)),
+                min_size=1, max_size=5))}
+    offsets = draw(st.lists(st.one_of(st.just(0.0), st.floats(-0.05, 0.05)),
+                            min_size=1, max_size=3))
+    if draw(st.booleans()):
+        data["signal_frequencies"] = [1.0 + w for w in offsets]
+    else:
+        data["offsets"] = offsets
+    return load_config(data)
+
+
+@settings(max_examples=40, deadline=None, derandomize=True)
+@given(sweep_configs())
+def test_sweeps_match_one_point_functions(config):
+    """Each sweep table, evaluated in one NumPy pass, holds the rows the
+    one-point functions give, in order and bit for bit."""
+    runs = [(run_steady_sweep, scalar_steady_rows),
+            (run_gain_sweep, scalar_gain_rows)]
+    if critical_point(config.device).exists:
+        runs.append((run_squeeze_sweep, scalar_squeeze_rows))
+    for run, reference in runs:
+        table = run(config)
+        assert float_bits(table.rows) == float_bits(list(reference(config)))
+        assert {type(c) for row in table.rows for c in row} <= {float, int,
+                                                                 bool}
