@@ -6,15 +6,14 @@ gain, homodyne squeezing spectra with thermal inputs, and the derivation of
 the lumped model from a superconducting transmission-line profile.
 """
 
-from .cubic import cubic_discriminant, real_roots, real_roots_array
+from .cubic import real_roots, real_roots_array
 from .fitting import (FitProblem, FitResult, NonConvergence, load_fit_problem,
                       predict_gain, predict_reflection, run_fit)
 from .model import (DeviceParams, DeviceValidation, PumpDrive, validate)
 from .noise import (SqueezeAtPump, SqueezeResult, SqueezeResults, ThermalEnv,
-                    lo_phase_extrema, lo_phase_extrema_array, noise_power,
+                    lo_phase_extrema, lo_phase_extrema_array,
                     squeeze_vs_pump, thermal_occupation)
-from .operating import (CriticalPoint, coalescence_residual, critical_point,
-                        curve_omega_p, fold_condition_residual,
+from .operating import (CriticalPoint, critical_point, curve_omega_p,
                         instability_locus, max_curve_energy,
                         response_peak_detuning)
 from .smallsignal import (SingularResponse, SmallSignalResponse,
@@ -42,15 +41,14 @@ __all__ = [
     "LineProfile", "ModeSolution", "NonConvergence", "PumpDrive",
     "ResolutionError", "SameModeError", "SingularResponse",
     "SmallSignalResponse", "SmallSignalResponses", "SqueezeAtPump",
-    "SqueezeResult", "SqueezeResults", "SteadyState", "SweepConfig", "Table",
-    "ThermalEnv", "UndefinedForZeroDrive", "branch_states",
-    "coalescence_residual", "critical_point", "cross_kerr",
-    "cubic_coefficients", "cubic_discriminant", "curve_omega_p",
-    "derive_device", "fold_condition_residual", "format_float",
-    "gamma2_from_profile", "gamma3_from_profile", "instability_locus",
-    "intermodulation_gain", "kerr_constant", "linearize", "lo_phase_extrema",
+    "SqueezeResult", "SqueezeResults", "SteadyState", "SweepConfig",
+    "Table", "ThermalEnv", "UndefinedForZeroDrive", "branch_states",
+    "critical_point", "cross_kerr", "cubic_coefficients", "curve_omega_p",
+    "derive_device", "format_float", "gamma2_from_profile",
+    "gamma3_from_profile", "instability_locus", "intermodulation_gain",
+    "kerr_constant", "linearize", "lo_phase_extrema",
     "lo_phase_extrema_array", "load_config", "load_config_file",
-    "load_fit_problem", "load_profile", "max_curve_energy", "noise_power",
+    "load_fit_problem", "load_profile", "max_curve_energy",
     "parametric_gain", "parse_json", "predict_gain", "predict_reflection",
     "real_roots", "real_roots_array", "reflection_coefficient", "render",
     "response_peak_detuning", "run_critical", "run_fit", "run_gain_sweep",

@@ -5,8 +5,7 @@ when all three roots are real, which is the numerically stable variant) and
 then polished with a few Newton steps on the original polynomial.  Leading
 coefficients of exactly zero degrade to the quadratic/linear cases, so a
 vanishing nonlinearity never divides by zero.  :func:`real_roots_array`
-solves many cubics at once and gives, row for row, the same bits as
-:func:`real_roots`.
+solves many cubics at once; :func:`real_roots` is its row for one cubic.
 """
 
 import math
@@ -26,118 +25,14 @@ TRIPLE_TOL = 1e-4
 ROOT_TOL = 1e-8
 
 
-def cubic_discriminant(c3: float, c2: float, c1: float, c0: float) -> float:
-    """Discriminant of c3*x^3 + c2*x^2 + c1*x + c0 (> 0: three distinct real roots)."""
-    return (
-        18.0 * c3 * c2 * c1 * c0
-        - 4.0 * c2**3 * c0
-        + c2**2 * c1**2
-        - 4.0 * c3 * c1**3
-        - 27.0 * c3**2 * c0**2
-    )
-
-
-def _solves(x: float, c3: float, c2: float, c1: float, c0: float) -> bool:
-    """Whether |cubic(x)| is within ROOT_TOL of the sum of its terms'
-    magnitudes."""
-    f = ((c3 * x + c2) * x + c1) * x + c0
-    scale = abs(c3 * x**3) + abs(c2 * x**2) + abs(c1 * x) + abs(c0)
-    return abs(f) <= ROOT_TOL * scale
-
-
-def _polish(root: float, c3: float, c2: float, c1: float, c0: float) -> float:
-    for _ in range(3):
-        f = ((c3 * root + c2) * root + c1) * root + c0
-        # at a multiple root f and f' are both rounding noise and their
-        # ratio is a garbage step; stop once f is below the noise floor
-        scale = (abs(c3 * root**3) + abs(c2 * root**2)
-                 + abs(c1 * root) + abs(c0))
-        if abs(f) <= 1e-15 * scale:
-            break
-        fp = (3.0 * c3 * root + 2.0 * c2) * root + c1
-        if fp == 0.0:
-            break
-        candidate = root - f / fp
-        f_new = ((c3 * candidate + c2) * candidate + c1) * candidate + c0
-        if abs(f_new) >= abs(f):
-            break
-        root = candidate
-    return root
-
-
-def real_roots(c3: float, c2: float, c1: float, c0: float) -> list[float]:
-    """Return all real roots of the cubic, ascending.
-
-    Degenerate leading coefficients are handled exactly (quadratic, linear,
-    constant), and so is a zero constant term (x = 0 and the roots of the
-    quadratic factor).  A cluster of three mutually unresolvable roots is
-    collapsed to the inflection point -c2/(3*c3), which is exact for a
-    triple root.
-    """
-    if c3 == 0.0:
-        if c2 == 0.0:
-            if c1 == 0.0:
-                return []
-            return [-c0 / c1]
-        disc = c1 * c1 - 4.0 * c2 * c0
-        if disc < 0.0:
-            return []
-        s = math.sqrt(disc)
-        if not disc > 0.0:
-            return [(-c1 - s) / (2.0 * c2)]
-        # the root of larger magnitude without cancellation, the other
-        # from the product of the roots
-        q = -0.5 * (c1 + math.copysign(s, c1))
-        return sorted([q / c2, c0 / q])
-    if c0 == 0.0:
-        # x = 0 is an exact root, once; the rest solve the quadratic factor
-        return sorted([0.0] + [r for r in real_roots(0.0, c3, c2, c1)
-                               if r != 0.0])
-
-    a = c2 / c3
-    b = c1 / c3
-    c = c0 / c3
-    # depressed form t^3 + p t + q with x = t - a/3
-    p = b - a * a / 3.0
-    q = 2.0 * a**3 / 27.0 - a * b / 3.0 + c
-
-    spread = max(math.sqrt(abs(p)), abs(q) ** (1.0 / 3.0))
-    if a != 0.0 and spread <= TRIPLE_TOL * abs(a / 3.0):
-        return [-a / 3.0]
-
-    disc = -4.0 * p**3 - 27.0 * q * q
-    # an exact double root has disc = 0 but rounds either way; a band scaled
-    # by the cancelling terms keeps fold pairs from vanishing into the
-    # single-root branch
-    disc_scale = 4.0 * abs(p) ** 3 + 27.0 * q * q
-    if p < 0.0 and disc >= -1e-14 * disc_scale:
-        m = 2.0 * math.sqrt(-p / 3.0)
-        arg = 3.0 * q / (p * m)
-        arg = min(1.0, max(-1.0, arg))
-        theta = math.acos(arg) / 3.0
-        ts = [m * math.cos(theta - 2.0 * math.pi * k / 3.0) for k in range(3)]
-    elif p == 0.0 and q == 0.0:
-        ts = [0.0]
-    else:
-        s = math.sqrt(max(q * q / 4.0 + p**3 / 27.0, 0.0))
-        ts = [math.copysign(abs(-q / 2.0 + s) ** (1.0 / 3.0), -q / 2.0 + s)
-              + math.copysign(abs(-q / 2.0 - s) ** (1.0 / 3.0), -q / 2.0 - s)]
-
-    roots = sorted(_polish(t - a / 3.0, c3, c2, c1, c0) for t in ts)
-    if len(roots) == 3:
-        # the double-root band also admits one real root beside a complex
-        # pair far smaller in magnitude, where the trigonometric pair
-        # solves nothing
-        roots = [r for r in roots if _solves(r, c3, c2, c1, c0)] or roots
-    return roots
-
-
-# 2*pi*k/3 as real_roots forms it, for the three trigonometric roots
+# 2*pi*k/3, for the three trigonometric roots
 _THIRDS = tuple(2.0 * math.pi * k / 3.0 for k in range(3))
 
 
 def _polish_array(x, c3, c2, c1, c0):
-    """:func:`_polish` on 1-D arrays of roots and their coefficients."""
+    """Up to three Newton steps on 1-D arrays of roots and coefficients; a
+    root stops below the rounding floor (where, at a multiple root, f/f' is
+    noise), at a zero slope, or at a step that does not shrink |f|."""
     x = x.copy()
     live = np.arange(x.size)
     for _ in range(3):
@@ -160,7 +55,7 @@ def _polish_array(x, c3, c2, c1, c0):
 
 
 def _degenerate_roots(c2, c1, c0):
-    """real_roots rows whose cubic coefficient is zero."""
+    """Rows whose cubic coefficient is zero."""
     out = np.full((c2.size, 3), np.nan)
     linear = (c2 == 0.0) & (c1 != 0.0)
     out[linear, 0] = -c0[linear] / c1[linear]
@@ -178,10 +73,10 @@ def _degenerate_roots(c2, c1, c0):
 
 
 def _trig_starts(p, q, a):
-    """The three trigonometric roots of real_roots, before polishing."""
+    """The three trigonometric roots, before polishing."""
     m = 2.0 * np.sqrt(-p / 3.0)
     if np.any(p * m == 0.0):
-        # p * m underflowed: a float division by zero, as real_roots has it
+        # p * m underflowed: a float division by zero
         raise ZeroDivisionError("float division by zero")
     arg = np.minimum(1.0, np.maximum(-1.0, 3.0 * q / (p * m)))
     theta = libm(math.acos, arg) / 3.0
@@ -190,11 +85,12 @@ def _trig_starts(p, q, a):
 
 
 def _cubic_roots(c3, c2, c1, c0):
-    """real_roots rows whose cubic coefficient is nonzero."""
+    """Rows whose cubic coefficient is nonzero."""
     out = np.full((c3.size, 3), np.nan)
     a = c2 / c3
     b = c1 / c3
     c = c0 / c3
+    # depressed form t^3 + p t + q with x = t - a/3
     p = b - a * a / 3.0
     q = 2.0 * libm(math.pow, a, 3.0) / 27.0 - a * b / 3.0 + c
     # spread = max(sqrt|p|, |q|^(1/3)) is within tol iff both are; the cube
@@ -211,6 +107,9 @@ def _cubic_roots(c3, c2, c1, c0):
     a, p, q = a[rest], p[rest], q[rest]
     p3 = libm(math.pow, p, 3.0)
     disc = -4.0 * p3 - 27.0 * q * q
+    # an exact double root has disc = 0 but rounds either way; a band scaled
+    # by the cancelling terms keeps fold pairs from vanishing into the
+    # single-root branch
     neg = np.flatnonzero(p < 0.0)
     disc_scale = (4.0 * libm(math.pow, np.abs(p[neg]), 3.0)
                   + 27.0 * q[neg] * q[neg])
@@ -245,7 +144,9 @@ def _cubic_roots(c3, c2, c1, c0):
                  + np.abs(k1 * roots) + np.abs(k0))
         solves = (np.abs(f) <= ROOT_TOL * scale).reshape(-1, 3)
         roots = roots.reshape(-1, 3)
-        # real_roots keeps all three where none solves the cubic
+        # the double-root band also admits one real root beside a complex
+        # pair far smaller in magnitude, where the trigonometric pair
+        # solves nothing; all three stay where none solves the cubic
         drop = ~solves & solves.any(axis=1, keepdims=True)
         out[rest[trig]] = np.sort(np.where(drop, np.nan, roots), axis=1)
     return out
@@ -256,10 +157,11 @@ def real_roots_array(c3, c2, c1, c0) -> np.ndarray:
     c3[i] x^3 + c2[i] x^2 + c1[i] x + c0[i], ascending, padded with NaN.
 
     The coefficients are scalars or 1-D arrays of one length; the result
-    has shape (n, 3).  Each row is bit-identical to :func:`real_roots` on
-    the same coefficients: the same degenerate cases, triple-root collapse,
-    double-root band and guarded Newton steps, in the same floating-point
-    order.
+    has shape (n, 3).  Degenerate leading coefficients are handled exactly
+    (quadratic, linear, constant), and so is a zero constant term (x = 0
+    and the roots of the quadratic factor).  A cluster of three mutually
+    unresolvable roots is collapsed to the inflection point -c2/(3*c3),
+    which is exact for a triple root.
     """
     c3, c2, c1, c0 = rows(c3, c2, c1, c0)
     with np.errstate(all="ignore"):
@@ -278,3 +180,10 @@ def real_roots_array(c3, c2, c1, c0) -> np.ndarray:
         roots[cubic] = _cubic_roots(c3[cubic], c2[cubic], c1[cubic],
                                     c0[cubic])
     return roots
+
+
+def real_roots(c3: float, c2: float, c1: float, c0: float) -> list[float]:
+    """All real roots of one cubic, ascending: its row of
+    :func:`real_roots_array` without the NaN padding."""
+    roots = real_roots_array(c3, c2, c1, c0)[0]
+    return roots[~np.isnan(roots)].tolist()

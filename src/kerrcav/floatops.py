@@ -1,7 +1,8 @@
 """Python's float and complex arithmetic on NumPy arrays, bit for bit.
 
-The batched kernels evaluate the formulas of the one-point functions over
-whole arrays and must give the same bits.  NumPy's vectorized pow, acos and
+The batched kernels evaluate the formulas of the one-point functions (for
+the cubic and the steady state, of the scalar reference the tests keep)
+over whole arrays and must give the same bits.  NumPy's vectorized pow, acos and
 atan2 differ from the C library's in the last bit on some inputs, and its
 complex multiply and divide round differently from CPython's, so library
 functions go through ``math`` elementwise (:func:`libm`) and complex

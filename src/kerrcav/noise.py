@@ -110,30 +110,6 @@ def _phase_quadratic(params, state, drive, env, omega):
     return mean, mod
 
 
-def noise_power(params: DeviceParams, state: SteadyState, drive: PumpDrive,
-                env: ThermalEnv, omega: float, phi_lo: float) -> float:
-    """Homodyne noise power P(omega) at local-oscillator phase ``phi_lo``.
-
-    Sums, per port i, |e^{-i phi} S_i*(w) + e^{i phi} C_i(-w)|^2 n_i plus
-    |e^{i phi} S_i(-w) + e^{-i phi} C_i*(w)|^2 (n_i + 1), where S and C are
-    the signal and conjugate transfer coefficients and n_i the bath
-    occupation.  Returns IEEE infinity at singular operating points.
-    """
-    try:
-        sig_p, conj_p, sig_m, conj_m = _port_coefficients(
-            params, state, drive, omega)
-    except SingularResponse:
-        return math.inf
-    occ = env.occupations()
-    lo = cmath.exp(1j * phi_lo)
-    total = 0.0
-    for i in range(3):
-        n = occ[i]
-        total += n * abs(sig_p[i].conjugate() / lo + lo * conj_m[i]) ** 2
-        total += (n + 1.0) * abs(lo * sig_m[i] + conj_p[i].conjugate() / lo) ** 2
-    return total
-
-
 def lo_phase_extrema(params: DeviceParams, state: SteadyState, drive: PumpDrive,
                      env: ThermalEnv, omega: float = 0.0) -> SqueezeResult:
     """Analytic extrema of P over the local-oscillator phase.

@@ -52,9 +52,9 @@ ILL_CONDITION_TOL = 1e-9
 class CriticalPoint:
     """Coalescence point of the two folds (onset of bistability).
 
-    ``exists`` is False when |kerr| <= sqrt(3)*gamma3, in which case the
-    remaining fields are NaN.  ``ill_conditioned`` warns that the defining
-    denominator is within ILL_CONDITION_TOL of vanishing.
+    ``exists`` is False when |kerr| <= sqrt(3)*gamma3 or gamma1 = 0, in
+    which case the remaining fields are NaN.  ``ill_conditioned`` warns
+    that the defining denominator is within ILL_CONDITION_TOL of vanishing.
     """
 
     exists: bool
@@ -219,11 +219,14 @@ def critical_point(params: DeviceParams) -> CriticalPoint:
 
     Two-photon loss raises the drive needed to reach the fold threshold and
     removes it entirely at |kerr| <= sqrt(3)*gamma3 (``exists=False``).
+    With gamma1 = 0 the drive port is decoupled and b_c is infinite: no
+    finite drive reaches the point, which is also reported as
+    ``exists=False``.
     """
     k = params.kerr
     g3 = params.gamma3
     margin = abs(k) - SQRT3 * g3
-    if not margin > 0.0:
+    if not margin > 0.0 or params.gamma1 == 0.0:
         return CriticalPoint(exists=False)
     g = params.gamma
     energy = 2.0 * g / (SQRT3 * margin)
@@ -239,34 +242,3 @@ def critical_point(params: DeviceParams) -> CriticalPoint:
         drive=math.sqrt(drive_sq),
         ill_conditioned=margin < ILL_CONDITION_TOL * abs(k),
     )
-
-
-def fold_condition_residual(params: DeviceParams, drive: PumpDrive,
-                            omega_p: float, energy: float) -> float:
-    """Normalized residual of the vertical-tangent condition at (omega_p, E).
-
-    The condition (gamma + 2 g3 E)^2 = (K^2+g3^2) E^2 - (delta + 2 K E)^2
-    holds exactly on fold points; the residual is scaled by the sum of the
-    three squared terms.
-    """
-    delta = params.omega0 - omega_p
-    k = params.kerr
-    g3 = params.gamma3
-    t1 = (params.gamma + 2.0 * g3 * energy) ** 2
-    t2 = (k * k + g3 * g3) * energy * energy
-    t3 = (delta + 2.0 * k * energy) ** 2
-    return abs(t1 - t2 + t3) / (t1 + t2 + t3)
-
-
-def coalescence_residual(params: DeviceParams, omega_p: float, energy: float) -> float:
-    """Normalized residual of the fold-coalescence condition at (omega_p, E).
-
-    6 (K^2+g3^2) E + 4 [(omega0-omega_p) K + gamma*g3] = 0 exactly where the
-    two folds merge.
-    """
-    delta = params.omega0 - omega_p
-    k = params.kerr
-    g3 = params.gamma3
-    t1 = 6.0 * (k * k + g3 * g3) * energy
-    t2 = 4.0 * (delta * k + params.gamma * g3)
-    return abs(t1 + t2) / (abs(t1) + abs(t2))

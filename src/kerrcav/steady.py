@@ -11,19 +11,20 @@ Depending on drive strength the cubic has one, two (fold tangency) or three
 nonnegative roots; with three roots the middle branch is unstable and the
 device is bistable.  Stability of each branch follows from the relaxation
 roots of the linearized dynamics.  :func:`branch_states` evaluates every
-branch of a whole batch of drives in one NumPy pass, bit-identical to the
-scalar functions, and :func:`settled_states` picks from it the branch a
-slowly swept drive settles on.
+branch of a whole batch of drives in one NumPy pass, and
+:func:`settled_states` picks from it the branch a slowly swept drive
+settles on.  The one-drive functions (:func:`solve_pump_energy`,
+:func:`steady_state`, :func:`steady_states`, :func:`settled_state`) are
+those kernels for a batch of one.
 """
 
-import cmath
 import math
 from dataclasses import dataclass, fields
 
 import numpy as np
 
 from . import floatops as fo
-from .cubic import real_roots, real_roots_array
+from .cubic import real_roots_array
 from .model import DeviceParams, PumpDrive
 
 # Roots closer than this (relative) are a fold double root that double
@@ -89,9 +90,8 @@ def cubic_coefficients(params: DeviceParams, drive: PumpDrive):
 def solve_pump_energy(params: DeviceParams, drive: PumpDrive) -> list[float]:
     """Real nonnegative roots E of the pump cubic, ascending.
 
-    Returns 1, 2 (fold tangency, the double root reported once) or 3 roots.
-    Tiny negative roots from rounding are clamped to zero; genuinely
-    negative or complex roots are discarded.
+    Returns 1, 2 (fold tangency, the double root reported once) or 3 roots:
+    the row of :func:`branch_states`' energies for this one drive.
 
     Raises
     ------
@@ -100,43 +100,10 @@ def solve_pump_energy(params: DeviceParams, drive: PumpDrive) -> list[float]:
     """
     if params.gamma <= 0.0:
         raise DegenerateModel("gamma1 + gamma2 must be > 0")
-    c3, c2, c1, c0 = cubic_coefficients(params, drive)
-    if c0 == 0.0:
-        # undriven port: E = 0 plus any positive branch of the quadratic
-        # factor (none exist for gamma > 0, but solve it anyway)
-        roots = [0.0] + [r for r in real_roots(0.0, c3, c2, c1) if r > 0.0]
-        return sorted(roots)
-    roots = real_roots(c3, c2, c1, c0)
-    kept = []
-    for r in roots:
-        if r < -1e-12:
-            continue
-        kept.append(max(r, 0.0))
-    kept.sort()
-    scale = max(kept[-1], 1e-300) if kept else 0.0
-    merged: list[float] = []
-    for r in kept:
-        if merged and abs(r - merged[-1]) <= MERGE_TOL * scale:
-            merged[-1] = 0.5 * (merged[-1] + r)
-        else:
-            merged.append(r)
-    return merged
-
-
-def relaxation_roots(params: DeviceParams, drive: PumpDrive, energy: float):
-    """Relaxation roots (slow, fast) of the branch with photon number E.
-
-    Evaluated with the complex square root so underdamped operating points
-    (complex-conjugate pair) are representable; for a nonnegative radicand
-    both roots are real.
-    """
-    delta = drive.detuning(params)
-    k = params.kerr
-    g3 = params.gamma3
-    radicand = (k * k + g3 * g3) * energy * energy - (delta + 2.0 * k * energy) ** 2
-    s = cmath.sqrt(complex(radicand, 0.0))
-    base = params.gamma + 2.0 * g3 * energy
-    return base - s, base + s
+    with np.errstate(all="ignore"):
+        energy = _branch_energies(*fo.rows(*cubic_coefficients(params,
+                                                               drive)))[0]
+    return energy[~np.isnan(energy)].tolist()
 
 
 def steady_state(params: DeviceParams, drive: PumpDrive, energy: float,
@@ -145,38 +112,22 @@ def steady_state(params: DeviceParams, drive: PumpDrive, energy: float,
 
     ``energy`` must be a root returned by :func:`solve_pump_energy`.  The
     cavity phase is fixed by the drive balance; it is defined as 0 when the
-    amplitude vanishes.
+    amplitude vanishes.  This is the record :func:`branch_states` builds
+    for each of its entries.
     """
-    delta = drive.detuning(params)
-    amp = math.sqrt(max(energy, 0.0))
-    if amp == 0.0:
-        phase = 0.0
-    else:
-        response = (1j * delta + params.gamma) * amp \
-            + (1j * params.kerr + params.gamma3) * amp**3
-        phase = drive.phase - params.phi1 + cmath.phase(1j * response)
-    reflected = drive.amplitude - 1j * math.sqrt(2.0 * params.gamma1) * amp \
-        * cmath.exp(-1j * (params.phi1 + phase - drive.phase))
-    lam_slow, lam_fast = relaxation_roots(params, drive, energy)
-    marginal = abs(lam_slow.real) <= MARGINAL_TOL * params.gamma
-    stable = lam_slow.real > 0.0 and not marginal
-    return SteadyState(
-        energy=energy,
-        amplitude=amp,
-        phase=phase,
-        reflected=reflected,
-        lambda_slow=lam_slow,
-        lambda_fast=lam_fast,
-        stable=stable,
-        marginal=marginal,
-        branch_index=branch_index,
-    )
+    zero = np.zeros(1, dtype=int)
+    # the branch count of a lone root is not known here, and the record
+    # drops it
+    return _records(params, *fo.rows(drive.omega_p, drive.amplitude,
+                                     drive.phase, energy),
+                    zero, zero + branch_index, zero + 1).state(0)
 
 
 def steady_states(params: DeviceParams, drive: PumpDrive) -> list[SteadyState]:
-    """All steady-state branches at this drive, ascending in energy."""
-    return [steady_state(params, drive, e, i)
-            for i, e in enumerate(solve_pump_energy(params, drive))]
+    """All steady-state branches at this drive, ascending in energy:
+    :func:`branch_states` for a batch of one drive."""
+    states = branch_states(params, drive.omega_p, drive.amplitude, drive.phase)
+    return [states.state(i) for i in range(states.energy.size)]
 
 
 @dataclass(frozen=True, eq=False)
@@ -251,8 +202,9 @@ class BranchStates:
 
 
 def _merge_folds(kept):
-    """solve_pump_energy's fold merge on rows of two or three ascending
-    energies, NaN-padded."""
+    """Merge fold double roots on rows of two or three ascending energies,
+    NaN-padded: a root within MERGE_TOL (relative to the row's largest) of
+    the last kept one replaces it by their mean."""
     rows = np.arange(len(kept))
     count = 3 - np.isnan(kept).sum(axis=1)
     scale = np.maximum(kept[rows, count - 1], 1e-300)
@@ -271,8 +223,9 @@ def _merge_folds(kept):
 
 
 def _branch_energies(c3, c2, c1, c0):
-    """:func:`solve_pump_energy` per row: (n, 3) energies, ascending,
-    NaN-padded."""
+    """Nonnegative roots of each row's pump cubic, (n, 3), ascending and
+    NaN-padded: rounding negatives clamp to zero, genuine negatives drop,
+    and a fold double root double precision cannot split appears once."""
     undriven = c0 == 0.0
     if undriven.any():
         # an undriven row solves the quadratic factor c3 E^2 + c2 E + c1
@@ -304,10 +257,8 @@ def branch_states(params: DeviceParams, omega_p, b_in,
     """Every steady-state branch at every drive of a batch, in one pass.
 
     ``omega_p``, ``b_in`` and the drive ``phase`` are scalars or 1-D arrays
-    of one length.  The entries of drive i are bit-identical to
-    :func:`steady_states` at drive i: the same roots, clamp and fold merge
-    as :func:`solve_pump_energy`, the same relaxation roots and the same
-    record as :func:`steady_state`, in CPython's floating-point order.
+    of one length.  The entries of drive i are its branches, ascending in
+    energy.
 
     Raises
     ------
@@ -321,19 +272,29 @@ def branch_states(params: DeviceParams, omega_p, b_in,
     with np.errstate(all="ignore"):
         # the coefficients as cubic_coefficients forms them
         delta = params.omega0 - omega_p
-        c3 = k * k + g3 * g3
-        c0 = -2.0 * params.gamma1 * fo.square(b_in)
-        energy = _branch_energies(np.full(delta.size, c3),
+        energy = _branch_energies(np.full(delta.size, k * k + g3 * g3),
                                   2.0 * (delta * k + g * g3),
-                                  delta * delta + g * g, c0)
-        live = ~np.isnan(energy)
-        row, index = np.nonzero(live)
-        e = energy[live]
-        delta, b_in, psi = delta[row], b_in[row], psi[row]
+                                  delta * delta + g * g,
+                                  -2.0 * params.gamma1 * fo.square(b_in))
+    live = ~np.isnan(energy)
+    row, index = np.nonzero(live)
+    return _records(params, omega_p[row], b_in[row], psi[row], energy[live],
+                    row, index, live.sum(axis=1)[row])
 
-        # relaxation_roots: cmath.sqrt of a real radicand r is exactly
-        # (sqrt(r), 0) for r >= 0 and (0, sqrt(-r)) otherwise
-        radicand = c3 * e * e - fo.square(delta + 2.0 * k * e)
+
+def _records(params: DeviceParams, omega_p, b_in, psi, energy, row, index,
+             n_branches) -> BranchStates:
+    """The record of photon number ``energy`` at drive (``omega_p``,
+    ``b_in``, ``psi``), entry by entry; ``row``, ``index`` and
+    ``n_branches`` pass through."""
+    k, g3, g = params.kerr, params.gamma3, params.gamma
+    e = energy
+    with np.errstate(all="ignore"):
+        delta = params.omega0 - omega_p
+        # relaxation roots base -/+ sqrt(radicand), a complex root so that
+        # underdamped points (a conjugate pair) are representable: (sqrt(r),
+        # 0) for a radicand r >= 0, else (0, sqrt(-r))
+        radicand = (k * k + g3 * g3) * e * e - fo.square(delta + 2.0 * k * e)
         root = np.sqrt(np.abs(radicand))
         s = (np.where(radicand >= 0.0, root, 0.0),
              np.where(radicand >= 0.0, 0.0, root))
@@ -342,7 +303,7 @@ def branch_states(params: DeviceParams, omega_p, b_in,
         marginal = np.abs(lam_slow[0]) <= MARGINAL_TOL * g
         stable = (lam_slow[0] > 0.0) & ~marginal
 
-        # steady_state's record; the phase is 0 where the amplitude is
+        # the phase is 0 where the amplitude is
         amp = np.sqrt(np.maximum(e, 0.0))
         response = fo.add(
             fo.mul(fo.add(fo.times_1j((delta, 0.0)), (g, 0.0)), (amp, 0.0)),
@@ -356,8 +317,8 @@ def branch_states(params: DeviceParams, omega_p, b_in,
                                  (amp, 0.0)), fo.exp_imag(turn))
         reflected = fo.sub((b_in, 0.0), outgoing)
     return BranchStates(
-        row=row, omega_p=omega_p[row], b_in=b_in, drive_phase=psi,
-        n_branches=live.sum(axis=1)[row], energy=e, amplitude=amp,
+        row=row, omega_p=omega_p, b_in=b_in, drive_phase=psi,
+        n_branches=n_branches, energy=e, amplitude=amp,
         phase=cavity_phase, reflected=fo.pack(reflected),
         lambda_slow=fo.pack(lam_slow), lambda_fast=fo.pack(fo.add(base, s)),
         stable=stable, marginal=marginal, branch_index=index)

@@ -148,7 +148,7 @@ def _resolve_amplitude(value, path, device):
         crit = critical_point(device)
         if not crit.exists:
             raise ConfigError(path, "times_critical needs a critical point "
-                                    "(|kerr| > sqrt(3)*gamma3)")
+                                    "(|kerr| > sqrt(3)*gamma3 and gamma1 > 0)")
         return frac * crit.drive
     return _number(value, path, minimum=0.0)
 
@@ -291,7 +291,7 @@ def run_squeeze_sweep(config: SweepConfig) -> Table:
     crit = critical_point(config.device)
     if not crit.exists:
         raise ConfigError("device", "squeeze-sweep needs a critical point "
-                                    "(|kerr| > sqrt(3)*gamma3)")
+                                    "(|kerr| > sqrt(3)*gamma3 and gamma1 > 0)")
     columns = squeeze_columns(config.device, config.env,
                               config.pump_fractions, psi1=config.psi1)
     return _table(SQUEEZE_COLUMNS, *(columns[name] for name in (

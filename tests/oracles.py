@@ -2,14 +2,285 @@
 
 Everything here works from the pump cubic's coefficients or from direct
 scanning only, never from the closed-form operating-point formulas it is
-used to check.
+used to check.  The scalar pump path (``scalar_real_roots`` through
+``scalar_steady_states``) is the one-point reference the batched kernels
+are held to bit for bit: plain Python floats and ``cmath``, root by root.
 """
 
+import cmath
 import math
 
 import numpy as np
 
-from kerrcav import PumpDrive, cubic_coefficients, cubic_discriminant
+from kerrcav import (DegenerateModel, PumpDrive, SingularResponse,
+                     SteadyState, branch_states, cubic_coefficients,
+                     transfer_coefficients)
+from kerrcav.cubic import ROOT_TOL, TRIPLE_TOL
+from kerrcav.steady import MARGINAL_TOL, MERGE_TOL
+
+
+# ------------------------------------------------- scalar reference path
+
+def cubic_discriminant(c3: float, c2: float, c1: float, c0: float) -> float:
+    """Discriminant of c3*x^3 + c2*x^2 + c1*x + c0 (> 0: three distinct real roots)."""
+    return (
+        18.0 * c3 * c2 * c1 * c0
+        - 4.0 * c2**3 * c0
+        + c2**2 * c1**2
+        - 4.0 * c3 * c1**3
+        - 27.0 * c3**2 * c0**2
+    )
+
+
+def _solves(x: float, c3: float, c2: float, c1: float, c0: float) -> bool:
+    """Whether |cubic(x)| is within ROOT_TOL of the sum of its terms'
+    magnitudes."""
+    f = ((c3 * x + c2) * x + c1) * x + c0
+    scale = abs(c3 * x**3) + abs(c2 * x**2) + abs(c1 * x) + abs(c0)
+    return abs(f) <= ROOT_TOL * scale
+
+
+def _polish(root: float, c3: float, c2: float, c1: float, c0: float) -> float:
+    for _ in range(3):
+        f = ((c3 * root + c2) * root + c1) * root + c0
+        # at a multiple root f and f' are both rounding noise and their
+        # ratio is a garbage step; stop once f is below the noise floor
+        scale = (abs(c3 * root**3) + abs(c2 * root**2)
+                 + abs(c1 * root) + abs(c0))
+        if abs(f) <= 1e-15 * scale:
+            break
+        fp = (3.0 * c3 * root + 2.0 * c2) * root + c1
+        if fp == 0.0:
+            break
+        candidate = root - f / fp
+        f_new = ((c3 * candidate + c2) * candidate + c1) * candidate + c0
+        if abs(f_new) >= abs(f):
+            break
+        root = candidate
+    return root
+
+
+def scalar_real_roots(c3: float, c2: float, c1: float, c0: float) -> list[float]:
+    """Return all real roots of the cubic, ascending.
+
+    Degenerate leading coefficients are handled exactly (quadratic, linear,
+    constant), and so is a zero constant term (x = 0 and the roots of the
+    quadratic factor).  A cluster of three mutually unresolvable roots is
+    collapsed to the inflection point -c2/(3*c3), which is exact for a
+    triple root.
+    """
+    if c3 == 0.0:
+        if c2 == 0.0:
+            if c1 == 0.0:
+                return []
+            return [-c0 / c1]
+        disc = c1 * c1 - 4.0 * c2 * c0
+        if disc < 0.0:
+            return []
+        s = math.sqrt(disc)
+        if not disc > 0.0:
+            return [(-c1 - s) / (2.0 * c2)]
+        # the root of larger magnitude without cancellation, the other
+        # from the product of the roots
+        q = -0.5 * (c1 + math.copysign(s, c1))
+        return sorted([q / c2, c0 / q])
+    if c0 == 0.0:
+        # x = 0 is an exact root, once; the rest solve the quadratic factor
+        return sorted([0.0] + [r for r in scalar_real_roots(0.0, c3, c2, c1)
+                               if r != 0.0])
+
+    a = c2 / c3
+    b = c1 / c3
+    c = c0 / c3
+    # depressed form t^3 + p t + q with x = t - a/3
+    p = b - a * a / 3.0
+    q = 2.0 * a**3 / 27.0 - a * b / 3.0 + c
+
+    spread = max(math.sqrt(abs(p)), abs(q) ** (1.0 / 3.0))
+    if a != 0.0 and spread <= TRIPLE_TOL * abs(a / 3.0):
+        return [-a / 3.0]
+
+    disc = -4.0 * p**3 - 27.0 * q * q
+    # an exact double root has disc = 0 but rounds either way; a band scaled
+    # by the cancelling terms keeps fold pairs from vanishing into the
+    # single-root branch
+    disc_scale = 4.0 * abs(p) ** 3 + 27.0 * q * q
+    if p < 0.0 and disc >= -1e-14 * disc_scale:
+        m = 2.0 * math.sqrt(-p / 3.0)
+        arg = 3.0 * q / (p * m)
+        arg = min(1.0, max(-1.0, arg))
+        theta = math.acos(arg) / 3.0
+        ts = [m * math.cos(theta - 2.0 * math.pi * k / 3.0) for k in range(3)]
+    elif p == 0.0 and q == 0.0:
+        ts = [0.0]
+    else:
+        s = math.sqrt(max(q * q / 4.0 + p**3 / 27.0, 0.0))
+        ts = [math.copysign(abs(-q / 2.0 + s) ** (1.0 / 3.0), -q / 2.0 + s)
+              + math.copysign(abs(-q / 2.0 - s) ** (1.0 / 3.0), -q / 2.0 - s)]
+
+    roots = sorted(_polish(t - a / 3.0, c3, c2, c1, c0) for t in ts)
+    if len(roots) == 3:
+        # the double-root band also admits one real root beside a complex
+        # pair far smaller in magnitude, where the trigonometric pair
+        # solves nothing
+        roots = [r for r in roots if _solves(r, c3, c2, c1, c0)] or roots
+    return roots
+
+
+def scalar_solve_pump_energy(params, drive) -> list[float]:
+    """Real nonnegative roots E of the pump cubic, ascending.
+
+    Returns 1, 2 (fold tangency, the double root reported once) or 3 roots.
+    Tiny negative roots from rounding are clamped to zero; genuinely
+    negative or complex roots are discarded.
+
+    Raises
+    ------
+    DegenerateModel
+        If gamma1 + gamma2 == 0.
+    """
+    if params.gamma <= 0.0:
+        raise DegenerateModel("gamma1 + gamma2 must be > 0")
+    c3, c2, c1, c0 = cubic_coefficients(params, drive)
+    if c0 == 0.0:
+        # undriven port: E = 0 plus any positive branch of the quadratic
+        # factor (none exist for gamma > 0, but solve it anyway)
+        roots = [0.0] + [r for r in scalar_real_roots(0.0, c3, c2, c1)
+                         if r > 0.0]
+        return sorted(roots)
+    roots = scalar_real_roots(c3, c2, c1, c0)
+    kept = []
+    for r in roots:
+        if r < -1e-12:
+            continue
+        kept.append(max(r, 0.0))
+    kept.sort()
+    scale = max(kept[-1], 1e-300) if kept else 0.0
+    merged: list[float] = []
+    for r in kept:
+        if merged and abs(r - merged[-1]) <= MERGE_TOL * scale:
+            merged[-1] = 0.5 * (merged[-1] + r)
+        else:
+            merged.append(r)
+    return merged
+
+
+def scalar_relaxation_roots(params, drive, energy: float):
+    """Relaxation roots (slow, fast) of the branch with photon number E.
+
+    Evaluated with the complex square root so underdamped operating points
+    (complex-conjugate pair) are representable; for a nonnegative radicand
+    both roots are real.
+    """
+    delta = drive.detuning(params)
+    k = params.kerr
+    g3 = params.gamma3
+    radicand = (k * k + g3 * g3) * energy * energy - (delta + 2.0 * k * energy) ** 2
+    s = cmath.sqrt(complex(radicand, 0.0))
+    base = params.gamma + 2.0 * g3 * energy
+    return base - s, base + s
+
+
+def scalar_steady_state(params, drive, energy: float,
+                        branch_index: int = 0) -> SteadyState:
+    """Assemble the full steady-state record for one cubic root.
+
+    ``energy`` must be a root returned by :func:`scalar_solve_pump_energy`.
+    The cavity phase is fixed by the drive balance; it is defined as 0 when
+    the amplitude vanishes.
+    """
+    delta = drive.detuning(params)
+    amp = math.sqrt(max(energy, 0.0))
+    if amp == 0.0:
+        phase = 0.0
+    else:
+        response = (1j * delta + params.gamma) * amp \
+            + (1j * params.kerr + params.gamma3) * amp**3
+        phase = drive.phase - params.phi1 + cmath.phase(1j * response)
+    reflected = drive.amplitude - 1j * math.sqrt(2.0 * params.gamma1) * amp \
+        * cmath.exp(-1j * (params.phi1 + phase - drive.phase))
+    lam_slow, lam_fast = scalar_relaxation_roots(params, drive, energy)
+    marginal = abs(lam_slow.real) <= MARGINAL_TOL * params.gamma
+    stable = lam_slow.real > 0.0 and not marginal
+    return SteadyState(
+        energy=energy,
+        amplitude=amp,
+        phase=phase,
+        reflected=reflected,
+        lambda_slow=lam_slow,
+        lambda_fast=lam_fast,
+        stable=stable,
+        marginal=marginal,
+        branch_index=branch_index,
+    )
+
+
+def scalar_steady_states(params, drive) -> list[SteadyState]:
+    """All steady-state branches at this drive, ascending in energy."""
+    return [scalar_steady_state(params, drive, e, i)
+            for i, e in enumerate(scalar_solve_pump_energy(params, drive))]
+
+
+# ------------------------------------------------------ residuals and scans
+
+def fold_condition_residual(params, drive, omega_p: float,
+                            energy: float) -> float:
+    """Normalized residual of the vertical-tangent condition at (omega_p, E).
+
+    The condition (gamma + 2 g3 E)^2 = (K^2+g3^2) E^2 - (delta + 2 K E)^2
+    holds exactly on fold points; the residual is scaled by the sum of the
+    three squared terms.
+    """
+    delta = params.omega0 - omega_p
+    k = params.kerr
+    g3 = params.gamma3
+    t1 = (params.gamma + 2.0 * g3 * energy) ** 2
+    t2 = (k * k + g3 * g3) * energy * energy
+    t3 = (delta + 2.0 * k * energy) ** 2
+    return abs(t1 - t2 + t3) / (t1 + t2 + t3)
+
+
+def coalescence_residual(params, omega_p: float, energy: float) -> float:
+    """Normalized residual of the fold-coalescence condition at (omega_p, E).
+
+    6 (K^2+g3^2) E + 4 [(omega0-omega_p) K + gamma*g3] = 0 exactly where the
+    two folds merge.
+    """
+    delta = params.omega0 - omega_p
+    k = params.kerr
+    g3 = params.gamma3
+    t1 = 6.0 * (k * k + g3 * g3) * energy
+    t2 = 4.0 * (delta * k + params.gamma * g3)
+    return abs(t1 + t2) / (abs(t1) + abs(t2))
+
+
+def noise_power(params, state, drive, env, omega: float,
+                phi_lo: float) -> float:
+    """Homodyne noise power P(omega) at local-oscillator phase ``phi_lo``.
+
+    Sums, per port i, |e^{-i phi} S_i*(w) + e^{i phi} C_i(-w)|^2 n_i plus
+    |e^{i phi} S_i(-w) + e^{-i phi} C_i*(w)|^2 (n_i + 1), where S and C are
+    the signal and conjugate transfer coefficients and n_i the bath
+    occupation.  Returns IEEE infinity at singular operating points.  The
+    brute-force reference for the analytic extrema of lo_phase_extrema.
+    """
+    try:
+        plus = transfer_coefficients(params, state, drive, omega)
+        minus = transfer_coefficients(params, state, drive, -omega)
+    except SingularResponse:
+        return math.inf
+    sig_p = (plus.refl_signal, plus.loss_signal, plus.tpl_signal)
+    conj_p = (plus.refl_conj, plus.loss_conj, plus.tpl_conj)
+    sig_m = (minus.refl_signal, minus.loss_signal, minus.tpl_signal)
+    conj_m = (minus.refl_conj, minus.loss_conj, minus.tpl_conj)
+    occ = env.occupations()
+    lo = cmath.exp(1j * phi_lo)
+    total = 0.0
+    for i in range(3):
+        n = occ[i]
+        total += n * abs(sig_p[i].conjugate() / lo + lo * conj_m[i]) ** 2
+        total += (n + 1.0) * abs(lo * sig_m[i] + conj_p[i].conjugate() / lo) ** 2
+    return total
 
 
 def disc_at(params, omega_p, amplitude):
@@ -133,17 +404,19 @@ def brute_force_critical(params, b_lo_factor=0.25, b_hi_factor=4.0,
     return amplitude_refined, omega_p, energy
 
 
-def fold_frequencies_from_root_count(params, amplitude, solve, n_grid=4001):
+def fold_frequencies_from_root_count(params, amplitude, n_grid=4001):
     """Pump frequencies where the root count changes, by discriminant bisection.
 
-    ``solve`` is the root solver under test (count source); the transition
-    frequencies themselves come from bisecting the discriminant sign, which
-    is independent of how the roots are extracted.
+    The counts come from the solver under test, one ``branch_states`` call
+    over the whole grid; the transition frequencies themselves come from
+    bisecting the discriminant sign, which is independent of how the roots
+    are extracted.
     """
     lo, hi = _scan_window(params, amplitude)
     omegas = np.linspace(lo, hi, n_grid)
-    counts = [len(solve(params, PumpDrive(omega_p=w, amplitude=amplitude)))
-              for w in omegas]
+    states = branch_states(params, omegas, amplitude)
+    counts = np.zeros(n_grid, dtype=int)
+    counts[states.row] = states.n_branches
     transitions = []
     for i in range(len(omegas) - 1):
         if counts[i] == counts[i + 1]:

@@ -10,12 +10,13 @@ import numpy as np
 import pytest
 
 from kerrcav import (DeviceParams, FitProblem, PumpDrive, ThermalEnv,
-                     critical_point, curve_omega_p, instability_locus,
-                     lo_phase_extrema, max_curve_energy, noise_power,
-                     predict_reflection, run_fit, solve_pump_energy,
-                     steady_states, transfer_coefficients)
+                     branch_states, critical_point, curve_omega_p,
+                     instability_locus, lo_phase_extrema, max_curve_energy,
+                     predict_reflection, run_fit, steady_states,
+                     transfer_coefficients)
 from kerrcav.cli import main as cli_main
-from oracles import brute_force_critical, fold_frequencies_from_root_count
+from oracles import (brute_force_critical, fold_frequencies_from_root_count,
+                     noise_power)
 
 SQRT3 = math.sqrt(3.0)
 COLD = ThermalEnv()
@@ -63,11 +64,12 @@ def test_criterion_1_fig2_reproduction():
     grid = np.linspace(0.9, 1.005, 2000)
 
     def sweep_counts(amplitude):
-        counts = []
-        for omega_p in grid:
-            drive = PumpDrive(omega_p=omega_p, amplitude=amplitude)
-            counts.append(len(solve_pump_energy(FIG_PARAMS, drive)))
-        return counts
+        # branch counts per grid point, from one pass over the grid as the
+        # steady-sweep command makes it
+        states = branch_states(FIG_PARAMS, grid, amplitude)
+        counts = np.zeros(grid.size, dtype=int)
+        counts[states.row] = states.n_branches
+        return counts.tolist()
 
     start = time.perf_counter()
     counts_half = sweep_counts(0.5 * crit.drive)
@@ -84,9 +86,8 @@ def test_criterion_1_fig2_reproduction():
 
     locus_double = instability_locus(
         FIG_PARAMS, PumpDrive(omega_p=1.0, amplitude=2.0 * crit.drive))
-    transitions = fold_frequencies_from_root_count(
-        FIG_PARAMS, 2.0 * crit.drive,
-        lambda p, d: solve_pump_energy(p, d))
+    transitions = fold_frequencies_from_root_count(FIG_PARAMS,
+                                                   2.0 * crit.drive)
     window_ok = (3 in counts_double and len(locus_double) == 2
                  and len(transitions) == 2)
     endpoint_ok = window_ok and all(

@@ -85,6 +85,29 @@ def test_config_error_exit_code(tmp_path, capsys):
     assert "gamma1" in capsys.readouterr().err
 
 
+def test_decoupled_port_has_no_critical_point(tmp_path, capsys):
+    """A valid device with gamma1 = 0 has no finite critical drive:
+    `critical` reports exists=false, and the commands that need the point
+    (times_critical, squeeze-sweep) are configuration errors."""
+    device = {**DEVICE, "gamma1": 0.0}
+    cfg = write_json(tmp_path / "c.json", {"schema": 1, "device": device})
+    assert main(["critical", "--config", cfg]) == 0
+    header, row = capsys.readouterr().out.strip().splitlines()
+    assert row == "false,nan,nan,nan,false"
+    sweep = write_json(tmp_path / "s.json", {
+        "schema": 1, "device": device, "pump_fractions": [0.5],
+        "drive": {"omega_p": {"start": 0.95, "stop": 1.0, "count": 5},
+                  "b1_in": [{"times_critical": 0.5}]}})
+    for command in ("steady-sweep", "squeeze-sweep"):
+        assert main([command, "--config", sweep]) == 2
+        err = capsys.readouterr().err
+        assert "gamma1 > 0" in err and "Traceback" not in err
+    squeeze = write_json(tmp_path / "q.json", {
+        "schema": 1, "device": device, "pump_fractions": [0.5]})
+    assert main(["squeeze-sweep", "--config", squeeze]) == 2
+    assert "squeeze-sweep needs a critical point" in capsys.readouterr().err
+
+
 def test_malformed_json_reports_location(tmp_path, capsys):
     path = tmp_path / "broken.json"
     path.write_text('{"schema": 1, "device": }')

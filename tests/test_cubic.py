@@ -5,7 +5,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from kerrcav import cubic_discriminant, real_roots, real_roots_array
+from kerrcav import real_roots, real_roots_array
+from oracles import cubic_discriminant, scalar_real_roots
 
 
 def poly(coeffs, x):
@@ -147,13 +148,13 @@ def cubic_rows(draw):
 @settings(max_examples=300, deadline=None, derandomize=True)
 @given(cubic_rows())
 def test_array_roots_match_scalar_roots(rows):
-    """Each row holds real_roots of its coefficients, bit for bit, padded
-    with NaN; where real_roots raises (overflow, a zero division after
-    underflow), the array solver raises the same error."""
+    """Each row holds the scalar reference's roots of its coefficients, bit
+    for bit, padded with NaN; where the reference raises (overflow, a zero
+    division after underflow), the array solver raises the same error."""
     expected = []
     for coeffs in rows:
         try:
-            expected.append(real_roots(*coeffs))
+            expected.append(scalar_real_roots(*coeffs))
         except ArithmeticError as exc:
             with pytest.raises(type(exc)):
                 real_roots_array(*coeffs)

@@ -9,9 +9,8 @@ from hypothesis import strategies as st
 from conftest import float_bits
 from kerrcav import (DeviceParams, PumpDrive, ThermalEnv, branch_states,
                      critical_point, lo_phase_extrema, lo_phase_extrema_array,
-                     noise_power, squeeze_vs_pump, steady_states,
-                     thermal_occupation)
-from oracles import scan_phase_extrema
+                     squeeze_vs_pump, steady_states, thermal_occupation)
+from oracles import noise_power, scan_phase_extrema
 from test_steady import device_and_drives
 
 SQRT3 = math.sqrt(3.0)

@@ -3,12 +3,13 @@ import math
 import numpy as np
 import pytest
 
-from kerrcav import (DeviceParams, PumpDrive, coalescence_residual,
-                     critical_point, curve_omega_p, fold_condition_residual,
-                     instability_locus, max_curve_energy,
+from kerrcav import (DeviceParams, PumpDrive, branch_states, critical_point,
+                     curve_omega_p, instability_locus, max_curve_energy,
                      cubic_coefficients, response_peak_detuning,
                      solve_pump_energy, steady_state)
-from oracles import brute_force_critical, fold_frequencies_from_root_count
+from oracles import (brute_force_critical, coalescence_residual,
+                     fold_condition_residual,
+                     fold_frequencies_from_root_count)
 
 SQRT3 = math.sqrt(3.0)
 
@@ -31,13 +32,9 @@ def test_peak_tracks_argmax_of_swept_response(fig_device):
     crit = critical_point(fig_device)
     drive = PumpDrive(omega_p=1.0, amplitude=2.0 * crit.drive)
     omegas = np.linspace(0.85, 1.01, 4001)
-    best_omega, best_energy = None, -1.0
-    for omega_p in omegas:
-        roots = solve_pump_energy(
-            fig_device, PumpDrive(omega_p=omega_p, amplitude=drive.amplitude))
-        if roots[-1] > best_energy:
-            best_energy = roots[-1]
-            best_omega = omega_p
+    states = branch_states(fig_device, omegas, drive.amplitude)
+    best = np.argmax(states.energy)
+    best_omega, best_energy = omegas[states.row[best]], states.energy[best]
     predicted = response_peak_detuning(fig_device, best_energy)
     spacing = omegas[1] - omegas[0]
     assert abs(predicted - best_omega) <= 2.0 * spacing
@@ -79,12 +76,7 @@ def test_locus_two_points_above_critical(fig_device):
     drive = PumpDrive(omega_p=1.0, amplitude=2.0 * crit.drive)
     points = instability_locus(fig_device, drive)
     assert len(points) == 2
-
-    def solver(params, drv):
-        return solve_pump_energy(params, drv)
-
-    transitions = fold_frequencies_from_root_count(fig_device, drive.amplitude,
-                                                   solver)
+    transitions = fold_frequencies_from_root_count(fig_device, drive.amplitude)
     assert len(transitions) == 2
     locus_omegas = sorted(p[0] for p in points)
     for got, expected in zip(locus_omegas, transitions):
@@ -194,6 +186,10 @@ def test_critical_point_absent_when_loss_dominates():
     assert not critical_point(
         DeviceParams(omega0=1.0, kerr=0.0, gamma1=0.01, gamma2=0.0,
                      gamma3=0.0)).exists
+    # a decoupled port (gamma1 = 0) needs an infinite critical drive
+    assert not critical_point(
+        DeviceParams(omega0=1.0, kerr=kerr, gamma1=0.0, gamma2=0.011,
+                     gamma3=0.0)).exists
 
 
 def test_required_drive_grows_with_two_photon_loss():
@@ -274,8 +270,8 @@ def test_locus_matches_transitions_across_random_devices():
             assert len(tangency) == 1
             assert tangency[0][1] == pytest.approx(crit.energy, rel=1e-4)
         points = instability_locus(params, drive)
-        transitions = fold_frequencies_from_root_count(
-            params, drive.amplitude, lambda p, d: solve_pump_energy(p, d))
+        transitions = fold_frequencies_from_root_count(params,
+                                                       drive.amplitude)
         assert len(points) == 2
         assert len(transitions) == 2
         for (omega_p, energy), expected in zip(sorted(points), transitions):

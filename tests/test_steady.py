@@ -12,6 +12,8 @@ from kerrcav import (DegenerateModel, DeviceParams, PumpDrive,
                      cubic_coefficients, instability_locus,
                      reflection_coefficient, settled_state, settled_states,
                      solve_pump_energy, steady_state, steady_states)
+from oracles import (scalar_solve_pump_energy, scalar_steady_state,
+                     scalar_steady_states)
 
 SQRT3 = math.sqrt(3.0)
 
@@ -392,8 +394,8 @@ def device_and_drives(draw):
 @settings(max_examples=150, deadline=None, derandomize=True)
 @given(device_and_drives())
 def test_settled_states_match_scalar_path(case):
-    """The kernel gives, drive for drive, the scalar path's branch count,
-    settled branch and |reflection|, bit for bit."""
+    """The kernel gives, drive for drive, the scalar reference's branch
+    count, settled branch and |reflection|, bit for bit."""
     params, omega_p, b_in, psi = case
     batch = settled_states(params, omega_p, b_in, psi)
     driven = [i for i, b in enumerate(b_in) if b > 0.0]
@@ -402,7 +404,7 @@ def test_settled_states_match_scalar_path(case):
         psi).reflection_magnitude()))
     for i, (w, b) in enumerate(zip(omega_p, b_in)):
         drive = PumpDrive(omega_p=w, amplitude=b, phase=psi)
-        branches = steady_states(params, drive)
+        branches = scalar_steady_states(params, drive)
         expected = next((s for s in branches if s.stable), branches[0])
         assert batch.n_branches[i] == len(branches)
         assert batch.state(i) == expected
@@ -415,8 +417,8 @@ def test_settled_states_match_scalar_path(case):
 @given(device_and_drives())
 def test_branch_states_match_scalar_path(case):
     """Every branch of every drive, bit for bit (the sign of zero included):
-    the same entries, in order, as steady_states drive by drive, and the
-    same reflection coefficient."""
+    the same entries, in order, as the scalar reference drive by drive, and
+    the same reflection coefficient."""
     params, omega_p, b_in, psi = case
     batch = branch_states(params, omega_p, b_in, psi)
     with np.errstate(divide="ignore", invalid="ignore"):
@@ -424,7 +426,7 @@ def test_branch_states_match_scalar_path(case):
     expected = []
     for i, (w, b) in enumerate(zip(omega_p, b_in)):
         drive = PumpDrive(omega_p=w, amplitude=b, phase=psi)
-        branches = steady_states(params, drive)
+        branches = scalar_steady_states(params, drive)
         expected.extend((i, drive, len(branches), s) for s in branches)
     assert batch.energy.size == len(expected)
     for j, (i, drive, count, state) in enumerate(expected):
@@ -434,3 +436,22 @@ def test_branch_states_match_scalar_path(case):
         if drive.amplitude > 0.0:
             assert float_bits(complex(re[j], im[j])) == float_bits(
                 reflection_coefficient(state, drive))
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(device_and_drives())
+def test_steady_state_matches_scalar_record(case):
+    """steady_state, the kernels' record for one entry, is the scalar
+    reference's record bit for bit: at every branch energy of every drive,
+    at E = 0, and at the fold points of each drive amplitude."""
+    params, omega_p, b_in, psi = case
+    for w, b in zip(omega_p, b_in):
+        drive = PumpDrive(omega_p=w, amplitude=b, phase=psi)
+        points = [(drive, e, i) for i, e in
+                  enumerate(scalar_solve_pump_energy(params, drive))]
+        points.append((drive, 0.0, 0))
+        points.extend((PumpDrive(omega_p=fold, amplitude=b, phase=psi), e, 1)
+                      for fold, e in instability_locus(params, drive))
+        for at, e, i in points:
+            assert float_bits(steady_state(params, at, e, i)) == float_bits(
+                scalar_steady_state(params, at, e, i))

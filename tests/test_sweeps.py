@@ -10,9 +10,9 @@ from hypothesis import strategies as st
 from kerrcav import (ConfigError, PumpDrive, SingularResponse, critical_point,
                      lo_phase_extrema, load_config, reflection_coefficient,
                      run_critical, run_gain_sweep, run_squeeze_sweep,
-                     run_steady_sweep, settled_state, steady_states,
-                     transfer_coefficients)
+                     run_steady_sweep, transfer_coefficients)
 from conftest import float_bits, make_uniform_profile
+from oracles import scalar_steady_states
 
 SQRT3 = math.sqrt(3.0)
 
@@ -296,11 +296,12 @@ def test_run_critical_record():
 # ------------------------------------------------- batched sweeps, row by row
 
 def scalar_steady_rows(config):
-    """The steady-sweep rows from the one-point functions."""
+    """The steady-sweep rows from the one-point functions, on the scalar
+    reference branches."""
     for amp in config.amplitudes:
         for omega_p in config.omega_p_grid:
             drive = PumpDrive(omega_p=omega_p, amplitude=amp, phase=config.psi1)
-            for state in steady_states(config.device, drive):
+            for state in scalar_steady_states(config.device, drive):
                 mag = ang = math.nan
                 if amp > 0.0:
                     refl = reflection_coefficient(state, drive)
@@ -312,11 +313,12 @@ def scalar_steady_rows(config):
 
 
 def scalar_gain_rows(config):
-    """The gain-sweep rows from the one-point functions."""
+    """The gain-sweep rows from the one-point functions, on the scalar
+    reference branches."""
     for amp in config.amplitudes:
         for omega_p in config.omega_p_grid:
             drive = PumpDrive(omega_p=omega_p, amplitude=amp, phase=config.psi1)
-            for state in steady_states(config.device, drive):
+            for state in scalar_steady_states(config.device, drive):
                 for value in config.offsets:
                     omega = value - omega_p if config.offsets_absolute else value
                     try:
@@ -331,12 +333,15 @@ def scalar_gain_rows(config):
 
 
 def scalar_squeeze_rows(config):
-    """The squeeze-sweep rows from the one-point functions."""
+    """The squeeze-sweep rows from the one-point functions, on the settled
+    branch of the scalar reference: the first stable branch, else branch
+    0."""
     crit = critical_point(config.device)
     for frac in config.pump_fractions:
         drive = PumpDrive(omega_p=crit.omega_p, amplitude=frac * crit.drive,
                           phase=config.psi1)
-        state = settled_state(config.device, drive)
+        branches = scalar_steady_states(config.device, drive)
+        state = next((s for s in branches if s.stable), branches[0])
         ext = lo_phase_extrema(config.device, state, drive, config.env, 0.0)
         yield [frac, ext.p_min, ext.p_max, ext.phi_min, frac > 1.0,
                ext.diverged or not state.stable]
