@@ -23,6 +23,18 @@ TRIPLE_TOL = 1e-4
 # A polished trigonometric root whose cubic value exceeds this fraction of
 # the sum of the terms' magnitudes is no root (rounding leaves ~1e-16).
 ROOT_TOL = 1e-8
+# A polynomial of degree d (its leading nonzero coefficient c_d) is balanced
+# by powers of two (Kahan, "To Solve a Real Cubic Equation", 1986) when the
+# binary exponent rho of its roots' scale, max_i (e_i - e_d) / (d - i) over
+# the nonzero c_i, i < d, leaves RHO_MAX; a full cubic (c3, c0 != 0) also
+# when its largest term's, e_3 + 3 rho, leaves TERM_MAX, and the rest (they
+# meet the quadratic formula) when a nonzero coefficient's leaves EXP_MAX.
+# Inside these bounds no intermediate (rho's sixth power in the cubic's
+# discriminant, a product of two coefficients in the quadratic's) over- or
+# underflows, so such rows keep their bits.
+RHO_MAX = 120.0
+TERM_MAX = 900.0
+EXP_MAX = 500
 
 
 # 2*pi*k/3, for the three trigonometric roots
@@ -152,6 +164,48 @@ def _cubic_roots(c3, c2, c1, c0):
     return out
 
 
+def _balanced(coeffs):
+    """None if every row of ``coeffs`` (c0..c3 stacked, shape (4, n))
+    keeps within the bounds above, else the rows as 2^m c(2^k y) and k,
+    with k = m = 0 on the rows within the bounds.  A balanced row has a
+    leading coefficient in [0.5, 1) and its largest roots of order 1; the
+    scaling is exact unless a relatively negligible coefficient underflows.
+
+    Raises
+    ------
+    OverflowError
+        If a balanced full cubic's constant term underflows: its two
+        smaller roots are lost beside the largest.
+    """
+    size = np.abs(coeffs)
+    # nonzero magnitudes within 2^+-60 keep every row within the bounds
+    if (size.max() < 2.0**60
+            and np.where(size == 0.0, 1.0, size).min() > 2.0**-60):
+        return None
+    nonzero = coeffs != 0.0
+    col = np.arange(coeffs.shape[1])
+    i = np.arange(4)[:, None]
+    # the leading nonzero coefficient's index and exponent
+    d = 3 - np.argmax(nonzero[::-1], axis=0)
+    e = np.frexp(coeffs)[1]
+    ed = e[d, col]
+    lower = nonzero & (i < d)
+    rho = np.max(np.where(lower, (e - ed) / np.maximum(d - i, 1), -np.inf),
+                 axis=0)
+    cubic = nonzero[0] & nonzero[3]
+    wild = np.isfinite(rho) & (
+        (np.abs(rho) > RHO_MAX)
+        | np.where(cubic, np.abs(ed + d * rho) > TERM_MAX,
+                   np.max(np.where(nonzero, np.abs(e), 0), axis=0) > EXP_MAX))
+    if not wild.any():
+        return None
+    k = np.where(wild, np.floor(rho), 0.0).astype(int)
+    scaled = np.ldexp(coeffs, np.where(wild, -ed - d * k, 0) + i * k)
+    if np.any(wild & cubic & (np.abs(scaled[0]) < np.finfo(float).tiny)):
+        raise OverflowError("cubic roots span beyond the float range")
+    return scaled, k
+
+
 def real_roots_array(c3, c2, c1, c0) -> np.ndarray:
     """Real roots of many cubics: row i holds those of
     c3[i] x^3 + c2[i] x^2 + c1[i] x + c0[i], ascending, padded with NaN.
@@ -161,24 +215,44 @@ def real_roots_array(c3, c2, c1, c0) -> np.ndarray:
     (quadratic, linear, constant), and so is a zero constant term (x = 0
     and the roots of the quadratic factor).  A cluster of three mutually
     unresolvable roots is collapsed to the inflection point -c2/(3*c3),
-    which is exact for a triple root.
+    which is exact for a triple root.  Rows with coefficients or roots
+    near the ends of the float range are solved balanced (see
+    :data:`RHO_MAX`).
+
+    Raises
+    ------
+    OverflowError
+        If a balanced row has a root beyond the float range, or roots whose
+        ratio is.
     """
     c3, c2, c1, c0 = rows(c3, c2, c1, c0)
     with np.errstate(all="ignore"):
-        lead = c3 == 0.0
-        if not (lead | (c0 == 0.0)).any():
-            return _cubic_roots(c3, c2, c1, c0)
-        factor = ~lead & (c0 == 0.0)
-        roots = np.empty((c3.size, 3))
-        roots[lead] = _degenerate_roots(c2[lead], c1[lead], c0[lead])
-        # x = 0 once, and the nonzero roots of the quadratic factor
-        quad = _degenerate_roots(c3[factor], c2[factor], c1[factor])
-        roots[factor] = np.sort(np.column_stack(
-            [np.zeros(len(quad)), np.where(quad != 0.0, quad, np.nan)[:, :2]]),
-            axis=1)
-        cubic = np.flatnonzero(~lead & ~factor)
-        roots[cubic] = _cubic_roots(c3[cubic], c2[cubic], c1[cubic],
-                                    c0[cubic])
+        balanced = _balanced(np.stack([c0, c1, c2, c3]))
+        if balanced is None:
+            return _dispatch(c3, c2, c1, c0)
+        (c0, c1, c2, c3), k = balanced
+        roots = np.ldexp(_dispatch(c3, c2, c1, c0), k[:, None])
+    if np.any(np.isinf(roots[k != 0])):
+        raise OverflowError("cubic root beyond the float range")
+    return roots
+
+
+def _dispatch(c3, c2, c1, c0):
+    """:func:`real_roots_array` on the coefficients as given."""
+    lead = c3 == 0.0
+    if not (lead | (c0 == 0.0)).any():
+        return _cubic_roots(c3, c2, c1, c0)
+    factor = ~lead & (c0 == 0.0)
+    roots = np.empty((c3.size, 3))
+    roots[lead] = _degenerate_roots(c2[lead], c1[lead], c0[lead])
+    # x = 0 once, and the nonzero roots of the quadratic factor
+    quad = _degenerate_roots(c3[factor], c2[factor], c1[factor])
+    roots[factor] = np.sort(np.column_stack(
+        [np.zeros(len(quad)), np.where(quad != 0.0, quad, np.nan)[:, :2]]),
+        axis=1)
+    cubic = np.flatnonzero(~lead & ~factor)
+    roots[cubic] = _cubic_roots(c3[cubic], c2[cubic], c1[cubic],
+                                c0[cubic])
     return roots
 
 

@@ -5,17 +5,19 @@ versus pump frequency (optionally at several drive amplitudes: a single
 curve leaves the rates weakly constrained) and, optionally, the zero-offset
 intermodulation gain.  The forward model evaluates the lowest-energy stable
 branch, matching how a slowly swept measurement settles, for all data rows
-in one batched pass (:func:`steady.settled_states`).  Minimization is
-Nelder-Mead on parameters rescaled by the initial guess, with a fixed
-simplex initialization so identical problems give identical fits.
+in one batched pass (:func:`steady.settled_states`).  The solver is SciPy's
+trust-region least squares (``trf``) on the residual vector, over
+parameters rescaled by the initial guess and bounded to where
+:func:`model.validate` holds, with a finite-difference Jacobian.
+``n_evaluations`` counts every model evaluation, the Jacobian's included;
+the solver is deterministic, so identical inputs give identical fits.
 """
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .floatops import libm
 from .model import DeviceParams, validate
 from .smallsignal import transfer_coefficients_array
 from .steady import settled_states
@@ -23,13 +25,12 @@ from .sweeps import ConfigError, _number, load_device
 
 FREE_NAMES = ("omega0", "kerr", "gamma1", "gamma2", "gamma3")
 MAX_EVALUATIONS = 100_000
-# Objective value for parameters at which the model is invalid or undefined.
-PENALTY = 1e30
 
 
 class NonConvergence(RuntimeError):
-    """Minimizer hit the evaluation budget, or the model was undefined at
-    every evaluated point; ``best`` holds the best-so-far fit."""
+    """The fit spent its evaluation budget, met an undefined model or stopped
+    short of its tolerances; ``best`` holds the best-so-far fit (with a NaN
+    ``rms_residual`` if the model was defined at no evaluated point)."""
 
     def __init__(self, best: "FitResult"):
         self.best = best
@@ -45,7 +46,9 @@ class FitProblem:
     ``refl_data`` rows are (omega_p, b1_in, |reflection|); ``gain_data``
     rows, optional, are (omega_p, b1_in, G_I at zero offset).  ``initial``
     provides starting values for the free parameters and fixed values for
-    the rest.  Bounds are inclusive and must contain the initial guess.
+    the rest.  Bounds are inclusive; intersected with the domain that
+    :func:`validate` accepts, each must contain the initial guess and more
+    than one point.
     """
 
     initial: DeviceParams
@@ -65,11 +68,21 @@ class FitProblem:
         if len(self.refl_data) + len(self.gain_data) < 5:
             raise ConfigError("fit.refl_data", "need at least 5 data points")
         for name in self.free:
-            lo, hi = self.bounds.get(name, (-math.inf, math.inf))
+            lo, hi = self.search_bounds(name)
             x0 = getattr(self.initial, name)
             if not lo <= x0 <= hi:
                 raise ConfigError(f"fit.bounds.{name}",
                                   f"initial value {x0!r} outside [{lo!r}, {hi!r}]")
+            if lo == hi:
+                raise ConfigError(f"fit.bounds.{name}",
+                                  f"empty range [{lo!r}, {hi!r}]: fix the "
+                                  "parameter instead of freeing it")
+
+    def search_bounds(self, name: str) -> tuple[float, float]:
+        """The user's bounds on ``name`` cut to the closed hull of what
+        :func:`validate` accepts: omega0 > 0 and the rates >= 0."""
+        lo, hi = self.bounds.get(name, (-math.inf, math.inf))
+        return (lo if name == "kerr" else max(lo, 0.0)), hi
 
 
 @dataclass(frozen=True)
@@ -78,12 +91,6 @@ class FitResult:
     rms_residual: float
     n_evaluations: int
     converged: bool
-
-
-def _with_values(base: DeviceParams, names, values) -> DeviceParams:
-    fields = {n: getattr(base, n) for n in FREE_NAMES}
-    fields.update(zip(names, values))
-    return DeviceParams(phi1=base.phi1, phi2=base.phi2, phi3=base.phi3, **fields)
 
 
 def _scalar_or_array(values, omega_p, b1_in):
@@ -120,59 +127,58 @@ def predict_gain(params: DeviceParams, omega_p, b1_in, psi1=0.0):
 
 
 def run_fit(problem: FitProblem, max_evaluations: int = MAX_EVALUATIONS) -> FitResult:
-    """Minimize the sum of squared residuals over the free parameters.
+    """Least-squares fit of the free parameters to the data rows.
 
-    Returns the fitted parameters with the final RMS residual.  Raises
+    Returns the best evaluated parameters with their RMS residual.  Raises
     :class:`NonConvergence` (carrying the best-so-far result) if the
-    evaluation budget is exhausted first, or if the best objective value is
-    still the penalty, so that no evaluated point had a defined model.
+    evaluation budget is exhausted first, if the model is undefined at an
+    evaluated point (a zero drive, an overflow), or if the solver stops
+    short of its tolerances.
     """
     # imported here: SciPy's optimizer takes longer to import than the
     # sweeps take to run
-    from scipy.optimize import minimize
+    from scipy.optimize import least_squares
 
     names = problem.free
     x0 = np.array([getattr(problem.initial, n) for n in names], dtype=float)
     scale = np.where(x0 != 0.0, np.abs(x0), 1.0)
-    scaled_bounds = []
-    for n, s in zip(names, scale):
-        lo, hi = problem.bounds.get(n, (-math.inf, math.inf))
-        scaled_bounds.append((lo / s, hi / s))
-    n_data = len(problem.refl_data) + len(problem.gain_data)
+    lo, hi = np.array([problem.search_bounds(n) for n in names]).T / scale
     refl = np.array(problem.refl_data, dtype=float).reshape(-1, 3)
     gain = np.array(problem.gain_data, dtype=float).reshape(-1, 3)
     observed = np.concatenate([refl[:, 2], gain[:, 2]])
+    evaluations = 0
+    best = FitResult(problem.initial, math.nan, 0, False)
 
-    def objective(z):
-        params = _with_values(problem.initial, names, z * scale)
-        if not validate(params).ok:
-            return PENALTY
-        predicted = []
-        try:
-            if len(refl):
-                predicted.append(predict_reflection(
-                    params, refl[:, 0], refl[:, 1], problem.psi1))
-            if len(gain):
-                predicted.append(predict_gain(
-                    params, gain[:, 0], gain[:, 1], problem.psi1))
-        except (ArithmeticError, ValueError):
-            return PENALTY
-        predicted = np.concatenate(predicted)
-        if not np.all(np.isfinite(predicted)):
-            return PENALTY
-        # the squared residuals as a running total in row order
-        squares = libm(math.pow, predicted - observed, 2.0)
-        return float(np.cumsum(squares)[-1])
+    def residuals(z):
+        # every call counts, the finite-difference Jacobian's included
+        nonlocal evaluations, best
+        r = np.nan
+        if evaluations < max_evaluations:
+            evaluations += 1
+            params = replace(problem.initial, **dict(zip(names, z * scale)))
+            try:
+                if validate(params).ok:
+                    r = np.concatenate([
+                        predict(params, rows[:, 0], rows[:, 1], problem.psi1)
+                        for predict, rows in ((predict_reflection, refl),
+                                              (predict_gain, gain))
+                        if len(rows)]) - observed
+            except (ArithmeticError, ValueError):
+                pass
+        if not np.all(np.isfinite(r)):
+            # budget spent or model undefined: stop, never hand SciPy a NaN
+            raise NonConvergence(replace(best, n_evaluations=evaluations))
+        rms = math.sqrt(float(np.dot(r, r)) / r.size)
+        if not rms >= best.rms_residual:
+            best = FitResult(params, rms, evaluations, False)
+        return r
 
-    result = minimize(objective, x0 / scale, method="Nelder-Mead",
-                      bounds=scaled_bounds,
-                      options=dict(maxfev=max_evaluations, maxiter=max_evaluations,
-                                   xatol=1e-10, fatol=1e-16))
-    fitted = _with_values(problem.initial, names, result.x * scale)
-    fit = FitResult(params=fitted,
-                    rms_residual=math.sqrt(max(result.fun, 0.0) / n_data),
-                    n_evaluations=int(result.nfev),
-                    converged=bool(result.success and result.fun < PENALTY))
+    # max_nfev lifts SciPy's own cap, which counts only the steps' calls
+    result = least_squares(residuals, x0 / scale, bounds=(lo, hi),
+                           method="trf", jac="2-point", x_scale="jac",
+                           max_nfev=max_evaluations)
+    fit = replace(best, n_evaluations=evaluations,
+                  converged=bool(result.success))
     if not fit.converged:
         raise NonConvergence(fit)
     return fit

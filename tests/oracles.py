@@ -9,13 +9,15 @@ are held to bit for bit: plain Python floats and ``cmath``, root by root.
 
 import cmath
 import math
+import sys
 
 import numpy as np
 
 from kerrcav import (DegenerateModel, PumpDrive, SingularResponse,
                      SteadyState, branch_states, cubic_coefficients,
                      transfer_coefficients)
-from kerrcav.cubic import ROOT_TOL, TRIPLE_TOL
+from kerrcav.cubic import (EXP_MAX, RHO_MAX, ROOT_TOL, TERM_MAX,
+                           TRIPLE_TOL)
 from kerrcav.steady import MARGINAL_TOL, MERGE_TOL
 
 
@@ -60,6 +62,27 @@ def _polish(root: float, c3: float, c2: float, c1: float, c0: float) -> float:
     return root
 
 
+def scalar_balance(c3: float, c2: float, c1: float, c0: float):
+    """(k, m) such that 2^m c(2^k y) is balanced, for a polynomial out of
+    the bounds RHO_MAX, TERM_MAX and EXP_MAX, else (0, 0):
+    ``cubic._balanced`` for one row."""
+    coeffs = (c0, c1, c2, c3)
+    nonzero = [i for i, c in enumerate(coeffs) if c != 0.0]
+    if len(nonzero) < 2:
+        return 0, 0
+    d = nonzero[-1]
+    e = [math.frexp(c)[1] for c in coeffs]
+    rho = max((e[i] - e[d]) / (d - i) for i in nonzero[:-1])
+    if c3 != 0.0 and c0 != 0.0:
+        out = abs(e[d] + d * rho) > TERM_MAX
+    else:
+        out = max(abs(e[i]) for i in nonzero) > EXP_MAX
+    if abs(rho) > RHO_MAX or out:
+        k = math.floor(rho)
+        return k, -e[d] - d * k
+    return 0, 0
+
+
 def scalar_real_roots(c3: float, c2: float, c1: float, c0: float) -> list[float]:
     """Return all real roots of the cubic, ascending.
 
@@ -67,8 +90,17 @@ def scalar_real_roots(c3: float, c2: float, c1: float, c0: float) -> list[float]
     constant), and so is a zero constant term (x = 0 and the roots of the
     quadratic factor).  A cluster of three mutually unresolvable roots is
     collapsed to the inflection point -c2/(3*c3), which is exact for a
-    triple root.
+    triple root.  Rows out of the bounds of ``scalar_balance`` are solved
+    balanced.
     """
+    k, m = scalar_balance(c3, c2, c1, c0)
+    if k or m:
+        scaled = [math.ldexp(c, m + i * k)
+                  for i, c in ((3, c3), (2, c2), (1, c1), (0, c0))]
+        if c3 != 0.0 and c0 != 0.0 and abs(scaled[3]) < sys.float_info.min:
+            raise OverflowError("cubic roots span beyond the float range")
+        # math.ldexp raises OverflowError where a root leaves the float range
+        return [math.ldexp(r, k) for r in scalar_real_roots(*scaled)]
     if c3 == 0.0:
         if c2 == 0.0:
             if c1 == 0.0:

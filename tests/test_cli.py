@@ -262,6 +262,20 @@ def test_fit_rejects_drive_rows_without_a_model(tmp_path, capsys, key, row,
     assert captured.out == ""
 
 
+def test_fit_rejects_degenerate_bounds(tmp_path, capsys):
+    """A free parameter whose bounds hold one point exits 2 naming them."""
+    refl = [[1.0 - 0.01 * i, 0.1, 0.5] for i in range(6)]
+    cfg = write_json(tmp_path / "fit.json", {"schema": 1, "fit": {
+        "initial": dict(DEVICE), "free": ["kerr"],
+        "bounds": {"kerr": [DEVICE["kerr"], DEVICE["kerr"]]},
+        "refl_data": refl}})
+    assert main(["fit", "--config", cfg]) == 2
+    captured = capsys.readouterr()
+    assert captured.err.startswith("error: config field 'fit.bounds.kerr'")
+    assert "empty range" in captured.err
+    assert captured.out == ""
+
+
 def test_cli_import_loads_no_scipy():
     """SciPy is imported by the fit and the line modes only, so the other
     commands do not pay its start-up cost."""

@@ -78,6 +78,43 @@ def test_one_real_root_beside_a_small_complex_pair(c1):
                           equal_nan=True)
 
 
+def mpmath_real_roots(coeffs):
+    """Real roots of the cubic with the given float coefficients, from
+    mpmath at 50 digits."""
+    mpmath = pytest.importorskip("mpmath")
+    with mpmath.workdps(50):
+        roots = mpmath.polyroots([mpmath.mpf(c) for c in coeffs],
+                                 maxsteps=500, extraprec=600)
+        return sorted(float(r.real) for r in roots
+                      if abs(r.imag) <= mpmath.mpf(10) ** -40 * abs(r))
+
+
+@pytest.mark.parametrize("coeffs", [
+    # one root near -9.565e83: the unscaled solver returned none
+    (1.142710336645715e-252, 0.0, 0.0, 1.0),
+    # -1 beside a complex pair of modulus 4.9e72: the unscaled solver
+    # overflowed
+    (1.9592649571135513e-152, -1.4882756627675344e-147,
+     4.760040471729321e-07, 4.760040471729321e-07),
+    # (x - 1)(x - 2)(x - 3) with subnormal and with huge coefficients
+    (1e-310, -6e-310, 1.1e-309, -6e-310),
+    (1e300, -6e300, 1.1e301, -6e300),
+])
+def test_badly_scaled_cubics_match_mpmath(coeffs):
+    expected = mpmath_real_roots(coeffs)
+    assert real_roots(*coeffs) == pytest.approx(expected, rel=1e-14)
+    assert scalar_real_roots(*coeffs) == real_roots(*coeffs)
+
+
+def test_roots_beyond_one_float_scale_raise():
+    """A root near -4.8e243 beside a complex pair of modulus 0.68: no one
+    power-of-two scale holds both, and the solver says so instead of
+    returning the underflowed pair's debris."""
+    with pytest.raises(OverflowError, match="float range"):
+        real_roots(-3.2932508327202477e-239, -159438.55292458864,
+                   -1.0328336045944054e-71, -73760.6958857706)
+
+
 def test_linear_degeneration():
     assert real_roots(0.0, 0.0, 2.0, -6.0) == [3.0]
     assert real_roots(0.0, 0.0, 0.0, 1.0) == []

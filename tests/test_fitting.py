@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -8,6 +9,7 @@ from kerrcav import (ConfigError, DeviceParams, FitProblem, NonConvergence,
                      intermodulation_gain, load_fit_problem, predict_gain,
                      predict_reflection, reflection_coefficient, run_fit,
                      steady_states)
+from kerrcav import fitting
 
 SQRT3 = math.sqrt(3.0)
 
@@ -59,6 +61,19 @@ def test_bounds_must_contain_guess():
     with pytest.raises(ConfigError, match="bounds"):
         FitProblem(initial=TRUE, free=("kerr",),
                    bounds={"kerr": (-1e-6, -1e-7)}, refl_data=rows)
+
+
+@pytest.mark.parametrize("bounds, name", [
+    ({"kerr": (TRUE.kerr, TRUE.kerr)}, "kerr"),
+    # the user's bounds meet the domain gamma3 >= 0 in one point
+    ({"gamma3": (-1e-3, 0.0)}, "gamma3"),
+])
+def test_degenerate_bounds_name_the_field(bounds, name):
+    rows = synth_refl_rows(TRUE, fractions=(0.5,), n_points=11)
+    start = dataclasses.replace(TRUE, gamma3=0.0)
+    with pytest.raises(ConfigError, match=rf"fit\.bounds\.{name}.*empty range"):
+        FitProblem(initial=start, free=("kerr", "gamma3"), bounds=bounds,
+                   refl_data=rows)
 
 
 def test_unknown_free_parameter_rejected():
@@ -166,9 +181,32 @@ def test_non_convergence_reports_best_so_far():
     assert math.isfinite(best.rms_residual)
 
 
+def test_active_bound_keeps_every_evaluation_valid(monkeypatch):
+    """Data from a device without two-photon loss pulls gamma3 onto its
+    bound 0; the domain bounds keep every evaluated device valid, and
+    n_evaluations counts every evaluation, the Jacobian's included."""
+    true = dataclasses.replace(TRUE, gamma3=0.0)
+    rows = synth_refl_rows(true)
+    checked = []
+    validate = fitting.validate
+
+    def spy(params):
+        report = validate(params)
+        checked.append(report.ok)
+        return report
+
+    monkeypatch.setattr(fitting, "validate", spy)
+    problem = FitProblem(initial=guessed(TRUE, 0.15), free=FREE, bounds={},
+                         refl_data=rows)
+    result = run_fit(problem)
+    assert result.converged
+    assert 0.0 <= result.params.gamma3 < 1e-7
+    assert len(checked) == result.n_evaluations and all(checked)
+
+
 def test_fit_undefined_everywhere_is_not_converged():
-    """With every b1_in zero the reflection is undefined at every point and
-    every objective value is the penalty: a failure, not a fit."""
+    """With every b1_in zero the reflection is undefined at every point, so
+    the fit stops at its first evaluation: a failure, not a fit."""
     rows = tuple((w, 0.0, r) for w, _, r
                  in synth_refl_rows(TRUE, fractions=(0.7,), n_points=11))
     problem = FitProblem(initial=guessed(TRUE, 0.1), free=FREE,

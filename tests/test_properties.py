@@ -4,6 +4,7 @@ and the commutator sum and the pump-cubic residuals over random devices."""
 import contextlib
 import io
 import json
+import math
 import os
 import tempfile
 
@@ -174,8 +175,8 @@ def test_pump_energies_solve_the_cubic(point):
         assert residual(coeffs, e) <= 1e-10
 
 
-# test_residuals_are_small's range, uniform(-3, 3) * 10^k; mantissas near
-# the underflow threshold need coefficient scaling, which the solver lacks
+# test_residuals_are_small's range, uniform(-3, 3) * 10^k; coefficients near
+# the ends of the float range are held to mpmath in test_cubic.py
 coefficients = st.one_of(st.just(0.0), st.builds(
     lambda sign, c, k: sign * c * 10.0 ** k, st.sampled_from([-1.0, 1.0]),
     st.floats(1e-3, 3.0), st.integers(-4, 3)))
@@ -191,3 +192,34 @@ def test_cubic_roots_solve_the_cubic(coeffs):
     batched = real_roots_array(*coeffs)[0]
     for r in real_roots(*coeffs) + batched[~np.isnan(batched)].tolist():
         assert residual(coeffs, r) <= 1e-10
+
+
+@st.composite
+def rescaled_cubics(draw):
+    """A cubic from the ``coefficients`` range moved exactly towards the
+    ends of the float range: 2^m c(2^k x), every nonzero coefficient kept
+    normal."""
+    coeffs = draw(st.tuples(coefficients, coefficients, coefficients,
+                            coefficients).filter(lambda c: c[0] != 0.0))
+    k = draw(st.integers(-300, 300))
+    # c_i 2^(m + (3 - i) k) must stay within the normal exponents
+    shifts = [math.frexp(c)[1] + (3 - i) * k
+              for i, c in enumerate(coeffs) if c != 0.0]
+    m = draw(st.integers(-1021 - min(shifts), 1023 - max(shifts)))
+    return tuple(math.ldexp(c, m + (3 - i) * k) for i, c in enumerate(coeffs))
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(rescaled_cubics())
+def test_rescaled_cubics_have_roots_that_solve_them(coeffs):
+    """A real cubic has a real root however its coefficients are scaled;
+    every root returned solves the cubic to the tolerance above, measured
+    at 50 digits by mpmath so that no term overflows."""
+    mpmath = pytest.importorskip("mpmath")
+    roots = real_roots(*coeffs)
+    assert roots
+    with mpmath.workdps(50):
+        for r in roots:
+            terms = [mpmath.mpf(c) * mpmath.mpf(r) ** (3 - i)
+                     for i, c in enumerate(coeffs)]
+            assert abs(mpmath.fsum(terms)) <= 1e-10 * max(map(abs, terms))
