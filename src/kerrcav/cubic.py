@@ -175,13 +175,9 @@ def _balanced(coeffs):
     ------
     OverflowError
         If a balanced full cubic's constant term underflows: its two
-        smaller roots are lost beside the largest.
+        smaller roots are too far below its largest (more than about
+        2^511) to solve at the largest's scale.
     """
-    size = np.abs(coeffs)
-    # nonzero magnitudes within 2^+-60 keep every row within the bounds
-    if (size.max() < 2.0**60
-            and np.where(size == 0.0, 1.0, size).min() > 2.0**-60):
-        return None
     nonzero = coeffs != 0.0
     col = np.arange(coeffs.shape[1])
     i = np.arange(4)[:, None]
@@ -196,13 +192,13 @@ def _balanced(coeffs):
     wild = np.isfinite(rho) & (
         (np.abs(rho) > RHO_MAX)
         | np.where(cubic, np.abs(ed + d * rho) > TERM_MAX,
-                   np.max(np.where(nonzero, np.abs(e), 0), axis=0) > EXP_MAX))
+                   np.max(np.abs(e), axis=0) > EXP_MAX))
     if not wild.any():
         return None
     k = np.where(wild, np.floor(rho), 0.0).astype(int)
     scaled = np.ldexp(coeffs, np.where(wild, -ed - d * k, 0) + i * k)
     if np.any(wild & cubic & (np.abs(scaled[0]) < np.finfo(float).tiny)):
-        raise OverflowError("cubic roots span beyond the float range")
+        raise OverflowError("cubic roots too far apart to solve at one scale")
     return scaled, k
 
 
@@ -222,8 +218,9 @@ def real_roots_array(c3, c2, c1, c0) -> np.ndarray:
     Raises
     ------
     OverflowError
-        If a balanced row has a root beyond the float range, or roots whose
-        ratio is.
+        If a balanced row has a root beyond the float range, or is a full
+        cubic whose two smaller roots lie too far below its largest to
+        solve at one scale (see :func:`_balanced`).
     """
     c3, c2, c1, c0 = rows(c3, c2, c1, c0)
     with np.errstate(all="ignore"):

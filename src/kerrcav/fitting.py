@@ -28,9 +28,10 @@ MAX_EVALUATIONS = 100_000
 
 
 class NonConvergence(RuntimeError):
-    """The fit spent its evaluation budget, met an undefined model or stopped
-    short of its tolerances; ``best`` holds the best-so-far fit (with a NaN
-    ``rms_residual`` if the model was defined at no evaluated point)."""
+    """The fit spent its evaluation budget, met an undefined model where it
+    needed a defined one or stopped short of its tolerances; ``best`` holds
+    the best-so-far fit (with a NaN ``rms_residual`` if the model was
+    undefined at the initial guess)."""
 
     def __init__(self, best: "FitResult"):
         self.best = best
@@ -129,10 +130,12 @@ def predict_gain(params: DeviceParams, omega_p, b1_in, psi1=0.0):
 def run_fit(problem: FitProblem, max_evaluations: int = MAX_EVALUATIONS) -> FitResult:
     """Least-squares fit of the free parameters to the data rows.
 
-    Returns the best evaluated parameters with their RMS residual.  Raises
-    :class:`NonConvergence` (carrying the best-so-far result) if the
-    evaluation budget is exhausted first, if the model is undefined at an
-    evaluated point (a zero drive, an overflow), or if the solver stops
+    Returns the best evaluated parameters with their RMS residual.  A
+    trial point where the model is undefined (a zero drive, an overflow)
+    gets infinite residuals, on which the solver shrinks its trust region.
+    Raises :class:`NonConvergence` (carrying the best-so-far result) if the
+    evaluation budget is exhausted first, if the model is undefined at the
+    initial guess or at a point the Jacobian needs, or if the solver stops
     short of its tolerances.
     """
     # imported here: SciPy's optimizer takes longer to import than the
@@ -152,31 +155,41 @@ def run_fit(problem: FitProblem, max_evaluations: int = MAX_EVALUATIONS) -> FitR
     def residuals(z):
         # every call counts, the finite-difference Jacobian's included
         nonlocal evaluations, best
-        r = np.nan
-        if evaluations < max_evaluations:
-            evaluations += 1
-            params = replace(problem.initial, **dict(zip(names, z * scale)))
-            try:
-                if validate(params).ok:
-                    r = np.concatenate([
-                        predict(params, rows[:, 0], rows[:, 1], problem.psi1)
-                        for predict, rows in ((predict_reflection, refl),
-                                              (predict_gain, gain))
-                        if len(rows)]) - observed
-            except (ArithmeticError, ValueError):
-                pass
-        if not np.all(np.isfinite(r)):
-            # budget spent or model undefined: stop, never hand SciPy a NaN
+        if evaluations == max_evaluations:
             raise NonConvergence(replace(best, n_evaluations=evaluations))
+        evaluations += 1
+        params = replace(problem.initial,
+                         **dict(zip(names, (z * scale).tolist())))
+        r = np.nan
+        try:
+            if validate(params).ok:
+                r = np.concatenate([
+                    predict(params, rows[:, 0], rows[:, 1], problem.psi1)
+                    for predict, rows in ((predict_reflection, refl),
+                                          (predict_gain, gain))
+                    if len(rows)]) - observed
+        except (ArithmeticError, ValueError):
+            pass
+        if not np.all(np.isfinite(r)):
+            if math.isnan(best.rms_residual):
+                # the initial guess: no defined point to fall back on
+                raise NonConvergence(replace(best, n_evaluations=evaluations))
+            return np.full(observed.size, np.inf)
         rms = math.sqrt(float(np.dot(r, r)) / r.size)
         if not rms >= best.rms_residual:
             best = FitResult(params, rms, evaluations, False)
         return r
 
-    # max_nfev lifts SciPy's own cap, which counts only the steps' calls
-    result = least_squares(residuals, x0 / scale, bounds=(lo, hi),
-                           method="trf", jac="2-point", x_scale="jac",
-                           max_nfev=max_evaluations)
+    try:
+        # max_nfev lifts SciPy's own cap, which counts only the steps' calls
+        with np.errstate(invalid="ignore"):
+            result = least_squares(residuals, x0 / scale, bounds=(lo, hi),
+                                   method="trf", jac="2-point", x_scale="jac",
+                                   max_nfev=max_evaluations)
+    except ValueError:
+        # with valid bounds and a defined initial guess, an undefined
+        # finite-difference probe made the Jacobian non-finite
+        raise NonConvergence(replace(best, n_evaluations=evaluations)) from None
     fit = replace(best, n_evaluations=evaluations,
                   converged=bool(result.success))
     if not fit.converged:

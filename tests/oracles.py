@@ -76,7 +76,7 @@ def scalar_balance(c3: float, c2: float, c1: float, c0: float):
     if c3 != 0.0 and c0 != 0.0:
         out = abs(e[d] + d * rho) > TERM_MAX
     else:
-        out = max(abs(e[i]) for i in nonzero) > EXP_MAX
+        out = max(abs(x) for x in e) > EXP_MAX
     if abs(rho) > RHO_MAX or out:
         k = math.floor(rho)
         return k, -e[d] - d * k
@@ -98,7 +98,8 @@ def scalar_real_roots(c3: float, c2: float, c1: float, c0: float) -> list[float]
         scaled = [math.ldexp(c, m + i * k)
                   for i, c in ((3, c3), (2, c2), (1, c1), (0, c0))]
         if c3 != 0.0 and c0 != 0.0 and abs(scaled[3]) < sys.float_info.min:
-            raise OverflowError("cubic roots span beyond the float range")
+            raise OverflowError("cubic roots too far apart to solve at one "
+                                "scale")
         # math.ldexp raises OverflowError where a root leaves the float range
         return [math.ldexp(r, k) for r in scalar_real_roots(*scaled)]
     if c3 == 0.0:

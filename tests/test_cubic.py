@@ -106,13 +106,18 @@ def test_badly_scaled_cubics_match_mpmath(coeffs):
     assert scalar_real_roots(*coeffs) == real_roots(*coeffs)
 
 
-def test_roots_beyond_one_float_scale_raise():
-    """A root near -4.8e243 beside a complex pair of modulus 0.68: no one
-    power-of-two scale holds both, and the solver says so instead of
-    returning the underflowed pair's debris."""
-    with pytest.raises(OverflowError, match="float range"):
-        real_roots(-3.2932508327202477e-239, -159438.55292458864,
-                   -1.0328336045944054e-71, -73760.6958857706)
+@pytest.mark.xfail(raises=OverflowError, strict=True,
+                   reason="a row is solved at its largest roots' scale, where "
+                          "a complex pair about 2^810 below them underflows")
+def test_roots_far_apart_at_one_scale():
+    """A root near -4.84e243 beside a complex pair of modulus 0.68: every
+    root and their ratio are representable, but the balanced constant term
+    underflows, so the solver raises instead of returning the root."""
+    coeffs = (-3.2932508327202477e-239, -159438.55292458864,
+              -1.0328336045944054e-71, -73760.6958857706)
+    expected = mpmath_real_roots(coeffs)
+    assert expected == pytest.approx([-4.84e243], rel=1e-3)
+    assert real_roots(*coeffs) == pytest.approx(expected, rel=1e-14)
 
 
 def test_linear_degeneration():

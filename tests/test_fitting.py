@@ -204,6 +204,38 @@ def test_active_bound_keeps_every_evaluation_valid(monkeypatch):
     assert len(checked) == result.n_evaluations and all(checked)
 
 
+@pytest.mark.parametrize("bad_call", [len(FREE) + 2, 2])
+def test_undefined_point_mid_fit(monkeypatch, bad_call):
+    """An overflow at one evaluated point.  At the first trial step (after
+    the initial guess and its len(FREE) Jacobian probes) the solver shrinks
+    its trust region and the fit still converges; at a Jacobian probe there
+    is no derivative, and the fit stops with the best fit so far."""
+    rows = synth_refl_rows(TRUE)
+    calls = []
+    predict = fitting.predict_reflection
+
+    def spy(*args):
+        calls.append(None)
+        if len(calls) == bad_call:
+            raise OverflowError("math range error")
+        return predict(*args)
+
+    monkeypatch.setattr(fitting, "predict_reflection", spy)
+    problem = FitProblem(initial=guessed(TRUE, 0.15), free=FREE,
+                         bounds=BOUNDS, refl_data=rows)
+    if bad_call == 2:
+        with pytest.raises(NonConvergence) as excinfo:
+            run_fit(problem)
+        best = excinfo.value.best
+        assert best.n_evaluations == len(calls) == len(FREE) + 1
+        assert not best.converged and math.isfinite(best.rms_residual)
+        return
+    result = run_fit(problem)
+    assert result.converged and result.n_evaluations == len(calls)
+    errors = relative_errors(result.params, TRUE)
+    assert all(err < 1e-3 for err in errors.values()), errors
+
+
 def test_fit_undefined_everywhere_is_not_converged():
     """With every b1_in zero the reflection is undefined at every point, so
     the fit stops at its first evaluation: a failure, not a fit."""
