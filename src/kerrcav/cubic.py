@@ -26,14 +26,12 @@ ROOT_TOL = 1e-8
 # A polynomial of degree d (its leading nonzero coefficient c_d) is balanced
 # by powers of two (Kahan, "To Solve a Real Cubic Equation", 1986) when the
 # binary exponent rho of its roots' scale, max_i (e_i - e_d) / (d - i) over
-# the nonzero c_i, i < d, leaves RHO_MAX; a full cubic (c3, c0 != 0) also
-# when its largest term's, e_3 + 3 rho, leaves TERM_MAX, and the rest (they
-# meet the quadratic formula) when a nonzero coefficient's leaves EXP_MAX.
-# Inside these bounds no intermediate (rho's sixth power in the cubic's
-# discriminant, a product of two coefficients in the quadratic's) over- or
-# underflows, so such rows keep their bits.
+# the nonzero c_i, i < d, leaves RHO_MAX or a nonzero coefficient's exponent
+# leaves EXP_MAX.  Inside both no intermediate over- or underflows (rho's
+# sixth power in the cubic's discriminant, a cubic's largest term, whose
+# exponent e_3 + 3 rho stays within 860, or a product of two coefficients in
+# the quadratic formula), so such rows keep their bits.
 RHO_MAX = 120.0
-TERM_MAX = 900.0
 EXP_MAX = 500
 
 
@@ -165,11 +163,12 @@ def _cubic_roots(c3, c2, c1, c0):
 
 
 def _balanced(coeffs):
-    """None if every row of ``coeffs`` (c0..c3 stacked, shape (4, n))
-    keeps within the bounds above, else the rows as 2^m c(2^k y) and k,
-    with k = m = 0 on the rows within the bounds.  A balanced row has a
-    leading coefficient in [0.5, 1) and its largest roots of order 1; the
-    scaling is exact unless a relatively negligible coefficient underflows.
+    """None if every row of ``coeffs`` (c0..c3 stacked, shape (4, n), all
+    finite) keeps within RHO_MAX and EXP_MAX, else the rows as 2^m c(2^k y)
+    and k, with k = m = 0 on the rows within the bounds.  A balanced row
+    has a leading coefficient in [0.5, 1) and its largest roots of order 1;
+    the scaling is exact unless a relatively negligible coefficient
+    underflows.
 
     Raises
     ------
@@ -188,16 +187,15 @@ def _balanced(coeffs):
     lower = nonzero & (i < d)
     rho = np.max(np.where(lower, (e - ed) / np.maximum(d - i, 1), -np.inf),
                  axis=0)
-    cubic = nonzero[0] & nonzero[3]
-    wild = np.isfinite(rho) & (
-        (np.abs(rho) > RHO_MAX)
-        | np.where(cubic, np.abs(ed + d * rho) > TERM_MAX,
-                   np.max(np.abs(e), axis=0) > EXP_MAX))
+    wild = np.isfinite(rho) & ((np.abs(rho) > RHO_MAX)
+                               | (np.max(np.abs(e), axis=0) > EXP_MAX))
     if not wild.any():
+        # every fit evaluation and README sweep: no row out of range
         return None
     k = np.where(wild, np.floor(rho), 0.0).astype(int)
     scaled = np.ldexp(coeffs, np.where(wild, -ed - d * k, 0) + i * k)
-    if np.any(wild & cubic & (np.abs(scaled[0]) < np.finfo(float).tiny)):
+    if np.any(wild & nonzero[0] & nonzero[3]
+              & (np.abs(scaled[0]) < np.finfo(float).tiny)):
         raise OverflowError("cubic roots too far apart to solve at one scale")
     return scaled, k
 
@@ -211,20 +209,24 @@ def real_roots_array(c3, c2, c1, c0) -> np.ndarray:
     (quadratic, linear, constant), and so is a zero constant term (x = 0
     and the roots of the quadratic factor).  A cluster of three mutually
     unresolvable roots is collapsed to the inflection point -c2/(3*c3),
-    which is exact for a triple root.  Rows with coefficients or roots
-    near the ends of the float range are solved balanced (see
-    :data:`RHO_MAX`).
+    which is exact for a triple root.  A row whose roots' scale or a
+    coefficient lies near the ends of the float range is solved balanced
+    by powers of two (see :data:`RHO_MAX` and :data:`EXP_MAX`).
 
     Raises
     ------
     OverflowError
-        If a balanced row has a root beyond the float range, or is a full
-        cubic whose two smaller roots lie too far below its largest to
-        solve at one scale (see :func:`_balanced`).
+        If a coefficient is infinite or NaN, if a balanced row has a root
+        beyond the float range, or if it is a full cubic whose two smaller
+        roots lie more than about 2^511 below its largest (see
+        :func:`_balanced`).
     """
     c3, c2, c1, c0 = rows(c3, c2, c1, c0)
+    coeffs = np.stack([c0, c1, c2, c3])
+    if not np.isfinite(coeffs).all():
+        raise OverflowError("cubic coefficient is not finite")
     with np.errstate(all="ignore"):
-        balanced = _balanced(np.stack([c0, c1, c2, c3]))
+        balanced = _balanced(coeffs)
         if balanced is None:
             return _dispatch(c3, c2, c1, c0)
         (c0, c1, c2, c3), k = balanced
@@ -238,6 +240,7 @@ def _dispatch(c3, c2, c1, c0):
     """:func:`real_roots_array` on the coefficients as given."""
     lead = c3 == 0.0
     if not (lead | (c0 == 0.0)).any():
+        # every fit evaluation: all rows driven full cubics
         return _cubic_roots(c3, c2, c1, c0)
     factor = ~lead & (c0 == 0.0)
     roots = np.empty((c3.size, 3))

@@ -133,10 +133,3 @@ def phase(z):
     """cmath.phase(z): atan2 of the imaginary and real parts."""
     return libm(math.atan2, z[1], z[0])
 
-
-def remainder(x, m):
-    """x % m for floats, with Python's sign rule (the result takes the sign
-    of m; fmod is exact, so NumPy's equals the C library's)."""
-    r = np.fmod(x, m)
-    r = np.where((m < 0.0) != (r < 0.0), r + m, r)
-    return np.where(r == 0.0, math.copysign(0.0, m), r)

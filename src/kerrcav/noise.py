@@ -140,11 +140,8 @@ def lo_phase_extrema(params: DeviceParams, state: SteadyState, drive: PumpDrive,
 @dataclass(frozen=True, eq=False)
 class SqueezeResults:
     """:func:`lo_phase_extrema` of each entry of a batch of branches, one
-    array per field, plus the decomposition P(phi) = mean + Re(mod
-    e^{2i phi}) (NaN where ``diverged``)."""
+    array per field."""
 
-    mean: np.ndarray
-    mod: np.ndarray
     p_min: np.ndarray
     p_max: np.ndarray
     phi_min: np.ndarray
@@ -188,8 +185,8 @@ def lo_phase_extrema_array(params: DeviceParams, states: BranchStates,
                                      conj_p))
         amp = fo.modulus(mod)
         arg = np.where(amp > 0.0, fo.phase(mod), 0.0)
-        phi_max = fo.remainder(-arg / 2.0, math.pi)
-        phi_min = fo.remainder(phi_max + math.pi / 2.0, math.pi)
+        phi_max = np.remainder(-arg / 2.0, math.pi)
+        phi_min = np.remainder(phi_max + math.pi / 2.0, math.pi)
 
     def spread(values, fill):
         out = np.full(ok.shape, fill)
@@ -197,8 +194,6 @@ def lo_phase_extrema_array(params: DeviceParams, states: BranchStates,
         return out
 
     return SqueezeResults(
-        mean=spread(mean, math.nan),
-        mod=spread(fo.pack(mod), complex(math.nan, math.nan)),
         p_min=spread(mean - amp, math.nan), p_max=spread(mean + amp, math.inf),
         phi_min=spread(phi_min, math.nan), phi_max=spread(phi_max, math.nan),
         diverged=diverged)
@@ -224,7 +219,8 @@ def squeeze_columns(params: DeviceParams, env: ThermalEnv,
     from one batched pass."""
     crit = critical_point(params)
     if not crit.exists:
-        raise ValueError("no critical point: |kerr| <= sqrt(3)*gamma3")
+        raise ValueError("no critical point: it needs |kerr| > sqrt(3)*gamma3 "
+                         "and gamma1 > 0")
     fractions = np.asarray(pump_fractions, dtype=float)
     states = settled_states(params, crit.omega_p, fractions * crit.drive, psi1)
     ext = lo_phase_extrema_array(params, states, env, 0.0)

@@ -249,6 +249,7 @@ def transfer_coefficients_array(params: DeviceParams, states: BranchStates,
         numerators = {"refl": (
             fo.sub(d, fo.mul((2.0 * g1, 0.0), zw)),
             fo.mul(fo.mul((2.0 * g1, 0.0), v), fo.parts(cmath.exp(-2j * p1))))}
+        # gain sweeps and fits ask for the test port alone
         if "loss" in ports:
             s12 = math.sqrt(g1 * g2)
             numerators["loss"] = (

@@ -225,14 +225,9 @@ def _merge_folds(kept):
 def _branch_energies(c3, c2, c1, c0):
     """Nonnegative roots of each row's pump cubic, (n, 3), ascending and
     NaN-padded: rounding negatives clamp to zero, genuine negatives drop,
-    and a fold double root double precision cannot split appears once."""
-    undriven = c0 == 0.0
-    if undriven.any():
-        # an undriven row solves the quadratic factor c3 E^2 + c2 E + c1
-        c3, c2, c1, c0 = (np.where(undriven, 0.0, c3),
-                          np.where(undriven, c3, c2),
-                          np.where(undriven, c2, c1),
-                          np.where(undriven, c1, c0))
+    and a fold double root double precision cannot split appears once.
+    An undriven row (c0 = 0) keeps E = 0 alone: for gamma > 0 its quadratic
+    factor has no positive root."""
     roots = real_roots_array(c3, c2, c1, c0)
     # clamp rounding negatives to 0 and drop the rest, which lead a row
     energy = np.maximum(roots, 0.0)
@@ -243,12 +238,6 @@ def _branch_energies(c3, c2, c1, c0):
     multi = np.flatnonzero(~np.isnan(energy[:, 1]))
     if multi.size:
         energy[multi] = _merge_folds(energy[multi])
-    if undriven.any():
-        # E = 0 plus the positive roots of the quadratic factor, unmerged
-        quad = roots[undriven]
-        energy[undriven] = np.sort(np.column_stack(
-            [np.zeros(len(quad)), np.where(quad > 0.0, quad, np.nan)[:, :2]]),
-            axis=1)
     return energy
 
 
@@ -341,7 +330,7 @@ def settled_states(params: DeviceParams, omega_p, b_in,
     states = branch_states(params, omega_p, b_in, phase)
     first = np.flatnonzero(states.branch_index == 0)
     if first.size == states.energy.size:
-        # one branch at every drive
+        # one branch at every drive, as at a fit's sub-critical drives
         return states
     by_drive = np.zeros((first.size, 3), dtype=bool)
     by_drive[states.row, states.branch_index] = states.stable

@@ -19,6 +19,12 @@ class Table:
     columns: list[str]
     rows: list[list[Cell]] = field(default_factory=list)
 
+    def __post_init__(self):
+        if not self.columns:
+            raise ValueError("a table needs at least one column")
+        if not set(map(len, self.rows)) <= {len(self.columns)}:
+            raise ValueError(f"every row needs {len(self.columns)} cells")
+
     def append(self, *cells: Cell) -> None:
         if len(cells) != len(self.columns):
             raise ValueError(f"row has {len(cells)} cells, expected {len(self.columns)}")
@@ -87,13 +93,8 @@ def _lines(table: Table, sep: str, quote: bool) -> list[str]:
     """The rows as text, built column by column: a column of one type is
     formatted in one pass, each distinct value once."""
     by_type = _JSON_CELL if quote else _CSV_CELL
-    rows = table.rows
-    widths = {len(row) for row in rows}
-    if len(widths) != 1 or widths == {0}:
-        # no rows, no columns or rows of unequal length
-        return [sep.join(_cell_text(c, by_type) for c in row) for row in rows]
     columns = []
-    for values in zip(*rows):
+    for values in zip(*table.rows):
         kinds = set(map(type, values))
         kind = kinds.pop() if len(kinds) == 1 else None
         if kind is float:

@@ -131,6 +131,22 @@ def test_overflowing_drive_is_numeric_error(tmp_path, capsys):
     assert captured.out == ""
 
 
+def test_overflowing_kerr_names_the_coefficient(tmp_path, capsys):
+    """K^2 overflows to inf: the cubic rejects the non-finite coefficient
+    instead of reporting roots too far apart."""
+    cfg = write_json(tmp_path / "kerr.json", {
+        "schema": 1,
+        "device": dict(DEVICE, kerr=-1e200),
+        "drive": {"omega_p": {"start": 0.95, "stop": 1.0, "count": 3},
+                  "b1_in": [0.01]},
+    })
+    assert main(["steady-sweep", "--config", cfg]) == 3
+    captured = capsys.readouterr()
+    assert captured.err == ("error: numeric failure: cubic coefficient is "
+                            "not finite\n")
+    assert captured.out == ""
+
+
 def test_missing_config_is_io_error(tmp_path, capsys):
     assert main(["critical", "--config", str(tmp_path / "nope.json")]) == 4
 

@@ -242,6 +242,15 @@ def test_squeeze_vs_pump_requires_critical_point():
         squeeze_vs_pump(params, COLD, [0.5])
 
 
+@pytest.mark.parametrize("kerr, gamma1", [(0.0, 0.01), (-1e-4, 0.0)])
+def test_missing_critical_point_names_both_conditions(kerr, gamma1):
+    params = DeviceParams(omega0=1.0, kerr=kerr, gamma1=gamma1, gamma2=0.01,
+                          gamma3=1e-5)
+    with pytest.raises(ValueError, match=r"\|kerr\| > sqrt\(3\)\*gamma3 "
+                                         r"and gamma1 > 0"):
+        squeeze_vs_pump(params, COLD, [0.5])
+
+
 def test_squeeze_vs_pump_flags_above_critical(fig_device):
     rows = squeeze_vs_pump(fig_device, COLD, [0.5, 1.4])
     assert not rows[0].above_critical

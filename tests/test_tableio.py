@@ -1,3 +1,4 @@
+import json
 import math
 
 import pytest
@@ -42,6 +43,20 @@ def test_row_width_checked():
     table = Table(["a", "b"])
     with pytest.raises(ValueError):
         table.append(1.0)
+
+
+@pytest.mark.parametrize("columns, rows", [
+    (["a", "b"], [[1.0], [1.0, 2.0, 3.0]]),
+    (["a", "b"], [[1.0, 2.0], []]),
+    ([], []),
+    ([], [[]]),
+])
+def test_tables_are_rectangular(columns, rows):
+    with pytest.raises(ValueError):
+        Table(columns, rows)
+    with pytest.raises(ValueError):
+        parse_json(json.dumps({"schema": 1, "columns": columns,
+                               "rows": rows}))
 
 
 def test_json_parse_round_trip():
