@@ -26,12 +26,17 @@ ROOT_TOL = 1e-8
 # A polynomial of degree d (its leading nonzero coefficient c_d) is balanced
 # by powers of two (Kahan, "To Solve a Real Cubic Equation", 1986) when the
 # binary exponent rho of its roots' scale, max_i (e_i - e_d) / (d - i) over
-# the nonzero c_i, i < d, leaves RHO_MAX or a nonzero coefficient's exponent
-# leaves EXP_MAX.  Inside both no intermediate over- or underflows (rho's
-# sixth power in the cubic's discriminant, a cubic's largest term, whose
-# exponent e_3 + 3 rho stays within 860, or a product of two coefficients in
-# the quadratic formula), so such rows keep their bits.
+# the nonzero c_i, i < d, leaves RHO_MAX; a full cubic (c3, c0 != 0) also
+# when its largest term's, e_3 + 3 rho, leaves TERM_MAX, and the rest (they
+# meet the quadratic formula) when a nonzero coefficient's leaves EXP_MAX.
+# Inside these bounds no intermediate (rho's sixth power in the cubic's
+# discriminant, a product of two coefficients in the quadratic's) over- or
+# underflows, so such rows keep their bits.  A full cubic is not held to
+# EXP_MAX: balancing it to its largest roots' scale can underflow a constant
+# term that the unbalanced solver resolves (a drive of 1e-155 on the README
+# device gives one).
 RHO_MAX = 120.0
+TERM_MAX = 900.0
 EXP_MAX = 500
 
 
@@ -164,7 +169,7 @@ def _cubic_roots(c3, c2, c1, c0):
 
 def _balanced(coeffs):
     """None if every row of ``coeffs`` (c0..c3 stacked, shape (4, n), all
-    finite) keeps within RHO_MAX and EXP_MAX, else the rows as 2^m c(2^k y)
+    finite) keeps within the bounds above, else the rows as 2^m c(2^k y)
     and k, with k = m = 0 on the rows within the bounds.  A balanced row
     has a leading coefficient in [0.5, 1) and its largest roots of order 1;
     the scaling is exact unless a relatively negligible coefficient
@@ -187,15 +192,17 @@ def _balanced(coeffs):
     lower = nonzero & (i < d)
     rho = np.max(np.where(lower, (e - ed) / np.maximum(d - i, 1), -np.inf),
                  axis=0)
-    wild = np.isfinite(rho) & ((np.abs(rho) > RHO_MAX)
-                               | (np.max(np.abs(e), axis=0) > EXP_MAX))
+    cubic = nonzero[0] & nonzero[3]
+    wild = np.isfinite(rho) & (
+        (np.abs(rho) > RHO_MAX)
+        | np.where(cubic, np.abs(ed + d * rho) > TERM_MAX,
+                   np.max(np.abs(e), axis=0) > EXP_MAX))
     if not wild.any():
         # every fit evaluation and README sweep: no row out of range
         return None
     k = np.where(wild, np.floor(rho), 0.0).astype(int)
     scaled = np.ldexp(coeffs, np.where(wild, -ed - d * k, 0) + i * k)
-    if np.any(wild & nonzero[0] & nonzero[3]
-              & (np.abs(scaled[0]) < np.finfo(float).tiny)):
+    if np.any(wild & cubic & (np.abs(scaled[0]) < np.finfo(float).tiny)):
         raise OverflowError("cubic roots too far apart to solve at one scale")
     return scaled, k
 
@@ -209,9 +216,9 @@ def real_roots_array(c3, c2, c1, c0) -> np.ndarray:
     (quadratic, linear, constant), and so is a zero constant term (x = 0
     and the roots of the quadratic factor).  A cluster of three mutually
     unresolvable roots is collapsed to the inflection point -c2/(3*c3),
-    which is exact for a triple root.  A row whose roots' scale or a
-    coefficient lies near the ends of the float range is solved balanced
-    by powers of two (see :data:`RHO_MAX` and :data:`EXP_MAX`).
+    which is exact for a triple root.  A row whose roots' scale, largest
+    term or coefficients lie near the ends of the float range is solved
+    balanced by powers of two (see :data:`RHO_MAX`).
 
     Raises
     ------

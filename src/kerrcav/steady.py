@@ -227,7 +227,8 @@ def _branch_energies(c3, c2, c1, c0):
     NaN-padded: rounding negatives clamp to zero, genuine negatives drop,
     and a fold double root double precision cannot split appears once.
     An undriven row (c0 = 0) keeps E = 0 alone: for gamma > 0 its quadratic
-    factor has no positive root."""
+    factor has no positive root in exact arithmetic (with gamma3 = 0 and a
+    detuning far beyond gamma, rounding can report a spurious one)."""
     roots = real_roots_array(c3, c2, c1, c0)
     # clamp rounding negatives to 0 and drop the rest, which lead a row
     energy = np.maximum(roots, 0.0)

@@ -16,7 +16,8 @@ import numpy as np
 from kerrcav import (DegenerateModel, PumpDrive, SingularResponse,
                      SteadyState, branch_states, cubic_coefficients,
                      transfer_coefficients)
-from kerrcav.cubic import EXP_MAX, RHO_MAX, ROOT_TOL, TRIPLE_TOL
+from kerrcav.cubic import (EXP_MAX, RHO_MAX, ROOT_TOL, TERM_MAX,
+                           TRIPLE_TOL)
 from kerrcav.steady import MARGINAL_TOL, MERGE_TOL
 
 
@@ -63,7 +64,7 @@ def _polish(root: float, c3: float, c2: float, c1: float, c0: float) -> float:
 
 def scalar_balance(c3: float, c2: float, c1: float, c0: float):
     """(k, m) such that 2^m c(2^k y) is balanced, for a polynomial out of
-    the bounds RHO_MAX and EXP_MAX, else (0, 0):
+    the bounds RHO_MAX, TERM_MAX and EXP_MAX, else (0, 0):
     ``cubic._balanced`` for one row."""
     coeffs = (c0, c1, c2, c3)
     nonzero = [i for i, c in enumerate(coeffs) if c != 0.0]
@@ -72,7 +73,11 @@ def scalar_balance(c3: float, c2: float, c1: float, c0: float):
     d = nonzero[-1]
     e = [math.frexp(c)[1] for c in coeffs]
     rho = max((e[i] - e[d]) / (d - i) for i in nonzero[:-1])
-    if abs(rho) > RHO_MAX or max(abs(x) for x in e) > EXP_MAX:
+    if c3 != 0.0 and c0 != 0.0:
+        out = abs(e[d] + d * rho) > TERM_MAX
+    else:
+        out = max(abs(x) for x in e) > EXP_MAX
+    if abs(rho) > RHO_MAX or out:
         k = math.floor(rho)
         return k, -e[d] - d * k
     return 0, 0

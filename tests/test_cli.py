@@ -7,7 +7,9 @@ import sys
 import numpy as np
 import pytest
 
-from kerrcav import critical_point, load_config, parse_json, predict_reflection
+from kerrcav import (DeviceParams, PumpDrive, critical_point,
+                     cubic_coefficients, load_config, parse_json,
+                     predict_reflection)
 from kerrcav.cli import main
 from conftest import make_uniform_profile
 
@@ -129,6 +131,30 @@ def test_overflowing_drive_is_numeric_error(tmp_path, capsys):
     assert captured.err.startswith("error:")
     assert "Traceback" not in captured.err
     assert captured.out == ""
+
+
+def test_tiny_drive_keeps_its_steady_state(tmp_path, capsys):
+    """On the README device a drive of 1e-155 makes the cubic's constant
+    term subnormal; its one steady state, E ~ -c0/c1 ~ 4.5e-309, is still
+    found rather than lost to balancing at the larger roots' scale."""
+    device = {"omega0": 1.0, "kerr": -1e-4, "gamma1": 0.01, "gamma2": 0.011,
+              "gamma3": 5.8e-7}
+    cfg = write_json(tmp_path / "tiny.json", {
+        "schema": 1,
+        "device": device,
+        "drive": {"omega_p": {"start": 0.95, "stop": 1.0, "count": 3},
+                  "b1_in": [1e-155]},
+    })
+    assert main(["steady-sweep", "--config", cfg]) == 0
+    header, *rows = capsys.readouterr().out.strip().splitlines()
+    assert header.split(",")[:4] == ["b1_in", "omega_p", "branch", "E"]
+    assert len(rows) == 3
+    params = DeviceParams(**device)
+    for row in rows:
+        omega_p, energy = float(row.split(",")[1]), float(row.split(",")[3])
+        c3, c2, c1, c0 = cubic_coefficients(
+            params, PumpDrive(omega_p=omega_p, amplitude=1e-155))
+        assert 0.0 < energy == pytest.approx(-c0 / c1, rel=1e-9)
 
 
 def test_overflowing_kerr_names_the_coefficient(tmp_path, capsys):

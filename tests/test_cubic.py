@@ -106,44 +106,17 @@ def test_badly_scaled_cubics_match_mpmath(coeffs):
     assert scalar_real_roots(*coeffs) == real_roots(*coeffs)
 
 
-def mpmath_roots_near(coeffs, starts):
-    """The roots of the cubic that mpmath.findroot reaches from each start,
-    at 50 digits.  It solves for x / start, near 1, and zeroes the cubic
-    relative to the sum of its terms' magnitudes, so that its absolute
-    tolerances hold at any scale."""
-    mpmath = pytest.importorskip("mpmath")
-    with mpmath.workdps(50):
-        c = [mpmath.mpf(x) for x in coeffs]
-        size = [abs(x) for x in c]
-        roots = []
-        for s in map(mpmath.mpf, starts):
-            def relative(t):
-                return mpmath.polyval(c, s * t) / mpmath.polyval(size,
-                                                                 abs(s * t))
-            roots.append(float(s * mpmath.findroot(relative, 1)))
-        return sorted(roots)
-
-
 @pytest.mark.xfail(raises=OverflowError, strict=True,
                    reason="a row is solved at its largest roots' scale, where "
-                          "its smaller roots, more than 2^511 below, underflow")
-@pytest.mark.parametrize("coeffs, approx_roots", [
-    # a root near -4.84e243 beside a complex pair of modulus 0.68
-    ((-3.2932508327202477e-239, -159438.55292458864,
-      -1.0328336045944054e-71, -73760.6958857706), [-4.84e243]),
-    # -2^110 beside the real pair +-2^-405 (polyroots returns 0.0 for the
-    # pair)
-    ((2.0**400, 2.0**510, 0.0, -2.0**-300),
-     [-1.298e33, -1.21e-122, 1.21e-122]),
-    # -1 beside a complex pair of modulus 2^-520
-    ((1.0, 1.0, 0.0, 2.0**-1040), [-1.0]),
-], ids=["complex-pair", "real-pair", "subnormal-term"])
-def test_roots_far_apart_at_one_scale(coeffs, approx_roots):
-    """Every root and their ratios are representable, but the balanced
-    constant term underflows, so the solver raises instead of returning
-    the roots."""
-    expected = mpmath_roots_near(coeffs, approx_roots)
-    assert expected == pytest.approx(approx_roots, rel=1e-3)
+                          "a complex pair about 2^810 below them underflows")
+def test_roots_far_apart_at_one_scale():
+    """A root near -4.84e243 beside a complex pair of modulus 0.68: every
+    root and their ratio are representable, but the balanced constant term
+    underflows, so the solver raises instead of returning the root."""
+    coeffs = (-3.2932508327202477e-239, -159438.55292458864,
+              -1.0328336045944054e-71, -73760.6958857706)
+    expected = mpmath_real_roots(coeffs)
+    assert expected == pytest.approx([-4.84e243], rel=1e-3)
     assert real_roots(*coeffs) == pytest.approx(expected, rel=1e-14)
 
 
