@@ -27,7 +27,8 @@ from .steady import (BranchStates, DegenerateModel, SteadyState,
 from .stripline import (LineProfile, ModeSolution, ResolutionError,
                         SameModeError, cross_kerr, derive_device,
                         gamma2_from_profile, gamma3_from_profile,
-                        kerr_constant, load_profile, solve_modes)
+                        kerr_constant, load_profile, solve_mode,
+                        solve_modes)
 from .sweeps import (ConfigError, SweepConfig, load_config, load_config_file,
                      run_critical, run_gain_sweep, run_line_derive,
                      run_squeeze_sweep, run_steady_sweep)
@@ -53,7 +54,8 @@ __all__ = [
     "real_roots", "real_roots_array", "reflection_coefficient", "render",
     "response_peak_detuning", "run_critical", "run_fit", "run_gain_sweep",
     "run_line_derive", "run_squeeze_sweep", "run_steady_sweep",
-    "settled_state", "settled_states", "solve_modes", "solve_pump_energy",
+    "settled_state", "settled_states", "solve_mode", "solve_modes",
+    "solve_pump_energy",
     "squeeze_vs_pump", "steady_state", "steady_states",
     "thermal_occupation", "to_csv", "to_json", "transfer_coefficients",
     "transfer_coefficients_array", "validate",

@@ -122,28 +122,23 @@ def load_profile(path) -> LineProfile:
         raise ValueError(f"profile file {path}: {exc}") from exc
 
 
-def solve_modes(profile: LineProfile, n_modes: int) -> list[ModeSolution]:
-    """Lowest ``n_modes`` eigenmodes of the line, frequencies ascending.
+def _eigenmodes(profile: LineProfile, first: int, last: int):
+    """Modes ``first``..``last`` (1-based) of the line, frequencies
+    ascending.
 
     Second-order central differences with 1/C sampled at cell midpoints give
     a symmetric tridiagonal problem; the L0 weight is folded in through its
     diagonal square root, so eigenvalues are real and orderable.
-
-    Raises
-    ------
-    ResolutionError
-        If ``n_modes`` exceeds n_grid / 4 (modes that coarse are not
-        resolved at second order).
     """
     # imported here: SciPy's linear algebra is needed only by the line
     # modes and slows every other command's start-up
     from scipy.linalg import eigh_tridiagonal
 
-    if n_modes < 1:
-        raise ValueError("n_modes must be >= 1")
-    if n_modes > profile.n_grid // 4:
+    if first < 1:
+        raise ValueError("mode indices start at 1")
+    if last > profile.n_grid // 4:
         raise ResolutionError(
-            f"{n_modes} modes need a grid of at least {4 * n_modes} points "
+            f"{last} modes need a grid of at least {4 * last} points "
             f"(have {profile.n_grid})")
     x = profile.x
     h = x[1] - x[0]
@@ -153,17 +148,44 @@ def solve_modes(profile: LineProfile, n_modes: int) -> list[ModeSolution]:
     diag = (mid[:-1] + mid[1:]) / (h * h * w)
     off = -mid[1:-1] / (h * h * np.sqrt(w[:-1] * w[1:]))
     vals, vecs = eigh_tridiagonal(diag, off, select="i",
-                                  select_range=(0, n_modes - 1))
+                                  select_range=(first - 1, last - 1))
     modes = []
-    for i in range(n_modes):
+    for i, index in enumerate(range(first, last + 1)):
         u = np.zeros(profile.n_grid)
         u[1:-1] = vecs[:, i] / np.sqrt(w)
         norm = np.trapezoid(profile.L0 * u * u, x)
         u /= np.sqrt(norm)
         if u[1] < 0.0:
             u = -u
-        modes.append(ModeSolution(index=i + 1, omega_n=float(np.sqrt(vals[i])), u=u))
+        modes.append(ModeSolution(index=index, omega_n=float(np.sqrt(vals[i])),
+                                  u=u))
     return modes
+
+
+def solve_modes(profile: LineProfile, n_modes: int) -> list[ModeSolution]:
+    """Lowest ``n_modes`` eigenmodes of the line, frequencies ascending.
+
+    Raises
+    ------
+    ResolutionError
+        If ``n_modes`` exceeds n_grid / 4 (modes that coarse are not
+        resolved at second order).
+    """
+    if n_modes < 1:
+        raise ValueError("n_modes must be >= 1")
+    return _eigenmodes(profile, 1, n_modes)
+
+
+def solve_mode(profile: LineProfile, index: int) -> ModeSolution:
+    """Eigenmode number ``index`` (1-based) alone: the eigensolver is asked
+    for that one eigenpair, not for every lower mode.
+
+    Raises
+    ------
+    ResolutionError
+        If ``index`` exceeds n_grid / 4.
+    """
+    return _eigenmodes(profile, index, index)[0]
 
 
 def kerr_constant(profile: LineProfile, mode: ModeSolution) -> float:
@@ -222,8 +244,7 @@ def derive_device(profile: LineProfile, mode_index: int,
     The input-port rate ``gamma1`` is supplied by the caller (port coupling
     is not part of the line profile); phases are zeroed.
     """
-    modes = solve_modes(profile, mode_index)
-    mode = modes[mode_index - 1]
+    mode = solve_mode(profile, mode_index)
     return DeviceParams(
         omega0=mode.omega_n,
         kerr=kerr_constant(profile, mode),

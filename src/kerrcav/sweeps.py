@@ -24,7 +24,7 @@ from .smallsignal import transfer_coefficients_array
 from .steady import branch_states
 from .stripline import (derive_device, gamma2_from_profile,
                         gamma3_from_profile, kerr_constant, load_profile,
-                        solve_modes)
+                        solve_mode)
 from .tableio import Table
 
 SCHEMA_VERSION = 1
@@ -219,13 +219,6 @@ def load_config_file(path) -> SweepConfig:
     return load_config(data, base_dir=os.path.dirname(os.path.abspath(path)))
 
 
-def _table(columns, *values) -> Table:
-    """A table from one array per column.  ``tolist`` turns the cells into
-    Python floats, ints and bools, which is what the table formats."""
-    return Table(list(columns),
-                 list(map(list, zip(*(v.tolist() for v in values)))))
-
-
 def _grid_states(config: SweepConfig):
     """Every branch at every grid point, amplitude-major."""
     n_omega, n_amp = len(config.omega_p_grid), len(config.amplitudes)
@@ -251,10 +244,10 @@ def run_steady_sweep(config: SweepConfig) -> Table:
     ang = np.full(driven.shape, math.nan)
     mag[driven] = fo.modulus(refl)
     ang[driven] = fo.phase(refl)
-    return _table(STEADY_COLUMNS, states.b_in, states.omega_p,
-                  states.branch_index, states.energy, states.amplitude,
-                  states.phase, mag, ang, states.lambda_slow.real,
-                  states.lambda_slow.imag, states.stable)
+    return Table.from_columns(STEADY_COLUMNS, [
+        states.b_in, states.omega_p, states.branch_index, states.energy,
+        states.amplitude, states.phase, mag, ang, states.lambda_slow.real,
+        states.lambda_slow.imag, states.stable])
 
 
 def run_gain_sweep(config: SweepConfig) -> Table:
@@ -279,9 +272,10 @@ def run_gain_sweep(config: SweepConfig) -> Table:
     def per_row(x):
         return np.repeat(x, omega.shape[1])
 
-    return _table(GAIN_COLUMNS, per_row(states.b_in), per_row(states.omega_p),
-                  per_row(states.branch_index), omega.ravel(), gs, gi,
-                  ~(np.isfinite(gs) & np.isfinite(gi)))
+    return Table.from_columns(GAIN_COLUMNS, [
+        per_row(states.b_in), per_row(states.omega_p),
+        per_row(states.branch_index), omega.ravel(), gs, gi,
+        ~(np.isfinite(gs) & np.isfinite(gi))])
 
 
 def run_squeeze_sweep(config: SweepConfig) -> Table:
@@ -294,9 +288,9 @@ def run_squeeze_sweep(config: SweepConfig) -> Table:
                                     "(|kerr| > sqrt(3)*gamma3 and gamma1 > 0)")
     columns = squeeze_columns(config.device, config.env,
                               config.pump_fractions, psi1=config.psi1)
-    return _table(SQUEEZE_COLUMNS, *(columns[name] for name in (
+    return Table.from_columns(SQUEEZE_COLUMNS, [columns[name] for name in (
         "fraction", "p_min0", "p_max0", "phi_min", "above_critical",
-        "diverged")))
+        "diverged")])
 
 
 def run_critical(device: DeviceParams) -> Table:
@@ -312,7 +306,7 @@ def run_line_derive(profile_path, mode_index: int, gamma1: float) -> Table:
     """Derived lumped parameters of one line mode, plus the raw quadratures."""
     gamma1 = _number(gamma1, "--gamma1", minimum=0.0)
     profile = load_profile(profile_path)
-    mode = solve_modes(profile, mode_index)[mode_index - 1]
+    mode = solve_mode(profile, mode_index)
     x = profile.x
     quad_u4_dl = float(np.trapezoid(mode.u**4 * profile.dL, x))
     quad_u2_r0 = float(np.trapezoid(mode.u**2 * profile.R0, x))

@@ -1,38 +1,106 @@
 """Deterministic tabular output: CSV and JSON with fixed float formatting.
 
-Floats are always written in 17-significant-digit scientific notation so
+A :class:`Table` holds one typed column per name: a 1-d NumPy array of
+floats, integers, booleans or strings, never a mix.  A sweep hands its
+result arrays over as they are; ``append`` adds one row at a time for the
+one-row records.
+
+Floats are always written as ``"%.16e"`` (17 significant digits) so
 identical inputs produce byte-identical files; non-finite values render as
 "nan"/"inf"/"-inf" (quoted strings in JSON, which has no literals for
-them).  Parsing an emitted JSON table and re-emitting it reproduces the
-bytes exactly.
+them).  Every float cell of a table is formatted in one NumPy pass: the
+value's mantissa times a double-double power of ten gives the 17-digit
+integer with a bound on its error (after Adams, "Ryu: fast float-to-string
+conversion", PLDI 2018), and the digits are written into a byte buffer.
+The text is exactly CPython's.  Where the bound cannot certify the
+rounding (a value within about 1e-14 of the last digit's halfway point,
+exact ties included) the cell falls back to ``"%.16e" %``, as do NaN,
+infinities and subnormals; each distinct value is then formatted once.
+Parsing an emitted JSON table and re-emitting it reproduces the bytes
+exactly.
 """
 
+import functools
 import json
-import math
-from dataclasses import dataclass, field
+
+import numpy as np
 
 Cell = float | int | bool | str
 
+# the Python type of a column by NumPy dtype kind
+_KINDS = {"b": bool, "i": int, "u": int, "f": float, "U": str}
+_NON_FINITE = ("nan", "inf", "-inf")
 
-@dataclass
+
+def _typed(values) -> np.ndarray:
+    """``values`` as a read-only 1-d array of one cell type."""
+    if isinstance(values, np.ndarray) and values.dtype.kind in _KINDS:
+        array = values
+    else:
+        kinds = {_KINDS.get(np.dtype(t).kind) for t in set(map(type, values))}
+        if None in kinds:
+            raise ValueError("a cell must be a float, int, bool or str")
+        if len(kinds) > 1:
+            names = sorted(k.__name__ for k in kinds)
+            raise ValueError(f"a column holds one cell type, got {names}")
+        array = np.array(values, dtype=kinds.pop() if kinds else float)
+    if array.ndim != 1:
+        raise ValueError("a column must be 1-d")
+    if array.dtype.kind == "f":
+        array = array.astype(np.float64, copy=False)
+    if array.dtype.kind == "U" and any("\0" in v for v in array.tolist()):
+        raise ValueError("a str cell may not hold a NUL character")
+    view = array.view()
+    view.flags.writeable = False
+    return view
+
+
 class Table:
-    columns: list[str]
-    rows: list[list[Cell]] = field(default_factory=list)
+    """Named, typed columns of equal length.
 
-    def __post_init__(self):
-        if not self.columns:
+    ``rows`` gives the cells row by row; :meth:`from_columns` takes one
+    array per column instead.  A column of zero rows has no cell type yet.
+    A str cell may not hold a NUL character.
+    """
+
+    def __init__(self, columns: list[str], rows=()):
+        rows = list(rows)
+        if not set(map(len, rows)) <= {len(columns)}:
+            raise ValueError(f"every row needs {len(columns)} cells")
+        self._set(columns, list(zip(*rows)) or [()] * len(columns))
+
+    @classmethod
+    def from_columns(cls, columns: list[str], arrays) -> "Table":
+        table = cls.__new__(cls)
+        table._set(columns, list(arrays))
+        return table
+
+    def _set(self, columns, data):
+        if not columns:
             raise ValueError("a table needs at least one column")
-        if not set(map(len, self.rows)) <= {len(self.columns)}:
-            raise ValueError(f"every row needs {len(self.columns)} cells")
+        if len(data) != len(columns):
+            raise ValueError(f"{len(data)} columns of data for "
+                             f"{len(columns)} names")
+        self.columns = list(columns)
+        self._data = list(map(_typed, data))
+        if len(set(map(len, self._data))) > 1:
+            raise ValueError("every column needs the same length")
+
+    @property
+    def rows(self) -> list[tuple]:
+        """The cells row by row, as Python values (a copy)."""
+        return list(zip(*(column.tolist() for column in self._data)))
 
     def append(self, *cells: Cell) -> None:
+        """Add one row; for short tables (it rebuilds every column)."""
         if len(cells) != len(self.columns):
             raise ValueError(f"row has {len(cells)} cells, expected {len(self.columns)}")
-        self.rows.append(list(cells))
+        self._data = [_typed([*column.tolist(), cell])
+                      for column, cell in zip(self._data, cells)]
 
-    def column(self, name: str) -> list[Cell]:
-        i = self.columns.index(name)
-        return [row[i] for row in self.rows]
+    def column(self, name: str) -> np.ndarray:
+        """The stored (read-only) column."""
+        return self._data[self.columns.index(name)]
 
 
 def format_float(x: float) -> str:
@@ -41,95 +109,214 @@ def format_float(x: float) -> str:
     return f"{x:.16e}"
 
 
-def _bool_text(cell: bool) -> str:
-    return "true" if cell else "false"
+# ---------------------------------------------------------- float cells
+
+_WIDTH = 24  # "-d.dddddddddddddddde-ddd", the longest "%.16e" text
+_BLOCK_CELLS = 1 << 14  # cells rendered at once
+_K_MIN, _K_MAX = -294, 326  # powers 10^k that bring a normal double to 17 digits
+_TINY = 2.2250738585072014e-308  # smallest normal double
+_HUGE = 1.7976931348623157e308  # largest finite double
+# The scaled value s = x * 10^k in [1e16, 1e17) carries a relative error
+# below 2^-104 (table, two products, one sum), so below 5e-15 in units of
+# its last digit; a rounding is certified when s sits further than this
+# from a halfway point.
+_MARGIN = 1e-14
+_E_MAX = 309  # the largest decimal exponent of a double
 
 
-def _json_float(cell: float) -> str:
-    text = f"{cell:.16e}"
-    # JSON has no literal for nan/inf; keep them as strings
-    return text if math.isfinite(cell) else f'"{text}"'
-
-
-# cell text by the cell's type; ``object`` formats any other type
-_CSV_CELL = {float: format_float, bool: _bool_text, int: str, str: str,
-             object: str}
-_JSON_CELL = {float: _json_float, bool: _bool_text, int: str, str: json.dumps,
-              object: json.dumps}
-
-
-def _cell_text(cell: Cell, by_type) -> str:
-    text = by_type.get(type(cell))
-    if text is not None:
-        return text(cell)
-    # subclasses format as their base type
-    for kind in (bool, int, float):
-        if isinstance(cell, kind):
-            return by_type[kind](cell)
-    return by_type[object](cell)
-
-
-def _float_texts(values: tuple, quote: bool) -> list[str]:
-    """:func:`format_float` of each value; with ``quote``, non-finite texts
-    in JSON quotes.  A value repeated across the column is formatted once,
-    except zeros: 0.0 and -0.0 are one dict key but two texts."""
-    distinct = dict.fromkeys(values)
-    if 2 * len(distinct) <= len(values):
-        memo = {v: f"{v:.16e}" for v in distinct}
-        texts = list(map(memo.__getitem__, values))
-        if 0.0 in memo:
-            texts = [f"{v:.16e}" if v == 0.0 else t
-                     for v, t in zip(values, texts)]
-    else:
-        texts = ("%.16e\n" * len(values) % values).split("\n")[:-1]
-    if quote and not all(map(math.isfinite, distinct)):
-        # JSON has no literal for nan/inf; keep them as strings
-        texts = [t if math.isfinite(v) else f'"{t}"'
-                 for v, t in zip(values, texts)]
-    return texts
-
-
-def _lines(table: Table, sep: str, quote: bool) -> list[str]:
-    """The rows as text, built column by column: a column of one type is
-    formatted in one pass, each distinct value once."""
-    by_type = _JSON_CELL if quote else _CSV_CELL
-    columns = []
-    for values in zip(*table.rows):
-        kinds = set(map(type, values))
-        kind = kinds.pop() if len(kinds) == 1 else None
-        if kind is float:
-            texts = _float_texts(values, quote)
-        elif kind in by_type:
-            memo = {v: by_type[kind](v) for v in dict.fromkeys(values)}
-            texts = list(map(memo.__getitem__, values))
+@functools.cache
+def _tables():
+    """Double-double powers of ten, 10^k = (hi + lo) * 2^exp for k in
+    [_K_MIN, _K_MAX], as rows (hi, hi's upper half, hi's lower half, lo)
+    for exact products, and exp; the four ASCII digits of 0..9999, and the
+    sign and three digits of each decimal exponent in [-_E_MAX, _E_MAX],
+    as uint32 words.  Built from Python integers on first use."""
+    hi, lo, exp = [], [], []
+    for k in range(_K_MIN, _K_MAX + 1):
+        if k >= 0:
+            num = 10**k
+            q = num << 127 >> (num.bit_length() - 1)  # in [2^127, 2^128)
+            shift = num.bit_length() - 1
         else:
-            texts = [_cell_text(c, by_type) for c in values]
-        columns.append(texts)
-    return list(map(sep.join, zip(*columns)))
+            den = 10**-k
+            q = (1 << (127 + den.bit_length())) // den
+            shift = -den.bit_length()
+        top = float(q)
+        hi.append(top / 2.0**127)
+        lo.append(float(q - int(top)) / 2.0**127)
+        exp.append(shift)
+    hi = np.array(hi)
+    split = hi * 134217729.0  # Veltkamp: 2^27 + 1
+    hi_hi = split - (split - hi)
+    d = np.arange(10**4, dtype=np.uint16)
+    digits = np.empty((10**4, 4), np.uint8)
+    for j, unit in enumerate((1000, 100, 10, 1)):
+        digits[:, j] = d // unit % 10 + ord("0")
+    e = np.arange(-_E_MAX, _E_MAX + 1)
+    exponents = np.empty((e.size, 4), np.uint8)
+    exponents[:, 0] = np.where(e < 0, ord("-"), ord("+"))
+    exponents[:, 1:] = digits[np.abs(e), 1:]
+    # four ASCII bytes as one uint32 word, in memory order
+    return (np.array([hi, hi_hi, hi - hi_hi, lo]), np.array(exp),
+            digits.view(np.uint32).ravel(), exponents.view(np.uint32).ravel())
+
+
+def _scaled(f, e, k):
+    """x * 10^k as a double-double (hi, lo), for x = f * 2^e."""
+    powers, exp, *_ = _tables()
+    p, p_hi, p_lo, q = powers[:, k - _K_MIN]
+    split = f * 134217729.0
+    f_hi = split - (split - f)
+    f_lo = f - f_hi
+    head = f * p  # Dekker's exact product: head + tail = f * p
+    tail = ((f_hi * p_hi - head) + f_hi * p_lo + f_lo * p_hi) + f_lo * p_lo
+    tail += f * q
+    hi = head + tail
+    lo = tail - (hi - head)
+    scale = e + exp[k - _K_MIN]
+    return np.ldexp(hi, scale), np.ldexp(lo, scale)
+
+
+def _padded(texts: list[str], width: int = 0):
+    """Texts as rows of a uint8 array, padded with NUL bytes to the longest
+    text or to ``width``."""
+    data = [t.encode() for t in texts]
+    width = max([width, *map(len, data)])
+    return np.frombuffer(b"".join(t.ljust(width, b"\0") for t in data),
+                         np.uint8).reshape(len(data), width)
+
+
+def _float_text(x: float, quote: bool) -> str:
+    text = "%.16e" % x
+    return f'"{text}"' if quote and text[-1] in "nf" else text
+
+
+def _float_cells(x: np.ndarray, quote: bool):
+    """``"%.16e" % v`` of every float64 in ``x`` as (n, _WIDTH) uint8 slots,
+    NUL where a text is shorter; with ``quote``, non-finite texts in JSON
+    quotes."""
+    *_, digits, exponents = _tables()
+    a = np.abs(x)
+    normal = (a >= _TINY) & (a <= _HUGE)
+    v = np.where(normal, a, 2.0)  # a placeholder clear of powers of ten
+    f, e = np.frexp(v)
+    k = 16 - np.floor(np.log10(v)).astype(np.int64)
+    hi, lo = _scaled(f, e, k)
+    # log10 can be one off next to a power of ten: judge from the unrounded
+    # s = hi + lo whether it lies in [1e16, 1e17), and rescale where not
+    # (1e16 - hi is exact wherever lo can tip the comparison)
+    step = (1e16 - hi > lo).astype(np.int64) - (1e17 - hi <= lo)
+    fix = np.flatnonzero(step)
+    if fix.size:
+        k[fix] += step[fix]
+        hi[fix], lo[fix] = _scaled(f[fix], e[fix], k[fix])
+    whole = np.rint(lo)
+    n = hi.astype(np.int64) + whole.astype(np.int64)
+    certain = normal & (np.abs(lo - whole) < 0.5 - _MARGIN)
+    nonzero = a != 0.0
+    up = n == 10**17  # rounded up to 18 digits: 10^17 is 1.0...0 at 10^(E+1)
+    n = np.where(up, 10**16, n) * nonzero
+    exp10 = (16 - k + up) * nonzero
+
+    buf = np.empty((x.size, _WIDTH), np.uint8)
+    buf[:] = np.frombuffer(b"-0.0000000000000000e+000", np.uint8)
+    lead = n // 10**16
+    buf[:, 1] += lead.astype(np.uint8)
+    # the 16 digits after the point, four at a time
+    high = n // 10**8
+    halves = np.empty((x.size, 2), np.int64)
+    halves[:, 0] = high - lead * 10**8
+    halves[:, 1] = n - high * 10**8
+    quads = np.empty((x.size, 2, 2), np.int64)
+    quads[:, :, 0] = halves // 10**4
+    quads[:, :, 1] = halves - quads[:, :, 0] * 10**4
+    buf[:, 3:19] = digits[quads.reshape(-1, 4)].view(np.uint8)
+    buf[:, 20:] = exponents[exp10 + _E_MAX, None].view(np.uint8)
+    buf[:, 0] *= np.signbit(x)
+    buf[:, 21] *= np.abs(exp10) >= 100
+
+    rest = np.flatnonzero(nonzero & ~certain)
+    if rest.size:
+        bits, index = np.unique(x[rest].view(np.int64), return_inverse=True)
+        buf[rest] = _padded([_float_text(b, quote)
+                             for b in bits.view(np.float64).tolist()],
+                            _WIDTH)[index]
+    return buf
+
+
+def _other_cells(column: np.ndarray, quote: bool):
+    """Slots of a bool, int or str column, NUL-padded, each distinct value
+    formatted once."""
+    if column.dtype.kind == "b":
+        return _bool_slots()[column.view(np.uint8)]
+    values, index = np.unique(column, return_inverse=True)
+    text = json.dumps if quote and column.dtype.kind == "U" else str
+    return _padded(list(map(text, values.tolist())))[index]
+
+
+@functools.cache
+def _bool_slots():
+    return _padded(["false", "true"])
+
+
+def _rows(columns: list[np.ndarray], lead: bytes, sep: bytes, end: bytes,
+          quote: bool) -> str:
+    """Every row as ``lead + cells joined by sep + end``: the cells of each
+    column in fixed-width slots side by side, then the unused (NUL) slots
+    dropped.  The float cells of all columns are formatted in one pass."""
+    n = len(columns[0])
+    floats = [c for c in columns if c.dtype.kind == "f"]
+    if floats:
+        float_cells = iter(_float_cells(np.array(floats).T.ravel(), quote)
+                           .reshape(n, len(floats), _WIDTH).transpose(1, 0, 2))
+    fixed = np.empty((n, len(lead + sep + end)), np.uint8)
+    fixed[:] = np.frombuffer(lead + sep + end, np.uint8)
+    a, b = len(lead), len(lead + sep)
+    parts = [fixed[:, :a]]
+    for column in columns:
+        parts += [next(float_cells) if column.dtype.kind == "f"
+                  else _other_cells(column, quote), fixed[:, a:b]]
+    parts[-1] = fixed[:, b:]
+    text = np.concatenate(parts, axis=1)
+    return text[text != 0].tobytes().decode()
+
+
+def _body(table: Table, lead: bytes, sep: bytes, end: bytes,
+          quote: bool) -> list[str]:
+    """The rows' text (see :func:`_rows`) in blocks of about _BLOCK_CELLS
+    cells, which bounds the working memory of a long table (and keeps a
+    block's arrays in cache)."""
+    step = max(1, _BLOCK_CELLS // len(table.columns))
+    n = len(table._data[0])
+    return [_rows([c[i:i + step] for c in table._data], lead, sep, end, quote)
+            for i in range(0, n, step)]
 
 
 def to_csv(table: Table) -> str:
-    lines = [",".join(table.columns)] + _lines(table, ",", quote=False)
-    return "\n".join(lines) + "\n"
+    return "".join([",".join(table.columns), "\n",
+                    *_body(table, b"", b",", b"\n", quote=False)])
 
 
 def to_json(table: Table) -> str:
-    lines = ['{"schema": 1,']
-    lines.append(f' "columns": {json.dumps(table.columns)},')
-    lines.append(' "rows": [')
-    lines.append(",\n".join(f" [{line}]"
-                            for line in _lines(table, ", ", quote=True)))
-    lines.append("]}")
-    return "\n".join(lines) + "\n"
+    rows = _body(table, b" [", b", ", b"],\n", quote=True)
+    if rows:
+        rows[-1] = rows[-1][:-2]  # no comma after the last row
+    return "".join([f'{{"schema": 1,\n "columns": {json.dumps(table.columns)},'
+                    '\n "rows": [\n', *rows, "\n]}\n"])
 
 
 def parse_json(text: str) -> Table:
-    """Inverse of :func:`to_json`; cell types follow the JSON values."""
+    """Inverse of :func:`to_json`; cell types follow the JSON values, and a
+    column of floats and quoted "nan"/"inf"/"-inf" is a float column."""
     data = json.loads(text)
     if data.get("schema") != 1:
         raise ValueError(f"unsupported table schema: {data.get('schema')!r}")
-    return Table(columns=list(data["columns"]),
-                 rows=[list(r) for r in data["rows"]])
+    rows = [list(r) for r in data["rows"]]
+    for i, cells in enumerate(zip(*rows)):
+        if all(type(c) is float or c in _NON_FINITE for c in cells):
+            for row in rows:
+                row[i] = float(row[i])
+    return Table(list(data["columns"]), rows)
 
 
 def render(table: Table, fmt: str) -> str:

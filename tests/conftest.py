@@ -3,9 +3,27 @@ import math
 import numpy as np
 import pytest
 
+import kerrcav.cli
 from kerrcav import DeviceParams, LineProfile
+from oracles import reference_render
 
 SQRT3 = math.sqrt(3.0)
+
+
+@pytest.fixture(autouse=True, scope="session")
+def cli_tables_match_reference():
+    """Every table a test emits through the CLI is also rendered by the
+    row-wise reference renderer, and the two must agree byte for byte."""
+    render = kerrcav.cli.render
+
+    def checked(table, fmt):
+        text = render(table, fmt)
+        assert text == reference_render(table, fmt)
+        return text
+
+    kerrcav.cli.render = checked
+    yield
+    kerrcav.cli.render = render
 
 
 @pytest.fixture

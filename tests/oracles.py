@@ -5,9 +5,12 @@ scanning only, never from the closed-form operating-point formulas it is
 used to check.  The scalar pump path (``scalar_real_roots`` through
 ``scalar_steady_states``) is the one-point reference the batched kernels
 are held to bit for bit: plain Python floats and ``cmath``, root by root.
+The row-wise table renderer (``reference_csv``, ``reference_json``) is the
+byte reference for ``tableio``: Python's own formatting, cell by cell.
 """
 
 import cmath
+import json
 import math
 import sys
 
@@ -472,3 +475,99 @@ def scan_phase_extrema(p_of_phi, n_phases=10_000):
     phis = np.linspace(0.0, math.pi, n_phases, endpoint=False)
     values = np.array([p_of_phi(p) for p in phis])
     return float(values.min()), float(values.max())
+
+
+# ------------------------------------------------- row-wise table renderer
+# The renderer tableio had before its columns were typed arrays, kept as
+# it was: each cell formatted by Python through its type's text function.
+
+def format_float(x: float) -> str:
+    """Fixed 17-significant-digit scientific form; 'nan'/'inf'/'-inf' for
+    non-finite values (which is how Python formats them)."""
+    return f"{x:.16e}"
+
+
+def _bool_text(cell: bool) -> str:
+    return "true" if cell else "false"
+
+
+def _json_float(cell: float) -> str:
+    text = f"{cell:.16e}"
+    # JSON has no literal for nan/inf; keep them as strings
+    return text if math.isfinite(cell) else f'"{text}"'
+
+
+# cell text by the cell's type; ``object`` formats any other type
+_CSV_CELL = {float: format_float, bool: _bool_text, int: str, str: str,
+             object: str}
+_JSON_CELL = {float: _json_float, bool: _bool_text, int: str, str: json.dumps,
+              object: json.dumps}
+
+
+def _cell_text(cell, by_type) -> str:
+    text = by_type.get(type(cell))
+    if text is not None:
+        return text(cell)
+    # subclasses format as their base type
+    for kind in (bool, int, float):
+        if isinstance(cell, kind):
+            return by_type[kind](cell)
+    return by_type[object](cell)
+
+
+def _float_texts(values: tuple, quote: bool) -> list[str]:
+    """:func:`format_float` of each value; with ``quote``, non-finite texts
+    in JSON quotes.  A value repeated across the column is formatted once,
+    except zeros: 0.0 and -0.0 are one dict key but two texts."""
+    distinct = dict.fromkeys(values)
+    if 2 * len(distinct) <= len(values):
+        memo = {v: f"{v:.16e}" for v in distinct}
+        texts = list(map(memo.__getitem__, values))
+        if 0.0 in memo:
+            texts = [f"{v:.16e}" if v == 0.0 else t
+                     for v, t in zip(values, texts)]
+    else:
+        texts = ("%.16e\n" * len(values) % values).split("\n")[:-1]
+    if quote and not all(map(math.isfinite, distinct)):
+        # JSON has no literal for nan/inf; keep them as strings
+        texts = [t if math.isfinite(v) else f'"{t}"'
+                 for v, t in zip(values, texts)]
+    return texts
+
+
+def _lines(table, sep: str, quote: bool) -> list[str]:
+    """The rows as text, built column by column: a column of one type is
+    formatted in one pass, each distinct value once."""
+    by_type = _JSON_CELL if quote else _CSV_CELL
+    columns = []
+    for values in zip(*table.rows):
+        kinds = set(map(type, values))
+        kind = kinds.pop() if len(kinds) == 1 else None
+        if kind is float:
+            texts = _float_texts(values, quote)
+        elif kind in by_type:
+            memo = {v: by_type[kind](v) for v in dict.fromkeys(values)}
+            texts = list(map(memo.__getitem__, values))
+        else:
+            texts = [_cell_text(c, by_type) for c in values]
+        columns.append(texts)
+    return list(map(sep.join, zip(*columns)))
+
+
+def reference_csv(table) -> str:
+    lines = [",".join(table.columns)] + _lines(table, ",", quote=False)
+    return "\n".join(lines) + "\n"
+
+
+def reference_json(table) -> str:
+    lines = ['{"schema": 1,']
+    lines.append(f' "columns": {json.dumps(table.columns)},')
+    lines.append(' "rows": [')
+    lines.append(",\n".join(f" [{line}]"
+                            for line in _lines(table, ", ", quote=True)))
+    lines.append("]}")
+    return "\n".join(lines) + "\n"
+
+
+def reference_render(table, fmt: str) -> str:
+    return {"csv": reference_csv, "json": reference_json}[fmt](table)

@@ -7,7 +7,7 @@ import pytest
 from kerrcav import (LineProfile, ModeSolution, ResolutionError, SameModeError,
                      cross_kerr, derive_device, gamma2_from_profile,
                      gamma3_from_profile, kerr_constant, load_profile,
-                     solve_modes)
+                     solve_mode, solve_modes)
 from conftest import make_uniform_profile
 
 SQRT3 = math.sqrt(3.0)
@@ -66,6 +66,31 @@ def test_resolution_guard():
         solve_modes(profile, 11)
     with pytest.raises(ValueError):
         solve_modes(profile, 0)
+    solve_mode(profile, 10)
+    with pytest.raises(ResolutionError):
+        solve_mode(profile, 11)
+    with pytest.raises(ValueError):
+        solve_mode(profile, 0)
+
+
+def test_single_mode_matches_the_lowest_modes():
+    """One eigenpair alone: the same frequency and shape up to the
+    eigensolver's own error.  Bisection resolves an eigenvalue to
+    eps * ||T||_1 (||T|| ~ 4e7 here, lambda_1 ~ 9, so ~1e-9 relative), and
+    the choice of eigenvalues asked for moves its result within that."""
+    profile = make_uniform_profile(n_grid=3000)
+    profile = LineProfile(length=1.0, I_c=1.0, hbar=1.0,
+                          C=profile.C * (1.0 + 0.2 * np.sin(3.0 * profile.x)),
+                          L0=profile.L0, dL=profile.dL, R0=profile.R0,
+                          dR=profile.dR)
+    modes = solve_modes(profile, 4)
+    for index in range(1, 5):
+        mode = solve_mode(profile, index)
+        assert mode.index == index
+        assert mode.omega_n == pytest.approx(modes[index - 1].omega_n,
+                                             rel=2e-9)
+        assert np.max(np.abs(mode.u - modes[index - 1].u)) \
+            <= 1e-8 * np.max(np.abs(mode.u))
 
 
 def test_second_order_convergence():

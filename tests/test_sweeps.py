@@ -1,4 +1,5 @@
 import cmath
+import functools
 import json
 import math
 
@@ -7,12 +8,29 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import kerrcav
 from kerrcav import (ConfigError, PumpDrive, SingularResponse, critical_point,
                      lo_phase_extrema, load_config, reflection_coefficient,
-                     run_critical, run_gain_sweep, run_squeeze_sweep,
-                     run_steady_sweep, transfer_coefficients)
+                     to_csv, to_json, transfer_coefficients)
 from conftest import float_bits, make_uniform_profile
-from oracles import scalar_steady_states
+from oracles import reference_csv, reference_json, scalar_steady_states
+
+
+def bytes_checked(run):
+    """``run`` whose every table renders to the bytes of the row-wise
+    reference renderer, in csv and in json."""
+    @functools.wraps(run)
+    def checked(*args):
+        table = run(*args)
+        assert to_csv(table) == reference_csv(table)
+        assert to_json(table) == reference_json(table)
+        return table
+    return checked
+
+
+run_steady_sweep, run_gain_sweep, run_squeeze_sweep, run_critical = map(
+    bytes_checked, (kerrcav.run_steady_sweep, kerrcav.run_gain_sweep,
+                    kerrcav.run_squeeze_sweep, kerrcav.run_critical))
 
 SQRT3 = math.sqrt(3.0)
 

@@ -1,9 +1,14 @@
 import json
 import math
+from fractions import Fraction
 
+import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from kerrcav import Table, format_float, parse_json, render, to_csv, to_json
+from oracles import reference_csv, reference_json
 
 
 def sample_table():
@@ -88,6 +93,109 @@ def test_emission_is_deterministic():
 
 def test_column_accessor():
     table = sample_table()
-    assert table.column("branch") == [0, 1, 2]
+    assert table.column("branch").tolist() == [0, 1, 2]
     with pytest.raises(ValueError):
         table.column("missing")
+
+
+def test_column_is_the_stored_array():
+    x = np.linspace(0.0, 1.0, 5)
+    table = Table.from_columns(["x", "n"], [x, np.arange(5)])
+    column = table.column("x")
+    assert column is table.column("x")
+    assert np.shares_memory(column, x)
+    assert not column.flags.writeable
+    assert table.rows[1] == (0.25, 1)
+
+
+@pytest.mark.parametrize("first, second", [(1.0, 1), (True, 1), (1, True),
+                                           (1.0, "x"), (np.float64(1.0), 2)])
+def test_a_column_holds_one_cell_type(first, second):
+    with pytest.raises(ValueError, match="one cell type"):
+        Table(["a"], [[first], [second]])
+    with pytest.raises(ValueError, match="one cell type"):
+        Table.from_columns(["a"], [[first, second]])
+    table = Table(["a"])
+    table.append(first)
+    with pytest.raises(ValueError, match="one cell type"):
+        table.append(second)
+
+
+def test_cells_of_other_types_are_rejected():
+    for cell in (None, 1j, b"x", [1.0]):
+        with pytest.raises(ValueError, match="cell must be"):
+            Table(["a"], [[cell]])
+    # NUL bytes pad the cells' slots while a table renders
+    with pytest.raises(ValueError, match="NUL"):
+        Table(["a"], [["a\0b"]])
+
+
+def test_parse_json_reads_quoted_non_finite_cells_as_floats():
+    table = Table(["E", "only", "tag"], [[12.25, math.nan, "nan"],
+                                         [math.inf, -math.inf, "inf"],
+                                         [-math.inf, math.inf, "x"]])
+    text = to_json(table)
+    parsed = parse_json(text)
+    assert parsed.column("E").dtype == np.float64
+    assert parsed.column("only").dtype == np.float64
+    assert parsed.column("tag").dtype.kind == "U"
+    assert to_json(parsed) == text
+    assert to_csv(parsed) == to_csv(table)
+
+
+# ------------------------------------------------ vector float formatting
+
+def float_table(values):
+    return Table.from_columns(["x"], [np.asarray(values, dtype=np.float64)])
+
+
+def python_csv(values):
+    return "x\n" + "".join("%.16e\n" % v for v in values)
+
+
+def edge_floats():
+    """Every binary exponent (subnormals, zeros, infinities and NaNs
+    included) with both signs and several mantissas, 10^k for every k with
+    its two neighbours, and exact ties of the 17th digit."""
+    rng = np.random.default_rng(20050518)
+    mantissas = rng.integers(0, 2**52, (2048, 6), dtype=np.uint64)
+    mantissas[:, 0] = 0
+    mantissas[:, 1] = 2**52 - 1
+    bits = (np.arange(2048, dtype=np.uint64)[:, None] << np.uint64(52)
+            | mantissas).ravel()
+    bits = np.concatenate([bits, bits | np.uint64(1 << 63)])
+    powers = np.array([float(f"1e{k}") for k in range(-323, 309)])
+    ties = 2.0**49 + (2 * np.arange(64) + 1) / 8.0  # s = ....5 exactly
+    return np.concatenate([bits.view(np.float64), powers,
+                           np.nextafter(powers, 0.0),
+                           np.nextafter(powers, np.inf), ties, -ties])
+
+
+def test_float_cells_match_python_on_edge_values():
+    x = edge_floats()
+    assert np.isnan(x).any() and np.signbit(x[np.isnan(x)]).any()
+    # 17-digit round-ups: doubles below 10^k that print as 1.0...0e+k
+    ups = [v for k, v in ((k, float(f"1e{k}")) for k in range(-323, 309))
+           if Fraction(v) < Fraction(10) ** k
+           and format_float(v).startswith("1.0000000000000000e")]
+    assert ups and np.isin(ups, x).all()
+    table = float_table(x)
+    assert to_csv(table) == python_csv(x.tolist())
+    assert to_json(table) == reference_json(table)
+    assert to_csv(float_table([np.copysign(np.nan, -1.0)])) == "x\nnan\n"
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.lists(st.integers(0, 2**64 - 1), min_size=1, max_size=64))
+def test_float_cells_match_python_on_random_bits(bits):
+    x = np.array(bits, dtype=np.uint64).view(np.float64)
+    table = float_table(x)
+    assert to_csv(table) == python_csv(x.tolist())
+    assert to_json(table) == reference_json(table)
+
+
+def test_tables_match_the_row_wise_renderer():
+    for table in (sample_table(), Table(["a", "b"]),
+                  Table.from_columns(["a"], [np.empty(0)])):
+        assert to_csv(table) == reference_csv(table)
+        assert to_json(table) == reference_json(table)
