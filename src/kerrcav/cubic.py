@@ -56,8 +56,7 @@ def _polish_array(x, c3, c2, c1, c0):
         r = x[live]
         k3, k2, k1, k0 = c3[live], c2[live], c1[live], c0[live]
         f = ((k3 * r + k2) * r + k1) * r + k0
-        scale = (np.abs(k3 * libm(math.pow, r, 3.0))
-                 + np.abs(k2 * libm(math.pow, r, 2.0))
+        scale = (np.abs(k3 * (r * r * r)) + np.abs(k2 * (r * r))
                  + np.abs(k1 * r) + np.abs(k0))
         fp = (3.0 * k3 * r + 2.0 * k2) * r + k1
         candidate = r - f / fp
@@ -95,7 +94,7 @@ def _trig_starts(p, q, a):
         raise ZeroDivisionError("float division by zero")
     arg = np.minimum(1.0, np.maximum(-1.0, 3.0 * q / (p * m)))
     theta = libm(math.acos, arg) / 3.0
-    return np.stack([m * libm(math.cos, theta - third) - a / 3.0
+    return np.stack([m * np.cos(theta - third) - a / 3.0
                      for third in _THIRDS], axis=1)
 
 
@@ -107,7 +106,7 @@ def _cubic_roots(c3, c2, c1, c0):
     c = c0 / c3
     # depressed form t^3 + p t + q with x = t - a/3
     p = b - a * a / 3.0
-    q = 2.0 * libm(math.pow, a, 3.0) / 27.0 - a * b / 3.0 + c
+    q = 2.0 * (a * a * a) / 27.0 - a * b / 3.0 + c
     # spread = max(sqrt|p|, |q|^(1/3)) is within tol iff both are; the cube
     # root is taken only where sqrt|p| already is
     tol = TRIPLE_TOL * np.abs(a / 3.0)
@@ -120,14 +119,13 @@ def _cubic_roots(c3, c2, c1, c0):
     rest = np.flatnonzero(rest)
 
     a, p, q = a[rest], p[rest], q[rest]
-    p3 = libm(math.pow, p, 3.0)
+    p3 = p * p * p
     disc = -4.0 * p3 - 27.0 * q * q
     # an exact double root has disc = 0 but rounds either way; a band scaled
     # by the cancelling terms keeps fold pairs from vanishing into the
     # single-root branch
     neg = np.flatnonzero(p < 0.0)
-    disc_scale = (4.0 * libm(math.pow, np.abs(p[neg]), 3.0)
-                  + 27.0 * q[neg] * q[neg])
+    disc_scale = 4.0 * np.abs(p3[neg]) + 27.0 * q[neg] * q[neg]
     trig = neg[disc[neg] >= -1e-14 * disc_scale]
     single = np.ones(a.size, dtype=bool)
     single[trig] = False
@@ -154,9 +152,9 @@ def _cubic_roots(c3, c2, c1, c0):
         at = which[single.size:]
         k3, k2, k1, k0 = c3[at], c2[at], c1[at], c0[at]
         f = ((k3 * roots + k2) * roots + k1) * roots + k0
-        scale = (np.abs(k3 * libm(math.pow, roots, 3.0))
-                 + np.abs(k2 * libm(math.pow, roots, 2.0))
-                 + np.abs(k1 * roots) + np.abs(k0))
+        scale = (np.abs(k3 * (roots * roots * roots))
+                 + np.abs(k2 * (roots * roots)) + np.abs(k1 * roots)
+                 + np.abs(k0))
         solves = (np.abs(f) <= ROOT_TOL * scale).reshape(-1, 3)
         roots = roots.reshape(-1, 3)
         # the double-root band also admits one real root beside a complex

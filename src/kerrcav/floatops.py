@@ -2,10 +2,11 @@
 
 The batched kernels evaluate the formulas of the one-point functions (for
 the cubic and the steady state, of the scalar reference the tests keep)
-over whole arrays and must give the same bits.  NumPy's vectorized pow, acos and
-atan2 differ from the C library's in the last bit on some inputs, and its
-complex multiply and divide round differently from CPython's, so library
-functions go through ``math`` elementwise (:func:`libm`) and complex
+over whole arrays and must give the same bits.  Both paths write powers 2
+and 3 as products (``x * x``, ``x * x * x``, :func:`abs2`), and ``np.cos``
+and ``np.sin`` equal ``math.cos`` and ``math.sin``; only acos, atan2 and
+the cube root go through ``math`` elementwise (:func:`libm`).  NumPy's
+complex multiply and divide round differently from CPython's, so complex
 numbers are carried as (real, imaginary) pairs of float arrays, combined in
 the order CPython's complex arithmetic uses.  A float operand of a complex
 operation is the pair (x, 0.0), as CPython converts it.
@@ -17,14 +18,13 @@ from itertools import repeat
 import numpy as np
 
 
-
 def libm(fn, x, *args):
-    """``fn`` applied elementwise over the 1-D array ``x``.
-
-    Further arguments are arrays of the same size or scalars.  Pass a
-    ``math`` function, or the builtin ``pow`` for Python's ``**`` with its
-    error message, so that results and errors (OverflowError included) are
-    those of the one-point code.
+    """``fn`` applied elementwise over the 1-D array ``x``; further
+    arguments are arrays of the same size or scalars.  For ``math.acos``,
+    ``math.atan2`` and ``math.pow(x, 1/3)``: ``np.arccos`` and ``np.arctan2``
+    differ in the last bit on about 9 % and 6-8 % of random arguments, and
+    ``np.cbrt`` for the 1/3 power loses the one steady state of a drive of
+    1e-155 on the README device.
     """
     more = [a.tolist() if isinstance(a, np.ndarray) else repeat(a)
             for a in args]
@@ -98,7 +98,7 @@ def div_float(a, x):
 def exp_imag(z):
     """cmath.exp(z) for z with real part +-0, such as -1j times a finite
     float: exp(0) = 1 exactly, leaving (cos, sin) of the imaginary part."""
-    return libm(math.cos, z[1]), libm(math.sin, z[1])
+    return np.cos(z[1]), np.sin(z[1])
 
 
 def times_1j(z):
@@ -124,9 +124,9 @@ def modulus(z):
     return out
 
 
-def square(x):
-    """x ** 2 for floats x, with Python's overflow error."""
-    return libm(pow, x, 2.0)
+def abs2(z):
+    """|z|^2 of a complex scalar or array as re*re + im*im (inf past 1e154)."""
+    return z.real * z.real + z.imag * z.imag
 
 
 def phase(z):

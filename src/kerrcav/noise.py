@@ -103,8 +103,8 @@ def _phase_quadratic(params, state, drive, env, omega):
     mod = 0j
     for i in range(3):
         n = occ[i]
-        mean += n * (abs(sig_p[i]) ** 2 + abs(conj_m[i]) ** 2)
-        mean += (n + 1.0) * (abs(sig_m[i]) ** 2 + abs(conj_p[i]) ** 2)
+        mean += n * (fo.abs2(sig_p[i]) + fo.abs2(conj_m[i]))
+        mean += (n + 1.0) * (fo.abs2(sig_m[i]) + fo.abs2(conj_p[i]))
         mod += 2.0 * n * sig_p[i] * conj_m[i]
         mod += 2.0 * (n + 1.0) * sig_m[i] * conj_p[i]
     return mean, mod
@@ -166,7 +166,7 @@ def lo_phase_extrema_array(params: DeviceParams, states: BranchStates,
     diverged = resp.singular.any(axis=1)
     ok = ~diverged
     coefficients = [
-        [fo.parts(getattr(resp, f"{port}_{kind}")[ok, side])
+        [getattr(resp, f"{port}_{kind}")[ok, side]
          for side, kind in ((0, "signal"), (0, "conj"), (1, "signal"),
                             (1, "conj"))]
         for port in ("refl", "loss", "tpl")]
@@ -176,13 +176,13 @@ def lo_phase_extrema_array(params: DeviceParams, states: BranchStates,
         mod = (0.0, 0.0)
         for n, (sig_p, conj_p, sig_m, conj_m) in zip(env.occupations(),
                                                      coefficients):
-            mean = mean + n * (fo.square(fo.modulus(sig_p))
-                               + fo.square(fo.modulus(conj_m)))
-            mean = mean + (n + 1.0) * (fo.square(fo.modulus(sig_m))
-                                       + fo.square(fo.modulus(conj_p)))
-            mod = fo.add(mod, fo.mul(fo.mul((2.0 * n, 0.0), sig_p), conj_m))
-            mod = fo.add(mod, fo.mul(fo.mul((2.0 * (n + 1.0), 0.0), sig_m),
-                                     conj_p))
+            mean = mean + n * (fo.abs2(sig_p) + fo.abs2(conj_m))
+            mean = mean + (n + 1.0) * (fo.abs2(sig_m) + fo.abs2(conj_p))
+            mod = fo.add(mod, fo.mul(fo.mul((2.0 * n, 0.0), fo.parts(sig_p)),
+                                     fo.parts(conj_m)))
+            mod = fo.add(mod, fo.mul(fo.mul((2.0 * (n + 1.0), 0.0),
+                                            fo.parts(sig_m)),
+                                     fo.parts(conj_p)))
         amp = fo.modulus(mod)
         arg = np.where(amp > 0.0, fo.phase(mod), 0.0)
         phi_max = np.remainder(-arg / 2.0, math.pi)

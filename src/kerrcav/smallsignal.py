@@ -62,12 +62,12 @@ class SmallSignalResponse:
         commutator.
         """
         return (
-            abs(self.refl_signal) ** 2
-            + abs(self.loss_signal) ** 2
-            + abs(self.tpl_signal) ** 2
-            - abs(self.refl_conj) ** 2
-            - abs(self.loss_conj) ** 2
-            - abs(self.tpl_conj) ** 2
+            fo.abs2(self.refl_signal)
+            + fo.abs2(self.loss_signal)
+            + fo.abs2(self.tpl_signal)
+            - fo.abs2(self.refl_conj)
+            - fo.abs2(self.loss_conj)
+            - fo.abs2(self.tpl_conj)
         )
 
 
@@ -151,7 +151,7 @@ def parametric_gain(params: DeviceParams, state: SteadyState,
         resp = transfer_coefficients(params, state, drive, omega)
     except SingularResponse:
         return math.inf
-    return abs(resp.refl_signal) ** 2
+    return fo.abs2(resp.refl_signal)
 
 
 def intermodulation_gain(params: DeviceParams, state: SteadyState,
@@ -166,7 +166,7 @@ def intermodulation_gain(params: DeviceParams, state: SteadyState,
         resp = transfer_coefficients(params, state, drive, omega)
     except SingularResponse:
         return math.inf
-    return abs(resp.refl_conj) ** 2
+    return fo.abs2(resp.refl_conj)
 
 
 PORTS = ("refl", "loss", "tpl")
@@ -198,13 +198,9 @@ class SmallSignalResponses:
     def gains(self):
         """(G_S, G_I): :func:`parametric_gain` and
         :func:`intermodulation_gain` at each point, inf where singular."""
-        ok = ~self.singular
-        out = []
-        for coef in (self.refl_signal, self.refl_conj):
-            gain = np.full(ok.shape, math.inf)
-            gain[ok] = fo.square(fo.modulus(fo.parts(coef[ok])))
-            out.append(gain)
-        return tuple(out)
+        with np.errstate(all="ignore"):
+            return tuple(np.where(self.singular, math.inf, fo.abs2(coef))
+                         for coef in (self.refl_signal, self.refl_conj))
 
 
 def transfer_coefficients_array(params: DeviceParams, states: BranchStates,

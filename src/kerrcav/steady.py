@@ -83,7 +83,7 @@ def cubic_coefficients(params: DeviceParams, drive: PumpDrive):
     c3 = k * k + g3 * g3
     c2 = 2.0 * (delta * k + g * g3)
     c1 = delta * delta + g * g
-    c0 = -2.0 * params.gamma1 * drive.amplitude**2
+    c0 = -2.0 * params.gamma1 * (drive.amplitude * drive.amplitude)
     return c3, c2, c1, c0
 
 
@@ -227,8 +227,8 @@ def _branch_energies(c3, c2, c1, c0):
     NaN-padded: rounding negatives clamp to zero, genuine negatives drop,
     and a fold double root double precision cannot split appears once.
     An undriven row (c0 = 0) keeps E = 0 alone: for gamma > 0 its quadratic
-    factor has no positive root in exact arithmetic (with gamma3 = 0 and a
-    detuning far beyond gamma, rounding can report a spurious one)."""
+    factor's discriminant, -4 (K gamma - gamma3 delta)^2, allows only the
+    double root -gamma/gamma3 < 0 (rounding can report a spurious one)."""
     roots = real_roots_array(c3, c2, c1, c0)
     # clamp rounding negatives to 0 and drop the rest, which lead a row
     energy = np.maximum(roots, 0.0)
@@ -236,6 +236,7 @@ def _branch_energies(c3, c2, c1, c0):
     if negative.size:
         energy[negative] = np.sort(np.where(roots[negative] < -1e-12, np.nan,
                                             energy[negative]), axis=1)
+    energy[c0 == 0.0] = (0.0, np.nan, np.nan)
     multi = np.flatnonzero(~np.isnan(energy[:, 1]))
     if multi.size:
         energy[multi] = _merge_folds(energy[multi])
@@ -265,7 +266,7 @@ def branch_states(params: DeviceParams, omega_p, b_in,
         energy = _branch_energies(np.full(delta.size, k * k + g3 * g3),
                                   2.0 * (delta * k + g * g3),
                                   delta * delta + g * g,
-                                  -2.0 * params.gamma1 * fo.square(b_in))
+                                  -2.0 * params.gamma1 * (b_in * b_in))
     live = ~np.isnan(energy)
     row, index = np.nonzero(live)
     return _records(params, omega_p[row], b_in[row], psi[row], energy[live],
@@ -284,7 +285,8 @@ def _records(params: DeviceParams, omega_p, b_in, psi, energy, row, index,
         # relaxation roots base -/+ sqrt(radicand), a complex root so that
         # underdamped points (a conjugate pair) are representable: (sqrt(r),
         # 0) for a radicand r >= 0, else (0, sqrt(-r))
-        radicand = (k * k + g3 * g3) * e * e - fo.square(delta + 2.0 * k * e)
+        mismatch = delta + 2.0 * k * e
+        radicand = (k * k + g3 * g3) * e * e - mismatch * mismatch
         root = np.sqrt(np.abs(radicand))
         s = (np.where(radicand >= 0.0, root, 0.0),
              np.where(radicand >= 0.0, 0.0, root))
@@ -297,8 +299,7 @@ def _records(params: DeviceParams, omega_p, b_in, psi, energy, row, index,
         amp = np.sqrt(np.maximum(e, 0.0))
         response = fo.add(
             fo.mul(fo.add(fo.times_1j((delta, 0.0)), (g, 0.0)), (amp, 0.0)),
-            fo.mul(fo.parts(1j * k + g3),
-                   (fo.libm(math.pow, amp, 3.0), 0.0)))
+            fo.mul(fo.parts(1j * k + g3), (amp * amp * amp, 0.0)))
         cavity_phase = np.where(
             amp == 0.0, 0.0,
             (psi - params.phi1) + fo.phase(fo.times_1j(response)))

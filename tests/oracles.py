@@ -26,6 +26,11 @@ from kerrcav.steady import MARGINAL_TOL, MERGE_TOL
 
 # ------------------------------------------------- scalar reference path
 
+def abs2(z: complex) -> float:
+    """|z|^2 as the kernels form it: re*re + im*im."""
+    return z.real * z.real + z.imag * z.imag
+
+
 def cubic_discriminant(c3: float, c2: float, c1: float, c0: float) -> float:
     """Discriminant of c3*x^3 + c2*x^2 + c1*x + c0 (> 0: three distinct real roots)."""
     return (
@@ -41,7 +46,7 @@ def _solves(x: float, c3: float, c2: float, c1: float, c0: float) -> bool:
     """Whether |cubic(x)| is within ROOT_TOL of the sum of its terms'
     magnitudes."""
     f = ((c3 * x + c2) * x + c1) * x + c0
-    scale = abs(c3 * x**3) + abs(c2 * x**2) + abs(c1 * x) + abs(c0)
+    scale = abs(c3 * (x * x * x)) + abs(c2 * (x * x)) + abs(c1 * x) + abs(c0)
     return abs(f) <= ROOT_TOL * scale
 
 
@@ -50,7 +55,7 @@ def _polish(root: float, c3: float, c2: float, c1: float, c0: float) -> float:
         f = ((c3 * root + c2) * root + c1) * root + c0
         # at a multiple root f and f' are both rounding noise and their
         # ratio is a garbage step; stop once f is below the noise floor
-        scale = (abs(c3 * root**3) + abs(c2 * root**2)
+        scale = (abs(c3 * (root * root * root)) + abs(c2 * (root * root))
                  + abs(c1 * root) + abs(c0))
         if abs(f) <= 1e-15 * scale:
             break
@@ -130,17 +135,18 @@ def scalar_real_roots(c3: float, c2: float, c1: float, c0: float) -> list[float]
     c = c0 / c3
     # depressed form t^3 + p t + q with x = t - a/3
     p = b - a * a / 3.0
-    q = 2.0 * a**3 / 27.0 - a * b / 3.0 + c
+    q = 2.0 * (a * a * a) / 27.0 - a * b / 3.0 + c
 
     spread = max(math.sqrt(abs(p)), abs(q) ** (1.0 / 3.0))
     if a != 0.0 and spread <= TRIPLE_TOL * abs(a / 3.0):
         return [-a / 3.0]
 
-    disc = -4.0 * p**3 - 27.0 * q * q
+    p3 = p * p * p
+    disc = -4.0 * p3 - 27.0 * q * q
     # an exact double root has disc = 0 but rounds either way; a band scaled
     # by the cancelling terms keeps fold pairs from vanishing into the
     # single-root branch
-    disc_scale = 4.0 * abs(p) ** 3 + 27.0 * q * q
+    disc_scale = 4.0 * abs(p3) + 27.0 * q * q
     if p < 0.0 and disc >= -1e-14 * disc_scale:
         m = 2.0 * math.sqrt(-p / 3.0)
         arg = 3.0 * q / (p * m)
@@ -150,7 +156,7 @@ def scalar_real_roots(c3: float, c2: float, c1: float, c0: float) -> list[float]
     elif p == 0.0 and q == 0.0:
         ts = [0.0]
     else:
-        s = math.sqrt(max(q * q / 4.0 + p**3 / 27.0, 0.0))
+        s = math.sqrt(max(q * q / 4.0 + p3 / 27.0, 0.0))
         ts = [math.copysign(abs(-q / 2.0 + s) ** (1.0 / 3.0), -q / 2.0 + s)
               + math.copysign(abs(-q / 2.0 - s) ** (1.0 / 3.0), -q / 2.0 - s)]
 
@@ -179,11 +185,9 @@ def scalar_solve_pump_energy(params, drive) -> list[float]:
         raise DegenerateModel("gamma1 + gamma2 must be > 0")
     c3, c2, c1, c0 = cubic_coefficients(params, drive)
     if c0 == 0.0:
-        # undriven port: E = 0 plus any positive branch of the quadratic
-        # factor (none exist for gamma > 0, but solve it anyway)
-        roots = [0.0] + [r for r in scalar_real_roots(0.0, c3, c2, c1)
-                         if r > 0.0]
-        return sorted(roots)
+        # undriven port: for gamma > 0 the quadratic factor has no positive
+        # root in exact arithmetic, so E = 0 is the only steady state
+        return [0.0]
     roots = scalar_real_roots(c3, c2, c1, c0)
     kept = []
     for r in roots:
@@ -211,7 +215,8 @@ def scalar_relaxation_roots(params, drive, energy: float):
     delta = drive.detuning(params)
     k = params.kerr
     g3 = params.gamma3
-    radicand = (k * k + g3 * g3) * energy * energy - (delta + 2.0 * k * energy) ** 2
+    mismatch = delta + 2.0 * k * energy
+    radicand = (k * k + g3 * g3) * energy * energy - mismatch * mismatch
     s = cmath.sqrt(complex(radicand, 0.0))
     base = params.gamma + 2.0 * g3 * energy
     return base - s, base + s
@@ -231,7 +236,7 @@ def scalar_steady_state(params, drive, energy: float,
         phase = 0.0
     else:
         response = (1j * delta + params.gamma) * amp \
-            + (1j * params.kerr + params.gamma3) * amp**3
+            + (1j * params.kerr + params.gamma3) * (amp * amp * amp)
         phase = drive.phase - params.phi1 + cmath.phase(1j * response)
     reflected = drive.amplitude - 1j * math.sqrt(2.0 * params.gamma1) * amp \
         * cmath.exp(-1j * (params.phi1 + phase - drive.phase))

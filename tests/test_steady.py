@@ -47,6 +47,21 @@ def test_undriven_cavity_gives_zero(fig_device):
     assert solve_pump_energy(fig_device, drive) == [0.0]
 
 
+def test_far_detuned_undriven_cavity_has_one_branch():
+    """At zero drive the quadratic factor's discriminant is
+    -4 (K gamma - gamma3 delta)^2 and its only possible double root,
+    -gamma/gamma3, is negative, so E = 0 is the only steady state.  With
+    gamma3 = 0 and a detuning of 3e8 gamma the discriminant rounds to 0,
+    which would give a spurious double root E = -delta/K = 3e5."""
+    params = DeviceParams(omega0=1.0, kerr=1.0, gamma1=1e-3, gamma2=0.0,
+                          gamma3=0.0)
+    drive = PumpDrive(omega_p=1.0 + 3e5, amplitude=0.0)
+    assert solve_pump_energy(params, drive) == [0.0]
+    assert scalar_solve_pump_energy(params, drive) == [0.0]
+    states = branch_states(params, [drive.omega_p, 1.0 - 3e5], 0.0)
+    assert states.energy.tolist() == [0.0, 0.0]
+
+
 def test_coefficients_match_squared_response_balance(fig_device):
     """Oracle: the cubic must equal E*|linear-plus-cubic response|^2 - 2 g1 b^2.
 

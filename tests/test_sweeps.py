@@ -13,7 +13,8 @@ from kerrcav import (ConfigError, PumpDrive, SingularResponse, critical_point,
                      lo_phase_extrema, load_config, reflection_coefficient,
                      to_csv, to_json, transfer_coefficients)
 from conftest import float_bits, make_uniform_profile
-from oracles import reference_csv, reference_json, scalar_steady_states
+from oracles import (abs2, reference_csv, reference_json,
+                     scalar_steady_states)
 
 
 def bytes_checked(run):
@@ -342,8 +343,8 @@ def scalar_gain_rows(config):
                     try:
                         resp = transfer_coefficients(config.device, state,
                                                      drive, omega)
-                        gs = abs(resp.refl_signal) ** 2
-                        gi = abs(resp.refl_conj) ** 2
+                        gs = abs2(resp.refl_signal)
+                        gi = abs2(resp.refl_conj)
                     except SingularResponse:
                         gs = gi = math.inf
                     yield [amp, omega_p, state.branch_index, omega, gs, gi,
