@@ -8,9 +8,13 @@ branch, matching how a slowly swept measurement settles, for all data rows
 in one batched pass (:func:`steady.settled_states`).  The solver is SciPy's
 trust-region least squares (``trf``) on the residual vector, over
 parameters rescaled by the initial guess and bounded to where
-:func:`model.validate` holds, with a finite-difference Jacobian.
-``n_evaluations`` counts every model evaluation, the Jacobian's included;
-the solver is deterministic, so identical inputs give identical fits.
+:func:`model.validate` holds, with an analytic Jacobian: the photon number
+on the settled branch solves the pump cubic, so its derivatives follow from
+the implicit function theorem, and both observables are closed forms in it.
+The Jacobian at a point reuses the settled states of the model evaluation
+there, so ``n_evaluations`` and the evaluation budget count model
+evaluations only; the solver is deterministic, so identical inputs give
+identical fits.
 """
 
 import math
@@ -60,10 +64,13 @@ class FitProblem:
     psi1: float = 0.0
 
     def __post_init__(self):
-        for name in self.free:
+        for i, name in enumerate(self.free):
             if name not in FREE_NAMES:
                 raise ConfigError(f"fit.free.{name}",
                                   f"unknown parameter (choose from {FREE_NAMES})")
+            if name in self.free[:i]:
+                raise ConfigError(f"fit.free[{i}]",
+                                  f"parameter {name!r} is already free")
         if not self.free:
             raise ConfigError("fit.free", "no free parameters")
         if len(self.refl_data) + len(self.gain_data) < 5:
@@ -122,21 +129,81 @@ def predict_gain(params: DeviceParams, omega_p, b1_in, psi1=0.0):
     are evaluated in one batched pass.
     """
     batch = settled_states(params, omega_p, b1_in, psi1)
-    _, gains = transfer_coefficients_array(params, batch, 0.0,
+    return _scalar_or_array(_zero_offset_gain(params, batch), omega_p, b1_in)
+
+
+def _zero_offset_gain(params: DeviceParams, states) -> np.ndarray:
+    _, gains = transfer_coefficients_array(params, states, 0.0,
                                            ports=("refl",)).gains()
-    return _scalar_or_array(gains, omega_p, b1_in)
+    return gains
+
+
+# The partials of (delta, kerr, gamma, gamma3, gamma1) with respect to each
+# free parameter, where delta = omega0 - omega_p and gamma = gamma1 + gamma2.
+_PARTIALS = {"omega0": (1, 0, 0, 0, 0), "kerr": (0, 1, 0, 0, 0),
+             "gamma1": (0, 0, 1, 0, 1), "gamma2": (0, 0, 1, 0, 0),
+             "gamma3": (0, 0, 0, 1, 0)}
+
+
+def _jacobian(params: DeviceParams, states, free, n_refl) -> np.ndarray:
+    """Derivatives of the model values at the settled ``states`` with
+    respect to the ``free`` parameters, one column each: |reflection| on
+    the first ``n_refl`` entries, the zero-offset gain on the rest.
+
+    The photon number solves h(E) = c3 E^3 + c2 E^2 + c1 E = 2 gamma1 b^2,
+    so dE = (d(2 gamma1 b^2) - dh at fixed E) / h'(E).  With A = gamma +
+    gamma3 E and B = delta + K E, |r|^2 = ((A - 2 gamma1)^2 + B^2) /
+    (A^2 + B^2); and lambda_slow * lambda_fast = h'(E), so G_I(0) =
+    4 c3 q^2 with q = gamma1 E / h'(E).  Entries are non-finite at a fold
+    (h' = 0) and where |r| = 0.
+    """
+    dd, dk, dg, dg3, dg1 = np.array([_PARTIALS[n] for n in free],
+                                    dtype=float).T
+    k, g3, g, g1 = params.kerr, params.gamma3, params.gamma, params.gamma1
+    e = states.energy[:, None]
+    b = states.b_in[:, None]
+    delta = (params.omega0 - states.omega_p)[:, None]
+    with np.errstate(all="ignore"):
+        c3 = k * k + g3 * g3
+        c2 = 2.0 * (delta * k + g * g3)
+        c1 = delta * delta + g * g
+        dc3 = 2.0 * (k * dk + g3 * dg3)
+        dc2 = 2.0 * (dd * k + delta * dk + dg * g3 + g * dg3)
+        dc1 = 2.0 * (delta * dd + g * dg)
+        slope = c1 + e * (2.0 * c2 + 3.0 * c3 * e)
+        de = (2.0 * b * b * dg1 - e * (dc1 + e * (dc2 + e * dc3))) / slope
+
+        a = g + g3 * e
+        u = a - 2.0 * g1
+        bb = delta + k * e
+        da = dg + dg3 * e + g3 * de
+        db = dd + dk * e + k * de
+        m = a * a + bb * bb
+        r2 = (u * u + bb * bb) / m
+        refl = (u * (da - 2.0 * dg1) + bb * db - r2 * (a * da + bb * db)) \
+            / (np.sqrt(r2) * m)
+
+        q = g1 * e / slope
+        dslope = dc1 + e * (2.0 * dc2 + 3.0 * dc3 * e) \
+            + (2.0 * c2 + 6.0 * c3 * e) * de
+        dq = (dg1 * e + g1 * de - q * dslope) / slope
+        gain = 4.0 * q * (dc3 * q + 2.0 * c3 * dq)
+    return np.concatenate([refl[:n_refl], gain[n_refl:]])
 
 
 def run_fit(problem: FitProblem, max_evaluations: int = MAX_EVALUATIONS) -> FitResult:
     """Least-squares fit of the free parameters to the data rows.
 
-    Returns the best evaluated parameters with their RMS residual.  A
-    trial point where the model is undefined (a zero drive, an overflow)
-    gets infinite residuals, on which the solver shrinks its trust region.
-    Raises :class:`NonConvergence` (carrying the best-so-far result) if the
+    Returns the best evaluated parameters with their RMS residual.  The
+    Jacobian is analytic (:func:`_jacobian`) and reuses the settled states
+    of the model evaluation at its point, so ``n_evaluations`` and
+    ``max_evaluations`` count model evaluations only.  A trial point where
+    the model is undefined (a zero drive, an overflow) gets infinite
+    residuals, on which the solver shrinks its trust region.  Raises
+    :class:`NonConvergence` (carrying the best-so-far result) if the
     evaluation budget is exhausted first, if the model is undefined at the
-    initial guess or at a point the Jacobian needs, or if the solver stops
-    short of its tolerances.
+    initial guess, if the Jacobian is not finite (at a fold, or where
+    |reflection| = 0) or if the solver stops short of its tolerances.
     """
     # imported here: SciPy's optimizer takes longer to import than the
     # sweeps take to run
@@ -148,13 +215,17 @@ def run_fit(problem: FitProblem, max_evaluations: int = MAX_EVALUATIONS) -> FitR
     lo, hi = np.array([problem.search_bounds(n) for n in names]).T / scale
     refl = np.array(problem.refl_data, dtype=float).reshape(-1, 3)
     gain = np.array(problem.gain_data, dtype=float).reshape(-1, 3)
-    observed = np.concatenate([refl[:, 2], gain[:, 2]])
+    rows = np.concatenate([refl, gain])
+    observed = rows[:, 2]
+    n_refl = len(refl)
     evaluations = 0
     best = FitResult(problem.initial, math.nan, 0, False)
+    # the last point where the model was defined, with its parameters and
+    # settled states
+    last = (None, None, None)
 
     def residuals(z):
-        # every call counts, the finite-difference Jacobian's included
-        nonlocal evaluations, best
+        nonlocal evaluations, best, last
         if evaluations == max_evaluations:
             raise NonConvergence(replace(best, n_evaluations=evaluations))
         evaluations += 1
@@ -163,11 +234,14 @@ def run_fit(problem: FitProblem, max_evaluations: int = MAX_EVALUATIONS) -> FitR
         r = np.nan
         try:
             if validate(params).ok:
-                r = np.concatenate([
-                    predict(params, rows[:, 0], rows[:, 1], problem.psi1)
-                    for predict, rows in ((predict_reflection, refl),
-                                          (predict_gain, gain))
-                    if len(rows)]) - observed
+                states = settled_states(params, rows[:, 0], rows[:, 1],
+                                        problem.psi1)
+                model = states.take(slice(n_refl)).reflection_magnitude()
+                # the gain pass costs about 0.25 ms even on no rows
+                if len(gain):
+                    model = np.concatenate([model, _zero_offset_gain(
+                        params, states.take(slice(n_refl, None)))])
+                r = model - observed
         except (ArithmeticError, ValueError):
             pass
         if not np.all(np.isfinite(r)):
@@ -175,21 +249,25 @@ def run_fit(problem: FitProblem, max_evaluations: int = MAX_EVALUATIONS) -> FitR
                 # the initial guess: no defined point to fall back on
                 raise NonConvergence(replace(best, n_evaluations=evaluations))
             return np.full(observed.size, np.inf)
+        last = (z.copy(), params, states)
         rms = math.sqrt(float(np.dot(r, r)) / r.size)
         if not rms >= best.rms_residual:
             best = FitResult(params, rms, evaluations, False)
         return r
 
-    try:
-        # max_nfev lifts SciPy's own cap, which counts only the steps' calls
-        with np.errstate(invalid="ignore"):
-            result = least_squares(residuals, x0 / scale, bounds=(lo, hi),
-                                   method="trf", jac="2-point", x_scale="jac",
-                                   max_nfev=max_evaluations)
-    except ValueError:
-        # with valid bounds and a defined initial guess, an undefined
-        # finite-difference probe made the Jacobian non-finite
-        raise NonConvergence(replace(best, n_evaluations=evaluations)) from None
+    def jacobian(z):
+        # TRF asks for the Jacobian only at the point it evaluated last,
+        # and only after accepting it, so the model is defined there
+        point, params, states = last
+        jac = _jacobian(params, states, names, n_refl) * scale
+        if not (np.array_equal(point, z) and np.all(np.isfinite(jac))):
+            raise NonConvergence(replace(best, n_evaluations=evaluations))
+        return jac
+
+    # max_nfev lifts SciPy's own cap of 100 evaluations per free parameter
+    result = least_squares(residuals, x0 / scale, bounds=(lo, hi),
+                           method="trf", jac=jacobian, x_scale="jac",
+                           max_nfev=max_evaluations)
     fit = replace(best, n_evaluations=evaluations,
                   converged=bool(result.success))
     if not fit.converged:

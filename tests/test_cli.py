@@ -320,6 +320,36 @@ def test_fit_rejects_degenerate_bounds(tmp_path, capsys):
     assert captured.out == ""
 
 
+def test_fit_rejects_duplicate_free_parameter(tmp_path, capsys):
+    """A parameter freed twice exits 2 naming its second entry."""
+    refl = [[1.0 - 0.01 * i, 0.1, 0.5] for i in range(6)]
+    cfg = write_json(tmp_path / "fit.json", {"schema": 1, "fit": {
+        "initial": dict(DEVICE), "free": ["kerr", "kerr"],
+        "refl_data": refl}})
+    assert main(["fit", "--config", cfg]) == 2
+    captured = capsys.readouterr()
+    assert captured.err.startswith("error: config field 'fit.free[1]'")
+    assert "kerr" in captured.err
+    assert captured.out == ""
+
+
+def test_fit_stops_where_the_jacobian_is_undefined(tmp_path, capsys):
+    """A critically coupled linear device reflects nothing at resonance,
+    where |r| has no derivative: the fit exits 3 with the initial guess as
+    its best-so-far record, not converged."""
+    device = {"omega0": 1.0, "kerr": 0.0, "gamma1": 0.01, "gamma2": 0.01,
+              "gamma3": 0.0}
+    refl = [[w, 0.1, 0.5] for w in (0.98, 0.99, 1.0, 1.01, 1.02)]
+    cfg = write_json(tmp_path / "fit.json", {"schema": 1, "fit": {
+        "initial": device, "free": ["gamma2"], "refl_data": refl}})
+    assert main(["fit", "--config", cfg]) == 3
+    captured = capsys.readouterr()
+    assert "no convergence after 1 evaluations" in captured.err
+    header, row = captured.out.strip().splitlines()
+    assert row.split(",")[2:4] == ["1.0000000000000000e-02"] * 2
+    assert row.endswith(",1,false")
+
+
 def test_cli_import_loads_no_scipy():
     """SciPy is imported by the fit and the line modes only, so the other
     commands do not pay its start-up cost."""

@@ -3,11 +3,14 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from kerrcav import (ConfigError, DeviceParams, FitProblem, NonConvergence,
-                     PumpDrive, UndefinedForZeroDrive, critical_point,
-                     intermodulation_gain, load_fit_problem, predict_gain,
-                     predict_reflection, reflection_coefficient, run_fit,
+                     PumpDrive, UndefinedForZeroDrive, branch_states,
+                     critical_point, instability_locus, intermodulation_gain,
+                     load_fit_problem, predict_gain, predict_reflection,
+                     reflection_coefficient, run_fit, settled_states,
                      steady_states)
 from kerrcav import fitting
 
@@ -82,6 +85,17 @@ def test_unknown_free_parameter_rejected():
         FitProblem(initial=TRUE, free=("phi1",), bounds={}, refl_data=rows)
 
 
+def test_duplicate_free_parameter_rejected():
+    """A parameter freed twice would leave a dead column in the fit."""
+    rows = synth_refl_rows(TRUE, fractions=(0.5,), n_points=11)
+    with pytest.raises(ConfigError, match=r"fit\.free\[1\].*kerr"):
+        FitProblem(initial=TRUE, free=("kerr", "kerr"), bounds={},
+                   refl_data=rows)
+    with pytest.raises(ConfigError, match=r"fit\.free\[2\].*gamma1"):
+        FitProblem(initial=TRUE, free=("gamma1", "kerr", "gamma1"),
+                   bounds={}, refl_data=rows)
+
+
 def test_empty_data_rejected():
     with pytest.raises(ConfigError):
         FitProblem(initial=TRUE, free=("kerr",), bounds={}, refl_data=())
@@ -125,6 +139,118 @@ def test_predict_array_input():
     with pytest.raises(UndefinedForZeroDrive):
         predict_reflection(TRUE, omegas, np.where(omegas > 0.98, 0.0,
                                                   amplitudes))
+
+
+# ------------------------------------------------------------- Jacobian
+
+@st.composite
+def jacobian_points(draw):
+    """A random bistable device with nonzero phases phi1 and psi1, a subset
+    of free parameters in any order, and data rows: at a supercritical
+    drive, pump frequencies inside the bistable band (where the settled
+    branch is chosen among three) and around it, and drives from 0.1 to 3
+    times critical.  The first half of the rows are reflection rows, the
+    rest gain rows."""
+    kerr = draw(st.sampled_from([-1.0, 1.0])) * 10.0 ** draw(st.floats(-5, -3))
+    params = DeviceParams(
+        omega0=1.0, kerr=kerr, gamma1=10.0 ** draw(st.floats(-3.0, -1.5)),
+        gamma2=10.0 ** draw(st.floats(-3.0, -1.5)),
+        gamma3=abs(kerr) * draw(st.floats(0.05, 0.5)),
+        phi1=draw(st.floats(0.1, 6.2)))
+    crit = critical_point(params)
+    band = PumpDrive(crit.omega_p, crit.drive * draw(st.floats(1.2, 3.0)))
+    lo, hi = sorted(w for w, _ in instability_locus(params, band))
+    inside = [lo + (hi - lo) * t for t in draw(st.lists(
+        st.floats(0.05, 0.95), min_size=2, max_size=4))]
+    around = draw(st.lists(st.tuples(st.floats(-5.0, 5.0),
+                                     st.floats(0.1, 3.0)),
+                           min_size=2, max_size=4))
+    rows = [(w, band.amplitude) for w in inside] + [
+        (crit.omega_p + x * params.gamma, f * crit.drive) for x, f in around]
+    order = draw(st.permutations(range(len(rows))))
+    omega_p, b1_in = np.array([rows[i] for i in order]).T
+    free = tuple(draw(st.lists(st.sampled_from(FREE), min_size=1,
+                               max_size=len(FREE), unique=True)))
+    return params, draw(st.floats(0.1, 6.2)), omega_p, b1_in, free
+
+
+def natural_scale(params, name):
+    """The scale on which the model varies with a parameter: gamma for
+    omega0, the value itself for the others."""
+    return params.gamma if name == "omega0" else abs(getattr(params, name))
+
+
+@settings(max_examples=150, deadline=None, derandomize=True)
+@given(jacobian_points())
+def test_jacobian_matches_central_differences(point):
+    """The analytic Jacobian of |reflection| and G_I(0) agrees with central
+    differences of predict_reflection and predict_gain to 1e-6 of each
+    row's largest derivative, each taken times its parameter's scale, plus
+    the rounding of the difference quotient, 1e-8 of the row's value.
+    Rows whose settled branch changes within a step have no derivative to
+    compare, and rows within |lambda_slow| < gamma / 100 of a fold
+    (h'(E) = 0, where the Jacobian diverges) none that a fixed step
+    resolves."""
+    params, psi1, omega_p, b1_in, free = point
+    n_refl = omega_p.size // 2
+
+    def model(p):
+        return np.concatenate([
+            predict_reflection(p, omega_p[:n_refl], b1_in[:n_refl], psi1),
+            predict_gain(p, omega_p[n_refl:], b1_in[n_refl:], psi1)])
+
+    states = settled_states(params, omega_p, b1_in, psi1)
+    jac = fitting._jacobian(params, states, free, n_refl)
+    scales = np.array([natural_scale(params, name) for name in free])
+    compared = np.abs(states.lambda_slow) >= 0.01 * params.gamma
+    central = np.empty_like(jac)
+    for j, name in enumerate(free):
+        h = 1e-6 * scales[j]
+        value = getattr(params, name)
+        ends = [dataclasses.replace(params, **{name: value + s * h})
+                for s in (1.0, -1.0)]
+        for end in ends:
+            moved = settled_states(end, omega_p, b1_in, psi1)
+            compared &= ((moved.branch_index == states.branch_index)
+                         & (moved.n_branches == states.n_branches))
+        central[:, j] = (model(ends[0]) - model(ends[1])) / (2.0 * h)
+    assume(compared.any())
+    jac, central = jac[compared], central[compared]
+    assert np.all(np.isfinite(jac))
+    size = np.max(np.abs(jac * scales), axis=1, keepdims=True)
+    magnitude = np.abs(model(params)[compared])[:, None]
+    error = np.abs(jac - central) * scales
+    assert np.all(error <= 1e-6 * size + 1e-8 * magnitude), error / size
+
+
+@settings(max_examples=150, deadline=None, derandomize=True)
+@given(jacobian_points())
+def test_identities_behind_the_jacobian(point):
+    """On every branch, lambda_slow * lambda_fast = h'(E) = c1 + 2 c2 E +
+    3 c3 E^2 to 1e-13 of its largest term, and on the settled one
+    G_I(0) = 4 gamma1^2 (K^2 + gamma3^2) E^2 / h'(E)^2 to 1e-13 of
+    predict_gain."""
+    params, psi1, omega_p, b1_in, _ = point
+    k, g3, g = params.kerr, params.gamma3, params.gamma
+
+    def slope(states):
+        e = states.energy
+        delta = params.omega0 - states.omega_p
+        terms = (delta * delta + g * g, 4.0 * (delta * k + g * g3) * e,
+                 3.0 * (k * k + g3 * g3) * e * e)
+        return sum(terms), np.max(np.abs(terms), axis=0)
+
+    branches = branch_states(params, omega_p, b1_in, psi1)
+    h1, size = slope(branches)
+    product = branches.lambda_slow * branches.lambda_fast
+    assert np.all(np.abs(product - h1) <= 1e-13 * size)
+
+    settled = settled_states(params, omega_p, b1_in, psi1)
+    e = settled.energy
+    closed = (4.0 * params.gamma1 ** 2 * (k * k + g3 * g3) * e * e
+              / slope(settled)[0] ** 2)
+    gain = predict_gain(params, omega_p, b1_in, psi1)
+    assert np.all(np.abs(closed - gain) <= 1e-13 * gain)
 
 
 # ------------------------------------------------------------------ round trip
@@ -184,7 +310,8 @@ def test_non_convergence_reports_best_so_far():
 def test_active_bound_keeps_every_evaluation_valid(monkeypatch):
     """Data from a device without two-photon loss pulls gamma3 onto its
     bound 0; the domain bounds keep every evaluated device valid, and
-    n_evaluations counts every evaluation, the Jacobian's included."""
+    n_evaluations counts every model evaluation (the analytic Jacobian
+    reuses them and evaluates nothing)."""
     true = dataclasses.replace(TRUE, gamma3=0.0)
     rows = synth_refl_rows(true)
     checked = []
@@ -204,36 +331,84 @@ def test_active_bound_keeps_every_evaluation_valid(monkeypatch):
     assert len(checked) == result.n_evaluations and all(checked)
 
 
-@pytest.mark.parametrize("bad_call", [len(FREE) + 2, 2])
-def test_undefined_point_mid_fit(monkeypatch, bad_call):
-    """An overflow at one evaluated point.  At the first trial step (after
-    the initial guess and its len(FREE) Jacobian probes) the solver shrinks
-    its trust region and the fit still converges; at a Jacobian probe there
-    is no derivative, and the fit stops with the best fit so far."""
-    rows = synth_refl_rows(TRUE)
+def count_settled_states(monkeypatch, fault):
+    """Route the fit's steady solves through a spy that counts them and
+    lets ``fault(call_number, states)`` raise or replace the states."""
     calls = []
-    predict = fitting.predict_reflection
+    settled = fitting.settled_states
 
     def spy(*args):
         calls.append(None)
-        if len(calls) == bad_call:
-            raise OverflowError("math range error")
-        return predict(*args)
+        return fault(len(calls), settled(*args))
 
-    monkeypatch.setattr(fitting, "predict_reflection", spy)
+    monkeypatch.setattr(fitting, "settled_states", spy)
+    return calls
+
+
+@pytest.mark.parametrize("bad_call", [7, 2])
+def test_undefined_point_mid_fit(monkeypatch, bad_call):
+    """An overflow at one evaluated point: at the first trial step (2) or a
+    later one (7) the solver shrinks its trust region and the fit still
+    converges.  Every model evaluation is one steady solve, and the
+    Jacobian passes add none."""
+    rows = synth_refl_rows(TRUE)
+
+    def fault(call, states):
+        if call == bad_call:
+            raise OverflowError("math range error")
+        return states
+
+    calls = count_settled_states(monkeypatch, fault)
     problem = FitProblem(initial=guessed(TRUE, 0.15), free=FREE,
                          bounds=BOUNDS, refl_data=rows)
-    if bad_call == 2:
-        with pytest.raises(NonConvergence) as excinfo:
-            run_fit(problem)
-        best = excinfo.value.best
-        assert best.n_evaluations == len(calls) == len(FREE) + 1
-        assert not best.converged and math.isfinite(best.rms_residual)
-        return
     result = run_fit(problem)
+    assert len(calls) > bad_call
     assert result.converged and result.n_evaluations == len(calls)
     errors = relative_errors(result.params, TRUE)
     assert all(err < 1e-3 for err in errors.values()), errors
+
+
+def test_non_finite_jacobian_mid_fit_stops_the_fit(monkeypatch):
+    """An accepted point whose derivatives are undefined (here its photon
+    numbers are NaN while its residuals are finite) stops the fit with the
+    best fit so far instead of handing the solver a NaN Jacobian."""
+    rows = synth_refl_rows(TRUE)
+
+    def fault(call, states):
+        if call == 3:
+            return dataclasses.replace(states,
+                                       energy=np.full_like(states.energy,
+                                                           np.nan))
+        return states
+
+    calls = count_settled_states(monkeypatch, fault)
+    problem = FitProblem(initial=guessed(TRUE, 0.15), free=FREE,
+                         bounds=BOUNDS, refl_data=rows)
+    with pytest.raises(NonConvergence) as excinfo:
+        run_fit(problem)
+    best = excinfo.value.best
+    assert best.n_evaluations == len(calls) == 3
+    assert not best.converged and math.isfinite(best.rms_residual)
+
+
+def test_zero_reflection_stops_the_fit():
+    """|r| is not differentiable where it vanishes: a critically coupled
+    linear device (gamma2 = gamma1) reflects nothing at resonance, so the
+    Jacobian there is not finite and the fit stops at its first point,
+    reported as not converged."""
+    start = DeviceParams(omega0=1.0, kerr=0.0, gamma1=0.01, gamma2=0.01,
+                         gamma3=0.0)
+    omegas = (0.98, 0.99, 1.0, 1.01, 1.02)
+    assert predict_reflection(start, 1.0, 0.1) < 1e-15
+    rows = tuple((w, 0.1, 1.01 * predict_reflection(start, w, 0.1))
+                 for w in omegas)
+    problem = FitProblem(initial=start, free=("gamma2",), bounds={},
+                         refl_data=rows)
+    with pytest.raises(NonConvergence) as excinfo:
+        run_fit(problem)
+    best = excinfo.value.best
+    assert best.params == start and best.n_evaluations == 1
+    assert not best.converged and math.isfinite(best.rms_residual)
 
 
 def test_fit_undefined_everywhere_is_not_converged():
