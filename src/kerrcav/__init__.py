@@ -6,7 +6,6 @@ gain, homodyne squeezing spectra with thermal inputs, and the derivation of
 the lumped model from a superconducting transmission-line profile.
 """
 
-from .cubic import real_roots, real_roots_array
 from .fitting import (FitProblem, FitResult, NonConvergence, load_fit_problem,
                       predict_gain, predict_reflection, run_fit)
 from .model import (DeviceParams, DeviceValidation, PumpDrive, validate)
@@ -51,7 +50,7 @@ __all__ = [
     "lo_phase_extrema_array", "load_config", "load_config_file",
     "load_fit_problem", "load_profile", "max_curve_energy",
     "parametric_gain", "parse_json", "predict_gain", "predict_reflection",
-    "real_roots", "real_roots_array", "reflection_coefficient", "render",
+    "reflection_coefficient", "render",
     "response_peak_detuning", "run_critical", "run_fit", "run_gain_sweep",
     "run_line_derive", "run_squeeze_sweep", "run_steady_sweep",
     "settled_state", "settled_states", "solve_mode", "solve_modes",

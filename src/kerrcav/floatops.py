@@ -1,34 +1,20 @@
 """Python's float and complex arithmetic on NumPy arrays, bit for bit.
 
 The batched kernels evaluate the formulas of the one-point functions (for
-the cubic and the steady state, of the scalar reference the tests keep)
-over whole arrays and must give the same bits.  Both paths write powers 2
-and 3 as products (``x * x``, ``x * x * x``, :func:`abs2`), and ``np.cos``
-and ``np.sin`` equal ``math.cos`` and ``math.sin``; only acos, atan2 and
-the cube root go through ``math`` elementwise (:func:`libm`).  NumPy's
-complex multiply and divide round differently from CPython's, so complex
-numbers are carried as (real, imaginary) pairs of float arrays, combined in
-the order CPython's complex arithmetic uses.  A float operand of a complex
+the pump solve and the steady state, of the scalar reference the tests
+keep) over whole arrays and must give the same bits.  Both paths write
+powers 2 and 3 as products (``x * x``, ``x * x * x``, :func:`abs2`), and
+``np.cos`` and ``np.sin`` equal ``math.cos`` and ``math.sin``; only atan2
+goes through ``math`` elementwise (:func:`phase`).  NumPy's complex
+multiply and divide round differently from CPython's, so complex numbers
+are carried as (real, imaginary) pairs of float arrays, combined in the
+order CPython's complex arithmetic uses.  A float operand of a complex
 operation is the pair (x, 0.0), as CPython converts it.
 """
 
 import math
-from itertools import repeat
 
 import numpy as np
-
-
-def libm(fn, x, *args):
-    """``fn`` applied elementwise over the 1-D array ``x``; further
-    arguments are arrays of the same size or scalars.  For ``math.acos``,
-    ``math.atan2`` and ``math.pow(x, 1/3)``: ``np.arccos`` and ``np.arctan2``
-    differ in the last bit on about 9 % and 6-8 % of random arguments, and
-    ``np.cbrt`` for the 1/3 power loses the one steady state of a drive of
-    1e-155 on the README device.
-    """
-    more = [a.tolist() if isinstance(a, np.ndarray) else repeat(a)
-            for a in args]
-    return np.fromiter(map(fn, x.tolist(), *more), float, x.size)
 
 
 def rows(*values):
@@ -130,6 +116,10 @@ def abs2(z):
 
 
 def phase(z):
-    """cmath.phase(z): atan2 of the imaginary and real parts."""
-    return libm(math.atan2, z[1], z[0])
+    """cmath.phase(z) of a pair of 1-D arrays: ``math.atan2`` of the
+    imaginary and real parts, elementwise (``np.arctan2`` differs from it
+    in the last bit on 6-8 % of random arguments)."""
+    re, im = z
+    return np.fromiter(map(math.atan2, im.tolist(), re.tolist()), float,
+                       re.size)
 

@@ -36,8 +36,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .cubic import real_roots
 from .model import SQRT3, DeviceParams, PumpDrive
+from .steady import _branch_energies
 
 # A fold-side slope maximum within this fraction of |kerr| of zero marks a
 # tangency: the fold pair cannot be separated numerically and is reported
@@ -83,16 +83,15 @@ def curve_head(params: DeviceParams, drive: PumpDrive, energy: float) -> float:
 def max_curve_energy(params: DeviceParams, drive: PumpDrive) -> float:
     """Largest photon number on the response curve (the peak).
 
-    head(E) = 0 there: the one positive root of
-    gamma3^2 E^3 + 2 gamma gamma3 E^2 + gamma^2 E - 2 gamma1 b_in^2,
-    which is linear when gamma3 = 0.
+    head(E) = 0 there: E (gamma + gamma3 E)^2 = 2 gamma1 b_in^2, the pump
+    balance E |z(E)|^2 = P of the steady states with delta = K = 0.  That
+    h(E) rises from h(0) = 0 without a fold, so it has one root, which the
+    steady states' solve finds from above.
     """
-    if drive.amplitude == 0.0:
-        return 0.0
-    g = params.gamma
-    g3 = params.gamma3
-    return max(real_roots(g3 * g3, 2.0 * g * g3, g * g,
-                          -2.0 * params.gamma1 * drive.amplitude**2))
+    p = 2.0 * params.gamma1 * (drive.amplitude * drive.amplitude)
+    with np.errstate(all="ignore"):
+        return float(_branch_energies(0.0, np.zeros(1), np.full(1, p), 0.0,
+                                      params.gamma3, params.gamma)[0, 0])
 
 
 def curve_omega_p(params: DeviceParams, drive: PumpDrive, energy: float):

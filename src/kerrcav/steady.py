@@ -6,16 +6,20 @@ intracavity amplitude B and phase solve
     [i*(omega0 - omega_p) + gamma] * B + (i*kerr + gamma3) * B^3
         = -i * sqrt(2*gamma1) * b_in * exp(i*(phi1 + phase - psi1)),
 
-whose squared modulus turns the photon number E = B^2 into a real cubic.
-Depending on drive strength the cubic has one, two (fold tangency) or three
-nonnegative roots; with three roots the middle branch is unstable and the
-device is bistable.  Stability of each branch follows from the relaxation
-roots of the linearized dynamics.  :func:`branch_states` evaluates every
-branch of a whole batch of drives in one NumPy pass, and
-:func:`settled_states` picks from it the branch a slowly swept drive
-settles on.  The one-drive functions (:func:`solve_pump_energy`,
-:func:`steady_state`, :func:`steady_states`, :func:`settled_state`) are
-those kernels for a batch of one.
+whose squared modulus turns the photon number E = B^2 into a real cubic,
+h(E) = E |z(E)|^2 = P with z(E) = i (omega0 - omega_p + K E) + gamma
++ gamma3 E and P = 2 gamma1 b_in^2.  Depending on drive strength it has
+one, two (fold tangency) or three nonnegative roots; with three roots the
+middle branch is unstable and the device is bistable.  h rises except
+between its two folds, the roots of the quadratic h', so the branch count
+and a bound on each branch follow in closed form, and Newton steps from
+those bounds reach each root from one side.  Stability of each branch
+follows from the relaxation roots of the linearized dynamics.
+:func:`branch_states` evaluates every branch of a whole batch of drives in
+one NumPy pass, and :func:`settled_states` picks from it the branch a
+slowly swept drive settles on.  The one-drive functions
+(:func:`solve_pump_energy`, :func:`steady_state`, :func:`steady_states`,
+:func:`settled_state`) are those kernels for a batch of one.
 """
 
 import math
@@ -24,12 +28,13 @@ from dataclasses import dataclass, fields
 import numpy as np
 
 from . import floatops as fo
-from .cubic import real_roots_array
 from .model import DeviceParams, PumpDrive
 
-# Roots closer than this (relative) are a fold double root that double
-# precision cannot split; they are reported once.
-MERGE_TOL = 1e-7
+# The rounding floor of h(E) - P, in units of h's magnitude: a few ulps.
+FLOOR = 4.0 * np.finfo(float).eps
+# A cap on the Newton steps to one root; from its bound no root has taken
+# ten.
+MAX_STEPS = 50
 # |Re lambda_slow| below this fraction of gamma marks critical slowing down.
 MARGINAL_TOL = 1e-9
 
@@ -90,8 +95,10 @@ def cubic_coefficients(params: DeviceParams, drive: PumpDrive):
 def solve_pump_energy(params: DeviceParams, drive: PumpDrive) -> list[float]:
     """Real nonnegative roots E of the pump cubic, ascending.
 
-    Returns 1, 2 (fold tangency, the double root reported once) or 3 roots:
-    the row of :func:`branch_states`' energies for this one drive.
+    Returns 1, 2 or 3 roots: the row of :func:`branch_states`' energies for
+    this one drive.  Two roots mean that P lies within rounding of h at a
+    fold, and the double root is then reported once, as the closed-form
+    fold E- or E+.
 
     Raises
     ------
@@ -100,9 +107,10 @@ def solve_pump_energy(params: DeviceParams, drive: PumpDrive) -> list[float]:
     """
     if params.gamma <= 0.0:
         raise DegenerateModel("gamma1 + gamma2 must be > 0")
+    p = 2.0 * params.gamma1 * (drive.amplitude * drive.amplitude)
     with np.errstate(all="ignore"):
-        energy = _branch_energies(*fo.rows(*cubic_coefficients(params,
-                                                               drive)))[0]
+        energy = _branch_energies(params.omega0, *fo.rows(drive.omega_p, p),
+                                  params.kerr, params.gamma3, params.gamma)[0]
     return energy[~np.isnan(energy)].tolist()
 
 
@@ -201,46 +209,160 @@ class BranchStates:
                         self.reflected.imag / self.b_in)
 
 
-def _merge_folds(kept):
-    """Merge fold double roots on rows of two or three ascending energies,
-    NaN-padded: a root within MERGE_TOL (relative to the row's largest) of
-    the last kept one replaces it by their mean."""
-    rows = np.arange(len(kept))
-    count = 3 - np.isnan(kept).sum(axis=1)
-    scale = np.maximum(kept[rows, count - 1], 1e-300)
-    merged = np.full_like(kept, np.nan)
-    merged[:, 0] = kept[:, 0]
-    n = np.ones(len(kept), dtype=int)
-    for j in (1, 2):
-        r = kept[:, j]
-        last = merged[rows, n - 1]
-        close = (j < count) & (np.abs(r - last) <= MERGE_TOL * scale)
-        merged[rows[close], n[close] - 1] = 0.5 * (last[close] + r[close])
-        new = (j < count) & ~close
-        merged[rows[new], n[new]] = r[new]
-        n += new
-    return merged
+def _h(e, delta, k, g3, g):
+    """h(E) = E (a^2 + b^2) and h'(E) = a^2 + b^2 + 2 E (a K + b gamma3),
+    with a = delta + K E and b = gamma + gamma3 E."""
+    a = delta + k * e
+    b = g + g3 * e
+    s = a * a + b * b
+    return e * s, s + 2.0 * e * (a * k + b * g3)
 
 
-def _branch_energies(c3, c2, c1, c0):
-    """Nonnegative roots of each row's pump cubic, (n, 3), ascending and
-    NaN-padded: rounding negatives clamp to zero, genuine negatives drop,
-    and a fold double root double precision cannot split appears once.
-    An undriven row (c0 = 0) keeps E = 0 alone: for gamma > 0 its quadratic
-    factor's discriminant, -4 (K gamma - gamma3 delta)^2, allows only the
-    double root -gamma/gamma3 < 0 (rounding can report a spurious one)."""
-    roots = real_roots_array(c3, c2, c1, c0)
-    # clamp rounding negatives to 0 and drop the rest, which lead a row
-    energy = np.maximum(roots, 0.0)
-    negative = np.flatnonzero(roots[:, 0] < -1e-12)
-    if negative.size:
-        energy[negative] = np.sort(np.where(roots[negative] < -1e-12, np.nan,
-                                            energy[negative]), axis=1)
-    energy[c0 == 0.0] = (0.0, np.nan, np.nan)
-    multi = np.flatnonzero(~np.isnan(energy[:, 1]))
-    if multi.size:
-        energy[multi] = _merge_folds(energy[multi])
-    return energy
+def _at_fold(e, h, omega0, omega_p, p, k, g3, g):
+    """Whether p is within the rounding floor of h = h(e) at a fold e (or
+    at the inflection that stands in for the folds).
+
+    The floor is FLOOR times h evaluated from its float inputs with every
+    term's magnitude, e (|a| (|omega0| + |omega_p| + |K| e) + b^2), so a
+    fold that rounding the pump frequency to a float can move onto p
+    counts as on it."""
+    a = (omega0 - omega_p) + k * e
+    b = g + g3 * e
+    span = np.abs(omega0) + np.abs(omega_p) + np.abs(k) * e
+    return np.abs(h - p) <= FLOOR * (e * (np.abs(a) * span + b * b))
+
+
+def _newton(e, delta, p, k, g3, g):
+    """Newton steps on h(E) = p from the starts ``e``, row by row.
+
+    Each start bounds its root on a concave or convex stretch of h, so the
+    steps approach the root from the start's side.  A row stops at its
+    first step that does not move toward the root (rounding noise, or h = p
+    exactly), on its own mask, so its bits do not depend on the batch.
+
+    Raises
+    ------
+    ArithmeticError
+        If a row still moves after MAX_STEPS steps.
+    """
+    e = e.copy()
+    live = np.arange(e.size)
+    x, toward, steps = e, None, 0
+    while live.size:
+        if steps == MAX_STEPS:
+            raise ArithmeticError("pump cubic: Newton steps did not settle")
+        steps += 1
+        h, slope = _h(x, delta, k, g3, g)
+        step = (p - h) / slope
+        if toward is None:
+            toward = np.sign(step)
+        nxt = x + step
+        move = (nxt - x) * toward > 0.0
+        if not move.all():
+            e[live[~move]] = x[~move]
+            live = live[move]
+            nxt, delta, p, toward = (nxt[move], delta[move], p[move],
+                                     toward[move])
+        x = nxt
+    return e
+
+
+def _branch_energies(omega0, omega_p, p, k, g3, g):
+    """Nonnegative roots E of h(E) = E |z(E)|^2 = p for each row, with
+    z(E) = i (delta + K E) + gamma + gamma3 E: an (n, 3) array, ascending
+    and NaN-padded.
+
+    h rises except between its folds E- <= E+, the roots of h'(E) =
+    3 c3 E^2 + 2 c2 E + c1, taken as c1/q and q/(3 c3) with
+    q = -c2 + sqrt(c2^2 - 3 c3 c1) so that neither cancels.  A row has
+    three roots exactly when h(E+) < p < h(E-): the lowest lies below E-,
+    where h is concave, the highest above E+, where it is convex, and the
+    middle one follows from the product of the roots, p / c3.  Without a
+    fold the inflection -c2/(3 c3), clamped at 0, stands in for both folds.
+    A row whose p is within the rounding floor of h(E-) or h(E+) has the
+    closed-form double root there; where it is within the floor of both
+    (the folds coalesce: the critical point, or an undriven row) its one
+    root is that inflection.  h and h' are evaluated in factored form: the
+    expanded coefficients lose the branch count to cancellation.
+
+    Raises
+    ------
+    OverflowError
+        If a coefficient of the cubic is infinite or NaN, or a root lies
+        beyond the float range.
+    ArithmeticError
+        If a root takes more than MAX_STEPS Newton steps.
+    """
+    delta = omega0 - omega_p
+    c3 = k * k + g3 * g3
+    c2 = 2.0 * (delta * k + g * g3)
+    c1 = delta * delta + g * g
+    if not (np.isfinite(c3) and np.isfinite(c2).all()
+            and np.isfinite(c1).all() and np.isfinite(p).all()):
+        raise OverflowError("cubic coefficient is not finite")
+    n = p.size
+    out = np.full((n, 3), np.nan)
+    if c3 == 0.0:
+        # a linear device: h(E) = c1 E
+        out[:, 0] = p / c1
+        return out
+    disc = c2 * c2 - 3.0 * c3 * c1
+    fold = (c2 < 0.0) & (disc > 0.0)
+    inflection = np.maximum(-c2 / (3.0 * c3), 0.0)
+    e_lo = inflection.copy()
+    e_hi = inflection.copy()
+    q = -c2[fold] + np.sqrt(disc[fold])
+    e_hi[fold] = q / (3.0 * c3)
+    e_lo[fold] = c1[fold] / q
+    h_lo = _h(e_lo, delta, k, g3, g)[0]
+    h_hi = _h(e_hi, delta, k, g3, g)[0]
+    near_lo = _at_fold(e_lo, h_lo, omega0, omega_p, p, k, g3, g)
+    near_hi = _at_fold(e_hi, h_hi, omega0, omega_p, p, k, g3, g)
+    below = np.flatnonzero(~near_lo & (p < h_lo))
+    above = np.flatnonzero(~near_hi & (p > h_hi))
+
+    # Newton from a bound on the side of each fold (or of the clamped
+    # inflection) where the root lies: every term of the Taylor expansion of
+    # h at that point moves h away from h(E-) below E- and from h(E+) above
+    # E+, so each term alone reaching |p - h| bounds the root, and the
+    # nearest bound is kept.  h is concave on the way to a root below E-
+    # and convex on the way to one above E+.  The roots of a quotient's
+    # numerator and denominator are taken apart, as the quotient would
+    # overflow at the largest drives.
+    at = np.concatenate([below, above])
+    side = np.repeat([-1.0, 1.0], [below.size, above.size])
+    x = np.concatenate([e_lo[below], e_hi[above]])
+    gap = side * (p[at] - np.concatenate([h_lo[below], h_hi[above]]))
+    slope = np.where(fold[at], 0.0, _h(x, delta[at], k, g3, g)[1])
+    half_curve = 3.0 * c3 * x + c2[at]
+    reach = np.fmin(np.fmin(
+        np.where(slope > 0.0, gap / slope, np.inf),
+        np.where(side * half_curve > 0.0,
+                 np.sqrt(gap) / np.sqrt(np.abs(half_curve)), np.inf)),
+        np.cbrt(gap) / np.cbrt(c3))
+    root = _newton(np.maximum(x + side * reach, 0.0), delta[at], p[at], k,
+                   g3, g)
+    if not np.isfinite(root).all():
+        raise OverflowError("cubic root beyond the float range")
+
+    lo = np.full(n, np.nan)
+    hi = np.full(n, np.nan)
+    lo[below] = root[:below.size]
+    hi[above] = root[below.size:]
+    # a row with neither root has p within the floor of both folds' h
+    out[:, 0] = np.where(np.isnan(lo), np.where(np.isnan(hi), inflection, hi),
+                         lo)
+    double_hi = near_hi & ~np.isnan(lo)
+    out[double_hi, 1] = e_hi[double_hi]
+    double_lo = near_lo & ~np.isnan(hi)
+    out[double_lo, 0] = e_lo[double_lo]
+    out[double_lo, 1] = hi[double_lo]
+    three = np.flatnonzero(~np.isnan(lo) & ~np.isnan(hi))
+    if three.size:
+        mid = p[three] / (c3 * lo[three] * hi[three])
+        out[three] = np.sort(np.column_stack([lo[three], mid, hi[three]]),
+                             axis=1)
+    return out
 
 
 def branch_states(params: DeviceParams, omega_p, b_in,
@@ -261,12 +383,9 @@ def branch_states(params: DeviceParams, omega_p, b_in,
     omega_p, b_in, psi = fo.rows(omega_p, b_in, phase)
     k, g3, g = params.kerr, params.gamma3, params.gamma
     with np.errstate(all="ignore"):
-        # the coefficients as cubic_coefficients forms them
-        delta = params.omega0 - omega_p
-        energy = _branch_energies(np.full(delta.size, k * k + g3 * g3),
-                                  2.0 * (delta * k + g * g3),
-                                  delta * delta + g * g,
-                                  -2.0 * params.gamma1 * (b_in * b_in))
+        energy = _branch_energies(params.omega0, omega_p,
+                                  2.0 * params.gamma1 * (b_in * b_in),
+                                  k, g3, g)
     live = ~np.isnan(energy)
     row, index = np.nonzero(live)
     return _records(params, omega_p[row], b_in[row], psi[row], energy[live],

@@ -2,7 +2,7 @@
 
 Everything here works from the pump cubic's coefficients or from direct
 scanning only, never from the closed-form operating-point formulas it is
-used to check.  The scalar pump path (``scalar_real_roots`` through
+used to check.  The scalar pump path (``scalar_solve_pump_energy`` through
 ``scalar_steady_states``) is the one-point reference the batched kernels
 are held to bit for bit: plain Python floats and ``cmath``, root by root.
 The row-wise table renderer (``reference_csv``, ``reference_json``) is the
@@ -12,16 +12,13 @@ byte reference for ``tableio``: Python's own formatting, cell by cell.
 import cmath
 import json
 import math
-import sys
 
 import numpy as np
 
 from kerrcav import (DegenerateModel, PumpDrive, SingularResponse,
                      SteadyState, branch_states, cubic_coefficients,
                      transfer_coefficients)
-from kerrcav.cubic import (EXP_MAX, RHO_MAX, ROOT_TOL, TERM_MAX,
-                           TRIPLE_TOL)
-from kerrcav.steady import MARGINAL_TOL, MERGE_TOL
+from kerrcav.steady import FLOOR, MARGINAL_TOL, MAX_STEPS
 
 
 # ------------------------------------------------- scalar reference path
@@ -42,139 +39,47 @@ def cubic_discriminant(c3: float, c2: float, c1: float, c0: float) -> float:
     )
 
 
-def _solves(x: float, c3: float, c2: float, c1: float, c0: float) -> bool:
-    """Whether |cubic(x)| is within ROOT_TOL of the sum of its terms'
-    magnitudes."""
-    f = ((c3 * x + c2) * x + c1) * x + c0
-    scale = abs(c3 * (x * x * x)) + abs(c2 * (x * x)) + abs(c1 * x) + abs(c0)
-    return abs(f) <= ROOT_TOL * scale
+def _h(e: float, delta: float, k: float, g3: float, g: float):
+    """h(E) = E (a^2 + b^2) and h'(E), with a = delta + K E and
+    b = gamma + gamma3 E, in the order the kernel forms them."""
+    a = delta + k * e
+    b = g + g3 * e
+    s = a * a + b * b
+    return e * s, s + 2.0 * e * (a * k + b * g3)
 
 
-def _polish(root: float, c3: float, c2: float, c1: float, c0: float) -> float:
-    for _ in range(3):
-        f = ((c3 * root + c2) * root + c1) * root + c0
-        # at a multiple root f and f' are both rounding noise and their
-        # ratio is a garbage step; stop once f is below the noise floor
-        scale = (abs(c3 * (root * root * root)) + abs(c2 * (root * root))
-                 + abs(c1 * root) + abs(c0))
-        if abs(f) <= 1e-15 * scale:
-            break
-        fp = (3.0 * c3 * root + 2.0 * c2) * root + c1
-        if fp == 0.0:
-            break
-        candidate = root - f / fp
-        f_new = ((c3 * candidate + c2) * candidate + c1) * candidate + c0
-        if abs(f_new) >= abs(f):
-            break
-        root = candidate
-    return root
+def _at_fold(e, h, omega0, omega_p, p, k, g3, g) -> bool:
+    a = (omega0 - omega_p) + k * e
+    b = g + g3 * e
+    span = abs(omega0) + abs(omega_p) + abs(k) * e
+    return abs(h - p) <= FLOOR * (e * (abs(a) * span + b * b))
 
 
-def scalar_balance(c3: float, c2: float, c1: float, c0: float):
-    """(k, m) such that 2^m c(2^k y) is balanced, for a polynomial out of
-    the bounds RHO_MAX, TERM_MAX and EXP_MAX, else (0, 0):
-    ``cubic._balanced`` for one row."""
-    coeffs = (c0, c1, c2, c3)
-    nonzero = [i for i, c in enumerate(coeffs) if c != 0.0]
-    if len(nonzero) < 2:
-        return 0, 0
-    d = nonzero[-1]
-    e = [math.frexp(c)[1] for c in coeffs]
-    rho = max((e[i] - e[d]) / (d - i) for i in nonzero[:-1])
-    if c3 != 0.0 and c0 != 0.0:
-        out = abs(e[d] + d * rho) > TERM_MAX
-    else:
-        out = max(abs(x) for x in e) > EXP_MAX
-    if abs(rho) > RHO_MAX or out:
-        k = math.floor(rho)
-        return k, -e[d] - d * k
-    return 0, 0
+def _clamped(x: float) -> float:
+    """np.maximum(x, 0.0), which returns its second operand on a tie."""
+    return x if x > 0.0 else 0.0
 
 
-def scalar_real_roots(c3: float, c2: float, c1: float, c0: float) -> list[float]:
-    """Return all real roots of the cubic, ascending.
-
-    Degenerate leading coefficients are handled exactly (quadratic, linear,
-    constant), and so is a zero constant term (x = 0 and the roots of the
-    quadratic factor).  A cluster of three mutually unresolvable roots is
-    collapsed to the inflection point -c2/(3*c3), which is exact for a
-    triple root.  Rows out of the bounds of ``scalar_balance`` are solved
-    balanced.
-    """
-    k, m = scalar_balance(c3, c2, c1, c0)
-    if k or m:
-        scaled = [math.ldexp(c, m + i * k)
-                  for i, c in ((3, c3), (2, c2), (1, c1), (0, c0))]
-        if c3 != 0.0 and c0 != 0.0 and abs(scaled[3]) < sys.float_info.min:
-            raise OverflowError("cubic roots too far apart to solve at one "
-                                "scale")
-        # math.ldexp raises OverflowError where a root leaves the float range
-        return [math.ldexp(r, k) for r in scalar_real_roots(*scaled)]
-    if c3 == 0.0:
-        if c2 == 0.0:
-            if c1 == 0.0:
-                return []
-            return [-c0 / c1]
-        disc = c1 * c1 - 4.0 * c2 * c0
-        if disc < 0.0:
-            return []
-        s = math.sqrt(disc)
-        if not disc > 0.0:
-            return [(-c1 - s) / (2.0 * c2)]
-        # the root of larger magnitude without cancellation, the other
-        # from the product of the roots
-        q = -0.5 * (c1 + math.copysign(s, c1))
-        return sorted([q / c2, c0 / q])
-    if c0 == 0.0:
-        # x = 0 is an exact root, once; the rest solve the quadratic factor
-        return sorted([0.0] + [r for r in scalar_real_roots(0.0, c3, c2, c1)
-                               if r != 0.0])
-
-    a = c2 / c3
-    b = c1 / c3
-    c = c0 / c3
-    # depressed form t^3 + p t + q with x = t - a/3
-    p = b - a * a / 3.0
-    q = 2.0 * (a * a * a) / 27.0 - a * b / 3.0 + c
-
-    spread = max(math.sqrt(abs(p)), abs(q) ** (1.0 / 3.0))
-    if a != 0.0 and spread <= TRIPLE_TOL * abs(a / 3.0):
-        return [-a / 3.0]
-
-    p3 = p * p * p
-    disc = -4.0 * p3 - 27.0 * q * q
-    # an exact double root has disc = 0 but rounds either way; a band scaled
-    # by the cancelling terms keeps fold pairs from vanishing into the
-    # single-root branch
-    disc_scale = 4.0 * abs(p3) + 27.0 * q * q
-    if p < 0.0 and disc >= -1e-14 * disc_scale:
-        m = 2.0 * math.sqrt(-p / 3.0)
-        arg = 3.0 * q / (p * m)
-        arg = min(1.0, max(-1.0, arg))
-        theta = math.acos(arg) / 3.0
-        ts = [m * math.cos(theta - 2.0 * math.pi * k / 3.0) for k in range(3)]
-    elif p == 0.0 and q == 0.0:
-        ts = [0.0]
-    else:
-        s = math.sqrt(max(q * q / 4.0 + p3 / 27.0, 0.0))
-        ts = [math.copysign(abs(-q / 2.0 + s) ** (1.0 / 3.0), -q / 2.0 + s)
-              + math.copysign(abs(-q / 2.0 - s) ** (1.0 / 3.0), -q / 2.0 - s)]
-
-    roots = sorted(_polish(t - a / 3.0, c3, c2, c1, c0) for t in ts)
-    if len(roots) == 3:
-        # the double-root band also admits one real root beside a complex
-        # pair far smaller in magnitude, where the trigonometric pair
-        # solves nothing
-        roots = [r for r in roots if _solves(r, c3, c2, c1, c0)] or roots
-    return roots
+def _newton(e: float, delta: float, p: float, k: float, g3: float,
+            g: float) -> float:
+    toward = None
+    for _ in range(MAX_STEPS):
+        h, slope = _h(e, delta, k, g3, g)
+        step = (p - h) / slope
+        if toward is None:
+            toward = (step > 0.0) - (step < 0.0)
+        nxt = e + step
+        if not (nxt - e) * toward > 0.0:
+            return e
+        e = nxt
+    raise ArithmeticError("pump cubic: Newton steps did not settle")
 
 
 def scalar_solve_pump_energy(params, drive) -> list[float]:
-    """Real nonnegative roots E of the pump cubic, ascending.
+    """Real nonnegative roots E of the pump cubic h(E) = p, ascending:
+    the kernel's solve replayed in plain floats, one drive at a time.
 
-    Returns 1, 2 (fold tangency, the double root reported once) or 3 roots.
-    Tiny negative roots from rounding are clamped to zero; genuinely
-    negative or complex roots are discarded.
+    Returns 1, 2 (a fold double root, reported once) or 3 roots.
 
     Raises
     ------
@@ -183,26 +88,54 @@ def scalar_solve_pump_energy(params, drive) -> list[float]:
     """
     if params.gamma <= 0.0:
         raise DegenerateModel("gamma1 + gamma2 must be > 0")
-    c3, c2, c1, c0 = cubic_coefficients(params, drive)
-    if c0 == 0.0:
-        # undriven port: for gamma > 0 the quadratic factor has no positive
-        # root in exact arithmetic, so E = 0 is the only steady state
-        return [0.0]
-    roots = scalar_real_roots(c3, c2, c1, c0)
-    kept = []
-    for r in roots:
-        if r < -1e-12:
+    delta = drive.detuning(params)
+    p = 2.0 * params.gamma1 * (drive.amplitude * drive.amplitude)
+    k, g3, g = params.kerr, params.gamma3, params.gamma
+    c3 = k * k + g3 * g3
+    c2 = 2.0 * (delta * k + g * g3)
+    c1 = delta * delta + g * g
+    if not all(map(math.isfinite, (c3, c2, c1, p))):
+        raise OverflowError("cubic coefficient is not finite")
+    if c3 == 0.0:
+        return [p / c1]
+    disc = c2 * c2 - 3.0 * c3 * c1
+    fold = c2 < 0.0 and disc > 0.0
+    inflection = _clamped(-c2 / (3.0 * c3))
+    e_lo = e_hi = inflection
+    if fold:
+        q = -c2 + math.sqrt(disc)
+        e_hi = q / (3.0 * c3)
+        e_lo = c1 / q
+    h_lo = _h(e_lo, delta, k, g3, g)[0]
+    h_hi = _h(e_hi, delta, k, g3, g)[0]
+    near_lo = _at_fold(e_lo, h_lo, params.omega0, drive.omega_p, p, k, g3, g)
+    near_hi = _at_fold(e_hi, h_hi, params.omega0, drive.omega_p, p, k, g3, g)
+
+    roots = {}
+    for side, e_c, h_c, near in ((-1.0, e_lo, h_lo, near_lo),
+                                 (1.0, e_hi, h_hi, near_hi)):
+        gap = side * (p - h_c)
+        if near or not gap > 0.0:
             continue
-        kept.append(max(r, 0.0))
-    kept.sort()
-    scale = max(kept[-1], 1e-300) if kept else 0.0
-    merged: list[float] = []
-    for r in kept:
-        if merged and abs(r - merged[-1]) <= MERGE_TOL * scale:
-            merged[-1] = 0.5 * (merged[-1] + r)
-        else:
-            merged.append(r)
-    return merged
+        slope = 0.0 if fold else _h(e_c, delta, k, g3, g)[1]
+        half_curve = 3.0 * c3 * e_c + c2
+        reach = min(gap / slope if slope > 0.0 else math.inf,
+                    math.sqrt(gap) / math.sqrt(abs(half_curve))
+                    if side * half_curve > 0.0 else math.inf,
+                    # np.cbrt, as the kernel: math.cbrt rounds otherwise
+                    float(np.cbrt(gap)) / float(np.cbrt(c3)))
+        roots[side] = _newton(_clamped(e_c + side * reach), delta, p, k, g3,
+                              g)
+        if not math.isfinite(roots[side]):
+            raise OverflowError("cubic root beyond the float range")
+    lo, hi = roots.get(-1.0), roots.get(1.0)
+    if lo is not None and hi is not None:
+        return sorted([lo, p / (c3 * lo * hi), hi])
+    if lo is not None:
+        return [lo, e_hi] if near_hi else [lo]
+    if hi is not None:
+        return [e_lo, hi] if near_lo else [hi]
+    return [inflection]
 
 
 def scalar_relaxation_roots(params, drive, energy: float):

@@ -7,11 +7,12 @@ import numpy as np
 
 def test_numpy_cos_sin_match_math():
     """The kernels take np.cos and np.sin where the one-point code takes
-    math.cos/math.sin (or cmath.exp, which calls them): on the trigonometric
-    cubic roots' angles acos(x)/3 - 2 pi k/3 in [-4 pi/3, pi/3] and on the
-    phases of the steady state and the transfer coefficients.  Should a
-    platform's NumPy round them otherwise, the bit-equality tests between
-    the paths fail for this reason."""
+    math.cos/math.sin (or cmath.exp, which calls them), on the phases of the
+    steady state and the transfer coefficients.  The angles are uniform on
+    [-4 pi/3, pi/3], [-4 pi, 4 pi] and [-1e3, 1e3], the multiples of pi/24
+    up to 8 pi/3, and signed zero and tiny angles.  Should a platform's
+    NumPy round them otherwise, the bit-equality tests between the paths
+    fail for this reason."""
     rng = np.random.default_rng(2024)
     angles = np.concatenate([
         rng.uniform(-4.0 * math.pi / 3.0, math.pi / 3.0, 100_000),

@@ -4,7 +4,6 @@ and the commutator sum and the pump-cubic residuals over random devices."""
 import contextlib
 import io
 import json
-import math
 import os
 import tempfile
 
@@ -15,9 +14,8 @@ from hypothesis import strategies as st
 
 import kerrcav.cli as cli
 from kerrcav import (DeviceParams, PumpDrive, branch_states,
-                     cubic_coefficients, real_roots, real_roots_array,
-                     run_fit, steady_states, transfer_coefficients,
-                     transfer_coefficients_array)
+                     cubic_coefficients, run_fit, steady_states,
+                     transfer_coefficients, transfer_coefficients_array)
 
 SUBCOMMANDS = ("steady-sweep", "gain-sweep", "squeeze-sweep", "critical",
                "fit")
@@ -155,8 +153,8 @@ def test_commutator_sum_is_one(point):
 
 
 def residual(coeffs, x):
-    """|cubic(x)| (Horner) over its largest term, as the tests of the cubic
-    solver and of the pump branches measure it."""
+    """|cubic(x)| (Horner) over its largest term, as the tests of the pump
+    branches measure it."""
     c3, c2, c1, c0 = coeffs
     scale = max(abs(c3 * x**3), abs(c2 * x**2), abs(c1 * x), abs(c0), 1e-300)
     return abs(((c3 * x + c2) * x + c1) * x + c0) / scale
@@ -173,53 +171,3 @@ def test_pump_energies_solve_the_cubic(point):
                             drive.phase).energy.tolist()
     for e in [s.energy for s in steady_states(params, drive)] + batched:
         assert residual(coeffs, e) <= 1e-10
-
-
-# test_residuals_are_small's range, uniform(-3, 3) * 10^k; coefficients near
-# the ends of the float range are held to mpmath in test_cubic.py
-coefficients = st.one_of(st.just(0.0), st.builds(
-    lambda sign, c, k: sign * c * 10.0 ** k, st.sampled_from([-1.0, 1.0]),
-    st.floats(1e-3, 3.0), st.integers(-4, 3)))
-
-
-@settings(max_examples=400, deadline=None, derandomize=True)
-@given(st.tuples(coefficients, coefficients, coefficients, coefficients))
-def test_cubic_roots_solve_the_cubic(coeffs):
-    """Every root from real_roots and real_roots_array solves its cubic to
-    the tolerance of test_residuals_are_small."""
-    if coeffs[0] == 0.0:
-        return
-    batched = real_roots_array(*coeffs)[0]
-    for r in real_roots(*coeffs) + batched[~np.isnan(batched)].tolist():
-        assert residual(coeffs, r) <= 1e-10
-
-
-@st.composite
-def rescaled_cubics(draw):
-    """A cubic from the ``coefficients`` range moved exactly towards the
-    ends of the float range: 2^m c(2^k x), every nonzero coefficient kept
-    normal."""
-    coeffs = draw(st.tuples(coefficients, coefficients, coefficients,
-                            coefficients).filter(lambda c: c[0] != 0.0))
-    k = draw(st.integers(-300, 300))
-    # c_i 2^(m + (3 - i) k) must stay within the normal exponents
-    shifts = [math.frexp(c)[1] + (3 - i) * k
-              for i, c in enumerate(coeffs) if c != 0.0]
-    m = draw(st.integers(-1021 - min(shifts), 1023 - max(shifts)))
-    return tuple(math.ldexp(c, m + (3 - i) * k) for i, c in enumerate(coeffs))
-
-
-@settings(max_examples=300, deadline=None, derandomize=True)
-@given(rescaled_cubics())
-def test_rescaled_cubics_have_roots_that_solve_them(coeffs):
-    """A real cubic has a real root however its coefficients are scaled;
-    every root returned solves the cubic to the tolerance above, measured
-    at 50 digits by mpmath so that no term overflows."""
-    mpmath = pytest.importorskip("mpmath")
-    roots = real_roots(*coeffs)
-    assert roots
-    with mpmath.workdps(50):
-        for r in roots:
-            terms = [mpmath.mpf(c) * mpmath.mpf(r) ** (3 - i)
-                     for i, c in enumerate(coeffs)]
-            assert abs(mpmath.fsum(terms)) <= 1e-10 * max(map(abs, terms))
