@@ -23,11 +23,10 @@ from .steady import (BranchStates, DegenerateModel, SteadyState,
                      UndefinedForZeroDrive, branch_states, cubic_coefficients,
                      reflection_coefficient, settled_state, settled_states,
                      solve_pump_energy, steady_state, steady_states)
-from .stripline import (LineProfile, ModeSolution, ResolutionError,
-                        SameModeError, cross_kerr, derive_device,
-                        gamma2_from_profile, gamma3_from_profile,
-                        kerr_constant, load_profile, solve_mode,
-                        solve_modes)
+from .stripline import (LineProfile, ModeCoefficients, ModeSolution,
+                        ResolutionError, SameModeError, cross_kerr,
+                        derive_device, load_profile, mode_coefficients,
+                        solve_mode, solve_modes)
 from .sweeps import (ConfigError, SweepConfig, load_config, load_config_file,
                      run_critical, run_gain_sweep, run_line_derive,
                      run_squeeze_sweep, run_steady_sweep)
@@ -38,19 +37,18 @@ __version__ = "0.1.0"
 __all__ = [
     "BranchStates", "ConfigError", "CriticalPoint", "DegenerateModel",
     "DeviceParams", "DeviceValidation", "FitProblem", "FitResult",
-    "LineProfile", "ModeSolution", "NonConvergence", "PumpDrive",
-    "ResolutionError", "SameModeError", "SingularResponse",
+    "LineProfile", "ModeCoefficients", "ModeSolution", "NonConvergence",
+    "PumpDrive", "ResolutionError", "SameModeError", "SingularResponse",
     "SmallSignalResponse", "SmallSignalResponses", "SqueezeAtPump",
     "SqueezeResult", "SqueezeResults", "SteadyState", "SweepConfig",
     "Table", "ThermalEnv", "UndefinedForZeroDrive", "branch_states",
     "critical_point", "cross_kerr", "cubic_coefficients", "curve_omega_p",
-    "derive_device", "format_float", "gamma2_from_profile",
-    "gamma3_from_profile", "instability_locus", "intermodulation_gain",
-    "kerr_constant", "linearize", "lo_phase_extrema",
+    "derive_device", "format_float", "instability_locus",
+    "intermodulation_gain", "linearize", "lo_phase_extrema",
     "lo_phase_extrema_array", "load_config", "load_config_file",
     "load_fit_problem", "load_profile", "max_curve_energy",
-    "parametric_gain", "parse_json", "predict_gain", "predict_reflection",
-    "reflection_coefficient", "render",
+    "mode_coefficients", "parametric_gain", "parse_json", "predict_gain",
+    "predict_reflection", "reflection_coefficient", "render",
     "response_peak_detuning", "run_critical", "run_fit", "run_gain_sweep",
     "run_line_derive", "run_squeeze_sweep", "run_steady_sweep",
     "settled_state", "settled_states", "solve_mode", "solve_modes",

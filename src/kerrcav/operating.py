@@ -33,6 +33,7 @@ where head cancels.  The critical point is where the two folds coalesce.
 
 import math
 from dataclasses import dataclass
+from functools import reduce
 
 import numpy as np
 
@@ -138,18 +139,21 @@ def _polish(poly, x: float) -> float:
     The companion-matrix roots lose digits when gamma3 is tiny next to
     |kerr| (two roots then sit near x = -|kerr|/gamma3): without these
     steps the folds are 1e-10 off in relative E at gamma3 = 1e-16 |kerr|.
+    P and P' are Horner sums in Python floats, np.polyval's exact steps.
     """
-    deriv = np.polyder(poly)
-    value = np.polyval(poly, x)
+    def at(coeffs, t):
+        return reduce(lambda acc, c: acc * t + c, coeffs, 0.0)
+    deriv = [c * (len(poly) - 1 - i) for i, c in enumerate(poly[:-1])]
+    value = at(poly, x)
     for _ in range(3):
-        slope = np.polyval(deriv, x)
+        slope = at(deriv, x)
         if slope == 0.0:
             break
         candidate = x - value / slope
-        candidate_value = np.polyval(poly, candidate)
+        candidate_value = at(poly, candidate)
         if abs(candidate_value) >= abs(value):
             break
-        x, value = float(candidate), candidate_value
+        x, value = candidate, candidate_value
     return x
 
 
@@ -179,9 +183,8 @@ def instability_locus(params: DeviceParams, drive: PumpDrive):
     c4 = 4.0 * (1.0 + r * r)
     # P(x) = c4 x^4 (1 + r x)^2 - 4 sigma (1 - r^2) x^3 + 4 r sigma x^2
     #        + sigma^2; np.roots drops the leading zeros when gamma3 = 0
-    poly = np.array([c4 * r * r, 2.0 * c4 * r, c4,
-                     -4.0 * sigma * (1.0 - r * r), 4.0 * r * sigma, 0.0,
-                     sigma * sigma])
+    poly = (c4 * r * r, 2.0 * c4 * r, c4, -4.0 * sigma * (1.0 - r * r),
+            4.0 * r * sigma, 0.0, sigma * sigma)
     # for gamma3 below about 1e-30 |kerr| the companion matrix of the
     # degree-6 form loses the folds beside its two roots near x = -1/r; the
     # (1 + r x)^2 factor is then 1 to double precision wherever a fold can

@@ -12,9 +12,19 @@ nonlinear resistance R(x) = R0(x) + dR(x)*(I/I_c)^2 yields the linear and
 two-photon loss rates.  Everything here reduces to quadratures of the mode
 shape, evaluated with the composite trapezoid rule on the same grid as the
 eigensolver.
+
+Mode k is found in a closed-form bracket.  Its eigenvalue omega_k^2 is the
+minimax of the energy quotient sum(mid (du)^2) / (h^2 sum(L0 u^2)), with
+mid = 1/C at the cell midpoints, so by Courant-Fischer it lies within
+[min(mid) / max(L0), max(mid) / min(L0)] times the uniform line's
+4 sin^2(k pi / (2 (m + 1))) / h^2 (m interior nodes, spacing h).  omega_k
+is the energy quotient of the computed vector: a ratio of sums of positive
+terms, accurate to rounding where the eigenvalue's bisection is not.
 """
 
 import json
+import math
+from collections import namedtuple
 from dataclasses import dataclass
 
 import numpy as np
@@ -56,7 +66,14 @@ class LineProfile:
         for key, arr in arrays.items():
             if arr.ndim != 1 or arr.size != n:
                 raise ValueError(f"profile array {key!r} must be 1-d of length {n}")
+            if not np.isfinite(arr).all():
+                raise ValueError(f"profile array {key!r} must be finite")
             object.__setattr__(self, key, arr)
+        for key in ("length", "I_c", "hbar"):
+            value = float(getattr(self, key))
+            if not math.isfinite(value):
+                raise ValueError(f"{key} must be finite, got {value!r}")
+            object.__setattr__(self, key, value)
         if n < 16:
             raise ValueError("profile needs at least 16 grid points")
         if not self.length > 0.0:
@@ -118,27 +135,29 @@ def load_profile(path) -> LineProfile:
             length=float(data["l"]), I_c=float(data["I_c"]),
             hbar=float(data["hbar"]),
             **{k: np.array(data[k], dtype=float) for k in PROFILE_KEYS})
-    except TypeError as exc:  # a null, list or object where a number belongs
+    except (TypeError, ValueError) as exc:  # e.g. null for a number
         raise ValueError(f"profile file {path}: {exc}") from exc
 
 
-def _eigenmodes(profile: LineProfile, first: int, last: int):
-    """Modes ``first``..``last`` (1-based) of the line, frequencies
-    ascending.
+def solve_mode(profile: LineProfile, index: int) -> ModeSolution:
+    """Eigenmode number ``index`` (1-based) of the line.
 
-    Second-order central differences with 1/C sampled at cell midpoints give
-    a symmetric tridiagonal problem; the L0 weight is folded in through its
-    diagonal square root, so eigenvalues are real and orderable.
+    Central differences with 1/C at the cell midpoints and the L0 weight
+    folded in by its square root give a symmetric tridiagonal T; Sturm
+    counts halve the mode's bracket (module docstring) until it holds this
+    mode alone.  Raises ``ResolutionError`` past n_grid / 4 (modes that
+    coarse are not resolved at second order) and ``ArithmeticError`` if the
+    mode is outside its bracket or no float separates it from a neighbour.
     """
     # imported here: SciPy's linear algebra is needed only by the line
     # modes and slows every other command's start-up
     from scipy.linalg import eigh_tridiagonal
 
-    if first < 1:
+    if index < 1:
         raise ValueError("mode indices start at 1")
-    if last > profile.n_grid // 4:
+    if index > profile.n_grid // 4:
         raise ResolutionError(
-            f"{last} modes need a grid of at least {4 * last} points "
+            f"mode {index} needs a grid of at least {4 * index} points "
             f"(have {profile.n_grid})")
     x = profile.x
     h = x[1] - x[0]
@@ -147,55 +166,71 @@ def _eigenmodes(profile: LineProfile, first: int, last: int):
     w = profile.L0[1:-1]
     diag = (mid[:-1] + mid[1:]) / (h * h * w)
     off = -mid[1:-1] / (h * h * np.sqrt(w[:-1] * w[1:]))
-    vals, vecs = eigh_tridiagonal(diag, off, select="i",
-                                  select_range=(first - 1, last - 1))
-    modes = []
-    for i, index in enumerate(range(first, last + 1)):
-        u = np.zeros(profile.n_grid)
-        u[1:-1] = vecs[:, i] / np.sqrt(w)
-        norm = np.trapezoid(profile.L0 * u * u, x)
-        u /= np.sqrt(norm)
-        if u[1] < 0.0:
-            u = -u
-        modes.append(ModeSolution(index=index, omega_n=float(np.sqrt(vals[i])),
-                                  u=u))
-    return modes
+    s = math.sin(index * math.pi / (2 * (w.size + 1)))
+    mu = 4.0 * s * s / (h * h)
+    # rounding in T, against a bound on its Gershgorin norm
+    slack = 8.0 * math.ulp(1.0) * float(diag.max() - 2.0 * off.min())
+    lo = max(mu * mid.min() / w.max() - slack, 0.0)
+    hi = mu * mid.max() / w.min() + slack
+
+    def count(a, b):  # eigenvalues of T in (a, b], from Sturm counts alone
+        return eigh_tridiagonal(diag, off, eigvals_only=True, select="v",
+                                select_range=(a, b), tol=math.inf).size
+
+    below, inside = count(-slack, lo), count(lo, hi)
+    if not below < index <= below + inside:
+        raise ArithmeticError(f"mode {index} is outside ({lo:.17g}, {hi:.17g}]")
+    while inside > 1:
+        cut = 0.5 * (lo + hi)
+        if not lo < cut < hi:
+            raise ArithmeticError(f"mode {index} has a neighbour at {cut:.17g}")
+        n = count(lo, cut)
+        if below + n >= index:
+            hi, inside = cut, n
+        else:
+            lo, below, inside = cut, below + n, inside - n
+    # neighbouring modes sit about 2 lambda / index apart, so this
+    # tolerance keeps inverse iteration contracting by ~1e-3 a step
+    _, vec = eigh_tridiagonal(diag, off, select="v", select_range=(lo, hi),
+                              tol=1e-3 * lo / index)
+    u = np.zeros(profile.n_grid)
+    u[1:-1] = vec[:, 0] / np.sqrt(w)
+    u /= np.sqrt(np.trapezoid(profile.L0 * u * u, x))
+    if u[1] < 0.0:
+        u = -u
+    du = np.diff(u)
+    omega = math.sqrt(np.sum(mid * du * du) / (h * h * np.sum(w * u[1:-1]**2)))
+    return ModeSolution(index=index, omega_n=omega, u=u)
 
 
 def solve_modes(profile: LineProfile, n_modes: int) -> list[ModeSolution]:
-    """Lowest ``n_modes`` eigenmodes of the line, frequencies ascending.
-
-    Raises
-    ------
-    ResolutionError
-        If ``n_modes`` exceeds n_grid / 4 (modes that coarse are not
-        resolved at second order).
-    """
+    """Lowest ``n_modes`` eigenmodes of the line, frequencies ascending;
+    mode k is ``solve_mode(profile, k)`` bit for bit."""
     if n_modes < 1:
         raise ValueError("n_modes must be >= 1")
-    return _eigenmodes(profile, 1, n_modes)
+    return [solve_mode(profile, k) for k in range(1, n_modes + 1)]
 
 
-def solve_mode(profile: LineProfile, index: int) -> ModeSolution:
-    """Eigenmode number ``index`` (1-based) alone: the eigensolver is asked
-    for that one eigenpair, not for every lower mode.
+# lumped coefficients of a normalized mode and the quadratures they scale
+ModeCoefficients = namedtuple("ModeCoefficients", "kerr gamma2 gamma3 "
+                              "quad_u4_dL quad_u2_R0 quad_u4_dR")
 
-    Raises
-    ------
-    ResolutionError
-        If ``index`` exceeds n_grid / 4.
+
+def mode_coefficients(profile: LineProfile,
+                      mode: ModeSolution) -> ModeCoefficients:
+    """Kerr constant and loss rates of a normalized mode (rad/s), each from
+    one quadrature.  K = -(hbar omega_n^2 / I_c^2) integral(u^4 dL dx) is
+    negative (softening) for any positive kinetic-inductance nonlinearity;
+    gamma2 = (1/2) integral(u^2 R0 dx); gamma3 = (3 hbar omega_n / (8 I_c^2))
+    integral(u^4 dR dx), the mode's frequency as the resonance frequency.
     """
-    return _eigenmodes(profile, index, index)[0]
-
-
-def kerr_constant(profile: LineProfile, mode: ModeSolution) -> float:
-    """Self-Kerr constant of a normalized mode (rad/s).
-
-    K = -(hbar * omega_n^2 / I_c^2) * integral(u^4 dL dx); any positive
-    kinetic-inductance nonlinearity makes it negative (softening).
-    """
-    quad = np.trapezoid(mode.u**4 * profile.dL, profile.x)
-    return float(-(profile.hbar * mode.omega_n**2 / profile.I_c**2) * quad)
+    x, u4 = profile.x, mode.u**4
+    u4_dl, u2_r0, u4_dr = (float(np.trapezoid(f, x)) for f in (
+        u4 * profile.dL, mode.u**2 * profile.R0, u4 * profile.dR))
+    omega, hbar, i_c = mode.omega_n, profile.hbar, profile.I_c
+    return ModeCoefficients(-(hbar * omega**2 / i_c**2) * u4_dl, 0.5 * u2_r0,
+                            3.0 * hbar * omega / (8.0 * i_c**2) * u4_dr,
+                            u4_dl, u2_r0, u4_dr)
 
 
 def cross_kerr(profile: LineProfile, mode_a: ModeSolution,
@@ -209,32 +244,14 @@ def cross_kerr(profile: LineProfile, mode_a: ModeSolution,
     Raises
     ------
     SameModeError
-        If both arguments are the same mode index (use
-        :func:`kerr_constant`).
+        If both arguments are the same mode index (the self coupling is
+        the Kerr constant of :func:`mode_coefficients`).
     """
     if mode_a.index == mode_b.index:
         raise SameModeError("self coupling is the Kerr constant, not a cross term")
     quad = np.trapezoid(mode_a.u**2 * mode_b.u**2 * profile.dL, profile.x)
     return float(-3.0 * profile.hbar * mode_a.omega_n * mode_b.omega_n
                  / profile.I_c**2 * quad)
-
-
-def gamma2_from_profile(profile: LineProfile, mode: ModeSolution) -> float:
-    """Linear loss rate of the mode from the residual resistance (rad/s).
-
-    gamma2 = (1/2) integral(u^2 R0 dx); linear in R0.
-    """
-    return float(0.5 * np.trapezoid(mode.u**2 * profile.R0, profile.x))
-
-
-def gamma3_from_profile(profile: LineProfile, mode: ModeSolution) -> float:
-    """Two-photon loss rate of the driven mode (rad/s).
-
-    gamma3 = (3 hbar omega_n / (8 I_c^2)) * integral(u^4 dR dx), with the
-    mode's own frequency playing the role of the resonance frequency.
-    """
-    quad = np.trapezoid(mode.u**4 * profile.dR, profile.x)
-    return float(3.0 * profile.hbar * mode.omega_n / (8.0 * profile.I_c**2) * quad)
 
 
 def derive_device(profile: LineProfile, mode_index: int,
@@ -245,10 +262,7 @@ def derive_device(profile: LineProfile, mode_index: int,
     is not part of the line profile); phases are zeroed.
     """
     mode = solve_mode(profile, mode_index)
-    return DeviceParams(
-        omega0=mode.omega_n,
-        kerr=kerr_constant(profile, mode),
-        gamma1=float(gamma1),
-        gamma2=gamma2_from_profile(profile, mode),
-        gamma3=gamma3_from_profile(profile, mode),
-    )
+    coeffs = mode_coefficients(profile, mode)
+    return DeviceParams(omega0=mode.omega_n, kerr=coeffs.kerr,
+                        gamma1=float(gamma1), gamma2=coeffs.gamma2,
+                        gamma3=coeffs.gamma3)

@@ -22,8 +22,7 @@ from .noise import ThermalEnv, squeeze_columns
 from .operating import critical_point
 from .smallsignal import transfer_coefficients_array
 from .steady import branch_states
-from .stripline import (derive_device, gamma2_from_profile,
-                        gamma3_from_profile, kerr_constant, load_profile,
+from .stripline import (derive_device, load_profile, mode_coefficients,
                         solve_mode)
 from .tableio import Table
 
@@ -307,13 +306,8 @@ def run_line_derive(profile_path, mode_index: int, gamma1: float) -> Table:
     gamma1 = _number(gamma1, "--gamma1", minimum=0.0)
     profile = load_profile(profile_path)
     mode = solve_mode(profile, mode_index)
-    x = profile.x
-    quad_u4_dl = float(np.trapezoid(mode.u**4 * profile.dL, x))
-    quad_u2_r0 = float(np.trapezoid(mode.u**2 * profile.R0, x))
-    quad_u4_dr = float(np.trapezoid(mode.u**4 * profile.dR, x))
+    c = mode_coefficients(profile, mode)
     table = Table(list(LINE_COLUMNS))
-    table.append(mode.omega_n, kerr_constant(profile, mode), gamma1,
-                 gamma2_from_profile(profile, mode),
-                 gamma3_from_profile(profile, mode),
-                 quad_u4_dl, quad_u2_r0, quad_u4_dr)
+    table.append(mode.omega_n, c.kerr, gamma1, c.gamma2, c.gamma3,
+                 c.quad_u4_dL, c.quad_u2_R0, c.quad_u4_dR)
     return table

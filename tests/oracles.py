@@ -7,6 +7,8 @@ used to check.  The scalar pump path (``scalar_solve_pump_energy`` through
 are held to bit for bit: plain Python floats and ``cmath``, root by root.
 The row-wise table renderer (``reference_csv``, ``reference_json``) is the
 byte reference for ``tableio``: Python's own formatting, cell by cell.
+``numpy_polish`` is the bit reference for the fold polish in
+``operating``.
 """
 
 import cmath
@@ -413,6 +415,70 @@ def scan_phase_extrema(p_of_phi, n_phases=10_000):
     phis = np.linspace(0.0, math.pi, n_phases, endpoint=False)
     values = np.array([p_of_phi(p) for p in phis])
     return float(values.min()), float(values.max())
+
+
+# ------------------------------------------------- line eigenvalues
+
+def line_eigenvalue(profile, index: int, dps: int = 40) -> float:
+    """Eigenvalue number ``index`` (1-based) of the line's difference
+    pencil, by bisection on Sturm counts in ``dps``-digit mpmath.
+
+    The pencil A u = lambda W u is formed exactly from the float samples:
+    A is tridiagonal with mid_i = (1/C_i + 1/C_(i+1)) / 2 over h^2 (h the
+    float grid step), W = diag(L0) on the interior nodes.  The number of
+    negative pivots of LDL^T(A - s W) counts the eigenvalues below s.  The
+    search starts from [0, 4 max(mid) / (h^2 min(W))], which holds the
+    whole spectrum, and stops at a width of 1e-30 relative.
+    """
+    import mpmath
+
+    with mpmath.workdps(dps):
+        x = profile.x
+        h2 = (mpmath.mpf(x[1]) - mpmath.mpf(x[0])) ** 2
+        inv_c = [1 / mpmath.mpf(c) for c in profile.C]
+        mid = [(a + b) / 2 for a, b in zip(inv_c, inv_c[1:])]
+        w = [mpmath.mpf(v) for v in profile.L0[1:-1]]
+        diag = [(a + b) / h2 for a, b in zip(mid, mid[1:])]
+        off2 = [(m / h2) ** 2 for m in mid[1:-1]]
+
+        def below(s):
+            count, pivot = 0, diag[0] - s * w[0]
+            for i in range(1, len(w)):
+                count += pivot < 0
+                if pivot == 0:
+                    pivot = mpmath.eps * (abs(diag[i - 1]) + 1)
+                pivot = diag[i] - s * w[i] - off2[i - 1] / pivot
+            return count + (pivot < 0)
+
+        lo, hi = mpmath.mpf(0), 4 * max(mid) / (h2 * min(w))
+        while hi - lo > mpmath.mpf(10) ** -30 * hi:
+            cut = (lo + hi) / 2
+            if below(cut) >= index:
+                hi = cut
+            else:
+                lo = cut
+        return float((lo + hi) / 2)
+
+
+# ------------------------------------------------- NumPy fold polish
+# The fold-polynomial polish as operating had it before it moved to Python
+# floats, kept as it was: np.polyval and np.polyder.
+
+def numpy_polish(poly, x: float) -> float:
+    """Newton steps on the polynomial, kept while they shrink |poly(x)|."""
+    poly = np.asarray(poly, dtype=float)
+    deriv = np.polyder(poly)
+    value = np.polyval(poly, x)
+    for _ in range(3):
+        slope = np.polyval(deriv, x)
+        if slope == 0.0:
+            break
+        candidate = x - value / slope
+        candidate_value = np.polyval(poly, candidate)
+        if abs(candidate_value) >= abs(value):
+            break
+        x, value = float(candidate), candidate_value
+    return x
 
 
 # ------------------------------------------------- row-wise table renderer

@@ -204,8 +204,7 @@ def test_criterion_6_vacuum_floor():
 
 def test_criterion_7_line_oracles():
     from conftest import make_uniform_profile
-    from kerrcav import (gamma2_from_profile, gamma3_from_profile,
-                         kerr_constant, solve_modes)
+    from kerrcav import mode_coefficients, solve_modes
 
     start = time.perf_counter()
     profile = make_uniform_profile(n_grid=2000)
@@ -219,14 +218,14 @@ def test_criterion_7_line_oracles():
 
     mode = modes[0]
     exact_omega = math.pi / (length * math.sqrt(l0 * c))
-    gamma2 = gamma2_from_profile(profile, mode)
+    gamma2 = mode_coefficients(profile, mode).gamma2
     gamma2_err = abs(gamma2 - profile.R0[0] / (2.0 * l0)) \
         / (profile.R0[0] / (2.0 * l0))
-    kerr = kerr_constant(profile, mode)
+    kerr = mode_coefficients(profile, mode).kerr
     kerr_exact = -3.0 * profile.hbar * exact_omega**2 * profile.dL[0] \
         / (2.0 * profile.I_c**2 * l0**2 * length)
     kerr_err = abs(kerr - kerr_exact) / abs(kerr_exact)
-    gamma3 = gamma3_from_profile(profile, mode)
+    gamma3 = mode_coefficients(profile, mode).gamma3
     gamma3_exact = 9.0 * profile.hbar * exact_omega * profile.dR[0] \
         / (16.0 * profile.I_c**2 * l0**2 * length)
     gamma3_err = abs(gamma3 - gamma3_exact) / gamma3_exact

@@ -200,6 +200,27 @@ def test_line_derive_rejects_bad_profile(tmp_path, capsys):
     assert "dR" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("key, value", [
+    ("dL", math.nan), ("R0", math.inf), ("C", math.inf),
+    ("hbar", math.nan), ("I_c", math.inf)])
+def test_line_derive_rejects_non_finite_profile(tmp_path, capsys, key,
+                                                value):
+    """JSON's NaN and Infinity literals load as floats; a profile holding
+    one is a configuration error naming the key, not a table of nan."""
+    payload = json.loads(open(profile_file(tmp_path)).read())
+    if isinstance(payload[key], list):
+        payload[key][7] = value
+    else:
+        payload[key] = value
+    bad = write_json(tmp_path / "bad.json", payload)
+    assert main(["line-derive", "--profile", bad, "--mode-index", "1",
+                 "--gamma1", "0.01"]) == 2
+    captured = capsys.readouterr()
+    assert captured.err.startswith("error:") and key in captured.err
+    assert "must be finite" in captured.err
+    assert captured.out == ""
+
+
 def test_gain_sweep_runs(tmp_path):
     cfg = write_json(tmp_path / "gain.json", {
         "schema": 1,

@@ -7,9 +7,11 @@ from kerrcav import (DeviceParams, PumpDrive, branch_states, critical_point,
                      curve_omega_p, instability_locus, max_curve_energy,
                      cubic_coefficients, response_peak_detuning,
                      solve_pump_energy, steady_state)
+import kerrcav.operating
+from conftest import float_bits
 from oracles import (brute_force_critical, coalescence_residual,
                      fold_condition_residual,
-                     fold_frequencies_from_root_count)
+                     fold_frequencies_from_root_count, numpy_polish)
 
 SQRT3 = math.sqrt(3.0)
 
@@ -147,6 +149,55 @@ def test_locus_with_vanishing_two_photon_loss(factor, ratio):
         assert energy == pytest.approx(e0, rel=1e-12)
         assert max(double_root_residuals(device, omega_p, drive.amplitude,
                                          energy)) <= 1e-12
+
+
+def test_polish_matches_numpy_on_random_sextics():
+    """Horner's rule in Python floats takes np.polyval's steps: the same
+    bits as the NumPy polish from starts near, at and away from the real
+    roots, on sextics and on degree-4 polynomials with leading zeros."""
+    rng = np.random.default_rng(2026)
+    n_moved = 0
+    for trial in range(400):
+        poly = rng.normal(size=7) * 10.0 ** rng.integers(-8, 9, size=7)
+        if trial % 4 == 0:
+            poly[:2] = 0.0
+        starts = [z.real for z in np.roots(poly) if abs(z.imag) < 1e-3]
+        starts += [rng.normal() * 10.0 ** rng.integers(-3, 4)]
+        for start in starts:
+            for x in (start, start * (1.0 + 1e-6 * rng.normal())):
+                got = kerrcav.operating._polish(tuple(poly.tolist()), x)
+                assert float_bits(got) == float_bits(numpy_polish(poly, x))
+                n_moved += got != x
+    assert n_moved > 100
+
+
+@pytest.mark.parametrize("kerr, gamma2, gamma3", [
+    (-1e-6, 0.0, 0.0),        # the lossless single-port device
+    (-1e-4, 0.011, 0.0),      # degree 4: gamma3 = 0
+    (-1e-4, 0.011, 1e-25),    # degree 4: gamma3 < SMALL_GAMMA3 |kerr|
+    (-1e-4, 0.011, 5.8e-7),   # the README device
+    (-3e-3, 0.011, 1e-3),     # strong two-photon loss
+])
+def test_locus_polish_matches_numpy(monkeypatch, kerr, gamma2, gamma3):
+    """Every polish a fold locus makes, on a drive ladder from 1.02x to
+    1000x critical, gives the NumPy polish's bits."""
+    polish = kerrcav.operating._polish
+    calls = []
+
+    def checked(poly, x):
+        got = polish(poly, x)
+        assert float_bits(got) == float_bits(numpy_polish(poly, x))
+        calls.append(x)
+        return got
+
+    monkeypatch.setattr(kerrcav.operating, "_polish", checked)
+    device = DeviceParams(omega0=1.0, kerr=kerr, gamma1=0.01,
+                          gamma2=gamma2, gamma3=gamma3)
+    crit = critical_point(device)
+    for factor in np.geomspace(1.02, 1000.0, 25):
+        instability_locus(device, PumpDrive(omega_p=crit.omega_p,
+                                            amplitude=factor * crit.drive))
+    assert len(calls) == 50
 
 
 def test_locus_positive_kerr_mirror(fig_device):

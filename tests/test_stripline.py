@@ -5,10 +5,10 @@ import numpy as np
 import pytest
 
 from kerrcav import (LineProfile, ModeSolution, ResolutionError, SameModeError,
-                     cross_kerr, derive_device, gamma2_from_profile,
-                     gamma3_from_profile, kerr_constant, load_profile,
-                     solve_mode, solve_modes)
+                     cross_kerr, derive_device, load_profile,
+                     mode_coefficients, solve_mode, solve_modes)
 from conftest import make_uniform_profile
+from oracles import line_eigenvalue
 
 SQRT3 = math.sqrt(3.0)
 
@@ -73,24 +73,70 @@ def test_resolution_guard():
         solve_mode(profile, 0)
 
 
+def wavy_profile(n_grid):
+    """A non-uniform line: C and L0 vary by about +-20 % along it."""
+    x = np.linspace(0.0, 1.0, n_grid)
+    ones = np.ones(n_grid)
+    return LineProfile(length=1.0, I_c=1.0, hbar=1.0,
+                       C=1.0 + 0.2 * np.sin(3.0 * x) - 0.1 * np.cos(7.0 * x),
+                       L0=1.0 + 0.15 * np.cos(5.0 * x), dL=0.1 * ones,
+                       R0=0.05 * ones, dR=0.02 * ones)
+
+
 def test_single_mode_matches_the_lowest_modes():
-    """One eigenpair alone: the same frequency and shape up to the
-    eigensolver's own error.  Bisection resolves an eigenvalue to
-    eps * ||T||_1 (||T|| ~ 4e7 here, lambda_1 ~ 9, so ~1e-9 relative), and
-    the choice of eigenvalues asked for moves its result within that."""
-    profile = make_uniform_profile(n_grid=3000)
-    profile = LineProfile(length=1.0, I_c=1.0, hbar=1.0,
-                          C=profile.C * (1.0 + 0.2 * np.sin(3.0 * profile.x)),
-                          L0=profile.L0, dL=profile.dL, R0=profile.R0,
-                          dR=profile.dR)
+    """One path for every mode: solving mode k alone gives the same bits as
+    solving the lowest four."""
+    profile = wavy_profile(3000)
     modes = solve_modes(profile, 4)
     for index in range(1, 5):
         mode = solve_mode(profile, index)
         assert mode.index == index
-        assert mode.omega_n == pytest.approx(modes[index - 1].omega_n,
-                                             rel=2e-9)
-        assert np.max(np.abs(mode.u - modes[index - 1].u)) \
-            <= 1e-8 * np.max(np.abs(mode.u))
+        assert mode.omega_n == modes[index - 1].omega_n
+        assert np.array_equal(mode.u, modes[index - 1].u)
+
+
+@pytest.mark.parametrize("n_grid", [2000, 20000])
+def test_uniform_line_matches_discrete_closed_form(n_grid):
+    """On a uniform line the discrete modes are sines with
+    lambda_k = 4 sin^2(k pi / (2 (n - 1))) / (C L0 h^2) and
+    integral(u^4 dx) = 3 / (2 L0^2 l) for the normalized sine, so omega
+    and the Kerr constant have closed forms to the last digit."""
+    c, l0, dl = 0.9169554232903715, 1.1677296859513235, 0.19
+    profile = make_uniform_profile(n_grid=n_grid, length=0.9190608207836183,
+                                   c=c, l0=l0, dl=dl)
+    h = profile.x[1] - profile.x[0]
+    for index in (1, 2, 3):
+        s = math.sin(index * math.pi / (2 * (n_grid - 1)))
+        omega = 2.0 * s / (h * math.sqrt(c * l0))
+        kerr = -omega**2 * 3.0 * dl / (2.0 * l0**2 * h * (n_grid - 1))
+        mode = solve_mode(profile, index)
+        assert mode.omega_n == pytest.approx(omega, rel=1e-14, abs=0.0)
+        assert mode_coefficients(profile, mode).kerr \
+            == pytest.approx(kerr, rel=5e-11, abs=0.0)
+
+
+def test_nonuniform_frequencies_match_mpmath_oracle():
+    """On a 160-point non-uniform line omega_k agrees with the eigenvalue
+    of the same difference pencil found by 40-digit Sturm bisection."""
+    profile = wavy_profile(160)
+    for index in (1, 2, 3, 7):
+        exact = math.sqrt(line_eigenvalue(profile, index))
+        assert solve_mode(profile, index).omega_n \
+            == pytest.approx(exact, rel=1e-15, abs=0.0)
+
+
+def test_high_modes_of_a_wide_bracket():
+    """C and L0 varying by factors of 10 and 9 give a bracket holding
+    dozens of modes; mode 60 is still isolated and matches the oracle."""
+    x = np.linspace(0.0, 1.0, 400)
+    profile = LineProfile(length=1.0, I_c=1.0, hbar=1.0,
+                          C=1.0 + 9.0 * np.sin(7.0 * x) ** 2,
+                          L0=1.0 + 0.8 * np.cos(5.0 * x),
+                          dL=np.zeros(400), R0=np.zeros(400), dR=np.zeros(400))
+    mode = solve_mode(profile, 60)
+    exact = math.sqrt(line_eigenvalue(profile, 60))
+    assert mode.omega_n == pytest.approx(exact, rel=1e-14, abs=0.0)
+    assert np.count_nonzero(np.diff(np.sign(mode.u[1:-1]))) == 59
 
 
 def test_second_order_convergence():
@@ -123,7 +169,7 @@ def test_kerr_constant_uniform_oracle(uniform_profile):
     c, l0, length = uniform_env(uniform_profile)
     dl = uniform_profile.dL[0]
     mode = solve_modes(uniform_profile, 1)[0]
-    got = kerr_constant(uniform_profile, mode)
+    got = mode_coefficients(uniform_profile, mode).kerr
     exact_omega = math.pi / (length * math.sqrt(l0 * c))
     expected = -3.0 * uniform_profile.hbar * exact_omega**2 * dl \
         / (2.0 * uniform_profile.I_c**2 * l0**2 * length)
@@ -134,7 +180,7 @@ def test_kerr_constant_uniform_oracle(uniform_profile):
 def test_kerr_zero_without_nonlinearity():
     profile = make_uniform_profile(n_grid=400, dl=0.0)
     mode = solve_modes(profile, 1)[0]
-    assert kerr_constant(profile, mode) == 0.0
+    assert mode_coefficients(profile, mode).kerr == 0.0
 
 
 def test_cross_kerr_uniform_oracle(uniform_profile):
@@ -161,7 +207,7 @@ def test_gamma2_uniform_oracle(uniform_profile):
     r0 = uniform_profile.R0[0]
     l0 = uniform_profile.L0[0]
     mode = solve_modes(uniform_profile, 1)[0]
-    got = gamma2_from_profile(uniform_profile, mode)
+    got = mode_coefficients(uniform_profile, mode).gamma2
     assert got == pytest.approx(r0 / (2.0 * l0), rel=5e-3)
 
 
@@ -169,30 +215,31 @@ def test_gamma2_linearity():
     base = make_uniform_profile(n_grid=600)
     doubled = make_uniform_profile(n_grid=600, r0=2 * base.R0[0])
     mode = solve_modes(base, 1)[0]
-    assert gamma2_from_profile(doubled, mode) \
-        == pytest.approx(2.0 * gamma2_from_profile(base, mode), rel=1e-12)
+    assert mode_coefficients(doubled, mode).gamma2 \
+        == pytest.approx(2.0 * mode_coefficients(base, mode).gamma2,
+                         rel=1e-12)
     none = make_uniform_profile(n_grid=600, r0=0.0)
-    assert gamma2_from_profile(none, mode) == 0.0
+    assert mode_coefficients(none, mode).gamma2 == 0.0
 
 
 def test_gamma3_uniform_oracle(uniform_profile):
     c, l0, length = uniform_env(uniform_profile)
     dr = uniform_profile.dR[0]
     mode = solve_modes(uniform_profile, 1)[0]
-    got = gamma3_from_profile(uniform_profile, mode)
+    got = mode_coefficients(uniform_profile, mode).gamma3
     exact_omega = math.pi / (length * math.sqrt(l0 * c))
     expected = 9.0 * uniform_profile.hbar * exact_omega * dr \
         / (16.0 * uniform_profile.I_c**2 * l0**2 * length)
     assert got == pytest.approx(expected, rel=5e-3)
     zero = make_uniform_profile(dr=0.0)
-    assert gamma3_from_profile(zero, mode) == 0.0
+    assert mode_coefficients(zero, mode).gamma3 == 0.0
 
 
 def test_loss_to_kerr_ratio(uniform_profile):
     """For a uniform line gamma3/|K| reduces to 3 dR / (8 omega dL)."""
     mode = solve_modes(uniform_profile, 1)[0]
-    ratio = gamma3_from_profile(uniform_profile, mode) \
-        / abs(kerr_constant(uniform_profile, mode))
+    coeffs = mode_coefficients(uniform_profile, mode)
+    ratio = coeffs.gamma3 / abs(coeffs.kerr)
     expected = 3.0 * uniform_profile.dR[0] \
         / (8.0 * mode.omega_n * uniform_profile.dL[0])
     assert ratio == pytest.approx(expected, rel=1e-9)
@@ -202,14 +249,11 @@ def test_outputs_invariant_under_mode_sign_flip(uniform_profile):
     modes = solve_modes(uniform_profile, 2)
     flipped = ModeSolution(index=modes[0].index, omega_n=modes[0].omega_n,
                            u=-modes[0].u)
-    assert kerr_constant(uniform_profile, flipped) \
-        == pytest.approx(kerr_constant(uniform_profile, modes[0]), rel=1e-12)
-    assert gamma2_from_profile(uniform_profile, flipped) \
-        == pytest.approx(gamma2_from_profile(uniform_profile, modes[0]),
-                         rel=1e-12)
-    assert gamma3_from_profile(uniform_profile, flipped) \
-        == pytest.approx(gamma3_from_profile(uniform_profile, modes[0]),
-                         rel=1e-12)
+    got = mode_coefficients(uniform_profile, flipped)
+    want = mode_coefficients(uniform_profile, modes[0])
+    for name in ("kerr", "gamma2", "gamma3"):
+        assert getattr(got, name) == pytest.approx(getattr(want, name),
+                                                   rel=1e-12)
     assert cross_kerr(uniform_profile, flipped, modes[1]) \
         == pytest.approx(cross_kerr(uniform_profile, modes[0], modes[1]),
                          rel=1e-12)
