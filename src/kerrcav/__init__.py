@@ -16,9 +16,9 @@ from .operating import (CriticalPoint, critical_point, curve_omega_p,
                         instability_locus, max_curve_energy,
                         response_peak_detuning)
 from .smallsignal import (SingularResponse, SmallSignalResponse,
-                          SmallSignalResponses, intermodulation_gain,
-                          linearize, parametric_gain, transfer_coefficients,
-                          transfer_coefficients_array)
+                          SmallSignalResponses, gains_array,
+                          intermodulation_gain, linearize, parametric_gain,
+                          transfer_coefficients, transfer_coefficients_array)
 from .steady import (BranchStates, DegenerateModel, SteadyState,
                      UndefinedForZeroDrive, branch_states, cubic_coefficients,
                      reflection_coefficient, settled_state, settled_states,
@@ -43,7 +43,7 @@ __all__ = [
     "SqueezeResult", "SqueezeResults", "SteadyState", "SweepConfig",
     "Table", "ThermalEnv", "UndefinedForZeroDrive", "branch_states",
     "critical_point", "cross_kerr", "cubic_coefficients", "curve_omega_p",
-    "derive_device", "format_float", "instability_locus",
+    "derive_device", "format_float", "gains_array", "instability_locus",
     "intermodulation_gain", "linearize", "lo_phase_extrema",
     "lo_phase_extrema_array", "load_config", "load_config_file",
     "load_fit_problem", "load_profile", "max_curve_energy",

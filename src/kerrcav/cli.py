@@ -8,6 +8,7 @@ failure (non-convergence or arithmetic overflow), 4 I/O error.
 
 import argparse
 import json
+import os
 import sys
 
 from .fitting import NonConvergence, check_drives, load_fit_problem, run_fit
@@ -78,7 +79,9 @@ def main(argv=None) -> int:
                 data = json.load(fh)
             if not isinstance(data, dict) or data.get("schema") != 1:
                 raise ConfigError("schema", "expected 1")
-            problem = load_fit_problem(data.get("fit"), "fit")
+            problem = load_fit_problem(
+                data.get("fit"), "fit",
+                os.path.dirname(os.path.abspath(args.config)))
             check_drives(problem, "fit")
             try:
                 fit = run_fit(problem)

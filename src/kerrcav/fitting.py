@@ -11,6 +11,9 @@ parameters rescaled by the initial guess and bounded to where
 :func:`model.validate` holds, with an analytic Jacobian: the photon number
 on the settled branch solves the pump cubic, so its derivatives follow from
 the implicit function theorem, and both observables are closed forms in it.
+The forward G_I(0) is :func:`smallsignal.gains_array` at zero offset,
+4 gamma1^2 (K^2 + gamma3^2) E^2 / h'(E)^2 since D(0) = h'(E): the formula
+the Jacobian differentiates.
 The Jacobian at a point reuses the settled states of the model evaluation
 there, so ``n_evaluations`` and the evaluation budget count model
 evaluations only; the solver is deterministic, so identical inputs give
@@ -23,8 +26,8 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .model import DeviceParams, validate
-from .smallsignal import transfer_coefficients_array
-from .steady import settled_states
+from .smallsignal import gains_array
+from .steady import _h, settled_states
 from .sweeps import ConfigError, _number, load_device
 
 FREE_NAMES = ("omega0", "kerr", "gamma1", "gamma2", "gamma3")
@@ -129,13 +132,7 @@ def predict_gain(params: DeviceParams, omega_p, b1_in, psi1=0.0):
     are evaluated in one batched pass.
     """
     batch = settled_states(params, omega_p, b1_in, psi1)
-    return _scalar_or_array(_zero_offset_gain(params, batch), omega_p, b1_in)
-
-
-def _zero_offset_gain(params: DeviceParams, states) -> np.ndarray:
-    _, gains = transfer_coefficients_array(params, states, 0.0,
-                                           ports=("refl",)).gains()
-    return gains
+    return _scalar_or_array(gains_array(params, batch, 0.0)[1], omega_p, b1_in)
 
 
 # The partials of (delta, kerr, gamma, gamma3, gamma1) with respect to each
@@ -153,9 +150,9 @@ def _jacobian(params: DeviceParams, states, free, n_refl) -> np.ndarray:
     The photon number solves h(E) = c3 E^3 + c2 E^2 + c1 E = 2 gamma1 b^2,
     so dE = (d(2 gamma1 b^2) - dh at fixed E) / h'(E).  With A = gamma +
     gamma3 E and B = delta + K E, |r|^2 = ((A - 2 gamma1)^2 + B^2) /
-    (A^2 + B^2); and lambda_slow * lambda_fast = h'(E), so G_I(0) =
-    4 c3 q^2 with q = gamma1 E / h'(E).  Entries are non-finite at a fold
-    (h' = 0) and where |r| = 0.
+    (A^2 + B^2); and the resolvent at zero offset is D(0) = h'(E), so
+    G_I(0) = 4 c3 q^2 with q = gamma1 E / h'(E).  Entries are non-finite at
+    a fold (h' = 0) and where |r| = 0.
     """
     dd, dk, dg, dg3, dg1 = np.array([_PARTIALS[n] for n in free],
                                     dtype=float).T
@@ -166,11 +163,10 @@ def _jacobian(params: DeviceParams, states, free, n_refl) -> np.ndarray:
     with np.errstate(all="ignore"):
         c3 = k * k + g3 * g3
         c2 = 2.0 * (delta * k + g * g3)
-        c1 = delta * delta + g * g
         dc3 = 2.0 * (k * dk + g3 * dg3)
         dc2 = 2.0 * (dd * k + delta * dk + dg * g3 + g * dg3)
         dc1 = 2.0 * (delta * dd + g * dg)
-        slope = c1 + e * (2.0 * c2 + 3.0 * c3 * e)
+        slope = _h(e, delta, k, g3, g)[1]
         de = (2.0 * b * b * dg1 - e * (dc1 + e * (dc2 + e * dc3))) / slope
 
         a = g + g3 * e
@@ -237,10 +233,10 @@ def run_fit(problem: FitProblem, max_evaluations: int = MAX_EVALUATIONS) -> FitR
                 states = settled_states(params, rows[:, 0], rows[:, 1],
                                         problem.psi1)
                 model = states.take(slice(n_refl)).reflection_magnitude()
-                # the gain pass costs about 0.25 ms even on no rows
+                # the gain pass costs tens of microseconds even on no rows
                 if len(gain):
-                    model = np.concatenate([model, _zero_offset_gain(
-                        params, states.take(slice(n_refl, None)))])
+                    model = np.concatenate([model, gains_array(
+                        params, states.take(slice(n_refl, None)), 0.0)[1]])
                 r = model - observed
         except (ArithmeticError, ValueError):
             pass
@@ -275,11 +271,12 @@ def run_fit(problem: FitProblem, max_evaluations: int = MAX_EVALUATIONS) -> FitR
     return fit
 
 
-def load_fit_problem(data, path="fit") -> FitProblem:
-    """Build a :class:`FitProblem` from a parsed JSON config block."""
+def load_fit_problem(data, path="fit", base_dir=".") -> FitProblem:
+    """Build a :class:`FitProblem` from a parsed JSON config block; a
+    profile named by ``initial`` is found relative to ``base_dir``."""
     if not isinstance(data, dict):
         raise ConfigError(path, "expected an object")
-    initial = load_device(data.get("initial"), f"{path}.initial")
+    initial = load_device(data.get("initial"), f"{path}.initial", base_dir)
     free = data.get("free")
     if not isinstance(free, list) or not free:
         raise ConfigError(f"{path}.free", "expected a non-empty list")

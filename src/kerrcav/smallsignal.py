@@ -4,14 +4,20 @@ Small signal and noise entering the three ports are carried to the test-port
 output by six complex coefficients evaluated at the offset ``omega`` from the
 pump frequency.  Each port contributes a direct (signal) coefficient and a
 phase-conjugating one; the conjugating channel is what produces
-intermodulation gain and squeezing.  All six share the resolvent denominator
+intermodulation gain and squeezing.  All six share the resolvent
+D(omega) = (-i*omega + lambda_slow) * (-i*omega + lambda_fast).  The
+relaxation roots sum to 2*(gamma + 2*gamma3*E) and multiply to the slope
+h'(E) of the pump balance h(E) = P (:mod:`steady`), so in closed form
 
-    D(omega) = (-i*omega + lambda_slow) * (-i*omega + lambda_fast),
+    D(omega) = h'(E) - omega^2 - 2i*omega*(gamma + 2*gamma3*E),
 
 which vanishes only at marginal operating points, where the gains diverge.
-:func:`transfer_coefficients_array` evaluates the coefficients of a whole
-batch of branches in one NumPy pass, bit-identical to
-:func:`transfer_coefficients`.
+The power gains are closed forms in D, G_I = 4 gamma1^2 (K^2 + gamma3^2)
+E^2 / |D|^2 and G_S = |D - 2 gamma1 z_w|^2 / |D|^2 with z_w = gamma +
+2 gamma3 E - i (omega + omega0 - omega_p + 2 K E).
+:func:`transfer_coefficients_array` and :func:`gains_array` evaluate a whole
+batch of branches in one NumPy pass, bit-identical to their one-point
+functions.
 """
 
 import cmath
@@ -22,7 +28,7 @@ import numpy as np
 
 from . import floatops as fo
 from .model import DeviceParams, PumpDrive
-from .steady import BranchStates, SteadyState
+from .steady import BranchStates, SteadyState, _h
 
 # |D| below this multiple of gamma^2 means operation at an instability.
 SINGULAR_TOL = 1e-14
@@ -46,8 +52,6 @@ class SmallSignalResponse:
     omega: float
     self_coupling: complex
     conj_coupling: complex
-    lambda_slow: complex
-    lambda_fast: complex
     refl_signal: complex
     refl_conj: complex
     loss_signal: complex
@@ -88,14 +92,38 @@ def linearize(params: DeviceParams, state: SteadyState, drive: PumpDrive):
     return self_coupling, conj_coupling
 
 
+def _resolvent(params: DeviceParams, energy, delta, omega):
+    """(Re D, Im D) at photon number ``energy``, detuning ``delta`` =
+    omega0 - omega_p and offset ``omega``, from floats or arrays alike."""
+    slope = _h(energy, delta, params.kerr, params.gamma3, params.gamma)[1]
+    return (slope - omega * omega,
+            -2.0 * omega * (params.gamma + 2.0 * params.gamma3 * energy))
+
+
+def _gains(params: DeviceParams, energy, delta, omega):
+    """(G_S, G_I) from the closed forms, inf where |D| is singular, from
+    floats or arrays alike.  Each gain is the square of a ratio of moduli,
+    so no square overflows before the gain itself does."""
+    d_re, d_im = _resolvent(params, energy, delta, omega)
+    g1 = params.gamma1
+    with np.errstate(all="ignore"):
+        d = np.hypot(d_re, d_im)
+        signal = np.hypot(
+            d_re - 2.0 * g1 * (params.gamma + 2.0 * params.gamma3 * energy),
+            d_im + 2.0 * g1 * (omega + delta + 2.0 * params.kerr * energy)) / d
+        conj = 2.0 * g1 * math.hypot(params.kerr, params.gamma3) * energy / d
+        singular = d < SINGULAR_TOL * params.gamma**2
+        return (np.where(singular, math.inf, signal * signal),
+                np.where(singular, math.inf, conj * conj))
+
+
 def transfer_coefficients(params: DeviceParams, state: SteadyState,
                           drive: PumpDrive, omega: float) -> SmallSignalResponse:
     """Six port-to-output transfer coefficients at offset ``omega``.
 
     ``omega`` is the offset from the pump frequency (rotating-frame
     convention); the conjugate coefficients mix in the image at -omega.
-    The relaxation roots in D are the state's own, so ``state`` must be a
-    steady state of ``drive``.
+    ``state`` must be a steady state of ``drive``.
 
     Raises
     ------
@@ -104,8 +132,8 @@ def transfer_coefficients(params: DeviceParams, state: SteadyState,
         instability, where the gain diverges).
     """
     w, v = linearize(params, state, drive)
-    lam_slow, lam_fast = state.lambda_slow, state.lambda_fast
-    d = (-1j * omega + lam_slow) * (-1j * omega + lam_fast)
+    d = complex(*_resolvent(params, state.energy, drive.detuning(params),
+                            omega))
     if abs(d) < SINGULAR_TOL * params.gamma**2:
         raise SingularResponse(
             f"resolvent |D({omega:g})| = {abs(d):.3e} is singular")
@@ -125,33 +153,21 @@ def transfer_coefficients(params: DeviceParams, state: SteadyState,
     tpl_conj = 2.0 * math.sqrt(2.0 * g1 * g3) * amp * v \
         * cmath.exp(-1j * (p1 + p3 + phase)) / d
     return SmallSignalResponse(
-        omega=omega,
-        self_coupling=w,
-        conj_coupling=v,
-        lambda_slow=lam_slow,
-        lambda_fast=lam_fast,
-        refl_signal=refl_signal,
-        refl_conj=refl_conj,
-        loss_signal=loss_signal,
-        loss_conj=loss_conj,
-        tpl_signal=tpl_signal,
-        tpl_conj=tpl_conj,
-    )
+        omega=omega, self_coupling=w, conj_coupling=v, refl_signal=refl_signal,
+        refl_conj=refl_conj, loss_signal=loss_signal, loss_conj=loss_conj,
+        tpl_signal=tpl_signal, tpl_conj=tpl_conj)
 
 
 def parametric_gain(params: DeviceParams, state: SteadyState,
                     drive: PumpDrive, omega: float) -> float:
     """Reflected power gain |refl_signal|^2 at offset ``omega``.
 
-    Exceeding unity means parametric amplification.  Evaluated through the
-    complex resolvent so underdamped (complex-root) operating points are
-    handled; returns IEEE infinity at singular points.
+    Exceeding unity means parametric amplification.  Evaluated from the
+    closed form in D, so underdamped (complex-root) operating points need
+    no roots; returns IEEE infinity at singular points.
     """
-    try:
-        resp = transfer_coefficients(params, state, drive, omega)
-    except SingularResponse:
-        return math.inf
-    return fo.abs2(resp.refl_signal)
+    return float(_gains(params, state.energy, drive.detuning(params),
+                        omega)[0])
 
 
 def intermodulation_gain(params: DeviceParams, state: SteadyState,
@@ -162,14 +178,25 @@ def intermodulation_gain(params: DeviceParams, state: SteadyState,
     omega_p + omega; zero without a pump, diverging (IEEE infinity) at the
     instability points.
     """
-    try:
-        resp = transfer_coefficients(params, state, drive, omega)
-    except SingularResponse:
-        return math.inf
-    return fo.abs2(resp.refl_conj)
+    return float(_gains(params, state.energy, drive.detuning(params),
+                        omega)[1])
 
 
-PORTS = ("refl", "loss", "tpl")
+def _aligned(x, omega):
+    """An entry's values, aligned with the first axis of the offsets."""
+    return x.reshape(x.shape + (1,) * (omega.ndim - 1))
+
+
+def gains_array(params: DeviceParams, states: BranchStates, omega):
+    """(G_S, G_I): :func:`parametric_gain` and :func:`intermodulation_gain`
+    of the entries of ``states`` at the offsets ``omega``, in one pass.
+
+    ``omega`` is shaped as for :func:`transfer_coefficients_array`, and
+    the gains take its shape; inf marks the singular points.
+    """
+    omega = np.asarray(omega, dtype=float)
+    return _gains(params, _aligned(states.energy, omega),
+                  _aligned(params.omega0 - states.omega_p, omega), omega)
 
 
 @dataclass(frozen=True, eq=False)
@@ -178,33 +205,23 @@ class SmallSignalResponses:
     complex array per field, all of the shape of the offsets.
 
     ``singular`` marks where :func:`transfer_coefficients` raises
-    :class:`SingularResponse`; the coefficients there are garbage.  The
-    coefficients of ports that were not asked for are None.
+    :class:`SingularResponse`; the coefficients there are garbage.
     """
 
     omega: np.ndarray
     self_coupling: np.ndarray
     conj_coupling: np.ndarray
-    lambda_slow: np.ndarray
-    lambda_fast: np.ndarray
     refl_signal: np.ndarray
     refl_conj: np.ndarray
-    loss_signal: np.ndarray | None
-    loss_conj: np.ndarray | None
-    tpl_signal: np.ndarray | None
-    tpl_conj: np.ndarray | None
+    loss_signal: np.ndarray
+    loss_conj: np.ndarray
+    tpl_signal: np.ndarray
+    tpl_conj: np.ndarray
     singular: np.ndarray
-
-    def gains(self):
-        """(G_S, G_I): :func:`parametric_gain` and
-        :func:`intermodulation_gain` at each point, inf where singular."""
-        with np.errstate(all="ignore"):
-            return tuple(np.where(self.singular, math.inf, fo.abs2(coef))
-                         for coef in (self.refl_signal, self.refl_conj))
 
 
 def transfer_coefficients_array(params: DeviceParams, states: BranchStates,
-                                omega, ports=PORTS) -> SmallSignalResponses:
+                                omega) -> SmallSignalResponses:
     """:func:`transfer_coefficients` of the entries of ``states`` at the
     offsets ``omega``, in one pass.
 
@@ -213,69 +230,47 @@ def transfer_coefficients_array(params: DeviceParams, states: BranchStates,
     bit-identical to ``transfer_coefficients(params, states.state(i),
     states.drive(i), omega[i, j])``; where that raises
     :class:`SingularResponse`, ``singular`` is set instead.  The linearized
-    drift and the phase factors are evaluated once per entry, and the
-    coefficients only for the ``ports`` named (the test port "refl" always).
+    drift and the phase factors are evaluated once per entry.
     """
     omega = np.asarray(omega, dtype=float)
-
-    def per_entry(z):
-        # an entry's values, aligned with the first axis of omega
-        return [x.reshape(x.shape + (1,) * (omega.ndim - 1)) for x in z]
-
+    energy, delta, phase, amp = (_aligned(x, omega) for x in (
+        states.energy, params.omega0 - states.omega_p, states.phase,
+        states.amplitude))
     g1, g2, g3 = params.gamma1, params.gamma2, params.gamma3
     p1, p2, p3 = params.phi1, params.phi2, params.phi3
-    phase = states.phase
+    s12 = math.sqrt(g1 * g2)
+    s13 = math.sqrt(2.0 * g1 * g3)
     with np.errstate(all="ignore"):
         # linearize
-        delta = params.omega0 - states.omega_p
-        nonlin = fo.mul(fo.parts(1j * params.kerr + g3), (states.energy, 0.0))
-        w = per_entry(fo.add(
-            fo.add(fo.times_1j((delta, 0.0)), (params.gamma, 0.0)),
-            fo.mul((2.0, 0.0), nonlin)))
-        v = per_entry(fo.mul(nonlin, fo.exp_imag(
-            fo.mul((-0.0, -2.0), (phase, 0.0)))))
-        lam_slow = per_entry(fo.parts(states.lambda_slow))
-        lam_fast = per_entry(fo.parts(states.lambda_fast))
+        nonlin = fo.mul(fo.parts(1j * params.kerr + g3), (energy, 0.0))
+        w = fo.add(fo.add(fo.times_1j((delta, 0.0)), (params.gamma, 0.0)),
+                   fo.mul((2.0, 0.0), nonlin))
+        v = fo.mul(nonlin, fo.exp_imag(fo.mul((-0.0, -2.0), (phase, 0.0))))
 
-        shift = fo.times_minus_1j((omega, 0.0))
-        d = fo.mul(fo.add(shift, lam_slow), fo.add(shift, lam_fast))
+        d = _resolvent(params, energy, delta, omega)
         singular = fo.modulus(d) < SINGULAR_TOL * params.gamma**2
-        zw = fo.add(shift, (w[0], -w[1]))
-        # the numerators of each port's (signal, conjugate) coefficients
-        numerators = {"refl": (
-            fo.sub(d, fo.mul((2.0 * g1, 0.0), zw)),
-            fo.mul(fo.mul((2.0 * g1, 0.0), v), fo.parts(cmath.exp(-2j * p1))))}
-        # gain sweeps and fits ask for the test port alone
-        if "loss" in ports:
-            s12 = math.sqrt(g1 * g2)
-            numerators["loss"] = (
-                fo.mul(fo.mul((-2.0 * s12, 0.0), zw),
-                       fo.parts(cmath.exp(-1j * (p1 - p2)))),
-                fo.mul(fo.mul((2.0 * s12, 0.0), v),
-                       fo.parts(cmath.exp(-1j * (p1 + p2)))))
-        if "tpl" in ports:
-            s13 = math.sqrt(2.0 * g1 * g3)
-            amp = states.amplitude
-            scale_signal, scale_conj = per_entry([-2.0 * s13 * amp,
-                                                  2.0 * s13 * amp])
-            numerators["tpl"] = (
-                fo.mul(fo.mul((scale_signal, 0.0), zw),
-                       per_entry(fo.exp_imag(
-                           fo.times_minus_1j(((p1 - phase) - p3, 0.0))))),
-                fo.mul(fo.mul((scale_conj, 0.0), v),
-                       per_entry(fo.exp_imag(
-                           fo.times_minus_1j(((p1 + p3) + phase, 0.0))))))
+        zw = fo.add(fo.times_minus_1j((omega, 0.0)), (w[0], -w[1]))
+        numerators = dict(
+            refl_signal=fo.sub(d, fo.mul((2.0 * g1, 0.0), zw)),
+            refl_conj=fo.mul(fo.mul((2.0 * g1, 0.0), v),
+                             fo.parts(cmath.exp(-2j * p1))),
+            loss_signal=fo.mul(fo.mul((-2.0 * s12, 0.0), zw),
+                               fo.parts(cmath.exp(-1j * (p1 - p2)))),
+            loss_conj=fo.mul(fo.mul((2.0 * s12, 0.0), v),
+                             fo.parts(cmath.exp(-1j * (p1 + p2)))),
+            tpl_signal=fo.mul(fo.mul((-2.0 * s13 * amp, 0.0), zw),
+                              fo.exp_imag(fo.times_minus_1j(
+                                  ((p1 - phase) - p3, 0.0)))),
+            tpl_conj=fo.mul(fo.mul((2.0 * s13 * amp, 0.0), v),
+                            fo.exp_imag(fo.times_minus_1j(
+                                ((p1 + p3) + phase, 0.0)))))
         shape = singular.shape
 
         def full(z):
             return fo.pack(np.broadcast_to(x, shape) for x in z)
 
-        coefficients = {f"{port}_{kind}": full(fo.div(numerator, d))
-                        for port, pair in numerators.items()
-                        for kind, numerator in zip(("signal", "conj"), pair)}
+        coefficients = {name: full(fo.div(numerator, d))
+                        for name, numerator in numerators.items()}
     return SmallSignalResponses(
         omega=np.broadcast_to(omega, shape), self_coupling=full(w),
-        conj_coupling=full(v), lambda_slow=full(lam_slow),
-        lambda_fast=full(lam_fast), singular=singular,
-        **{f"{port}_{kind}": coefficients.get(f"{port}_{kind}")
-           for port in PORTS for kind in ("signal", "conj")})
+        conj_coupling=full(v), singular=singular, **coefficients)

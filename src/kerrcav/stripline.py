@@ -68,6 +68,8 @@ class LineProfile:
                 raise ValueError(f"profile array {key!r} must be 1-d of length {n}")
             if not np.isfinite(arr).all():
                 raise ValueError(f"profile array {key!r} must be finite")
+            if key in ("R0", "dR") and np.any(arr < 0.0):
+                raise ValueError(f"profile array {key!r} must be >= 0")
             object.__setattr__(self, key, arr)
         for key in ("length", "I_c", "hbar"):
             value = float(getattr(self, key))

@@ -20,7 +20,7 @@ from . import floatops as fo
 from .model import DeviceParams, validate
 from .noise import ThermalEnv, squeeze_columns
 from .operating import critical_point
-from .smallsignal import transfer_coefficients_array
+from .smallsignal import gains_array
 from .steady import branch_states
 from .stripline import (derive_device, load_profile, mode_coefficients,
                         solve_mode)
@@ -123,17 +123,18 @@ def load_device(block, path, base_dir="."):
                               f"{path}.mode_index", minimum=1)
         gamma1 = _number(_require(block, "gamma1", path), f"{path}.gamma1",
                          minimum=0.0)
-        return derive_device(load_profile(profile_path), mode_index, gamma1)
-    params = DeviceParams(
-        omega0=_number(_require(block, "omega0", path), f"{path}.omega0"),
-        kerr=_number(_require(block, "kerr", path), f"{path}.kerr"),
-        gamma1=_number(_require(block, "gamma1", path), f"{path}.gamma1"),
-        gamma2=_number(_require(block, "gamma2", path), f"{path}.gamma2"),
-        gamma3=_number(_require(block, "gamma3", path), f"{path}.gamma3"),
-        phi1=_number(block.get("phi1", 0.0), f"{path}.phi1"),
-        phi2=_number(block.get("phi2", 0.0), f"{path}.phi2"),
-        phi3=_number(block.get("phi3", 0.0), f"{path}.phi3"),
-    )
+        params = derive_device(load_profile(profile_path), mode_index, gamma1)
+    else:
+        params = DeviceParams(
+            omega0=_number(_require(block, "omega0", path), f"{path}.omega0"),
+            kerr=_number(_require(block, "kerr", path), f"{path}.kerr"),
+            gamma1=_number(_require(block, "gamma1", path), f"{path}.gamma1"),
+            gamma2=_number(_require(block, "gamma2", path), f"{path}.gamma2"),
+            gamma3=_number(_require(block, "gamma3", path), f"{path}.gamma3"),
+            phi1=_number(block.get("phi1", 0.0), f"{path}.phi1"),
+            phi2=_number(block.get("phi2", 0.0), f"{path}.phi2"),
+            phi3=_number(block.get("phi3", 0.0), f"{path}.phi3"),
+        )
     report = validate(params)
     if not report.ok:
         raise ConfigError(path, "; ".join(report.violations))
@@ -265,8 +266,7 @@ def run_gain_sweep(config: SweepConfig) -> Table:
     if config.offsets_absolute:
         omega = omega - states.omega_p[:, None]
     omega = np.broadcast_to(omega, (states.energy.size, omega.shape[1]))
-    gs, gi = (g.ravel() for g in transfer_coefficients_array(
-        config.device, states, omega, ports=("refl",)).gains())
+    gs, gi = (g.ravel() for g in gains_array(config.device, states, omega))
 
     def per_row(x):
         return np.repeat(x, omega.shape[1])

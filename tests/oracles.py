@@ -25,11 +25,6 @@ from kerrcav.steady import FLOOR, MARGINAL_TOL, MAX_STEPS
 
 # ------------------------------------------------- scalar reference path
 
-def abs2(z: complex) -> float:
-    """|z|^2 as the kernels form it: re*re + im*im."""
-    return z.real * z.real + z.imag * z.imag
-
-
 def cubic_discriminant(c3: float, c2: float, c1: float, c0: float) -> float:
     """Discriminant of c3*x^3 + c2*x^2 + c1*x + c0 (> 0: three distinct real roots)."""
     return (

@@ -8,8 +8,8 @@ import numpy as np
 import pytest
 
 from kerrcav import (DeviceParams, PumpDrive, critical_point,
-                     cubic_coefficients, load_config, parse_json,
-                     predict_reflection)
+                     cubic_coefficients, derive_device, load_config,
+                     parse_json, predict_reflection)
 from kerrcav.cli import main
 from conftest import make_uniform_profile
 
@@ -219,6 +219,78 @@ def test_line_derive_rejects_non_finite_profile(tmp_path, capsys, key,
     assert captured.err.startswith("error:") and key in captured.err
     assert "must be finite" in captured.err
     assert captured.out == ""
+
+
+def negative_loss_profile(tmp_path, r0, dr):
+    """The uniform test profile with every R0 and dR sample replaced."""
+    payload = json.loads(open(profile_file(tmp_path)).read())
+    payload["R0"] = [r0] * payload["grid"]
+    payload["dR"] = [dr] * payload["grid"]
+    return write_json(tmp_path / "negative.json", payload)
+
+
+def test_line_derive_rejects_negative_loss_profile(tmp_path, capsys):
+    """A negative resistance sample would derive a negative gamma2: a
+    passive line that amplifies."""
+    bad = negative_loss_profile(tmp_path, -0.05, 0.0)
+    assert main(["line-derive", "--profile", bad, "--mode-index", "1",
+                 "--gamma1", "0.01"]) == 2
+    captured = capsys.readouterr()
+    assert "'R0' must be >= 0" in captured.err
+    assert captured.out == ""
+
+
+def test_profile_device_rejects_negative_loss(tmp_path, capsys):
+    """Through a sweep config's device.profile, the same profile is a
+    configuration error, as the inline device with gamma2 < 0 is."""
+    negative_loss_profile(tmp_path, -0.01, -1e-4)
+    cfg = write_json(tmp_path / "sweep.json", {
+        "schema": 1,
+        "device": {"profile": "negative.json", "mode_index": 1,
+                   "gamma1": 0.01},
+        "drive": {"omega_p": {"start": 3.0, "stop": 3.3, "count": 64},
+                  "b1_in": [0.1]},
+    })
+    assert main(["steady-sweep", "--config", cfg]) == 2
+    captured = capsys.readouterr()
+    assert "'R0' must be >= 0" in captured.err
+    assert captured.out == ""
+
+
+def test_profile_device_is_validated(tmp_path, capsys):
+    """A device derived from a profile goes through the same validation as
+    an inline one: without loss and with gamma1 = 0 it has no damping."""
+    negative_loss_profile(tmp_path, 0.0, 0.0)
+    cfg = write_json(tmp_path / "critical.json", {
+        "schema": 1,
+        "device": {"profile": "negative.json", "mode_index": 1,
+                   "gamma1": 0.0}})
+    assert main(["critical", "--config", cfg]) == 2
+    err = capsys.readouterr().err
+    assert "config field 'device'" in err
+    assert "gamma1 + gamma2 must be > 0" in err
+
+
+def test_fit_finds_profile_next_to_its_config(tmp_path, capsys, monkeypatch):
+    """initial.profile is relative to the fit file, not to the working
+    directory."""
+    (tmp_path / "t1").mkdir()
+    profile = make_uniform_profile(n_grid=600)
+    write_json(tmp_path / "t1" / "p3.json", {
+        "l": profile.length, "I_c": profile.I_c, "hbar": profile.hbar,
+        "grid": profile.n_grid, **{key: getattr(profile, key).tolist()
+                                   for key in ("C", "L0", "dL", "R0", "dR")}})
+    device = derive_device(profile, 1, 0.01)
+    rows = [[w, 0.01, predict_reflection(device, w, 0.01)]
+            for w in np.linspace(3.0, 3.3, 8).tolist()]
+    cfg = write_json(tmp_path / "t1" / "f.json", {"schema": 1, "fit": {
+        "initial": {"profile": "p3.json", "mode_index": 1, "gamma1": 0.01},
+        "free": ["omega0"], "refl_data": rows}})
+    monkeypatch.chdir(tmp_path)
+    assert main(["fit", "--config", os.path.join("t1", "f.json")]) == 0
+    header, row = capsys.readouterr().out.strip().splitlines()
+    assert float(row.split(",")[0]) == pytest.approx(device.omega0,
+                                                     rel=1e-12)
 
 
 def test_gain_sweep_runs(tmp_path):

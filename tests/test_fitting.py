@@ -8,11 +8,12 @@ from hypothesis import strategies as st
 
 from kerrcav import (ConfigError, DeviceParams, FitProblem, NonConvergence,
                      PumpDrive, UndefinedForZeroDrive, branch_states,
-                     critical_point, instability_locus, intermodulation_gain,
-                     load_fit_problem, predict_gain, predict_reflection,
-                     reflection_coefficient, run_fit, settled_states,
-                     steady_states)
-from kerrcav import fitting
+                     critical_point, gains_array, instability_locus,
+                     intermodulation_gain, load_fit_problem, predict_gain,
+                     predict_reflection, reflection_coefficient, run_fit,
+                     settled_states, steady_states,
+                     transfer_coefficients_array)
+from kerrcav import fitting, smallsignal
 
 SQRT3 = math.sqrt(3.0)
 
@@ -229,12 +230,18 @@ def test_jacobian_matches_central_differences(point):
 
 
 @settings(max_examples=150, deadline=None, derandomize=True)
-@given(jacobian_points())
-def test_identities_behind_the_jacobian(point):
+@given(jacobian_points(), st.lists(st.floats(-10.0, 10.0), min_size=1,
+                                   max_size=3))
+def test_identities_behind_the_jacobian(point, offsets):
     """On every branch, lambda_slow * lambda_fast = h'(E) = c1 + 2 c2 E +
-    3 c3 E^2 to 1e-13 of its largest term, and on the settled one
-    G_I(0) = 4 gamma1^2 (K^2 + gamma3^2) E^2 / h'(E)^2 to 1e-13 of
-    predict_gain."""
+    3 c3 E^2 to 1e-13 of its largest term, and at offsets omega (drawn in
+    units of gamma) the closed-form resolvent D(omega) = h'(E) - omega^2
+    - 2i omega (gamma + 2 gamma3 E) is (-i omega + lambda_slow)(-i omega +
+    lambda_fast) of the branch's own roots to 1e-13 of the terms' size.
+    On branches with |lambda_slow| >= gamma / 100 the closed-form gains
+    G_S and G_I are |refl_signal|^2 and |refl_conj|^2 of the transfer
+    coefficients to 1e-12.  On the settled branch G_I(0) =
+    4 gamma1^2 (K^2 + gamma3^2) E^2 / h'(E)^2 to 1e-13 of predict_gain."""
     params, psi1, omega_p, b1_in, _ = point
     k, g3, g = params.kerr, params.gamma3, params.gamma
 
@@ -247,8 +254,28 @@ def test_identities_behind_the_jacobian(point):
 
     branches = branch_states(params, omega_p, b1_in, psi1)
     h1, size = slope(branches)
-    product = branches.lambda_slow * branches.lambda_fast
+    lam_slow, lam_fast = branches.lambda_slow, branches.lambda_fast
+    product = lam_slow * lam_fast
     assert np.all(np.abs(product - h1) <= 1e-13 * size)
+
+    omega = np.array(offsets)[None, :] * g
+    d_re, d_im = smallsignal._resolvent(
+        params, branches.energy[:, None],
+        (params.omega0 - branches.omega_p)[:, None], omega)
+    roots = ((-1j * omega + lam_slow[:, None])
+             * (-1j * omega + lam_fast[:, None]))
+    scale = (size[:, None] + omega * omega
+             + np.abs(omega) * (np.abs(lam_slow) + np.abs(lam_fast))[:, None])
+    assert np.all(np.abs(d_re + 1j * d_im - roots) <= 1e-13 * scale)
+
+    omega = np.broadcast_to(omega, roots.shape)
+    resp = transfer_coefficients_array(params, branches, omega)
+    g_s, g_i = gains_array(params, branches, omega)
+    kept = np.abs(lam_slow) >= 0.01 * g
+    for gain, coefficient in ((g_s, resp.refl_signal),
+                              (g_i, resp.refl_conj)):
+        expected = np.abs(coefficient[kept]) ** 2
+        assert np.all(np.abs(gain[kept] - expected) <= 1e-12 * expected)
 
     settled = settled_states(params, omega_p, b1_in, psi1)
     e = settled.energy

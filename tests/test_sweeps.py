@@ -9,12 +9,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import kerrcav
-from kerrcav import (ConfigError, PumpDrive, SingularResponse, critical_point,
-                     lo_phase_extrema, load_config, reflection_coefficient,
-                     to_csv, to_json, transfer_coefficients)
+from kerrcav import (ConfigError, PumpDrive, critical_point,
+                     intermodulation_gain, lo_phase_extrema, load_config,
+                     parametric_gain, reflection_coefficient, to_csv, to_json)
 from conftest import float_bits, make_uniform_profile
-from oracles import (abs2, reference_csv, reference_json,
-                     scalar_steady_states)
+from oracles import reference_csv, reference_json, scalar_steady_states
 
 
 def bytes_checked(run):
@@ -340,13 +339,9 @@ def scalar_gain_rows(config):
             for state in scalar_steady_states(config.device, drive):
                 for value in config.offsets:
                     omega = value - omega_p if config.offsets_absolute else value
-                    try:
-                        resp = transfer_coefficients(config.device, state,
-                                                     drive, omega)
-                        gs = abs2(resp.refl_signal)
-                        gi = abs2(resp.refl_conj)
-                    except SingularResponse:
-                        gs = gi = math.inf
+                    gs = parametric_gain(config.device, state, drive, omega)
+                    gi = intermodulation_gain(config.device, state, drive,
+                                              omega)
                     yield [amp, omega_p, state.branch_index, omega, gs, gi,
                            not (math.isfinite(gs) and math.isfinite(gi))]
 
