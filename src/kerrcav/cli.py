@@ -7,6 +7,7 @@ failure (non-convergence or arithmetic overflow), 4 I/O error.
 """
 
 import argparse
+import functools
 import json
 import os
 import sys
@@ -29,6 +30,7 @@ def _add_output_flags(parser):
                         help="output format (default: csv)")
 
 
+@functools.cache
 def build_parser():
     parser = argparse.ArgumentParser(
         prog="kerrcav",

@@ -28,7 +28,7 @@ import numpy as np
 from .model import DeviceParams, validate
 from .smallsignal import gains_array
 from .steady import _h, settled_states
-from .sweeps import ConfigError, _number, load_device
+from .sweeps import ConfigError, _floats, _number, load_device
 
 FREE_NAMES = ("omega0", "kerr", "gamma1", "gamma2", "gamma3")
 MAX_EVALUATIONS = 100_000
@@ -76,6 +76,10 @@ class FitProblem:
                                   f"parameter {name!r} is already free")
         if not self.free:
             raise ConfigError("fit.free", "no free parameters")
+        for name in self.bounds:
+            if name not in FREE_NAMES:
+                raise ConfigError(f"fit.bounds.{name}",
+                                  f"unknown parameter (choose from {FREE_NAMES})")
         if len(self.refl_data) + len(self.gain_data) < 5:
             raise ConfigError("fit.refl_data", "need at least 5 data points")
         for name in self.free:
@@ -162,29 +166,35 @@ def _jacobian(params: DeviceParams, states, free, n_refl) -> np.ndarray:
     delta = (params.omega0 - states.omega_p)[:, None]
     with np.errstate(all="ignore"):
         c3 = k * k + g3 * g3
-        c2 = 2.0 * (delta * k + g * g3)
         dc3 = 2.0 * (k * dk + g3 * dg3)
         dc2 = 2.0 * (dd * k + delta * dk + dg * g3 + g * dg3)
         dc1 = 2.0 * (delta * dd + g * dg)
         slope = _h(e, delta, k, g3, g)[1]
         de = (2.0 * b * b * dg1 - e * (dc1 + e * (dc2 + e * dc3))) / slope
 
-        a = g + g3 * e
+        er, der = e[:n_refl], de[:n_refl]
+        a = g + g3 * er
         u = a - 2.0 * g1
-        bb = delta + k * e
-        da = dg + dg3 * e + g3 * de
-        db = dd + dk * e + k * de
+        bb = delta[:n_refl] + k * er
+        da = dg + dg3 * er + g3 * der
+        db = dd + dk * er + k * der
         m = a * a + bb * bb
         r2 = (u * u + bb * bb) / m
         refl = (u * (da - 2.0 * dg1) + bb * db - r2 * (a * da + bb * db)) \
             / (np.sqrt(r2) * m)
+        if n_refl == len(e):
+            # the gain block costs tens of microseconds even on no rows
+            return refl
 
+        e, de, slope, delta, dc1, dc2 = (
+            x[n_refl:] for x in (e, de, slope, delta, dc1, dc2))
+        c2 = 2.0 * (delta * k + g * g3)
         q = g1 * e / slope
         dslope = dc1 + e * (2.0 * dc2 + 3.0 * dc3 * e) \
             + (2.0 * c2 + 6.0 * c3 * e) * de
         dq = (dg1 * e + g1 * de - q * dslope) / slope
         gain = 4.0 * q * (dc3 * q + 2.0 * c3 * dq)
-    return np.concatenate([refl[:n_refl], gain[n_refl:]])
+    return np.concatenate([refl, gain])
 
 
 def run_fit(problem: FitProblem, max_evaluations: int = MAX_EVALUATIONS) -> FitResult:
@@ -295,14 +305,15 @@ def load_fit_problem(data, path="fit", base_dir=".") -> FitProblem:
         raw = data.get(key, [])
         if not isinstance(raw, list):
             raise ConfigError(f"{path}.{key}", "expected a list")
-        out = []
-        for i, row in enumerate(raw):
-            where = f"{path}.{key}[{i}]"
-            if (not isinstance(row, list)) or len(row) != 3:
-                raise ConfigError(where, "expected [omega_p, b1_in, value]")
-            out.append(tuple(_number(v, f"{where}[{j}]")
-                             for j, v in enumerate(row)))
-        return tuple(out)
+        # the cells before the first malformed row, checked in one pass
+        bad = next((i for i, row in enumerate(raw)
+                    if not isinstance(row, list) or len(row) != 3), len(raw))
+        cells = _floats([v for row in raw[:bad] for v in row],
+                        lambda j: f"{path}.{key}[{j // 3}][{j % 3}]")
+        if bad < len(raw):
+            raise ConfigError(f"{path}.{key}[{bad}]",
+                              "expected [omega_p, b1_in, value]")
+        return tuple(zip(cells[0::3], cells[1::3], cells[2::3]))
 
     return FitProblem(initial=initial, free=tuple(free), bounds=bounds,
                       refl_data=rows("refl_data"), gain_data=rows("gain_data"),

@@ -91,10 +91,8 @@ def _integer(value, path, minimum):
     return value
 
 
-def _numbers(data, key, minimum=None):
-    values = data.get(key, [])
-    if not isinstance(values, list):
-        raise ConfigError(key, f"expected a list, got {values!r}")
+def _floats(values, path_of, minimum=None):
+    """A list's cells as finite floats >= minimum; errors name path_of(i)."""
     if {type(v) for v in values} <= {int, float}:
         # the common case in one pass; on any doubt, _number names the cell
         try:
@@ -104,8 +102,15 @@ def _numbers(data, key, minimum=None):
         if all(map(math.isfinite, floats)) and (
                 minimum is None or min(floats, default=minimum) >= minimum):
             return floats
-    return tuple(_number(v, f"{key}[{i}]", minimum=minimum)
+    return tuple(_number(v, path_of(i), minimum=minimum)
                  for i, v in enumerate(values))
+
+
+def _numbers(data, key, minimum=None):
+    values = data.get(key, [])
+    if not isinstance(values, list):
+        raise ConfigError(key, f"expected a list, got {values!r}")
+    return _floats(values, lambda i: f"{key}[{i}]", minimum)
 
 
 def _theta(value, path):
@@ -118,7 +123,9 @@ def load_device(block, path, base_dir="."):
     if not isinstance(block, dict):
         raise ConfigError(path, "expected an object")
     if "profile" in block:
-        profile_path = os.path.join(base_dir, str(block["profile"]))
+        if not isinstance(block["profile"], str) or not block["profile"]:
+            raise ConfigError(f"{path}.profile", "expected a file name")
+        profile_path = os.path.join(base_dir, block["profile"])
         mode_index = _integer(_require(block, "mode_index", path),
                               f"{path}.mode_index", minimum=1)
         gamma1 = _number(_require(block, "gamma1", path), f"{path}.gamma1",
@@ -162,7 +169,7 @@ def _load_grid(block, path):
     step = (stop - start) / (count - 1)
     if not math.isfinite(step):
         raise ConfigError(path, "range must be finite (stop - start overflows)")
-    return tuple(start + step * i for i in range(count))
+    return tuple((start + step * np.arange(count)).tolist())
 
 
 def load_config(data, base_dir=".") -> SweepConfig:

@@ -8,7 +8,7 @@ are held to bit for bit: plain Python floats and ``cmath``, root by root.
 The row-wise table renderer (``reference_csv``, ``reference_json``) is the
 byte reference for ``tableio``: Python's own formatting, cell by cell.
 ``numpy_polish`` is the bit reference for the fold polish in
-``operating``.
+``operating``, and ``reference_jacobian`` for the fit's analytic Jacobian.
 """
 
 import cmath
@@ -20,6 +20,7 @@ import numpy as np
 from kerrcav import (DegenerateModel, PumpDrive, SingularResponse,
                      SteadyState, branch_states, cubic_coefficients,
                      transfer_coefficients)
+from kerrcav.fitting import _PARTIALS
 from kerrcav.steady import FLOOR, MARGINAL_TOL, MAX_STEPS
 
 
@@ -474,6 +475,45 @@ def numpy_polish(poly, x: float) -> float:
             break
         x, value = float(candidate), candidate_value
     return x
+
+
+# ------------------------------------------------- full-width fit Jacobian
+# The fit's analytic Jacobian as fitting had it before each observable's
+# derivatives were taken on its own rows only, kept as it was: both
+# observables on every row, then sliced.
+
+def reference_jacobian(params, states, free, n_refl) -> np.ndarray:
+    dd, dk, dg, dg3, dg1 = np.array([_PARTIALS[n] for n in free],
+                                    dtype=float).T
+    k, g3, g, g1 = params.kerr, params.gamma3, params.gamma, params.gamma1
+    e = states.energy[:, None]
+    b = states.b_in[:, None]
+    delta = (params.omega0 - states.omega_p)[:, None]
+    with np.errstate(all="ignore"):
+        c3 = k * k + g3 * g3
+        c2 = 2.0 * (delta * k + g * g3)
+        dc3 = 2.0 * (k * dk + g3 * dg3)
+        dc2 = 2.0 * (dd * k + delta * dk + dg * g3 + g * dg3)
+        dc1 = 2.0 * (delta * dd + g * dg)
+        slope = _h(e, delta, k, g3, g)[1]
+        de = (2.0 * b * b * dg1 - e * (dc1 + e * (dc2 + e * dc3))) / slope
+
+        a = g + g3 * e
+        u = a - 2.0 * g1
+        bb = delta + k * e
+        da = dg + dg3 * e + g3 * de
+        db = dd + dk * e + k * de
+        m = a * a + bb * bb
+        r2 = (u * u + bb * bb) / m
+        refl = (u * (da - 2.0 * dg1) + bb * db - r2 * (a * da + bb * db)) \
+            / (np.sqrt(r2) * m)
+
+        q = g1 * e / slope
+        dslope = dc1 + e * (2.0 * dc2 + 3.0 * dc3 * e) \
+            + (2.0 * c2 + 6.0 * c3 * e) * de
+        dq = (dg1 * e + g1 * de - q * dslope) / slope
+        gain = 4.0 * q * (dc3 * q + 2.0 * c3 * dq)
+    return np.concatenate([refl[:n_refl], gain[n_refl:]])
 
 
 # ------------------------------------------------- row-wise table renderer

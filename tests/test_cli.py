@@ -10,7 +10,7 @@ import pytest
 from kerrcav import (DeviceParams, PumpDrive, critical_point,
                      cubic_coefficients, derive_device, load_config,
                      parse_json, predict_reflection)
-from kerrcav.cli import main
+from kerrcav.cli import build_parser, main
 from conftest import make_uniform_profile
 
 SQRT3 = math.sqrt(3.0)
@@ -271,6 +271,27 @@ def test_profile_device_is_validated(tmp_path, capsys):
     assert "gamma1 + gamma2 must be > 0" in err
 
 
+@pytest.mark.parametrize("profile", [5, None, ""])
+@pytest.mark.parametrize("command, block", [("critical", "device"),
+                                            ("fit", "fit.initial")])
+def test_non_string_profile_is_config_error(tmp_path, capsys, command, block,
+                                            profile):
+    """A profile reference that is not a file name exits 2 naming the
+    field, before any file is looked up (an empty name would open the
+    config's own directory)."""
+    device = {"profile": profile, "mode_index": 1, "gamma1": 0.01}
+    if command == "fit":
+        payload = {"fit": {"initial": device, "free": ["omega0"],
+                           "refl_data": [[1.0, 0.1, 0.5]] * 5}}
+    else:
+        payload = {"device": device}
+    cfg = write_json(tmp_path / "c.json", {"schema": 1, **payload})
+    assert main([command, "--config", cfg]) == 2
+    captured = capsys.readouterr()
+    assert captured.err.startswith(f"error: config field '{block}.profile'")
+    assert captured.out == ""
+
+
 def test_fit_finds_profile_next_to_its_config(tmp_path, capsys, monkeypatch):
     """initial.profile is relative to the fit file, not to the working
     directory."""
@@ -413,6 +434,20 @@ def test_fit_rejects_degenerate_bounds(tmp_path, capsys):
     assert captured.out == ""
 
 
+def test_fit_rejects_unknown_bound_name(tmp_path, capsys):
+    """A misspelt bound exits 2 naming it instead of leaving its parameter
+    unbounded."""
+    refl = [[1.0 - 0.01 * i, 0.1, 0.5] for i in range(6)]
+    cfg = write_json(tmp_path / "fit.json", {"schema": 1, "fit": {
+        "initial": dict(DEVICE), "free": ["kerr", "gamma3"],
+        "bounds": {"gama3": [0, 1]}, "refl_data": refl}})
+    assert main(["fit", "--config", cfg]) == 2
+    captured = capsys.readouterr()
+    assert captured.err.startswith("error: config field 'fit.bounds.gama3'")
+    assert "unknown parameter" in captured.err
+    assert captured.out == ""
+
+
 def test_fit_rejects_duplicate_free_parameter(tmp_path, capsys):
     """A parameter freed twice exits 2 naming its second entry."""
     refl = [[1.0 - 0.01 * i, 0.1, 0.5] for i in range(6)]
@@ -441,6 +476,44 @@ def test_fit_stops_where_the_jacobian_is_undefined(tmp_path, capsys):
     header, row = captured.out.strip().splitlines()
     assert row.split(",")[2:4] == ["1.0000000000000000e-02"] * 2
     assert row.endswith(",1,false")
+
+
+def test_repeated_main_calls_share_one_parser(tmp_path, capsys):
+    """main() may be called again and again in one process: every call
+    after the first reuses one parser, and neither a json call nor a call
+    that fails to parse changes what the next call writes."""
+    cfg = steady_cfg(tmp_path)
+    build_parser.cache_clear()
+
+    def call(*argv):
+        code = main(list(argv))
+        out, err = capsys.readouterr()
+        return code, out, err
+
+    csv = call("steady-sweep", "--config", cfg)
+    as_json = call("steady-sweep", "--config", cfg, "--format", "json")
+    parser = build_parser()
+    with pytest.raises(SystemExit) as failed:
+        main(["steady-sweep"])
+    assert failed.value.code == 2
+    assert "--config" in capsys.readouterr().err
+    assert call("steady-sweep", "--config", cfg) == csv
+    assert call("steady-sweep", "--config", cfg, "--format", "json") == as_json
+    assert build_parser() is parser
+    assert csv[0] == as_json[0] == 0 and csv[2] == as_json[2] == ""
+    assert csv[1].startswith("b1_in,omega_p,")
+    assert json.loads(as_json[1])["rows"]
+
+
+def test_cli_import_builds_no_parser():
+    """The parser is built on the first main() call, not at import."""
+    src = os.path.join(os.path.dirname(__file__), os.pardir, "src")
+    env = dict(os.environ, PYTHONPATH=os.path.abspath(src))
+    out = subprocess.run(
+        [sys.executable, "-c",
+         "import kerrcav.cli; print(kerrcav.cli.build_parser.cache_info())"],
+        env=env, capture_output=True, text=True, check=True)
+    assert "currsize=0" in out.stdout
 
 
 def test_cli_import_loads_no_scipy():

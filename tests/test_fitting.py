@@ -14,6 +14,9 @@ from kerrcav import (ConfigError, DeviceParams, FitProblem, NonConvergence,
                      settled_states, steady_states,
                      transfer_coefficients_array)
 from kerrcav import fitting, smallsignal
+from kerrcav.sweeps import _number
+from conftest import float_bits
+from oracles import reference_jacobian
 
 SQRT3 = math.sqrt(3.0)
 
@@ -84,6 +87,10 @@ def test_unknown_free_parameter_rejected():
     rows = synth_refl_rows(TRUE, fractions=(0.5,), n_points=11)
     with pytest.raises(ConfigError, match="unknown parameter"):
         FitProblem(initial=TRUE, free=("phi1",), bounds={}, refl_data=rows)
+    # a bound on a misspelt name would leave its parameter unbounded
+    with pytest.raises(ConfigError, match=r"fit\.bounds\.gama3.*unknown"):
+        FitProblem(initial=TRUE, free=("kerr", "gamma3"),
+                   bounds={"gama3": (0.0, 1.0)}, refl_data=rows)
 
 
 def test_duplicate_free_parameter_rejected():
@@ -227,6 +234,33 @@ def test_jacobian_matches_central_differences(point):
     magnitude = np.abs(model(params)[compared])[:, None]
     error = np.abs(jac - central) * scales
     assert np.all(error <= 1e-6 * size + 1e-8 * magnitude), error / size
+
+
+@settings(max_examples=100, deadline=None, derandomize=True)
+@given(jacobian_points(), st.floats(0.0, 1.0))
+def test_jacobian_bits_match_the_full_width_reference(point, share):
+    """Taking each observable's derivatives on its own rows only leaves
+    every bit of the Jacobian as it was when both were taken on every row
+    and sliced, at any split between reflection and gain rows."""
+    params, psi1, omega_p, b1_in, free = point
+    states = settled_states(params, omega_p, b1_in, psi1)
+    n_refl = round(share * omega_p.size)
+    jac = fitting._jacobian(params, states, free, n_refl)
+    reference = reference_jacobian(params, states, free, n_refl)
+    assert jac.shape == reference.shape
+    assert jac.tobytes() == reference.tobytes()
+
+
+def test_jacobian_bits_on_criterion_8_rows():
+    """The criterion-8 scenario, its 162 rows all reflection, half gain
+    and all gain, all five parameters free."""
+    states = settled_states(TRUE, *np.array(synth_refl_rows(TRUE, n_points=81))
+                            .T[:2])
+    for n_refl in (162, 81, 0):
+        jac = fitting._jacobian(TRUE, states, FREE, n_refl)
+        reference = reference_jacobian(TRUE, states, FREE, n_refl)
+        assert np.all(np.isfinite(jac))
+        assert jac.tobytes() == reference.tobytes()
 
 
 @settings(max_examples=150, deadline=None, derandomize=True)
@@ -492,11 +526,52 @@ def test_load_fit_problem_rejects_non_numbers():
     data = {"initial": {"omega0": 1.0, "kerr": -1.1e-4, "gamma1": 0.009,
                         "gamma2": 0.012, "gamma3": 2e-5},
             "free": ["kerr"], "refl_data": rows}
+    bad_cell = r"refl_data\[5\]\[1\]'"
     for change, field in (({"bounds": {"kerr": [None, 0.0]}}, r"bounds\.kerr\[0\]"),
                           ({"bounds": [[-1e-3, 0.0]]}, "bounds"),
                           ({"refl_data": rows[:-1] + [[1.0, "x", 0.5]]},
-                           r"refl_data\[5\]\[1\]"),
+                           bad_cell),
+                          ({"refl_data": rows[:-1] + [[1.0, True, 0.5]]},
+                           bad_cell),
+                          ({"refl_data": rows[:-1] + [[1.0, None, 0.5]]},
+                           bad_cell),
+                          ({"refl_data": rows[:-1] + [[1.0, 10**400, 0.5]]},
+                           bad_cell),
+                          ({"refl_data": rows[:-1] + [[1.0, math.nan, 0.5]]},
+                           bad_cell),
+                          ({"refl_data": rows[:-1] + [[1.0, 0.5]]},
+                           r"refl_data\[5\]'"),
+                          # the first fault in row order is the one named
+                          ({"refl_data": [rows[0], [1.0, None, 0.5]] + rows[2:5]
+                            + [[1.0, 0.5]]}, r"refl_data\[1\]\[1\]'"),
+                          ({"refl_data": [rows[0], (1.0, 0.1, 0.5)] + rows[2:5]
+                            + [[1.0, None, 0.5]]}, r"refl_data\[1\]'"),
+                          ({"gain_data": [[1.0, 0.1, -math.inf]]},
+                           r"gain_data\[0\]\[2\]'"),
                           ({"refl_data": 5}, "refl_data"),
                           ({"psi1": math.nan}, "psi1")):
         with pytest.raises(ConfigError, match=field):
             load_fit_problem({**data, **change})
+
+
+class Cell(float):
+    """A float that the one-pass row check leaves to the per-cell one."""
+
+
+def test_fit_rows_one_pass_matches_cell_by_cell():
+    """On the criterion-8 rows (ints among them), the one-pass check and
+    the cell-by-cell one that any unusual cell falls back to give the
+    same tuples of Python floats, bit for bit, as checking each cell with
+    _number."""
+    rows = [list(r) for r in synth_refl_rows(TRUE, n_points=81)]
+    rows[0][0] = 1
+    data = {"initial": dataclasses.asdict(TRUE), "free": list(FREE),
+            "refl_data": rows, "gain_data": rows[:3]}
+    expected = tuple(tuple(_number(v, "cell") for v in row) for row in rows)
+    one_pass = load_fit_problem(data)
+    data["refl_data"] = [row[:2] + [Cell(row[2])] for row in rows]
+    fallback = load_fit_problem(data)
+    for problem in (one_pass, fallback):
+        assert float_bits(problem.refl_data) == float_bits(expected)
+        assert float_bits(problem.gain_data) == float_bits(expected[:3])
+        assert {type(v) for row in problem.refl_data for v in row} == {float}

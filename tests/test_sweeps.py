@@ -90,6 +90,20 @@ def test_config_rejects_overflowing_range():
         load_config(cfg)
 
 
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(st.floats(-1e300, 1e300), st.floats(-1e300, 1e300),
+       st.integers(2, 2000))
+def test_grid_points_are_start_plus_step_times_index(start, stop, count):
+    """The grid is evaluated in one NumPy pass with the bits of
+    start + step * i, each point on its own in Python floats."""
+    grid = kerrcav.sweeps._load_grid(
+        {"start": start, "stop": stop, "count": count}, "drive.omega_p")
+    step = (stop - start) / (count - 1)
+    expected = tuple(start + step * i for i in range(count))
+    assert {type(w) for w in grid} == {float}
+    assert float_bits(grid) == float_bits(expected)
+
+
 def test_times_critical_needs_critical_point():
     cfg = steady_config(0.5)
     cfg["device"]["kerr"] = 0.0
