@@ -55,8 +55,8 @@ class FitProblem:
     rows, optional, are (omega_p, b1_in, G_I at zero offset).  ``initial``
     provides starting values for the free parameters and fixed values for
     the rest.  Bounds are inclusive; intersected with the domain that
-    :func:`validate` accepts, each must contain the initial guess and more
-    than one point.
+    :func:`validate` accepts, each must contain the parameter's initial or
+    fixed value, and a free parameter's more than one point.
     """
 
     initial: DeviceParams
@@ -82,13 +82,14 @@ class FitProblem:
                                   f"unknown parameter (choose from {FREE_NAMES})")
         if len(self.refl_data) + len(self.gain_data) < 5:
             raise ConfigError("fit.refl_data", "need at least 5 data points")
-        for name in self.free:
+        for name in dict.fromkeys((*self.free, *self.bounds)):
             lo, hi = self.search_bounds(name)
             x0 = getattr(self.initial, name)
+            role = "initial" if name in self.free else "fixed"
             if not lo <= x0 <= hi:
-                raise ConfigError(f"fit.bounds.{name}",
-                                  f"initial value {x0!r} outside [{lo!r}, {hi!r}]")
-            if lo == hi:
+                raise ConfigError(f"fit.bounds.{name}", f"{role} value "
+                                  f"{x0!r} outside [{lo!r}, {hi!r}]")
+            if lo == hi and name in self.free:
                 raise ConfigError(f"fit.bounds.{name}",
                                   f"empty range [{lo!r}, {hi!r}]: fix the "
                                   "parameter instead of freeing it")

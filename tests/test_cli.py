@@ -202,11 +202,15 @@ def test_line_derive_rejects_bad_profile(tmp_path, capsys):
 
 @pytest.mark.parametrize("key, value", [
     ("dL", math.nan), ("R0", math.inf), ("C", math.inf),
-    ("hbar", math.nan), ("I_c", math.inf)])
+    ("hbar", math.nan), ("I_c", math.inf),
+    pytest.param("dR", 10**400, id="dR-10**400"),
+    pytest.param("I_c", 10**400, id="I_c-10**400")])
 def test_line_derive_rejects_non_finite_profile(tmp_path, capsys, key,
                                                 value):
-    """JSON's NaN and Infinity literals load as floats; a profile holding
-    one is a configuration error naming the key, not a table of nan."""
+    """JSON's NaN and Infinity literals load as floats, and an integer too
+    large for a float is not finite either; a profile holding one is a
+    configuration error naming the key, not a table of nan or a numeric
+    failure."""
     payload = json.loads(open(profile_file(tmp_path)).read())
     if isinstance(payload[key], list):
         payload[key][7] = value
@@ -219,6 +223,79 @@ def test_line_derive_rejects_non_finite_profile(tmp_path, capsys, key,
     assert captured.err.startswith("error:") and key in captured.err
     assert "must be finite" in captured.err
     assert captured.out == ""
+
+
+@pytest.mark.parametrize("key, value", [
+    ("C", "1.0"), ("dL", True), ("R0", None), ("dR", [0.02]), ("l", "1.0"),
+    ("hbar", True), ("I_c", None)])
+def test_line_derive_rejects_non_number_profile_entry(tmp_path, capsys, key,
+                                                      value):
+    """A profile cell or number that JSON holds as a string, a bool, null or
+    a list exits 2 naming it, where float() would have read "1.0" and
+    true as numbers."""
+    payload = json.loads(open(profile_file(tmp_path)).read())
+    if isinstance(payload[key], list):
+        payload[key][7] = value
+        key = f"{key}[7]"
+    else:
+        payload[key] = value
+    bad = write_json(tmp_path / "bad.json", payload)
+    assert main(["line-derive", "--profile", bad, "--mode-index", "1",
+                 "--gamma1", "0.01"]) == 2
+    captured = capsys.readouterr()
+    assert captured.err.startswith("error:")
+    assert f"{key} must be a number, got {value!r}" in captured.err
+    assert captured.out == ""
+
+
+def test_line_derive_reads_out_of_range_literal_as_infinite(tmp_path, capsys):
+    """orjson refuses 1e400; json reads it as inf, which exits 2 naming its
+    array."""
+    text = open(profile_file(tmp_path)).read()
+    head, tail = text.split('"dL": [', 1)
+    bad = tmp_path / "bad.json"
+    bad.write_text(f'{head}"dL": [1e400, {tail.split(", ", 1)[1]}')
+    assert main(["line-derive", "--profile", str(bad), "--mode-index", "1",
+                 "--gamma1", "0.01"]) == 2
+    captured = capsys.readouterr()
+    assert "'dL' must be finite" in captured.err
+    assert captured.out == ""
+
+
+def test_line_derive_reports_malformed_json_by_position(tmp_path, capsys):
+    """A trailing comma is reported where json finds it, with json's
+    message, though orjson reads the file first."""
+    text = open(profile_file(tmp_path)).read().replace("]", ",\r\n]", 1)
+    bad = tmp_path / "bad.json"
+    bad.write_bytes(text.encode())
+    with pytest.raises(json.JSONDecodeError) as info:
+        json.loads(text.replace("\r\n", "\n"))
+    exc = info.value
+    assert main(["line-derive", "--profile", str(bad), "--mode-index", "1",
+                 "--gamma1", "0.01"]) == 2
+    assert capsys.readouterr().err == (
+        f"error: invalid JSON at line {exc.lineno}, column {exc.colno} "
+        f"(byte offset {exc.pos}): {exc.msg}\n")
+
+
+@pytest.mark.parametrize("head, tail", [
+    (b"[", b"]"), (b'{"a": ', b"}"), (b'{"C": [{"a": ', b"}]}")])
+def test_line_derive_rejects_deep_nesting_without_crashing(tmp_path, head,
+                                                           tail):
+    """A document nested 200,000 deep overflows orjson 3.8's stack; it is
+    read by json instead and exits 2 (run apart, so a crash fails only
+    this test)."""
+    deep = tmp_path / "deep.json"
+    deep.write_bytes(head + head[-6:] * 200_000 + b"1"
+                     + tail[:1] * 200_000 + tail)
+    src = os.path.join(os.path.dirname(__file__), os.pardir, "src")
+    env = dict(os.environ, PYTHONPATH=os.path.abspath(src))
+    out = subprocess.run(
+        [sys.executable, "-m", "kerrcav.cli", "line-derive", "--profile",
+         str(deep), "--mode-index", "1", "--gamma1", "0.01"],
+        env=env, capture_output=True, text=True)
+    assert out.returncode == 2
+    assert out.stderr == f"error: profile file {deep}: nested too deeply\n"
 
 
 def negative_loss_profile(tmp_path, r0, dr):
@@ -448,6 +525,20 @@ def test_fit_rejects_unknown_bound_name(tmp_path, capsys):
     assert captured.out == ""
 
 
+def test_fit_rejects_fixed_value_outside_its_bound(tmp_path, capsys):
+    """A bound on a parameter that is not free holds its fixed value: one
+    outside exits 2 naming the bound instead of being ignored."""
+    refl = [[1.0 - 0.01 * i, 0.1, 0.5] for i in range(6)]
+    cfg = write_json(tmp_path / "fit.json", {"schema": 1, "fit": {
+        "initial": dict(DEVICE), "free": ["omega0"],
+        "bounds": {"kerr": [0, 1]}, "refl_data": refl}})
+    assert main(["fit", "--config", cfg]) == 2
+    captured = capsys.readouterr()
+    assert captured.err.startswith("error: config field 'fit.bounds.kerr'")
+    assert "fixed value -0.0001 outside [0.0, 1.0]" in captured.err
+    assert captured.out == ""
+
+
 def test_fit_rejects_duplicate_free_parameter(tmp_path, capsys):
     """A parameter freed twice exits 2 naming its second entry."""
     refl = [[1.0 - 0.01 * i, 0.1, 0.5] for i in range(6)]
@@ -527,3 +618,15 @@ def test_cli_import_loads_no_scipy():
          "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))"],
         env=env, capture_output=True, text=True, check=True)
     assert out.stdout.strip() == "[]"
+
+
+def test_cli_import_loads_no_orjson():
+    """orjson is imported when a profile is read, so the sweeps, critical
+    and fit do not pay its start-up cost."""
+    src = os.path.join(os.path.dirname(__file__), os.pardir, "src")
+    env = dict(os.environ, PYTHONPATH=os.path.abspath(src))
+    out = subprocess.run(
+        [sys.executable, "-c",
+         "import sys, kerrcav.cli; print('orjson' in sys.modules)"],
+        env=env, capture_output=True, text=True, check=True)
+    assert out.stdout.strip() == "False"

@@ -108,6 +108,50 @@ def test_any_json_config_exits_with_a_documented_code(document):
         cli.run_fit = original
 
 
+PROFILE = {"l": 1.0, "I_c": 1.0, "hbar": 1.0, "grid": 16,
+           **{key: [value] * 16 for key, value in (
+               ("C", 1.0), ("L0", 1.0), ("dL", 0.1), ("R0", 0.05),
+               ("dR", 0.02))}}
+# integers past 2**64 reach load_profile as floats through orjson, and
+# past float range as ints through json
+cell_values = st.one_of(json_values, st.sampled_from(
+    [2**64 + 1, 10**400, -(10**400)]))
+
+
+@st.composite
+def profile_documents(draw):
+    """A valid 16-point profile with one entry, or one cell of one of its
+    arrays, replaced by any JSON value."""
+    document = json.loads(json.dumps(PROFILE))
+    key = draw(st.sampled_from(sorted(document)))
+    value = draw(cell_values)
+    if isinstance(document[key], list) and draw(st.booleans()):
+        document[key][draw(st.integers(0, 15))] = value
+    else:
+        document[key] = value
+    return document
+
+
+@settings(max_examples=150, deadline=None, derandomize=True,
+          suppress_health_check=[HealthCheck.too_slow])
+@given(st.one_of(profile_documents(), json_values))
+def test_any_json_profile_exits_with_a_documented_code(document):
+    """line-derive ends in exit 0, 2, 3 or 4 on any JSON document given as
+    a profile, with an error line instead of a traceback."""
+    with tempfile.TemporaryDirectory() as work:
+        path = os.path.join(work, "profile.json")
+        with open(path, "w", encoding="utf-8") as fh:
+            json.dump(document, fh)
+        err = io.StringIO()
+        with contextlib.redirect_stderr(err):
+            code = cli.main(["line-derive", "--profile", path,
+                             "--mode-index", "1", "--gamma1", "0.01",
+                             "--out", os.path.join(work, "out.csv")])
+    assert code in (0, 2, 3, 4), code
+    assert "Traceback" not in err.getvalue()
+    assert (code == 0) == (err.getvalue() == ""), err.getvalue()
+
+
 # ------------------------------------------------ physics over random devices
 
 @st.composite

@@ -1,5 +1,8 @@
+import decimal
 import json
 import math
+import random
+import struct
 
 import numpy as np
 import pytest
@@ -7,6 +10,7 @@ import pytest
 from kerrcav import (LineProfile, ModeSolution, ResolutionError, SameModeError,
                      cross_kerr, derive_device, load_profile,
                      mode_coefficients, solve_mode, solve_modes)
+from kerrcav.stripline import _decode
 from conftest import make_uniform_profile
 from oracles import line_eigenvalue
 
@@ -348,3 +352,100 @@ def test_profile_file_rejects_wrong_types(tmp_path):
         path.write_text(json.dumps({**good, **change}))
         with pytest.raises(ValueError, match=field):
             load_profile(path)
+
+
+# ------------------------------------------------------------ profile decoding
+
+def hard_numbers(seed, count):
+    """JSON numbers that are hard to round, from a seeded generator: reprs
+    of random finite doubles (a fifth of them subnormal), exact halfway
+    points between neighbouring doubles, and mantissas of 20-40 digits
+    written as integers, as decimals and with exponents."""
+    rng = random.Random(seed)
+    wide = decimal.Context(prec=1000)
+    numbers = []
+    while len(numbers) < count:
+        bits = rng.getrandbits(64)
+        if rng.random() < 0.2:
+            bits &= 0x800F_FFFF_FFFF_FFFF
+        x = struct.unpack("<d", struct.pack("<Q", bits))[0]
+        if math.isfinite(x):
+            numbers.append(repr(x))
+        if rng.random() < 0.02:  # halfway between subnormals
+            x = rng.randrange(1, 2**52) * 5e-324
+        else:
+            x = math.ldexp(rng.uniform(1.0, 2.0), rng.randint(-80, 80))
+        x = math.copysign(x, rng.choice((-1.0, 1.0)))
+        halfway = wide.divide(wide.add(decimal.Decimal(x), decimal.Decimal(
+            math.nextafter(x, math.inf))), 2)
+        numbers.append(str(halfway))
+        digits = "".join(rng.choices("0123456789", k=rng.randint(20, 40)))
+        digits = rng.choice("123456789") + digits[1:]
+        point = rng.randint(1, len(digits) - 1)
+        numbers.append(rng.choice((
+            digits, f"{digits[:point]}.{digits[point:]}", f"0.{digits}",
+            f"{digits[0]}.{digits[1:]}e{rng.randint(-320, 280)}",
+            f"-{digits}E+{rng.randint(0, 250)}")))
+    return numbers[:count]
+
+
+def as_bits(values):
+    return np.array(values, dtype=float).view(np.uint64)
+
+
+def test_orjson_decodes_hard_numbers_to_the_stdlib_bits():
+    """orjson and json read every hard number to the same double (json
+    reads an integer literal as an int, which float() rounds once)."""
+    import orjson
+
+    document = "[" + ",".join(hard_numbers(16, 30_000)) + "]"
+    expected = json.loads(document)
+    assert any(isinstance(v, int) and abs(v) > 2**64 for v in expected)
+    assert np.array_equal(as_bits(orjson.loads(document.encode())),
+                          as_bits(expected))
+
+
+def test_load_profile_matches_the_stdlib_decoder(tmp_path):
+    """Every array and number of a profile of hard numbers loads to the
+    bits that json and float() give."""
+    import orjson
+
+    cells = [s.lstrip("-") for s in hard_numbers(17, 6_000)]
+    cells = [s for s in cells if 0.0 < float(s) < math.inf][:5 * 1000 + 3]
+    keys = ("C", "L0", "dL", "R0", "dR")
+    text = ("{" + ", ".join(f'"{key}": [{",".join(cells[i::5][:1000])}]'
+                            for i, key in enumerate(keys))
+            + f', "l": {cells[-3]}, "I_c": {cells[-2]}, "hbar": {cells[-1]}'
+            ', "grid": 1000}')
+    orjson.loads(text.encode())  # so load_profile does not fall back to json
+    path = tmp_path / "hard.json"
+    path.write_text(text)
+    loaded, expected = load_profile(path), json.loads(text)
+    for key in keys:
+        assert np.array_equal(getattr(loaded, key).view(np.uint64),
+                              as_bits(expected[key])), key
+    assert as_bits([loaded.length, loaded.I_c, loaded.hbar]).tolist() == \
+        as_bits([expected["l"], expected["I_c"], expected["hbar"]]).tolist()
+
+
+@pytest.mark.parametrize("text", [
+    '{"C": 1, "L0": [2], "C": [3]}',       # a repeated key moves an array
+    '{"C": [1], "L0": [2], "C": [3]}',
+    '{"x": "[1, 2]", "C": [3]}',           # an array's text in a string
+    '{"x": "a[", "C": [3], "y": "]"}',
+    '{"a[b": [1], "c": "]"}',
+    '{"o": {"C": [1]}, "C": [2]}',         # an array in a nested object
+    '{"C": [1, [2]], "L0": [3]}',          # a nested array
+    '{"C": [], "L0": [ 1 ,\n2.5e-3 ] , "dL" :[-0.0]}',
+    '{"C": [1, "x", true, null], "k": "\\"["}',
+    '[[1], [2]]', '[1, 2]', '"[1]"', '{}', '{"C": [1e400]}',
+])
+def test_decode_matches_json_on_any_layout(tmp_path, text):
+    """Whatever arrays a document holds and wherever they sit, the profile
+    decoder returns what json.loads does, key order included."""
+    path = tmp_path / "doc.json"
+    path.write_text(text)
+    decoded, expected = _decode(path), json.loads(text)
+    assert json.dumps(decoded) == json.dumps(expected)
+    if isinstance(expected, dict):
+        assert list(decoded) == list(expected)
