@@ -78,10 +78,9 @@ class LineProfile:
             object.__setattr__(self, key, value)
         if n < 16:
             raise ValueError("profile needs at least 16 grid points")
-        if not self.length > 0.0:
-            raise ValueError("length must be > 0")
-        if not self.I_c > 0.0:
-            raise ValueError("I_c must be > 0")
+        for key in ("length", "I_c", "hbar"):
+            if not getattr(self, key) > 0.0:
+                raise ValueError(f"{key} must be > 0")
         if np.any(arrays["C"] <= 0.0) or np.any(arrays["L0"] <= 0.0):
             raise ValueError("C and L0 samples must be strictly positive")
 

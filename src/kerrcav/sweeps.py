@@ -220,10 +220,20 @@ def load_config(data, base_dir=".") -> SweepConfig:
                        pump_fractions=fractions)
 
 
-def load_config_file(path) -> SweepConfig:
+def read_config_file(path):
+    """The JSON document in a sweep or fit config file; one nested too
+    deeply for json is a ValueError, as for a profile."""
     with open(path, "r", encoding="utf-8") as fh:
-        data = json.load(fh)
-    return load_config(data, base_dir=os.path.dirname(os.path.abspath(path)))
+        try:
+            return json.load(fh)
+        except RecursionError:
+            raise ValueError(
+                f"config file {path}: nested too deeply") from None
+
+
+def load_config_file(path) -> SweepConfig:
+    return load_config(read_config_file(path),
+                       base_dir=os.path.dirname(os.path.abspath(path)))
 
 
 def _grid_states(config: SweepConfig):

@@ -8,16 +8,17 @@ one-row records.
 Floats are always written as ``"%.16e"`` (17 significant digits) so
 identical inputs produce byte-identical files; non-finite values render as
 "nan"/"inf"/"-inf" (quoted strings in JSON, which has no literals for
-them).  Every float cell of a table is formatted in one NumPy pass: the
-value's mantissa times a double-double power of ten gives the 17-digit
-integer with a bound on its error (after Adams, "Ryu: fast float-to-string
-conversion", PLDI 2018), and the digits are written into a byte buffer.
-The text is exactly CPython's.  Where the bound cannot certify the
-rounding (a value within about 1e-14 of the last digit's halfway point,
-exact ties included) the cell falls back to ``"%.16e" %``, as do NaN,
-infinities and subnormals; each distinct value is then formatted once.
-Parsing an emitted JSON table and re-emitting it reproduces the bytes
-exactly.
+them).  A table renders in blocks of 16,384 cells, the float cells of a
+block in one NumPy pass: the value's mantissa times a double-double power
+of ten gives the 17-digit integer with a bound on its error (after Adams,
+"Ryu: fast float-to-string conversion", PLDI 2018), and table lookups turn
+its digit groups and the exponent into the six 4-byte words of a cell's
+slot, exactly CPython's text.  Where the bound cannot certify the rounding
+(within about 1e-14 of the last digit's halfway point, exact ties
+included) the cell falls back to ``"%.16e" %``, as do NaN, infinities and
+subnormals, once per distinct value.  The slots go into a row template and
+their NUL padding is dropped.  Parsing an emitted JSON table and
+re-emitting it reproduces the bytes exactly.
 """
 
 import functools
@@ -121,16 +122,16 @@ _HUGE = 1.7976931348623157e308  # largest finite double
 # its last digit; a rounding is certified when s sits further than this
 # from a halfway point.
 _MARGIN = 1e-14
-_E_MAX = 309  # the largest decimal exponent of a double
 
 
 @functools.cache
 def _tables():
     """Double-double powers of ten, 10^k = (hi + lo) * 2^exp for k in
-    [_K_MIN, _K_MAX], as rows (hi, hi's upper half, hi's lower half, lo)
-    for exact products, and exp; the four ASCII digits of 0..9999, and the
-    sign and three digits of each decimal exponent in [-_E_MAX, _E_MAX],
-    as uint32 words.  Built from Python integers on first use."""
+    [_K_MIN, _K_MAX]: hi, hi's upper and lower halves (for exact products)
+    and lo as float arrays, exp as int32.  Then uint32 words of four ASCII
+    bytes each: sign (NUL or "-"), digit, point, digit for 0..100;
+    0000..9999; 000e..999e; the exponent 16 - k of each power, its
+    hundreds NUL below 100.  Built from Python integers on first use."""
     hi, lo, exp = [], [], []
     for k in range(_K_MIN, _K_MAX + 1):
         if k >= 0:
@@ -148,23 +149,23 @@ def _tables():
     hi = np.array(hi)
     split = hi * 134217729.0  # Veltkamp: 2^27 + 1
     hi_hi = split - (split - hi)
-    d = np.arange(10**4, dtype=np.uint16)
-    digits = np.empty((10**4, 4), np.uint8)
-    for j, unit in enumerate((1000, 100, 10, 1)):
-        digits[:, j] = d // unit % 10 + ord("0")
-    e = np.arange(-_E_MAX, _E_MAX + 1)
-    exponents = np.empty((e.size, 4), np.uint8)
-    exponents[:, 0] = np.where(e < 0, ord("-"), ord("+"))
-    exponents[:, 1:] = digits[np.abs(e), 1:]
-    # four ASCII bytes as one uint32 word, in memory order
-    return (np.array([hi, hi_hi, hi - hi_hi, lo]), np.array(exp),
-            digits.view(np.uint32).ravel(), exponents.view(np.uint32).ravel())
+
+    def words(texts):  # four ASCII bytes as one uint32, in memory order
+        return np.frombuffer("".join(texts).encode(), np.uint32)
+
+    signed = [f"{16 - k:+04d}" for k in range(_K_MIN, _K_MAX + 1)]
+    return (hi, hi_hi, hi - hi_hi, np.array(lo), np.array(exp, np.int32),
+            words(s + d[0] + "." + d[-1] for s in "\0-"
+                  for d in map("{:02d}".format, range(101))),
+            words(map("{:04d}".format, range(10**4))),
+            words(map("{:03d}e".format, range(1000))),
+            words(e if e[1] != "0" else e[0] + "\0" + e[2:] for e in signed))
 
 
-def _scaled(f, e, k):
-    """x * 10^k as a double-double (hi, lo), for x = f * 2^e."""
-    powers, exp, *_ = _tables()
-    p, p_hi, p_lo, q = powers[:, k - _K_MIN]
+def _scaled(f, e, i):
+    """x * 10^k as a double-double (hi, lo), for x = f * 2^e and the power
+    10^k at index i of the tables (k = i + _K_MIN)."""
+    p, p_hi, p_lo, q, exp = (t.take(i) for t in _tables()[:5])
     split = f * 134217729.0
     f_hi = split - (split - f)
     f_lo = f - f_hi
@@ -173,8 +174,8 @@ def _scaled(f, e, k):
     tail += f * q
     hi = head + tail
     lo = tail - (hi - head)
-    scale = e + exp[k - _K_MIN]
-    return np.ldexp(hi, scale), np.ldexp(lo, scale)
+    exp += e
+    return np.ldexp(hi, exp), np.ldexp(lo, exp)
 
 
 def _padded(texts: list[str], width: int = 0):
@@ -195,53 +196,53 @@ def _float_cells(x: np.ndarray, quote: bool):
     """``"%.16e" % v`` of every float64 in ``x`` as (n, _WIDTH) uint8 slots,
     NUL where a text is shorter; with ``quote``, non-finite texts in JSON
     quotes."""
-    *_, digits, exponents = _tables()
+    *_, heads, quads, tails, exponents = _tables()
     a = np.abs(x)
     normal = (a >= _TINY) & (a <= _HUGE)
     v = np.where(normal, a, 2.0)  # a placeholder clear of powers of ten
     f, e = np.frexp(v)
-    k = 16 - np.floor(np.log10(v)).astype(np.int64)
-    hi, lo = _scaled(f, e, k)
+    # the index k - _K_MIN of 10^k, k = 16 - floor(log10(v)), by truncation
+    # (one too high where log10(v) is whole; the check below steps it back)
+    i = (16 - _K_MIN + 1 - np.log10(v)).astype(np.intp)
+    hi, lo = _scaled(f, e, i)
     # log10 can be one off next to a power of ten: judge from the unrounded
     # s = hi + lo whether it lies in [1e16, 1e17), and rescale where not
     # (1e16 - hi is exact wherever lo can tip the comparison)
-    step = (1e16 - hi > lo).astype(np.int64) - (1e17 - hi <= lo)
+    step = (1e16 - hi > lo).astype(np.intp) - (1e17 - hi <= lo)
     fix = np.flatnonzero(step)
     if fix.size:
-        k[fix] += step[fix]
-        hi[fix], lo[fix] = _scaled(f[fix], e[fix], k[fix])
+        i[fix] += step[fix]
+        hi[fix], lo[fix] = _scaled(f[fix], e[fix], i[fix])
     whole = np.rint(lo)
     n = hi.astype(np.int64) + whole.astype(np.int64)
     certain = normal & (np.abs(lo - whole) < 0.5 - _MARGIN)
     nonzero = a != 0.0
-    up = n == 10**17  # rounded up to 18 digits: 10^17 is 1.0...0 at 10^(E+1)
-    n = np.where(up, 10**16, n) * nonzero
-    exp10 = (16 - k + up) * nonzero
+    n *= nonzero
+    # 10^17 (rounded up to 18 digits) is 1.0...0 at 10^(E+1); a zero keeps
+    # the placeholder's exponent, 0
+    i -= n == 10**17
 
-    buf = np.empty((x.size, _WIDTH), np.uint8)
-    buf[:] = np.frombuffer(b"-0.0000000000000000e+000", np.uint8)
-    lead = n // 10**16
-    buf[:, 1] += lead.astype(np.uint8)
-    # the 16 digits after the point, four at a time
-    high = n // 10**8
-    halves = np.empty((x.size, 2), np.int64)
-    halves[:, 0] = high - lead * 10**8
-    halves[:, 1] = n - high * 10**8
-    quads = np.empty((x.size, 2, 2), np.int64)
-    quads[:, :, 0] = halves // 10**4
-    quads[:, :, 1] = halves - quads[:, :, 0] * 10**4
-    buf[:, 3:19] = digits[quads.reshape(-1, 4)].view(np.uint8)
-    buf[:, 20:] = exponents[exp10 + _E_MAX, None].view(np.uint8)
-    buf[:, 0] *= np.signbit(x)
-    buf[:, 21] *= np.abs(exp10) >= 100
+    # six words: sign and digits 1-2, 3-6, 7-10, 11-14, 15-17 and "e", exponent
+    top = n // 10**7
+    head = top // 10**8
+    low = (n - top * 10**7).astype(np.int32)
+    mid = (top - head * 10**8).astype(np.int32)
+    buf = np.empty((x.size, 6), np.uint32)
+    buf[:, 0] = heads.take(head + 101 * np.signbit(x))
+    q = mid // 10**4
+    buf[:, 1] = quads.take(q)
+    buf[:, 2] = quads.take(mid - q * 10**4)
+    q = low // 1000
+    buf[:, 3] = quads.take(q)
+    buf[:, 4] = tails.take(low - q * 1000)
+    buf[:, 5] = exponents.take(i)
 
     rest = np.flatnonzero(nonzero & ~certain)
     if rest.size:
         bits, index = np.unique(x[rest].view(np.int64), return_inverse=True)
-        buf[rest] = _padded([_float_text(b, quote)
-                             for b in bits.view(np.float64).tolist()],
-                            _WIDTH)[index]
-    return buf
+        texts = [_float_text(b, quote) for b in bits.view(np.float64).tolist()]
+        buf.view(np.uint8)[rest] = _padded(texts, _WIDTH)[index]
+    return buf.view(np.uint8)
 
 
 def _other_cells(column: np.ndarray, quote: bool):
@@ -261,23 +262,22 @@ def _bool_slots():
 
 def _rows(columns: list[np.ndarray], lead: bytes, sep: bytes, end: bytes,
           quote: bool) -> str:
-    """Every row as ``lead + cells joined by sep + end``: the cells of each
-    column in fixed-width slots side by side, then the unused (NUL) slots
-    dropped.  The float cells of all columns are formatted in one pass."""
+    """Every row as ``lead + cells joined by sep + end``: each column's
+    fixed-width cell slots written into a row template, then the unused
+    (NUL) bytes dropped.  The float cells of all columns form one pass."""
     n = len(columns[0])
     floats = [c for c in columns if c.dtype.kind == "f"]
     if floats:
         float_cells = iter(_float_cells(np.array(floats).T.ravel(), quote)
                            .reshape(n, len(floats), _WIDTH).transpose(1, 0, 2))
-    fixed = np.empty((n, len(lead + sep + end)), np.uint8)
-    fixed[:] = np.frombuffer(lead + sep + end, np.uint8)
-    a, b = len(lead), len(lead + sep)
-    parts = [fixed[:, :a]]
-    for column in columns:
-        parts += [next(float_cells) if column.dtype.kind == "f"
-                  else _other_cells(column, quote), fixed[:, a:b]]
-    parts[-1] = fixed[:, b:]
-    text = np.concatenate(parts, axis=1)
+    cells = [next(float_cells) if column.dtype.kind == "f"
+             else _other_cells(column, quote) for column in columns]
+    row = lead + sep.join(bytes(cell.shape[1]) for cell in cells) + end
+    text = np.tile(np.frombuffer(row, np.uint8), (n, 1))
+    start = len(lead)
+    for cell in cells:
+        text[:, start:start + cell.shape[1]] = cell
+        start += cell.shape[1] + len(sep)
     return text[text != 0].tobytes().decode()
 
 

@@ -298,6 +298,36 @@ def test_line_derive_rejects_deep_nesting_without_crashing(tmp_path, head,
     assert out.stderr == f"error: profile file {deep}: nested too deeply\n"
 
 
+@pytest.mark.parametrize("key, value", [
+    ("hbar", -1.0), ("hbar", 0.0), ("hbar", -0.0), ("I_c", -1.0), ("l", 0.0)])
+def test_line_derive_rejects_non_positive_profile_scale(tmp_path, capsys, key,
+                                                        value):
+    """A negative hbar would flip the sign of kerr and gamma3 (a hardening
+    line with gain), and a zero one would derive kerr = -0.0; each exits 2
+    naming the field, as the length and I_c do."""
+    payload = json.loads(open(profile_file(tmp_path)).read())
+    payload[key] = value
+    bad = write_json(tmp_path / "bad.json", payload)
+    assert main(["line-derive", "--profile", bad, "--mode-index", "1",
+                 "--gamma1", "0.01"]) == 2
+    captured = capsys.readouterr()
+    name = {"l": "length"}.get(key, key)
+    assert captured.err == f"error: profile file {bad}: {name} must be > 0\n"
+    assert captured.out == ""
+
+
+@pytest.mark.parametrize("command", ["critical", "fit"])
+def test_deeply_nested_config_is_config_error(tmp_path, capsys, command):
+    """A config nested past json's recursion limit exits 2 naming the file,
+    where it used to end in a RecursionError traceback."""
+    deep = tmp_path / "deep.json"
+    deep.write_text("[" * 100_000 + "]" * 100_000)
+    assert main([command, "--config", str(deep)]) == 2
+    captured = capsys.readouterr()
+    assert captured.err == f"error: config file {deep}: nested too deeply\n"
+    assert captured.out == ""
+
+
 def negative_loss_profile(tmp_path, r0, dr):
     """The uniform test profile with every R0 and dR sample replaced."""
     payload = json.loads(open(profile_file(tmp_path)).read())

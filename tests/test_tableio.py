@@ -8,6 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from kerrcav import Table, format_float, parse_json, render, to_csv, to_json
+from kerrcav.tableio import _BLOCK_CELLS
 from oracles import reference_csv, reference_json
 
 
@@ -171,13 +172,17 @@ def edge_floats():
                            np.nextafter(powers, np.inf), ties, -ties])
 
 
+def round_ups():
+    """17-digit round-ups: doubles below 10^k that print as 1.0...0e+k."""
+    return [v for k, v in ((k, float(f"1e{k}")) for k in range(-323, 309))
+            if Fraction(v) < Fraction(10) ** k
+            and format_float(v).startswith("1.0000000000000000e")]
+
+
 def test_float_cells_match_python_on_edge_values():
     x = edge_floats()
     assert np.isnan(x).any() and np.signbit(x[np.isnan(x)]).any()
-    # 17-digit round-ups: doubles below 10^k that print as 1.0...0e+k
-    ups = [v for k, v in ((k, float(f"1e{k}")) for k in range(-323, 309))
-           if Fraction(v) < Fraction(10) ** k
-           and format_float(v).startswith("1.0000000000000000e")]
+    ups = round_ups()
     assert ups and np.isin(ups, x).all()
     table = float_table(x)
     assert to_csv(table) == python_csv(x.tolist())
@@ -199,3 +204,40 @@ def test_tables_match_the_row_wise_renderer():
                   Table.from_columns(["a"], [np.empty(0)])):
         assert to_csv(table) == reference_csv(table)
         assert to_json(table) == reference_json(table)
+
+
+def block_edge_table(n_rows, step):
+    """Float, int, bool and str columns of ``n_rows`` rows, with NaN (both
+    signs), +-inf, both zeros, subnormals, 17th-digit round-ups and exact
+    ties of the 17th digit in the rows on either side of every block edge
+    (each multiple of ``step``) and in the last rows."""
+    rng = np.random.default_rng(n_rows)
+    ties = [2.0**49 + 0.125, -(2.0**49 + 0.375), 2.0**50 + 0.25]
+    specials = np.array([math.nan, -math.nan, math.inf, -math.inf, -0.0, 0.0,
+                         5e-324, -2.225073858507201e-308, *ties,
+                         *round_ups()[::5]])
+    x = rng.standard_normal(n_rows) * 10.0 ** rng.integers(-300, 300, n_rows)
+    y = rng.random(n_rows)
+    edges = [*range(step, n_rows + 1, step), n_rows]
+    rows = np.unique([r for edge in edges for r in range(edge - 4, edge + 4)
+                      if 0 <= r < n_rows])
+    x[rows] = np.resize(specials, rows.size)
+    y[rows] = np.resize(specials[::-1], rows.size)
+    n = rng.integers(-2**63, 2**63 - 1, n_rows, dtype=np.int64, endpoint=True)
+    flag = rng.random(n_rows) < 0.5
+    tags = np.array(["", "lo", 'q"d', "ünï", "wide tag"])
+    tag = tags[rng.integers(0, tags.size, n_rows)]
+    return Table.from_columns(["x", "n", "flag", "tag", "y"],
+                              [x, n, flag, tag, y])
+
+
+@pytest.mark.parametrize("offset", [-1, 0, 1, None])
+def test_tables_across_block_edges_match_the_row_wise_renderer(offset):
+    """Tables of one block less a row, one block, one block and a row, and
+    two blocks and a row: every cell kind, and the values that leave the
+    vector path, on both sides of each edge."""
+    step = _BLOCK_CELLS // 5
+    n_rows = 2 * step + 1 if offset is None else step + offset
+    table = block_edge_table(n_rows, step)
+    assert to_csv(table) == reference_csv(table)
+    assert to_json(table) == reference_json(table)
