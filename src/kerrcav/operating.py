@@ -1,49 +1,42 @@
 """Special operating points of the Duffing-like pump response.
 
-The response curve is treated parametrically in the photon number E, where
-it is single valued: solving the pump cubic for the detuning gives
+In the detuning delta = omega0 - omega_p the pump balance of :mod:`steady`
+is h(E) = E [(delta + K E)^2 + (gamma + gamma3 E)^2] = P, with
+P = 2 gamma1 b_in^2.  Its folds (vertical tangents of the response, where
+the system switches branch) are the roots E- <= E+ of the quadratic h'(E),
+which :func:`steady._fold_energies` gives in closed form on the fold side
+(c2 = 2 (delta K + gamma gamma3) < 0 and a positive discriminant).  The
+fold curves
 
-    omega_p(E) = omega0 + K*E -/+ sqrt(head(E)),
-    head(E)    = 2*gamma1*b_in^2 / E - (gamma + gamma3*E)^2,
+    H-(delta) = h(E-(delta); delta),    H+(delta) = h(E+(delta); delta)
 
-with the two signs tracing the low- and high-frequency sides of the pulled
-resonance.  Folds (vertical tangents, where the system switches branch) are
-the zeros of d(omega_p)/dE on the side the Kerr constant pulls toward,
+are the local maximum and minimum of h, so a drive has three branches
+exactly when H+(delta) < P < H-(delta).  Both start at the cusp delta_c of
+the critical point, where E- = E+, and rise strictly away from it: with
+a = delta + K E and b = gamma + gamma3 E > 0, h'(E) = a^2 + b^2
++ 2 E (a K + b gamma3) = 0 on them forces a K < 0, so
 
-    |K| + head'(E) / (2 sqrt(head(E))) = 0,
+    dH/d(delta) = 2 E (delta + K E)        (h'(E) = 0 there)
 
-i.e. the double roots of the pump cubic.  head' < 0 for every E > 0, so the
-squared condition head'^2 = 4 K^2 head has no other solutions and itself
-forces head >= 0.  In the units x = E*|K|/gamma, r = gamma3/|K| and
-sigma = 2*gamma1*b_in^2*|K|/gamma^3 it is the fold polynomial
+has the sign of -K, the side the folds lie on.  Above the critical drive
+the fold nearer the cusp is the one root of H-(delta) = P and the farther
+fold the one root of H+(delta) = P.  The critical point, where the two
+folds coalesce, is a closed form.
 
-    P(x) = [sigma + 2 r x^2 (1 + r x)]^2 - 4 x^3 [sigma - x (1 + r x)^2]
-         = 4 (1 + r^2) x^4 (1 + r x)^2 - 4 sigma (1 - r^2) x^3
-           + 4 r sigma x^2 + sigma^2,
-
-of degree 6 (4 when gamma3 = 0), and every positive real root of P is a
-fold.  On a fold sqrt(head) = -head'/(2|K|), so its pump frequency is
-
-    omega_p = omega0 + K*E + [2*gamma1*b_in^2 / E^2
-                              + 2*gamma3*(gamma + gamma3*E)] / (2K),
-
-which needs no square root and so keeps its precision near the curve top,
-where head cancels.  The critical point is where the two folds coalesce.
+On its own the response curve is single valued in E: solving the pump
+balance for the pump frequency gives omega_p(E) = omega0 + K E
+-/+ sqrt(head(E)), head(E) = 2 gamma1 b_in^2 / E - (gamma + gamma3 E)^2,
+the low- and high-frequency sides of the pulled resonance.
 """
 
 import math
 from dataclasses import dataclass
-from functools import reduce
 
 import numpy as np
 
 from .model import SQRT3, DeviceParams, PumpDrive
-from .steady import _branch_energies
+from .steady import MAX_STEPS, _at_fold, _branch_energies, _fold_energies, _h
 
-# A fold-side slope maximum within this fraction of |kerr| of zero marks a
-# tangency: the fold pair cannot be separated numerically and is reported
-# as a single point.
-TANGENCY_TOL = 1e-5
 # Denominator |K| - sqrt(3)*gamma3 below this fraction of |K| makes the
 # critical-point formulas numerically explosive.
 ILL_CONDITION_TOL = 1e-9
@@ -74,13 +67,6 @@ def response_peak_detuning(params: DeviceParams, energy: float) -> float:
     return params.omega0 + params.kerr * energy
 
 
-def curve_head(params: DeviceParams, drive: PumpDrive, energy: float) -> float:
-    """Radicand of the detuning solution; nonnegative on the response curve."""
-    g3 = params.gamma3
-    return 2.0 * params.gamma1 * drive.amplitude**2 / energy \
-        - (params.gamma + g3 * energy) ** 2
-
-
 def max_curve_energy(params: DeviceParams, drive: PumpDrive) -> float:
     """Largest photon number on the response curve (the peak).
 
@@ -96,115 +82,118 @@ def max_curve_energy(params: DeviceParams, drive: PumpDrive) -> float:
 
 
 def curve_omega_p(params: DeviceParams, drive: PumpDrive, energy: float):
-    """Pump frequencies (low side, high side) at which the curve reaches E."""
-    head = max(curve_head(params, drive, energy), 0.0)
-    root = math.sqrt(head)
+    """Pump frequencies (low side, high side) at which the curve reaches E,
+    omega0 + K E -/+ sqrt(head(E)), with head clamped at 0."""
+    head = 2.0 * params.gamma1 * drive.amplitude**2 / energy \
+        - (params.gamma + params.gamma3 * energy) ** 2
+    root = math.sqrt(max(head, 0.0))
     center = params.omega0 + params.kerr * energy
     return center - root, center + root
-
-
-def _fold_slope(params: DeviceParams, drive: PumpDrive, energy: float) -> float:
-    """d(omega_p)/dE on the fold side, up to the sign of kerr.
-
-    Equals |kerr| + d(sqrt(head))/dE; negative at both curve ends and
-    positive between the folds when the drive exceeds critical.
-    """
-    head = curve_head(params, drive, energy)
-    if head <= 0.0:
-        return -math.inf
-    return abs(params.kerr) + _head_slope(params, drive, energy) \
-        / (2.0 * math.sqrt(head))
-
-
-def _head_slope(params: DeviceParams, drive: PumpDrive, energy: float) -> float:
-    """d(head)/dE, negative for every E > 0."""
-    g3 = params.gamma3
-    return -2.0 * params.gamma1 * drive.amplitude**2 / energy**2 \
-        - 2.0 * g3 * (params.gamma + g3 * energy)
-
-
-def _fold_omega_p(params: DeviceParams, drive: PumpDrive, energy: float) -> float:
-    """Fold-side pump frequency at a fold, where sqrt(head) = -head'/(2|K|)."""
-    return params.omega0 + params.kerr * energy \
-        - _head_slope(params, drive, energy) / (2.0 * params.kerr)
-
-
-# gamma3 / |kerr| below which the fold polynomial is solved in degree 4
-SMALL_GAMMA3 = 1e-20
-
-
-def _polish(poly, x: float) -> float:
-    """Newton steps on the polynomial, kept while they shrink |poly(x)|.
-
-    The companion-matrix roots lose digits when gamma3 is tiny next to
-    |kerr| (two roots then sit near x = -|kerr|/gamma3): without these
-    steps the folds are 1e-10 off in relative E at gamma3 = 1e-16 |kerr|.
-    P and P' are Horner sums in Python floats, np.polyval's exact steps.
-    """
-    def at(coeffs, t):
-        return reduce(lambda acc, c: acc * t + c, coeffs, 0.0)
-    deriv = [c * (len(poly) - 1 - i) for i, c in enumerate(poly[:-1])]
-    value = at(poly, x)
-    for _ in range(3):
-        slope = at(deriv, x)
-        if slope == 0.0:
-            break
-        candidate = x - value / slope
-        candidate_value = at(poly, candidate)
-        if abs(candidate_value) >= abs(value):
-            break
-        x, value = candidate, candidate_value
-    return x
 
 
 def instability_locus(params: DeviceParams, drive: PumpDrive):
     """All (omega_p, E) fold points of the response curve, ascending in E.
 
-    The folds are the positive real roots of the fold polynomial P(x) of
-    the module docstring, x = E |kerr| / gamma, and each fold frequency
-    comes from the root-free form of omega_p.  Empty when the drive is
-    sub-critical or when |kerr| <= sqrt(3)*gamma3 (no fold can exist for
-    any drive).
+    Each fold is the root of one fold curve of the module docstring, with
+    the fold energy E-(delta) or E+(delta) of :mod:`steady`'s pump solve.
+    Far from the cusp both curves are close to power laws, so the root is
+    found by Newton steps on log H against log|delta| (dH/d(delta) from
+    the module docstring), kept inside the bracket from the cusp delta_c to
 
-    Tangency: when the maximum of the fold-side slope lies within
-    TANGENCY_TOL*|kerr| of zero, the pair is reported as the single
-    coalesced point.  That is the case when P has two positive real roots
-    and the slope at their midpoint is at most the tolerance, or when P
-    has no positive real root but a complex-conjugate pair whose real part
-    has a slope within the tolerance of zero.
+        delta_out = sgn(-K) [3 (K^2 + gamma3^2) P / (2 gamma^2 |K|)
+                             + gamma gamma3 / |K|],
+
+    where H- >= H+ >= gamma^2 E+ >= gamma^2 (-c2) / (3 (K^2 + gamma3^2))
+    = P: a step that would leave the bracket is a bisection instead.  The
+    farther fold starts from the cusp, the nearer one from the farther
+    fold, which bounds it since H- >= H+.  Each stops at the first step
+    that no longer moves delta.
+
+    A drive P within the rounding floor of h at the cusp (the rule
+    :mod:`steady` takes for a fold double root) gives the critical point
+    alone.  A drive below it, or a device without a critical point
+    (|kerr| <= sqrt(3)*gamma3 or gamma1 = 0), gives no fold.
+
+    Raises
+    ------
+    ValueError
+        If the drive amplitude is not finite.
+    OverflowError
+        If P = 2 gamma1 b_in^2 or the bracket lies beyond the float range.
+    ArithmeticError
+        If a fold takes more than MAX_STEPS steps.
     """
-    if drive.amplitude == 0.0:
+    amplitude = drive.amplitude
+    if not math.isfinite(amplitude):
+        raise ValueError(f"drive amplitude must be finite, got {amplitude!r}")
+    p = 2.0 * params.gamma1 * (amplitude * amplitude)
+    if not math.isfinite(p):
+        raise OverflowError("drive power 2 gamma1 b_in^2 is not finite")
+    crit = critical_point(params)
+    if not crit.exists:
         return []
-    k = abs(params.kerr)
-    if k <= SQRT3 * params.gamma3:
+    omega0, k, g3, g = params.omega0, params.kerr, params.gamma3, params.gamma
+    delta_c = omega0 - crit.omega_p
+    h_c = _h(crit.energy, delta_c, k, g3, g)[0]
+    if _at_fold(crit.energy, h_c, omega0, crit.omega_p, p, k, g3, g):
+        return [(crit.omega_p, crit.energy)]
+    if p < h_c:
         return []
-    r = params.gamma3 / k
-    sigma = 2.0 * params.gamma1 * drive.amplitude**2 * k / params.gamma**3
-    c4 = 4.0 * (1.0 + r * r)
-    # P(x) = c4 x^4 (1 + r x)^2 - 4 sigma (1 - r^2) x^3 + 4 r sigma x^2
-    #        + sigma^2; np.roots drops the leading zeros when gamma3 = 0
-    poly = (c4 * r * r, 2.0 * c4 * r, c4, -4.0 * sigma * (1.0 - r * r),
-            4.0 * r * sigma, 0.0, sigma * sigma)
-    # for gamma3 below about 1e-30 |kerr| the companion matrix of the
-    # degree-6 form loses the folds beside its two roots near x = -1/r; the
-    # (1 + r x)^2 factor is then 1 to double precision wherever a fold can
-    # be, so the roots come from the degree-4 form and the Newton steps
-    # polish them on the full one
-    roots = np.roots(poly[2:] if r < SMALL_GAMMA3 else poly)
-    unit = params.gamma / k
-    folds = sorted(unit * _polish(poly, float(z.real)) for z in roots
-                   if z.imag == 0.0 and z.real > 0.0)
-    tol = TANGENCY_TOL * k
-    if len(folds) == 2:
-        mid = 0.5 * (folds[0] + folds[1])
-        if _fold_slope(params, drive, mid) <= tol:
-            folds = [mid]
-    elif not folds:
-        pairs = (unit * float(z.real) for z in roots
-                 if z.imag > 0.0 and z.real > 0.0)
-        folds = [e for e in pairs
-                 if abs(_fold_slope(params, drive, e)) <= tol][:1]
-    return [(_fold_omega_p(params, drive, e), e) for e in folds]
+    delta_out = -math.copysign(
+        3.0 * (k * k + g3 * g3) * p / (2.0 * g * g * abs(k))
+        + g * g3 / abs(k), k)
+    if not math.isfinite(delta_out):
+        raise OverflowError("fold locus bracket beyond the float range")
+    with np.errstate(invalid="ignore"):
+        far = _fold_root(params, p, 2, delta_c, crit.energy, delta_c,
+                         delta_out)
+        near = _fold_root(params, p, 1, far[0],
+                          _fold_energies_at(params, far[0])[1], delta_c,
+                          far[0])
+    return [(omega0 - delta, e) for delta, e in sorted(
+        (near, far), key=lambda fold: fold[1])]
+
+
+def _fold_energies_at(params: DeviceParams, delta: float):
+    """(disc, E-, E+) of :func:`steady._fold_energies` at detuning delta."""
+    k, g3, g = params.kerr, params.gamma3, params.gamma
+    return _fold_energies(k * k + g3 * g3, 2.0 * (delta * k + g * g3),
+                          delta * delta + g * g)
+
+
+def _fold_root(params: DeviceParams, p: float, curve: int, delta: float,
+               e: float, inner: float, outer: float):
+    """(delta, E) where fold curve ``curve`` (1: H-, 2: H+, the index into
+    :func:`_fold_energies_at`) reaches p, from delta with fold energy e.
+
+    H < p at ``inner`` and H >= p at ``outer``, and each evaluation moves
+    the end of that bracket on its side.  A detuning where rounding leaves
+    no fold (NaN, next to the cusp) counts as on the cusp's side.
+    """
+    k, g3, g = params.kerr, params.gamma3, params.gamma
+    for _ in range(MAX_STEPS):
+        h = _h(e, delta, k, g3, g)[0]
+        if h == p:
+            break
+        if h > p:
+            outer = delta
+        else:
+            inner = delta
+        # the log-log step, clipped to the bracket: x = log(p/h) /
+        # (d log H / d log|delta|)
+        x = math.log1p((p - h) / h) * h / (delta * 2.0 * e * (delta + k * e))
+        nxt = delta + delta * math.expm1(min(x, math.log(outer / delta)))
+        if nxt == delta:
+            break
+        if not abs(inner) < abs(nxt) < abs(outer):
+            nxt = 0.5 * (inner + outer)
+            if nxt == inner or nxt == outer:
+                break
+        delta = nxt
+        e = float(_fold_energies_at(params, delta)[curve])
+    else:
+        raise ArithmeticError("fold locus: Newton steps did not settle")
+    return delta, e
 
 
 def critical_point(params: DeviceParams) -> CriticalPoint:

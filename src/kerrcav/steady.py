@@ -218,6 +218,17 @@ def _h(e, delta, k, g3, g):
     return e * s, s + 2.0 * e * (a * k + b * g3)
 
 
+def _fold_energies(c3, c2, c1):
+    """The discriminant disc = c2^2 - 3 c3 c1 of h'(E) = 3 c3 E^2 + 2 c2 E
+    + c1 and its roots, the folds E- = c1/q <= E+ = q/(3 c3) with
+    q = -c2 + sqrt(disc), so that neither cancels.  They are folds of h
+    where c2 < 0 and disc > 0, and NaN where disc < 0.  Runs unchanged on
+    floats and on arrays."""
+    disc = c2 * c2 - 3.0 * c3 * c1
+    q = -c2 + np.sqrt(disc)
+    return disc, c1 / q, q / (3.0 * c3)
+
+
 def _at_fold(e, h, omega0, omega_p, p, k, g3, g):
     """Whether p is within the rounding floor of h = h(e) at a fold e (or
     at the inflection that stands in for the folds).
@@ -273,8 +284,7 @@ def _branch_energies(omega0, omega_p, p, k, g3, g):
     and NaN-padded.
 
     h rises except between its folds E- <= E+, the roots of h'(E) =
-    3 c3 E^2 + 2 c2 E + c1, taken as c1/q and q/(3 c3) with
-    q = -c2 + sqrt(c2^2 - 3 c3 c1) so that neither cancels.  A row has
+    3 c3 E^2 + 2 c2 E + c1 from :func:`_fold_energies`.  A row has
     three roots exactly when h(E+) < p < h(E-): the lowest lies below E-,
     where h is concave, the highest above E+, where it is convex, and the
     middle one follows from the product of the roots, p / c3.  Without a
@@ -306,14 +316,11 @@ def _branch_energies(omega0, omega_p, p, k, g3, g):
         # a linear device: h(E) = c1 E
         out[:, 0] = p / c1
         return out
-    disc = c2 * c2 - 3.0 * c3 * c1
+    disc, e_lo, e_hi = _fold_energies(c3, c2, c1)
     fold = (c2 < 0.0) & (disc > 0.0)
     inflection = np.maximum(-c2 / (3.0 * c3), 0.0)
-    e_lo = inflection.copy()
-    e_hi = inflection.copy()
-    q = -c2[fold] + np.sqrt(disc[fold])
-    e_hi[fold] = q / (3.0 * c3)
-    e_lo[fold] = c1[fold] / q
+    e_lo = np.where(fold, e_lo, inflection)
+    e_hi = np.where(fold, e_hi, inflection)
     h_lo = _h(e_lo, delta, k, g3, g)[0]
     h_hi = _h(e_hi, delta, k, g3, g)[0]
     near_lo = _at_fold(e_lo, h_lo, omega0, omega_p, p, k, g3, g)

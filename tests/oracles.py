@@ -7,8 +7,8 @@ used to check.  The scalar pump path (``scalar_solve_pump_energy`` through
 are held to bit for bit: plain Python floats and ``cmath``, root by root.
 The row-wise table renderer (``reference_csv``, ``reference_json``) is the
 byte reference for ``tableio``: Python's own formatting, cell by cell.
-``numpy_polish`` is the bit reference for the fold polish in
-``operating``, and ``reference_jacobian`` for the fit's analytic Jacobian.
+``fold_points_mpmath`` is the 60-digit reference for the fold locus, and
+``reference_jacobian`` the bit reference for the fit's analytic Jacobian.
 """
 
 import cmath
@@ -456,25 +456,69 @@ def line_eigenvalue(profile, index: int, dps: int = 40) -> float:
         return float((lo + hi) / 2)
 
 
-# ------------------------------------------------- NumPy fold polish
-# The fold-polynomial polish as operating had it before it moved to Python
-# floats, kept as it was: np.polyval and np.polyder.
+# ------------------------------------------------- folds at 60 digits
 
-def numpy_polish(poly, x: float) -> float:
-    """Newton steps on the polynomial, kept while they shrink |poly(x)|."""
-    poly = np.asarray(poly, dtype=float)
-    deriv = np.polyder(poly)
-    value = np.polyval(poly, x)
-    for _ in range(3):
-        slope = np.polyval(deriv, x)
-        if slope == 0.0:
-            break
-        candidate = x - value / slope
-        candidate_value = np.polyval(poly, candidate)
-        if abs(candidate_value) >= abs(value):
-            break
-        x, value = float(candidate), candidate_value
-    return x
+def fold_points_mpmath(params, amplitude, dps=60):
+    """(omega_p, E) of every fold at the drive amplitude, ascending in E:
+    the solutions of h(E) = P and h'(E) = 0 in ``dps``-digit mpmath, for
+    the float parameters and P = 2 gamma1 b_in^2 taken exactly.
+
+    For each detuning delta, h' = 0 is a quadratic in E whose roots
+    E- <= E+ come from the plain quadratic formula; h(E-(delta)) = P and
+    h(E+(delta)) = P are then each solved for delta by bisection between
+    the cusp, where the discriminant of h' (a quadratic in delta) vanishes,
+    and a detuning found by doubling where h(E+) exceeds P.  Empty below
+    the critical drive; one point when P is h at the cusp exactly.
+    """
+    import mpmath
+
+    with mpmath.workdps(dps):
+        k, g3, g, omega0 = (mpmath.mpf(x) for x in (
+            params.kerr, params.gamma3, params.gamma, params.omega0))
+        p = 2 * mpmath.mpf(params.gamma1) * mpmath.mpf(amplitude) ** 2
+        c3 = k * k + g3 * g3
+        # c2^2 - 3 c3 c1 = A delta^2 + B delta + C
+        a2, a1, a0 = (k * k - 3 * g3 * g3, 8 * g * g3 * k,
+                      g * g * (g3 * g3 - 3 * k * k))
+        if a2 <= 0 or p == 0:
+            return []
+        root = mpmath.sqrt(a1 * a1 - 4 * a2 * a0)
+        # the cusp lies on the side the Kerr constant pulls toward
+        side = -mpmath.sign(k)
+        delta_c = max(((-a1 - root) / (2 * a2), (-a1 + root) / (2 * a2)),
+                      key=lambda d: side * d)
+
+        def folds(delta):
+            c2 = 2 * (delta * k + g * g3)
+            c1 = delta * delta + g * g
+            r = mpmath.sqrt(max(c2 * c2 - 3 * c3 * c1, 0))
+            return (-c2 - r) / (3 * c3), (-c2 + r) / (3 * c3)
+
+        def h(e, delta):
+            return e * ((delta + k * e) ** 2 + (g + g3 * e) ** 2)
+
+        e_c = folds(delta_c)[0]
+        h_c = h(e_c, delta_c)
+        if p < h_c:
+            return []
+        if p == h_c:
+            return [(float(omega0 - delta_c), float(e_c))]
+        far = 2 * delta_c
+        while h(folds(far)[1], far) <= p:
+            far *= 2
+        points = []
+        for which in (0, 1):
+            lo, hi = delta_c, far
+            for _ in range(4 * dps):
+                mid = (lo + hi) / 2
+                if h(folds(mid)[which], mid) < p:
+                    lo = mid
+                else:
+                    hi = mid
+            delta = (lo + hi) / 2
+            points.append((float(omega0 - delta),
+                           float(folds(delta)[which])))
+        return sorted(points, key=lambda point: point[1])
 
 
 # ------------------------------------------------- full-width fit Jacobian

@@ -7,11 +7,9 @@ from kerrcav import (DeviceParams, PumpDrive, branch_states, critical_point,
                      curve_omega_p, instability_locus, max_curve_energy,
                      cubic_coefficients, response_peak_detuning,
                      solve_pump_energy, steady_state)
-import kerrcav.operating
-from conftest import float_bits
 from oracles import (brute_force_critical, coalescence_residual,
-                     fold_condition_residual,
-                     fold_frequencies_from_root_count, numpy_polish)
+                     fold_condition_residual, fold_frequencies_from_root_count,
+                     fold_points_mpmath)
 
 SQRT3 = math.sqrt(3.0)
 
@@ -116,9 +114,8 @@ def double_root_residuals(params, omega_p, amplitude, energy):
 def test_locus_keeps_upper_fold_far_above_critical(factor, gamma3):
     """Single-port device far above critical: the upper fold sits about
     1/(4 sigma^2) below the curve top in relative E (1e-13 at 1000x) and
-    must still be found, as a double root of the pump cubic.  A two-photon
-    loss 1e-16 of |kerr| puts two more roots of the fold polynomial near
-    E = -gamma/gamma3, which must not cost the folds their precision."""
+    must still be found, as a double root of the pump cubic, also with a
+    two-photon loss 1e-16 of |kerr|."""
     device = DeviceParams(omega0=1.0, kerr=-1e-6, gamma1=0.01, gamma2=0.0,
                           gamma3=gamma3)
     amplitude = factor * critical_point(device).drive
@@ -133,9 +130,9 @@ def test_locus_keeps_upper_fold_far_above_critical(factor, gamma3):
 @pytest.mark.parametrize("ratio", [1e-35, 2e-159])
 @pytest.mark.parametrize("factor", [1.02, 3.0, 1000.0])
 def test_locus_with_vanishing_two_photon_loss(factor, ratio):
-    """gamma3 far below |kerr| (the fold polynomial's leading coefficients
-    span 1/r^2 = 1e70 or underflow) still gives the two folds of the
-    gamma3 = 0 device, as double roots of the pump cubic."""
+    """gamma3 far below |kerr| (gamma3^2 is lost next to K^2, or
+    underflows) still gives the two folds of the gamma3 = 0 device, as
+    double roots of the pump cubic."""
     lossless = DeviceParams(omega0=1.0, kerr=-1e-4, gamma1=0.001,
                             gamma2=0.1, gamma3=0.0)
     device = DeviceParams(omega0=1.0, kerr=-1e-4, gamma1=0.001, gamma2=0.1,
@@ -151,53 +148,114 @@ def test_locus_with_vanishing_two_photon_loss(factor, ratio):
                                          energy)) <= 1e-12
 
 
-def test_polish_matches_numpy_on_random_sextics():
-    """Horner's rule in Python floats takes np.polyval's steps: the same
-    bits as the NumPy polish from starts near, at and away from the real
-    roots, on sextics and on degree-4 polynomials with leading zeros."""
-    rng = np.random.default_rng(2026)
-    n_moved = 0
-    for trial in range(400):
-        poly = rng.normal(size=7) * 10.0 ** rng.integers(-8, 9, size=7)
-        if trial % 4 == 0:
-            poly[:2] = 0.0
-        starts = [z.real for z in np.roots(poly) if abs(z.imag) < 1e-3]
-        starts += [rng.normal() * 10.0 ** rng.integers(-3, 4)]
-        for start in starts:
-            for x in (start, start * (1.0 + 1e-6 * rng.normal())):
-                got = kerrcav.operating._polish(tuple(poly.tolist()), x)
-                assert float_bits(got) == float_bits(numpy_polish(poly, x))
-                n_moved += got != x
-    assert n_moved > 100
+README_DEVICE = DeviceParams(omega0=1.0, kerr=-1e-4, gamma1=0.01,
+                            gamma2=0.011, gamma3=5.8e-7)
+STRONG_G3 = DeviceParams(omega0=1.0, kerr=-3e-3, gamma1=0.01, gamma2=0.011,
+                         gamma3=1e-3)
+LOSSLESS = DeviceParams(omega0=1.0, kerr=-1e-6, gamma1=0.01, gamma2=0.0,
+                        gamma3=0.0)
 
 
-@pytest.mark.parametrize("kerr, gamma2, gamma3", [
-    (-1e-6, 0.0, 0.0),        # the lossless single-port device
-    (-1e-4, 0.011, 0.0),      # degree 4: gamma3 = 0
-    (-1e-4, 0.011, 1e-25),    # degree 4: gamma3 < SMALL_GAMMA3 |kerr|
-    (-1e-4, 0.011, 5.8e-7),   # the README device
-    (-3e-3, 0.011, 1e-3),     # strong two-photon loss
+def oracle_devices():
+    """Random devices of both Kerr signs with gamma3 from 0 to 0.577|K|,
+    gamma3/|K| = 1e-35 and 2e-159, and the lossless device."""
+    rng = np.random.default_rng(18)
+    devices = []
+    for ratio in [0.0, 0.1, 0.3, 0.5, 0.577, *rng.uniform(0.0, 0.577, 5)]:
+        kerr = float(rng.choice([-1.0, 1.0])) * 10.0 ** rng.uniform(-6.0, -2.0)
+        devices.append(DeviceParams(
+            omega0=1.0, kerr=kerr, gamma1=10.0 ** rng.uniform(-3.0, -1.0),
+            gamma2=10.0 ** rng.uniform(-3.0, -1.0),
+            gamma3=float(ratio) * abs(kerr)))
+    devices += [DeviceParams(omega0=1.0, kerr=2e-4, gamma1=0.001, gamma2=0.1,
+                             gamma3=ratio * 2e-4) for ratio in (1e-35, 2e-159)]
+    return devices + [LOSSLESS]
+
+
+NEAR_CRITICAL = [1.0 + 1e-9, 1.0 + 1e-7, 1.0 + 1e-5]
+ABOVE_CRITICAL = [1.0001, 1.02, 1.5, 3.0, 10.0, 100.0, 1000.0]
+
+
+def frequency_scale(params, omega_p):
+    """max(|omega_p|, |omega0 - omega_p|): the pump solve takes the
+    detuning omega0 - omega_p, so a fold frequency is resolved to the ulps
+    of the larger of the two, also where omega_p itself nears 0."""
+    return max(abs(omega_p), abs(params.omega0 - omega_p))
+
+
+@pytest.mark.parametrize("params", oracle_devices())
+def test_locus_matches_mpmath_folds(params):
+    """The folds are the solutions of h = P, h' = 0 at 60 digits: omega_p
+    to 1e-14, and E to 1e-12 relative from 1.0001x critical up.  Closer to
+    the cusp E- and E+ lose digits to the cancellation in the discriminant
+    of h', measured at up to 5.3e-11 at 1 + 1e-9; the bound there is
+    1e-10."""
+    crit = critical_point(params)
+    for factor in NEAR_CRITICAL + ABOVE_CRITICAL:
+        amplitude = factor * crit.drive
+        points = instability_locus(params, PumpDrive(omega_p=1.0,
+                                                     amplitude=amplitude))
+        expected = fold_points_mpmath(params, amplitude)
+        assert len(points) == len(expected) == 2
+        e_tol = 1e-12 if factor >= 1.0001 else 1e-10
+        for (omega_p, energy), (w, e) in zip(points, expected):
+            assert abs(omega_p - w) <= 1e-14 * frequency_scale(params, w)
+            assert energy == pytest.approx(e, rel=e_tol, abs=0.0)
+
+
+def assert_branch_counts_change_at_folds(params, amplitude):
+    """Three branches at the midpoint of the two folds, one at a relative
+    1e-9 outside the band on either side."""
+    (lo, _), (hi, _) = sorted(instability_locus(
+        params, PumpDrive(omega_p=1.0, amplitude=amplitude)))
+    out = 1e-9 * max(frequency_scale(params, lo), frequency_scale(params, hi))
+    states = branch_states(params, [0.5 * (lo + hi), lo - out, hi + out],
+                           amplitude)
+    counts = np.zeros(3, dtype=int)
+    counts[states.row] = states.n_branches
+    assert counts.tolist() == [3, 1, 1]
+
+
+@pytest.mark.parametrize("params", oracle_devices())
+def test_branch_count_changes_at_the_locus(params):
+    """branch_states takes the same folds: the band the locus reports is
+    where the pump solve has three branches.  From 1 + 1e-5 up: at
+    1 + 1e-7 the band of the gamma3 = 0.577|K| device (omega_p = -210) is
+    one ulp wide, with no float inside it."""
+    crit = critical_point(params)
+    for factor in NEAR_CRITICAL[2:] + ABOVE_CRITICAL:
+        assert_branch_counts_change_at_folds(params, factor * crit.drive)
+
+
+@pytest.mark.parametrize("params, eps", [
+    (README_DEVICE, 3e-6), (README_DEVICE, 1e-6), (README_DEVICE, 1e-7),
+    (STRONG_G3, 1e-5), (STRONG_G3, 3e-6), (STRONG_G3, 1e-6),
 ])
-def test_locus_polish_matches_numpy(monkeypatch, kerr, gamma2, gamma3):
-    """Every polish a fold locus makes, on a drive ladder from 1.02x to
-    1000x critical, gives the NumPy polish's bits."""
-    polish = kerrcav.operating._polish
-    calls = []
+def test_locus_resolves_the_folds_just_above_critical(params, eps):
+    """At (1 + eps) times the critical drive the two folds lie 1e-12 to
+    4e-10 apart in omega_p, and the pump solve has three branches between
+    them: the locus reports both, not one tangency point."""
+    amplitude = (1.0 + eps) * critical_point(params).drive
+    points = instability_locus(params, PumpDrive(omega_p=1.0,
+                                                 amplitude=amplitude))
+    expected = fold_points_mpmath(params, amplitude)
+    assert len(points) == len(expected) == 2
+    for (omega_p, _), (w, _) in zip(points, expected):
+        assert abs(omega_p - w) <= 1e-14 * frequency_scale(params, w)
+    assert_branch_counts_change_at_folds(params, amplitude)
 
-    def checked(poly, x):
-        got = polish(poly, x)
-        assert float_bits(got) == float_bits(numpy_polish(poly, x))
-        calls.append(x)
-        return got
 
-    monkeypatch.setattr(kerrcav.operating, "_polish", checked)
-    device = DeviceParams(omega0=1.0, kerr=kerr, gamma1=0.01,
-                          gamma2=gamma2, gamma3=gamma3)
-    crit = critical_point(device)
-    for factor in np.geomspace(1.02, 1000.0, 25):
-        instability_locus(device, PumpDrive(omega_p=crit.omega_p,
-                                            amplitude=factor * crit.drive))
-    assert len(calls) == 50
+@pytest.mark.parametrize("amplitude", [math.inf, -math.inf, math.nan])
+def test_locus_rejects_a_non_finite_drive(fig_device, amplitude):
+    with pytest.raises(ValueError, match="amplitude"):
+        instability_locus(fig_device, PumpDrive(omega_p=1.0,
+                                                amplitude=amplitude))
+
+
+def test_locus_reports_an_overflowing_drive_power(fig_device):
+    with pytest.raises(OverflowError, match="2 gamma1 b_in"):
+        instability_locus(fig_device, PumpDrive(omega_p=1.0,
+                                                amplitude=1e200))
 
 
 def test_locus_positive_kerr_mirror(fig_device):
@@ -297,8 +355,11 @@ def test_brute_force_detection_matches_closed_form(fig_device):
 def test_locus_matches_transitions_across_random_devices():
     """Randomized consistency: for random lossy devices at random drive
     factors the two folds always agree with the root-count transitions and
-    sit at critical slowing down; at and just above the critical drive the
-    locus is the single tangency point."""
+    sit at critical slowing down.  At the critical drive the locus is the
+    single tangency point; at 1 + 1e-7 times it, it is the two folds that
+    60-digit mpmath resolves, at most 1e-10 apart in omega_p.  Their
+    energies, about 1e-4 from E_c, hold to 1e-10: next to the cusp E- and
+    E+ lose digits to the cancellation in the discriminant of h'."""
     rng = np.random.default_rng(99)
     tested = 0
     while tested < 25:
@@ -314,12 +375,19 @@ def test_locus_matches_transitions_across_random_devices():
         tested += 1
         drive = PumpDrive(omega_p=1.0,
                           amplitude=rng.uniform(1.2, 30.0) * crit.drive)
-        # inside the tangency band the folds coalesce into one point
-        for factor in (1.0, 1.0 + 1e-7):
-            tangency = instability_locus(
-                params, PumpDrive(omega_p=1.0, amplitude=factor * crit.drive))
-            assert len(tangency) == 1
-            assert tangency[0][1] == pytest.approx(crit.energy, rel=1e-4)
+        tangency = instability_locus(
+            params, PumpDrive(omega_p=1.0, amplitude=crit.drive))
+        assert tangency == [(crit.omega_p, crit.energy)]
+        # just above critical the two folds are resolved, as mpmath has them
+        amplitude = (1.0 + 1e-7) * crit.drive
+        pair = instability_locus(params,
+                                 PumpDrive(omega_p=1.0, amplitude=amplitude))
+        expected = fold_points_mpmath(params, amplitude)
+        assert len(pair) == len(expected) == 2
+        assert abs(expected[0][0] - expected[1][0]) <= 1e-10
+        for (omega_p, energy), (w, e) in zip(pair, expected):
+            assert omega_p == pytest.approx(w, rel=1e-14, abs=0.0)
+            assert energy == pytest.approx(e, rel=1e-10, abs=0.0)
         points = instability_locus(params, drive)
         transitions = fold_frequencies_from_root_count(params,
                                                        drive.amplitude)

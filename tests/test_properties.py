@@ -1,10 +1,14 @@
 """Properties over random inputs: the CLI's exit codes on any JSON document,
-and the commutator sum and the pump-cubic residuals over random devices."""
+and the commutator sum and the pump-cubic residuals over random devices.
+Also that the derandomized draws do not follow the literals of local
+modules."""
 
 import contextlib
+import importlib
 import io
 import json
 import os
+import sys
 import tempfile
 
 import numpy as np
@@ -215,3 +219,57 @@ def test_pump_energies_solve_the_cubic(point):
                             drive.phase).energy.tolist()
     for e in [s.energy for s in steady_states(params, drive)] + batched:
         assert residual(coeffs, e) <= 1e-10
+
+
+# ------------------------------------------------------------- pinned draws
+
+def derandomized_draws():
+    """The 100 floats a derandomized test of st.floats(-10, 10) sees."""
+    seen = []
+
+    @settings(max_examples=100, deadline=None, derandomize=True,
+              database=None)
+    @given(st.floats(-10.0, 10.0))
+    def record(x):
+        seen.append(x)
+
+    record()
+    return seen
+
+
+def test_new_local_literal_leaves_derandomized_draws_unchanged(
+        tmp_path, monkeypatch):
+    """A float literal in a freshly imported local module enters
+    Hypothesis's own constant pool, and there it changes a derandomized
+    test's draws; with the pool pinned (tests/conftest.py) the draws stay
+    as they were."""
+    from hypothesis.internal.conjecture import providers
+    from hypothesis.internal.constants_ast import (constants_from_module,
+                                                   is_local_module_file)
+
+    from conftest import UNPINNED_HOOK
+
+    pinned = derandomized_draws()
+    literal = 0.123456789
+    (tmp_path / "fresh_literals.py").write_text(f"X = {literal!r}\n")
+    monkeypatch.syspath_prepend(str(tmp_path))
+
+    def unpinned_draws():
+        with monkeypatch.context() as unpinned:
+            unpinned.setattr(providers, "_get_local_constants",
+                             UNPINNED_HOOK[0])
+            providers.CONSTANTS_CACHE.cache.clear()
+            try:
+                return derandomized_draws()
+            finally:
+                providers.CONSTANTS_CACHE.cache.clear()
+
+    without = unpinned_draws()
+    module = importlib.import_module("fresh_literals")
+    try:
+        assert is_local_module_file(module.__file__)
+        assert literal in constants_from_module(module).floats
+        assert unpinned_draws() != without
+        assert derandomized_draws() == pinned
+    finally:
+        del sys.modules["fresh_literals"]
