@@ -148,8 +148,8 @@ def instability_locus(params: DeviceParams, drive: PumpDrive):
         far = _fold_root(params, p, 2, delta_c, crit.energy, delta_c,
                          delta_out)
         near = _fold_root(params, p, 1, far[0],
-                          _fold_energies_at(params, far[0])[1], delta_c,
-                          far[0])
+                          float(_fold_energies_at(params, far[0])[1]),
+                          delta_c, far[0])
     return [(omega0 - delta, e) for delta, e in sorted(
         (near, far), key=lambda fold: fold[1])]
 
