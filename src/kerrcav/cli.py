@@ -58,16 +58,17 @@ def build_parser():
 
 
 def _emit(table: Table, args) -> int:
-    text = render(table, args.format)
+    data = render(table, args.format)
     if args.out:
         try:
-            with open(args.out, "w", encoding="utf-8", newline="") as fh:
-                fh.write(text)
+            with open(args.out, "wb") as fh:
+                fh.write(data)
         except OSError as exc:
             print(f"error: cannot write {args.out}: {exc}", file=sys.stderr)
             return EXIT_IO
     else:
-        sys.stdout.write(text)
+        # a text write, so a replaced sys.stdout (a StringIO) works too
+        sys.stdout.write(data.decode())
     return EXIT_OK
 
 

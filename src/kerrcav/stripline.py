@@ -22,13 +22,13 @@ is the energy quotient of the computed vector: a ratio of sums of positive
 terms, accurate to rounding where the eigenvalue's bisection is not.
 """
 
-import json
 import math
 from collections import namedtuple
 from dataclasses import dataclass
 
 import numpy as np
 
+from .jsonfile import read_json
 from .model import DeviceParams
 
 PROFILE_KEYS = ("C", "L0", "dL", "R0", "dR")
@@ -107,85 +107,14 @@ class ModeSolution:
     u: np.ndarray
 
 
-# orjson 3.8 recurses without a limit: a document nested about 10**5 deep
-# overflows the C stack and kills the process.  A skeleton (below) with
-# fewer braces than this cannot nest that deep.
-ORJSON_MAX_BRACES = 1024
-
-
-def _decode(path):
-    """The JSON document in a profile file.
-
-    A profile's arrays are flat lists of numbers, which orjson decodes to
-    the same bits as json, several times faster.  Any other file (NaN,
-    Infinity, numbers past float range, malformed JSON, nested arrays) is
-    read again as text by json, so it loads or fails as it did before, and
-    a document nested too deeply for json is a ValueError.
-    """
-    with open(path, "rb") as fh:
-        raw = fh.read()
-    data = _decode_flat_arrays(raw)
-    if data is not None:
-        return data
-    del raw
-    with open(path, "r", encoding="utf-8") as fh:
-        try:
-            return json.load(fh)
-        except RecursionError:
-            raise ValueError(
-                f"profile file {path}: nested too deeply") from None
-
-
-def _decode_flat_arrays(raw):
-    """``raw`` decoded by orjson one array at a time, or None unless each
-    '[' opens an array of scalars that is a value of the top object.
-
-    The skeleton, ``raw`` with the text from each '[' to the next ']'
-    replaced by ``[i]``, is decoded first.  A '[' in a string or in a
-    nested object, or an array under a repeated key, leaves its index
-    unfound or the skeleton malformed.  Each text must then decode alone,
-    so it holds no array; it may hold no '{' either, as the braces counted
-    against orjson's recursion are the skeleton's.  One array at a time,
-    orjson's working copy of its input (about twice the input) is the size
-    of one array, not of the file.
-    """
-    # imported here: only a profile is large enough to repay orjson's
-    # import, which loads uuid and zoneinfo
-    import orjson
-
-    spans, start = [], raw.find(b"[")
-    while start >= 0:
-        end = raw.find(b"]", start)
-        if end < 0 or raw.find(b"{", start, end) >= 0:
-            return None
-        spans.append((start, end + 1))
-        start = raw.find(b"[", end)
-    pieces, last = [], 0
-    for i, (start, end) in enumerate(spans):
-        pieces += [raw[last:start], b"[%d]" % i]
-        last = end
-    skeleton = b"".join(pieces) + raw[last:]
-    if skeleton.count(b"{") >= ORJSON_MAX_BRACES:
-        return None
-    view = memoryview(raw)
-    try:
-        data = orjson.loads(skeleton)
-        arrays = [orjson.loads(view[start:end]) for start, end in spans]
-    except orjson.JSONDecodeError:
-        return None
-    found = {value[0]: key for key, value in data.items()
-             if isinstance(value, list)} if isinstance(data, dict) else {}
-    if len(found) != len(spans):
-        return None
-    for i, array in enumerate(arrays):
-        data[found[i]] = array
-    return data
-
-
 def _as_floats(value, key, path):
     """A profile's ``key`` as a float, or as a float array if it is one of
-    PROFILE_KEYS.  Each cell must be an int or a float, not a bool (one
-    pass over the cell types); an integer past float range is not finite."""
+    PROFILE_KEYS.  An array the reader returned as floats is taken as it
+    is; otherwise each cell must be an int or a float, not a bool (one
+    pass over the cell types), and an integer past float range is not
+    finite."""
+    if isinstance(value, np.ndarray):
+        return value
     cells = value if key in PROFILE_KEYS else [value]
     if not set(map(type, cells)) <= {int, float}:
         i, bad = next((i, v) for i, v in enumerate(cells)
@@ -208,7 +137,7 @@ def load_profile(path) -> LineProfile:
     "dR"} with arrays of length "grid" and numbers (int or float) for
     cells; anything else is rejected.
     """
-    data = _decode(path)
+    data = read_json(path, "profile", PROFILE_KEYS)
     if not isinstance(data, dict):
         raise ValueError(f"profile file {path}: expected an object")
     for key in ("l", "I_c", "hbar", "grid", *PROFILE_KEYS):
@@ -219,7 +148,7 @@ def load_profile(path) -> LineProfile:
         raise ValueError(f"profile file {path}: grid must be an integer, "
                          f"got {n!r}")
     for key in PROFILE_KEYS:
-        if not isinstance(data[key], list):
+        if not isinstance(data[key], (list, np.ndarray)):
             raise ValueError(f"profile file {path}: {key!r} must be a list")
         if len(data[key]) != n:
             raise ValueError(

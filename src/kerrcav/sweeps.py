@@ -9,7 +9,6 @@ one-point functions, and emits the rows in index order, so outputs are
 deterministic byte for byte.
 """
 
-import json
 import math
 import os
 from dataclasses import dataclass, field
@@ -17,6 +16,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import floatops as fo
+from .jsonfile import read_json
 from .model import DeviceParams, validate
 from .noise import ThermalEnv, squeeze_columns
 from .operating import critical_point
@@ -221,14 +221,10 @@ def load_config(data, base_dir=".") -> SweepConfig:
 
 
 def read_config_file(path):
-    """The JSON document in a sweep or fit config file; one nested too
-    deeply for json is a ValueError, as for a profile."""
-    with open(path, "r", encoding="utf-8") as fh:
-        try:
-            return json.load(fh)
-        except RecursionError:
-            raise ValueError(
-                f"config file {path}: nested too deeply") from None
+    """The JSON document in a sweep or fit config file (see
+    :func:`jsonfile.read_json`); one nested too deeply for json is a
+    ValueError, as for a profile."""
+    return read_json(path, "config")
 
 
 def load_config_file(path) -> SweepConfig:

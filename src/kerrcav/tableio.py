@@ -261,7 +261,7 @@ def _bool_slots():
 
 
 def _rows(columns: list[np.ndarray], lead: bytes, sep: bytes, end: bytes,
-          quote: bool) -> str:
+          quote: bool) -> bytes:
     """Every row as ``lead + cells joined by sep + end``: each column's
     fixed-width cell slots written into a row template, then the unused
     (NUL) bytes dropped.  The float cells of all columns form one pass."""
@@ -278,11 +278,11 @@ def _rows(columns: list[np.ndarray], lead: bytes, sep: bytes, end: bytes,
     for cell in cells:
         text[:, start:start + cell.shape[1]] = cell
         start += cell.shape[1] + len(sep)
-    return text[text != 0].tobytes().decode()
+    return text[text != 0].tobytes()
 
 
 def _body(table: Table, lead: bytes, sep: bytes, end: bytes,
-          quote: bool) -> list[str]:
+          quote: bool) -> list[bytes]:
     """The rows' text (see :func:`_rows`) in blocks of about _BLOCK_CELLS
     cells, which bounds the working memory of a long table (and keeps a
     block's arrays in cache)."""
@@ -293,16 +293,11 @@ def _body(table: Table, lead: bytes, sep: bytes, end: bytes,
 
 
 def to_csv(table: Table) -> str:
-    return "".join([",".join(table.columns), "\n",
-                    *_body(table, b"", b",", b"\n", quote=False)])
+    return render(table, "csv").decode()
 
 
 def to_json(table: Table) -> str:
-    rows = _body(table, b" [", b", ", b"],\n", quote=True)
-    if rows:
-        rows[-1] = rows[-1][:-2]  # no comma after the last row
-    return "".join([f'{{"schema": 1,\n "columns": {json.dumps(table.columns)},'
-                    '\n "rows": [\n', *rows, "\n]}\n"])
+    return render(table, "json").decode()
 
 
 def parse_json(text: str) -> Table:
@@ -319,9 +314,18 @@ def parse_json(text: str) -> Table:
     return Table(list(data["columns"]), rows)
 
 
-def render(table: Table, fmt: str) -> str:
+def render(table: Table, fmt: str) -> bytes:
+    """The table in ``fmt`` ("csv" or "json") as the UTF-8 bytes a file
+    receives; :func:`to_csv` and :func:`to_json` give the same text as
+    str."""
     if fmt == "csv":
-        return to_csv(table)
+        return b"".join([",".join(table.columns).encode(), b"\n",
+                         *_body(table, b"", b",", b"\n", quote=False)])
     if fmt == "json":
-        return to_json(table)
+        rows = _body(table, b" [", b", ", b"],\n", quote=True)
+        if rows:
+            rows[-1] = rows[-1][:-2]  # no comma after the last row
+        head = (f'{{"schema": 1,\n "columns": {json.dumps(table.columns)},'
+                '\n "rows": [\n')
+        return b"".join([head.encode(), *rows, b"\n]}\n"])
     raise ValueError(f"unknown format {fmt!r} (expected csv or json)")

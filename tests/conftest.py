@@ -75,9 +75,9 @@ def cli_tables_match_reference():
     render = kerrcav.cli.render
 
     def checked(table, fmt):
-        text = render(table, fmt)
-        assert text == reference_render(table, fmt)
-        return text
+        data = render(table, fmt)
+        assert data == reference_render(table, fmt).encode()
+        return data
 
     kerrcav.cli.render = checked
     yield

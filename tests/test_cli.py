@@ -328,6 +328,60 @@ def test_deeply_nested_config_is_config_error(tmp_path, capsys, command):
     assert captured.out == ""
 
 
+@pytest.mark.parametrize("command", ["steady-sweep", "fit"])
+@pytest.mark.parametrize("head, tail", [
+    (b"[", b"]"), (b'{"a": ', b"}"), (b'[{"a": ', b"}]")])
+def test_deeply_nested_config_exits_without_crashing(tmp_path, command, head,
+                                                     tail):
+    """A config nested 200,000 deep (lists, objects or both) would overflow
+    orjson 3.8's stack; it is read by json instead and exits 2 naming the
+    file (run apart, so a crash fails only this test)."""
+    deep = tmp_path / "deep.json"
+    deep.write_bytes(head * 200_000 + b"1" + tail * 200_000)
+    src = os.path.join(os.path.dirname(__file__), os.pardir, "src")
+    env = dict(os.environ, PYTHONPATH=os.path.abspath(src))
+    out = subprocess.run(
+        [sys.executable, "-m", "kerrcav.cli", command, "--config", str(deep)],
+        env=env, capture_output=True, text=True)
+    assert out.returncode == 2
+    assert out.stderr == f"error: config file {deep}: nested too deeply\n"
+    assert out.stdout == ""
+
+
+def test_integer_past_two_to_the_64_reads_as_a_float(tmp_path, capsys):
+    """orjson reads an integer literal past 2^64 as the nearest double, so
+    a grid count of 2^64 + 1 is not an integer (json kept the int, and the
+    grid failed later with NumPy's "Maximum allowed size exceeded")."""
+    cfg = tmp_path / "big.json"
+    cfg.write_text(open(steady_cfg(tmp_path)).read().replace(
+        '"count": 50', '"count": 18446744073709551617'))
+    assert main(["steady-sweep", "--config", str(cfg)]) == 2
+    assert capsys.readouterr().err == (
+        "error: config field 'drive.omega_p.count': expected an integer, "
+        "got 1.8446744073709552e+19\n")
+
+
+@pytest.mark.parametrize("fmt", ["csv", "json"])
+@pytest.mark.parametrize("command", [
+    "steady-sweep", "gain-sweep", "squeeze-sweep", "critical"])
+def test_stdout_matches_the_out_file(tmp_path, capsys, command, fmt):
+    """A table written to stdout (a text write) has the bytes of the
+    --out file (a binary write)."""
+    cfg = write_json(tmp_path / "cfg.json", {
+        "schema": 1, "device": dict(DEVICE),
+        "drive": {"omega_p": {"start": 0.95, "stop": 1.0, "count": 700},
+                  "b1_in": [{"times_critical": 0.5},
+                            {"times_critical": 2.0}]},
+        "offsets": [0.0, 1e-3], "pump_fractions": [0.0, 0.5, 0.99]})
+    out = tmp_path / f"table.{fmt}"
+    argv = [command, "--config", cfg, "--format", fmt]
+    assert main(argv) == 0
+    printed = capsys.readouterr().out
+    assert main(argv + ["--out", str(out)]) == 0
+    assert capsys.readouterr().out == ""
+    assert printed.encode() == out.read_bytes()
+
+
 def negative_loss_profile(tmp_path, r0, dr):
     """The uniform test profile with every R0 and dR sample replaced."""
     payload = json.loads(open(profile_file(tmp_path)).read())
@@ -651,8 +705,9 @@ def test_cli_import_loads_no_scipy():
 
 
 def test_cli_import_loads_no_orjson():
-    """orjson is imported when a profile is read, so the sweeps, critical
-    and fit do not pay its start-up cost."""
+    """Importing the CLI loads no orjson: it is imported when the first
+    file is read (any config, fit or profile), so `--help` and a parser
+    error do not pay its start-up cost."""
     src = os.path.join(os.path.dirname(__file__), os.pardir, "src")
     env = dict(os.environ, PYTHONPATH=os.path.abspath(src))
     out = subprocess.run(

@@ -10,7 +10,7 @@ import pytest
 from kerrcav import (LineProfile, ModeSolution, ResolutionError, SameModeError,
                      cross_kerr, derive_device, load_profile,
                      mode_coefficients, solve_mode, solve_modes)
-from kerrcav.stripline import _decode
+from kerrcav.jsonfile import read_json
 from conftest import make_uniform_profile
 from oracles import line_eigenvalue
 
@@ -428,6 +428,27 @@ def test_load_profile_matches_the_stdlib_decoder(tmp_path):
         as_bits([expected["l"], expected["I_c"], expected["hbar"]]).tolist()
 
 
+def test_profile_integers_load_to_the_stdlib_bits(tmp_path):
+    """Integer cells at 2^53 + 1, 2^63, 2^64 - 1, past 2^64 and below -2^63
+    load to the float64 bits of np.array(json.loads(...), dtype=float)."""
+    import orjson
+
+    n = 32
+    cells = [2**53 + 1, 2**63, 2**64 - 1, 2**64 + 1, -(2**63) - 1, -0, 7, -7]
+    payload = {"l": 1.0, "I_c": 1.0, "hbar": 1.0, "grid": n,
+               **{k: [1.0] * n for k in ("C", "L0", "R0", "dR")},
+               "dL": cells * (n // len(cells))}
+    text = json.dumps(payload)
+    orjson.loads(text.encode())  # so load_profile does not fall back to json
+    path = tmp_path / "line.json"
+    path.write_text(text)
+    expected = np.array(json.loads(text)["dL"], dtype=float)
+    assert expected[0] == 2.0**53 and expected[2] == 2.0**64
+    assert read_json(path, "profile", ("dL",))["dL"].dtype == np.float64
+    assert np.array_equal(load_profile(path).dL.view(np.uint64),
+                          expected.view(np.uint64))
+
+
 @pytest.mark.parametrize("text", [
     '{"C": 1, "L0": [2], "C": [3]}',       # a repeated key moves an array
     '{"C": [1], "L0": [2], "C": [3]}',
@@ -445,7 +466,7 @@ def test_decode_matches_json_on_any_layout(tmp_path, text):
     decoder returns what json.loads does, key order included."""
     path = tmp_path / "doc.json"
     path.write_text(text)
-    decoded, expected = _decode(path), json.loads(text)
+    decoded, expected = read_json(path, "profile"), json.loads(text)
     assert json.dumps(decoded) == json.dumps(expected)
     if isinstance(expected, dict):
         assert list(decoded) == list(expected)

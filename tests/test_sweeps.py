@@ -12,6 +12,7 @@ import kerrcav
 from kerrcav import (ConfigError, PumpDrive, critical_point,
                      intermodulation_gain, lo_phase_extrema, load_config,
                      parametric_gain, reflection_coefficient, to_csv, to_json)
+from kerrcav.sweeps import read_config_file
 from conftest import float_bits, make_uniform_profile
 from oracles import reference_csv, reference_json, scalar_steady_states
 
@@ -171,6 +172,99 @@ def test_config_rejects_non_finite_offsets_and_fractions():
     for key in ("offsets", "pump_fractions"):
         with pytest.raises(ConfigError, match=rf"{key}\[1\]"):
             load_config({**cfg, key: [0.0, math.inf]})
+
+
+# ------------------------------------------------------------ config decoding
+
+def json_bits(value):
+    """A comparable key for a decoded JSON value: each number by its type
+    and (floats) IEEE bits, objects as their (key, value) pairs in order."""
+    if isinstance(value, dict):
+        return "dict", tuple((k, json_bits(v)) for k, v in value.items())
+    if isinstance(value, list):
+        return "list", tuple(map(json_bits, value))
+    return type(value).__name__, float_bits(value)
+
+
+# each document holds the same numbers top-level, where orjson reads its
+# arrays one at a time, and nested, where it reads the document whole
+DECODED_ALIKE = {
+    "duplicate keys": '{"a": [1], "b": 2, "a": [3.5], "c": {"d": 1, "d": 2}}',
+    "negative zero": '{"a": -0, "b": [-0, -0.0, 0.0, 0], "c": -0.0}',
+    "subnormals": '{"a": [5e-324, 2.4703282292062328e-324, 1e-320, '
+                  '-1e-310, 2.2250738585072009e-308, 2.225073858507201e-308],'
+                  ' "b": 3e-324}',
+    "integers": '{"a": [9007199254740993, 9223372036854775808, '
+                '18446744073709551615, -9223372036854775808], '
+                '"b": 18446744073709551615, "c": 9007199254740993}',
+    "escaped strings": r'{"s": "a\"b\\c\/d\b\f\n\r\té😀 [x] {y}",'
+                       r' "t": ["A", "é", "\u0000"]}',
+}
+
+
+@pytest.mark.parametrize("nested", [False, True], ids=["top", "nested"])
+@pytest.mark.parametrize("name", DECODED_ALIKE)
+def test_read_config_file_matches_json(tmp_path, name, nested):
+    """orjson reads these documents (no fallback to json) to what json.load
+    gives: the same values, types, float bits and key order."""
+    import orjson
+
+    text = DECODED_ALIKE[name]
+    if nested:
+        text = f'{{"o": {text}, "p": [{text}]}}'
+    path = tmp_path / "cfg.json"
+    path.write_bytes(text.encode())
+    orjson.loads(text.encode())
+    with open(path, encoding="utf-8") as fh:
+        expected = json.load(fh)
+    assert json_bits(read_config_file(path)) == json_bits(expected)
+
+
+@pytest.mark.parametrize("text", [
+    '{"a": [NaN, Infinity, -Infinity, 1e400, -1e400], "b": NaN}',
+    '{"a": 1e400, "b": {"c": [-Infinity]}}',
+    '{"s": "\\ud800"}',
+    '{"a": ' + '1' + '0' * 400 + '}',
+])
+def test_read_config_file_reads_what_orjson_refuses_by_json(tmp_path, text):
+    """NaN, Infinity, a number past float range and a lone surrogate load
+    as json loads them."""
+    path = tmp_path / "cfg.json"
+    path.write_text(text, encoding="utf-8")
+    assert json_bits(read_config_file(path)) == json_bits(json.loads(text))
+
+
+@pytest.mark.parametrize("data", [
+    b'\xef\xbb\xbf{"schema": 1}',
+    b'{"schema": 1,\r\n "offsets": [0.0, 1e-3,\r\n]}',
+    b'{"schema": 1, "device": }',
+])
+def test_read_config_file_reports_json_errors_as_json(tmp_path, data):
+    """A byte-order mark, a trailing comma after CRLF line ends and a
+    missing value are reported with json's message, line, column and
+    offset."""
+    path = tmp_path / "cfg.json"
+    path.write_bytes(data)
+    with pytest.raises(json.JSONDecodeError) as expected:
+        with open(path, encoding="utf-8") as fh:
+            json.load(fh)
+    with pytest.raises(json.JSONDecodeError) as got:
+        read_config_file(path)
+    assert (got.value.msg, got.value.lineno, got.value.colno, got.value.pos) \
+        == (expected.value.msg, expected.value.lineno, expected.value.colno,
+            expected.value.pos)
+
+
+def test_read_config_file_reads_integers_past_two_to_the_64_as_floats(
+        tmp_path):
+    """The one documented difference from json: orjson reads an integer
+    outside [-2^63, 2^64) as the nearest double, where json keeps the
+    int."""
+    path = tmp_path / "cfg.json"
+    path.write_text('{"a": 18446744073709551617, "b": -9223372036854775809,'
+                    ' "c": 18446744073709551615}')
+    assert json_bits(read_config_file(path)) == json_bits(
+        {"a": 2.0**64, "b": -(2.0**63), "c": 2**64 - 1})
 
 
 # --------------------------------------------------------------- steady sweep

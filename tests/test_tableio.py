@@ -81,8 +81,8 @@ def test_json_rejects_unknown_schema():
 
 def test_render_dispatch():
     table = sample_table()
-    assert render(table, "csv") == to_csv(table)
-    assert render(table, "json") == to_json(table)
+    assert render(table, "csv") == to_csv(table).encode()
+    assert render(table, "json") == to_json(table).encode()
     with pytest.raises(ValueError):
         render(table, "yaml")
 
