@@ -1,15 +1,17 @@
 """Python's float and complex arithmetic on NumPy arrays, bit for bit.
 
-The batched kernels evaluate the formulas of the one-point functions (for
-the pump solve and the steady state, of the scalar reference the tests
-keep) over whole arrays and must give the same bits.  Both paths write
-powers 2 and 3 as products (``x * x``, ``x * x * x``, :func:`abs2`), and
-``np.cos`` and ``np.sin`` equal ``math.cos`` and ``math.sin``; only atan2
-goes through ``math`` elementwise (:func:`phase`).  NumPy's complex
-multiply and divide round differently from CPython's, so complex numbers
-are carried as (real, imaginary) pairs of float arrays, combined in the
-order CPython's complex arithmetic uses.  A float operand of a complex
-operation is the pair (x, 0.0), as CPython converts it.
+The batched steady state (:mod:`steady`) evaluates the formulas of the
+scalar reference the tests keep over whole arrays and must give the same
+bits.  Both write powers 2 and 3 as products (``x * x``, ``x * x * x``,
+:func:`abs2`), and ``np.cos`` and ``np.sin`` equal ``math.cos`` and
+``math.sin``; only atan2 goes through ``math`` elementwise (:func:`phase`,
+also the array half of the atan2 that the gains and the homodyne extrema
+share with their float path).  NumPy's complex multiply rounds differently
+from CPython's, so complex numbers are carried as (real, imaginary) pairs
+of float arrays, combined in the order CPython's complex arithmetic uses.
+A float operand of a complex operation is the pair (x, 0.0), as CPython
+converts it.  The small-signal response and the noise need no pairs: they
+are written once in real arithmetic that runs on floats and arrays alike.
 """
 
 import math
@@ -52,26 +54,6 @@ def sub(a, b):
 def mul(a, b):
     """a * b as CPython's complex product rounds it."""
     return a[0] * b[0] - a[1] * b[1], a[0] * b[1] + a[1] * b[0]
-
-
-def div(a, b):
-    """a / b as CPython's complex quotient (Smith's method) forms it.
-
-    NaN where a part of b is NaN; entries with b == 0, where CPython
-    raises, are left to the caller to mask.
-    """
-    (ar, ai), (br, bi) = a, b
-    abs_br, abs_bi = np.abs(br), np.abs(bi)
-    ratio = bi / br
-    denom = br + bi * ratio
-    by_re = ((ar + ai * ratio) / denom, (ai - ar * ratio) / denom)
-    ratio = br / bi
-    denom = br * ratio + bi
-    by_im = ((ar * ratio + ai) / denom, (ai * ratio - ar) / denom)
-    first = abs_br >= abs_bi
-    second = abs_bi >= abs_br
-    return tuple(np.where(first, x, np.where(second, y, np.nan))
-                 for x, y in zip(by_re, by_im))
 
 
 def div_float(a, x):

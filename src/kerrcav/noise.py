@@ -10,22 +10,23 @@ Bath temperatures enter only through the dimensionless ratios
 theta_i = hbar*omega_p / (k_B * T_i); theta = inf encodes T = 0.  The bath
 occupation is evaluated at the pump frequency for all offsets, which is
 accurate for offsets small compared to the pump frequency.
-:func:`lo_phase_extrema_array` evaluates the extrema of a whole batch of
-branches in one NumPy pass, bit-identical to :func:`lo_phase_extrema`.
+
+The extrema over the local-oscillator phase are one closed form in the
+resolvent D(omega) of :mod:`smallsignal`, written in real arithmetic that
+runs unchanged on floats and on arrays (:func:`_extrema`), so
+:func:`lo_phase_extrema` and its batch :func:`lo_phase_extrema_array` give
+the same bits by construction.  Neither forms the transfer coefficients.
 """
 
-import cmath
 import math
 from dataclasses import dataclass
 from typing import Callable, Sequence
 
 import numpy as np
 
-from . import floatops as fo
 from .model import DeviceParams, PumpDrive
 from .operating import critical_point
-from .smallsignal import (SingularResponse, transfer_coefficients,
-                          transfer_coefficients_array)
+from .smallsignal import SINGULAR_TOL, _atan2, _hypot, _resolvent
 from .steady import BranchStates, SteadyState, settled_states
 
 
@@ -84,30 +85,65 @@ class SqueezeResult:
     diverged: bool = False
 
 
-def _port_coefficients(params, state, drive, omega):
-    """Signal/conjugate coefficient triples at +omega and -omega."""
-    plus = transfer_coefficients(params, state, drive, omega)
-    minus = transfer_coefficients(params, state, drive, -omega)
-    sig_plus = (plus.refl_signal, plus.loss_signal, plus.tpl_signal)
-    conj_plus = (plus.refl_conj, plus.loss_conj, plus.tpl_conj)
-    sig_minus = (minus.refl_signal, minus.loss_signal, minus.tpl_signal)
-    conj_minus = (minus.refl_conj, minus.loss_conj, minus.tpl_conj)
-    return sig_plus, conj_plus, sig_minus, conj_minus
+def _extrema(params: DeviceParams, energy, delta, phase, omega, occupations,
+             d_re, d_im, d):
+    """(mean, |mod|, arg mod, phi_min, phi_max) of P(phi) = mean + |mod|
+    cos(2 phi + arg mod) at photon number ``energy``, detuning ``delta``,
+    cavity phase ``phase`` and offset ``omega``, from the resolvent D(omega)
+    = d_re + i d_im with |D| = d > 0; runs unchanged on floats and arrays.
 
+    D(-omega) is conj D, and every product of a signal coefficient at
+    +-omega with a conjugate one at -+omega carries the factor v
+    exp(-2i phi1) / |D|^2, v = (iK + gamma3) E exp(-2i phase), in which the
+    port phases cancel.  With the port weights c = (4 gamma1^2, 4 gamma1
+    gamma2, 8 gamma1 gamma3 E), occupations n and z_w(+-omega) = Gamma -
+    i (+-omega + delta + 2 K E), Gamma = gamma + 2 gamma3 E,
 
-def _phase_quadratic(params, state, drive, env, omega):
-    """Decompose P(phi) = mean + Re(mod * exp(2i*phi))."""
-    sig_p, conj_p, sig_m, conj_m = _port_coefficients(params, state, drive, omega)
-    occ = env.occupations()
-    mean = 0.0
-    mod = 0j
-    for i in range(3):
-        n = occ[i]
-        mean += n * (fo.abs2(sig_p[i]) + fo.abs2(conj_m[i]))
-        mean += (n + 1.0) * (fo.abs2(sig_m[i]) + fo.abs2(conj_p[i]))
-        mod += 2.0 * n * sig_p[i] * conj_m[i]
-        mod += 2.0 * (n + 1.0) * sig_m[i] * conj_p[i]
-    return mean, mod
+        mod = 2 v exp(-2i phi1) S / |D|^2,
+        S = 2 gamma1 [(2 n1 + 1) Re D - i Im D]
+            - sum_k c_k [n_k z_w(omega) + (n_k + 1) z_w(-omega)],
+        mean = sum_k n_k |S_k(omega)|^2 + (n_k + 1) |S_k(-omega)|^2
+               + (2 n_k + 1) c_k |v|^2 / |D|^2,
+
+    where |S_1(omega)|^2 = |D - 2 gamma1 z_w(omega)|^2 / |D|^2 and
+    |S_k(omega)|^2 = c_k |z_w(omega)|^2 / |D|^2 for k = 2, 3.  Every
+    component is divided by |D| before it is squared.
+    """
+    n1, n2, n3 = occupations
+    g1 = params.gamma1
+    c1 = 4.0 * g1 * g1
+    c2 = 4.0 * g1 * params.gamma2
+    c3 = 8.0 * g1 * params.gamma3 * energy
+    shift = delta + 2.0 * params.kerr * energy
+    # D, z_w(+omega) and z_w(-omega) over |D|: (dr, di), (zr, zp), (zr, zm)
+    dr = d_re / d
+    di = d_im / d
+    zr = (params.gamma + 2.0 * params.gamma3 * energy) / d
+    zp = -(omega + shift) / d
+    zm = (omega - shift) / d
+    # the weights of z_w(+omega) and z_w(-omega): in |S_2|^2 + |S_3|^2
+    # (tp, tm) and in S (wp, wm)
+    tp = c2 * n2 + c3 * n3
+    tm = c2 * (n2 + 1.0) + c3 * (n3 + 1.0)
+    wp = c1 * n1 + tp
+    wm = c1 * (n1 + 1.0) + tm
+    v = math.hypot(params.kerr, params.gamma3) * energy / d
+    re = dr - 2.0 * g1 * zr
+    im_p = di - 2.0 * g1 * zp
+    im_m = di + 2.0 * g1 * zm
+    zr2 = zr * zr
+    mean = (n1 * (re * re + im_p * im_p)
+            + (n1 + 1.0) * (re * re + im_m * im_m)
+            + tp * (zr2 + zp * zp) + tm * (zr2 + zm * zm)
+            + (wp + wm) * v * v)
+    s_re = 2.0 * g1 * (2.0 * n1 + 1.0) * dr - (wp + wm) * zr
+    s_im = -2.0 * g1 * di - (wp * zp + wm * zm)
+    amp = 2.0 * v * _hypot(s_re, s_im)
+    # the phase of 0 where the modulation vanishes (no pump)
+    arg = (math.atan2(params.kerr, params.gamma3)
+           - 2.0 * (params.phi1 + phase) + _atan2(s_im, s_re)) * (amp > 0.0)
+    phi_max = (-arg / 2.0) % math.pi
+    return mean, amp, arg, (phi_max + math.pi / 2.0) % math.pi, phi_max
 
 
 def lo_phase_extrema(params: DeviceParams, state: SteadyState, drive: PumpDrive,
@@ -116,19 +152,19 @@ def lo_phase_extrema(params: DeviceParams, state: SteadyState, drive: PumpDrive,
 
     P(phi) = mean + |mod| cos(2 phi + arg mod) exactly, because P is a
     quadratic form in exp(i phi); the extremal phases are returned reduced
-    to [0, pi).
+    to [0, pi).  Both are closed forms in the resolvent D (:func:`_extrema`).
     """
-    try:
-        mean, mod = _phase_quadratic(params, state, drive, env, omega)
-    except SingularResponse:
+    delta = drive.detuning(params)
+    d_re, d_im = _resolvent(params, state.energy, delta, omega)
+    d = _hypot(d_re, d_im)
+    if d < SINGULAR_TOL * params.gamma**2:
         return SqueezeResult(
             p_of_phi=lambda phi: math.inf,
             p_min=math.nan, p_max=math.inf,
             phi_min=math.nan, phi_max=math.nan, diverged=True)
-    amp = abs(mod)
-    arg = cmath.phase(mod) if amp > 0.0 else 0.0
-    phi_max = (-arg / 2.0) % math.pi
-    phi_min = (phi_max + math.pi / 2.0) % math.pi
+    mean, amp, arg, phi_min, phi_max = _extrema(
+        params, state.energy, delta, state.phase, omega, env.occupations(),
+        d_re, d_im, d)
 
     def p_of_phi(phi: float, _mean=mean, _amp=amp, _arg=arg) -> float:
         return _mean + _amp * math.cos(2.0 * phi + _arg)
@@ -155,68 +191,39 @@ def lo_phase_extrema_array(params: DeviceParams, states: BranchStates,
     ``omega`` (a scalar or one value per entry), in one pass.
 
     Entry i is bit-identical to ``lo_phase_extrema(params, states.state(i),
-    states.drive(i), env, omega[i])``: the same quadratic form, summed port
-    by port in the same order.
+    states.drive(i), env, omega[i])``: both evaluate :func:`_extrema`.
     """
     omega = np.broadcast_to(np.asarray(omega, dtype=float),
                             states.energy.shape)
-    # column 0 holds the offsets +omega, column 1 -omega
-    resp = transfer_coefficients_array(params, states,
-                                       np.stack([omega, -omega], axis=1))
-    diverged = resp.singular.any(axis=1)
-    ok = ~diverged
-    coefficients = [
-        [getattr(resp, f"{port}_{kind}")[ok, side]
-         for side, kind in ((0, "signal"), (0, "conj"), (1, "signal"),
-                            (1, "conj"))]
-        for port in ("refl", "loss", "tpl")]
+    delta = params.omega0 - states.omega_p
+    d_re, d_im = _resolvent(params, states.energy, delta, omega)
     with np.errstate(all="ignore"):
-        # the quadratic form, summed port by port as _phase_quadratic does
-        mean = 0.0
-        mod = (0.0, 0.0)
-        for n, (sig_p, conj_p, sig_m, conj_m) in zip(env.occupations(),
-                                                     coefficients):
-            mean = mean + n * (fo.abs2(sig_p) + fo.abs2(conj_m))
-            mean = mean + (n + 1.0) * (fo.abs2(sig_m) + fo.abs2(conj_p))
-            mod = fo.add(mod, fo.mul(fo.mul((2.0 * n, 0.0), fo.parts(sig_p)),
-                                     fo.parts(conj_m)))
-            mod = fo.add(mod, fo.mul(fo.mul((2.0 * (n + 1.0), 0.0),
-                                            fo.parts(sig_m)),
-                                     fo.parts(conj_p)))
-        amp = fo.modulus(mod)
-        arg = np.where(amp > 0.0, fo.phase(mod), 0.0)
-        phi_max = np.remainder(-arg / 2.0, math.pi)
-        phi_min = np.remainder(phi_max + math.pi / 2.0, math.pi)
-
-    def spread(values, fill):
-        out = np.full(ok.shape, fill)
-        out[ok] = values
-        return out
-
+        d = _hypot(d_re, d_im)
+        diverged = d < SINGULAR_TOL * params.gamma**2
+        mean, amp, _, phi_min, phi_max = _extrema(
+            params, states.energy, delta, states.phase, omega,
+            env.occupations(), d_re, d_im, d)
     return SqueezeResults(
-        p_min=spread(mean - amp, math.nan), p_max=spread(mean + amp, math.inf),
-        phi_min=spread(phi_min, math.nan), phi_max=spread(phi_max, math.nan),
-        diverged=diverged)
-
-
-@dataclass(frozen=True)
-class SqueezeAtPump:
-    """One row of :func:`squeeze_vs_pump`."""
-
-    fraction: float
-    drive_amplitude: float
-    p_min0: float
-    p_max0: float
-    phi_min: float
-    above_critical: bool
-    diverged: bool
+        p_min=np.where(diverged, math.nan, mean - amp),
+        p_max=np.where(diverged, math.inf, mean + amp),
+        phi_min=np.where(diverged, math.nan, phi_min),
+        phi_max=np.where(diverged, math.nan, phi_max), diverged=diverged)
 
 
 def squeeze_columns(params: DeviceParams, env: ThermalEnv,
                     pump_fractions: Sequence[float],
                     psi1: float = 0.0) -> dict[str, np.ndarray]:
-    """The fields of :func:`squeeze_vs_pump`'s rows as arrays, by name,
-    from one batched pass."""
+    """Zero-offset squeezing extrema versus pump drive, as arrays by name.
+
+    The pump frequency is pinned to the critical value and the drive swept
+    as fractions of the critical amplitude, so the critical point must
+    exist.  Each fraction is solved on its lowest-energy stable branch;
+    ``above_critical`` flags fractions above 1, since the branch choice is
+    then a convention (the fold region covers the critical frequency).
+    The columns are ``fraction``, ``drive_amplitude``, ``p_min0``,
+    ``p_max0``, ``phi_min``, ``above_critical`` and ``diverged``, from one
+    batched pass.
+    """
     crit = critical_point(params)
     if not crit.exists:
         raise ValueError("no critical point: it needs |kerr| > sqrt(3)*gamma3 "
@@ -228,20 +235,3 @@ def squeeze_columns(params: DeviceParams, env: ThermalEnv,
                 p_min0=ext.p_min, p_max0=ext.p_max, phi_min=ext.phi_min,
                 above_critical=fractions > 1.0,
                 diverged=ext.diverged | ~states.stable)
-
-
-def squeeze_vs_pump(params: DeviceParams, env: ThermalEnv,
-                    pump_fractions: Sequence[float],
-                    psi1: float = 0.0) -> list[SqueezeAtPump]:
-    """Zero-offset squeezing extrema versus pump drive.
-
-    The pump frequency is pinned to the critical value and the drive swept
-    as fractions of the critical amplitude, so the critical point must
-    exist.  Each fraction is solved on its lowest-energy stable branch;
-    fractions above 1 are flagged since the branch choice is then a
-    convention (the fold region covers the critical frequency).  All
-    fractions are evaluated in one batched pass.
-    """
-    columns = squeeze_columns(params, env, pump_fractions, psi1)
-    return [SqueezeAtPump(**dict(zip(columns, row))) for row in
-            zip(*(c.tolist() for c in columns.values()))]

@@ -14,10 +14,11 @@ h'(E) of the pump balance h(E) = P (:mod:`steady`), so in closed form
 which vanishes only at marginal operating points, where the gains diverge.
 The power gains are closed forms in D, G_I = 4 gamma1^2 (K^2 + gamma3^2)
 E^2 / |D|^2 and G_S = |D - 2 gamma1 z_w|^2 / |D|^2 with z_w = gamma +
-2 gamma3 E - i (omega + omega0 - omega_p + 2 K E).
-:func:`transfer_coefficients_array` and :func:`gains_array` evaluate a whole
-batch of branches in one NumPy pass, bit-identical to their one-point
-functions.
+2 gamma3 E - i (omega + omega0 - omega_p + 2 K E).  The gains and the
+homodyne extrema (:mod:`noise`) are written once, in real arithmetic that
+runs unchanged on Python floats and on NumPy arrays, so :func:`gains_array`
+is bit-identical to its one-point functions by construction;
+:func:`transfer_coefficients` is the one path for the six coefficients.
 """
 
 import cmath
@@ -98,6 +99,23 @@ def _resolvent(params: DeviceParams, energy, delta, omega):
     slope = _h(energy, delta, params.kerr, params.gamma3, params.gamma)[1]
     return (slope - omega * omega,
             -2.0 * omega * (params.gamma + 2.0 * params.gamma3 * energy))
+
+
+def _hypot(x, y):
+    """The C library's hypot of floats or of arrays: Python's complex abs
+    takes it for floats (``math.hypot`` is another function) and np.hypot
+    for arrays."""
+    if isinstance(x, float):
+        return abs(complex(x, y))
+    return np.hypot(x, y)
+
+
+def _atan2(y, x):
+    """``math.atan2`` of floats, or of 1-D arrays elementwise
+    (``np.arctan2`` differs from it in the last bit on some arguments)."""
+    if isinstance(x, float):
+        return math.atan2(y, x)
+    return fo.phase((x, y))
 
 
 def _gains(params: DeviceParams, energy, delta, omega):
@@ -191,86 +209,10 @@ def gains_array(params: DeviceParams, states: BranchStates, omega):
     """(G_S, G_I): :func:`parametric_gain` and :func:`intermodulation_gain`
     of the entries of ``states`` at the offsets ``omega``, in one pass.
 
-    ``omega`` is shaped as for :func:`transfer_coefficients_array`, and
-    the gains take its shape; inf marks the singular points.
+    ``omega`` is a scalar, one offset per entry (shape (n,)) or several
+    per entry (shape (n, m)); the gains take its shape, and inf marks the
+    singular points.
     """
     omega = np.asarray(omega, dtype=float)
     return _gains(params, _aligned(states.energy, omega),
                   _aligned(params.omega0 - states.omega_p, omega), omega)
-
-
-@dataclass(frozen=True, eq=False)
-class SmallSignalResponses:
-    """:class:`SmallSignalResponse` of each (branch, offset) of a batch, one
-    complex array per field, all of the shape of the offsets.
-
-    ``singular`` marks where :func:`transfer_coefficients` raises
-    :class:`SingularResponse`; the coefficients there are garbage.
-    """
-
-    omega: np.ndarray
-    self_coupling: np.ndarray
-    conj_coupling: np.ndarray
-    refl_signal: np.ndarray
-    refl_conj: np.ndarray
-    loss_signal: np.ndarray
-    loss_conj: np.ndarray
-    tpl_signal: np.ndarray
-    tpl_conj: np.ndarray
-    singular: np.ndarray
-
-
-def transfer_coefficients_array(params: DeviceParams, states: BranchStates,
-                                omega) -> SmallSignalResponses:
-    """:func:`transfer_coefficients` of the entries of ``states`` at the
-    offsets ``omega``, in one pass.
-
-    ``omega`` is a scalar, one offset per entry (shape (n,)) or several
-    per entry (shape (n, m)); the results take its shape.  Each point is
-    bit-identical to ``transfer_coefficients(params, states.state(i),
-    states.drive(i), omega[i, j])``; where that raises
-    :class:`SingularResponse`, ``singular`` is set instead.  The linearized
-    drift and the phase factors are evaluated once per entry.
-    """
-    omega = np.asarray(omega, dtype=float)
-    energy, delta, phase, amp = (_aligned(x, omega) for x in (
-        states.energy, params.omega0 - states.omega_p, states.phase,
-        states.amplitude))
-    g1, g2, g3 = params.gamma1, params.gamma2, params.gamma3
-    p1, p2, p3 = params.phi1, params.phi2, params.phi3
-    s12 = math.sqrt(g1 * g2)
-    s13 = math.sqrt(2.0 * g1 * g3)
-    with np.errstate(all="ignore"):
-        # linearize
-        nonlin = fo.mul(fo.parts(1j * params.kerr + g3), (energy, 0.0))
-        w = fo.add(fo.add(fo.times_1j((delta, 0.0)), (params.gamma, 0.0)),
-                   fo.mul((2.0, 0.0), nonlin))
-        v = fo.mul(nonlin, fo.exp_imag(fo.mul((-0.0, -2.0), (phase, 0.0))))
-
-        d = _resolvent(params, energy, delta, omega)
-        singular = fo.modulus(d) < SINGULAR_TOL * params.gamma**2
-        zw = fo.add(fo.times_minus_1j((omega, 0.0)), (w[0], -w[1]))
-        numerators = dict(
-            refl_signal=fo.sub(d, fo.mul((2.0 * g1, 0.0), zw)),
-            refl_conj=fo.mul(fo.mul((2.0 * g1, 0.0), v),
-                             fo.parts(cmath.exp(-2j * p1))),
-            loss_signal=fo.mul(fo.mul((-2.0 * s12, 0.0), zw),
-                               fo.parts(cmath.exp(-1j * (p1 - p2)))),
-            loss_conj=fo.mul(fo.mul((2.0 * s12, 0.0), v),
-                             fo.parts(cmath.exp(-1j * (p1 + p2)))),
-            tpl_signal=fo.mul(fo.mul((-2.0 * s13 * amp, 0.0), zw),
-                              fo.exp_imag(fo.times_minus_1j(
-                                  ((p1 - phase) - p3, 0.0)))),
-            tpl_conj=fo.mul(fo.mul((2.0 * s13 * amp, 0.0), v),
-                            fo.exp_imag(fo.times_minus_1j(
-                                ((p1 + p3) + phase, 0.0)))))
-        shape = singular.shape
-
-        def full(z):
-            return fo.pack(np.broadcast_to(x, shape) for x in z)
-
-        coefficients = {name: full(fo.div(numerator, d))
-                        for name, numerator in numerators.items()}
-    return SmallSignalResponses(
-        omega=np.broadcast_to(omega, shape), self_coupling=full(w),
-        conj_coupling=full(v), singular=singular, **coefficients)

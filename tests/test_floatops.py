@@ -1,4 +1,5 @@
-"""The NumPy ufuncs the batched kernels share with the one-point code."""
+"""The NumPy ufuncs the batched steady state shares with the one-point
+code."""
 
 import math
 
@@ -6,9 +7,9 @@ import numpy as np
 
 
 def test_numpy_cos_sin_match_math():
-    """The kernels take np.cos and np.sin where the one-point code takes
-    math.cos/math.sin (or cmath.exp, which calls them), on the phases of the
-    steady state and the transfer coefficients.  The angles are uniform on
+    """The batched steady state takes np.cos and np.sin where the scalar
+    reference takes math.cos/math.sin (or cmath.exp, which calls them), on
+    the phase factor of the reflected field.  The angles are uniform on
     [-4 pi/3, pi/3], [-4 pi, 4 pi] and [-1e3, 1e3], the multiples of pi/24
     up to 8 pi/3, and signed zero and tiny angles.  Should a platform's
     NumPy round them otherwise, the bit-equality tests between the paths

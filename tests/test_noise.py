@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 from conftest import float_bits
 from kerrcav import (DeviceParams, PumpDrive, ThermalEnv, branch_states,
                      critical_point, lo_phase_extrema, lo_phase_extrema_array,
-                     squeeze_vs_pump, steady_states, thermal_occupation)
+                     squeeze_columns, steady_states, thermal_occupation)
 from oracles import noise_power, scan_phase_extrema
 from test_steady import device_and_drives
 
@@ -201,27 +201,27 @@ def test_two_photon_optimum_energy():
 def test_squeeze_vs_pump_lossless_reaches_zero():
     params = DeviceParams(omega0=1.0, kerr=5.0, gamma1=1e-4, gamma2=0.0,
                           gamma3=0.0)
-    rows = squeeze_vs_pump(params, COLD, [0.0, 0.5, 0.9, 0.999])
-    assert rows[0].p_min0 == pytest.approx(1.0, abs=1e-12)
-    mins = [r.p_min0 for r in rows]
+    columns = squeeze_columns(params, COLD, [0.0, 0.5, 0.9, 0.999])
+    mins = columns["p_min0"]
+    assert mins[0] == pytest.approx(1.0, abs=1e-12)
     assert all(b < a for a, b in zip(mins, mins[1:]))
     assert mins[-1] < 1e-2
-    assert not any(r.above_critical for r in rows)
+    assert not columns["above_critical"].any()
 
 
 def test_squeeze_vs_pump_linear_loss_floor():
     params = DeviceParams(omega0=1.0, kerr=5.0, gamma1=1e-4, gamma2=5e-4,
                           gamma3=0.0)
-    rows = squeeze_vs_pump(params, COLD, list(np.linspace(0.05, 0.999, 30)))
-    assert all(r.p_min0 > 0.2 for r in rows)
+    columns = squeeze_columns(params, COLD, list(np.linspace(0.05, 0.999, 30)))
+    assert np.all(columns["p_min0"] > 0.2)
 
 
 def test_squeeze_vs_pump_nonlinear_loss_floor():
     kerr = 5.0
     params = DeviceParams(omega0=1.0, kerr=kerr, gamma1=1e-4, gamma2=0.0,
                           gamma3=0.5 * kerr / SQRT3)
-    rows = squeeze_vs_pump(params, COLD, list(np.linspace(0.05, 0.999, 20)))
-    assert all(r.p_min0 > 0.05 for r in rows)
+    columns = squeeze_columns(params, COLD, list(np.linspace(0.05, 0.999, 20)))
+    assert np.all(columns["p_min0"] > 0.05)
 
 
 def test_squeeze_degrades_with_linear_loss():
@@ -230,8 +230,7 @@ def test_squeeze_degrades_with_linear_loss():
     for gamma2 in (0.0, 1e-4, 3e-4, 1e-3):
         params = DeviceParams(omega0=1.0, kerr=base_kerr, gamma1=1e-4,
                               gamma2=gamma2, gamma3=0.0)
-        rows = squeeze_vs_pump(params, COLD, [0.95])
-        mins.append(rows[0].p_min0)
+        mins.append(squeeze_columns(params, COLD, [0.95])["p_min0"][0])
     assert all(b > a - 1e-12 for a, b in zip(mins, mins[1:]))
 
 
@@ -239,7 +238,7 @@ def test_squeeze_vs_pump_requires_critical_point():
     params = DeviceParams(omega0=1.0, kerr=0.0, gamma1=0.01, gamma2=0.0,
                           gamma3=1e-5)
     with pytest.raises(ValueError):
-        squeeze_vs_pump(params, COLD, [0.5])
+        squeeze_columns(params, COLD, [0.5])
 
 
 @pytest.mark.parametrize("kerr, gamma1", [(0.0, 0.01), (-1e-4, 0.0)])
@@ -248,18 +247,68 @@ def test_missing_critical_point_names_both_conditions(kerr, gamma1):
                           gamma3=1e-5)
     with pytest.raises(ValueError, match=r"\|kerr\| > sqrt\(3\)\*gamma3 "
                                          r"and gamma1 > 0"):
-        squeeze_vs_pump(params, COLD, [0.5])
+        squeeze_columns(params, COLD, [0.5])
 
 
 def test_squeeze_vs_pump_flags_above_critical(fig_device):
-    rows = squeeze_vs_pump(fig_device, COLD, [0.5, 1.4])
-    assert not rows[0].above_critical
-    assert rows[1].above_critical
+    columns = squeeze_columns(fig_device, COLD, [0.5, 1.4])
+    assert columns["above_critical"].tolist() == [False, True]
+
+
+# -------------------------------------------- closed form against the oracle
+
+theta = st.one_of(st.just(math.inf), st.floats(0.05, 20.0))
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(device_and_drives(),
+       st.one_of(st.just(COLD), st.builds(ThermalEnv, theta, theta, theta)),
+       st.floats(0.01, 3.0), st.sampled_from([-1.0, 1.0]))
+def test_extrema_match_noise_power_oracle(case, env, offset, sign):
+    """noise_power, summed port by port from the six transfer coefficients
+    at +-omega, takes the closed-form extrema: p_max at phi_max, p_min at
+    phi_min and their mean at phi_max +- pi/4, to 1e-12 max(1, p_max), on
+    every branch at zero offset and at a nonzero one (in units of gamma).
+    Where the extrema diverge the oracle is inf."""
+    params, omega_p, b_in, psi = case
+    states = branch_states(params, omega_p, b_in, psi)
+    for i in range(states.energy.size):
+        state, drive = states.state(i), states.drive(i)
+        for omega in (0.0, sign * offset * params.gamma):
+            ext = lo_phase_extrema(params, state, drive, env, omega)
+            if ext.diverged:
+                assert noise_power(params, state, drive, env, omega,
+                                   0.0) == math.inf
+                continue
+            mean = 0.5 * (ext.p_max + ext.p_min)
+            tol = 1e-12 * max(1.0, ext.p_max)
+            for phi, expected in ((ext.phi_max, ext.p_max),
+                                  (ext.phi_min, ext.p_min),
+                                  (ext.phi_max - math.pi / 4.0, mean),
+                                  (ext.phi_max + math.pi / 4.0, mean)):
+                got = noise_power(params, state, drive, env, omega, phi)
+                assert abs(got - expected) <= tol
+
+
+def test_extrema_diverge_at_critical_point(fig_device):
+    """At the critical point and zero offset the extrema diverge (p_max inf,
+    p_min and the phases NaN) where the oracle is inf; a small offset away
+    they are finite and the oracle takes them."""
+    crit = critical_point(fig_device)
+    states = branch_states(fig_device, crit.omega_p, crit.drive)
+    state, drive = states.state(0), states.drive(0)
+    env = ThermalEnv(theta1=2.0, theta2=0.5)
+    ext = lo_phase_extrema(fig_device, state, drive, env, 0.0)
+    assert ext.diverged and ext.p_max == math.inf
+    assert math.isnan(ext.p_min) and math.isnan(ext.phi_min)
+    assert noise_power(fig_device, state, drive, env, 0.0, 0.3) == math.inf
+    ext = lo_phase_extrema(fig_device, state, drive, env, 1e-3)
+    assert not ext.diverged
+    assert noise_power(fig_device, state, drive, env, 1e-3, ext.phi_min) \
+        == pytest.approx(ext.p_min, abs=1e-12 * ext.p_max)
 
 
 # ----------------------------------------------------------------- batched form
-
-theta = st.one_of(st.just(math.inf), st.floats(0.05, 20.0))
 
 
 @settings(max_examples=60, deadline=None, derandomize=True)
