@@ -3,21 +3,19 @@
 The observables that identify the model are the pump reflection magnitude
 versus pump frequency (optionally at several drive amplitudes: a single
 curve leaves the rates weakly constrained) and, optionally, the zero-offset
-intermodulation gain.  The forward model evaluates the lowest-energy stable
-branch, matching how a slowly swept measurement settles, for all data rows
-in one batched pass (:func:`steady.settled_states`).  The solver is SciPy's
-trust-region least squares (``trf``) on the residual vector, over
-parameters rescaled by the initial guess and bounded to where
-:func:`model.validate` holds, with an analytic Jacobian: the photon number
-on the settled branch solves the pump cubic, so its derivatives follow from
-the implicit function theorem, and both observables are closed forms in it.
-The forward G_I(0) is :func:`smallsignal.gains_array` at zero offset,
-4 gamma1^2 (K^2 + gamma3^2) E^2 / h'(E)^2 since D(0) = h'(E): the formula
-the Jacobian differentiates.
-The Jacobian at a point reuses the settled states of the model evaluation
-there, so ``n_evaluations`` and the evaluation budget count model
-evaluations only; the solver is deterministic, so identical inputs give
-identical fits.
+intermodulation gain.  The forward model (:func:`_model`, shared by the fit
+and the predict functions, so they give the same bits) takes the settled
+photon number E of all data rows in one batched pass (:func:`steady._settle`,
+which builds no record), and both observables are closed forms in E: |r| of
+r = (z - 2 gamma1) / z, and G_I(0) = 4 gamma1^2 (K^2 + gamma3^2) E^2 /
+h'(E)^2 since D(0) = h'(E).  The solver is SciPy's trust-region least
+squares (``trf``) on the residual vector, over parameters rescaled by the
+initial guess and bounded to where :func:`model.validate` holds, with an
+analytic Jacobian of those formulas: E solves the pump cubic, so its
+derivatives follow from the implicit function theorem.  The Jacobian at a
+point reuses the settled energies of the model evaluation there, so
+``n_evaluations`` and the evaluation budget count model evaluations only;
+the solver is deterministic, so identical inputs give identical fits.
 """
 
 import math
@@ -26,8 +24,8 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .model import DeviceParams, validate
-from .smallsignal import gains_array
-from .steady import _h, settled_states
+from .smallsignal import _gains
+from .steady import UndefinedForZeroDrive, _h, _reflection, _rows, _settle
 from .sweeps import ConfigError, _floats, _number, load_device
 
 FREE_NAMES = ("omega0", "kerr", "gamma1", "gamma2", "gamma3")
@@ -109,7 +107,27 @@ class FitResult:
     converged: bool
 
 
-def _scalar_or_array(values, omega_p, b1_in):
+def _model(params: DeviceParams, omega_p, b1_in, n_refl):
+    """(settled E, model values) at the drives (1-D arrays of one length):
+    |reflection| on the first ``n_refl`` rows (UndefinedForZeroDrive if one
+    has zero drive), G_I(0) on the rest."""
+    if np.any(b1_in[:n_refl] == 0.0):
+        raise UndefinedForZeroDrive("reflection coefficient needs b_in > 0")
+    energy = _settle(params, omega_p, b1_in)[0]
+    delta = params.omega0 - omega_p
+    values = _reflection(params, energy[:n_refl], delta[:n_refl])[0]
+    # the gain pass costs tens of microseconds even on no rows
+    if n_refl < energy.size:
+        values = np.concatenate([values, _gains(
+            params, energy[n_refl:], delta[n_refl:], 0.0)[1]])
+    return energy, values
+
+
+def _predict(params, omega_p, b1_in, refl):
+    """:func:`_model` on all rows as one observable, a float for scalar
+    drives."""
+    w, b = _rows(omega_p, b1_in)
+    values = _model(params, w, b, w.size if refl else 0)[1]
     if np.ndim(omega_p) == 0 and np.ndim(b1_in) == 0:
         return float(values[0])
     return values
@@ -119,15 +137,15 @@ def predict_reflection(params: DeviceParams, omega_p, b1_in, psi1=0.0):
     """|reflection| on the lowest-energy stable branch.
 
     ``omega_p`` and ``b1_in`` are scalars or 1-D arrays of one length; an
-    array in gives an array out, scalars a float.
+    array in gives an array out, scalars a float.  |r| = |z - 2 gamma1| /
+    |z| depends on E alone, so the drive phase ``psi1`` does not enter.
 
     Raises
     ------
     UndefinedForZeroDrive
         If any ``b1_in`` is zero.
     """
-    batch = settled_states(params, omega_p, b1_in, psi1)
-    return _scalar_or_array(batch.reflection_magnitude(), omega_p, b1_in)
+    return _predict(params, omega_p, b1_in, True)
 
 
 def predict_gain(params: DeviceParams, omega_p, b1_in, psi1=0.0):
@@ -136,8 +154,7 @@ def predict_gain(params: DeviceParams, omega_p, b1_in, psi1=0.0):
     Takes scalars or arrays as :func:`predict_reflection` does; all drives
     are evaluated in one batched pass.
     """
-    batch = settled_states(params, omega_p, b1_in, psi1)
-    return _scalar_or_array(gains_array(params, batch, 0.0)[1], omega_p, b1_in)
+    return _predict(params, omega_p, b1_in, False)
 
 
 # The partials of (delta, kerr, gamma, gamma3, gamma1) with respect to each
@@ -147,10 +164,12 @@ _PARTIALS = {"omega0": (1, 0, 0, 0, 0), "kerr": (0, 1, 0, 0, 0),
              "gamma3": (0, 0, 0, 1, 0)}
 
 
-def _jacobian(params: DeviceParams, states, free, n_refl) -> np.ndarray:
-    """Derivatives of the model values at the settled ``states`` with
+def _jacobian(params: DeviceParams, energy, omega_p, b_in, free,
+              n_refl) -> np.ndarray:
+    """Derivatives of the model values of :func:`_model` at the settled
+    photon numbers ``energy`` of the drives (``omega_p``, ``b_in``) with
     respect to the ``free`` parameters, one column each: |reflection| on
-    the first ``n_refl`` entries, the zero-offset gain on the rest.
+    the first ``n_refl`` rows, the zero-offset gain on the rest.
 
     The photon number solves h(E) = c3 E^3 + c2 E^2 + c1 E = 2 gamma1 b^2,
     so dE = (d(2 gamma1 b^2) - dh at fixed E) / h'(E).  With A = gamma +
@@ -162,9 +181,9 @@ def _jacobian(params: DeviceParams, states, free, n_refl) -> np.ndarray:
     dd, dk, dg, dg3, dg1 = np.array([_PARTIALS[n] for n in free],
                                     dtype=float).T
     k, g3, g, g1 = params.kerr, params.gamma3, params.gamma, params.gamma1
-    e = states.energy[:, None]
-    b = states.b_in[:, None]
-    delta = (params.omega0 - states.omega_p)[:, None]
+    e = energy[:, None]
+    b = b_in[:, None]
+    delta = (params.omega0 - omega_p)[:, None]
     with np.errstate(all="ignore"):
         c3 = k * k + g3 * g3
         dc3 = 2.0 * (k * dk + g3 * dg3)
@@ -202,8 +221,8 @@ def run_fit(problem: FitProblem, max_evaluations: int = MAX_EVALUATIONS) -> FitR
     """Least-squares fit of the free parameters to the data rows.
 
     Returns the best evaluated parameters with their RMS residual.  The
-    Jacobian is analytic (:func:`_jacobian`) and reuses the settled states
-    of the model evaluation at its point, so ``n_evaluations`` and
+    Jacobian is analytic (:func:`_jacobian`) and reuses the settled
+    energies of the model evaluation at its point, so ``n_evaluations`` and
     ``max_evaluations`` count model evaluations only.  A trial point where
     the model is undefined (a zero drive, an overflow) gets infinite
     residuals, on which the solver shrinks its trust region.  Raises
@@ -222,13 +241,12 @@ def run_fit(problem: FitProblem, max_evaluations: int = MAX_EVALUATIONS) -> FitR
     lo, hi = np.array([problem.search_bounds(n) for n in names]).T / scale
     refl = np.array(problem.refl_data, dtype=float).reshape(-1, 3)
     gain = np.array(problem.gain_data, dtype=float).reshape(-1, 3)
-    rows = np.concatenate([refl, gain])
-    observed = rows[:, 2]
+    omega_p, b1_in, observed = np.concatenate([refl, gain]).T.copy()
     n_refl = len(refl)
     evaluations = 0
     best = FitResult(problem.initial, math.nan, 0, False)
     # the last point where the model was defined, with its parameters and
-    # settled states
+    # settled energies
     last = (None, None, None)
 
     def residuals(z):
@@ -241,13 +259,7 @@ def run_fit(problem: FitProblem, max_evaluations: int = MAX_EVALUATIONS) -> FitR
         r = np.nan
         try:
             if validate(params).ok:
-                states = settled_states(params, rows[:, 0], rows[:, 1],
-                                        problem.psi1)
-                model = states.take(slice(n_refl)).reflection_magnitude()
-                # the gain pass costs tens of microseconds even on no rows
-                if len(gain):
-                    model = np.concatenate([model, gains_array(
-                        params, states.take(slice(n_refl, None)), 0.0)[1]])
+                energy, model = _model(params, omega_p, b1_in, n_refl)
                 r = model - observed
         except (ArithmeticError, ValueError):
             pass
@@ -256,7 +268,7 @@ def run_fit(problem: FitProblem, max_evaluations: int = MAX_EVALUATIONS) -> FitR
                 # the initial guess: no defined point to fall back on
                 raise NonConvergence(replace(best, n_evaluations=evaluations))
             return np.full(observed.size, np.inf)
-        last = (z.copy(), params, states)
+        last = (z.copy(), params, energy)
         rms = math.sqrt(float(np.dot(r, r)) / r.size)
         if not rms >= best.rms_residual:
             best = FitResult(params, rms, evaluations, False)
@@ -265,8 +277,8 @@ def run_fit(problem: FitProblem, max_evaluations: int = MAX_EVALUATIONS) -> FitR
     def jacobian(z):
         # TRF asks for the Jacobian only at the point it evaluated last,
         # and only after accepting it, so the model is defined there
-        point, params, states = last
-        jac = _jacobian(params, states, names, n_refl) * scale
+        point, params, energy = last
+        jac = _jacobian(params, energy, omega_p, b1_in, names, n_refl) * scale
         if not (np.array_equal(point, z) and np.all(np.isfinite(jac))):
             raise NonConvergence(replace(best, n_evaluations=evaluations))
         return jac

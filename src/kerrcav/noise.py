@@ -26,8 +26,9 @@ import numpy as np
 
 from .model import DeviceParams, PumpDrive
 from .operating import critical_point
-from .smallsignal import SINGULAR_TOL, _atan2, _hypot, _resolvent
-from .steady import BranchStates, SteadyState, settled_states
+from .smallsignal import SINGULAR_TOL, _resolvent
+from .steady import (BranchStates, SteadyState, _atan2, _hypot,
+                     settled_states)
 
 
 @dataclass(frozen=True)

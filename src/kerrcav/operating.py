@@ -111,7 +111,10 @@ def instability_locus(params: DeviceParams, drive: PumpDrive):
 
     A drive P within the rounding floor of h at the cusp (the rule
     :mod:`steady` takes for a fold double root) gives the critical point
-    alone.  A drive below it, or a device without a critical point
+    alone, and so does one within that floor of h at both folds of either
+    fold's frequency: the pump solve reports one branch there, as it does
+    where the folds coalesce, so the band it resolves has no width.  A
+    drive below the cusp, or a device without a critical point
     (|kerr| <= sqrt(3)*gamma3 or gamma1 = 0), gives no fold.
 
     Raises
@@ -150,8 +153,26 @@ def instability_locus(params: DeviceParams, drive: PumpDrive):
         near = _fold_root(params, p, 1, far[0],
                           float(_fold_energies_at(params, far[0])[1]),
                           delta_c, far[0])
-    return [(omega0 - delta, e) for delta, e in sorted(
-        (near, far), key=lambda fold: fold[1])]
+        folds = [(omega0 - delta, e) for delta, e in (near, far)]
+        if any(_one_branch_at(params, p, omega_p) for omega_p, _ in folds):
+            return [(crit.omega_p, crit.energy)]
+    return sorted(folds, key=lambda fold: fold[1])
+
+
+def _one_branch_at(params: DeviceParams, p: float, omega_p: float) -> bool:
+    """Whether p is within the rounding floor of h at both folds at pump
+    frequency omega_p (or at the inflection that stands in for them where
+    rounding leaves no fold): where :func:`steady._branch_energies` reports
+    one branch, as it does at the coalesced folds of the critical point."""
+    omega0, k, g3, g = params.omega0, params.kerr, params.gamma3, params.gamma
+    delta = omega0 - omega_p
+    c3 = k * k + g3 * g3
+    c2 = 2.0 * (delta * k + g * g3)
+    disc, e_lo, e_hi = _fold_energies(c3, c2, delta * delta + g * g)
+    if not (c2 < 0.0 and disc > 0.0):
+        e_lo = e_hi = max(-c2 / (3.0 * c3), 0.0)
+    return all(_at_fold(e, _h(e, delta, k, g3, g)[0], omega0, omega_p, p, k,
+                        g3, g) for e in (e_lo, e_hi))
 
 
 def _fold_energies_at(params: DeviceParams, delta: float):

@@ -27,7 +27,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import floatops as fo
 from .model import DeviceParams, PumpDrive
 from .steady import BranchStates, SteadyState, _h
 
@@ -66,14 +65,12 @@ class SmallSignalResponse:
         Equals 1 identically: the output mode keeps the canonical
         commutator.
         """
-        return (
-            fo.abs2(self.refl_signal)
-            + fo.abs2(self.loss_signal)
-            + fo.abs2(self.tpl_signal)
-            - fo.abs2(self.refl_conj)
-            - fo.abs2(self.loss_conj)
-            - fo.abs2(self.tpl_conj)
-        )
+        def abs2(z):
+            return z.real * z.real + z.imag * z.imag
+
+        return (abs2(self.refl_signal) + abs2(self.loss_signal)
+                + abs2(self.tpl_signal) - abs2(self.refl_conj)
+                - abs2(self.loss_conj) - abs2(self.tpl_conj))
 
 
 def linearize(params: DeviceParams, state: SteadyState, drive: PumpDrive):
@@ -99,23 +96,6 @@ def _resolvent(params: DeviceParams, energy, delta, omega):
     slope = _h(energy, delta, params.kerr, params.gamma3, params.gamma)[1]
     return (slope - omega * omega,
             -2.0 * omega * (params.gamma + 2.0 * params.gamma3 * energy))
-
-
-def _hypot(x, y):
-    """The C library's hypot of floats or of arrays: Python's complex abs
-    takes it for floats (``math.hypot`` is another function) and np.hypot
-    for arrays."""
-    if isinstance(x, float):
-        return abs(complex(x, y))
-    return np.hypot(x, y)
-
-
-def _atan2(y, x):
-    """``math.atan2`` of floats, or of 1-D arrays elementwise
-    (``np.arctan2`` differs from it in the last bit on some arguments)."""
-    if isinstance(x, float):
-        return math.atan2(y, x)
-    return fo.phase((x, y))
 
 
 def _gains(params: DeviceParams, energy, delta, omega):

@@ -14,10 +14,13 @@ middle branch is unstable and the device is bistable.  h rises except
 between its two folds, the roots of the quadratic h', so the branch count
 and a bound on each branch follow in closed form, and Newton steps from
 those bounds reach each root from one side.  Stability of each branch
-follows from the relaxation roots of the linearized dynamics.
+follows from the relaxation roots of the linearized dynamics, and the
+drive balance fixes the cavity phase psi - phi1 + atan2(gamma + gamma3 E,
+-(delta + K E)) and the reflection coefficient r = (z - 2 gamma1) / z.
 :func:`branch_states` evaluates every branch of a whole batch of drives in
-one NumPy pass, and :func:`settled_states` picks from it the branch a
-slowly swept drive settles on.  The one-drive functions
+one NumPy pass; :func:`settled_states` picks the branch a slowly swept
+drive settles on by stability alone (:func:`_settle`), then builds the
+record of that branch only.  The one-drive functions
 (:func:`solve_pump_energy`, :func:`steady_state`, :func:`steady_states`,
 :func:`settled_state`) are those kernels for a batch of one.
 """
@@ -27,7 +30,6 @@ from dataclasses import dataclass, fields
 
 import numpy as np
 
-from . import floatops as fo
 from .model import DeviceParams, PumpDrive
 
 # The rounding floor of h(E) - P, in units of h's magnitude: a few ulps.
@@ -105,12 +107,7 @@ def solve_pump_energy(params: DeviceParams, drive: PumpDrive) -> list[float]:
     DegenerateModel
         If gamma1 + gamma2 == 0.
     """
-    if params.gamma <= 0.0:
-        raise DegenerateModel("gamma1 + gamma2 must be > 0")
-    p = 2.0 * params.gamma1 * (drive.amplitude * drive.amplitude)
-    with np.errstate(all="ignore"):
-        energy = _branch_energies(params.omega0, *fo.rows(drive.omega_p, p),
-                                  params.kerr, params.gamma3, params.gamma)[0]
+    energy = _solve(params, *_rows(drive.omega_p, drive.amplitude))[0]
     return energy[~np.isnan(energy)].tolist()
 
 
@@ -126,8 +123,8 @@ def steady_state(params: DeviceParams, drive: PumpDrive, energy: float,
     zero = np.zeros(1, dtype=int)
     # the branch count of a lone root is not known here, and the record
     # drops it
-    return _records(params, *fo.rows(drive.omega_p, drive.amplitude,
-                                     drive.phase, energy),
+    return _records(params, *_rows(drive.omega_p, drive.amplitude,
+                                   drive.phase, energy),
                     zero, zero + branch_index, zero + 1).state(0)
 
 
@@ -188,25 +185,9 @@ class BranchStates:
         )
 
     def reflection(self):
-        """(real, imaginary) parts of :func:`reflection_coefficient` of each
-        entry; every drive must be nonzero."""
-        return fo.div_float(fo.parts(self.reflected), self.b_in)
-
-    def reflection_magnitude(self) -> np.ndarray:
-        """|reflection coefficient| of each entry.
-
-        Raises
-        ------
-        UndefinedForZeroDrive
-            If any incoming pump amplitude is zero.
-        """
-        if np.any(self.b_in == 0.0):
-            raise UndefinedForZeroDrive("reflection coefficient needs b_in > 0")
-        # the signs of zero that the complex quotient adds (its ratio
-        # 0.0 / b_in) do not reach the C library's hypot, which Python's
-        # complex abs takes
-        return np.hypot(self.reflected.real / self.b_in,
-                        self.reflected.imag / self.b_in)
+        """(real, imaginary) parts of reflected / b_in of each entry;
+        every drive must be nonzero."""
+        return self.reflected.real / self.b_in, self.reflected.imag / self.b_in
 
 
 def _h(e, delta, k, g3, g):
@@ -236,11 +217,11 @@ def _at_fold(e, h, omega0, omega_p, p, k, g3, g):
     The floor is FLOOR times h evaluated from its float inputs with every
     term's magnitude, e (|a| (|omega0| + |omega_p| + |K| e) + b^2), so a
     fold that rounding the pump frequency to a float can move onto p
-    counts as on it."""
+    counts as on it.  Runs unchanged on floats and on arrays."""
     a = (omega0 - omega_p) + k * e
     b = g + g3 * e
-    span = np.abs(omega0) + np.abs(omega_p) + np.abs(k) * e
-    return np.abs(h - p) <= FLOOR * (e * (np.abs(a) * span + b * b))
+    span = abs(omega0) + abs(omega_p) + abs(k) * e
+    return abs(h - p) <= FLOOR * (e * (abs(a) * span + b * b))
 
 
 def _newton(e, delta, p, k, g3, g):
@@ -372,6 +353,101 @@ def _branch_energies(omega0, omega_p, p, k, g3, g):
     return out
 
 
+def _rows(*values):
+    """The values as 1-D float arrays of one length; scalars repeat."""
+    arrays = [np.ravel(np.asarray(v, dtype=float)) for v in values]
+    sizes = {a.size for a in arrays} - {1}
+    if len(sizes) > 1:
+        raise ValueError(f"array sizes {sorted(sizes)} differ")
+    n = sizes.pop() if sizes else 1
+    return [a if a.size == n else np.full(n, a[0]) for a in arrays]
+
+
+def _solve(params: DeviceParams, omega_p, b_in):
+    """:func:`_branch_energies` of the drives (1-D arrays of one length).
+
+    Raises
+    ------
+    DegenerateModel
+        If gamma1 + gamma2 == 0.
+    """
+    if params.gamma <= 0.0:
+        raise DegenerateModel("gamma1 + gamma2 must be > 0")
+    with np.errstate(all="ignore"):
+        return _branch_energies(params.omega0, omega_p,
+                                2.0 * params.gamma1 * (b_in * b_in),
+                                params.kerr, params.gamma3, params.gamma)
+
+
+def _hypot(x, y):
+    """The C library's hypot of floats or of arrays: Python's complex abs
+    takes it for floats (``math.hypot`` is another function) and np.hypot
+    for arrays."""
+    if isinstance(x, float):
+        return abs(complex(x, y))
+    return np.hypot(x, y)
+
+
+def _atan2(y, x):
+    """``math.atan2`` of floats, or of 1-D arrays elementwise
+    (``np.arctan2`` differs from it in the last bit on 6-8 % of random
+    arguments)."""
+    if isinstance(x, float):
+        return math.atan2(y, x)
+    return np.fromiter(map(math.atan2, y.tolist(), x.tolist()), float, x.size)
+
+
+def _complex(re, im):
+    """A complex array from its parts, without rounding."""
+    out = np.empty(np.broadcast(re, im).shape, dtype=complex)
+    out.real = re
+    out.imag = im
+    return out
+
+
+def _z(params: DeviceParams, energy, delta):
+    """(Re z, Im z) = (gamma + gamma3 E, delta + K E) at photon number
+    ``energy`` and detuning ``delta`` = omega0 - omega_p."""
+    return params.gamma + params.gamma3 * energy, delta + params.kerr * energy
+
+
+def _reflection(params: DeviceParams, energy, delta):
+    """(|r|, Re r, Im r) of the reflection coefficient r = (z - 2 gamma1)/z
+    = 1 - 2 gamma1 conj(z) / |z|^2, from floats or arrays alike.
+
+    The drive balance E |z|^2 = 2 gamma1 b_in^2 makes r a function of E
+    alone.  |r| is the ratio of the moduli |z - 2 gamma1| / |z|, and the
+    parts are ((a - 2 gamma1) a + b^2, 2 gamma1 b) / |z|^2 with z = a + ib;
+    |z| >= gamma > 0, so |r| <= 1 + 2 gamma1 / gamma <= 3.
+    """
+    a, b = _z(params, energy, delta)
+    u = a - 2.0 * params.gamma1
+    m = a * a + b * b
+    return (_hypot(u, b) / _hypot(a, b), (u * a + b * b) / m,
+            2.0 * params.gamma1 * b / m)
+
+
+def _relaxation(params: DeviceParams, energy, delta):
+    """The relaxation roots base -/+ s as (base, Re s, Im s): s is the
+    square root of the radicand, (sqrt(r), 0) for r >= 0 and (0, sqrt(-r))
+    otherwise, so that underdamped points (a conjugate pair) are
+    representable."""
+    k, g3 = params.kerr, params.gamma3
+    mismatch = delta + 2.0 * k * energy
+    radicand = (k * k + g3 * g3) * energy * energy - mismatch * mismatch
+    root = np.sqrt(np.abs(radicand))
+    real = radicand >= 0.0
+    return (params.gamma + 2.0 * g3 * energy, np.where(real, root, 0.0),
+            np.where(real, 0.0, root))
+
+
+def _stability(params: DeviceParams, slow):
+    """(stable, marginal) from Re lambda_slow: stable needs it > 0 outside
+    the marginal band |Re lambda_slow| <= MARGINAL_TOL gamma."""
+    marginal = np.abs(slow) <= MARGINAL_TOL * params.gamma
+    return (slow > 0.0) & ~marginal, marginal
+
+
 def branch_states(params: DeviceParams, omega_p, b_in,
                   phase=0.0) -> BranchStates:
     """Every steady-state branch at every drive of a batch, in one pass.
@@ -385,14 +461,8 @@ def branch_states(params: DeviceParams, omega_p, b_in,
     DegenerateModel
         If gamma1 + gamma2 == 0.
     """
-    if params.gamma <= 0.0:
-        raise DegenerateModel("gamma1 + gamma2 must be > 0")
-    omega_p, b_in, psi = fo.rows(omega_p, b_in, phase)
-    k, g3, g = params.kerr, params.gamma3, params.gamma
-    with np.errstate(all="ignore"):
-        energy = _branch_energies(params.omega0, omega_p,
-                                  2.0 * params.gamma1 * (b_in * b_in),
-                                  k, g3, g)
+    omega_p, b_in, psi = _rows(omega_p, b_in, phase)
+    energy = _solve(params, omega_p, b_in)
     live = ~np.isnan(energy)
     row, index = np.nonzero(live)
     return _records(params, omega_p[row], b_in[row], psi[row], energy[live],
@@ -404,41 +474,50 @@ def _records(params: DeviceParams, omega_p, b_in, psi, energy, row, index,
     """The record of photon number ``energy`` at drive (``omega_p``,
     ``b_in``, ``psi``), entry by entry; ``row``, ``index`` and
     ``n_branches`` pass through."""
-    k, g3, g = params.kerr, params.gamma3, params.gamma
     e = energy
     with np.errstate(all="ignore"):
         delta = params.omega0 - omega_p
-        # relaxation roots base -/+ sqrt(radicand), a complex root so that
-        # underdamped points (a conjugate pair) are representable: (sqrt(r),
-        # 0) for a radicand r >= 0, else (0, sqrt(-r))
-        mismatch = delta + 2.0 * k * e
-        radicand = (k * k + g3 * g3) * e * e - mismatch * mismatch
-        root = np.sqrt(np.abs(radicand))
-        s = (np.where(radicand >= 0.0, root, 0.0),
-             np.where(radicand >= 0.0, 0.0, root))
-        base = (g + 2.0 * g3 * e, 0.0)
-        lam_slow = fo.sub(base, s)
-        marginal = np.abs(lam_slow[0]) <= MARGINAL_TOL * g
-        stable = (lam_slow[0] > 0.0) & ~marginal
-
+        base, s_re, s_im = _relaxation(params, e, delta)
+        stable, marginal = _stability(params, base - s_re)
         # the phase is 0 where the amplitude is
         amp = np.sqrt(np.maximum(e, 0.0))
-        response = fo.add(
-            fo.mul(fo.add(fo.times_1j((delta, 0.0)), (g, 0.0)), (amp, 0.0)),
-            fo.mul(fo.parts(1j * k + g3), (amp * amp * amp, 0.0)))
-        cavity_phase = np.where(
-            amp == 0.0, 0.0,
-            (psi - params.phi1) + fo.phase(fo.times_1j(response)))
-        turn = fo.times_minus_1j(((params.phi1 + cavity_phase) - psi, 0.0))
-        outgoing = fo.mul(fo.mul(fo.parts(1j * math.sqrt(2.0 * params.gamma1)),
-                                 (amp, 0.0)), fo.exp_imag(turn))
-        reflected = fo.sub((b_in, 0.0), outgoing)
+        a, b = _z(params, e, delta)
+        cavity_phase = np.where(amp == 0.0, 0.0,
+                                (psi - params.phi1) + _atan2(a, -b))
+        _, r_re, r_im = _reflection(params, e, delta)
     return BranchStates(
         row=row, omega_p=omega_p, b_in=b_in, drive_phase=psi,
-        n_branches=n_branches, energy=e, amplitude=amp,
-        phase=cavity_phase, reflected=fo.pack(reflected),
-        lambda_slow=fo.pack(lam_slow), lambda_fast=fo.pack(fo.add(base, s)),
+        n_branches=n_branches, energy=e, amplitude=amp, phase=cavity_phase,
+        reflected=_complex(b_in * r_re, b_in * r_im),
+        lambda_slow=_complex(base - s_re, 0.0 - s_im),
+        lambda_fast=_complex(base + s_re, 0.0 + s_im),
         stable=stable, marginal=marginal, branch_index=index)
+
+
+def _settle(params: DeviceParams, omega_p, b_in):
+    """The settled entry of each drive (1-D arrays of one length), as the
+    arrays (energy, branch index, branch count).
+
+    That is the lowest-energy stable root of :func:`_branch_energies`, or
+    root 0 when none is stable, by the stability test of the record
+    (:func:`_relaxation`, :func:`_stability`); no record is built.
+
+    Raises
+    ------
+    DegenerateModel
+        If gamma1 + gamma2 == 0.
+    """
+    energy = _solve(params, omega_p, b_in)
+    count = 3 - np.isnan(energy).sum(axis=1)
+    if (count == 1).all():
+        # one branch at every drive, as at a fit's sub-critical drives
+        return energy[:, 0], np.zeros(count.size, dtype=int), count
+    with np.errstate(all="ignore"):
+        base, s_re, _ = _relaxation(params, energy,
+                                    (params.omega0 - omega_p)[:, None])
+        # NaN padding is not stable, and argmax of an all-False row is 0
+        index = _stability(params, base - s_re)[0].argmax(axis=1)
+    return energy[np.arange(count.size), index], index, count
 
 
 def settled_states(params: DeviceParams, omega_p, b_in,
@@ -448,22 +527,18 @@ def settled_states(params: DeviceParams, omega_p, b_in,
     That is the lowest-energy stable branch, or the lowest branch when none
     is stable (a marginal or unstable operating point): the entries of
     :func:`branch_states` that hold the first stable branch of each drive,
-    else its branch 0, one per drive.
+    else its branch 0, one per drive.  The branch is chosen by
+    :func:`_settle` before any record is built.
 
     Raises
     ------
     DegenerateModel
         If gamma1 + gamma2 == 0.
     """
-    states = branch_states(params, omega_p, b_in, phase)
-    first = np.flatnonzero(states.branch_index == 0)
-    if first.size == states.energy.size:
-        # one branch at every drive, as at a fit's sub-critical drives
-        return states
-    by_drive = np.zeros((first.size, 3), dtype=bool)
-    by_drive[states.row, states.branch_index] = states.stable
-    # argmax of an all-False row is branch 0
-    return states.take(first + by_drive.argmax(axis=1))
+    omega_p, b_in, psi = _rows(omega_p, b_in, phase)
+    energy, index, count = _settle(params, omega_p, b_in)
+    return _records(params, omega_p, b_in, psi, energy,
+                    np.arange(energy.size), index, count)
 
 
 def settled_state(params: DeviceParams, drive: PumpDrive) -> SteadyState:

@@ -15,13 +15,12 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from . import floatops as fo
 from .jsonfile import read_json
 from .model import DeviceParams, validate
 from .noise import ThermalEnv, squeeze_columns
 from .operating import critical_point
 from .smallsignal import gains_array
-from .steady import branch_states
+from .steady import _atan2, _reflection, branch_states
 from .stripline import (derive_device, load_profile, mode_coefficients,
                         solve_mode)
 from .tableio import Table
@@ -245,18 +244,20 @@ def run_steady_sweep(config: SweepConfig) -> Table:
     """Pump response over the frequency grid, one row per branch.
 
     Multivalued regions appear as several rows at the same frequency; the
-    reflection columns are NaN for rows with zero drive, where the
-    coefficient is undefined.
+    reflection columns are |r| and arg r of the closed form
+    r = (z - 2 gamma1) / z (:func:`steady._reflection`), NaN for rows with
+    zero drive, where the coefficient is undefined.
     """
     if not config.omega_p_grid or not config.amplitudes:
         raise ConfigError("drive", "steady-sweep needs drive.omega_p and drive.b1_in")
     states = _grid_states(config)
     driven = states.b_in > 0.0
-    refl = states.take(driven).reflection()
     mag = np.full(driven.shape, math.nan)
     ang = np.full(driven.shape, math.nan)
-    mag[driven] = fo.modulus(refl)
-    ang[driven] = fo.phase(refl)
+    mag[driven], re, im = _reflection(
+        config.device, states.energy[driven],
+        config.device.omega0 - states.omega_p[driven])
+    ang[driven] = _atan2(im, re)
     return Table.from_columns(STEADY_COLUMNS, [
         states.b_in, states.omega_p, states.branch_index, states.energy,
         states.amplitude, states.phase, mag, ang, states.lambda_slow.real,

@@ -4,7 +4,10 @@ Everything here works from the pump cubic's coefficients or from direct
 scanning only, never from the closed-form operating-point formulas it is
 used to check.  The scalar pump path (``scalar_solve_pump_energy`` through
 ``scalar_steady_states``) is the one-point reference the batched kernels
-are held to bit for bit: plain Python floats and ``cmath``, root by root.
+are held to bit for bit: plain Python floats and ``cmath``, root by root,
+with the record's phase and reflection in the kernels' closed forms.
+``mp_record_errors`` holds those closed forms to the record's definition
+in 50-digit mpmath.
 The row-wise table renderer (``reference_csv``, ``reference_json``) is the
 byte reference for ``tableio``: Python's own formatting, cell by cell.
 ``fold_points_mpmath`` is the 60-digit reference for the fold locus, and
@@ -153,24 +156,39 @@ def scalar_relaxation_roots(params, drive, energy: float):
     return base - s, base + s
 
 
+def scalar_reflection(params, drive, energy: float):
+    """(|r|, Re r, Im r) of r = (z - 2 gamma1) / z at photon number E, in
+    Python floats: |z - 2 gamma1| / |z| through the C library's hypot
+    (complex abs), and the parts ((a - 2 gamma1) a + b^2, 2 gamma1 b) / |z|^2
+    with z = a + ib = (gamma + gamma3 E) + i (delta + K E)."""
+    a = params.gamma + params.gamma3 * energy
+    b = drive.detuning(params) + params.kerr * energy
+    u = a - 2.0 * params.gamma1
+    m = a * a + b * b
+    return (abs(complex(u, b)) / abs(complex(a, b)), (u * a + b * b) / m,
+            2.0 * params.gamma1 * b / m)
+
+
 def scalar_steady_state(params, drive, energy: float,
                         branch_index: int = 0) -> SteadyState:
     """Assemble the full steady-state record for one cubic root.
 
     ``energy`` must be a root returned by :func:`scalar_solve_pump_energy`.
-    The cavity phase is fixed by the drive balance; it is defined as 0 when
-    the amplitude vanishes.
+    The cavity phase psi - phi1 + atan2(gamma + gamma3 E, -(delta + K E))
+    and the reflected pump b_in r are the closed forms of the drive balance
+    (:func:`mp_record_errors` checks them against its definition); the
+    phase is defined as 0 when the amplitude vanishes.
     """
     delta = drive.detuning(params)
     amp = math.sqrt(max(energy, 0.0))
     if amp == 0.0:
         phase = 0.0
     else:
-        response = (1j * delta + params.gamma) * amp \
-            + (1j * params.kerr + params.gamma3) * (amp * amp * amp)
-        phase = drive.phase - params.phi1 + cmath.phase(1j * response)
-    reflected = drive.amplitude - 1j * math.sqrt(2.0 * params.gamma1) * amp \
-        * cmath.exp(-1j * (params.phi1 + phase - drive.phase))
+        phase = (drive.phase - params.phi1) + math.atan2(
+            params.gamma + params.gamma3 * energy,
+            -(delta + params.kerr * energy))
+    _, re, im = scalar_reflection(params, drive, energy)
+    reflected = complex(drive.amplitude * re, drive.amplitude * im)
     lam_slow, lam_fast = scalar_relaxation_roots(params, drive, energy)
     marginal = abs(lam_slow.real) <= MARGINAL_TOL * params.gamma
     stable = lam_slow.real > 0.0 and not marginal
@@ -191,6 +209,40 @@ def scalar_steady_states(params, drive) -> list[SteadyState]:
     """All steady-state branches at this drive, ascending in energy."""
     return [scalar_steady_state(params, drive, e, i)
             for i, e in enumerate(scalar_solve_pump_energy(params, drive))]
+
+
+def mp_record_errors(params, drive, state, dps: int = 50):
+    """|phase - reference| and |reflected - reference| of ``state``.
+
+    The reference record at its photon number E comes from the definition
+    in ``dps``-digit mpmath, with every input the exact value of its float:
+    the phase solves the drive balance as arg(i B z(E)) + psi - phi1 with
+    B = sqrt(max(E, 0)) (0 where B is), and the reflected pump is b - i sqrt(2 gamma1) B
+    exp(-i (phi1 + phase - psi)) at the drive b = sqrt(E |z(E)|^2 /
+    (2 gamma1)) that E balances, scaled by b_in / b.  The two drives differ
+    by the rounding of the root (of a fold double root, by the floor of h
+    within which it is reported).
+    """
+    import mpmath
+
+    with mpmath.workdps(dps):
+        k, g3, g1, g2, omega0, omega_p, b_in, psi, phi1, e = (
+            mpmath.mpf(x) for x in (
+                params.kerr, params.gamma3, params.gamma1, params.gamma2,
+                params.omega0, drive.omega_p, drive.amplitude, drive.phase,
+                params.phi1, state.energy))
+        amp = mpmath.sqrt(max(e, 0))
+        z = (g1 + g2 + g3 * e) + 1j * (omega0 - omega_p + k * e)
+        if amp == 0:
+            phase = mpmath.mpf(0)
+            reflected = b_in
+        else:
+            phase = psi - phi1 + mpmath.arg(1j * amp * z)
+            b = mpmath.sqrt(e / (2 * g1)) * abs(z)
+            reflected = (b - 1j * mpmath.sqrt(2 * g1) * amp * mpmath.exp(
+                -1j * (phi1 + phase - psi))) * b_in / b
+        return (float(abs(mpmath.mpf(state.phase) - phase)),
+                float(abs(mpmath.mpc(state.reflected) - reflected)))
 
 
 # ------------------------------------------------------ residuals and scans

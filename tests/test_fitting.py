@@ -1,4 +1,5 @@
 import dataclasses
+import json
 import math
 
 import numpy as np
@@ -10,12 +11,12 @@ from kerrcav import (ConfigError, DeviceParams, FitProblem, NonConvergence,
                      PumpDrive, UndefinedForZeroDrive, branch_states,
                      critical_point, gains_array, instability_locus,
                      intermodulation_gain, load_fit_problem, predict_gain,
-                     predict_reflection, reflection_coefficient, run_fit,
+                     predict_reflection, run_fit,
                      settled_states, steady_states, transfer_coefficients)
 from kerrcav import fitting, smallsignal
 from kerrcav.sweeps import _number
 from conftest import float_bits
-from oracles import reference_jacobian
+from oracles import reference_jacobian, scalar_reflection
 
 SQRT3 = math.sqrt(3.0)
 
@@ -124,7 +125,7 @@ def test_predict_scalar_input():
         refl = predict_reflection(TRUE, omega_p, amplitude)
         gain = predict_gain(TRUE, omega_p, amplitude)
         assert type(refl) is float and type(gain) is float
-        assert refl == abs(reflection_coefficient(state, drive))
+        assert refl == scalar_reflection(TRUE, drive, state.energy)[0]
         assert gain == intermodulation_gain(TRUE, state, drive, 0.0)
 
 
@@ -137,7 +138,7 @@ def test_predict_array_input():
     assert refl.shape == gain.shape == (23,)
     for i, (w, b) in enumerate(zip(omegas.tolist(), amplitudes.tolist())):
         state, drive = scalar_settled(TRUE, w, b)
-        assert refl[i] == abs(reflection_coefficient(state, drive))
+        assert refl[i] == scalar_reflection(TRUE, drive, state.energy)[0]
         assert gain[i] == intermodulation_gain(TRUE, state, drive, 0.0)
     # one pump frequency broadcasts over the drives
     assert np.array_equal(predict_reflection(TRUE, 0.99, amplitudes),
@@ -208,7 +209,8 @@ def test_jacobian_matches_central_differences(point):
             predict_gain(p, omega_p[n_refl:], b1_in[n_refl:], psi1)])
 
     states = settled_states(params, omega_p, b1_in, psi1)
-    jac = fitting._jacobian(params, states, free, n_refl)
+    jac = fitting._jacobian(params, states.energy, omega_p, b1_in, free,
+                            n_refl)
     scales = np.array([natural_scale(params, name) for name in free])
     compared = np.abs(states.lambda_slow) >= 0.01 * params.gamma
     central = np.empty_like(jac)
@@ -244,7 +246,8 @@ def test_jacobian_bits_match_the_full_width_reference(point, share):
     params, psi1, omega_p, b1_in, free = point
     states = settled_states(params, omega_p, b1_in, psi1)
     n_refl = round(share * omega_p.size)
-    jac = fitting._jacobian(params, states, free, n_refl)
+    jac = fitting._jacobian(params, states.energy, omega_p, b1_in, free,
+                            n_refl)
     reference = reference_jacobian(params, states, free, n_refl)
     assert jac.shape == reference.shape
     assert jac.tobytes() == reference.tobytes()
@@ -256,7 +259,8 @@ def test_jacobian_bits_on_criterion_8_rows():
     states = settled_states(TRUE, *np.array(synth_refl_rows(TRUE, n_points=81))
                             .T[:2])
     for n_refl in (162, 81, 0):
-        jac = fitting._jacobian(TRUE, states, FREE, n_refl)
+        jac = fitting._jacobian(TRUE, states.energy, states.omega_p,
+                                states.b_in, FREE, n_refl)
         reference = reference_jacobian(TRUE, states, FREE, n_refl)
         assert np.all(np.isfinite(jac))
         assert jac.tobytes() == reference.tobytes()
@@ -410,17 +414,18 @@ def test_active_bound_keeps_every_evaluation_valid(monkeypatch):
     assert len(checked) == result.n_evaluations and all(checked)
 
 
-def count_settled_states(monkeypatch, fault):
-    """Route the fit's steady solves through a spy that counts them and
-    lets ``fault(call_number, states)`` raise or replace the states."""
+def count_model_calls(monkeypatch, fault):
+    """Route the fit's model evaluations (one steady solve each) through a
+    spy that counts them and lets ``fault(call_number, (energy, values))``
+    raise or replace what the evaluation returns."""
     calls = []
-    settled = fitting.settled_states
+    model = fitting._model
 
     def spy(*args):
         calls.append(None)
-        return fault(len(calls), settled(*args))
+        return fault(len(calls), model(*args))
 
-    monkeypatch.setattr(fitting, "settled_states", spy)
+    monkeypatch.setattr(fitting, "_model", spy)
     return calls
 
 
@@ -432,12 +437,12 @@ def test_undefined_point_mid_fit(monkeypatch, bad_call):
     Jacobian passes add none."""
     rows = synth_refl_rows(TRUE)
 
-    def fault(call, states):
+    def fault(call, evaluated):
         if call == bad_call:
             raise OverflowError("math range error")
-        return states
+        return evaluated
 
-    calls = count_settled_states(monkeypatch, fault)
+    calls = count_model_calls(monkeypatch, fault)
     problem = FitProblem(initial=guessed(TRUE, 0.15), free=FREE,
                          bounds=BOUNDS, refl_data=rows)
     result = run_fit(problem)
@@ -453,14 +458,13 @@ def test_non_finite_jacobian_mid_fit_stops_the_fit(monkeypatch):
     best fit so far instead of handing the solver a NaN Jacobian."""
     rows = synth_refl_rows(TRUE)
 
-    def fault(call, states):
+    def fault(call, evaluated):
+        energy, values = evaluated
         if call == 3:
-            return dataclasses.replace(states,
-                                       energy=np.full_like(states.energy,
-                                                           np.nan))
-        return states
+            return np.full_like(energy, np.nan), values
+        return evaluated
 
-    calls = count_settled_states(monkeypatch, fault)
+    calls = count_model_calls(monkeypatch, fault)
     problem = FitProblem(initial=guessed(TRUE, 0.15), free=FREE,
                          bounds=BOUNDS, refl_data=rows)
     with pytest.raises(NonConvergence) as excinfo:
@@ -588,3 +592,77 @@ def test_fit_rows_one_pass_matches_cell_by_cell():
         assert float_bits(problem.refl_data) == float_bits(expected)
         assert float_bits(problem.gain_data) == float_bits(expected[:3])
         assert {type(v) for row in problem.refl_data for v in row} == {float}
+
+
+# -------------------------------------------------- bistable fit evaluations
+
+def bistable_rows(params, n_points=40):
+    """Reflection rows at 2x the critical drive across the fold band, where
+    the settled branch jumps, plus gain rows at 0.6x and 2x."""
+    crit = critical_point(params)
+    strong = 2.0 * crit.drive
+    (lo, _), (hi, _) = sorted(instability_locus(
+        params, PumpDrive(omega_p=1.0, amplitude=strong)))
+    omegas = np.linspace(lo - 2.0 * (hi - lo), hi + (hi - lo), n_points)
+    refl = tuple((float(w), strong, predict_reflection(params, float(w),
+                                                       strong))
+                 for w in omegas)
+    gain = tuple((float(w), b, predict_gain(params, float(w), b))
+                 for w in omegas[::5] for b in (0.6 * crit.drive, strong))
+    return refl, gain
+
+
+def test_fit_evaluations_are_the_predict_functions():
+    """Every model evaluation of a fit whose rows span the bistable band
+    gives, bit for bit, predict_reflection on its reflection rows and
+    predict_gain on its gain rows at the evaluated parameters."""
+    refl, gain = bistable_rows(TRUE)
+    seen = []
+    model = fitting._model
+
+    def spy(params, omega_p, b1_in, n_refl):
+        energy, values = model(params, omega_p, b1_in, n_refl)
+        seen.append((params, omega_p.copy(), b1_in.copy(), n_refl, values))
+        return energy, values
+
+    problem = FitProblem(initial=dataclasses.replace(
+        TRUE, kerr=TRUE.kerr * 1.02, gamma3=TRUE.gamma3 * 1.1),
+        free=("kerr", "gamma3"), bounds={}, refl_data=refl, gain_data=gain)
+    try:
+        fitting._model = spy
+        run_fit(problem)
+    finally:
+        fitting._model = model
+    assert len(seen) >= 2
+    counts = branch_states(TRUE, [w for w, _, _ in refl],
+                           [b for _, b, _ in refl]).n_branches
+    assert 3 in counts.tolist()
+    for params, omega_p, b1_in, n_refl, values in seen:
+        expected = np.concatenate([
+            predict_reflection(params, omega_p[:n_refl], b1_in[:n_refl]),
+            predict_gain(params, omega_p[n_refl:], b1_in[n_refl:])])
+        assert values.tobytes() == expected.tobytes()
+
+
+def test_bistable_fit_reruns_byte_identical(tmp_path, capsys):
+    """kerrcav fit on rows across the fold band writes the same bytes on
+    every run, to a file or to standard output."""
+    import kerrcav.cli
+
+    refl, gain = bistable_rows(TRUE)
+    path = tmp_path / "fit.json"
+    path.write_text(json.dumps({"schema": 1, "fit": {
+        "initial": {"omega0": 1.0, "kerr": TRUE.kerr * 1.02,
+                    "gamma1": TRUE.gamma1, "gamma2": TRUE.gamma2,
+                    "gamma3": TRUE.gamma3 * 1.1},
+        "free": ["kerr", "gamma3"], "refl_data": refl, "gain_data": gain}}))
+    outputs = []
+    for run in range(2):
+        out = tmp_path / f"fit.{run}.csv"
+        assert kerrcav.cli.main(["fit", "--config", str(path),
+                                 "--out", str(out)]) == 0
+        outputs.append(out.read_bytes())
+    capsys.readouterr()
+    assert kerrcav.cli.main(["fit", "--config", str(path)]) == 0
+    outputs.append(capsys.readouterr().out.encode())
+    assert outputs[0] == outputs[1] == outputs[2]

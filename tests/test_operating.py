@@ -189,14 +189,25 @@ def test_locus_matches_mpmath_folds(params):
     to 1e-14, and E to 1e-12 relative from 1.0001x critical up.  Closer to
     the cusp E- and E+ lose digits to the cancellation in the discriminant
     of h', measured at up to 5.3e-11 at 1 + 1e-9; the bound there is
-    1e-10."""
+    1e-10.  Where the band is narrower than the rounding floor of h (at
+    1 + 1e-9 on five of these devices, and at 1 + 1e-7 on the gamma3 =
+    0.577|K| one) the pump solve has one branch at both mpmath folds, and
+    the locus reports the critical point alone; from 1 + 1e-5 up it always
+    reports the two folds."""
     crit = critical_point(params)
     for factor in NEAR_CRITICAL + ABOVE_CRITICAL:
         amplitude = factor * crit.drive
         points = instability_locus(params, PumpDrive(omega_p=1.0,
                                                      amplitude=amplitude))
         expected = fold_points_mpmath(params, amplitude)
-        assert len(points) == len(expected) == 2
+        assert len(expected) == 2
+        if len(points) == 1 and factor < NEAR_CRITICAL[2]:
+            assert points == [(crit.omega_p, crit.energy)]
+            states = branch_states(params, [w for w, _ in expected],
+                                   amplitude)
+            assert states.n_branches.tolist() == [1, 1]
+            continue
+        assert len(points) == 2
         e_tol = 1e-12 if factor >= 1.0001 else 1e-10
         for (omega_p, energy), (w, e) in zip(points, expected):
             assert abs(omega_p - w) <= 1e-14 * frequency_scale(params, w)
@@ -225,6 +236,28 @@ def test_branch_count_changes_at_the_locus(params):
     crit = critical_point(params)
     for factor in NEAR_CRITICAL[2:] + ABOVE_CRITICAL:
         assert_branch_counts_change_at_folds(params, factor * crit.drive)
+
+
+def test_locus_and_branch_count_agree_inside_the_rounding_floor():
+    """At 1 + 1e-7 times the critical drive of this device (omega_p near
+    -210) the two folds lie one ulp apart, and the pump solve collapses the
+    band to one branch: P is within the floor of h at both folds there.
+    The locus then reports the critical point alone, where mpmath resolves
+    two folds with three roots between them."""
+    params = DeviceParams(omega0=1.0, kerr=-3.2e-6, gamma1=0.0179,
+                          gamma2=0.0375, gamma3=0.577 * 3.2e-6)
+    crit = critical_point(params)
+    amplitude = (1.0 + 1e-7) * crit.drive
+    points = instability_locus(params, PumpDrive(omega_p=1.0,
+                                                 amplitude=amplitude))
+    assert points == [(crit.omega_p, crit.energy)]
+    expected = fold_points_mpmath(params, amplitude)
+    assert len(expected) == 2
+    omega_p = [w for w, _ in expected] + [crit.omega_p]
+    states = branch_states(params, omega_p, amplitude)
+    assert states.n_branches.tolist() == [1, 1, 1]
+    # a little further from the cusp both sides see the two folds
+    assert_branch_counts_change_at_folds(params, (1.0 + 1e-5) * crit.drive)
 
 
 @pytest.mark.parametrize("params, eps", [

@@ -10,9 +10,12 @@ from conftest import float_bits
 from kerrcav import (DegenerateModel, DeviceParams, PumpDrive,
                      UndefinedForZeroDrive, branch_states, critical_point,
                      cubic_coefficients, instability_locus,
-                     reflection_coefficient, settled_state, settled_states,
+                     predict_reflection, reflection_coefficient,
+                     settled_state, settled_states,
                      solve_pump_energy, steady_state, steady_states)
-from oracles import (scalar_solve_pump_energy, scalar_steady_state,
+from kerrcav.steady import _atan2, _hypot, _rows, _settle
+from oracles import (mp_record_errors, scalar_reflection,
+                     scalar_solve_pump_energy, scalar_steady_state,
                      scalar_steady_states)
 
 SQRT3 = math.sqrt(3.0)
@@ -406,17 +409,44 @@ def device_and_drives(draw):
     return params, omega_p, b_in, draw(st.floats(-3.0, 3.0))
 
 
+EPS = np.finfo(float).eps
+
+
+def assert_record_near_mpmath(params, drive, state):
+    """The phase and the reflected pump of ``state`` against the record
+    that :func:`oracles.mp_record_errors` evaluates from the definition.
+
+    Both closed forms take z(E) = a + ib, whose parts carry an absolute
+    rounding error of about eps (|delta| + |K| E + gamma + gamma3 E); the
+    phase atan2(a, -b) turns it into eps kappa and the reflected pump
+    b_in (1 - 2 gamma1 / z) into less than eps kappa b_in, with kappa =
+    (|delta| + |K| E + gamma + gamma3 E) / |z| >= 1.  The bounds are twice
+    that, plus the phase's sum psi - phi1 + atan2: 2 eps (|psi| + |phi1| +
+    pi + kappa) and 2 eps kappa b_in.  Over this module's draws the worst
+    entries used 0.47 and 0.98 of eps times those scales."""
+    a = params.gamma + params.gamma3 * state.energy
+    delta = params.omega0 - drive.omega_p
+    kappa = (abs(delta) + abs(params.kerr) * state.energy + a) \
+        / math.hypot(a, delta + params.kerr * state.energy)
+    phase_error, reflected_error = mp_record_errors(params, drive, state)
+    assert phase_error <= 2.0 * EPS * (abs(drive.phase) + abs(params.phi1)
+                                       + math.pi + kappa)
+    assert reflected_error <= 2.0 * EPS * kappa * drive.amplitude
+
+
 @settings(max_examples=150, deadline=None, derandomize=True)
 @given(device_and_drives())
 def test_settled_states_match_scalar_path(case):
     """The kernel gives, drive for drive, the scalar reference's branch
-    count, settled branch and |reflection|, bit for bit."""
+    count and settled branch, bit for bit, with its phase and reflected
+    pump within the bounds of :func:`assert_record_near_mpmath`; and
+    predict_reflection gives the scalar closed form |r| of that branch,
+    bit for bit."""
     params, omega_p, b_in, psi = case
     batch = settled_states(params, omega_p, b_in, psi)
     driven = [i for i, b in enumerate(b_in) if b > 0.0]
-    magnitude = dict(zip(driven, settled_states(
-        params, [omega_p[i] for i in driven], [b_in[i] for i in driven],
-        psi).reflection_magnitude()))
+    magnitude = dict(zip(driven, predict_reflection(
+        params, [omega_p[i] for i in driven], [b_in[i] for i in driven])))
     for i, (w, b) in enumerate(zip(omega_p, b_in)):
         drive = PumpDrive(omega_p=w, amplitude=b, phase=psi)
         branches = scalar_steady_states(params, drive)
@@ -424,8 +454,10 @@ def test_settled_states_match_scalar_path(case):
         assert batch.n_branches[i] == len(branches)
         assert batch.state(i) == expected
         assert batch.drive(i) == drive
+        assert_record_near_mpmath(params, drive, batch.state(i))
         if b > 0.0:
-            assert magnitude[i] == abs(reflection_coefficient(expected, drive))
+            assert magnitude[i] == scalar_reflection(params, drive,
+                                                     expected.energy)[0]
 
 
 @settings(max_examples=100, deadline=None, derandomize=True)
@@ -433,7 +465,8 @@ def test_settled_states_match_scalar_path(case):
 def test_branch_states_match_scalar_path(case):
     """Every branch of every drive, bit for bit (the sign of zero included):
     the same entries, in order, as the scalar reference drive by drive, and
-    the same reflection coefficient."""
+    the same reflection coefficient; the phase and the reflected pump also
+    within the bounds of :func:`assert_record_near_mpmath`."""
     params, omega_p, b_in, psi = case
     batch = branch_states(params, omega_p, b_in, psi)
     with np.errstate(divide="ignore", invalid="ignore"):
@@ -448,6 +481,7 @@ def test_branch_states_match_scalar_path(case):
         assert (batch.row[j], batch.n_branches[j]) == (i, count)
         assert batch.drive(j) == drive
         assert float_bits(batch.state(j)) == float_bits(state)
+        assert_record_near_mpmath(params, drive, batch.state(j))
         if drive.amplitude > 0.0:
             assert float_bits(complex(re[j], im[j])) == float_bits(
                 reflection_coefficient(state, drive))
@@ -458,7 +492,10 @@ def test_branch_states_match_scalar_path(case):
 def test_steady_state_matches_scalar_record(case):
     """steady_state, the kernels' record for one entry, is the scalar
     reference's record bit for bit: at every branch energy of every drive,
-    at E = 0, and at the fold points of each drive amplitude."""
+    at E = 0, and at the fold points of each drive amplitude.  Its phase
+    and reflected pump are within the bounds of
+    :func:`assert_record_near_mpmath` except at E = 0 under a nonzero
+    drive, which balances no drive and so has no reference record."""
     params, omega_p, b_in, psi = case
     for w, b in zip(omega_p, b_in):
         drive = PumpDrive(omega_p=w, amplitude=b, phase=psi)
@@ -468,5 +505,94 @@ def test_steady_state_matches_scalar_record(case):
         points.extend((PumpDrive(omega_p=fold, amplitude=b, phase=psi), e, 1)
                       for fold, e in instability_locus(params, drive))
         for at, e, i in points:
-            assert float_bits(steady_state(params, at, e, i)) == float_bits(
+            state = steady_state(params, at, e, i)
+            assert float_bits(state) == float_bits(
                 scalar_steady_state(params, at, e, i))
+            if e > 0.0 or at.amplitude == 0.0:
+                assert_record_near_mpmath(params, at, state)
+
+
+# ------------------------------------------------------ settled-entry kernel
+
+def assert_settle_picks_settled_entry(params, omega_p, b_in, psi):
+    """steady._settle, which builds no record, picks at each drive the
+    entry a slowly swept drive settles on: the first stable branch of
+    branch_states, else branch 0.  Its energy bits, branch index and branch
+    count are those of that entry and of settled_states.  Returns the
+    branch counts and whether any settled entry is marginal."""
+    energy, index, count = _settle(params, np.array(omega_p, dtype=float),
+                                   np.array(b_in, dtype=float))
+    batch = settled_states(params, omega_p, b_in, psi)
+    branches = branch_states(params, omega_p, b_in, psi)
+    for i in range(len(omega_p)):
+        entries = np.flatnonzero(branches.row == i)
+        stable = entries[branches.stable[entries]]
+        j = stable[0] if stable.size else entries[0]
+        assert float_bits(float(energy[i])) == float_bits(
+            float(branches.energy[j])) == float_bits(float(batch.energy[i]))
+        assert index[i] == branches.branch_index[j] == batch.branch_index[i]
+        assert count[i] == branches.n_branches[j] == batch.n_branches[i]
+    return set(count.tolist()), bool(batch.marginal.any())
+
+
+@settings(max_examples=150, deadline=None, derandomize=True)
+@given(device_and_drives())
+def test_settle_kernel_matches_settled_states(case):
+    """On random devices, with drives from zero through the critical point
+    and a fold point to 20x critical, inside and outside the fold band."""
+    assert_settle_picks_settled_entry(*case)
+
+
+def test_settle_kernel_on_every_branch_count(fig_device):
+    """Rows with one branch (below and at the critical drive, where the
+    settled entry is marginal), two (a fold double root) and three (inside
+    the fold band), in one batch and drive by drive."""
+    crit = critical_point(fig_device)
+    amplitude = 2.0 * crit.drive
+    (lo, _), (hi, _) = sorted(instability_locus(
+        fig_device, PumpDrive(omega_p=1.0, amplitude=amplitude)))
+    omega_p = [crit.omega_p, crit.omega_p, lo, hi, 0.5 * (lo + hi),
+               0.25 * lo + 0.75 * hi, hi + 0.01]
+    b_in = [0.5 * crit.drive, crit.drive] + [amplitude] * 5
+    counts, marginal = assert_settle_picks_settled_entry(
+        fig_device, omega_p, b_in, 0.3)
+    assert counts == {1, 2, 3} and marginal
+    for w, b in zip(omega_p, b_in):
+        assert_settle_picks_settled_entry(fig_device, [w], [b], 0.3)
+
+
+# ------------------------------------------------- real-arithmetic helpers
+
+def test_atan2_is_math_atan2_on_floats_and_arrays():
+    """steady._atan2 takes math.atan2 for floats and elementwise for
+    arrays, with the signs of zero and the infinities (np.arctan2 differs
+    from it in the last bit on some arguments)."""
+    rng = np.random.default_rng(2024)
+    special = [0.0, -0.0, 5e-324, -1.0, 1.0, math.inf, -math.inf, 1e300]
+    y = np.concatenate([rng.normal(size=2000) * 10.0 ** rng.uniform(
+        -8, 8, 2000), np.repeat(special, len(special))])
+    x = np.concatenate([rng.normal(size=2000) * 10.0 ** rng.uniform(
+        -8, 8, 2000), np.tile(special, len(special))])
+    expected = [math.atan2(a, b) for a, b in zip(y.tolist(), x.tolist())]
+    assert float_bits(_atan2(y, x).tolist()) == float_bits(expected)
+    assert float_bits([_atan2(a, b) for a, b in zip(
+        y.tolist(), x.tolist())]) == float_bits(expected)
+
+
+def test_hypot_is_one_function_on_floats_and_arrays():
+    """steady._hypot of floats (Python's complex abs) and of arrays
+    (np.hypot) is the C library's hypot: the same bits."""
+    rng = np.random.default_rng(7)
+    x = rng.normal(size=5000) * 10.0 ** rng.uniform(-200, 200, 5000)
+    y = rng.normal(size=5000) * 10.0 ** rng.uniform(-200, 200, 5000)
+    assert float_bits(_hypot(x, y).tolist()) == float_bits(
+        [_hypot(a, b) for a, b in zip(x.tolist(), y.tolist())])
+
+
+def test_rows_repeat_scalars_and_reject_other_sizes():
+    w, b, psi = _rows([0.9, 1.0, 1.1], 0.5, [0.0])
+    assert [a.tolist() for a in (w, b, psi)] == [
+        [0.9, 1.0, 1.1], [0.5] * 3, [0.0] * 3]
+    assert all(a.dtype == float for a in (w, b, psi))
+    with pytest.raises(ValueError, match="sizes"):
+        _rows([0.9, 1.0], [0.5, 0.6, 0.7])

@@ -1,4 +1,3 @@
-import cmath
 import functools
 import json
 import math
@@ -11,10 +10,11 @@ from hypothesis import strategies as st
 import kerrcav
 from kerrcav import (ConfigError, PumpDrive, critical_point,
                      intermodulation_gain, lo_phase_extrema, load_config,
-                     parametric_gain, reflection_coefficient, to_csv, to_json)
+                     parametric_gain, to_csv, to_json)
 from kerrcav.sweeps import read_config_file
 from conftest import float_bits, make_uniform_profile
-from oracles import reference_csv, reference_json, scalar_steady_states
+from oracles import (reference_csv, reference_json, scalar_reflection,
+                     scalar_steady_states)
 
 
 def bytes_checked(run):
@@ -430,8 +430,9 @@ def scalar_steady_rows(config):
             for state in scalar_steady_states(config.device, drive):
                 mag = ang = math.nan
                 if amp > 0.0:
-                    refl = reflection_coefficient(state, drive)
-                    mag, ang = abs(refl), cmath.phase(refl)
+                    mag, re, im = scalar_reflection(config.device, drive,
+                                                    state.energy)
+                    ang = math.atan2(im, re)
                 yield [amp, omega_p, state.branch_index, state.energy,
                        state.amplitude, state.phase, mag, ang,
                        state.lambda_slow.real, state.lambda_slow.imag,
