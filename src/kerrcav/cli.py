@@ -127,12 +127,11 @@ def main(argv=None) -> int:
 
 
 def _fit_table(fit) -> Table:
-    table = Table(["omega0", "kerr", "gamma1", "gamma2", "gamma3",
-                   "rms_residual", "n_evaluations", "converged"])
     p = fit.params
-    table.append(p.omega0, p.kerr, p.gamma1, p.gamma2, p.gamma3,
-                 fit.rms_residual, fit.n_evaluations, fit.converged)
-    return table
+    return Table(["omega0", "kerr", "gamma1", "gamma2", "gamma3",
+                  "rms_residual", "n_evaluations", "converged"],
+                 [(p.omega0, p.kerr, p.gamma1, p.gamma2, p.gamma3,
+                   fit.rms_residual, fit.n_evaluations, fit.converged)])
 
 
 if __name__ == "__main__":

@@ -25,7 +25,8 @@ import numpy as np
 
 from .model import DeviceParams, validate
 from .smallsignal import _gains
-from .steady import UndefinedForZeroDrive, _h, _reflection, _rows, _settle
+from .steady import (UndefinedForZeroDrive, _coefficients, _h, _reflection,
+                     _rows, _settle)
 from .sweeps import ConfigError, _floats, _number, load_device
 
 FREE_NAMES = ("omega0", "kerr", "gamma1", "gamma2", "gamma3")
@@ -133,12 +134,12 @@ def _predict(params, omega_p, b1_in, refl):
     return values
 
 
-def predict_reflection(params: DeviceParams, omega_p, b1_in, psi1=0.0):
+def predict_reflection(params: DeviceParams, omega_p, b1_in):
     """|reflection| on the lowest-energy stable branch.
 
     ``omega_p`` and ``b1_in`` are scalars or 1-D arrays of one length; an
     array in gives an array out, scalars a float.  |r| = |z - 2 gamma1| /
-    |z| depends on E alone, so the drive phase ``psi1`` does not enter.
+    |z| depends on E alone, so the drive phase does not enter.
 
     Raises
     ------
@@ -148,7 +149,7 @@ def predict_reflection(params: DeviceParams, omega_p, b1_in, psi1=0.0):
     return _predict(params, omega_p, b1_in, True)
 
 
-def predict_gain(params: DeviceParams, omega_p, b1_in, psi1=0.0):
+def predict_gain(params: DeviceParams, omega_p, b1_in):
     """Zero-offset intermodulation gain on the lowest-energy stable branch.
 
     Takes scalars or arrays as :func:`predict_reflection` does; all drives
@@ -185,7 +186,6 @@ def _jacobian(params: DeviceParams, energy, omega_p, b_in, free,
     b = b_in[:, None]
     delta = (params.omega0 - omega_p)[:, None]
     with np.errstate(all="ignore"):
-        c3 = k * k + g3 * g3
         dc3 = 2.0 * (k * dk + g3 * dg3)
         dc2 = 2.0 * (dd * k + delta * dk + dg * g3 + g * dg3)
         dc1 = 2.0 * (delta * dd + g * dg)
@@ -208,7 +208,7 @@ def _jacobian(params: DeviceParams, energy, omega_p, b_in, free,
 
         e, de, slope, delta, dc1, dc2 = (
             x[n_refl:] for x in (e, de, slope, delta, dc1, dc2))
-        c2 = 2.0 * (delta * k + g * g3)
+        c3, c2, _ = _coefficients(delta, k, g3, g)
         q = g1 * e / slope
         dslope = dc1 + e * (2.0 * dc2 + 3.0 * dc3 * e) \
             + (2.0 * c2 + 6.0 * c3 * e) * de

@@ -15,7 +15,9 @@ The extrema over the local-oscillator phase are one closed form in the
 resolvent D(omega) of :mod:`smallsignal`, written in real arithmetic that
 runs unchanged on floats and on arrays (:func:`_extrema`), so
 :func:`lo_phase_extrema` and its batch :func:`lo_phase_extrema_array` give
-the same bits by construction.  Neither forms the transfer coefficients.
+the same bits by construction.  Both take D, |D| and the singular test that
+marks a point ``diverged`` from :func:`smallsignal._resolvent`, and neither
+forms the transfer coefficients.
 """
 
 import math
@@ -26,7 +28,7 @@ import numpy as np
 
 from .model import DeviceParams, PumpDrive
 from .operating import critical_point
-from .smallsignal import SINGULAR_TOL, _resolvent
+from .smallsignal import _resolvent
 from .steady import (BranchStates, SteadyState, _atan2, _hypot,
                      settled_states)
 
@@ -87,11 +89,12 @@ class SqueezeResult:
 
 
 def _extrema(params: DeviceParams, energy, delta, phase, omega, occupations,
-             d_re, d_im, d):
+             resolvent):
     """(mean, |mod|, arg mod, phi_min, phi_max) of P(phi) = mean + |mod|
     cos(2 phi + arg mod) at photon number ``energy``, detuning ``delta``,
-    cavity phase ``phase`` and offset ``omega``, from the resolvent D(omega)
-    = d_re + i d_im with |D| = d > 0; runs unchanged on floats and arrays.
+    cavity phase ``phase`` and offset ``omega``, from the ``resolvent``
+    D(omega) = d_re + i d_im, |D| = d > 0 as :func:`smallsignal._resolvent`
+    returns it; runs unchanged on floats and arrays.
 
     D(-omega) is conj D, and every product of a signal coefficient at
     +-omega with a conjugate one at -+omega carries the factor v
@@ -110,6 +113,7 @@ def _extrema(params: DeviceParams, energy, delta, phase, omega, occupations,
     |S_k(omega)|^2 = c_k |z_w(omega)|^2 / |D|^2 for k = 2, 3.  Every
     component is divided by |D| before it is squared.
     """
+    d_re, d_im, d, _ = resolvent
     n1, n2, n3 = occupations
     g1 = params.gamma1
     c1 = 4.0 * g1 * g1
@@ -156,16 +160,15 @@ def lo_phase_extrema(params: DeviceParams, state: SteadyState, drive: PumpDrive,
     to [0, pi).  Both are closed forms in the resolvent D (:func:`_extrema`).
     """
     delta = drive.detuning(params)
-    d_re, d_im = _resolvent(params, state.energy, delta, omega)
-    d = _hypot(d_re, d_im)
-    if d < SINGULAR_TOL * params.gamma**2:
+    resolvent = _resolvent(params, state.energy, delta, omega)
+    if resolvent[3]:
         return SqueezeResult(
             p_of_phi=lambda phi: math.inf,
             p_min=math.nan, p_max=math.inf,
             phi_min=math.nan, phi_max=math.nan, diverged=True)
     mean, amp, arg, phi_min, phi_max = _extrema(
         params, state.energy, delta, state.phase, omega, env.occupations(),
-        d_re, d_im, d)
+        resolvent)
 
     def p_of_phi(phi: float, _mean=mean, _amp=amp, _arg=arg) -> float:
         return _mean + _amp * math.cos(2.0 * phi + _arg)
@@ -197,13 +200,12 @@ def lo_phase_extrema_array(params: DeviceParams, states: BranchStates,
     omega = np.broadcast_to(np.asarray(omega, dtype=float),
                             states.energy.shape)
     delta = params.omega0 - states.omega_p
-    d_re, d_im = _resolvent(params, states.energy, delta, omega)
     with np.errstate(all="ignore"):
-        d = _hypot(d_re, d_im)
-        diverged = d < SINGULAR_TOL * params.gamma**2
+        resolvent = _resolvent(params, states.energy, delta, omega)
         mean, amp, _, phi_min, phi_max = _extrema(
             params, states.energy, delta, states.phase, omega,
-            env.occupations(), d_re, d_im, d)
+            env.occupations(), resolvent)
+    diverged = resolvent[3]
     return SqueezeResults(
         p_min=np.where(diverged, math.nan, mean - amp),
         p_max=np.where(diverged, math.inf, mean + amp),

@@ -5,8 +5,8 @@ is h(E) = E [(delta + K E)^2 + (gamma + gamma3 E)^2] = P, with
 P = 2 gamma1 b_in^2.  Its folds (vertical tangents of the response, where
 the system switches branch) are the roots E- <= E+ of the quadratic h'(E),
 which :func:`steady._fold_energies` gives in closed form on the fold side
-(c2 = 2 (delta K + gamma gamma3) < 0 and a positive discriminant).  The
-fold curves
+(c2 = 2 (delta K + gamma gamma3) < 0 and a positive discriminant), from the
+cubic's coefficients of :func:`steady._coefficients`.  The fold curves
 
     H-(delta) = h(E-(delta); delta),    H+(delta) = h(E+(delta); delta)
 
@@ -35,7 +35,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .model import SQRT3, DeviceParams, PumpDrive
-from .steady import MAX_STEPS, _at_fold, _branch_energies, _fold_energies, _h
+from .steady import (MAX_STEPS, _at_fold, _branch_energies, _coefficients,
+                     _fold_energies, _h, _one_branch_at)
 
 # Denominator |K| - sqrt(3)*gamma3 below this fraction of |K| makes the
 # critical-point formulas numerically explosive.
@@ -112,8 +113,9 @@ def instability_locus(params: DeviceParams, drive: PumpDrive):
     A drive P within the rounding floor of h at the cusp (the rule
     :mod:`steady` takes for a fold double root) gives the critical point
     alone, and so does one within that floor of h at both folds of either
-    fold's frequency: the pump solve reports one branch there, as it does
-    where the folds coalesce, so the band it resolves has no width.  A
+    fold's frequency (:func:`steady._one_branch_at`): the pump solve
+    reports one branch there, as it does where the folds coalesce, so the
+    band it resolves has no width.  A
     drive below the cusp, or a device without a critical point
     (|kerr| <= sqrt(3)*gamma3 or gamma1 = 0), gives no fold.
 
@@ -150,42 +152,19 @@ def instability_locus(params: DeviceParams, drive: PumpDrive):
     with np.errstate(invalid="ignore"):
         far = _fold_root(params, p, 2, delta_c, crit.energy, delta_c,
                          delta_out)
-        near = _fold_root(params, p, 1, far[0],
-                          float(_fold_energies_at(params, far[0])[1]),
-                          delta_c, far[0])
+        near = _fold_root(params, p, 1, far[0], float(_fold_energies(
+            *_coefficients(far[0], k, g3, g))[1]), delta_c, far[0])
         folds = [(omega0 - delta, e) for delta, e in (near, far)]
-        if any(_one_branch_at(params, p, omega_p) for omega_p, _ in folds):
+        if any(_one_branch_at(omega0, omega_p, p, k, g3, g)
+               for omega_p, _ in folds):
             return [(crit.omega_p, crit.energy)]
     return sorted(folds, key=lambda fold: fold[1])
-
-
-def _one_branch_at(params: DeviceParams, p: float, omega_p: float) -> bool:
-    """Whether p is within the rounding floor of h at both folds at pump
-    frequency omega_p (or at the inflection that stands in for them where
-    rounding leaves no fold): where :func:`steady._branch_energies` reports
-    one branch, as it does at the coalesced folds of the critical point."""
-    omega0, k, g3, g = params.omega0, params.kerr, params.gamma3, params.gamma
-    delta = omega0 - omega_p
-    c3 = k * k + g3 * g3
-    c2 = 2.0 * (delta * k + g * g3)
-    disc, e_lo, e_hi = _fold_energies(c3, c2, delta * delta + g * g)
-    if not (c2 < 0.0 and disc > 0.0):
-        e_lo = e_hi = max(-c2 / (3.0 * c3), 0.0)
-    return all(_at_fold(e, _h(e, delta, k, g3, g)[0], omega0, omega_p, p, k,
-                        g3, g) for e in (e_lo, e_hi))
-
-
-def _fold_energies_at(params: DeviceParams, delta: float):
-    """(disc, E-, E+) of :func:`steady._fold_energies` at detuning delta."""
-    k, g3, g = params.kerr, params.gamma3, params.gamma
-    return _fold_energies(k * k + g3 * g3, 2.0 * (delta * k + g * g3),
-                          delta * delta + g * g)
 
 
 def _fold_root(params: DeviceParams, p: float, curve: int, delta: float,
                e: float, inner: float, outer: float):
     """(delta, E) where fold curve ``curve`` (1: H-, 2: H+, the index into
-    :func:`_fold_energies_at`) reaches p, from delta with fold energy e.
+    :func:`steady._fold_energies`) reaches p, from delta with fold energy e.
 
     H < p at ``inner`` and H >= p at ``outer``, and each evaluation moves
     the end of that bracket on its side.  A detuning where rounding leaves
@@ -211,7 +190,7 @@ def _fold_root(params: DeviceParams, p: float, curve: int, delta: float,
             if nxt == inner or nxt == outer:
                 break
         delta = nxt
-        e = float(_fold_energies_at(params, delta)[curve])
+        e = float(_fold_energies(*_coefficients(delta, k, g3, g))[curve])
     else:
         raise ArithmeticError("fold locus: Newton steps did not settle")
     return delta, e

@@ -14,11 +14,14 @@ h'(E) of the pump balance h(E) = P (:mod:`steady`), so in closed form
 which vanishes only at marginal operating points, where the gains diverge.
 The power gains are closed forms in D, G_I = 4 gamma1^2 (K^2 + gamma3^2)
 E^2 / |D|^2 and G_S = |D - 2 gamma1 z_w|^2 / |D|^2 with z_w = gamma +
-2 gamma3 E - i (omega + omega0 - omega_p + 2 K E).  The gains and the
-homodyne extrema (:mod:`noise`) are written once, in real arithmetic that
-runs unchanged on Python floats and on NumPy arrays, so :func:`gains_array`
-is bit-identical to its one-point functions by construction;
-:func:`transfer_coefficients` is the one path for the six coefficients.
+2 gamma3 E - i (omega + omega0 - omega_p + 2 K E).  :func:`_resolvent` is
+the one home of D, of |D| and of the singular test |D| < SINGULAR_TOL
+gamma^2; the gains, :func:`transfer_coefficients` and the homodyne extrema
+(:mod:`noise`) take what it returns.  The gains and the extrema are written
+once, in real arithmetic that runs unchanged on Python floats and on NumPy
+arrays, so :func:`gains_array` is bit-identical to its one-point functions
+by construction; :func:`transfer_coefficients` is the one path for the six
+coefficients.
 """
 
 import cmath
@@ -28,7 +31,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .model import DeviceParams, PumpDrive
-from .steady import BranchStates, SteadyState, _h
+from .steady import BranchStates, SteadyState, _h, _hypot
 
 # |D| below this multiple of gamma^2 means operation at an instability.
 SINGULAR_TOL = 1e-14
@@ -91,26 +94,31 @@ def linearize(params: DeviceParams, state: SteadyState, drive: PumpDrive):
 
 
 def _resolvent(params: DeviceParams, energy, delta, omega):
-    """(Re D, Im D) at photon number ``energy``, detuning ``delta`` =
-    omega0 - omega_p and offset ``omega``, from floats or arrays alike."""
-    slope = _h(energy, delta, params.kerr, params.gamma3, params.gamma)[1]
-    return (slope - omega * omega,
-            -2.0 * omega * (params.gamma + 2.0 * params.gamma3 * energy))
+    """(Re D, Im D, |D|, singular) at photon number ``energy``, detuning
+    ``delta`` = omega0 - omega_p and offset ``omega``, from floats or arrays
+    alike; singular is |D| < SINGULAR_TOL gamma^2, an operating point at an
+    instability."""
+    d_re = _h(energy, delta, params.kerr, params.gamma3,
+              params.gamma)[1] - omega * omega
+    d_im = -2.0 * omega * (params.gamma + 2.0 * params.gamma3 * energy)
+    d = _hypot(d_re, d_im)
+    return d_re, d_im, d, d < SINGULAR_TOL * params.gamma**2
 
 
 def _gains(params: DeviceParams, energy, delta, omega):
     """(G_S, G_I) from the closed forms, inf where |D| is singular, from
     floats or arrays alike.  Each gain is the square of a ratio of moduli,
     so no square overflows before the gain itself does."""
-    d_re, d_im = _resolvent(params, energy, delta, omega)
     g1 = params.gamma1
     with np.errstate(all="ignore"):
-        d = np.hypot(d_re, d_im)
+        d_re, d_im, d, singular = _resolvent(params, energy, delta, omega)
         signal = np.hypot(
             d_re - 2.0 * g1 * (params.gamma + 2.0 * params.gamma3 * energy),
             d_im + 2.0 * g1 * (omega + delta + 2.0 * params.kerr * energy)) / d
-        conj = 2.0 * g1 * math.hypot(params.kerr, params.gamma3) * energy / d
-        singular = d < SINGULAR_TOL * params.gamma**2
+        # a NumPy quotient, which gives inf rather than raising where a
+        # float |D| is 0
+        conj = np.divide(2.0 * g1 * math.hypot(params.kerr, params.gamma3)
+                         * energy, d)
         return (np.where(singular, math.inf, signal * signal),
                 np.where(singular, math.inf, conj * conj))
 
@@ -130,11 +138,12 @@ def transfer_coefficients(params: DeviceParams, state: SteadyState,
         instability, where the gain diverges).
     """
     w, v = linearize(params, state, drive)
-    d = complex(*_resolvent(params, state.energy, drive.detuning(params),
-                            omega))
-    if abs(d) < SINGULAR_TOL * params.gamma**2:
+    d_re, d_im, d_abs, singular = _resolvent(
+        params, state.energy, drive.detuning(params), omega)
+    if singular:
         raise SingularResponse(
-            f"resolvent |D({omega:g})| = {abs(d):.3e} is singular")
+            f"resolvent |D({omega:g})| = {d_abs:.3e} is singular")
+    d = complex(d_re, d_im)
     zw = -1j * omega + w.conjugate()
     g1 = params.gamma1
     g2 = params.gamma2

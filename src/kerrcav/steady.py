@@ -26,7 +26,7 @@ record of that branch only.  The one-drive functions
 """
 
 import math
-from dataclasses import dataclass, fields
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -83,15 +83,9 @@ def cubic_coefficients(params: DeviceParams, drive: PumpDrive):
     so a vanishing nonlinearity (K = g3 = 0) degrades to a linear equation
     instead of dividing by K^2 + g3^2.
     """
-    delta = drive.detuning(params)
-    k = params.kerr
-    g3 = params.gamma3
-    g = params.gamma
-    c3 = k * k + g3 * g3
-    c2 = 2.0 * (delta * k + g * g3)
-    c1 = delta * delta + g * g
     c0 = -2.0 * params.gamma1 * (drive.amplitude * drive.amplitude)
-    return c3, c2, c1, c0
+    return (*_coefficients(drive.detuning(params), params.kerr,
+                           params.gamma3, params.gamma), c0)
 
 
 def solve_pump_energy(params: DeviceParams, drive: PumpDrive) -> list[float]:
@@ -160,12 +154,6 @@ class BranchStates:
     marginal: np.ndarray
     branch_index: np.ndarray
 
-    def take(self, at) -> "BranchStates":
-        """The entries that ``at`` (indices or a mask) selects; ``row``
-        keeps naming their drives in the original batch."""
-        return BranchStates(**{f.name: getattr(self, f.name)[at]
-                               for f in fields(self)})
-
     def drive(self, i: int) -> PumpDrive:
         return PumpDrive(omega_p=float(self.omega_p[i]),
                          amplitude=float(self.b_in[i]),
@@ -188,6 +176,12 @@ class BranchStates:
         """(real, imaginary) parts of reflected / b_in of each entry;
         every drive must be nonzero."""
         return self.reflected.real / self.b_in, self.reflected.imag / self.b_in
+
+
+def _coefficients(delta, k, g3, g):
+    """(c3, c2, c1) of h(E) = c3 E^3 + c2 E^2 + c1 E at detuning delta =
+    omega0 - omega_p; runs unchanged on floats and on arrays."""
+    return k * k + g3 * g3, 2.0 * (delta * k + g * g3), delta * delta + g * g
 
 
 def _h(e, delta, k, g3, g):
@@ -273,8 +267,9 @@ def _branch_energies(omega0, omega_p, p, k, g3, g):
     A row whose p is within the rounding floor of h(E-) or h(E+) has the
     closed-form double root there; where it is within the floor of both
     (the folds coalesce: the critical point, or an undriven row) its one
-    root is that inflection.  h and h' are evaluated in factored form: the
-    expanded coefficients lose the branch count to cancellation.
+    root is that inflection; :func:`_one_branch_at` is that test of one
+    row.  h and h' are evaluated in factored form: the expanded
+    coefficients lose the branch count to cancellation.
 
     Raises
     ------
@@ -285,9 +280,7 @@ def _branch_energies(omega0, omega_p, p, k, g3, g):
         If a root takes more than MAX_STEPS Newton steps.
     """
     delta = omega0 - omega_p
-    c3 = k * k + g3 * g3
-    c2 = 2.0 * (delta * k + g * g3)
-    c1 = delta * delta + g * g
+    c3, c2, c1 = _coefficients(delta, k, g3, g)
     if not (np.isfinite(c3) and np.isfinite(c2).all()
             and np.isfinite(c1).all() and np.isfinite(p).all()):
         raise OverflowError("cubic coefficient is not finite")
@@ -328,8 +321,9 @@ def _branch_energies(omega0, omega_p, p, k, g3, g):
         np.where(side * half_curve > 0.0,
                  np.sqrt(gap) / np.sqrt(np.abs(half_curve)), np.inf)),
         np.cbrt(gap) / np.cbrt(c3))
-    root = _newton(np.maximum(x + side * reach, 0.0), delta[at], p[at], k,
-                   g3, g)
+    # h < 0 below 0, so no root of h = p >= 0 lies there
+    root = np.maximum(_newton(np.maximum(x + side * reach, 0.0), delta[at],
+                              p[at], k, g3, g), 0.0)
     if not np.isfinite(root).all():
         raise OverflowError("cubic root beyond the float range")
 
@@ -351,6 +345,22 @@ def _branch_energies(omega0, omega_p, p, k, g3, g):
         out[three] = np.sort(np.column_stack([lo[three], mid, hi[three]]),
                              axis=1)
     return out
+
+
+def _one_branch_at(omega0, omega_p, p, k, g3, g) -> bool:
+    """Whether p is within the rounding floor of h at both folds at pump
+    frequency omega_p (or at the inflection that stands in for them where
+    rounding leaves no fold): where :func:`_branch_energies` reports one
+    branch, as it does at the coalesced folds of the critical point.  That
+    test for one row, in Python floats: the fold locus asks it per fold,
+    where a NumPy pass would cost several times the arithmetic."""
+    delta = omega0 - omega_p
+    c3, c2, c1 = _coefficients(delta, k, g3, g)
+    disc, e_lo, e_hi = _fold_energies(c3, c2, c1)
+    if not (c2 < 0.0 and disc > 0.0):
+        e_lo = e_hi = max(-c2 / (3.0 * c3), 0.0)
+    return all(_at_fold(e, _h(e, delta, k, g3, g)[0], omega0, omega_p, p, k,
+                        g3, g) for e in (e_lo, e_hi))
 
 
 def _rows(*values):

@@ -309,10 +309,9 @@ def run_squeeze_sweep(config: SweepConfig) -> Table:
 def run_critical(device: DeviceParams) -> Table:
     """Single-row record of the critical operating point."""
     crit = critical_point(device)
-    table = Table(list(CRITICAL_COLUMNS))
-    table.append(crit.exists, crit.energy, crit.omega_p, crit.drive,
-                 crit.ill_conditioned)
-    return table
+    return Table(list(CRITICAL_COLUMNS), [(
+        crit.exists, crit.energy, crit.omega_p, crit.drive,
+        crit.ill_conditioned)])
 
 
 def run_line_derive(profile_path, mode_index: int, gamma1: float) -> Table:
@@ -321,7 +320,6 @@ def run_line_derive(profile_path, mode_index: int, gamma1: float) -> Table:
     profile = load_profile(profile_path)
     mode = solve_mode(profile, mode_index)
     c = mode_coefficients(profile, mode)
-    table = Table(list(LINE_COLUMNS))
-    table.append(mode.omega_n, c.kerr, gamma1, c.gamma2, c.gamma3,
-                 c.quad_u4_dL, c.quad_u2_R0, c.quad_u4_dR)
-    return table
+    return Table(list(LINE_COLUMNS), [(
+        mode.omega_n, c.kerr, gamma1, c.gamma2, c.gamma3, c.quad_u4_dL,
+        c.quad_u2_R0, c.quad_u4_dR)])

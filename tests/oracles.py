@@ -125,10 +125,10 @@ def scalar_solve_pump_energy(params, drive) -> list[float]:
                     if side * half_curve > 0.0 else math.inf,
                     # np.cbrt, as the kernel: math.cbrt rounds otherwise
                     float(np.cbrt(gap)) / float(np.cbrt(c3)))
-        roots[side] = _newton(_clamped(e_c + side * reach), delta, p, k, g3,
-                              g)
-        if not math.isfinite(roots[side]):
+        root = _newton(_clamped(e_c + side * reach), delta, p, k, g3, g)
+        if not math.isfinite(root):
             raise OverflowError("cubic root beyond the float range")
+        roots[side] = _clamped(root)
     lo, hi = roots.get(-1.0), roots.get(1.0)
     if lo is not None and hi is not None:
         return sorted([lo, p / (c3 * lo * hi), hi])

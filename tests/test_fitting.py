@@ -205,8 +205,8 @@ def test_jacobian_matches_central_differences(point):
 
     def model(p):
         return np.concatenate([
-            predict_reflection(p, omega_p[:n_refl], b1_in[:n_refl], psi1),
-            predict_gain(p, omega_p[n_refl:], b1_in[n_refl:], psi1)])
+            predict_reflection(p, omega_p[:n_refl], b1_in[:n_refl]),
+            predict_gain(p, omega_p[n_refl:], b1_in[n_refl:])])
 
     states = settled_states(params, omega_p, b1_in, psi1)
     jac = fitting._jacobian(params, states.energy, omega_p, b1_in, free,
@@ -304,7 +304,7 @@ def test_identities_behind_the_jacobian(point, offsets):
     assert np.all(np.abs(product - h1) <= 1e-13 * size)
 
     omega = np.array(offsets)[None, :] * g
-    d_re, d_im = smallsignal._resolvent(
+    d_re, d_im, _, _ = smallsignal._resolvent(
         params, branches.energy[:, None],
         (params.omega0 - branches.omega_p)[:, None], omega)
     roots = ((-1j * omega + lam_slow[:, None])
@@ -332,7 +332,7 @@ def test_identities_behind_the_jacobian(point, offsets):
     factored = a * a + b * b + 2.0 * e * (a * k + b * g3)
     closed = (4.0 * params.gamma1 ** 2 * (k * k + g3 * g3) * e * e
               / factored ** 2)
-    gain = predict_gain(params, omega_p, b1_in, psi1)
+    gain = predict_gain(params, omega_p, b1_in)
     assert np.all(np.abs(closed - gain) <= 1e-13 * gain)
 
 

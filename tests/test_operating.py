@@ -1,8 +1,12 @@
 import math
+from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
+from kerrcav import steady
 from kerrcav import (DeviceParams, PumpDrive, branch_states, critical_point,
                      curve_omega_p, instability_locus, max_curve_energy,
                      cubic_coefficients, response_peak_detuning,
@@ -258,6 +262,75 @@ def test_locus_and_branch_count_agree_inside_the_rounding_floor():
     assert states.n_branches.tolist() == [1, 1, 1]
     # a little further from the cusp both sides see the two folds
     assert_branch_counts_change_at_folds(params, (1.0 + 1e-5) * crit.drive)
+
+
+def near_both_folds(params, omega_p, p):
+    """Row by row, the test of :func:`steady._branch_energies` that p lies
+    within the rounding floor of h at both folds, as the batch ran it."""
+    at_fold = steady._at_fold
+    near = []
+
+    def spy(*args):
+        near.append(at_fold(*args))
+        return near[-1]
+
+    with mock.patch.object(steady, "_at_fold", spy), \
+            np.errstate(all="ignore"):
+        steady._branch_energies(params.omega0, np.array(omega_p),
+                                np.full(len(omega_p), p), params.kerr,
+                                params.gamma3, params.gamma)
+    near_lo, near_hi = near
+    return (near_lo & near_hi).tolist()
+
+
+def ulps_away(x, n):
+    """x moved by n ulps (down for n < 0)."""
+    for _ in range(abs(n)):
+        x = math.nextafter(x, math.copysign(math.inf, n))
+    return x
+
+
+ORACLE_DEVICES = oracle_devices()
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(st.sampled_from(range(len(ORACLE_DEVICES))),
+       st.sampled_from([1.0] + NEAR_CRITICAL + ABOVE_CRITICAL),
+       st.integers(-4, 4))
+@example(3, NEAR_CRITICAL[0], 1)
+@example(4, NEAR_CRITICAL[0], -1)
+@example(4, NEAR_CRITICAL[1], 2)
+@example(6, NEAR_CRITICAL[0], 0)
+@example(9, NEAR_CRITICAL[0], 3)
+@example(12, NEAR_CRITICAL[0], -2)
+def test_float_one_branch_rule_is_the_batch_rule(index, factor, ulps):
+    """steady._one_branch_at, the float test the locus puts to each fold it
+    finds, answers as the near-both-folds test of _branch_energies on the
+    same row: at each fold the locus reports, ``ulps`` ulps from it and a
+    relative 1e-9 outside it.  At the critical drive that fold is the
+    critical point.  Where the locus reports the critical point alone above
+    it (the examples: five devices at 1 + 1e-9 times critical, the gamma3 =
+    0.577|K| one also at 1 + 1e-7) the folds mpmath resolves are rows too,
+    and both tests find p within the floor at both folds there."""
+    params = ORACLE_DEVICES[index]
+    amplitude = factor * critical_point(params).drive
+    p = 2.0 * params.gamma1 * (amplitude * amplitude)
+    folds = [w for w, _ in instability_locus(
+        params, PumpDrive(omega_p=1.0, amplitude=amplitude))]
+    resolved = []
+    if len(folds) == 1 and factor > 1.0:
+        resolved = [w for w, _ in fold_points_mpmath(params, amplitude)]
+        assert near_both_folds(params, resolved, p) == [True, True]
+    omega_p = resolved + [
+        x for w in folds
+        for x in (w, ulps_away(w, ulps),
+                  w - 1e-9 * frequency_scale(params, w),
+                  w + 1e-9 * frequency_scale(params, w))]
+    with np.errstate(invalid="ignore"):
+        one_branch = [steady._one_branch_at(params.omega0, w, p, params.kerr,
+                                            params.gamma3, params.gamma)
+                      for w in omega_p]
+    assert one_branch == near_both_folds(params, omega_p, p)
 
 
 @pytest.mark.parametrize("params, eps", [

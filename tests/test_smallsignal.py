@@ -8,10 +8,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import float_bits
-from kerrcav import (DeviceParams, PumpDrive, SingularResponse, branch_states,
-                     critical_point, gains_array, instability_locus,
-                     intermodulation_gain, linearize, parametric_gain,
-                     steady_state, steady_states, transfer_coefficients)
+from kerrcav import (DeviceParams, PumpDrive, SingularResponse, ThermalEnv,
+                     branch_states, critical_point, gains_array,
+                     instability_locus, intermodulation_gain, linearize,
+                     lo_phase_extrema, lo_phase_extrema_array,
+                     parametric_gain, steady_state, steady_states,
+                     transfer_coefficients)
 from test_steady import device_and_drives
 
 
@@ -279,6 +281,18 @@ def test_gain_diverges_on_fold_points(fig_device):
         state = steady_state(fig_device, fold_drive, energy)
         gain = intermodulation_gain(fig_device, state, fold_drive, 0.0)
         assert gain == math.inf or gain > 1e12
+    # at the critical drive the folds coalesce and D(0) = h'(E) is zero to
+    # rounding: every user of the resolvent's singular test reports it
+    states = branch_states(fig_device, crit.omega_p, crit.drive)
+    state, drive = states.state(0), states.drive(0)
+    assert parametric_gain(fig_device, state, drive, 0.0) == math.inf
+    assert [g.tolist() for g in gains_array(fig_device, states, 0.0)] == [
+        [math.inf], [math.inf]]
+    assert lo_phase_extrema(fig_device, state, drive, ThermalEnv()).diverged
+    assert lo_phase_extrema_array(fig_device, states,
+                                  ThermalEnv()).diverged.tolist() == [True]
+    with pytest.raises(SingularResponse):
+        transfer_coefficients(fig_device, state, drive, 0.0)
 
 
 # ----------------------------------------------------------------- batched form

@@ -65,6 +65,23 @@ def test_far_detuned_undriven_cavity_has_one_branch():
     assert states.energy.tolist() == [0.0, 0.0]
 
 
+def test_undriven_cavity_has_no_negative_photon_number():
+    """h(E) < 0 for E < 0, so no root of h = P >= 0 lies below 0.  On this
+    far-detuned row at zero drive the Newton steps from the lower bound
+    ended at E = -1.0e-28; the roots are clamped at 0."""
+    params = DeviceParams(omega0=1.0, kerr=-0.0051594923568258596,
+                          gamma1=0.1, gamma2=0.0031622776601683794,
+                          gamma3=0.0029434672886482836)
+    omega_p = [-19.00678340429945, -5.0, 0.5, 1.0, 3.0]
+    for w in omega_p:
+        drive = PumpDrive(omega_p=w, amplitude=0.0)
+        for roots in (solve_pump_energy(params, drive),
+                      scalar_solve_pump_energy(params, drive)):
+            assert float_bits(roots) == float_bits([0.0])
+    energy = branch_states(params, omega_p, 0.0).energy.tolist()
+    assert float_bits(energy) == float_bits([0.0] * len(omega_p))
+
+
 def test_coefficients_match_squared_response_balance(fig_device):
     """Oracle: the cubic must equal E*|linear-plus-cubic response|^2 - 2 g1 b^2.
 
