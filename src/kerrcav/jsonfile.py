@@ -63,19 +63,20 @@ def _flat_arrays(orjson, raw, float_keys):
     """``raw`` decoded by orjson one array at a time, or None unless each
     '[' opens an array of scalars that is a value of the top object.
 
-    The skeleton, ``raw`` with the text from each '[' to the next ']'
-    replaced by ``[i]``, is decoded first.  A '[' in a string or in a
-    nested object, or an array under a repeated key, leaves its index
-    unfound or the skeleton malformed.  Each text must then decode alone,
-    so it holds no array; it may hold no '{' either, as the braces counted
-    against orjson's recursion are the skeleton's.  A text with no '"',
-    't', 'f' or 'n' byte holds no string, true, false or null, so its
-    cells are numbers.
+    A '[' or '{' between a '[' and the next ']' (a nested array or object,
+    as in a fit file's rows) ends the search at once, so the braces counted
+    against orjson's recursion are the skeleton's: ``raw`` with the text
+    from each '[' to the next ']' replaced by ``[i]``, decoded first.  A
+    '[' in a string or in a nested object, or an array under a repeated
+    key, leaves its index unfound or the skeleton malformed.  Each text
+    must then decode alone.  A text with no '"', 't', 'f' or 'n' byte holds
+    no string, true, false or null, so its cells are numbers.
     """
     spans, start = [], raw.find(b"[")
     while start >= 0:
         end = raw.find(b"]", start)
-        if end < 0 or raw.find(b"{", start, end) >= 0:
+        if end < 0 or raw.find(b"{", start, end) >= 0 \
+                or raw.find(b"[", start + 1, end) >= 0:
             return None
         spans.append((start, end + 1))
         start = raw.find(b"[", end)

@@ -8,21 +8,20 @@ intracavity amplitude B and phase solve
 
 whose squared modulus turns the photon number E = B^2 into a real cubic,
 h(E) = E |z(E)|^2 = P with z(E) = i (omega0 - omega_p + K E) + gamma
-+ gamma3 E and P = 2 gamma1 b_in^2.  Depending on drive strength it has
-one, two (fold tangency) or three nonnegative roots; with three roots the
-middle branch is unstable and the device is bistable.  h rises except
-between its two folds, the roots of the quadratic h', so the branch count
-and a bound on each branch follow in closed form, and Newton steps from
-those bounds reach each root from one side.  Stability of each branch
-follows from the relaxation roots of the linearized dynamics, and the
-drive balance fixes the cavity phase psi - phi1 + atan2(gamma + gamma3 E,
++ gamma3 E and P = 2 gamma1 b_in^2, with one, two (fold tangency) or three
+nonnegative roots; with three the middle branch is unstable (bistability).
+h rises except between its folds, the roots of the quadratic h', so the
+branch count is a closed form; Cardano's formula on h's Taylor cubic at a
+fold starts Newton just past each root, and a step or two reach it from
+that side: two or three passes over the rows, one for both folds.  The
+relaxation roots of the linearized dynamics give each branch's stability,
+and the drive balance the cavity phase psi - phi1 + atan2(gamma + gamma3 E,
 -(delta + K E)) and the reflection coefficient r = (z - 2 gamma1) / z.
-:func:`branch_states` evaluates every branch of a whole batch of drives in
-one NumPy pass; :func:`settled_states` picks the branch a slowly swept
-drive settles on by stability alone (:func:`_settle`), then builds the
-record of that branch only.  The one-drive functions
-(:func:`solve_pump_energy`, :func:`steady_state`, :func:`steady_states`,
-:func:`settled_state`) are those kernels for a batch of one.
+:func:`branch_states` evaluates every branch of a batch of drives in one
+NumPy pass; :func:`settled_states` picks the branch a slowly swept drive
+settles on by stability alone (:func:`_settle`) and builds its record only.
+The one-drive functions (:func:`solve_pump_energy`, :func:`steady_state`,
+:func:`steady_states`, :func:`settled_state`) are a batch of one.
 """
 
 import math
@@ -34,8 +33,12 @@ from .model import DeviceParams, PumpDrive
 
 # The rounding floor of h(E) - P, in units of h's magnitude: a few ulps.
 FLOOR = 4.0 * np.finfo(float).eps
-# A cap on the Newton steps to one root; from its bound no root has taken
-# ten.
+# How far past its closed-form root, relative, Newton starts: far above the
+# few ulps that root is off by, so that the start lies on the root's side.
+MARGIN = 2.0 ** -30
+# A cap on the Newton steps to one root; from the closed-form start a root
+# takes one or two, and no root took ten from the one-term bound that
+# stands in where that start is NaN.
 MAX_STEPS = 50
 # |Re lambda_slow| below this fraction of gamma marks critical slowing down.
 MARGINAL_TOL = 1e-9
@@ -51,15 +54,11 @@ class UndefinedForZeroDrive(ValueError):
 
 @dataclass(frozen=True)
 class SteadyState:
-    """One steady-state branch of the pump response.
-
-    ``energy`` is the intracavity photon number E = amplitude**2,
-    ``reflected`` the complex outgoing pump amplitude, and
-    ``lambda_slow``/``lambda_fast`` the relaxation roots ordered by real
-    part.  ``stable`` requires Re(lambda_slow) > 0 strictly; points within
-    the marginal band (critical slowing down) are flagged ``marginal`` and
-    not counted as stable.
-    """
+    """One steady-state branch of the pump response: photon number
+    ``energy`` = amplitude**2, the complex outgoing pump amplitude
+    ``reflected`` and the relaxation roots ordered by real part.  ``stable``
+    needs Re(lambda_slow) > 0 strictly; the marginal band (critical slowing
+    down) is flagged ``marginal`` and not stable."""
 
     energy: float
     amplitude: float
@@ -73,15 +72,11 @@ class SteadyState:
 
 
 def cubic_coefficients(params: DeviceParams, drive: PumpDrive):
-    """Coefficients (c3, c2, c1, c0) of the photon-number cubic.
-
-    The cubic is kept un-normalized,
+    """Coefficients (c3, c2, c1, c0) of the photon-number cubic, kept
+    un-normalized so that K = g3 = 0 leaves a linear equation:
 
         (K^2 + g3^2) E^3 + 2[(omega0-omega_p) K + gamma*g3] E^2
-            + [(omega0-omega_p)^2 + gamma^2] E - 2 gamma1 b_in^2 = 0,
-
-    so a vanishing nonlinearity (K = g3 = 0) degrades to a linear equation
-    instead of dividing by K^2 + g3^2.
+            + [(omega0-omega_p)^2 + gamma^2] E - 2 gamma1 b_in^2 = 0.
     """
     c0 = -2.0 * params.gamma1 * (drive.amplitude * drive.amplitude)
     return (*_coefficients(drive.detuning(params), params.kerr,
@@ -89,12 +84,10 @@ def cubic_coefficients(params: DeviceParams, drive: PumpDrive):
 
 
 def solve_pump_energy(params: DeviceParams, drive: PumpDrive) -> list[float]:
-    """Real nonnegative roots E of the pump cubic, ascending.
-
-    Returns 1, 2 or 3 roots: the row of :func:`branch_states`' energies for
-    this one drive.  Two roots mean that P lies within rounding of h at a
-    fold, and the double root is then reported once, as the closed-form
-    fold E- or E+.
+    """Real nonnegative roots E of the pump cubic, ascending: 1, 2 or 3,
+    the row of :func:`branch_states`' energies for this drive.  With two,
+    P lies within rounding of h at a fold, and the double root is reported
+    once, as the closed-form fold E- or E+.
 
     Raises
     ------
@@ -107,16 +100,11 @@ def solve_pump_energy(params: DeviceParams, drive: PumpDrive) -> list[float]:
 
 def steady_state(params: DeviceParams, drive: PumpDrive, energy: float,
                  branch_index: int = 0) -> SteadyState:
-    """Assemble the full steady-state record for one cubic root.
-
-    ``energy`` must be a root returned by :func:`solve_pump_energy`.  The
-    cavity phase is fixed by the drive balance; it is defined as 0 when the
-    amplitude vanishes.  This is the record :func:`branch_states` builds
-    for each of its entries.
-    """
+    """The record :func:`branch_states` builds for a root ``energy`` of
+    :func:`solve_pump_energy`; the cavity phase is 0 where the amplitude
+    is."""
     zero = np.zeros(1, dtype=int)
-    # the branch count of a lone root is not known here, and the record
-    # drops it
+    # the record drops the branch count, not known for a lone root
     return _records(params, *_rows(drive.omega_p, drive.amplitude,
                                    drive.phase, energy),
                     zero, zero + branch_index, zero + 1).state(0)
@@ -131,12 +119,10 @@ def steady_states(params: DeviceParams, drive: PumpDrive) -> list[SteadyState]:
 
 @dataclass(frozen=True, eq=False)
 class BranchStates:
-    """Steady-state branches of a batch of drives, one array entry each.
-
-    ``row`` is the index of the entry's drive in the batch, ``omega_p``,
-    ``b_in`` and ``drive_phase`` are that drive and ``n_branches`` counts
-    all branches at it; the other fields are those of
-    :class:`SteadyState`.  Entries are ordered by drive, then by energy.
+    """Steady-state branches of a batch of drives, one array entry each,
+    ordered by drive, then energy: ``row`` indexes the entry's drive in the
+    batch, ``omega_p``, ``b_in`` and ``drive_phase`` are that drive,
+    ``n_branches`` counts its branches, and the rest is :class:`SteadyState`.
     """
 
     row: np.ndarray
@@ -206,51 +192,87 @@ def _fold_energies(c3, c2, c1):
 
 def _at_fold(e, h, omega0, omega_p, p, k, g3, g):
     """Whether p is within the rounding floor of h = h(e) at a fold e (or
-    at the inflection that stands in for the folds).
-
-    The floor is FLOOR times h evaluated from its float inputs with every
-    term's magnitude, e (|a| (|omega0| + |omega_p| + |K| e) + b^2), so a
-    fold that rounding the pump frequency to a float can move onto p
-    counts as on it.  Runs unchanged on floats and on arrays."""
+    the inflection standing in for the folds): FLOOR times h with every
+    term's magnitude, e (|a| (|omega0| + |omega_p| + |K| e) + b^2), so that
+    a fold the rounding of the pump frequency can move onto p counts as on
+    it.  Runs unchanged on floats and on arrays."""
     a = (omega0 - omega_p) + k * e
     b = g + g3 * e
     span = abs(omega0) + abs(omega_p) + abs(k) * e
     return abs(h - p) <= FLOOR * (e * (abs(a) * span + b * b))
 
 
-def _newton(e, delta, p, k, g3, g):
-    """Newton steps on h(E) = p from the starts ``e``, row by row.
+def _newton(x, delta, c2, p, c3, k, g3, g):
+    """Newton steps on h(E) = p from the starts ``x``, row by row.
 
-    Each start bounds its root on a concave or convex stretch of h, so the
-    steps approach the root from the start's side.  A row stops at its
-    first step that does not move toward the root (rounding noise, or h = p
-    exactly), on its own mask, so its bits do not depend on the batch.
+    Each start lies past its root on a concave or convex stretch of h, so
+    the steps approach it from that side.  A row stops at a step that does
+    not move toward the root (rounding noise, or h = p), or after one whose
+    successor, by Newton's error term |h''/2| step^2 / h', is within FLOOR
+    of its value (from :func:`_start_offset`, the first), on its own mask,
+    so its bits do not depend on the batch.
 
     Raises
     ------
     ArithmeticError
         If a row still moves after MAX_STEPS steps.
     """
-    e = e.copy()
-    live = np.arange(e.size)
-    x, toward, steps = e, None, 0
-    while live.size:
-        if steps == MAX_STEPS:
-            raise ArithmeticError("pump cubic: Newton steps did not settle")
-        steps += 1
+    e = np.empty_like(x)
+    live = np.arange(x.size)
+    toward = None
+    for _ in range(MAX_STEPS):
         h, slope = _h(x, delta, k, g3, g)
         step = (p - h) / slope
         if toward is None:
             toward = np.sign(step)
         nxt = x + step
         move = (nxt - x) * toward > 0.0
-        if not move.all():
-            e[live[~move]] = x[~move]
-            live = live[move]
-            nxt, delta, p, toward = (nxt[move], delta[move], p[move],
-                                     toward[move])
-        x = nxt
-    return e
+        go = move & (np.abs(3.0 * c3 * x + c2) * (step * step)
+                     > FLOOR * x * slope)
+        x = np.where(move, nxt, x)
+        if not go.any():
+            e[live] = x
+            return e
+        if not go.all():
+            e[live[~go]] = x[~go]
+            live, x, delta, c2, p, toward = (
+                live[go], x[go], delta[go], c2[go], p[go], toward[go])
+    raise ArithmeticError("pump cubic: Newton steps did not settle")
+
+
+def _start_offset(gap, slope, half_curve, c3):
+    """The distance t from a fold (or the clamped inflection) to just past
+    the root on its side, where h is ``gap`` > 0 from its value there.
+
+    There h moves away by slope t + half_curve t^2 + c3 t^3, each term
+    >= 0, and each alone reaching ``gap`` bounds t; the nearest bound T is
+    a ratio of roots, which does not overflow at the largest drives.  In
+    s = t/T, alpha s + beta s^2 + gamma s^3 = 1 with coefficients in
+    [0, 1], and 1/s = v + alpha/3 with v the largest root of v^3 - 3 m v
+    - 2 n = 0 (m, n sums of positive terms): Cardano's w + m/w, or the
+    trigonometric form for three real roots.  Against mpmath s is within 2
+    ulps (n^2 - m^3 cancels only at second order), so s (1 + MARGIN),
+    capped at 1, lies past the root."""
+    bounds = (gap / slope, np.sqrt(gap) / np.sqrt(half_curve),
+              np.cbrt(gap) / np.cbrt(c3))
+    reach = np.fmin(np.fmin(bounds[0], bounds[1]), bounds[2])
+    a3 = reach / bounds[0] / 3.0
+    beta = np.square(reach / bounds[1])
+    gamma = reach / bounds[2]
+    gamma = gamma * gamma * gamma
+    m = beta / 3.0 + a3 * a3
+    n = 0.5 * gamma + a3 * (0.5 * beta + a3 * a3)
+    root_m = np.sqrt(m)
+    m_root_m = m * root_m
+    cos3 = n / m_root_m
+    three = cos3 < 1.0
+    # each form where some row takes it; a row's bits are its form's
+    v = 2.0 * root_m * np.cos(np.arccos(cos3) / 3.0) if three.any() else None
+    if v is None or not three.all():
+        w = np.cbrt(n + np.sqrt(np.abs(n * n - m_root_m * m_root_m)))
+        v = w + m / w if v is None else np.where(three, v, w + m / w)
+    # fmin: a NaN (no root resolved) starts from T
+    return reach * np.fmin((1.0 + MARGIN) / (v + a3), 1.0)
 
 
 def _branch_energies(omega0, omega_p, p, k, g3, g):
@@ -258,17 +280,15 @@ def _branch_energies(omega0, omega_p, p, k, g3, g):
     z(E) = i (delta + K E) + gamma + gamma3 E: an (n, 3) array, ascending
     and NaN-padded.
 
-    h rises except between its folds E- <= E+, the roots of h'(E) =
-    3 c3 E^2 + 2 c2 E + c1 from :func:`_fold_energies`.  A row has
-    three roots exactly when h(E+) < p < h(E-): the lowest lies below E-,
-    where h is concave, the highest above E+, where it is convex, and the
-    middle one follows from the product of the roots, p / c3.  Without a
-    fold the inflection -c2/(3 c3), clamped at 0, stands in for both folds.
-    A row whose p is within the rounding floor of h(E-) or h(E+) has the
-    closed-form double root there; where it is within the floor of both
-    (the folds coalesce: the critical point, or an undriven row) its one
-    root is that inflection; :func:`_one_branch_at` is that test of one
-    row.  h and h' are evaluated in factored form: the expanded
+    h rises except between its folds E- <= E+ (:func:`_fold_energies`), so
+    a row has three roots exactly when h(E+) < p < h(E-): the lowest below
+    E-, where h is concave, the highest above E+, where it is convex, and
+    the middle one from their product, p / c3.  Without a fold the
+    inflection -c2/(3 c3), clamped at 0, stands in for both.  Where p is
+    within the rounding floor of h(E-) or h(E+) the double root there is
+    the fold, and within that of both (coalesced folds: the critical point,
+    or no drive) the one root is the inflection (:func:`_one_branch_at`
+    for one row).  h and h' are evaluated in factored form: the expanded
     coefficients lose the branch count to cancellation.
 
     Raises
@@ -293,67 +313,57 @@ def _branch_energies(omega0, omega_p, p, k, g3, g):
     disc, e_lo, e_hi = _fold_energies(c3, c2, c1)
     fold = (c2 < 0.0) & (disc > 0.0)
     inflection = np.maximum(-c2 / (3.0 * c3), 0.0)
-    e_lo = np.where(fold, e_lo, inflection)
-    e_hi = np.where(fold, e_hi, inflection)
-    h_lo = _h(e_lo, delta, k, g3, g)[0]
-    h_hi = _h(e_hi, delta, k, g3, g)[0]
-    near_lo = _at_fold(e_lo, h_lo, omega0, omega_p, p, k, g3, g)
-    near_hi = _at_fold(e_hi, h_hi, omega0, omega_p, p, k, g3, g)
-    below = np.flatnonzero(~near_lo & (p < h_lo))
-    above = np.flatnonzero(~near_hi & (p > h_hi))
+    # E- and E+ as rows 0 and 1, so that one pass evaluates both
+    ends = np.where(fold, np.stack([e_lo, e_hi]), inflection)
+    h_end, slope_end = _h(ends, delta, k, g3, g)
+    near = _at_fold(ends, h_end, omega0, omega_p, p, k, g3, g)
+    has_lo = ~near[0] & (p < h_end[0])
+    has_hi = ~near[1] & (p > h_end[1])
+    below = np.flatnonzero(has_lo)
+    above = np.flatnonzero(has_hi)
 
-    # Newton from a bound on the side of each fold (or of the clamped
-    # inflection) where the root lies: every term of the Taylor expansion of
-    # h at that point moves h away from h(E-) below E- and from h(E+) above
-    # E+, so each term alone reaching |p - h| bounds the root, and the
-    # nearest bound is kept.  h is concave on the way to a root below E-
-    # and convex on the way to one above E+.  The roots of a quotient's
-    # numerator and denominator are taken apart, as the quotient would
-    # overflow at the largest drives.
+    # Newton from just past each root, from its side of the fold (or of the
+    # clamped inflection): h' is 0 at a fold, and the curvature counts where
+    # it bends h away
     at = np.concatenate([below, above])
-    side = np.repeat([-1.0, 1.0], [below.size, above.size])
-    x = np.concatenate([e_lo[below], e_hi[above]])
-    gap = side * (p[at] - np.concatenate([h_lo[below], h_hi[above]]))
-    slope = np.where(fold[at], 0.0, _h(x, delta[at], k, g3, g)[1])
-    half_curve = 3.0 * c3 * x + c2[at]
-    reach = np.fmin(np.fmin(
-        np.where(slope > 0.0, gap / slope, np.inf),
-        np.where(side * half_curve > 0.0,
-                 np.sqrt(gap) / np.sqrt(np.abs(half_curve)), np.inf)),
-        np.cbrt(gap) / np.cbrt(c3))
+    end = np.repeat([0, 1], [below.size, above.size])
+    side = end * 2.0 - 1.0
+    x, c2 = ends[end, at], c2[at]
+    reach = _start_offset(side * (p[at] - h_end[end, at]),
+                          np.where(fold[at], 0.0,
+                                   np.maximum(slope_end[end, at], 0.0)),
+                          np.maximum(side * (3.0 * c3 * x + c2), 0.0), c3)
     # h < 0 below 0, so no root of h = p >= 0 lies there
     root = np.maximum(_newton(np.maximum(x + side * reach, 0.0), delta[at],
-                              p[at], k, g3, g), 0.0)
+                              c2, p[at], c3, k, g3, g), 0.0)
     if not np.isfinite(root).all():
         raise OverflowError("cubic root beyond the float range")
 
-    lo = np.full(n, np.nan)
-    hi = np.full(n, np.nan)
-    lo[below] = root[:below.size]
-    hi[above] = root[below.size:]
     # a row with neither root has p within the floor of both folds' h
-    out[:, 0] = np.where(np.isnan(lo), np.where(np.isnan(hi), inflection, hi),
-                         lo)
-    double_hi = near_hi & ~np.isnan(lo)
-    out[double_hi, 1] = e_hi[double_hi]
-    double_lo = near_lo & ~np.isnan(hi)
-    out[double_lo, 0] = e_lo[double_lo]
-    out[double_lo, 1] = hi[double_lo]
-    three = np.flatnonzero(~np.isnan(lo) & ~np.isnan(hi))
+    out[:, 0] = inflection
+    out[above, 0] = root[below.size:]
+    out[below, 0] = root[:below.size]
+    double_hi = near[1] & has_lo
+    out[double_hi, 1] = ends[1, double_hi]
+    double_lo = near[0] & has_hi
+    out[double_lo, 1] = out[double_lo, 0]
+    out[double_lo, 0] = ends[0, double_lo]
+    three = np.flatnonzero(has_lo & has_hi)
     if three.size:
-        mid = p[three] / (c3 * lo[three] * hi[three])
-        out[three] = np.sort(np.column_stack([lo[three], mid, hi[three]]),
-                             axis=1)
+        hi = np.empty(n)
+        hi[above] = root[below.size:]
+        lo, hi = out[three, 0], hi[three]
+        out[three] = np.sort(np.column_stack([lo, p[three] / (c3 * lo * hi),
+                                              hi]), axis=1)
     return out
 
 
 def _one_branch_at(omega0, omega_p, p, k, g3, g) -> bool:
-    """Whether p is within the rounding floor of h at both folds at pump
-    frequency omega_p (or at the inflection that stands in for them where
-    rounding leaves no fold): where :func:`_branch_energies` reports one
-    branch, as it does at the coalesced folds of the critical point.  That
-    test for one row, in Python floats: the fold locus asks it per fold,
-    where a NumPy pass would cost several times the arithmetic."""
+    """Whether p is within the rounding floor of h at both folds (or the
+    inflection standing in for them) at pump frequency omega_p, where
+    :func:`_branch_energies` reports one branch, as at the critical point:
+    that test of one row in Python floats, as the fold locus asks it per
+    fold, where a NumPy pass would cost several times the arithmetic."""
     delta = omega0 - omega_p
     c3, c2, c1 = _coefficients(delta, k, g3, g)
     disc, e_lo, e_hi = _fold_energies(c3, c2, c1)
@@ -374,13 +384,8 @@ def _rows(*values):
 
 
 def _solve(params: DeviceParams, omega_p, b_in):
-    """:func:`_branch_energies` of the drives (1-D arrays of one length).
-
-    Raises
-    ------
-    DegenerateModel
-        If gamma1 + gamma2 == 0.
-    """
+    """:func:`_branch_energies` of the drives (1-D arrays of one length);
+    DegenerateModel if gamma1 + gamma2 == 0."""
     if params.gamma <= 0.0:
         raise DegenerateModel("gamma1 + gamma2 must be > 0")
     with np.errstate(all="ignore"):
@@ -438,10 +443,9 @@ def _reflection(params: DeviceParams, energy, delta):
 
 
 def _relaxation(params: DeviceParams, energy, delta):
-    """The relaxation roots base -/+ s as (base, Re s, Im s): s is the
-    square root of the radicand, (sqrt(r), 0) for r >= 0 and (0, sqrt(-r))
-    otherwise, so that underdamped points (a conjugate pair) are
-    representable."""
+    """The relaxation roots base -/+ s as (base, Re s, Im s), s the square
+    root of the radicand r: (sqrt(r), 0) for r >= 0, else (0, sqrt(-r)), an
+    underdamped conjugate pair."""
     k, g3 = params.kerr, params.gamma3
     mismatch = delta + 2.0 * k * energy
     radicand = (k * k + g3 * g3) * energy * energy - mismatch * mismatch
@@ -460,11 +464,9 @@ def _stability(params: DeviceParams, slow):
 
 def branch_states(params: DeviceParams, omega_p, b_in,
                   phase=0.0) -> BranchStates:
-    """Every steady-state branch at every drive of a batch, in one pass.
-
+    """Every steady-state branch at every drive of a batch, in one pass:
     ``omega_p``, ``b_in`` and the drive ``phase`` are scalars or 1-D arrays
-    of one length.  The entries of drive i are its branches, ascending in
-    energy.
+    of one length, and drive i's entries are its branches, ascending.
 
     Raises
     ------
@@ -472,11 +474,19 @@ def branch_states(params: DeviceParams, omega_p, b_in,
         If gamma1 + gamma2 == 0.
     """
     omega_p, b_in, psi = _rows(omega_p, b_in, phase)
+    row, index, energy, count = _branches(params, omega_p, b_in)
+    return _records(params, omega_p[row], b_in[row], psi[row], energy, row,
+                    index, count)
+
+
+def _branches(params: DeviceParams, omega_p, b_in):
+    """Every branch of each drive (1-D arrays of one length) as the entry
+    arrays (row, branch index, energy, branch count) of
+    :func:`branch_states`, without the rest of its record."""
     energy = _solve(params, omega_p, b_in)
     live = ~np.isnan(energy)
     row, index = np.nonzero(live)
-    return _records(params, omega_p[row], b_in[row], psi[row], energy[live],
-                    row, index, live.sum(axis=1)[row])
+    return row, index, energy[live], live.sum(axis=1)[row]
 
 
 def _records(params: DeviceParams, omega_p, b_in, psi, energy, row, index,
@@ -505,18 +515,11 @@ def _records(params: DeviceParams, omega_p, b_in, psi, energy, row, index,
 
 
 def _settle(params: DeviceParams, omega_p, b_in):
-    """The settled entry of each drive (1-D arrays of one length), as the
-    arrays (energy, branch index, branch count).
-
-    That is the lowest-energy stable root of :func:`_branch_energies`, or
-    root 0 when none is stable, by the stability test of the record
-    (:func:`_relaxation`, :func:`_stability`); no record is built.
-
-    Raises
-    ------
-    DegenerateModel
-        If gamma1 + gamma2 == 0.
-    """
+    """The settled entry of each drive (1-D arrays of one length) as the
+    arrays (energy, branch index, branch count): the lowest-energy stable
+    root of :func:`_branch_energies`, else root 0, by the record's stability
+    test (:func:`_relaxation`, :func:`_stability`), building no record.
+    DegenerateModel if gamma1 + gamma2 == 0."""
     energy = _solve(params, omega_p, b_in)
     count = 3 - np.isnan(energy).sum(axis=1)
     if (count == 1).all():
@@ -532,13 +535,10 @@ def _settle(params: DeviceParams, omega_p, b_in):
 
 def settled_states(params: DeviceParams, omega_p, b_in,
                    phase=0.0) -> BranchStates:
-    """The branch a slowly swept drive settles on, for a batch of drives.
-
-    That is the lowest-energy stable branch, or the lowest branch when none
-    is stable (a marginal or unstable operating point): the entries of
-    :func:`branch_states` that hold the first stable branch of each drive,
-    else its branch 0, one per drive.  The branch is chosen by
-    :func:`_settle` before any record is built.
+    """The branch a slowly swept drive settles on, for a batch of drives:
+    the lowest-energy stable branch, else branch 0 (a marginal or unstable
+    operating point), one entry of :func:`branch_states` per drive, chosen
+    by :func:`_settle` before any record is built.
 
     Raises
     ------
@@ -559,13 +559,8 @@ def settled_state(params: DeviceParams, drive: PumpDrive) -> SteadyState:
 
 
 def reflection_coefficient(state: SteadyState, drive: PumpDrive) -> complex:
-    """Reflected-over-incoming pump amplitude ratio.
-
-    Raises
-    ------
-    UndefinedForZeroDrive
-        If the incoming pump amplitude is zero.
-    """
+    """Reflected-over-incoming pump amplitude ratio; UndefinedForZeroDrive
+    if the incoming pump amplitude is zero."""
     if drive.amplitude == 0.0:
         raise UndefinedForZeroDrive("reflection coefficient needs b_in > 0")
     return state.reflected / drive.amplitude

@@ -19,8 +19,8 @@ from .jsonfile import read_json
 from .model import DeviceParams, validate
 from .noise import ThermalEnv, squeeze_columns
 from .operating import critical_point
-from .smallsignal import gains_array
-from .steady import _atan2, _reflection, branch_states
+from .smallsignal import _gains
+from .steady import _atan2, _branches, _reflection, branch_states
 from .stripline import (derive_device, load_profile, mode_coefficients,
                         solve_mode)
 from .tableio import Table
@@ -231,13 +231,11 @@ def load_config_file(path) -> SweepConfig:
                        base_dir=os.path.dirname(os.path.abspath(path)))
 
 
-def _grid_states(config: SweepConfig):
-    """Every branch at every grid point, amplitude-major."""
+def _grid(config: SweepConfig):
+    """The grid's drives (omega_p, b_in), amplitude-major."""
     n_omega, n_amp = len(config.omega_p_grid), len(config.amplitudes)
-    return branch_states(config.device,
-                         np.tile(np.array(config.omega_p_grid), n_amp),
-                         np.repeat(np.array(config.amplitudes), n_omega),
-                         config.psi1)
+    return (np.tile(np.array(config.omega_p_grid), n_amp),
+            np.repeat(np.array(config.amplitudes), n_omega))
 
 
 def run_steady_sweep(config: SweepConfig) -> Table:
@@ -250,7 +248,7 @@ def run_steady_sweep(config: SweepConfig) -> Table:
     """
     if not config.omega_p_grid or not config.amplitudes:
         raise ConfigError("drive", "steady-sweep needs drive.omega_p and drive.b1_in")
-    states = _grid_states(config)
+    states = branch_states(config.device, *_grid(config), config.psi1)
     driven = states.b_in > 0.0
     mag = np.full(driven.shape, math.nan)
     ang = np.full(driven.shape, math.nan)
@@ -274,21 +272,25 @@ def run_gain_sweep(config: SweepConfig) -> Table:
         raise ConfigError("drive", "gain-sweep needs drive.omega_p and drive.b1_in")
     if not config.offsets:
         raise ConfigError("offsets", "gain-sweep needs offsets or signal_frequencies")
-    states = _grid_states(config)
+    omega_p, b_in = _grid(config)
+    # the branches' energies only: the gains need no other field of a record
+    row, index, energy, _ = _branches(config.device, omega_p, b_in)
+    omega_p = omega_p[row]
     # one row per (branch, offset), branch-major
     omega = np.array(config.offsets)[None, :]
     if config.offsets_absolute:
-        omega = omega - states.omega_p[:, None]
-    omega = np.broadcast_to(omega, (states.energy.size, omega.shape[1]))
-    gs, gi = (g.ravel() for g in gains_array(config.device, states, omega))
+        omega = omega - omega_p[:, None]
+    omega = np.broadcast_to(omega, (energy.size, omega.shape[1]))
+    gs, gi = (g.ravel() for g in _gains(
+        config.device, energy[:, None],
+        (config.device.omega0 - omega_p)[:, None], omega))
 
     def per_row(x):
         return np.repeat(x, omega.shape[1])
 
     return Table.from_columns(GAIN_COLUMNS, [
-        per_row(states.b_in), per_row(states.omega_p),
-        per_row(states.branch_index), omega.ravel(), gs, gi,
-        ~(np.isfinite(gs) & np.isfinite(gi))])
+        per_row(b_in[row]), per_row(omega_p), per_row(index), omega.ravel(),
+        gs, gi, ~(np.isfinite(gs) & np.isfinite(gi))])
 
 
 def run_squeeze_sweep(config: SweepConfig) -> Table:

@@ -24,7 +24,7 @@ from kerrcav import (DegenerateModel, PumpDrive, SingularResponse,
                      SteadyState, branch_states, cubic_coefficients,
                      transfer_coefficients)
 from kerrcav.fitting import _PARTIALS
-from kerrcav.steady import FLOOR, MARGINAL_TOL, MAX_STEPS
+from kerrcav.steady import FLOOR, MARGIN, MARGINAL_TOL, MAX_STEPS
 
 
 # ------------------------------------------------- scalar reference path
@@ -61,8 +61,8 @@ def _clamped(x: float) -> float:
     return x if x > 0.0 else 0.0
 
 
-def _newton(e: float, delta: float, p: float, k: float, g3: float,
-            g: float) -> float:
+def _newton(e: float, delta: float, c2: float, p: float, c3: float,
+            k: float, g3: float, g: float) -> float:
     toward = None
     for _ in range(MAX_STEPS):
         h, slope = _h(e, delta, k, g3, g)
@@ -72,8 +72,39 @@ def _newton(e: float, delta: float, p: float, k: float, g3: float,
         nxt = e + step
         if not (nxt - e) * toward > 0.0:
             return e
+        if not abs(3.0 * c3 * e + c2) * (step * step) > FLOOR * e * slope:
+            return nxt
         e = nxt
     raise ArithmeticError("pump cubic: Newton steps did not settle")
+
+
+def _start_offset(gap: float, slope: float, half_curve: float,
+                  c3: float) -> float:
+    """The kernel's Newton start, its distance from the fold: Cardano's
+    root of the Taylor cubic in units of the nearest one-term bound.  The
+    cube and arc cosine roots are NumPy's, as the kernel's: the math
+    module's round otherwise."""
+    bounds = (gap / slope if slope > 0.0 else math.inf,
+              math.sqrt(gap) / math.sqrt(half_curve)
+              if half_curve > 0.0 else math.inf,
+              float(np.cbrt(gap)) / float(np.cbrt(c3)))
+    reach = min(bounds)
+    a3 = reach / bounds[0] / 3.0
+    beta = reach / bounds[1]
+    beta = beta * beta
+    gamma = reach / bounds[2]
+    gamma = gamma * gamma * gamma
+    m = beta / 3.0 + a3 * a3
+    n = 0.5 * gamma + a3 * (0.5 * beta + a3 * a3)
+    root_m = math.sqrt(m)
+    m_root_m = m * root_m
+    if m_root_m > 0.0 and n / m_root_m < 1.0:
+        v = 2.0 * root_m * math.cos(float(np.arccos(n / m_root_m)) / 3.0)
+    else:
+        w = float(np.cbrt(n + math.sqrt(abs(n * n - m_root_m * m_root_m))))
+        v = w + m / w
+    s = (1.0 + MARGIN) / (v + a3)
+    return reach * (s if s < 1.0 else 1.0)
 
 
 def scalar_solve_pump_energy(params, drive) -> list[float]:
@@ -119,13 +150,9 @@ def scalar_solve_pump_energy(params, drive) -> list[float]:
         if near or not gap > 0.0:
             continue
         slope = 0.0 if fold else _h(e_c, delta, k, g3, g)[1]
-        half_curve = 3.0 * c3 * e_c + c2
-        reach = min(gap / slope if slope > 0.0 else math.inf,
-                    math.sqrt(gap) / math.sqrt(abs(half_curve))
-                    if side * half_curve > 0.0 else math.inf,
-                    # np.cbrt, as the kernel: math.cbrt rounds otherwise
-                    float(np.cbrt(gap)) / float(np.cbrt(c3)))
-        root = _newton(_clamped(e_c + side * reach), delta, p, k, g3, g)
+        reach = _start_offset(gap, slope, side * (3.0 * c3 * e_c + c2), c3)
+        root = _newton(_clamped(e_c + side * reach), delta, c2, p, c3, k,
+                       g3, g)
         if not math.isfinite(root):
             raise OverflowError("cubic root beyond the float range")
         roots[side] = _clamped(root)

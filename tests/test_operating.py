@@ -266,7 +266,8 @@ def test_locus_and_branch_count_agree_inside_the_rounding_floor():
 
 def near_both_folds(params, omega_p, p):
     """Row by row, the test of :func:`steady._branch_energies` that p lies
-    within the rounding floor of h at both folds, as the batch ran it."""
+    within the rounding floor of h at both folds, as the batch ran it: one
+    call on the stacked folds, E- in row 0 and E+ in row 1."""
     at_fold = steady._at_fold
     near = []
 
@@ -279,7 +280,7 @@ def near_both_folds(params, omega_p, p):
         steady._branch_energies(params.omega0, np.array(omega_p),
                                 np.full(len(omega_p), p), params.kerr,
                                 params.gamma3, params.gamma)
-    near_lo, near_hi = near
+    (near_lo, near_hi), = near
     return (near_lo & near_hi).tolist()
 
 

@@ -8,6 +8,7 @@ import numpy as np
 import pytest
 
 from conftest import float_bits
+from kerrcav import steady
 from kerrcav import (DeviceParams, PumpDrive, branch_states, critical_point,
                      cubic_coefficients, instability_locus, solve_pump_energy)
 
@@ -201,3 +202,41 @@ def test_branch_count_changes_only_at_the_folds(times_critical):
     assert len(folds) == 2
     assert abs(grid[multi[0]] - folds[0]) <= step
     assert abs(grid[multi[-1]] - folds[1]) <= step
+
+
+def h_passes(monkeypatch, params, omega_p, b_in):
+    """How many times one branch_states call evaluates h, each a NumPy pass
+    over the rows it has left."""
+    calls = []
+    h = steady._h
+
+    def counted(*args):
+        calls.append(args)
+        return h(*args)
+
+    with monkeypatch.context() as patch:
+        patch.setattr(steady, "_h", counted)
+        branch_states(params, omega_p, b_in)
+    return len(calls)
+
+
+def test_pump_solve_takes_few_passes(monkeypatch):
+    """One pass evaluates h at both folds, and from its closed-form start
+    each root takes one or two Newton steps: on a fit's 162 rows (a device
+    off the one that made the data, below critical) and on the README grid
+    of 4,000 drives, three passes at most, where the one-term bounds took
+    ten and eleven."""
+    truth = DeviceParams(omega0=1.0, kerr=-1e-4, gamma1=0.01, gamma2=0.011,
+                         gamma3=3e-5)
+    guess = DeviceParams(omega0=1.0002, kerr=-1.15e-4, gamma1=0.009,
+                         gamma2=0.0121, gamma3=3.9e-5)
+    b_c = critical_point(truth).drive
+    omega_p = np.tile(np.linspace(0.95, 1.005, 81), 2)
+    b_in = np.repeat([0.4 * b_c, 0.9 * b_c], 81)
+    assert h_passes(monkeypatch, guess, omega_p, b_in) <= 3
+    readme = DeviceParams(omega0=1.0, kerr=-1e-4, gamma1=0.01, gamma2=0.011,
+                          gamma3=5.8e-7)
+    b_c = critical_point(readme).drive
+    omega_p = np.tile(np.linspace(0.9, 1.005, 2000), 2)
+    b_in = np.repeat([0.5 * b_c, 2.0 * b_c], 2000)
+    assert h_passes(monkeypatch, readme, omega_p, b_in) <= 3

@@ -10,6 +10,7 @@ import pytest
 from kerrcav import (LineProfile, ModeSolution, ResolutionError, SameModeError,
                      cross_kerr, derive_device, load_profile,
                      mode_coefficients, solve_mode, solve_modes)
+from kerrcav import jsonfile
 from kerrcav.jsonfile import read_json
 from conftest import make_uniform_profile
 from oracles import line_eigenvalue
@@ -470,3 +471,33 @@ def test_decode_matches_json_on_any_layout(tmp_path, text):
     assert json.dumps(decoded) == json.dumps(expected)
     if isinstance(expected, dict):
         assert list(decoded) == list(expected)
+
+
+@pytest.mark.parametrize("text", [
+    '{"fit": {"refl_data": [[0.95, 0.1, 0.5], [0.96, 0.1, 0.4]]}}',
+    '{"C": [1, [2]], "L0": [3]}',
+    '[[1], [2]]',
+])
+def test_nested_arrays_skip_the_array_by_array_path(tmp_path, text):
+    """A '[' inside an array, as in a fit file's rows, ends the array by
+    array decoding before it decodes anything, and the file reads as
+    json.load reads it."""
+    import orjson
+
+    decoded = []
+
+    class Counted:
+        JSONDecodeError = orjson.JSONDecodeError
+
+        @staticmethod
+        def loads(data):
+            decoded.append(data)
+            return orjson.loads(data)
+
+    assert jsonfile._flat_arrays(Counted, text.encode(), ()) is None
+    assert decoded == []
+    path = tmp_path / "doc.json"
+    path.write_text(text)
+    with open(path, encoding="utf-8") as fh:
+        expected = json.load(fh)
+    assert json.dumps(read_json(path, "config")) == json.dumps(expected)
