@@ -82,9 +82,8 @@ def main(argv=None) -> int:
             if not isinstance(data, dict) or data.get("schema") != 1:
                 raise ConfigError("schema", "expected 1")
             problem = load_fit_problem(
-                data.get("fit"), "fit",
-                os.path.dirname(os.path.abspath(args.config)))
-            check_drives(problem, "fit")
+                data.get("fit"), os.path.dirname(os.path.abspath(args.config)))
+            check_drives(problem)
             try:
                 fit = run_fit(problem)
             except NonConvergence as exc:

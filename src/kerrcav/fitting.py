@@ -63,7 +63,6 @@ class FitProblem:
     bounds: dict[str, tuple[float, float]]
     refl_data: tuple[tuple[float, float, float], ...]
     gain_data: tuple[tuple[float, float, float], ...] = ()
-    psi1: float = 0.0
 
     def __post_init__(self):
         for i, name in enumerate(self.free):
@@ -251,8 +250,6 @@ def run_fit(problem: FitProblem, max_evaluations: int = MAX_EVALUATIONS) -> FitR
 
     def residuals(z):
         nonlocal evaluations, best, last
-        if evaluations == max_evaluations:
-            raise NonConvergence(replace(best, n_evaluations=evaluations))
         evaluations += 1
         params = replace(problem.initial,
                          **dict(zip(names, (z * scale).tolist())))
@@ -283,7 +280,8 @@ def run_fit(problem: FitProblem, max_evaluations: int = MAX_EVALUATIONS) -> FitR
             raise NonConvergence(replace(best, n_evaluations=evaluations))
         return jac
 
-    # max_nfev lifts SciPy's own cap of 100 evaluations per free parameter
+    # max_nfev lifts SciPy's own cap of 100 evaluations per free parameter;
+    # TRF counts the first evaluation and stops at the cap
     result = least_squares(residuals, x0 / scale, bounds=(lo, hi),
                            method="trf", jac=jacobian, x_scale="jac",
                            max_nfev=max_evaluations)
@@ -294,21 +292,22 @@ def run_fit(problem: FitProblem, max_evaluations: int = MAX_EVALUATIONS) -> FitR
     return fit
 
 
-def load_fit_problem(data, path="fit", base_dir=".") -> FitProblem:
-    """Build a :class:`FitProblem` from a parsed JSON config block; a
-    profile named by ``initial`` is found relative to ``base_dir``."""
+def load_fit_problem(data, base_dir=".") -> FitProblem:
+    """Build a :class:`FitProblem` from a parsed ``fit`` block; a profile
+    named by ``initial`` is found relative to ``base_dir``.  A ``psi1``
+    must be a number, and is unused: the observables ignore the phase."""
     if not isinstance(data, dict):
-        raise ConfigError(path, "expected an object")
-    initial = load_device(data.get("initial"), f"{path}.initial", base_dir)
+        raise ConfigError("fit", "expected an object")
+    initial = load_device(data.get("initial"), "fit.initial", base_dir)
     free = data.get("free")
     if not isinstance(free, list) or not free:
-        raise ConfigError(f"{path}.free", "expected a non-empty list")
+        raise ConfigError("fit.free", "expected a non-empty list")
     raw_bounds = data.get("bounds", {})
     if not isinstance(raw_bounds, dict):
-        raise ConfigError(f"{path}.bounds", "expected an object")
+        raise ConfigError("fit.bounds", "expected an object")
     bounds = {}
     for name, pair in raw_bounds.items():
-        where = f"{path}.bounds.{name}"
+        where = f"fit.bounds.{name}"
         if (not isinstance(pair, list)) or len(pair) != 2:
             raise ConfigError(where, "expected [lo, hi]")
         bounds[name] = (_number(pair[0], f"{where}[0]"),
@@ -317,23 +316,24 @@ def load_fit_problem(data, path="fit", base_dir=".") -> FitProblem:
     def rows(key):
         raw = data.get(key, [])
         if not isinstance(raw, list):
-            raise ConfigError(f"{path}.{key}", "expected a list")
+            raise ConfigError(f"fit.{key}", "expected a list")
         # the cells before the first malformed row, checked in one pass
         bad = next((i for i, row in enumerate(raw)
                     if not isinstance(row, list) or len(row) != 3), len(raw))
         cells = _floats([v for row in raw[:bad] for v in row],
-                        lambda j: f"{path}.{key}[{j // 3}][{j % 3}]")
+                        lambda j: f"fit.{key}[{j // 3}][{j % 3}]")
         if bad < len(raw):
-            raise ConfigError(f"{path}.{key}[{bad}]",
+            raise ConfigError(f"fit.{key}[{bad}]",
                               "expected [omega_p, b1_in, value]")
         return tuple(zip(cells[0::3], cells[1::3], cells[2::3]))
 
+    refl_data, gain_data = rows("refl_data"), rows("gain_data")
+    _number(data.get("psi1", 0.0), "fit.psi1")
     return FitProblem(initial=initial, free=tuple(free), bounds=bounds,
-                      refl_data=rows("refl_data"), gain_data=rows("gain_data"),
-                      psi1=_number(data.get("psi1", 0.0), f"{path}.psi1"))
+                      refl_data=refl_data, gain_data=gain_data)
 
 
-def check_drives(problem: FitProblem, path="fit") -> None:
+def check_drives(problem: FitProblem) -> None:
     """Reject data rows whose drive leaves the model undefined.
 
     ``b1_in`` is an amplitude, so it must be >= 0, and a reflection row
@@ -350,6 +350,6 @@ def check_drives(problem: FitProblem, path="fit") -> None:
                                 ("gain_data", problem.gain_data, False)):
         for i, (_, b1_in, _) in enumerate(rows):
             if b1_in < 0.0 or (positive and b1_in == 0.0):
-                raise ConfigError(f"{path}.{key}[{i}][1]",
+                raise ConfigError(f"fit.{key}[{i}][1]",
                                   f"b1_in must be {'>' if positive else '>='}"
                                   f" 0 (got {b1_in!r})")

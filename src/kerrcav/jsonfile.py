@@ -5,10 +5,10 @@ orjson decodes a number to the same double as json, several times faster,
 so a file is read by orjson where it can be, in the first of three ways
 that applies:
 
-1. A document whose every '[' opens an array of scalars that is a value of
-   the top object (a line profile) is decoded one array at a time, so
-   orjson's working copy of its input (about twice the input) is the size
-   of one array, not of the file.
+1. A line profile (a read with ``float_keys``) whose every '[' opens an
+   array of scalars that is a value of the top object is decoded one array
+   at a time, so orjson's working copy of its input (about twice the
+   input) is the size of one array, not of the file.
 2. Any other document with fewer than ORJSON_MAX_BRACES '{' and '[' is
    decoded whole.
 3. The rest, and every file orjson refuses (NaN, Infinity, numbers past
@@ -32,17 +32,17 @@ ORJSON_MAX_BRACES = 1024
 
 def read_json(path, kind, float_keys=()):
     """The JSON document in the file at ``path``; ``kind`` ("config",
-    "profile") names the file in errors.  A top-level array under one of
-    ``float_keys`` that holds numbers only is returned as a float64 array,
-    with the bits float() gives each number; every other value is what
-    json.load returns."""
+    "profile") names the file in errors.  Given ``float_keys`` it is first
+    decoded array by array, and a top-level array under one of them that
+    holds numbers only is a float64 array, with the bits float() gives
+    each number; every other value is what json.load returns."""
     with open(path, "rb") as fh:
         raw = fh.read()
     # imported here: orjson's import loads uuid and zoneinfo, which a
     # command that reads no file need not pay for
     import orjson
 
-    data = _flat_arrays(orjson, raw, float_keys)
+    data = _flat_arrays(orjson, raw, float_keys) if float_keys else None
     if data is None and \
             raw.count(b"{") + raw.count(b"[") < ORJSON_MAX_BRACES:
         try:

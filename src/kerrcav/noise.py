@@ -61,11 +61,15 @@ def thermal_occupation(theta: float) -> float:
     """Mean bath photon number exp(-theta) / (1 - exp(-theta)).
 
     Evaluated as 1/expm1(theta), which stays finite and accurate for very
-    hot baths (theta near 0) where the direct form loses the denominator.
+    hot baths (theta near 0) where the direct form loses the denominator;
+    below theta ~ 5.6e-309 it is not finite, an OverflowError.
     """
     if math.isinf(theta):
         return 0.0
-    return 1.0 / math.expm1(theta)
+    n = 1.0 / math.expm1(theta)
+    if not math.isfinite(n):
+        raise OverflowError(f"occupation at theta = {theta!r} is not finite")
+    return n
 
 
 @dataclass(frozen=True)
@@ -223,9 +227,9 @@ def squeeze_columns(params: DeviceParams, env: ThermalEnv,
     exist.  Each fraction is solved on its lowest-energy stable branch;
     ``above_critical`` flags fractions above 1, since the branch choice is
     then a convention (the fold region covers the critical frequency).
-    The columns are ``fraction``, ``drive_amplitude``, ``p_min0``,
-    ``p_max0``, ``phi_min``, ``above_critical`` and ``diverged``, from one
-    batched pass.
+    The columns are ``fraction``, ``p_min0``, ``p_max0``, ``phi_min``,
+    ``above_critical`` and ``diverged``, in that order, from one batched
+    pass.
     """
     crit = critical_point(params)
     if not crit.exists:
@@ -234,7 +238,6 @@ def squeeze_columns(params: DeviceParams, env: ThermalEnv,
     fractions = np.asarray(pump_fractions, dtype=float)
     states = settled_states(params, crit.omega_p, fractions * crit.drive, psi1)
     ext = lo_phase_extrema_array(params, states, env, 0.0)
-    return dict(fraction=fractions, drive_amplitude=states.b_in,
-                p_min0=ext.p_min, p_max0=ext.p_max, phi_min=ext.phi_min,
-                above_critical=fractions > 1.0,
+    return dict(fraction=fractions, p_min0=ext.p_min, p_max0=ext.p_max,
+                phi_min=ext.phi_min, above_critical=fractions > 1.0,
                 diverged=ext.diverged | ~states.stable)

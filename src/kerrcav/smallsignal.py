@@ -106,9 +106,9 @@ def _resolvent(params: DeviceParams, energy, delta, omega):
 
 
 def _gains(params: DeviceParams, energy, delta, omega):
-    """(G_S, G_I) from the closed forms, inf where |D| is singular, from
-    floats or arrays alike.  Each gain is the square of a ratio of moduli,
-    so no square overflows before the gain itself does."""
+    """(G_S, G_I, singular) from the closed forms, the gains inf where |D|
+    is singular, from floats or arrays alike.  Each gain is the square of
+    a ratio of moduli, so no square overflows before the gain does."""
     g1 = params.gamma1
     with np.errstate(all="ignore"):
         d_re, d_im, d, singular = _resolvent(params, energy, delta, omega)
@@ -120,7 +120,7 @@ def _gains(params: DeviceParams, energy, delta, omega):
         conj = np.divide(2.0 * g1 * math.hypot(params.kerr, params.gamma3)
                          * energy, d)
         return (np.where(singular, math.inf, signal * signal),
-                np.where(singular, math.inf, conj * conj))
+                np.where(singular, math.inf, conj * conj), singular)
 
 
 def transfer_coefficients(params: DeviceParams, state: SteadyState,
@@ -204,4 +204,4 @@ def gains_array(params: DeviceParams, states: BranchStates, omega):
     """
     omega = np.asarray(omega, dtype=float)
     return _gains(params, _aligned(states.energy, omega),
-                  _aligned(params.omega0 - states.omega_p, omega), omega)
+                  _aligned(params.omega0 - states.omega_p, omega), omega)[:2]

@@ -158,11 +158,6 @@ class BranchStates:
             branch_index=int(self.branch_index[i]),
         )
 
-    def reflection(self):
-        """(real, imaginary) parts of reflected / b_in of each entry;
-        every drive must be nonzero."""
-        return self.reflected.real / self.b_in, self.reflected.imag / self.b_in
-
 
 def _coefficients(delta, k, g3, g):
     """(c3, c2, c1) of h(E) = c3 E^3 + c2 E^2 + c1 E at detuning delta =
@@ -308,7 +303,7 @@ def _branch_energies(omega0, omega_p, p, k, g3, g):
     out = np.full((n, 3), np.nan)
     if c3 == 0.0:
         # a linear device: h(E) = c1 E
-        out[:, 0] = p / c1
+        out[:, 0] = _finite(p / c1)
         return out
     disc, e_lo, e_hi = _fold_energies(c3, c2, c1)
     fold = (c2 < 0.0) & (disc > 0.0)
@@ -334,10 +329,9 @@ def _branch_energies(omega0, omega_p, p, k, g3, g):
                                    np.maximum(slope_end[end, at], 0.0)),
                           np.maximum(side * (3.0 * c3 * x + c2), 0.0), c3)
     # h < 0 below 0, so no root of h = p >= 0 lies there
-    root = np.maximum(_newton(np.maximum(x + side * reach, 0.0), delta[at],
-                              c2, p[at], c3, k, g3, g), 0.0)
-    if not np.isfinite(root).all():
-        raise OverflowError("cubic root beyond the float range")
+    root = _finite(np.maximum(_newton(np.maximum(x + side * reach, 0.0),
+                                      delta[at], c2, p[at], c3, k, g3, g),
+                              0.0))
 
     # a row with neither root has p within the floor of both folds' h
     out[:, 0] = inflection
@@ -356,6 +350,13 @@ def _branch_energies(omega0, omega_p, p, k, g3, g):
         out[three] = np.sort(np.column_stack([lo, p[three] / (c3 * lo * hi),
                                               hi]), axis=1)
     return out
+
+
+def _finite(root):
+    """``root`` if every root is finite: one check, linear or Kerr."""
+    if not np.isfinite(root).all():
+        raise OverflowError("cubic root beyond the float range")
+    return root
 
 
 def _one_branch_at(omega0, omega_p, p, k, g3, g) -> bool:

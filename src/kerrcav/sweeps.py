@@ -168,7 +168,11 @@ def _load_grid(block, path):
     step = (stop - start) / (count - 1)
     if not math.isfinite(step):
         raise ConfigError(path, "range must be finite (stop - start overflows)")
-    return tuple((start + step * np.arange(count)).tolist())
+    try:
+        return tuple((start + step * np.arange(count)).tolist())
+    except (MemoryError, ValueError):
+        raise ConfigError(f"{path}.count", f"{count} points do not fit in "
+                          "memory") from None
 
 
 def load_config(data, base_dir=".") -> SweepConfig:
@@ -265,8 +269,9 @@ def run_steady_sweep(config: SweepConfig) -> Table:
 def run_gain_sweep(config: SweepConfig) -> Table:
     """Parametric and intermodulation gain over (drive, frequency, offset).
 
-    Diverged points carry IEEE infinities plus the flag; no grid point is
-    dropped.
+    ``diverged`` is the singular test of the D that gives the gains, which
+    are inf there; no grid point is dropped.  A gain not finite elsewhere
+    (omega^2 overflows in D above about 1.3e154) is an OverflowError.
     """
     if not config.omega_p_grid or not config.amplitudes:
         raise ConfigError("drive", "gain-sweep needs drive.omega_p and drive.b1_in")
@@ -281,16 +286,18 @@ def run_gain_sweep(config: SweepConfig) -> Table:
     if config.offsets_absolute:
         omega = omega - omega_p[:, None]
     omega = np.broadcast_to(omega, (energy.size, omega.shape[1]))
-    gs, gi = (g.ravel() for g in _gains(
+    gs, gi, diverged = (g.ravel() for g in _gains(
         config.device, energy[:, None],
         (config.device.omega0 - omega_p)[:, None], omega))
+    if not (diverged | (np.isfinite(gs) & np.isfinite(gi))).all():
+        raise OverflowError("gain is not finite off the singular points")
 
     def per_row(x):
         return np.repeat(x, omega.shape[1])
 
     return Table.from_columns(GAIN_COLUMNS, [
         per_row(b_in[row]), per_row(omega_p), per_row(index), omega.ravel(),
-        gs, gi, ~(np.isfinite(gs) & np.isfinite(gi))])
+        gs, gi, diverged])
 
 
 def run_squeeze_sweep(config: SweepConfig) -> Table:
@@ -301,11 +308,9 @@ def run_squeeze_sweep(config: SweepConfig) -> Table:
     if not crit.exists:
         raise ConfigError("device", "squeeze-sweep needs a critical point "
                                     "(|kerr| > sqrt(3)*gamma3 and gamma1 > 0)")
-    columns = squeeze_columns(config.device, config.env,
-                              config.pump_fractions, psi1=config.psi1)
-    return Table.from_columns(SQUEEZE_COLUMNS, [columns[name] for name in (
-        "fraction", "p_min0", "p_max0", "phi_min", "above_critical",
-        "diverged")])
+    return Table.from_columns(SQUEEZE_COLUMNS, squeeze_columns(
+        config.device, config.env, config.pump_fractions,
+        psi1=config.psi1).values())
 
 
 def run_critical(device: DeviceParams) -> Table:

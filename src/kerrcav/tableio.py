@@ -2,8 +2,8 @@
 
 A :class:`Table` holds one typed column per name: a 1-d NumPy array of
 floats, integers, booleans or strings, never a mix.  A sweep hands its
-result arrays over as they are; ``append`` adds one row at a time for the
-one-row records.
+result arrays over as they are, and a one-row record is ``Table(columns,
+[row])``.
 
 Floats are always written as ``"%.16e"`` (17 significant digits) so
 identical inputs produce byte-identical files; non-finite values render as
@@ -25,8 +25,6 @@ import functools
 import json
 
 import numpy as np
-
-Cell = float | int | bool | str
 
 # the Python type of a column by NumPy dtype kind
 _KINDS = {"b": bool, "i": int, "u": int, "f": float, "U": str}
@@ -91,13 +89,6 @@ class Table:
     def rows(self) -> list[tuple]:
         """The cells row by row, as Python values (a copy)."""
         return list(zip(*(column.tolist() for column in self._data)))
-
-    def append(self, *cells: Cell) -> None:
-        """Add one row; for short tables (it rebuilds every column)."""
-        if len(cells) != len(self.columns):
-            raise ValueError(f"row has {len(cells)} cells, expected {len(self.columns)}")
-        self._data = [_typed([*column.tolist(), cell])
-                      for column, cell in zip(self._data, cells)]
 
     def column(self, name: str) -> np.ndarray:
         """The stored (read-only) column."""

@@ -129,6 +129,8 @@ def scalar_solve_pump_energy(params, drive) -> list[float]:
     if not all(map(math.isfinite, (c3, c2, c1, p))):
         raise OverflowError("cubic coefficient is not finite")
     if c3 == 0.0:
+        if not math.isfinite(p / c1):
+            raise OverflowError("cubic root beyond the float range")
         return [p / c1]
     disc = c2 * c2 - 3.0 * c3 * c1
     fold = c2 < 0.0 and disc > 0.0

@@ -715,3 +715,90 @@ def test_cli_import_loads_no_orjson():
          "import sys, kerrcav.cli; print('orjson' in sys.modules)"],
         env=env, capture_output=True, text=True, check=True)
     assert out.stdout.strip() == "False"
+
+
+# a config every sweep runs on; the tests below change one block of it
+SWEEP = {"schema": 1, "device": dict(DEVICE),
+         "drive": {"omega_p": {"start": 0.95, "stop": 1.0, "count": 3},
+                   "b1_in": [0.01]},
+         "offsets": [0.0], "pump_fractions": [0.5]}
+LINEAR = dict(DEVICE, kerr=0.0, gamma3=0.0)
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("command, change, message", [
+    ("steady-sweep", {"device": LINEAR, "drive": dict(SWEEP["drive"],
+                                                      b1_in=[1e154])},
+     "cubic root beyond the float range"),
+    # omega^2 overflows in D: |D| is huge there, not singular
+    ("gain-sweep", {"offsets": [1e160]},
+     "gain is not finite off the singular points"),
+    ("gain-sweep", {"offsets": [1e300]},
+     "gain is not finite off the singular points"),
+    ("squeeze-sweep", {"env": {"theta1": 1e-320}},
+     "occupation at theta = 1e-320 is not finite"),
+])
+def test_numeric_failures_exit_3_without_a_table(tmp_path, capsys, command,
+                                                  change, message):
+    """An overflow in the pump solve, the gains or the bath occupation is a
+    numeric failure: exit 3, no table written and no warning leaked."""
+    cfg = write_json(tmp_path / "cfg.json", {**SWEEP, **change})
+    out = tmp_path / "table.csv"
+    assert main([command, "--config", cfg, "--out", str(out)]) == 3
+    assert capsys.readouterr().err == f"error: numeric failure: {message}\n"
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("command, change, field, message", [
+    ("gain-sweep", {"offsets": None}, "offsets",
+     "gain-sweep needs offsets or signal_frequencies"),
+    ("gain-sweep", {"drive": None}, "drive",
+     "gain-sweep needs drive.omega_p and drive.b1_in"),
+    ("steady-sweep", {"drive": [0.95, 1.0]}, "drive", "expected an object"),
+    ("squeeze-sweep", {"env": "inf"}, "env", "expected an object"),
+    ("steady-sweep", {"drive": dict(SWEEP["drive"], omega_p=[0.95, 1.0])},
+     "drive.omega_p", "expected an object"),
+    ("squeeze-sweep", {"env": {"theta1": 0}}, "env.theta1",
+     "must be > 0.0 (got 0.0)"),
+    # NumPy refuses these grids before it allocates anything: 8e15 bytes
+    # and 2^65 bytes
+    ("steady-sweep", {"drive": dict(SWEEP["drive"], omega_p=dict(
+        SWEEP["drive"]["omega_p"], count=10**15))}, "drive.omega_p.count",
+     f"{10**15} points do not fit in memory"),
+    ("steady-sweep", {"drive": dict(SWEEP["drive"], omega_p=dict(
+        SWEEP["drive"]["omega_p"], count=2**62))}, "drive.omega_p.count",
+     f"{2**62} points do not fit in memory"),
+])
+def test_config_errors_name_their_field(tmp_path, capsys, command, change,
+                                        field, message):
+    """A missing or malformed block exits 2 naming it (a change of None
+    drops the key), without a traceback."""
+    config = {key: value for key, value in {**SWEEP, **change}.items()
+              if value is not None}
+    cfg = write_json(tmp_path / "cfg.json", config)
+    assert main([command, "--config", cfg]) == 2
+    captured = capsys.readouterr()
+    assert captured.err == f"error: config field {field!r}: {message}\n"
+    assert captured.out == ""
+
+
+def test_scalar_b1_in_reads_as_a_one_element_list(tmp_path, capsys):
+    tables = []
+    for b1_in in (0.01, [0.01]):
+        cfg = write_json(tmp_path / "cfg.json", dict(
+            SWEEP, drive=dict(SWEEP["drive"], b1_in=b1_in)))
+        assert main(["steady-sweep", "--config", cfg]) == 0
+        captured = capsys.readouterr()
+        assert captured.err == ""
+        tables.append(captured.out)
+    assert tables[0] == tables[1] and len(tables[0].splitlines()) == 4
+
+
+def test_out_into_a_missing_directory_is_io_error(tmp_path, capsys):
+    out = tmp_path / "missing" / "table.csv"
+    assert main(["steady-sweep", "--config", steady_cfg(tmp_path),
+                 "--out", str(out)]) == 4
+    captured = capsys.readouterr()
+    assert captured.err.startswith(f"error: cannot write {out}: ")
+    assert "Traceback" not in captured.err and captured.out == ""
+    assert not out.parent.exists()

@@ -47,6 +47,16 @@ def test_thermal_occupation_limits():
     assert math.isfinite(thermal_occupation(1e-300))
 
 
+def test_occupation_beyond_float_range_is_overflow():
+    """Below theta ~ 5.6e-309 the occupation 1/expm1(theta) is inf; that is
+    an overflow, not a noise power of nan."""
+    assert math.isfinite(thermal_occupation(5.6e-309))
+    with pytest.raises(OverflowError, match="not finite"):
+        thermal_occupation(5.5e-309)
+    with pytest.raises(OverflowError, match="theta = 1e-320"):
+        ThermalEnv(theta1=1e-320).occupations()
+
+
 def test_theta_must_be_positive():
     with pytest.raises(ValueError):
         ThermalEnv(theta1=0.0)

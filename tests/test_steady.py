@@ -477,6 +477,19 @@ def test_settled_states_match_scalar_path(case):
                                                      expected.energy)[0]
 
 
+def test_linear_device_root_beyond_float_range_is_overflow():
+    """K = gamma3 = 0 leaves h(E) = c1 E, whose root p / c1 overflows at
+    b_in = 1e154; it fails the same finiteness check as a Kerr root."""
+    params = DeviceParams(omega0=1.0, kerr=0.0, gamma1=0.01, gamma2=0.011,
+                          gamma3=0.0)
+    drive = PumpDrive(omega_p=1.0, amplitude=1e154)
+    for solve in (steady_states, solve_pump_energy, scalar_steady_states):
+        with pytest.raises(OverflowError, match="beyond the float range"):
+            solve(params, drive)
+    assert math.isfinite(solve_pump_energy(
+        params, PumpDrive(omega_p=1.0, amplitude=1e150))[0])
+
+
 @settings(max_examples=100, deadline=None, derandomize=True)
 @given(device_and_drives())
 def test_branch_states_match_scalar_path(case):
@@ -487,7 +500,9 @@ def test_branch_states_match_scalar_path(case):
     params, omega_p, b_in, psi = case
     batch = branch_states(params, omega_p, b_in, psi)
     with np.errstate(divide="ignore", invalid="ignore"):
-        re, im = batch.reflection()  # garbage at zero drive, not checked
+        # garbage at zero drive, not checked
+        re = batch.reflected.real / batch.b_in
+        im = batch.reflected.imag / batch.b_in
     expected = []
     for i, (w, b) in enumerate(zip(omega_p, b_in)):
         drive = PumpDrive(omega_p=w, amplitude=b, phase=psi)

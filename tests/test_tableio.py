@@ -13,11 +13,9 @@ from oracles import reference_csv, reference_json
 
 
 def sample_table():
-    table = Table(["omega_p", "branch", "E", "stable", "tag"])
-    table.append(0.95, 0, 12.25, True, "lo")
-    table.append(1.0, 1, math.inf, False, "hi")
-    table.append(1.05, 2, math.nan, True, "mid")
-    return table
+    return Table(["omega_p", "branch", "E", "stable", "tag"],
+                 [(0.95, 0, 12.25, True, "lo"), (1.0, 1, math.inf, False, "hi"),
+                  (1.05, 2, math.nan, True, "mid")])
 
 
 def test_format_float_digits():
@@ -46,9 +44,8 @@ def test_csv_layout():
 
 
 def test_row_width_checked():
-    table = Table(["a", "b"])
-    with pytest.raises(ValueError):
-        table.append(1.0)
+    with pytest.raises(ValueError, match="every row needs 2 cells"):
+        Table(["a", "b"], [(1.0,)])
 
 
 @pytest.mark.parametrize("columns, rows", [
@@ -116,10 +113,6 @@ def test_a_column_holds_one_cell_type(first, second):
         Table(["a"], [[first], [second]])
     with pytest.raises(ValueError, match="one cell type"):
         Table.from_columns(["a"], [[first, second]])
-    table = Table(["a"])
-    table.append(first)
-    with pytest.raises(ValueError, match="one cell type"):
-        table.append(second)
 
 
 def test_cells_of_other_types_are_rejected():
