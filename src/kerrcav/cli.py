@@ -13,9 +13,9 @@ import os
 import sys
 
 from .fitting import NonConvergence, check_drives, load_fit_problem, run_fit
-from .sweeps import (ConfigError, load_config_file, read_config_file,
-                     run_critical, run_gain_sweep, run_line_derive,
-                     run_squeeze_sweep, run_steady_sweep)
+from .sweeps import (ConfigError, _header, load_config_file,
+                     read_config_file, run_critical, run_gain_sweep,
+                     run_line_derive, run_squeeze_sweep, run_steady_sweep)
 from .tableio import Table, render
 
 EXIT_OK = 0
@@ -78,9 +78,7 @@ def main(argv=None) -> int:
         if args.command == "line-derive":
             table = run_line_derive(args.profile, args.mode_index, args.gamma1)
         elif args.command == "fit":
-            data = read_config_file(args.config)
-            if not isinstance(data, dict) or data.get("schema") != 1:
-                raise ConfigError("schema", "expected 1")
+            data = _header(read_config_file(args.config))
             problem = load_fit_problem(
                 data.get("fit"), os.path.dirname(os.path.abspath(args.config)))
             check_drives(problem)

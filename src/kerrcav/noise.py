@@ -30,7 +30,7 @@ from .model import DeviceParams, PumpDrive
 from .operating import critical_point
 from .smallsignal import _resolvent
 from .steady import (BranchStates, SteadyState, _atan2, _hypot,
-                     settled_states)
+                     _finite, settled_states)
 
 
 @dataclass(frozen=True)
@@ -115,9 +115,10 @@ def _extrema(params: DeviceParams, energy, delta, phase, omega, occupations,
 
     where |S_1(omega)|^2 = |D - 2 gamma1 z_w(omega)|^2 / |D|^2 and
     |S_k(omega)|^2 = c_k |z_w(omega)|^2 / |D|^2 for k = 2, 3.  Every
-    component is divided by |D| before it is squared.
+    component is divided by |D| before it is squared.  Off the singular
+    points a mean or |mod| not finite (a hot bath) is an OverflowError.
     """
-    d_re, d_im, d, _ = resolvent
+    d_re, d_im, d, singular = resolvent
     n1, n2, n3 = occupations
     g1 = params.gamma1
     c1 = 4.0 * g1 * g1
@@ -148,6 +149,7 @@ def _extrema(params: DeviceParams, energy, delta, phase, omega, occupations,
     s_re = 2.0 * g1 * (2.0 * n1 + 1.0) * dr - (wp + wm) * zr
     s_im = -2.0 * g1 * di - (wp * zp + wm * zm)
     amp = 2.0 * v * _hypot(s_re, s_im)
+    _finite(mean + amp, "noise power beyond the float range", singular)
     # the phase of 0 where the modulation vanishes (no pump)
     arg = (math.atan2(params.kerr, params.gamma3)
            - 2.0 * (params.phi1 + phase) + _atan2(s_im, s_re)) * (amp > 0.0)
@@ -173,12 +175,9 @@ def lo_phase_extrema(params: DeviceParams, state: SteadyState, drive: PumpDrive,
     mean, amp, arg, phi_min, phi_max = _extrema(
         params, state.energy, delta, state.phase, omega, env.occupations(),
         resolvent)
-
-    def p_of_phi(phi: float, _mean=mean, _amp=amp, _arg=arg) -> float:
-        return _mean + _amp * math.cos(2.0 * phi + _arg)
-
-    return SqueezeResult(p_of_phi=p_of_phi, p_min=mean - amp, p_max=mean + amp,
-                         phi_min=phi_min, phi_max=phi_max)
+    return SqueezeResult(
+        p_of_phi=lambda phi: mean + amp * math.cos(2.0 * phi + arg),
+        p_min=mean - amp, p_max=mean + amp, phi_min=phi_min, phi_max=phi_max)
 
 
 @dataclass(frozen=True, eq=False)

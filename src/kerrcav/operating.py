@@ -36,7 +36,8 @@ import numpy as np
 
 from .model import SQRT3, DeviceParams, PumpDrive
 from .steady import (MAX_STEPS, _at_fold, _branch_energies, _coefficients,
-                     _fold_energies, _h, _one_branch_at)
+                     _drive_power, _finite, _fold_energies, _h,
+                     _one_branch_at)
 
 # Denominator |K| - sqrt(3)*gamma3 below this fraction of |K| makes the
 # critical-point formulas numerically explosive.
@@ -76,7 +77,7 @@ def max_curve_energy(params: DeviceParams, drive: PumpDrive) -> float:
     h(E) rises from h(0) = 0 without a fold, so it has one root, which the
     steady states' solve finds from above.
     """
-    p = 2.0 * params.gamma1 * (drive.amplitude * drive.amplitude)
+    p = _drive_power(params.gamma1, drive.amplitude)
     with np.errstate(all="ignore"):
         return float(_branch_energies(0.0, np.zeros(1), np.full(1, p), 0.0,
                                       params.gamma3, params.gamma)[0, 0])
@@ -85,7 +86,7 @@ def max_curve_energy(params: DeviceParams, drive: PumpDrive) -> float:
 def curve_omega_p(params: DeviceParams, drive: PumpDrive, energy: float):
     """Pump frequencies (low side, high side) at which the curve reaches E,
     omega0 + K E -/+ sqrt(head(E)), with head clamped at 0."""
-    head = 2.0 * params.gamma1 * drive.amplitude**2 / energy \
+    head = _drive_power(params.gamma1, drive.amplitude) / energy \
         - (params.gamma + params.gamma3 * energy) ** 2
     root = math.sqrt(max(head, 0.0))
     center = params.omega0 + params.kerr * energy
@@ -115,25 +116,18 @@ def instability_locus(params: DeviceParams, drive: PumpDrive):
     alone, and so does one within that floor of h at both folds of either
     fold's frequency (:func:`steady._one_branch_at`): the pump solve
     reports one branch there, as it does where the folds coalesce, so the
-    band it resolves has no width.  A
-    drive below the cusp, or a device without a critical point
-    (|kerr| <= sqrt(3)*gamma3 or gamma1 = 0), gives no fold.
+    band it resolves has no width.  A drive below the cusp, or a device
+    without a critical point (|kerr| <= sqrt(3)*gamma3 or gamma1 = 0),
+    gives no fold.
 
     Raises
     ------
-    ValueError
-        If the drive amplitude is not finite.
     OverflowError
         If P = 2 gamma1 b_in^2 or the bracket lies beyond the float range.
     ArithmeticError
         If a fold takes more than MAX_STEPS steps.
     """
-    amplitude = drive.amplitude
-    if not math.isfinite(amplitude):
-        raise ValueError(f"drive amplitude must be finite, got {amplitude!r}")
-    p = 2.0 * params.gamma1 * (amplitude * amplitude)
-    if not math.isfinite(p):
-        raise OverflowError("drive power 2 gamma1 b_in^2 is not finite")
+    p = _drive_power(params.gamma1, drive.amplitude)
     crit = critical_point(params)
     if not crit.exists:
         return []
@@ -144,11 +138,9 @@ def instability_locus(params: DeviceParams, drive: PumpDrive):
         return [(crit.omega_p, crit.energy)]
     if p < h_c:
         return []
-    delta_out = -math.copysign(
+    delta_out = _finite(-math.copysign(
         3.0 * (k * k + g3 * g3) * p / (2.0 * g * g * abs(k))
-        + g * g3 / abs(k), k)
-    if not math.isfinite(delta_out):
-        raise OverflowError("fold locus bracket beyond the float range")
+        + g * g3 / abs(k), k), "fold locus bracket beyond the float range")
     with np.errstate(invalid="ignore"):
         far = _fold_root(params, p, 2, delta_c, crit.energy, delta_c,
                          delta_out)

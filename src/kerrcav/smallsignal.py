@@ -15,13 +15,13 @@ which vanishes only at marginal operating points, where the gains diverge.
 The power gains are closed forms in D, G_I = 4 gamma1^2 (K^2 + gamma3^2)
 E^2 / |D|^2 and G_S = |D - 2 gamma1 z_w|^2 / |D|^2 with z_w = gamma +
 2 gamma3 E - i (omega + omega0 - omega_p + 2 K E).  :func:`_resolvent` is
-the one home of D, of |D| and of the singular test |D| < SINGULAR_TOL
-gamma^2; the gains, :func:`transfer_coefficients` and the homodyne extrema
-(:mod:`noise`) take what it returns.  The gains and the extrema are written
-once, in real arithmetic that runs unchanged on Python floats and on NumPy
-arrays, so :func:`gains_array` is bit-identical to its one-point functions
-by construction; :func:`transfer_coefficients` is the one path for the six
-coefficients.
+the one home of D, of |D| and of its tests (singular below SINGULAR_TOL
+gamma^2, OverflowError where not finite); the gains, the transfer
+coefficients and the homodyne extrema (:mod:`noise`) take what it returns.
+The gains and the extrema are written once, in real arithmetic that runs
+unchanged on Python floats and on NumPy arrays, so :func:`gains_array` is
+bit-identical to its one-point functions by construction;
+:func:`transfer_coefficients` is the one path for the six coefficients.
 """
 
 import cmath
@@ -31,7 +31,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .model import DeviceParams, PumpDrive
-from .steady import BranchStates, SteadyState, _h, _hypot
+from .steady import BranchStates, SteadyState, _finite, _h, _hypot
 
 # |D| below this multiple of gamma^2 means operation at an instability.
 SINGULAR_TOL = 1e-14
@@ -97,11 +97,11 @@ def _resolvent(params: DeviceParams, energy, delta, omega):
     """(Re D, Im D, |D|, singular) at photon number ``energy``, detuning
     ``delta`` = omega0 - omega_p and offset ``omega``, from floats or arrays
     alike; singular is |D| < SINGULAR_TOL gamma^2, an operating point at an
-    instability."""
+    instability; OverflowError where |D| is not finite (offsets > 1.3e154)."""
     d_re = _h(energy, delta, params.kerr, params.gamma3,
               params.gamma)[1] - omega * omega
     d_im = -2.0 * omega * (params.gamma + 2.0 * params.gamma3 * energy)
-    d = _hypot(d_re, d_im)
+    d = _finite(_hypot(d_re, d_im), "resolvent |D| beyond the float range")
     return d_re, d_im, d, d < SINGULAR_TOL * params.gamma**2
 
 

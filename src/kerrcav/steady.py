@@ -78,7 +78,7 @@ def cubic_coefficients(params: DeviceParams, drive: PumpDrive):
         (K^2 + g3^2) E^3 + 2[(omega0-omega_p) K + gamma*g3] E^2
             + [(omega0-omega_p)^2 + gamma^2] E - 2 gamma1 b_in^2 = 0.
     """
-    c0 = -2.0 * params.gamma1 * (drive.amplitude * drive.amplitude)
+    c0 = -_drive_power(params.gamma1, drive.amplitude)
     return (*_coefficients(drive.detuning(params), params.kerr,
                            params.gamma3, params.gamma), c0)
 
@@ -289,21 +289,21 @@ def _branch_energies(omega0, omega_p, p, k, g3, g):
     Raises
     ------
     OverflowError
-        If a coefficient of the cubic is infinite or NaN, or a root lies
-        beyond the float range.
+        If c3, c2 or c1 is infinite or NaN, or a root lies beyond the float
+        range.
     ArithmeticError
         If a root takes more than MAX_STEPS Newton steps.
     """
     delta = omega0 - omega_p
     c3, c2, c1 = _coefficients(delta, k, g3, g)
     if not (np.isfinite(c3) and np.isfinite(c2).all()
-            and np.isfinite(c1).all() and np.isfinite(p).all()):
+            and np.isfinite(c1).all()):
         raise OverflowError("cubic coefficient is not finite")
     n = p.size
     out = np.full((n, 3), np.nan)
     if c3 == 0.0:
         # a linear device: h(E) = c1 E
-        out[:, 0] = _finite(p / c1)
+        out[:, 0] = _finite(p / c1, "cubic root beyond the float range")
         return out
     disc, e_lo, e_hi = _fold_energies(c3, c2, c1)
     fold = (c2 < 0.0) & (disc > 0.0)
@@ -331,7 +331,7 @@ def _branch_energies(omega0, omega_p, p, k, g3, g):
     # h < 0 below 0, so no root of h = p >= 0 lies there
     root = _finite(np.maximum(_newton(np.maximum(x + side * reach, 0.0),
                                       delta[at], c2, p[at], c3, k, g3, g),
-                              0.0))
+                              0.0), "cubic root beyond the float range")
 
     # a row with neither root has p within the floor of both folds' h
     out[:, 0] = inflection
@@ -352,11 +352,18 @@ def _branch_energies(omega0, omega_p, p, k, g3, g):
     return out
 
 
-def _finite(root):
-    """``root`` if every root is finite: one check, linear or Kerr."""
-    if not np.isfinite(root).all():
-        raise OverflowError("cubic root beyond the float range")
-    return root
+def _finite(x, message, skip=False):
+    """``x`` if it is finite where not ``skip``, else OverflowError."""
+    ok = skip | (abs(x) < math.inf)
+    if not (ok if isinstance(ok, bool) else ok.all()):
+        raise OverflowError(message)
+    return x
+
+
+def _drive_power(gamma1, b_in):
+    """P = 2 gamma1 b_in^2 of floats or arrays; OverflowError if not finite."""
+    return _finite(2.0 * gamma1 * (b_in * b_in),
+                   "drive power 2 gamma1 b_in^2 is not finite")
 
 
 def _one_branch_at(omega0, omega_p, p, k, g3, g) -> bool:
@@ -391,7 +398,7 @@ def _solve(params: DeviceParams, omega_p, b_in):
         raise DegenerateModel("gamma1 + gamma2 must be > 0")
     with np.errstate(all="ignore"):
         return _branch_energies(params.omega0, omega_p,
-                                2.0 * params.gamma1 * (b_in * b_in),
+                                _drive_power(params.gamma1, b_in),
                                 params.kerr, params.gamma3, params.gamma)
 
 

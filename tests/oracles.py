@@ -122,11 +122,13 @@ def scalar_solve_pump_energy(params, drive) -> list[float]:
         raise DegenerateModel("gamma1 + gamma2 must be > 0")
     delta = drive.detuning(params)
     p = 2.0 * params.gamma1 * (drive.amplitude * drive.amplitude)
+    if not math.isfinite(p):
+        raise OverflowError("drive power 2 gamma1 b_in^2 is not finite")
     k, g3, g = params.kerr, params.gamma3, params.gamma
     c3 = k * k + g3 * g3
     c2 = 2.0 * (delta * k + g * g3)
     c1 = delta * delta + g * g
-    if not all(map(math.isfinite, (c3, c2, c1, p))):
+    if not all(map(math.isfinite, (c3, c2, c1))):
         raise OverflowError("cubic coefficient is not finite")
     if c3 == 0.0:
         if not math.isfinite(p / c1):

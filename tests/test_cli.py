@@ -120,8 +120,7 @@ def test_malformed_json_reports_location(tmp_path, capsys):
 
 
 def test_overflowing_drive_is_numeric_error(tmp_path, capsys):
-    """b_in^2 overflows to inf: the cubic rejects the non-finite constant
-    term."""
+    """b_in^2 overflows to inf: the drive power is not finite."""
     cfg = write_json(tmp_path / "huge.json", {
         "schema": 1,
         "device": dict(DEVICE),
@@ -130,9 +129,26 @@ def test_overflowing_drive_is_numeric_error(tmp_path, capsys):
     })
     assert main(["steady-sweep", "--config", cfg]) == 3
     captured = capsys.readouterr()
-    assert captured.err == ("error: numeric failure: cubic coefficient is "
-                            "not finite\n")
+    assert captured.err == ("error: numeric failure: drive power 2 gamma1 "
+                            "b_in^2 is not finite\n")
     assert captured.out == ""
+
+
+@pytest.mark.parametrize("document, field, message", [
+    ([{"fit": {}}], "$", "top level must be an object"),
+    ({"schema": 2, "fit": {}}, "schema", "expected 1, got 2"),
+    ({"fit": {}}, "schema", "expected 1, got None"),
+])
+def test_fit_file_header_errors_are_the_sweep_config_errors(
+        tmp_path, capsys, document, field, message):
+    """A fit file and a sweep config share one header check: the same
+    document exits 2 with the same message from fit and steady-sweep."""
+    cfg = write_json(tmp_path / "fit.json", document)
+    for command in ("fit", "steady-sweep"):
+        assert main([command, "--config", cfg]) == 2
+        captured = capsys.readouterr()
+        assert captured.err == f"error: config field {field!r}: {message}\n"
+        assert captured.out == ""
 
 
 def test_tiny_drive_keeps_its_steady_state(tmp_path, capsys):
@@ -732,9 +748,9 @@ LINEAR = dict(DEVICE, kerr=0.0, gamma3=0.0)
      "cubic root beyond the float range"),
     # omega^2 overflows in D: |D| is huge there, not singular
     ("gain-sweep", {"offsets": [1e160]},
-     "gain is not finite off the singular points"),
+     "resolvent |D| beyond the float range"),
     ("gain-sweep", {"offsets": [1e300]},
-     "gain is not finite off the singular points"),
+     "resolvent |D| beyond the float range"),
     ("squeeze-sweep", {"env": {"theta1": 1e-320}},
      "occupation at theta = 1e-320 is not finite"),
 ])

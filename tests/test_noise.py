@@ -57,6 +57,23 @@ def test_occupation_beyond_float_range_is_overflow():
         ThermalEnv(theta1=1e-320).occupations()
 
 
+def test_hot_bath_noise_beyond_float_range_is_overflow():
+    """At a photon number of 1.26e42 and theta = 1e-300 on every bath the
+    thermal terms of the noise power overflow although D is finite: both
+    extrema paths raise rather than reporting p_min = nan, p_max = inf
+    without the diverged flag."""
+    params = DeviceParams(omega0=1.0, kerr=-1e-4, gamma1=0.01, gamma2=0.011,
+                          gamma3=5.8e-7)
+    env = ThermalEnv(1e-300, 1e-300, 1e-300)
+    states = branch_states(params, 0.97, 1e60)
+    state, drive = states.state(0), states.drive(0)
+    assert state.energy == pytest.approx(1.26e42, rel=1e-3)
+    with pytest.raises(OverflowError, match="noise power"):
+        lo_phase_extrema(params, state, drive, env, 1e3)
+    with pytest.raises(OverflowError, match="noise power"):
+        lo_phase_extrema_array(params, states, env, 1e3)
+
+
 def test_theta_must_be_positive():
     with pytest.raises(ValueError):
         ThermalEnv(theta1=0.0)

@@ -10,10 +10,11 @@ from kerrcav import steady
 from kerrcav import (DeviceParams, PumpDrive, branch_states, critical_point,
                      curve_omega_p, instability_locus, max_curve_energy,
                      cubic_coefficients, response_peak_detuning,
-                     solve_pump_energy, steady_state)
+                     settled_state, solve_pump_energy, steady_state,
+                     steady_states)
 from oracles import (brute_force_critical, coalescence_residual,
                      fold_condition_residual, fold_frequencies_from_root_count,
-                     fold_points_mpmath)
+                     fold_points_mpmath, scalar_steady_states)
 
 SQRT3 = math.sqrt(3.0)
 
@@ -354,7 +355,7 @@ def test_locus_resolves_the_folds_just_above_critical(params, eps):
 
 @pytest.mark.parametrize("amplitude", [math.inf, -math.inf, math.nan])
 def test_locus_rejects_a_non_finite_drive(fig_device, amplitude):
-    with pytest.raises(ValueError, match="amplitude"):
+    with pytest.raises(OverflowError, match="drive power"):
         instability_locus(fig_device, PumpDrive(omega_p=1.0,
                                                 amplitude=amplitude))
 
@@ -363,6 +364,21 @@ def test_locus_reports_an_overflowing_drive_power(fig_device):
     with pytest.raises(OverflowError, match="2 gamma1 b_in"):
         instability_locus(fig_device, PumpDrive(omega_p=1.0,
                                                 amplitude=1e200))
+
+
+@pytest.mark.parametrize("amplitude", [math.nan, math.inf, 1e200])
+def test_a_bad_drive_raises_one_overflow_everywhere(fig_device, amplitude):
+    """A NaN, infinite or overflowing drive has no finite drive power
+    P = 2 gamma1 b_in^2: every function that forms P raises the same
+    OverflowError with the same message, and so does the float oracle."""
+    drive = PumpDrive(omega_p=1.0, amplitude=amplitude)
+    for call in (steady_states, settled_state, max_curve_energy,
+                 cubic_coefficients, instability_locus, scalar_steady_states,
+                 lambda params, drive: curve_omega_p(params, drive, 1.0)):
+        with pytest.raises(OverflowError) as excinfo:
+            call(fig_device, drive)
+        assert str(excinfo.value) == ("drive power 2 gamma1 b_in^2 is not "
+                                      "finite")
 
 
 def test_locus_positive_kerr_mirror(fig_device):

@@ -3,22 +3,28 @@ and the commutator sum and the pump-cubic residuals over random devices.
 Also that the derandomized draws do not follow the literals of local
 modules."""
 
+import cmath
 import contextlib
 import importlib
 import io
 import json
+import math
 import os
 import sys
 import tempfile
+from dataclasses import replace
 
+import numpy as np
 import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 import kerrcav.cli as cli
-from kerrcav import (DeviceParams, PumpDrive, branch_states,
-                     cubic_coefficients, run_fit, steady_states,
-                     transfer_coefficients)
+from kerrcav import (DeviceParams, PumpDrive, SingularResponse, ThermalEnv,
+                     branch_states, critical_point, cubic_coefficients,
+                     gains_array, intermodulation_gain, lo_phase_extrema,
+                     lo_phase_extrema_array, parametric_gain, run_fit,
+                     steady_states, transfer_coefficients)
 
 SUBCOMMANDS = ("steady-sweep", "gain-sweep", "squeeze-sweep", "critical",
                "fit")
@@ -213,6 +219,68 @@ def test_pump_energies_solve_the_cubic(point):
                             drive.phase).energy.tolist()
     for e in [s.energy for s in steady_states(params, drive)] + batched:
         assert residual(coeffs, e) <= 1e-10
+
+
+@st.composite
+def extreme_points(draw):
+    """A random lossy device, a drive up to 1e200 times the critical drive
+    of its Kerr part alone, an offset up to 1e300 in magnitude and baths
+    as hot as theta = 1e-300."""
+    params, drive, _ = draw(operating_points())
+    scale = critical_point(replace(params, gamma3=0.0)).drive
+    drive = replace(drive, amplitude=scale * 10.0 ** draw(st.floats(-3, 200)))
+    omega = draw(st.one_of(st.just(0.0), st.floats(-3, 300).map(
+        lambda e: 10.0 ** e))) * draw(st.sampled_from([-1.0, 1.0]))
+    thetas = st.one_of(st.just(math.inf),
+                       st.floats(-300, 2).map(lambda e: 10.0 ** e))
+    env = ThermalEnv(draw(thetas), draw(thetas), draw(thetas))
+    return params, drive, omega, env
+
+
+def finite(*values):
+    return all(cmath.isfinite(v) for v in values)
+
+
+@settings(max_examples=100, deadline=None, derandomize=True)
+@given(extreme_points())
+def test_small_signal_is_finite_singular_or_an_arithmetic_error(point):
+    """Every gain, transfer and extrema function returns finite values,
+    inf or NaN only where the point is singular (SingularResponse, or
+    ``diverged``), or raises an ArithmeticError."""
+    params, drive, omega, env = point
+    try:
+        states = branch_states(params, drive.omega_p, drive.amplitude,
+                               drive.phase)
+    except ArithmeticError:
+        return
+    singular = np.zeros(states.energy.size, dtype=bool)
+    for i in range(singular.size):
+        state = states.state(i)
+        with contextlib.suppress(ArithmeticError):
+            try:
+                r = transfer_coefficients(params, state, drive, omega)
+            except SingularResponse:
+                singular[i] = True
+            else:
+                assert finite(r.refl_signal, r.refl_conj, r.loss_signal,
+                              r.loss_conj, r.tpl_signal, r.tpl_conj)
+        for gain in (parametric_gain, intermodulation_gain):
+            with contextlib.suppress(ArithmeticError):
+                assert singular[i] or math.isfinite(
+                    gain(params, state, drive, omega))
+        with contextlib.suppress(ArithmeticError):
+            ext = lo_phase_extrema(params, state, drive, env, omega)
+            assert ext.diverged == singular[i]
+            assert ext.diverged or finite(ext.p_min, ext.p_max, ext.phi_min,
+                                          ext.phi_max)
+    with contextlib.suppress(ArithmeticError):
+        for g in gains_array(params, states, omega):
+            assert np.all(singular | np.isfinite(g))
+    with contextlib.suppress(ArithmeticError):
+        ext = lo_phase_extrema_array(params, states, env, omega)
+        assert np.array_equal(ext.diverged, singular)
+        for x in (ext.p_min, ext.p_max, ext.phi_min, ext.phi_max):
+            assert np.all(singular | np.isfinite(x))
 
 
 # ------------------------------------------------------------- pinned draws

@@ -340,3 +340,25 @@ def test_gains_array_singular_at_critical_point(fig_device):
     g_s, g_i = gains_array(fig_device, states, [[0.0, 1e-3]])
     assert g_s[0, 0] == g_i[0, 0] == math.inf
     assert math.isfinite(g_s[0, 1]) and math.isfinite(g_i[0, 1])
+
+
+@pytest.mark.parametrize("omega", [1e160, 1e200, 1e300])
+def test_offset_beyond_float_range_is_overflow(omega):
+    """Above an offset of about 1.3e154 omega^2 overflows in D: every gain,
+    transfer and extrema function raises rather than returning NaN (or a
+    gain of 0 over an infinite |D|)."""
+    params = DeviceParams(omega0=1.0, kerr=-1e-4, gamma1=0.01, gamma2=0.011,
+                          gamma3=5.8e-7)
+    states = branch_states(params, 0.97, 1e-3)
+    state, drive = states.state(0), states.drive(0)
+    for call in (
+            lambda: parametric_gain(params, state, drive, omega),
+            lambda: intermodulation_gain(params, state, drive, omega),
+            lambda: gains_array(params, states, omega),
+            lambda: transfer_coefficients(params, state, drive, omega),
+            lambda: lo_phase_extrema(params, state, drive, ThermalEnv(),
+                                     omega),
+            lambda: lo_phase_extrema_array(params, states, ThermalEnv(),
+                                           omega)):
+        with pytest.raises(OverflowError, match="resolvent"):
+            call()
