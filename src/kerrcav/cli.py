@@ -9,13 +9,12 @@ failure (non-convergence or arithmetic overflow), 4 I/O error.
 import argparse
 import functools
 import json
-import os
 import sys
 
-from .fitting import NonConvergence, check_drives, load_fit_problem, run_fit
-from .sweeps import (ConfigError, _header, load_config_file,
-                     read_config_file, run_critical, run_gain_sweep,
-                     run_line_derive, run_squeeze_sweep, run_steady_sweep)
+from .fitting import NonConvergence, load_fit_file, run_fit
+from .sweeps import (ConfigError, load_config_file, run_critical,
+                     run_gain_sweep, run_line_derive, run_squeeze_sweep,
+                     run_steady_sweep)
 from .tableio import Table, render
 
 EXIT_OK = 0
@@ -78,12 +77,8 @@ def main(argv=None) -> int:
         if args.command == "line-derive":
             table = run_line_derive(args.profile, args.mode_index, args.gamma1)
         elif args.command == "fit":
-            data = _header(read_config_file(args.config))
-            problem = load_fit_problem(
-                data.get("fit"), os.path.dirname(os.path.abspath(args.config)))
-            check_drives(problem)
             try:
-                fit = run_fit(problem)
+                fit = run_fit(load_fit_file(args.config))
             except NonConvergence as exc:
                 _emit(_fit_table(exc.best), args)
                 print(f"error: {exc}", file=sys.stderr)

@@ -19,15 +19,17 @@ the solver is deterministic, so identical inputs give identical fits.
 """
 
 import math
+import os
 from dataclasses import dataclass, replace
 
 import numpy as np
 
+from .jsonfile import read_json
 from .model import DeviceParams, validate
 from .smallsignal import _gains
 from .steady import (UndefinedForZeroDrive, _coefficients, _h, _reflection,
                      _rows, _settle)
-from .sweeps import ConfigError, _floats, _number, load_device
+from .sweeps import ConfigError, _floats, _header, _number, load_device
 
 FREE_NAMES = ("omega0", "kerr", "gamma1", "gamma2", "gamma3")
 MAX_EVALUATIONS = 100_000
@@ -333,23 +335,20 @@ def load_fit_problem(data, base_dir=".") -> FitProblem:
                       refl_data=refl_data, gain_data=gain_data)
 
 
-def check_drives(problem: FitProblem) -> None:
-    """Reject data rows whose drive leaves the model undefined.
-
-    ``b1_in`` is an amplitude, so it must be >= 0, and a reflection row
-    needs it > 0: the reflection is undefined at zero drive.  The CLI
-    applies this to fit files; a :class:`FitProblem` built in Python is not
-    checked, and a fit on such rows raises :class:`NonConvergence`.
-
-    Raises
-    ------
-    ConfigError
-        Naming the first offending cell, e.g. ``fit.refl_data[3][1]``.
-    """
-    for key, rows, positive in (("refl_data", problem.refl_data, True),
-                                ("gain_data", problem.gain_data, False)):
-        for i, (_, b1_in, _) in enumerate(rows):
-            if b1_in < 0.0 or (positive and b1_in == 0.0):
+def load_fit_file(path) -> FitProblem:
+    """:func:`load_fit_problem` of the ``fit`` block of the fit file at
+    ``path`` (a sweep config's header; profiles found next to it), with
+    the drive rule: ``b1_in`` >= 0, and > 0 in a reflection row, where the
+    reflection is defined; a ConfigError names the first bad cell.  A
+    :class:`FitProblem` built in Python is not checked: a zero reflection
+    drive makes :func:`run_fit` raise :class:`NonConvergence` at the
+    initial guess, and a negative drive fits as its magnitude does, since
+    the model reads only P = 2 gamma1 b1_in^2."""
+    problem = load_fit_problem(_header(read_json(path, "config")).get("fit"),
+                               os.path.dirname(os.path.abspath(path)))
+    for key, sign in (("refl_data", ">"), ("gain_data", ">=")):
+        for i, (_, b1_in, _) in enumerate(getattr(problem, key)):
+            if b1_in < 0.0 or (sign == ">" and b1_in == 0.0):
                 raise ConfigError(f"fit.{key}[{i}][1]",
-                                  f"b1_in must be {'>' if positive else '>='}"
-                                  f" 0 (got {b1_in!r})")
+                                  f"b1_in must be {sign} 0 (got {b1_in!r})")
+    return problem

@@ -27,7 +27,7 @@ from typing import Callable, Sequence
 import numpy as np
 
 from .model import DeviceParams, PumpDrive
-from .operating import critical_point
+from .operating import require_critical_point
 from .smallsignal import _resolvent
 from .steady import (BranchStates, SteadyState, _atan2, _hypot,
                      _finite, settled_states)
@@ -223,17 +223,14 @@ def squeeze_columns(params: DeviceParams, env: ThermalEnv,
 
     The pump frequency is pinned to the critical value and the drive swept
     as fractions of the critical amplitude, so the critical point must
-    exist.  Each fraction is solved on its lowest-energy stable branch;
-    ``above_critical`` flags fractions above 1, since the branch choice is
-    then a convention (the fold region covers the critical frequency).
-    The columns are ``fraction``, ``p_min0``, ``p_max0``, ``phi_min``,
-    ``above_critical`` and ``diverged``, in that order, from one batched
-    pass.
+    exist (:func:`operating.require_critical_point`).  Each fraction is
+    solved on its lowest-energy stable branch; ``above_critical`` flags
+    fractions above 1, since the branch choice is then a convention (the
+    fold region covers the critical frequency).  The columns are
+    ``fraction``, ``p_min0``, ``p_max0``, ``phi_min``, ``above_critical``
+    and ``diverged``, in that order, from one batched pass.
     """
-    crit = critical_point(params)
-    if not crit.exists:
-        raise ValueError("no critical point: it needs |kerr| > sqrt(3)*gamma3 "
-                         "and gamma1 > 0")
+    crit = require_critical_point(params)
     fractions = np.asarray(pump_fractions, dtype=float)
     states = settled_states(params, crit.omega_p, fractions * crit.drive, psi1)
     ext = lo_phase_extrema_array(params, states, env, 0.0)

@@ -206,16 +206,17 @@ def critical_point(params: DeviceParams) -> CriticalPoint:
     finite drive reaches the point, which is also reported as
     ``exists=False``.
     """
-    k = params.kerr
-    g3 = params.gamma3
+    k, g3 = params.kerr, params.gamma3
     margin = abs(k) - SQRT3 * g3
     if not margin > 0.0 or params.gamma1 == 0.0:
         return CriticalPoint(exists=False)
     g = params.gamma
     energy = 2.0 * g / (SQRT3 * margin)
     sgn = 1.0 if k > 0.0 else -1.0
-    detuning = -g * sgn * (4.0 * g3 * abs(k) + SQRT3 * (k * k + g3 * g3)) \
-        / (k * k - 3.0 * g3 * g3)
+    # K^2 - 3 g3^2, factored where the expanded form cancels to 0 or below
+    den = k * k - 3.0 * g3 * g3
+    den = den if den > 0.0 else margin * (abs(k) + SQRT3 * g3)
+    detuning = -g * sgn * (4.0 * g3 * abs(k) + SQRT3 * (k * k + g3 * g3)) / den
     drive_sq = (4.0 / (3.0 * SQRT3)) * g**3 * (k * k + g3 * g3) \
         / (params.gamma1 * margin**3)
     return CriticalPoint(
@@ -225,3 +226,12 @@ def critical_point(params: DeviceParams) -> CriticalPoint:
         drive=math.sqrt(drive_sq),
         ill_conditioned=margin < ILL_CONDITION_TOL * abs(k),
     )
+
+
+def require_critical_point(params: DeviceParams) -> CriticalPoint:
+    """:func:`critical_point`, or ValueError where the device has none."""
+    crit = critical_point(params)
+    if not crit.exists:
+        raise ValueError("no critical point: it needs |kerr| > sqrt(3)*gamma3 "
+                         "and gamma1 > 0")
+    return crit

@@ -73,14 +73,15 @@ class SteadyState:
 
 def cubic_coefficients(params: DeviceParams, drive: PumpDrive):
     """Coefficients (c3, c2, c1, c0) of the photon-number cubic, kept
-    un-normalized so that K = g3 = 0 leaves a linear equation:
+    un-normalized so that K = g3 = 0 leaves a linear equation (one that is
+    not finite is an OverflowError, as in the solve):
 
         (K^2 + g3^2) E^3 + 2[(omega0-omega_p) K + gamma*g3] E^2
             + [(omega0-omega_p)^2 + gamma^2] E - 2 gamma1 b_in^2 = 0.
     """
     c0 = -_drive_power(params.gamma1, drive.amplitude)
-    return (*_coefficients(drive.detuning(params), params.kerr,
-                           params.gamma3, params.gamma), c0)
+    return (*_checked_coefficients(drive.detuning(params), params.kerr,
+                                   params.gamma3, params.gamma), c0)
 
 
 def solve_pump_energy(params: DeviceParams, drive: PumpDrive) -> list[float]:
@@ -163,6 +164,12 @@ def _coefficients(delta, k, g3, g):
     """(c3, c2, c1) of h(E) = c3 E^3 + c2 E^2 + c1 E at detuning delta =
     omega0 - omega_p; runs unchanged on floats and on arrays."""
     return k * k + g3 * g3, 2.0 * (delta * k + g * g3), delta * delta + g * g
+
+
+def _checked_coefficients(delta, k, g3, g):
+    """:func:`_coefficients`; OverflowError if one is infinite or NaN."""
+    return tuple(_finite(c, "cubic coefficient is not finite")
+                 for c in _coefficients(delta, k, g3, g))
 
 
 def _h(e, delta, k, g3, g):
@@ -295,10 +302,7 @@ def _branch_energies(omega0, omega_p, p, k, g3, g):
         If a root takes more than MAX_STEPS Newton steps.
     """
     delta = omega0 - omega_p
-    c3, c2, c1 = _coefficients(delta, k, g3, g)
-    if not (np.isfinite(c3) and np.isfinite(c2).all()
-            and np.isfinite(c1).all()):
-        raise OverflowError("cubic coefficient is not finite")
+    c3, c2, c1 = _checked_coefficients(delta, k, g3, g)
     n = p.size
     out = np.full((n, 3), np.nan)
     if c3 == 0.0:

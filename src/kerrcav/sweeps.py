@@ -18,7 +18,7 @@ import numpy as np
 from .jsonfile import read_json
 from .model import DeviceParams, validate
 from .noise import ThermalEnv, squeeze_columns
-from .operating import critical_point
+from .operating import critical_point, require_critical_point
 from .smallsignal import _gains
 from .steady import _atan2, _branches, _reflection, branch_states
 from .stripline import (derive_device, load_profile, mode_coefficients,
@@ -147,15 +147,19 @@ def load_device(block, path, base_dir="."):
     return params
 
 
+def _critical(device, path):
+    """:func:`operating.require_critical_point`'s error as a ConfigError."""
+    try:
+        return require_critical_point(device)
+    except ValueError as exc:
+        raise ConfigError(path, str(exc)) from None
+
+
 def _resolve_amplitude(value, path, device):
     if isinstance(value, dict):
         frac = _number(_require(value, "times_critical", path),
                        f"{path}.times_critical", minimum=0.0)
-        crit = critical_point(device)
-        if not crit.exists:
-            raise ConfigError(path, "times_critical needs a critical point "
-                                    "(|kerr| > sqrt(3)*gamma3 and gamma1 > 0)")
-        return frac * crit.drive
+        return frac * _critical(device, path).drive
     return _number(value, path, minimum=0.0)
 
 
@@ -229,15 +233,9 @@ def load_config(data, base_dir=".") -> SweepConfig:
                        pump_fractions=fractions)
 
 
-def read_config_file(path):
-    """The JSON document in a sweep or fit config file (see
-    :func:`jsonfile.read_json`); one nested too deeply for json is a
-    ValueError, as for a profile."""
-    return read_json(path, "config")
-
-
 def load_config_file(path) -> SweepConfig:
-    return load_config(read_config_file(path),
+    """The sweep config file at ``path``; profiles are found next to it."""
+    return load_config(read_json(path, "config"),
                        base_dir=os.path.dirname(os.path.abspath(path)))
 
 
@@ -308,10 +306,7 @@ def run_squeeze_sweep(config: SweepConfig) -> Table:
     """Zero-offset squeezing extrema at the critical pump frequency."""
     if not config.pump_fractions:
         raise ConfigError("pump_fractions", "squeeze-sweep needs pump_fractions")
-    crit = critical_point(config.device)
-    if not crit.exists:
-        raise ConfigError("device", "squeeze-sweep needs a critical point "
-                                    "(|kerr| > sqrt(3)*gamma3 and gamma1 > 0)")
+    _critical(config.device, "device")
     return Table.from_columns(SQUEEZE_COLUMNS, squeeze_columns(
         config.device, config.env, config.pump_fractions,
         psi1=config.psi1).values())

@@ -1,3 +1,5 @@
+import csv
+import io
 import json
 import math
 import os
@@ -7,9 +9,9 @@ import sys
 import numpy as np
 import pytest
 
-from kerrcav import (DeviceParams, PumpDrive, critical_point,
+from kerrcav import (DeviceParams, PumpDrive, ThermalEnv, critical_point,
                      cubic_coefficients, derive_device, load_config,
-                     parse_json, predict_reflection)
+                     parse_json, predict_reflection, squeeze_columns)
 from kerrcav.cli import build_parser, main
 from conftest import make_uniform_profile
 
@@ -17,6 +19,8 @@ SQRT3 = math.sqrt(3.0)
 
 DEVICE = {"omega0": 1.0, "kerr": -1e-4, "gamma1": 0.01, "gamma2": 0.011,
           "gamma3": 0.01e-4 / SQRT3}
+NO_CRITICAL_POINT = ("no critical point: it needs |kerr| > sqrt(3)*gamma3 "
+                     "and gamma1 > 0")
 
 
 def write_json(path, payload):
@@ -107,7 +111,34 @@ def test_decoupled_port_has_no_critical_point(tmp_path, capsys):
     squeeze = write_json(tmp_path / "q.json", {
         "schema": 1, "device": device, "pump_fractions": [0.5]})
     assert main(["squeeze-sweep", "--config", squeeze]) == 2
-    assert "squeeze-sweep needs a critical point" in capsys.readouterr().err
+    assert f"config field 'device': {NO_CRITICAL_POINT}" \
+        in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("change", [{"kerr": 0.0, "gamma3": 0.0},
+                                    {"gamma1": 0.0}],
+                         ids=["linear", "decoupled"])
+def test_no_critical_point_is_one_message(tmp_path, capsys, change):
+    """A device without a critical point gives one message from every
+    entry point that needs the point: a ValueError from squeeze_columns,
+    and exit 2 naming the config field from squeeze-sweep and from a
+    times_critical drive."""
+    device = {**DEVICE, **change}
+    with pytest.raises(ValueError) as excinfo:
+        squeeze_columns(DeviceParams(**device), ThermalEnv(), [0.5])
+    assert str(excinfo.value) == NO_CRITICAL_POINT
+    for command, config, field in (
+            ("squeeze-sweep", {"pump_fractions": [0.5]}, "device"),
+            ("steady-sweep", {"drive": {
+                "omega_p": {"start": 0.95, "stop": 1.0, "count": 5},
+                "b1_in": [{"times_critical": 0.5}]}}, "drive.b1_in[0]")):
+        cfg = write_json(tmp_path / "cfg.json",
+                         {"schema": 1, "device": device, **config})
+        assert main([command, "--config", cfg]) == 2
+        captured = capsys.readouterr()
+        assert captured.err == \
+            f"error: config field {field!r}: {NO_CRITICAL_POINT}\n"
+        assert captured.out == ""
 
 
 def test_malformed_json_reports_location(tmp_path, capsys):
@@ -396,6 +427,83 @@ def test_stdout_matches_the_out_file(tmp_path, capsys, command, fmt):
     assert main(argv + ["--out", str(out)]) == 0
     assert capsys.readouterr().out == ""
     assert printed.encode() == out.read_bytes()
+
+
+README_DEVICE = {"omega0": 1.0, "kerr": -1e-4, "gamma1": 0.01,
+                 "gamma2": 0.011, "gamma3": 5.8e-7}
+# More rows than one render block (16,384 cells: 1,489 steady rows, 2,340
+# gain rows); the hot baths take squeeze-sweep through the thermal terms,
+# the zero drive the pump solve through h(E) = 0, and the 1000x drive
+# through Newton starts far from the folds
+BLOCKS_SWEEP = {
+    "schema": 1, "device": README_DEVICE,
+    "drive": {"omega_p": {"start": 0.9, "stop": 1.005, "count": 1000},
+              "b1_in": [0.0, {"times_critical": 0.5},
+                        {"times_critical": 2.0}, {"times_critical": 1000.0}]},
+    "offsets": [0.0, 1e-3], "pump_fractions": [0.0, 0.5, 0.9],
+    "env": {"theta1": 0.5, "theta2": 2.0, "theta3": "inf"}}
+
+
+@pytest.mark.parametrize("fmt", ["csv", "json"])
+@pytest.mark.parametrize("command", [
+    "steady-sweep", "gain-sweep", "squeeze-sweep", "critical"])
+def test_multi_block_tables_rerun_byte_identical(tmp_path, capsys, command,
+                                                 fmt):
+    """Tables of several render blocks are byte-identical across reruns,
+    and standard output (a text write) has the bytes of the --out file."""
+    cfg = write_json(tmp_path / "sweep.json", BLOCKS_SWEEP)
+    argv = [command, "--config", cfg, "--format", fmt]
+    outputs = []
+    for run in range(2):
+        out = tmp_path / f"table.{run}.{fmt}"
+        assert main(argv + ["--out", str(out)]) == 0
+        outputs.append(out.read_bytes())
+    assert capsys.readouterr().out == ""
+    assert main(argv) == 0
+    outputs.append(capsys.readouterr().out.encode())
+    assert outputs[0] == outputs[1] == outputs[2]
+    if command == "steady-sweep" and fmt == "csv":
+        assert outputs[0].count(b"\n") - 1 > 2 * 1489
+
+
+def test_zero_and_far_drives_give_no_negative_photon_number(tmp_path,
+                                                            capsys):
+    """No steady-sweep row has E < 0, at zero drive and at 1000x critical
+    either."""
+    cfg = write_json(tmp_path / "sweep.json", BLOCKS_SWEEP)
+    assert main(["steady-sweep", "--config", cfg]) == 0
+    rows = list(csv.DictReader(io.StringIO(capsys.readouterr().out)))
+    crit = critical_point(DeviceParams(**README_DEVICE))
+    energies = {}
+    for row in rows:
+        energies.setdefault(float(row["b1_in"]), []).append(float(row["E"]))
+    assert set(energies) == {0.0, 0.5 * crit.drive, 2.0 * crit.drive,
+                             1000.0 * crit.drive}
+    assert min(min(e) for e in energies.values()) >= 0.0
+
+
+def test_fit_ignores_psi1_to_the_byte(tmp_path, capsys):
+    """A fit file of predict_reflection rows on the README device (24 pump
+    frequencies at each of two drives) fits to the same bytes on a rerun,
+    on standard output and with a psi1 in its fit block."""
+    device = DeviceParams(**README_DEVICE)
+    crit = critical_point(device)
+    rows = [[w, b, predict_reflection(device, w, b)]
+            for b in (0.5 * crit.drive, 2.0 * crit.drive)
+            for w in np.linspace(0.95, 1.005, 24).tolist()]
+    fit = {"initial": {"omega0": 1.0, "kerr": -1.1e-4, "gamma1": 0.01,
+                       "gamma2": 0.0105, "gamma3": 8e-7},
+           "free": ["kerr", "gamma2", "gamma3"], "refl_data": rows}
+    outputs = []
+    for name, block in (("a", fit), ("b", fit), ("c", dict(fit, psi1=0.7))):
+        cfg = write_json(tmp_path / f"{name}.json", {"schema": 1, "fit": block})
+        out = tmp_path / f"{name}.csv"
+        assert main(["fit", "--config", cfg, "--out", str(out)]) == 0
+        outputs.append(out.read_bytes())
+    assert main(["fit", "--config", cfg]) == 0
+    outputs.append(capsys.readouterr().out.encode())
+    assert len(set(outputs)) == 1
+    assert outputs[0].splitlines()[1].endswith(b",true")
 
 
 def negative_loss_profile(tmp_path, r0, dr):

@@ -14,6 +14,7 @@ from kerrcav import (ConfigError, DeviceParams, FitProblem, NonConvergence,
                      predict_reflection, run_fit,
                      settled_states, steady_states, transfer_coefficients)
 from kerrcav import fitting, smallsignal
+from kerrcav.cli import main
 from kerrcav.sweeps import _number
 from conftest import float_bits
 from oracles import reference_jacobian, scalar_reflection
@@ -504,6 +505,43 @@ def test_fit_undefined_everywhere_is_not_converged():
     with pytest.raises(NonConvergence) as excinfo:
         run_fit(problem)
     assert not excinfo.value.best.converged
+
+
+def test_python_built_problem_fits_a_negative_drive_as_its_magnitude():
+    """The fit file's drive rule does not bind a FitProblem built in
+    Python: the model reads only P = 2 gamma1 b1_in^2, so reflection rows
+    at -b fit bit for bit as rows at b do."""
+    rows = synth_refl_rows(TRUE, fractions=(0.7,), n_points=21)
+    fits = [run_fit(FitProblem(
+        initial=guessed(TRUE, 0.1), free=("kerr",), bounds={},
+        refl_data=tuple((w, sign * b, r) for w, b, r in rows)))
+        for sign in (1.0, -1.0)]
+    assert fits[0].converged and fits[0] == fits[1]
+
+
+ZERO_DRIVE = {"schema": 1, "fit": {
+    "initial": dataclasses.asdict(TRUE), "free": ["kerr"],
+    "refl_data": [[1.0 - 0.01 * i, 0.0 if i == 3 else 0.1, 0.5]
+                  for i in range(6)]}}
+
+
+@pytest.mark.parametrize("document, message", [
+    ([{"fit": {}}], "config field '$': top level must be an object"),
+    ({"schema": 2, "fit": {}}, "config field 'schema': expected 1, got 2"),
+    (ZERO_DRIVE, "config field 'fit.refl_data[3][1]': b1_in must be > 0 "
+                 "(got 0.0)"),
+])
+def test_fit_file_loader_applies_the_cli_rules(tmp_path, capsys, document,
+                                               message):
+    """load_fit_file, called without the CLI, rejects a bad header and a
+    zero reflection drive with the message `kerrcav fit` prints."""
+    path = tmp_path / "fit.json"
+    path.write_text(json.dumps(document))
+    with pytest.raises(ConfigError) as excinfo:
+        fitting.load_fit_file(str(path))
+    assert str(excinfo.value) == message
+    assert main(["fit", "--config", str(path)]) == 2
+    assert capsys.readouterr().err == f"error: {message}\n"
 
 
 def test_fixed_parameters_stay_fixed():

@@ -11,7 +11,7 @@ from kerrcav import (DeviceParams, PumpDrive, branch_states, critical_point,
                      curve_omega_p, instability_locus, max_curve_energy,
                      cubic_coefficients, response_peak_detuning,
                      settled_state, solve_pump_energy, steady_state,
-                     steady_states)
+                     steady_states, validate)
 from oracles import (brute_force_critical, coalescence_residual,
                      fold_condition_residual, fold_frequencies_from_root_count,
                      fold_points_mpmath, scalar_steady_states)
@@ -406,6 +406,42 @@ def test_critical_point_reductions_at_zero_gamma3():
     assert params.omega0 - crit.omega_p == pytest.approx(SQRT3 * g, rel=1e-12)
     assert crit.drive**2 == pytest.approx(
         4.0 / (3.0 * SQRT3) * g**3 / (params.gamma1 * k), rel=1e-12)
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(gamma3=st.floats(1e-9, 1.0), gamma1=st.floats(1e-6, 1.0),
+       gamma2=st.floats(0.0, 1.0), ratio=st.floats(0.0, 3.0),
+       ulps=st.sampled_from([None, -1, 0, 1]),
+       sign=st.sampled_from([-1.0, 1.0]))
+@example(gamma3=5.8e-7, gamma1=0.01, gamma2=0.011, ratio=0.0, ulps=-1,
+         sign=-1.0)
+@example(gamma3=5.8e-7, gamma1=0.01, gamma2=0.011, ratio=0.0, ulps=0,
+         sign=-1.0)
+@example(gamma3=5.8e-7, gamma1=0.01, gamma2=0.011, ratio=0.0, ulps=1,
+         sign=-1.0)
+# one ulp above the edge K^2 - 3 gamma3^2 rounds to 0 or below here
+@example(gamma3=1e-9, gamma1=1.0, gamma2=0.0, ratio=0.0, ulps=1, sign=-1.0)
+@example(gamma3=0.0346, gamma1=0.01, gamma2=0.0, ratio=0.0, ulps=1,
+         sign=1.0)
+def test_bistability_flag_and_critical_point_agree(gamma3, gamma1, gamma2,
+                                                   ratio, ulps, sign):
+    """|K| > sqrt(3) gamma3 is tested twice, by validate's
+    bistability_reachable and by critical_point's margin; with gamma1 > 0
+    the two agree on random devices (|K| = ratio sqrt(3) gamma3), at
+    |K| = sqrt(3) gamma3 exactly and one ulp either side.  Where the point
+    exists, its detuning omega0 - omega_p has the sign of -K."""
+    edge = SQRT3 * gamma3
+    kerr = ratio * edge if ulps is None else math.nextafter(
+        edge, ulps * math.inf) if ulps else edge
+    params = DeviceParams(omega0=1.0, kerr=sign * kerr, gamma1=gamma1,
+                          gamma2=gamma2, gamma3=gamma3)
+    reachable = validate(params).bistability_reachable
+    crit = critical_point(params)
+    assert crit.exists == reachable
+    if ulps is not None:
+        assert reachable == (ulps == 1)
+    if crit.exists:
+        assert (params.omega0 - crit.omega_p) * sign < 0.0
 
 
 def test_critical_point_absent_when_loss_dominates():

@@ -1,4 +1,5 @@
 import cmath
+import dataclasses
 import math
 
 import numpy as np
@@ -123,6 +124,18 @@ def test_root_count_vs_drive(fig_device):
     over = counts_at(2.0)                 # above critical: multivalued window
     assert 3 in over
     assert over <= {1, 2, 3}
+
+
+@pytest.mark.parametrize("kerr, omega_p", [(-1e-4, 1e200), (-1e200, 1.0)])
+def test_cubic_coefficients_share_the_solve_check(fig_device, kerr, omega_p):
+    """A coefficient that is not finite (c1 from the detuning, c3 from K)
+    is the same OverflowError from cubic_coefficients as from the solve."""
+    params = dataclasses.replace(fig_device, kerr=kerr)
+    drive = PumpDrive(omega_p=omega_p, amplitude=1e-3)
+    for solve in (cubic_coefficients, steady_states):
+        with pytest.raises(OverflowError) as excinfo:
+            solve(params, drive)
+        assert str(excinfo.value) == "cubic coefficient is not finite"
 
 
 def test_degenerate_model_raises():

@@ -11,7 +11,7 @@ import kerrcav
 from kerrcav import (ConfigError, PumpDrive, critical_point,
                      intermodulation_gain, lo_phase_extrema, load_config,
                      parametric_gain, to_csv, to_json)
-from kerrcav.sweeps import read_config_file
+from kerrcav.jsonfile import read_json
 from conftest import float_bits, make_uniform_profile
 from oracles import (reference_csv, reference_json, scalar_reflection,
                      scalar_steady_states)
@@ -109,8 +109,11 @@ def test_times_critical_needs_critical_point():
     cfg = steady_config(0.5)
     cfg["device"]["kerr"] = 0.0
     cfg["device"]["gamma3"] = 1e-6
-    with pytest.raises(ConfigError, match="times_critical"):
+    with pytest.raises(ConfigError) as excinfo:
         load_config(cfg)
+    assert str(excinfo.value) == (
+        "config field 'drive.b1_in[0]': no critical point: it needs "
+        "|kerr| > sqrt(3)*gamma3 and gamma1 > 0")
 
 
 def test_device_from_profile(tmp_path):
@@ -217,7 +220,7 @@ def test_read_config_file_matches_json(tmp_path, name, nested):
     orjson.loads(text.encode())
     with open(path, encoding="utf-8") as fh:
         expected = json.load(fh)
-    assert json_bits(read_config_file(path)) == json_bits(expected)
+    assert json_bits(read_json(path, "config")) == json_bits(expected)
 
 
 @pytest.mark.parametrize("text", [
@@ -231,7 +234,7 @@ def test_read_config_file_reads_what_orjson_refuses_by_json(tmp_path, text):
     as json loads them."""
     path = tmp_path / "cfg.json"
     path.write_text(text, encoding="utf-8")
-    assert json_bits(read_config_file(path)) == json_bits(json.loads(text))
+    assert json_bits(read_json(path, "config")) == json_bits(json.loads(text))
 
 
 @pytest.mark.parametrize("data", [
@@ -249,7 +252,7 @@ def test_read_config_file_reports_json_errors_as_json(tmp_path, data):
         with open(path, encoding="utf-8") as fh:
             json.load(fh)
     with pytest.raises(json.JSONDecodeError) as got:
-        read_config_file(path)
+        read_json(path, "config")
     assert (got.value.msg, got.value.lineno, got.value.colno, got.value.pos) \
         == (expected.value.msg, expected.value.lineno, expected.value.colno,
             expected.value.pos)
@@ -263,7 +266,7 @@ def test_read_config_file_reads_integers_past_two_to_the_64_as_floats(
     path = tmp_path / "cfg.json"
     path.write_text('{"a": 18446744073709551617, "b": -9223372036854775809,'
                     ' "c": 18446744073709551615}')
-    assert json_bits(read_config_file(path)) == json_bits(
+    assert json_bits(read_json(path, "config")) == json_bits(
         {"a": 2.0**64, "b": -(2.0**63), "c": 2**64 - 1})
 
 
