@@ -12,9 +12,9 @@ import json
 import sys
 
 from .fitting import NonConvergence, load_fit_file, run_fit
-from .sweeps import (ConfigError, load_config_file, run_critical,
-                     run_gain_sweep, run_line_derive, run_squeeze_sweep,
-                     run_steady_sweep)
+from .sweeps import (ConfigError, load_config_file, load_device_file,
+                     run_critical, run_gain_sweep, run_line_derive,
+                     run_squeeze_sweep, run_steady_sweep)
 from .tableio import Table, render
 
 EXIT_OK = 0
@@ -84,17 +84,14 @@ def main(argv=None) -> int:
                 print(f"error: {exc}", file=sys.stderr)
                 return EXIT_NUMERIC
             table = _fit_table(fit)
+        elif args.command == "critical":
+            table = run_critical(load_device_file(args.config))
         else:
-            config = load_config_file(args.config)
-            runner = {
+            table = {
                 "steady-sweep": run_steady_sweep,
                 "gain-sweep": run_gain_sweep,
                 "squeeze-sweep": run_squeeze_sweep,
-            }.get(args.command)
-            if runner is not None:
-                table = runner(config)
-            else:
-                table = run_critical(config.device)
+            }[args.command](load_config_file(args.config))
     except ConfigError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_CONFIG

@@ -8,31 +8,32 @@ and the predict functions, so they give the same bits) takes the settled
 photon number E of all data rows in one batched pass (:func:`steady._settle`,
 which builds no record), and both observables are closed forms in E: |r| of
 r = (z - 2 gamma1) / z, and G_I(0) = 4 gamma1^2 (K^2 + gamma3^2) E^2 /
-h'(E)^2 since D(0) = h'(E).  The solver is SciPy's trust-region least
-squares (``trf``) on the residual vector, over parameters rescaled by the
-initial guess and bounded to where :func:`model.validate` holds, with an
-analytic Jacobian of those formulas: E solves the pump cubic, so its
-derivatives follow from the implicit function theorem.  The Jacobian at a
-point reuses the settled energies of the model evaluation there, so
-``n_evaluations`` and the evaluation budget count model evaluations only;
-the solver is deterministic, so identical inputs give identical fits.
+h'(E)^2 since D(0) = h'(E).  The solver is a Levenberg-Marquardt loop
+on the residual vector, over parameters rescaled by the initial guess and
+projected onto where :func:`model.validate` holds, with an analytic
+Jacobian of those formulas: E solves the pump cubic, so its derivatives
+follow from the implicit function theorem.  The Jacobian at a point reuses
+the settled energies of the model evaluation there, so ``n_evaluations``
+and the evaluation budget count model evaluations only; the solver is
+deterministic, so identical inputs give identical fits.
 """
 
 import math
-import os
 from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .jsonfile import read_json
 from .model import DeviceParams, validate
 from .smallsignal import _gains
 from .steady import (UndefinedForZeroDrive, _coefficients, _h, _reflection,
                      _rows, _settle)
-from .sweeps import ConfigError, _floats, _header, _number, load_device
+from .sweeps import (ConfigError, _floats, _header, _number, _read_config,
+                     load_device)
 
 FREE_NAMES = ("omega0", "kerr", "gamma1", "gamma2", "gamma3")
 MAX_EVALUATIONS = 100_000
+FTOL = XTOL = GTOL = 1e-8  # the stopping tests of SciPy's least_squares
+MU_START = 1e-9  # the damping of a Gauss-Newton step, to rounding
 
 
 class NonConvergence(RuntimeError):
@@ -221,21 +222,28 @@ def _jacobian(params: DeviceParams, energy, omega_p, b_in, free,
 def run_fit(problem: FitProblem, max_evaluations: int = MAX_EVALUATIONS) -> FitResult:
     """Least-squares fit of the free parameters to the data rows.
 
-    Returns the best evaluated parameters with their RMS residual.  The
-    Jacobian is analytic (:func:`_jacobian`) and reuses the settled
-    energies of the model evaluation at its point, so ``n_evaluations`` and
-    ``max_evaluations`` count model evaluations only.  A trial point where
-    the model is undefined (a zero drive, an overflow) gets infinite
-    residuals, on which the solver shrinks its trust region.  Raises
-    :class:`NonConvergence` (carrying the best-so-far result) if the
-    evaluation budget is exhausted first, if the model is undefined at the
-    initial guess, if the Jacobian is not finite (at a fold, or where
-    |reflection| = 0) or if the solver stops short of its tolerances.
-    """
-    # imported here: SciPy's optimizer takes longer to import than the
-    # sweeps take to run
-    from scipy.optimize import least_squares
+    Levenberg-Marquardt (Moré, LNM 630, 1978) on the parameters z divided
+    by their initial values: each step p solves [J; sqrt(mu) D] p = [-r; 0]
+    by least squares, D the column norms of J (never shrinking, as in
+    Moré), and the trial point z + p is clipped to the search bounds
+    (Kanzow, Yamashita & Fukushima, J. Comput. Appl. Math. 172 (2004)
+    375).  A trial point that lowers the cost is accepted and mu follows
+    Nielsen's update (IMM-REP-1999-05), never below MU_START; any other,
+    one where the model is undefined (a zero drive, an overflow) too, is
+    rejected and raises mu.  It has converged when the projected gradient
+    J^T r falls below GTOL, or a trial step lowers the cost by less than
+    FTOL of it (at a gain ratio above 1/4) or moves z by less than
+    XTOL (XTOL + |z|): SciPy's ``least_squares`` defaults.
 
+    Returns the last accepted point, the best evaluated, with its RMS
+    residual.  The Jacobian (:func:`_jacobian`) is built only at accepted
+    points, from the settled energies of the model evaluation there, so
+    ``n_evaluations`` and ``max_evaluations`` count model evaluations only.
+    Raises :class:`NonConvergence` (carrying the best-so-far result) if the
+    budget is spent first, if the model is undefined at the initial guess,
+    if the Jacobian is not finite (at a fold, or where |reflection| = 0) or
+    if the damping overflows.
+    """
     names = problem.free
     x0 = np.array([getattr(problem.initial, n) for n in names], dtype=float)
     scale = np.where(x0 != 0.0, np.abs(x0), 1.0)
@@ -245,53 +253,65 @@ def run_fit(problem: FitProblem, max_evaluations: int = MAX_EVALUATIONS) -> FitR
     omega_p, b1_in, observed = np.concatenate([refl, gain]).T.copy()
     n_refl = len(refl)
     evaluations = 0
-    best = FitResult(problem.initial, math.nan, 0, False)
-    # the last point where the model was defined, with its parameters and
-    # settled energies
-    last = (None, None, None)
 
-    def residuals(z):
-        nonlocal evaluations, best, last
+    def evaluate(z):
+        # (parameters, settled energies, residuals), None where undefined
+        nonlocal evaluations
         evaluations += 1
         params = replace(problem.initial,
                          **dict(zip(names, (z * scale).tolist())))
-        r = np.nan
         try:
             if validate(params).ok:
                 energy, model = _model(params, omega_p, b1_in, n_refl)
                 r = model - observed
+                if np.all(np.isfinite(r)):
+                    return params, energy, r
         except (ArithmeticError, ValueError):
             pass
-        if not np.all(np.isfinite(r)):
-            if math.isnan(best.rms_residual):
-                # the initial guess: no defined point to fall back on
-                raise NonConvergence(replace(best, n_evaluations=evaluations))
-            return np.full(observed.size, np.inf)
-        last = (z.copy(), params, energy)
-        rms = math.sqrt(float(np.dot(r, r)) / r.size)
-        if not rms >= best.rms_residual:
-            best = FitResult(params, rms, evaluations, False)
-        return r
+        return None
 
-    def jacobian(z):
-        # TRF asks for the Jacobian only at the point it evaluated last,
-        # and only after accepting it, so the model is defined there
-        point, params, energy = last
+    z = x0 / scale
+    point = evaluate(z)
+    if point is None:
+        raise NonConvergence(FitResult(problem.initial, math.nan, 1, False))
+    mu, nu, d, stop = MU_START, 2.0, 0.0, False
+    while True:
+        params, energy, r = point
+        ssr = float(np.dot(r, r))
+        best = FitResult(params, math.sqrt(ssr / r.size), evaluations, stop)
+        if stop:
+            return best
         jac = _jacobian(params, energy, omega_p, b1_in, names, n_refl) * scale
-        if not (np.array_equal(point, z) and np.all(np.isfinite(jac))):
-            raise NonConvergence(replace(best, n_evaluations=evaluations))
-        return jac
-
-    # max_nfev lifts SciPy's own cap of 100 evaluations per free parameter;
-    # TRF counts the first evaluation and stops at the cap
-    result = least_squares(residuals, x0 / scale, bounds=(lo, hi),
-                           method="trf", jac=jacobian, x_scale="jac",
-                           max_nfev=max_evaluations)
-    fit = replace(best, n_evaluations=evaluations,
-                  converged=bool(result.success))
-    if not fit.converged:
-        raise NonConvergence(fit)
-    return fit
+        if not np.all(np.isfinite(jac)):
+            raise NonConvergence(best)
+        grad = r @ jac
+        if np.max(np.abs(z - np.clip(z - grad, lo, hi))) < GTOL:
+            return replace(best, converged=True)
+        d = np.maximum(d, np.linalg.norm(jac, axis=0))
+        while True:
+            if evaluations >= max_evaluations or not math.isfinite(mu):
+                raise NonConvergence(replace(best, n_evaluations=evaluations))
+            p = np.linalg.lstsq(np.vstack([jac, np.diag(math.sqrt(mu) * d)]),
+                                np.concatenate([-r, 0.0 * d]))[0]
+            trial = np.clip(z + p, lo, hi)
+            new, step = evaluate(trial), trial - z
+            if new is None:
+                mu, nu = mu * nu, 2.0 * nu
+                continue
+            reduction = ssr - float(np.dot(new[2], new[2]))
+            predicted = -float(2.0 * grad @ step + np.sum((jac @ step) ** 2))
+            ratio = reduction / predicted if predicted > 0.0 else 0.0
+            stop = bool(reduction < FTOL * ssr and ratio > 0.25
+                        or np.linalg.norm(step)
+                        < XTOL * (XTOL + np.linalg.norm(z)))
+            if reduction > 0.0:
+                z, point, nu = trial, new, 2.0
+                mu = max(mu * max(1.0 / 3.0, 1.0 - (2.0 * ratio - 1.0) ** 3),
+                         MU_START)
+                break
+            if stop:
+                return replace(best, n_evaluations=evaluations, converged=True)
+            mu, nu = mu * nu, 2.0 * nu
 
 
 def load_fit_problem(data, base_dir=".") -> FitProblem:
@@ -344,8 +364,8 @@ def load_fit_file(path) -> FitProblem:
     drive makes :func:`run_fit` raise :class:`NonConvergence` at the
     initial guess, and a negative drive fits as its magnitude does, since
     the model reads only P = 2 gamma1 b1_in^2."""
-    problem = load_fit_problem(_header(read_json(path, "config")).get("fit"),
-                               os.path.dirname(os.path.abspath(path)))
+    data, base_dir = _read_config(path)
+    problem = load_fit_problem(_header(data).get("fit"), base_dir)
     for key, sign in (("refl_data", ">"), ("gain_data", ">=")):
         for i, (_, b1_in, _) in enumerate(getattr(problem, key)):
             if b1_in < 0.0 or (sign == ">" and b1_in == 0.0):

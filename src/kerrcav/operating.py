@@ -200,32 +200,42 @@ def critical_point(params: DeviceParams) -> CriticalPoint:
         b_c^2       = (4 / 3 sqrt(3)) gamma^3 (K^2+g3^2)
                                       / (gamma1 (|K| - sqrt(3) g3)^3).
 
+    The last two are evaluated with |K|, g3 and the margin divided by 2^e,
+    e the binary exponent of |K|, gamma and gamma1 by their own, and b_c is
+    the root of the scaled b_c^2: these scalings are exact, so no power of
+    K or of a rate leaves the float range unless the point does, and then
+    an OverflowError is raised.
+
     Two-photon loss raises the drive needed to reach the fold threshold and
     removes it entirely at |kerr| <= sqrt(3)*gamma3 (``exists=False``).
     With gamma1 = 0 the drive port is decoupled and b_c is infinite: no
     finite drive reaches the point, which is also reported as
     ``exists=False``.
     """
-    k, g3 = params.kerr, params.gamma3
-    margin = abs(k) - SQRT3 * g3
+    k, g3, g = abs(params.kerr), params.gamma3, params.gamma
+    margin = k - SQRT3 * g3
     if not margin > 0.0 or params.gamma1 == 0.0:
         return CriticalPoint(exists=False)
-    g = params.gamma
     energy = 2.0 * g / (SQRT3 * margin)
-    sgn = 1.0 if k > 0.0 else -1.0
+    (k, e), (g, f), (g1, h) = map(math.frexp, (k, g, params.gamma1))
+    g3, margin = math.ldexp(g3, -e), math.ldexp(margin, -e)
     # K^2 - 3 g3^2, factored where the expanded form cancels to 0 or below
     den = k * k - 3.0 * g3 * g3
-    den = den if den > 0.0 else margin * (abs(k) + SQRT3 * g3)
-    detuning = -g * sgn * (4.0 * g3 * abs(k) + SQRT3 * (k * k + g3 * g3)) / den
+    den = den if den > 0.0 else margin * (k + SQRT3 * g3)
+    detuning = -math.copysign(params.gamma, params.kerr) \
+        * (4.0 * g3 * k + SQRT3 * (k * k + g3 * g3)) / den
+    # b_c^2 = 2^n drive_sq, and b_c its root, taken before the scaling
+    n = 3 * f - h - e
     drive_sq = (4.0 / (3.0 * SQRT3)) * g**3 * (k * k + g3 * g3) \
-        / (params.gamma1 * margin**3)
-    return CriticalPoint(
-        exists=True,
-        energy=energy,
-        omega_p=params.omega0 - detuning,
-        drive=math.sqrt(drive_sq),
-        ill_conditioned=margin < ILL_CONDITION_TOL * abs(k),
-    )
+        / (g1 * margin**3)
+    try:
+        drive = math.ldexp(math.sqrt(math.ldexp(drive_sq, n % 2)), n // 2)
+    except OverflowError:
+        drive = math.inf
+    _finite(max(energy, abs(detuning), drive),
+            "critical point beyond the float range")
+    return CriticalPoint(True, energy, params.omega0 - detuning, drive,
+                         ill_conditioned=margin < ILL_CONDITION_TOL * k)
 
 
 def require_critical_point(params: DeviceParams) -> CriticalPoint:

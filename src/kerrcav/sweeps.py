@@ -189,10 +189,14 @@ def _header(data):
     return data
 
 
+def _config_device(data, base_dir):
+    return load_device(_require(_header(data), "device", "$"), "device",
+                       base_dir)
+
+
 def load_config(data, base_dir=".") -> SweepConfig:
     """Build a :class:`SweepConfig` from a parsed JSON document."""
-    device = load_device(_require(_header(data), "device", "$"), "device",
-                         base_dir)
+    device = _config_device(data, base_dir)
 
     omega_grid: tuple[float, ...] = ()
     amplitudes: tuple[float, ...] = ()
@@ -233,10 +237,19 @@ def load_config(data, base_dir=".") -> SweepConfig:
                        pump_fractions=fractions)
 
 
+def _read_config(path):
+    """The parsed config file at ``path``, and its directory."""
+    return read_json(path, "config"), os.path.dirname(os.path.abspath(path))
+
+
 def load_config_file(path) -> SweepConfig:
     """The sweep config file at ``path``; profiles are found next to it."""
-    return load_config(read_json(path, "config"),
-                       base_dir=os.path.dirname(os.path.abspath(path)))
+    return load_config(*_read_config(path))
+
+
+def load_device_file(path) -> DeviceParams:
+    """The header and ``device`` alone of the sweep config at ``path``."""
+    return _config_device(*_read_config(path))
 
 
 def _grid(config: SweepConfig):

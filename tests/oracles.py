@@ -10,11 +10,13 @@ with the record's phase and reflection in the kernels' closed forms.
 in 50-digit mpmath.
 The row-wise table renderer (``reference_csv``, ``reference_json``) is the
 byte reference for ``tableio``: Python's own formatting, cell by cell.
-``fold_points_mpmath`` is the 60-digit reference for the fold locus, and
-``reference_jacobian`` the bit reference for the fit's analytic Jacobian.
+``fold_points_mpmath`` is the 60-digit reference for the fold locus,
+``reference_jacobian`` the bit reference for the fit's analytic Jacobian,
+and ``trf_fit`` SciPy's trust-region solver on the fit's own model.
 """
 
 import cmath
+import dataclasses
 import json
 import math
 
@@ -23,7 +25,7 @@ import numpy as np
 from kerrcav import (DegenerateModel, PumpDrive, SingularResponse,
                      SteadyState, branch_states, cubic_coefficients,
                      transfer_coefficients)
-from kerrcav.fitting import _PARTIALS
+from kerrcav.fitting import _PARTIALS, _jacobian, _model
 from kerrcav.steady import FLOOR, MARGIN, MARGINAL_TOL, MAX_STEPS
 
 
@@ -641,6 +643,39 @@ def reference_jacobian(params, states, free, n_refl) -> np.ndarray:
         dq = (dg1 * e + g1 * de - q * dslope) / slope
         gain = 4.0 * q * (dc3 * q + 2.0 * c3 * dq)
     return np.concatenate([refl[:n_refl], gain[n_refl:]])
+
+
+# ------------------------------------------------- SciPy's fit solver
+# The fit as SciPy's least_squares (method "trf", its default tolerances)
+# solves it, over the same scaled parameters, model and Jacobian as
+# fitting.run_fit; no guard: every point is taken to be defined.
+
+def trf_fit(problem) -> dict:
+    from scipy.optimize import least_squares
+
+    names = problem.free
+    x0 = np.array([getattr(problem.initial, n) for n in names])
+    scale = np.where(x0 != 0.0, np.abs(x0), 1.0)
+    lo, hi = np.array([problem.search_bounds(n) for n in names]).T / scale
+    omega_p, b1_in, observed = np.array(
+        problem.refl_data + problem.gain_data).T.copy()
+    n_refl = len(problem.refl_data)
+
+    def at(z):
+        params = dataclasses.replace(
+            problem.initial, **dict(zip(names, (z * scale).tolist())))
+        return params, *_model(params, omega_p, b1_in, n_refl)
+
+    def jacobian(z):
+        params, energy, _ = at(z)
+        return _jacobian(params, energy, omega_p, b1_in, names,
+                         n_refl) * scale
+
+    result = least_squares(lambda z: at(z)[2] - observed, x0 / scale,
+                           bounds=(lo, hi), method="trf", jac=jacobian,
+                           x_scale="jac", max_nfev=1000)
+    assert result.success
+    return dict(zip(names, (result.x * scale).tolist()))
 
 
 # ------------------------------------------------- row-wise table renderer

@@ -57,6 +57,51 @@ def test_critical_subcommand_csv(tmp_path, capsys):
     assert row.startswith("true,")
 
 
+def test_critical_reads_only_the_device(tmp_path, capsys):
+    """`critical` reads the header and the device alone: a times_critical
+    drive on a device without a critical point, or a drive block that is
+    not an object, leaves it printing exists false."""
+    linear = {**DEVICE, "kerr": 0.0, "gamma3": 0.0}
+    for drive in ({"omega_p": {"start": 0.95, "stop": 1.0, "count": 5},
+                   "b1_in": [{"times_critical": 0.5}]}, 5):
+        cfg = write_json(tmp_path / "c.json",
+                         {"schema": 1, "device": linear, "drive": drive})
+        assert main(["critical", "--config", cfg]) == 0
+        captured = capsys.readouterr()
+        assert captured.out.splitlines()[1] == "false,nan,nan,nan,false"
+        assert captured.err == ""
+
+
+@pytest.mark.parametrize("kerr, gamma3", [(1e-120, 0.0), (-1e200, 5.8e-7)])
+def test_critical_point_across_the_float_range(tmp_path, capsys, kerr,
+                                               gamma3):
+    """Devices whose K^2 or margin^3 leave the float range while their
+    critical point does not: E_c near 2.4e118 or 2.4e-202, b_c near 2.7e58
+    or 2.7e-102.  Each value is the closed form to 4e-16, evaluated in
+    50-digit mpmath from the device's floats."""
+    import mpmath
+
+    device = {**DEVICE, "kerr": kerr, "gamma3": gamma3}
+    cfg = write_json(tmp_path / "c.json", {"schema": 1, "device": device})
+    assert main(["critical", "--config", cfg]) == 0
+    row = capsys.readouterr().out.splitlines()[1].split(",")
+    assert (row[0], row[4]) == ("true", "false")
+    with mpmath.workdps(50):
+        k, g3, g1 = (mpmath.mpf(device[n]) for n in ("kerr", "gamma3",
+                                                     "gamma1"))
+        g = g1 + mpmath.mpf(device["gamma2"])
+        margin = abs(k) - mpmath.sqrt(3) * g3
+        expected = (
+            2 * g / (mpmath.sqrt(3) * margin),
+            device["omega0"] + g * mpmath.sign(k) * (
+                4 * g3 * abs(k) + mpmath.sqrt(3) * (k * k + g3 * g3))
+            / (k * k - 3 * g3 * g3),
+            mpmath.sqrt(4 / (3 * mpmath.sqrt(3)) * g**3 * (k * k + g3 * g3)
+                        / (g1 * margin**3)))
+        for cell, value in zip(row[1:4], expected):
+            assert abs(mpmath.mpf(cell) - value) <= 4e-16 * abs(value)
+
+
 def test_steady_sweep_to_file(tmp_path):
     cfg = steady_cfg(tmp_path)
     out = tmp_path / "sweep.csv"
@@ -815,17 +860,31 @@ def test_cli_import_builds_no_parser():
     assert "currsize=0" in out.stdout
 
 
-def test_cli_import_loads_no_scipy():
-    """SciPy is imported by the fit and the line modes only, so the other
-    commands do not pay its start-up cost."""
+def test_cli_import_loads_no_scipy(tmp_path):
+    """SciPy is imported by the line modes only: neither importing the CLI
+    nor a whole `kerrcav fit` run loads any scipy module."""
+    true = load_config({"schema": 1, "device": dict(DEVICE)}).device
+    amplitude = 0.7 * critical_point(true).drive
+    cfg = write_json(tmp_path / "fit.json", {"schema": 1, "fit": {
+        "initial": {**DEVICE, "kerr": DEVICE["kerr"] * 1.2,
+                    "gamma3": DEVICE["gamma3"] * 1.5},
+        "free": ["kerr", "gamma3"],
+        "refl_data": [[w, amplitude, predict_reflection(true, w, amplitude)]
+                      for w in np.linspace(0.96, 1.0, 25).tolist()]}})
     src = os.path.join(os.path.dirname(__file__), os.pardir, "src")
     env = dict(os.environ, PYTHONPATH=os.path.abspath(src))
     out = subprocess.run(
         [sys.executable, "-c",
-         "import sys, kerrcav.cli; "
-         "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))"],
+         "import sys, kerrcav.cli\n"
+         "def scipy(): return sorted(m for m in sys.modules\n"
+         "                           if m.split('.')[0] == 'scipy')\n"
+         "print(scipy())\n"
+         f"code = kerrcav.cli.main(['fit', '--config', {cfg!r}])\n"
+         "print(code, scipy(), file=sys.stderr)"],
         env=env, capture_output=True, text=True, check=True)
-    assert out.stdout.strip() == "[]"
+    assert out.stdout.splitlines()[0] == "[]"
+    assert out.stdout.splitlines()[2].endswith(",true")
+    assert out.stderr.strip() == "0 []"
 
 
 def test_cli_import_loads_no_orjson():

@@ -17,7 +17,7 @@ from kerrcav import fitting, smallsignal
 from kerrcav.cli import main
 from kerrcav.sweeps import _number
 from conftest import float_bits
-from oracles import reference_jacobian, scalar_reflection
+from oracles import reference_jacobian, scalar_reflection, trf_fit
 
 SQRT3 = math.sqrt(3.0)
 
@@ -359,6 +359,27 @@ def test_fit_is_deterministic():
     assert first == second
 
 
+def test_noisy_fits_agree_with_scipy_trust_region():
+    """On criterion 8's 20 noisy data sets (1 % noise on 162 reflection
+    rows, all five parameters free) each fitted parameter agrees within
+    1e-5 relative with SciPy's least_squares (trf) on the same model and
+    Jacobian."""
+    rows = synth_refl_rows(TRUE, n_points=81)
+    start = DeviceParams(omega0=TRUE.omega0 * (1.0 + 2e-4),
+                         kerr=TRUE.kerr * 1.15, gamma1=TRUE.gamma1 * 0.9,
+                         gamma2=TRUE.gamma2 * 1.1, gamma3=TRUE.gamma3 * 1.3)
+    for seed in range(20):
+        rng = np.random.default_rng(1000 + seed)
+        noisy = tuple((w, b, r * (1.0 + 0.01 * rng.standard_normal()))
+                      for w, b, r in rows)
+        problem = FitProblem(initial=start, free=FREE, bounds={},
+                             refl_data=noisy)
+        fit = run_fit(problem)
+        assert fit.converged
+        for name, value in trf_fit(problem).items():
+            assert abs(getattr(fit.params, name) - value) <= 1e-5 * abs(value)
+
+
 def test_gain_rows_participate():
     crit = critical_point(TRUE)
     amplitude = 0.6 * crit.drive
@@ -380,15 +401,19 @@ def test_gain_rows_participate():
 
 
 def test_non_convergence_reports_best_so_far():
+    """The fit takes 6 evaluations here; every smaller budget is spent to
+    the last evaluation and reported with the best fit so far."""
     rows = synth_refl_rows(TRUE, fractions=(0.7,), n_points=41)
     problem = FitProblem(initial=guessed(TRUE, 0.2), free=FREE,
                          bounds=BOUNDS, refl_data=rows)
-    with pytest.raises(NonConvergence) as excinfo:
-        run_fit(problem, max_evaluations=25)
-    best = excinfo.value.best
-    assert best.n_evaluations == 25
-    assert not best.converged
-    assert math.isfinite(best.rms_residual)
+    assert run_fit(problem).n_evaluations == 6
+    for budget in range(1, 6):
+        with pytest.raises(NonConvergence) as excinfo:
+            run_fit(problem, max_evaluations=budget)
+        best = excinfo.value.best
+        assert best.n_evaluations == budget
+        assert best.converged is False
+        assert math.isfinite(best.rms_residual)
 
 
 def test_active_bound_keeps_every_evaluation_valid(monkeypatch):
@@ -432,10 +457,10 @@ def count_model_calls(monkeypatch, fault):
 
 @pytest.mark.parametrize("bad_call", [7, 2])
 def test_undefined_point_mid_fit(monkeypatch, bad_call):
-    """An overflow at one evaluated point: at the first trial step (2) or a
-    later one (7) the solver shrinks its trust region and the fit still
-    converges.  Every model evaluation is one steady solve, and the
-    Jacobian passes add none."""
+    """An overflow at one evaluated point: at the first trial step (2) or
+    the last one of the unfaulted fit (7 of 7) the solver rejects the point,
+    raises its damping and the fit still converges.  Every model
+    evaluation is one steady solve, and the Jacobian passes add none."""
     rows = synth_refl_rows(TRUE)
 
     def fault(call, evaluated):
@@ -444,7 +469,7 @@ def test_undefined_point_mid_fit(monkeypatch, bad_call):
         return evaluated
 
     calls = count_model_calls(monkeypatch, fault)
-    problem = FitProblem(initial=guessed(TRUE, 0.15), free=FREE,
+    problem = FitProblem(initial=guessed(TRUE, 0.4), free=FREE,
                          bounds=BOUNDS, refl_data=rows)
     result = run_fit(problem)
     assert len(calls) > bad_call
