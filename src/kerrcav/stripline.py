@@ -19,10 +19,17 @@ mid = 1/C at the cell midpoints, so by Courant-Fischer it lies within
 [min(mid) / max(L0), max(mid) / min(L0)] times the uniform line's
 4 sin^2(k pi / (2 (m + 1))) / h^2 (m interior nodes, spacing h).  omega_k
 is the energy quotient of the computed vector: a ratio of sums of positive
-terms, accurate to rounding where the eigenvalue's bisection is not.
+terms, accurate to rounding where a bisection for the eigenvalue is not.
+
+The eigensolver is NumPy alone.  One odd-even (cyclic) reduction of the
+tridiagonal T - sigma I gives both the solves of Rayleigh-quotient
+iteration, which give the vector, and its Sturm counts, which narrow the
+bracket when the iteration from the uniform line's sine does not certify
+mode k at once.
 """
 
 import math
+import sys
 from collections import namedtuple
 from dataclasses import dataclass
 
@@ -32,6 +39,13 @@ from .jsonfile import read_json
 from .model import DeviceParams
 
 PROFILE_KEYS = ("C", "L0", "dL", "R0", "dR")
+EPS = math.ulp(1.0)
+SQRT_EPS = math.sqrt(EPS)
+TINY = sys.float_info.min
+# Rayleigh-quotient steps per try, before the bracket is narrowed and the
+# iteration started again: from the sine it takes 1-3 on smooth profiles,
+# and 3-6, rarely up to 12, on profiles whose C and L0 span up to 1e8
+MAX_STEPS = 12
 
 
 class ResolutionError(ValueError):
@@ -162,20 +176,127 @@ def load_profile(path) -> LineProfile:
         raise ValueError(f"profile file {path}: {exc}") from exc
 
 
+def _odd_even(a, b):
+    """Odd-even (cyclic) reduction of symmetric tridiagonal matrices.
+
+    ``a`` holds the diagonals and ``b`` the off-diagonals along the last
+    axis; leading axes are independent matrices.  Each level eliminates the
+    even-numbered unknowns, whose block is diagonal, and leaves their
+    Schur complement, again tridiagonal, on the odd-numbered ones (Buzbee,
+    Golub & Nielson, SIAM J. Numer. Anal. 7, 1970), so n unknowns take
+    about log2(n) vectorised passes.  Returns each level's (pivots, left
+    and right couplings of the kept unknowns, and their ratios to the
+    pivots) and the final 1x1 Schur complement.
+
+    Unlike the sequential Sturm recurrence, the reduction is not backward
+    stable: a pivot p whose couplings are b costs the next level about
+    eps |b| / |p| of relative accuracy, where those couplings cancel.  So a
+    pivot below sqrt(eps) |b| is moved out to that size, keeping its sign
+    (a zero goes negative), which bounds the loss at sqrt(eps).  Small
+    pivots are rare at a random shift, but near mode n/4 of a uniform line
+    of n points they are about 1/n of their couplings, and the counts there
+    were off for shifts up to 100 eps ||T|| from the eigenvalue (n = 20,000;
+    10 eps ||T|| at n = 8,000).
+    """
+    levels = []
+    while a.shape[-1] > 1:
+        q, r = a.shape[-1] // 2, (a.shape[-1] - 1) // 2
+        p, bl, br = a[..., 0::2], b[..., 0::2], b[..., 1::2]
+        # a pivot's couplings sum to at most twice the largest: if every
+        # pivot clears that, none needs moving
+        if not np.abs(p).min() > 2.0 * SQRT_EPS * np.abs(b).max():
+            floor = np.zeros(p.shape)
+            floor[..., :q] = np.abs(bl)
+            floor[..., 1:r + 1] += np.abs(br)
+            floor = np.maximum(SQRT_EPS * floor, TINY)
+            p = np.where(np.abs(p) < floor, np.copysign(
+                floor, np.where(p == 0.0, -1.0, p)), p)
+        rl, rr = bl / p[..., :q], br / p[..., 1:r + 1]
+        a = a[..., 1::2] - bl * rl
+        a[..., :r] -= br * rr
+        b = -rr[..., :q - 1] * bl[..., 1:]
+        levels.append((p, bl, br, rl, rr))
+    return levels, a
+
+
+def _below(a, b):
+    """Eigenvalues below 0 of each symmetric tridiagonal (a, b), a zero
+    one counted with them.  By Sylvester's law of inertia, applied level by
+    level through the Schur complement (Haynsworth's additivity), this is
+    the number of negative pivots of the odd-even reduction."""
+    levels, last = _odd_even(a, b)
+    return sum(np.count_nonzero(p < 0.0, axis=-1) for p, *_ in levels) \
+        + np.count_nonzero(last <= 0.0, axis=-1)
+
+
+def _solve(a, b, f):
+    """x with (a, b) x = f for one symmetric tridiagonal (a, b), by the
+    odd-even reduction and back-substitution.  A zero final pivot leaves
+    the matrix singular to working precision; x is then its null vector,
+    the limit of inverse iteration."""
+    levels, last = _odd_even(a, b)
+    evens = []
+    for p, bl, br, rl, rr in levels:
+        evens.append(f[0::2])
+        f = f[1::2] - rl * evens[-1][:rl.size]
+        f[:rr.size] -= rr * evens[-1][1:rr.size + 1]
+    if abs(last[0]) < TINY:
+        x, evens = np.ones(1), [np.zeros(e.size) for e in evens]
+    else:
+        x = f / last
+    for (p, bl, br, _, _), fe in zip(reversed(levels), reversed(evens)):
+        fe = fe.copy()
+        fe[:bl.size] -= bl * x
+        fe[1:br.size + 1] -= br * x[:br.size]
+        y = np.empty(fe.size + x.size)
+        y[0::2] = fe / p
+        y[1::2] = x
+        x = y
+    return x
+
+
+def _is_eigenpair(diag, off, v, q) -> bool:
+    """Whether |((T - q) v)_i| <= 8 eps ((|T| + q) |v|)_i for every i, T
+    = (diag, off) with off < 0: a componentwise backward error of a few
+    eps, the most any solver can give."""
+    tv = diag * v
+    tv[:-1] += off * v[1:]
+    tv[1:] += off * v[:-1]
+    size = np.abs(v)
+    scale = (diag + q) * size
+    scale[:-1] -= off * size[1:]
+    scale[1:] -= off * size[:-1]
+    return bool(np.all(np.abs(tv - q * v) <= 8.0 * EPS * scale))
+
+
+def _sign_changes(v) -> int:
+    nonzero = v[v != 0.0]
+    return int(np.count_nonzero(np.signbit(nonzero[1:])
+                                != np.signbit(nonzero[:-1])))
+
+
 def solve_mode(profile: LineProfile, index: int) -> ModeSolution:
     """Eigenmode number ``index`` (1-based) of the line.
 
     Central differences with 1/C at the cell midpoints and the L0 weight
-    folded in by its square root give a symmetric tridiagonal T; Sturm
-    counts halve the mode's bracket (module docstring) until it holds this
-    mode alone.  Raises ``ResolutionError`` past n_grid / 4 (modes that
-    coarse are not resolved at second order) and ``ArithmeticError`` if the
-    mode is outside its bracket or no float separates it from a neighbour.
-    """
-    # imported here: SciPy's linear algebra is needed only by the line
-    # modes and slows every other command's start-up
-    from scipy.linalg import eigh_tridiagonal
+    folded in by its square root give a symmetric tridiagonal T.
+    Rayleigh-quotient iteration starts from the uniform line's discrete
+    sine, with each shift kept in the mode's bracket (module docstring; its
+    midpoint while the quotient is outside it).  It stops at the first
+    vector that is an eigenvector to rounding (a componentwise backward
+    error of at most 8 eps) or whose quotient a Rayleigh step no longer
+    moves.  That vector is certified, and returned, only if its quotient
+    lies in the bracket and it changes sign index - 1 times (Sturm's
+    oscillation theorem), so the counts below are never its proof.  If it
+    is not, Sturm counts (the inertia of T - sigma I) check that the mode
+    is in the bracket and halve the bracket until it holds this mode alone
+    and the iteration started again certifies a vector.
 
+    Raises ``ResolutionError`` past n_grid / 4 (modes that coarse are not
+    resolved at second order) and ``ArithmeticError`` if the counts put the
+    mode outside its bracket, or if no float splits the bracket while no
+    vector is certified.
+    """
     if index < 1:
         raise ValueError("mode indices start at 1")
     if index > profile.n_grid // 4:
@@ -192,37 +313,68 @@ def solve_mode(profile: LineProfile, index: int) -> ModeSolution:
     s = math.sin(index * math.pi / (2 * (w.size + 1)))
     mu = 4.0 * s * s / (h * h)
     # rounding in T, against a bound on its Gershgorin norm
-    slack = 8.0 * math.ulp(1.0) * float(diag.max() - 2.0 * off.min())
+    slack = 8.0 * EPS * float(diag.max() - 2.0 * off.min())
     lo = max(mu * mid.min() / w.max() - slack, 0.0)
     hi = mu * mid.max() / w.min() + slack
+    root_w = np.sqrt(w)
 
-    def count(a, b):  # eigenvalues of T in (a, b], from Sturm counts alone
-        return eigh_tridiagonal(diag, off, eigvals_only=True, select="v",
-                                select_range=(a, b), tol=math.inf).size
+    def quotient(v):  # energy quotient of u = v / sqrt(L0), 0 at the ends
+        du = np.diff(v / root_w, prepend=0.0, append=0.0)
+        return np.sum(mid * du * du) / (h * h * np.sum(v * v))
 
-    below, inside = count(-slack, lo), count(lo, hi)
-    if not below < index <= below + inside:
-        raise ArithmeticError(f"mode {index} is outside ({lo:.17g}, {hi:.17g}]")
-    while inside > 1:
+    def rayleigh(v):
+        """v's Rayleigh-quotient iterate once converged and certified, or
+        None if it settles outside the bracket or does not settle."""
+        q = quotient(v)
+        for step in range(MAX_STEPS + 1):
+            settled = False
+            if step:
+                inside = lo < q <= hi
+                v = _solve(diag - (q if inside else 0.5 * (lo + hi)), off, v)
+                v /= np.abs(v).max()
+                q, last = quotient(v), q
+                # a Rayleigh step converges cubically: one that no longer
+                # moves the quotient has converged
+                settled = inside and abs(q - last) <= 8.0 * EPS * q
+            if settled or _is_eigenpair(diag, off, v, q):
+                if not lo < q <= hi:  # a neighbour's vector
+                    return None
+                if _sign_changes(v) == index - 1:
+                    return v
+        return None
+
+    def halve():  # False if no float splits the bracket
+        nonlocal lo, hi, n_lo, n_hi
         cut = 0.5 * (lo + hi)
         if not lo < cut < hi:
-            raise ArithmeticError(f"mode {index} has a neighbour at {cut:.17g}")
-        n = count(lo, cut)
-        if below + n >= index:
-            hi, inside = cut, n
+            return False
+        n = int(_below(diag - cut, off))
+        if n >= target:
+            hi, n_hi = cut, n
         else:
-            lo, below, inside = cut, below + n, inside - n
-    # neighbouring modes sit about 2 lambda / index apart, so this
-    # tolerance keeps inverse iteration contracting by ~1e-3 a step
-    _, vec = eigh_tridiagonal(diag, off, select="v", select_range=(lo, hi),
-                              tol=1e-3 * lo / index)
+            lo, n_lo = cut, n
+        return True
+
+    sine = np.sin(index * math.pi / (w.size + 1) * np.arange(1, w.size + 1))
+    if (vec := rayleigh(sine)) is None:
+        # eigenvalues below -slack, lo and hi
+        base, n_lo, n_hi = _below(diag - np.array([[-slack], [lo], [hi]]),
+                                  off).tolist()
+        target = base + index
+        if not n_lo < target <= n_hi:
+            raise ArithmeticError(
+                f"mode {index} is outside ({lo:.17g}, {hi:.17g}]")
+        while n_hi - n_lo > 1 or (vec := rayleigh(sine)) is None:
+            if not halve():
+                raise ArithmeticError(
+                    f"mode {index} has no certified vector in ({lo:.17g}, "
+                    f"{hi:.17g}], and no float splits that")
+    omega = math.sqrt(quotient(vec))
     u = np.zeros(profile.n_grid)
-    u[1:-1] = vec[:, 0] / np.sqrt(w)
+    u[1:-1] = vec / root_w
     u /= np.sqrt(np.trapezoid(profile.L0 * u * u, x))
     if u[1] < 0.0:
         u = -u
-    du = np.diff(u)
-    omega = math.sqrt(np.sum(mid * du * du) / (h * h * np.sum(w * u[1:-1]**2)))
     return ModeSolution(index=index, omega_n=omega, u=u)
 
 

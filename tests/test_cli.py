@@ -861,8 +861,9 @@ def test_cli_import_builds_no_parser():
 
 
 def test_cli_import_loads_no_scipy(tmp_path):
-    """SciPy is imported by the line modes only: neither importing the CLI
-    nor a whole `kerrcav fit` run loads any scipy module."""
+    """No kerrcav command loads SciPy: neither importing the CLI nor whole
+    `fit`, `line-derive` and `steady-sweep` runs, the last two on a
+    non-uniform line profile (whose modes take the iterative solve)."""
     true = load_config({"schema": 1, "device": dict(DEVICE)}).device
     amplitude = 0.7 * critical_point(true).drive
     cfg = write_json(tmp_path / "fit.json", {"schema": 1, "fit": {
@@ -871,6 +872,21 @@ def test_cli_import_loads_no_scipy(tmp_path):
         "free": ["kerr", "gamma3"],
         "refl_data": [[w, amplitude, predict_reflection(true, w, amplitude)]
                       for w in np.linspace(0.96, 1.0, 25).tolist()]}})
+    x = np.linspace(0.0, 1.0, 64)
+    line = write_json(tmp_path / "line.json", {
+        "l": 1.0, "I_c": 1.0, "hbar": 1.0, "grid": 64,
+        "C": (1.0 + 0.2 * np.sin(3.0 * x)).tolist(),
+        "L0": (1.0 + 0.1 * np.cos(5.0 * x)).tolist(),
+        "dL": [0.1] * 64, "R0": [0.05] * 64, "dR": [0.02] * 64})
+    sweep = write_json(tmp_path / "sweep.json", {
+        "schema": 1,
+        "device": {"profile": line, "mode_index": 2, "gamma1": 0.01},
+        "drive": {"omega_p": {"start": 6.0, "stop": 6.4, "count": 3},
+                  "b1_in": [0.01]}})
+    commands = [["fit", "--config", cfg],
+                ["line-derive", "--profile", line, "--mode-index", "1",
+                 "--gamma1", "0.01"],
+                ["steady-sweep", "--config", sweep]]
     src = os.path.join(os.path.dirname(__file__), os.pardir, "src")
     env = dict(os.environ, PYTHONPATH=os.path.abspath(src))
     out = subprocess.run(
@@ -879,12 +895,15 @@ def test_cli_import_loads_no_scipy(tmp_path):
          "def scipy(): return sorted(m for m in sys.modules\n"
          "                           if m.split('.')[0] == 'scipy')\n"
          "print(scipy())\n"
-         f"code = kerrcav.cli.main(['fit', '--config', {cfg!r}])\n"
-         "print(code, scipy(), file=sys.stderr)"],
+         f"for args in {commands!r}:\n"
+         "    code = kerrcav.cli.main(args)\n"
+         "    print(code, scipy(), file=sys.stderr)"],
         env=env, capture_output=True, text=True, check=True)
-    assert out.stdout.splitlines()[0] == "[]"
-    assert out.stdout.splitlines()[2].endswith(",true")
-    assert out.stderr.strip() == "0 []"
+    lines = out.stdout.splitlines()
+    assert lines[0] == "[]"
+    assert lines[2].endswith(",true")
+    assert lines[3].startswith("omega0,") and lines[5].startswith("b1_in,")
+    assert out.stderr.splitlines() == ["0 []"] * 3
 
 
 def test_cli_import_loads_no_orjson():

@@ -10,7 +10,7 @@ import pytest
 from kerrcav import (LineProfile, ModeSolution, ResolutionError, SameModeError,
                      cross_kerr, derive_device, load_profile,
                      mode_coefficients, solve_mode, solve_modes)
-from kerrcav import jsonfile
+from kerrcav import jsonfile, stripline
 from kerrcav.jsonfile import read_json
 from conftest import make_uniform_profile
 from oracles import line_eigenvalue
@@ -117,7 +117,7 @@ def test_uniform_line_matches_discrete_closed_form(n_grid):
         mode = solve_mode(profile, index)
         assert mode.omega_n == pytest.approx(omega, rel=1e-14, abs=0.0)
         assert mode_coefficients(profile, mode).kerr \
-            == pytest.approx(kerr, rel=5e-11, abs=0.0)
+            == pytest.approx(kerr, rel=1e-15, abs=0.0)
 
 
 def test_nonuniform_frequencies_match_mpmath_oracle():
@@ -142,6 +142,83 @@ def test_high_modes_of_a_wide_bracket():
     exact = math.sqrt(line_eigenvalue(profile, 60))
     assert mode.omega_n == pytest.approx(exact, rel=1e-14, abs=0.0)
     assert np.count_nonzero(np.diff(np.sign(mode.u[1:-1]))) == 59
+
+
+def wide_span_profile(rng, n_grid):
+    """C and L0 each spanning up to 1e8, as a geometric ramp (either way)
+    or as independent log-uniform samples."""
+    arrays = {}
+    for key in ("C", "L0"):
+        span = 10.0 ** rng.uniform(0.0, 8.0)
+        if rng.random() < 0.5:
+            arrays[key] = np.geomspace(1.0, span, n_grid)[::rng.choice((-1, 1))]
+        else:
+            arrays[key] = span ** rng.random(n_grid)
+    return LineProfile(length=1.0, I_c=1.0, hbar=1.0, **arrays,
+                       dL=np.full(n_grid, 0.1), R0=np.full(n_grid, 0.05),
+                       dR=np.full(n_grid, 0.02))
+
+
+@pytest.mark.parametrize("seed", range(6))
+def test_wide_span_modes_match_mpmath_oracle(seed):
+    """Grids of 16-400 points whose C and L0 span up to 1e8: every mode is
+    solved, omega_k is the 40-digit oracle's to 1e-14, and the vector
+    changes sign k - 1 times.  Such modes are localised, their shift
+    brackets wide, and Rayleigh iteration from the sine often settles on a
+    neighbour before the bracket is halved."""
+    rng = np.random.default_rng([28, seed])
+    n_grid = int(rng.integers(16, 401))
+    profile = wide_span_profile(rng, n_grid)
+    for index in sorted({1, 2, int(rng.integers(3, n_grid // 4 + 1))}):
+        mode = solve_mode(profile, index)
+        exact = math.sqrt(line_eigenvalue(profile, index))
+        assert mode.omega_n == pytest.approx(exact, rel=1e-14, abs=0.0)
+        assert stripline._sign_changes(mode.u) == index - 1
+
+
+def test_uncertified_vector_is_arithmetic_error(monkeypatch):
+    """A vector whose node count never certifies it is never returned: the
+    bracket is halved until no float splits it, then ArithmeticError."""
+    profile = wavy_profile(64)
+    solve_mode(profile, 3)
+    monkeypatch.setattr(stripline, "_sign_changes", lambda v: -1)
+    with pytest.raises(ArithmeticError, match="no certified vector"):
+        solve_mode(profile, 3)
+
+
+def random_tridiagonals(seed, count):
+    """Seeded symmetric tridiagonals (a, b) of 1-80 unknowns with normal
+    entries, every fifth with one zero off-diagonal."""
+    rng = np.random.default_rng(seed)
+    for k in range(count):
+        n = int(rng.integers(1, 81))
+        a, b = rng.normal(size=n), rng.normal(size=n - 1)
+        if k % 5 == 0 and n > 2:
+            b[rng.integers(0, n - 1)] = 0.0
+        yield rng, a, b
+
+
+@pytest.mark.filterwarnings("error")
+def test_inertia_matches_dense_eigenvalues():
+    """The negative pivots of the odd-even reduction count the eigenvalues
+    below the shift, as numpy.linalg.eigvalsh does: at random shifts, at
+    shifts 1e-9 relative from each eigenvalue, at every diagonal entry
+    (exact zero pivots) and on matrices with a zero off-diagonal.  A count
+    may fall either way only for an eigenvalue within 64 eps ||T|| of the
+    shift.  All shifts of a matrix are counted in one batch, which agrees
+    with counting them one at a time."""
+    for rng, a, b in random_tridiagonals(7, 400):
+        dense = np.diag(a) + np.diag(b, 1) + np.diag(b, -1)
+        eigs = np.linalg.eigvalsh(dense)
+        tol = 64.0 * np.finfo(float).eps * np.abs(dense).sum(axis=1).max()
+        shifts = np.concatenate([rng.normal(size=4), eigs * (1.0 + 1e-9),
+                                 eigs * (1.0 - 1e-9), a])
+        counts = stripline._below(a - shifts[:, None], b)
+        for s, count in zip(shifts, counts):
+            assert np.count_nonzero(eigs < s - tol) <= count \
+                <= np.count_nonzero(eigs <= s + tol), (a, b, s)
+        assert [stripline._below(a - s, b) for s in shifts[:3]] \
+            == counts[:3].tolist()
 
 
 def test_second_order_convergence():
