@@ -8,6 +8,7 @@ the lumped model from a superconducting transmission-line profile.
 
 from .fitting import (FitProblem, FitResult, NonConvergence, load_fit_problem,
                       predict_gain, predict_reflection, run_fit)
+from .jsonfile import ConfigError
 from .model import (DeviceParams, DeviceValidation, PumpDrive, validate)
 from .noise import (SqueezeResult, SqueezeResults, ThermalEnv,
                     lo_phase_extrema, lo_phase_extrema_array,
@@ -26,9 +27,9 @@ from .stripline import (LineProfile, ModeCoefficients, ModeSolution,
                         ResolutionError, SameModeError, cross_kerr,
                         derive_device, load_profile, mode_coefficients,
                         solve_mode, solve_modes)
-from .sweeps import (ConfigError, SweepConfig, load_config, load_config_file,
-                     run_critical, run_gain_sweep, run_line_derive,
-                     run_squeeze_sweep, run_steady_sweep)
+from .sweeps import (SweepConfig, load_config, load_config_file, run_critical,
+                     run_gain_sweep, run_line_derive, run_squeeze_sweep,
+                     run_steady_sweep)
 from .tableio import Table, format_float, parse_json, render, to_csv, to_json
 
 __version__ = "0.1.0"

@@ -12,9 +12,10 @@ import json
 import sys
 
 from .fitting import NonConvergence, load_fit_file, run_fit
-from .sweeps import (ConfigError, load_config_file, load_device_file,
-                     run_critical, run_gain_sweep, run_line_derive,
-                     run_squeeze_sweep, run_steady_sweep)
+from .jsonfile import ConfigError
+from .sweeps import (load_config_file, load_device_file, run_critical,
+                     run_gain_sweep, run_line_derive, run_squeeze_sweep,
+                     run_steady_sweep)
 from .tableio import Table, render
 
 EXIT_OK = 0

@@ -23,12 +23,12 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
+from .jsonfile import ConfigError, _floats, _header, _number, _read_config
 from .model import DeviceParams, validate
 from .smallsignal import _gains
 from .steady import (UndefinedForZeroDrive, _coefficients, _h, _reflection,
                      _rows, _settle)
-from .sweeps import (ConfigError, _floats, _header, _number, _read_config,
-                     load_device)
+from .sweeps import load_device
 
 FREE_NAMES = ("omega0", "kerr", "gamma1", "gamma2", "gamma3")
 MAX_EVALUATIONS = 100_000

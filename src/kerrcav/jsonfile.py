@@ -18,11 +18,20 @@ that applies:
 
 The one difference from json: orjson reads an integer outside
 [-2^63, 2^64) as the nearest double, where json keeps the Python int.
+
+The cell rules of every input file live here too (:func:`_number`: an int
+or float, not a bool, and finite), so a bad cell reads the same in a
+config, a fit file and a profile, named by its path (``offsets[2]``,
+``fit.refl_data[5][1]``, ``C[7]``); so do the configs' header and reader.
 """
 
 import json
+import math
+import os
 
 import numpy as np
+
+SCHEMA_VERSION = 1
 
 # orjson 3.8 recurses without a limit: a document nested about 10**5 deep
 # overflows the C stack and kills the process.  A document (or a skeleton,
@@ -106,3 +115,86 @@ def _flat_arrays(orjson, raw, float_keys):
             array = np.fromiter(array, float, len(array))
         data[found[i]] = array
     return data
+
+
+class ConfigError(ValueError):
+    """A value of an input file breaks its rule: ``field_path`` names it
+    (``drive.b1_in[0]``, ``C[7]``) and ``detail`` says how."""
+
+    def __init__(self, field_path: str, detail: str):
+        self.field_path = field_path
+        self.detail = detail
+        super().__init__(f"config field {field_path!r}: {detail}")
+
+
+def _require(mapping, key, path):
+    if key not in mapping:
+        raise ConfigError(f"{path}.{key}", "missing")
+    return mapping[key]
+
+
+def _number(value, path, minimum=None, strict=False):
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
+        raise ConfigError(path, f"expected a number, got {value!r}")
+    try:
+        v = float(value)
+    except OverflowError:
+        v = math.inf
+    if not math.isfinite(v):
+        raise ConfigError(path, f"must be finite (got {v!r})")
+    if minimum is not None:
+        if strict and not v > minimum:
+            raise ConfigError(path, f"must be > {minimum} (got {v!r})")
+        if not strict and not v >= minimum:
+            raise ConfigError(path, f"must be >= {minimum} (got {v!r})")
+    return v
+
+
+def _integer(value, path, minimum):
+    if isinstance(value, bool) or not isinstance(value, int):
+        raise ConfigError(path, f"expected an integer, got {value!r}")
+    if value < minimum:
+        raise ConfigError(path, f"must be >= {minimum} (got {value})")
+    return value
+
+
+def _floats(values, path_of, minimum=None):
+    """A list's cells as finite floats >= minimum; errors name path_of(i)."""
+    if {type(v) for v in values} <= {int, float}:
+        # the common case in one pass; on any doubt, _number names the cell
+        try:
+            floats = tuple(map(float, values))
+        except OverflowError:
+            floats = (math.inf,)
+        if all(map(math.isfinite, floats)) and (
+                minimum is None or min(floats, default=minimum) >= minimum):
+            return floats
+    return tuple(_number(v, path_of(i), minimum=minimum)
+                 for i, v in enumerate(values))
+
+
+def _numbers(data, key, minimum=None):
+    """``data[key]``, a list (empty if absent), as by :func:`_floats`,
+    naming each cell ``key[i]``.  A float64 array the reader decoded is
+    taken as it is: orjson refuses the numbers that are not finite."""
+    values = data.get(key, [])
+    if isinstance(values, np.ndarray):
+        return values
+    if not isinstance(values, list):
+        raise ConfigError(key, f"expected a list, got {values!r}")
+    return _floats(values, lambda i: f"{key}[{i}]", minimum)
+
+
+def _header(data):
+    """``data``, a sweep or fit config, if its header is this version's."""
+    if not isinstance(data, dict):
+        raise ConfigError("$", "top level must be an object")
+    schema = data.get("schema")
+    if schema != SCHEMA_VERSION:
+        raise ConfigError("schema", f"expected {SCHEMA_VERSION}, got {schema!r}")
+    return data
+
+
+def _read_config(path):
+    """The parsed config file at ``path``, and its directory."""
+    return read_json(path, "config"), os.path.dirname(os.path.abspath(path))

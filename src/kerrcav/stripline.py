@@ -35,7 +35,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .jsonfile import read_json
+from .jsonfile import (ConfigError, _integer, _number, _numbers, _require,
+                       read_json)
 from .model import DeviceParams
 
 PROFILE_KEYS = ("C", "L0", "dL", "R0", "dR")
@@ -121,55 +122,30 @@ class ModeSolution:
     u: np.ndarray
 
 
-def _as_floats(value, key, path):
-    """A profile's ``key`` as a float, or as a float array if it is one of
-    PROFILE_KEYS.  An array the reader returned as floats is taken as it
-    is; otherwise each cell must be an int or a float, not a bool (one
-    pass over the cell types), and an integer past float range is not
-    finite."""
-    if isinstance(value, np.ndarray):
-        return value
-    cells = value if key in PROFILE_KEYS else [value]
-    if not set(map(type, cells)) <= {int, float}:
-        i, bad = next((i, v) for i, v in enumerate(cells)
-                      if type(v) not in (int, float))
-        where = f"{key}[{i}]" if key in PROFILE_KEYS else key
-        raise ValueError(f"profile file {path}: {where} must be a number, "
-                         f"got {bad!r}")
-    try:
-        floats = np.array(cells, dtype=float)
-    except OverflowError:
-        raise ValueError(f"profile file {path}: {key!r} must be finite "
-                         "(an integer past float range)") from None
-    return floats if key in PROFILE_KEYS else float(floats[0])
-
-
 def load_profile(path) -> LineProfile:
     """Read a profile from a JSON file.
 
     Expected object: {"l", "I_c", "hbar", "grid", "C", "L0", "dL", "R0",
-    "dR"} with arrays of length "grid" and numbers (int or float) for
-    cells; anything else is rejected.
+    "dR"} with arrays of length "grid", checked by jsonfile's cell rules
+    (a float64 array the reader decoded is taken as it is); an error
+    reads ``profile file PATH: FIELD: DETAIL``.
     """
     data = read_json(path, "profile", PROFILE_KEYS)
     if not isinstance(data, dict):
         raise ValueError(f"profile file {path}: expected an object")
-    for key in ("l", "I_c", "hbar", "grid", *PROFILE_KEYS):
-        if key not in data:
-            raise ValueError(f"profile file {path}: missing key {key!r}")
-    n = data["grid"]
-    if isinstance(n, bool) or not isinstance(n, int):
-        raise ValueError(f"profile file {path}: grid must be an integer, "
-                         f"got {n!r}")
-    for key in PROFILE_KEYS:
-        if not isinstance(data[key], (list, np.ndarray)):
-            raise ValueError(f"profile file {path}: {key!r} must be a list")
-        if len(data[key]) != n:
-            raise ValueError(
-                f"profile file {path}: array {key!r} has length "
-                f"{len(data[key])}, expected grid = {n}")
-    values = {key: _as_floats(data[key], key, path)
-              for key in ("l", "I_c", "hbar", *PROFILE_KEYS)}
+    try:
+        for key in ("l", "I_c", "hbar", "grid", *PROFILE_KEYS):
+            _require(data, key, "$")
+        n = _integer(data["grid"], "grid", minimum=0)
+        values = {key: _number(data[key], key) for key in ("l", "I_c", "hbar")}
+        for key in PROFILE_KEYS:
+            values[key] = _numbers(data, key)
+            if len(values[key]) != n:
+                raise ConfigError(key, f"has length {len(values[key])}, "
+                                  f"expected grid = {n}")
+    except ConfigError as exc:
+        raise ValueError(f"profile file {path}: {exc.field_path}: "
+                         f"{exc.detail}") from None
     try:
         return LineProfile(length=values.pop("l"), **values)
     except ValueError as exc:

@@ -15,7 +15,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .jsonfile import read_json
+from .jsonfile import (ConfigError, _header, _integer, _number, _numbers,
+                       _read_config, _require)
 from .model import DeviceParams, validate
 from .noise import ThermalEnv, squeeze_columns
 from .operating import critical_point, require_critical_point
@@ -25,8 +26,6 @@ from .stripline import (derive_device, load_profile, mode_coefficients,
                         solve_mode)
 from .tableio import Table
 
-SCHEMA_VERSION = 1
-
 STEADY_COLUMNS = ["b1_in", "omega_p", "branch", "E", "B", "phi_B",
                   "refl_mag", "refl_phase", "lambda0_re", "lambda0_im", "stable"]
 GAIN_COLUMNS = ["b1_in", "omega_p", "branch", "omega", "G_S", "G_I", "diverged"]
@@ -35,14 +34,6 @@ SQUEEZE_COLUMNS = ["b1_frac", "p_min0", "p_max0", "phi_min",
 CRITICAL_COLUMNS = ["exists", "E_c", "omega_p_c", "b1c_in", "ill_conditioned"]
 LINE_COLUMNS = ["omega0", "kerr", "gamma1", "gamma2", "gamma3",
                 "quad_u4_dL", "quad_u2_R0", "quad_u4_dR"]
-
-
-class ConfigError(ValueError):
-    """Invalid sweep configuration; the message names the offending field."""
-
-    def __init__(self, field_path: str, message: str):
-        self.field_path = field_path
-        super().__init__(f"config field {field_path!r}: {message}")
 
 
 @dataclass(frozen=True)
@@ -57,59 +48,6 @@ class SweepConfig:
     offsets: tuple[float, ...] = ()
     offsets_absolute: bool = False
     pump_fractions: tuple[float, ...] = ()
-
-
-def _require(mapping, key, path):
-    if key not in mapping:
-        raise ConfigError(f"{path}.{key}", "missing")
-    return mapping[key]
-
-
-def _number(value, path, minimum=None, strict=False):
-    if isinstance(value, bool) or not isinstance(value, (int, float)):
-        raise ConfigError(path, f"expected a number, got {value!r}")
-    try:
-        v = float(value)
-    except OverflowError:
-        v = math.inf
-    if not math.isfinite(v):
-        raise ConfigError(path, f"must be finite (got {v!r})")
-    if minimum is not None:
-        if strict and not v > minimum:
-            raise ConfigError(path, f"must be > {minimum} (got {v!r})")
-        if not strict and not v >= minimum:
-            raise ConfigError(path, f"must be >= {minimum} (got {v!r})")
-    return v
-
-
-def _integer(value, path, minimum):
-    if isinstance(value, bool) or not isinstance(value, int):
-        raise ConfigError(path, f"expected an integer, got {value!r}")
-    if value < minimum:
-        raise ConfigError(path, f"must be >= {minimum} (got {value})")
-    return value
-
-
-def _floats(values, path_of, minimum=None):
-    """A list's cells as finite floats >= minimum; errors name path_of(i)."""
-    if {type(v) for v in values} <= {int, float}:
-        # the common case in one pass; on any doubt, _number names the cell
-        try:
-            floats = tuple(map(float, values))
-        except OverflowError:
-            floats = (math.inf,)
-        if all(map(math.isfinite, floats)) and (
-                minimum is None or min(floats, default=minimum) >= minimum):
-            return floats
-    return tuple(_number(v, path_of(i), minimum=minimum)
-                 for i, v in enumerate(values))
-
-
-def _numbers(data, key, minimum=None):
-    values = data.get(key, [])
-    if not isinstance(values, list):
-        raise ConfigError(key, f"expected a list, got {values!r}")
-    return _floats(values, lambda i: f"{key}[{i}]", minimum)
 
 
 def _theta(value, path):
@@ -179,16 +117,6 @@ def _load_grid(block, path):
                           "memory") from None
 
 
-def _header(data):
-    """``data``, a sweep or fit config, if its header is this version's."""
-    if not isinstance(data, dict):
-        raise ConfigError("$", "top level must be an object")
-    schema = data.get("schema")
-    if schema != SCHEMA_VERSION:
-        raise ConfigError("schema", f"expected {SCHEMA_VERSION}, got {schema!r}")
-    return data
-
-
 def _config_device(data, base_dir):
     return load_device(_require(_header(data), "device", "$"), "device",
                        base_dir)
@@ -235,11 +163,6 @@ def load_config(data, base_dir=".") -> SweepConfig:
                        amplitudes=amplitudes, psi1=psi1, env=env,
                        offsets=offsets, offsets_absolute=offsets_absolute,
                        pump_fractions=fractions)
-
-
-def _read_config(path):
-    """The parsed config file at ``path``, and its directory."""
-    return read_json(path, "config"), os.path.dirname(os.path.abspath(path))
 
 
 def load_config_file(path) -> SweepConfig:

@@ -336,13 +336,13 @@ def test_line_derive_rejects_non_number_profile_entry(tmp_path, capsys, key,
                  "--gamma1", "0.01"]) == 2
     captured = capsys.readouterr()
     assert captured.err.startswith("error:")
-    assert f"{key} must be a number, got {value!r}" in captured.err
+    assert f"{key}: expected a number, got {value!r}" in captured.err
     assert captured.out == ""
 
 
 def test_line_derive_reads_out_of_range_literal_as_infinite(tmp_path, capsys):
     """orjson refuses 1e400; json reads it as inf, which exits 2 naming its
-    array."""
+    cell."""
     text = open(profile_file(tmp_path)).read()
     head, tail = text.split('"dL": [', 1)
     bad = tmp_path / "bad.json"
@@ -350,8 +350,44 @@ def test_line_derive_reads_out_of_range_literal_as_infinite(tmp_path, capsys):
     assert main(["line-derive", "--profile", str(bad), "--mode-index", "1",
                  "--gamma1", "0.01"]) == 2
     captured = capsys.readouterr()
-    assert "'dL' must be finite" in captured.err
+    assert "dL[0]: must be finite (got inf)" in captured.err
     assert captured.out == ""
+
+
+@pytest.mark.parametrize("cell, detail", [
+    pytest.param("true", "expected a number, got True", id="true"),
+    pytest.param('"1.0"', "expected a number, got '1.0'", id="string"),
+    pytest.param("1" + "0" * 400, "must be finite (got inf)", id="10**400"),
+    pytest.param("1e400", "must be finite (got inf)", id="1e400")])
+def test_one_bad_cell_reads_the_same_in_every_input_file(tmp_path, capsys,
+                                                         cell, detail):
+    """The same bad cell in a sweep config's offsets, a fit file's row and
+    a profile's C array exits 2 with one error line that ends in the same
+    detail after the cell's own path (1e400 and 10**400 make orjson refuse
+    the file, and json reads them as inf and as an int past float range)."""
+    marker = 0.123456789
+    refl = [[0.99, 0.1, 0.5]] * 6
+    refl[3] = [0.99, 0.1, marker]
+    profile = json.loads(open(profile_file(tmp_path)).read())
+    profile["C"][7] = marker
+    files = [
+        (["gain-sweep", "--config"], {"schema": 1, "device": dict(DEVICE),
+                                      "offsets": [0.0, marker]},
+         "config field 'offsets[1]'"),
+        (["fit", "--config"], {"schema": 1, "fit": {
+            "initial": dict(DEVICE), "free": ["kerr"], "refl_data": refl}},
+         "config field 'fit.refl_data[3][2]'"),
+        (["line-derive", "--mode-index", "1", "--gamma1", "0.01",
+          "--profile"], profile, "profile file {}: C[7]")]
+    for i, (argv, payload, where) in enumerate(files):
+        path = tmp_path / f"bad-{i}.json"
+        text = json.dumps(payload)
+        assert text.count(repr(marker)) == 1
+        path.write_text(text.replace(repr(marker), cell))
+        assert main(argv + [str(path)]) == 2
+        captured = capsys.readouterr()
+        assert captured.err == f"error: {where.format(path)}: {detail}\n"
+        assert captured.out == ""
 
 
 def test_line_derive_reports_malformed_json_by_position(tmp_path, capsys):
