@@ -16,7 +16,7 @@ from .jsonfile import ConfigError
 from .sweeps import (load_config_file, load_device_file, run_critical,
                      run_gain_sweep, run_line_derive, run_squeeze_sweep,
                      run_steady_sweep)
-from .tableio import Table, render
+from .tableio import Table, render_blocks
 
 EXIT_OK = 0
 EXIT_CONFIG = 2
@@ -58,17 +58,18 @@ def build_parser():
 
 
 def _emit(table: Table, args) -> int:
-    data = render(table, args.format)
+    # rendered in full before the file opens: a failed render leaves no file
+    blocks = render_blocks(table, args.format)
     if args.out:
         try:
             with open(args.out, "wb") as fh:
-                fh.write(data)
+                fh.writelines(blocks)
         except OSError as exc:
             print(f"error: cannot write {args.out}: {exc}", file=sys.stderr)
             return EXIT_IO
     else:
         # a text write, so a replaced sys.stdout (a StringIO) works too
-        sys.stdout.write(data.decode())
+        sys.stdout.writelines(block.decode() for block in blocks)
     return EXIT_OK
 
 

@@ -9,15 +9,17 @@ Floats are always written as ``"%.16e"`` (17 significant digits) so
 identical inputs produce byte-identical files; non-finite values render as
 "nan"/"inf"/"-inf" (quoted strings in JSON, which has no literals for
 them).  A table renders in blocks of 16,384 cells, the float cells of a
-block in one NumPy pass: the value's mantissa times a double-double power
-of ten gives the 17-digit integer with a bound on its error (after Adams,
-"Ryu: fast float-to-string conversion", PLDI 2018), and table lookups turn
-its digit groups and the exponent into the six 4-byte words of a cell's
-slot, exactly CPython's text.  Where the bound cannot certify the rounding
+block in one NumPy pass: for zero and 1e-290 <= |x| < 1e290, |x| times a
+double-double power of ten (Dekker's exact products, Numer. Math. 18, 1971)
+gives the 17-digit integer with a bound on its error (after Adams, "Ryu:
+fast float-to-string conversion", PLDI 2018), and table lookups turn its
+digit groups and the exponent into the six 4-byte words of a cell's slot,
+exactly CPython's text.  Where the bound cannot certify the rounding
 (within about 1e-14 of the last digit's halfway point, exact ties
 included) the cell falls back to ``"%.16e" %``, as do NaN, infinities and
-subnormals, once per distinct value.  The slots go into a row template and
-their NUL padding is dropped.  Parsing an emitted JSON table and
+all other |x|, once per distinct value.  The slots go into a row template
+and their NUL padding is dropped.  :func:`render_blocks` returns the
+blocks, :func:`render` joins them.  Parsing an emitted JSON table and
 re-emitting it reproduces the bytes exactly.
 """
 
@@ -105,47 +107,39 @@ def format_float(x: float) -> str:
 
 _WIDTH = 24  # "-d.dddddddddddddddde-ddd", the longest "%.16e" text
 _BLOCK_CELLS = 1 << 14  # cells rendered at once
-_K_MIN, _K_MAX = -294, 326  # powers 10^k that bring a normal double to 17 digits
-_TINY = 2.2250738585072014e-308  # smallest normal double
-_HUGE = 1.7976931348623157e308  # largest finite double
-# The scaled value s = x * 10^k in [1e16, 1e17) carries a relative error
-# below 2^-104 (table, two products, one sum), so below 5e-15 in units of
-# its last digit; a rounding is certified when s sits further than this
-# from a halfway point.
+_LOW, _HIGH = 1e-290, 1e290  # the |x| of the vector path, besides zero
+_K_MIN, _K_MAX = -275, 308  # the powers 10^k that path takes
+# There s = |x| * 10^k lies in [1e16, 1e17), no power or partial product is
+# subnormal or infinite, and s carries a relative error below 2^-104
+# (table, two products, one sum), so below 5e-15 in units of its last
+# digit; a rounding is certified when s sits further than this from a
+# halfway point.
 _MARGIN = 1e-14
 
 
 @functools.cache
 def _tables():
-    """Double-double powers of ten, 10^k = (hi + lo) * 2^exp for k in
-    [_K_MIN, _K_MAX]: hi, hi's upper and lower halves (for exact products)
-    and lo as float arrays, exp as int32.  Then uint32 words of four ASCII
+    """The powers 10^k for k in [_K_MIN, _K_MAX] as rows (p, p_hi, p_lo,
+    q): p the double nearest 10^k, q the double nearest 10^k - p, and p's
+    upper 26 and lower 26 (signed) bits.  Then uint32 words of four ASCII
     bytes each: sign (NUL or "-"), digit, point, digit for 0..100;
     0000..9999; 000e..999e; the exponent 16 - k of each power, its
     hundreds NUL below 100.  Built from Python integers on first use."""
-    hi, lo, exp = [], [], []
+    powers = []
     for k in range(_K_MIN, _K_MAX + 1):
-        if k >= 0:
-            num = 10**k
-            q = num << 127 >> (num.bit_length() - 1)  # in [2^127, 2^128)
-            shift = num.bit_length() - 1
-        else:
-            den = 10**-k
-            q = (1 << (127 + den.bit_length())) // den
-            shift = -den.bit_length()
-        top = float(q)
-        hi.append(top / 2.0**127)
-        lo.append(float(q - int(top)) / 2.0**127)
-        exp.append(shift)
-    hi = np.array(hi)
-    split = hi * 134217729.0  # Veltkamp: 2^27 + 1
-    hi_hi = split - (split - hi)
+        num, den = (10**k, 1) if k >= 0 else (1, 10**-k)
+        p = num / den  # int division rounds correctly
+        m, d = p.as_integer_ratio()
+        powers.append((p, (num * d - m * den) / (den * d)))
+    p, q = np.array(powers).T
+    # round to 26 bits: masking, unlike Veltkamp's split, cannot overflow
+    p_hi = ((p.view(np.int64) + (1 << 26)) & -(1 << 27)).view(np.float64)
 
     def words(texts):  # four ASCII bytes as one uint32, in memory order
         return np.frombuffer("".join(texts).encode(), np.uint32)
 
     signed = [f"{16 - k:+04d}" for k in range(_K_MIN, _K_MAX + 1)]
-    return (hi, hi_hi, hi - hi_hi, np.array(lo), np.array(exp, np.int32),
+    return (np.stack([p, p_hi, p - p_hi, q], axis=1),
             words(s + d[0] + "." + d[-1] for s in "\0-"
                   for d in map("{:02d}".format, range(101))),
             words(map("{:04d}".format, range(10**4))),
@@ -153,20 +147,19 @@ def _tables():
             words(e if e[1] != "0" else e[0] + "\0" + e[2:] for e in signed))
 
 
-def _scaled(f, e, i):
-    """x * 10^k as a double-double (hi, lo), for x = f * 2^e and the power
-    10^k at index i of the tables (k = i + _K_MIN)."""
-    p, p_hi, p_lo, q, exp = (t.take(i) for t in _tables()[:5])
-    split = f * 134217729.0
-    f_hi = split - (split - f)
-    f_lo = f - f_hi
-    head = f * p  # Dekker's exact product: head + tail = f * p
-    tail = ((f_hi * p_hi - head) + f_hi * p_lo + f_lo * p_hi) + f_lo * p_lo
-    tail += f * q
+def _scaled(v, i):
+    """v * 10^k as a double-double (hi, lo), for the power at index i of
+    the tables (k = i + _K_MIN)."""
+    p, p_hi, p_lo, q = _tables()[0].take(i, axis=0).T
+    # v's upper 26 and lower 27 bits: with p's 26 and 26, Dekker's partial
+    # products and sums are exact, so head + tail = v * p
+    v_hi = (v.view(np.int64) & -(1 << 27)).view(np.float64)
+    v_lo = v - v_hi
+    head = v * p
+    tail = ((v_hi * p_hi - head) + v_hi * p_lo + v_lo * p_hi) + v_lo * p_lo
+    tail += v * q
     hi = head + tail
-    lo = tail - (hi - head)
-    exp += e
-    return np.ldexp(hi, exp), np.ldexp(lo, exp)
+    return hi, tail - (hi - head)
 
 
 def _padded(texts: list[str], width: int = 0):
@@ -189,13 +182,12 @@ def _float_cells(x: np.ndarray, quote: bool):
     quotes."""
     *_, heads, quads, tails, exponents = _tables()
     a = np.abs(x)
-    normal = (a >= _TINY) & (a <= _HUGE)
-    v = np.where(normal, a, 2.0)  # a placeholder clear of powers of ten
-    f, e = np.frexp(v)
+    fast = (a >= _LOW) & (a < _HIGH)
+    v = np.where(fast, a, 2.0)  # a placeholder clear of powers of ten
     # the index k - _K_MIN of 10^k, k = 16 - floor(log10(v)), by truncation
     # (one too high where log10(v) is whole; the check below steps it back)
     i = (16 - _K_MIN + 1 - np.log10(v)).astype(np.intp)
-    hi, lo = _scaled(f, e, i)
+    hi, lo = _scaled(v, i)
     # log10 can be one off next to a power of ten: judge from the unrounded
     # s = hi + lo whether it lies in [1e16, 1e17), and rescale where not
     # (1e16 - hi is exact wherever lo can tip the comparison)
@@ -203,10 +195,10 @@ def _float_cells(x: np.ndarray, quote: bool):
     fix = np.flatnonzero(step)
     if fix.size:
         i[fix] += step[fix]
-        hi[fix], lo[fix] = _scaled(f[fix], e[fix], i[fix])
+        hi[fix], lo[fix] = _scaled(v[fix], i[fix])
     whole = np.rint(lo)
     n = hi.astype(np.int64) + whole.astype(np.int64)
-    certain = normal & (np.abs(lo - whole) < 0.5 - _MARGIN)
+    certain = fast & (np.abs(lo - whole) < 0.5 - _MARGIN)
     nonzero = a != 0.0
     n *= nonzero
     # 10^17 (rounded up to 18 digits) is 1.0...0 at 10^(E+1); a zero keeps
@@ -240,10 +232,10 @@ def _other_cells(column: np.ndarray, quote: bool):
     """Slots of a bool, int or str column, NUL-padded, each distinct value
     formatted once."""
     if column.dtype.kind == "b":
-        return _bool_slots()[column.view(np.uint8)]
+        return _bool_slots().take(column.view(np.uint8), axis=0)
     values, index = np.unique(column, return_inverse=True)
     text = json.dumps if quote and column.dtype.kind == "U" else str
-    return _padded(list(map(text, values.tolist())))[index]
+    return _padded(list(map(text, values.tolist()))).take(index, axis=0)
 
 
 @functools.cache
@@ -259,7 +251,7 @@ def _rows(columns: list[np.ndarray], lead: bytes, sep: bytes, end: bytes,
     n = len(columns[0])
     floats = [c for c in columns if c.dtype.kind == "f"]
     if floats:
-        float_cells = iter(_float_cells(np.array(floats).T.ravel(), quote)
+        float_cells = iter(_float_cells(np.stack(floats, 1).ravel(), quote)
                            .reshape(n, len(floats), _WIDTH).transpose(1, 0, 2))
     cells = [next(float_cells) if column.dtype.kind == "f"
              else _other_cells(column, quote) for column in columns]
@@ -269,7 +261,7 @@ def _rows(columns: list[np.ndarray], lead: bytes, sep: bytes, end: bytes,
     for cell in cells:
         text[:, start:start + cell.shape[1]] = cell
         start += cell.shape[1] + len(sep)
-    return text[text != 0].tobytes()
+    return text.tobytes().translate(None, b"\0")
 
 
 def _body(table: Table, lead: bytes, sep: bytes, end: bytes,
@@ -309,14 +301,20 @@ def render(table: Table, fmt: str) -> bytes:
     """The table in ``fmt`` ("csv" or "json") as the UTF-8 bytes a file
     receives; :func:`to_csv` and :func:`to_json` give the same text as
     str."""
+    return b"".join(render_blocks(table, fmt))
+
+
+def render_blocks(table: Table, fmt: str) -> list[bytes]:
+    """The bytes of :func:`render` as the blocks they join (header, rows in
+    blocks of about _BLOCK_CELLS cells, trailer), to write without a copy."""
     if fmt == "csv":
-        return b"".join([",".join(table.columns).encode(), b"\n",
-                         *_body(table, b"", b",", b"\n", quote=False)])
+        return [",".join(table.columns).encode(), b"\n",
+                *_body(table, b"", b",", b"\n", quote=False)]
     if fmt == "json":
         rows = _body(table, b" [", b", ", b"],\n", quote=True)
         if rows:
             rows[-1] = rows[-1][:-2]  # no comma after the last row
         head = (f'{{"schema": 1,\n "columns": {json.dumps(table.columns)},'
                 '\n "rows": [\n')
-        return b"".join([head.encode(), *rows, b"\n]}\n"])
+        return [head.encode(), *rows, b"\n]}\n"]
     raise ValueError(f"unknown format {fmt!r} (expected csv or json)")

@@ -70,18 +70,19 @@ def pytest_configure(config):
 
 @pytest.fixture(autouse=True, scope="session")
 def cli_tables_match_reference():
-    """Every table a test emits through the CLI is also rendered by the
-    row-wise reference renderer, and the two must agree byte for byte."""
-    render = kerrcav.cli.render
+    """Every table a test emits through the CLI (to a file or to standard
+    output) is also rendered by the row-wise reference renderer, and the
+    two must agree byte for byte."""
+    render_blocks = kerrcav.cli.render_blocks
 
     def checked(table, fmt):
-        data = render(table, fmt)
-        assert data == reference_render(table, fmt).encode()
-        return data
+        blocks = render_blocks(table, fmt)
+        assert b"".join(blocks) == reference_render(table, fmt).encode()
+        return blocks
 
-    kerrcav.cli.render = checked
+    kerrcav.cli.render_blocks = checked
     yield
-    kerrcav.cli.render = render
+    kerrcav.cli.render_blocks = render_blocks
 
 
 @pytest.fixture

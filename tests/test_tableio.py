@@ -7,7 +7,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from kerrcav import Table, format_float, parse_json, render, to_csv, to_json
+from kerrcav import (Table, format_float, parse_json, render, tableio, to_csv,
+                     to_json)
 from kerrcav.tableio import _BLOCK_CELLS
 from oracles import reference_csv, reference_json
 
@@ -197,6 +198,41 @@ def test_tables_match_the_row_wise_renderer():
                   Table.from_columns(["a"], [np.empty(0)])):
         assert to_csv(table) == reference_csv(table)
         assert to_json(table) == reference_json(table)
+
+
+def test_cells_outside_the_vector_range_fall_back_to_python(monkeypatch):
+    """|x| in [1e-290, 1e290) is scaled by the power table; its float
+    neighbours outside that range, and the smallest and largest normals,
+    are formatted by ``"%.16e" %`` (once per distinct value)."""
+    low, high = 1e-290, 1e290
+    inside = [low, math.nextafter(low, 1.0), math.nextafter(high, 0.0)]
+    outside = [math.nextafter(low, 0.0), high, math.nextafter(high, math.inf),
+               2.2250738585072014e-308, 1.7976931348623157e308]
+    values = [v * sign for v in inside + outside for sign in (1.0, -1.0)]
+    fallen = []
+    text = tableio._float_text
+    monkeypatch.setattr(tableio, "_float_text",
+                        lambda x, quote: fallen.append(x) or text(x, quote))
+    table = float_table(values * 2)
+    assert to_csv(table) == python_csv(values * 2)
+    assert sorted(fallen) == sorted(v for v in values if abs(v) in outside)
+
+
+def test_power_table_holds_the_nearest_double_doubles():
+    """Each row (p, p_hi, p_lo, q) holds p, the double nearest 10^k, q, the
+    double nearest 10^k - p, and p split into 26 upper bits and a rest of
+    at most half a unit of their last place."""
+    powers = tableio._tables()[0]
+    ks = range(tableio._K_MIN, tableio._K_MAX + 1)
+    assert powers.shape == (len(ks), 4)
+    for k, (p, p_hi, p_lo, q) in zip(ks, powers.tolist()):
+        exact = Fraction(10) ** k
+        assert p == float(exact)
+        assert q == float(exact - Fraction(p))
+        assert p_hi + p_lo == p
+        upper = math.ulp(p) * 2**27  # the last place of p's upper 26 bits
+        assert Fraction(p_hi) % Fraction(upper) == 0
+        assert abs(p_lo) <= upper / 2
 
 
 def block_edge_table(n_rows, step):
