@@ -2,8 +2,7 @@
 
 Subcommands: steady-sweep, gain-sweep, squeeze-sweep, critical, line-derive,
 fit.  Results are emitted as CSV or JSON tables with deterministic
-formatting.  Exit codes: 0 success, 2 configuration error, 3 numeric
-failure (non-convergence or arithmetic overflow), 4 I/O error.
+formatting; the exit codes are the ``EXIT_*`` constants.
 """
 
 import argparse

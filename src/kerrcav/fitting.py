@@ -6,16 +6,10 @@ curve leaves the rates weakly constrained) and, optionally, the zero-offset
 intermodulation gain.  The forward model (:func:`_model`, shared by the fit
 and the predict functions, so they give the same bits) takes the settled
 photon number E of all data rows in one batched pass (:func:`steady._settle`,
-which builds no record), and both observables are closed forms in E: |r| of
-r = (z - 2 gamma1) / z, and G_I(0) = 4 gamma1^2 (K^2 + gamma3^2) E^2 /
-h'(E)^2 since D(0) = h'(E).  The solver is a Levenberg-Marquardt loop
-on the residual vector, over parameters rescaled by the initial guess and
-projected onto where :func:`model.validate` holds, with an analytic
-Jacobian of those formulas: E solves the pump cubic, so its derivatives
-follow from the implicit function theorem.  The Jacobian at a point reuses
-the settled energies of the model evaluation there, so ``n_evaluations``
-and the evaluation budget count model evaluations only; the solver is
-deterministic, so identical inputs give identical fits.
+which builds no record), and both observables are closed forms in E
+(:func:`_jacobian` gives them and differentiates them).  :func:`run_fit`
+is a Levenberg-Marquardt loop over parameters projected onto where
+:func:`model.validate` holds.
 """
 
 import math
@@ -224,16 +218,18 @@ def run_fit(problem: FitProblem, max_evaluations: int = MAX_EVALUATIONS) -> FitR
 
     Levenberg-Marquardt (Moré, LNM 630, 1978) on the parameters z divided
     by their initial values: each step p solves [J; sqrt(mu) D] p = [-r; 0]
-    by least squares, D the column norms of J (never shrinking, as in
-    Moré), and the trial point z + p is clipped to the search bounds
-    (Kanzow, Yamashita & Fukushima, J. Comput. Appl. Math. 172 (2004)
-    375).  A trial point that lowers the cost is accepted and mu follows
-    Nielsen's update (IMM-REP-1999-05), never below MU_START; any other,
-    one where the model is undefined (a zero drive, an overflow) too, is
-    rejected and raises mu.  It has converged when the projected gradient
-    J^T r falls below GTOL, or a trial step lowers the cost by less than
-    FTOL of it (at a gain ratio above 1/4) or moves z by less than
-    XTOL (XTOL + |z|): SciPy's ``least_squares`` defaults.
+    by least squares, D the column norms of J (Marquardt's scaling, never
+    shrinking, as in Moré), and the trial point z + p is clipped to the
+    search bounds (Kanzow, Yamashita & Fukushima, J. Comput. Appl. Math.
+    172 (2004) 375).  A trial point that lowers the cost is accepted and
+    mu follows Nielsen's update (IMM-REP-1999-05), never below MU_START;
+    any other, one where the model is undefined (a zero drive, an
+    overflow) too, is rejected and raises mu.  It has converged when the
+    projected gradient J^T r falls below GTOL, or a trial step lowers the
+    cost by less than FTOL of it (at a gain ratio above 1/4) or moves z by
+    less than XTOL (XTOL + |z|): SciPy's ``least_squares`` defaults.  On
+    criterion 8's noisy data it agrees with that function's ``trf`` method
+    to 1e-5 relative.  Identical inputs give identical fits.
 
     Returns the last accepted point, the best evaluated, with its RMS
     residual.  The Jacobian (:func:`_jacobian`) is built only at accepted

@@ -17,7 +17,9 @@ that applies:
    document nested too deeply for json is a ValueError.
 
 The one difference from json: orjson reads an integer outside
-[-2^63, 2^64) as the nearest double, where json keeps the Python int.
+[-2^63, 2^64) as the nearest double, where json keeps the Python int.  A
+cell read as a float (a rate, a drive, a fit row) has the same bits either
+way, and an integer field reports the double it got.
 
 The cell rules of every input file live here too (:func:`_number`: an int
 or float, not a bool, and finite), so a bad cell reads the same in a

@@ -11,13 +11,10 @@ theta_i = hbar*omega_p / (k_B * T_i); theta = inf encodes T = 0.  The bath
 occupation is evaluated at the pump frequency for all offsets, which is
 accurate for offsets small compared to the pump frequency.
 
-The extrema over the local-oscillator phase are one closed form in the
-resolvent D(omega) of :mod:`smallsignal`, written in real arithmetic that
-runs unchanged on floats and on arrays (:func:`_extrema`), so
-:func:`lo_phase_extrema` and its batch :func:`lo_phase_extrema_array` give
-the same bits by construction.  Both take D, |D| and the singular test that
-marks a point ``diverged`` from :func:`smallsignal._resolvent`, and neither
-forms the transfer coefficients.
+The extrema over the local-oscillator phase are closed forms in the
+resolvent D(omega) of :mod:`smallsignal` (:func:`_extrema`);
+:func:`lo_phase_extrema` and its batch :func:`lo_phase_extrema_array`
+form no transfer coefficient.
 """
 
 import math
@@ -76,12 +73,12 @@ def thermal_occupation(theta: float) -> float:
 class SqueezeResult:
     """Phase dependence of the noise power at one offset frequency.
 
-    P is an exact sinusoid in twice the local-oscillator phase, so the
-    extrema are analytic: p_min = mean - |modulation|, p_max = mean +
-    |modulation|, attained at phi_min and phi_max, which sit in quadrature
-    (phi_max - phi_min = pi/2 mod pi).  ``p_of_phi`` evaluates P at any
-    phase.  ``diverged`` marks operation at an instability, where p_max is
-    infinite and p_min indeterminate (NaN).
+    P is a quadratic form in exp(i phi), so an exact sinusoid in twice the
+    local-oscillator phase, and the extrema are analytic: p_min = mean -
+    |modulation|, p_max = mean + |modulation|, attained at phi_min and
+    phi_max, which sit in quadrature (phi_max - phi_min = pi/2 mod pi).
+    ``p_of_phi`` evaluates P at any phase.  ``diverged`` marks operation at
+    an instability, where p_max is infinite and p_min indeterminate (NaN).
     """
 
     p_of_phi: Callable[[float], float]
@@ -116,7 +113,8 @@ def _extrema(params: DeviceParams, energy, delta, phase, omega, occupations,
     where |S_1(omega)|^2 = |D - 2 gamma1 z_w(omega)|^2 / |D|^2 and
     |S_k(omega)|^2 = c_k |z_w(omega)|^2 / |D|^2 for k = 2, 3.  Every
     component is divided by |D| before it is squared.  Off the singular
-    points a mean or |mod| not finite (a hot bath) is an OverflowError.
+    points a mean or |mod| not finite (a bath with theta near 1e-300 at a
+    large photon number) is an OverflowError.
     """
     d_re, d_im, d, singular = resolvent
     n1, n2, n3 = occupations
@@ -159,12 +157,8 @@ def _extrema(params: DeviceParams, energy, delta, phase, omega, occupations,
 
 def lo_phase_extrema(params: DeviceParams, state: SteadyState, drive: PumpDrive,
                      env: ThermalEnv, omega: float = 0.0) -> SqueezeResult:
-    """Analytic extrema of P over the local-oscillator phase.
-
-    P(phi) = mean + |mod| cos(2 phi + arg mod) exactly, because P is a
-    quadratic form in exp(i phi); the extremal phases are returned reduced
-    to [0, pi).  Both are closed forms in the resolvent D (:func:`_extrema`).
-    """
+    """Analytic extrema of P over the local-oscillator phase, from
+    :func:`_extrema`; the extremal phases are reduced to [0, pi)."""
     delta = drive.detuning(params)
     resolvent = _resolvent(params, state.energy, delta, omega)
     if resolvent[3]:

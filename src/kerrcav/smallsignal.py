@@ -14,13 +14,11 @@ h'(E) of the pump balance h(E) = P (:mod:`steady`), so in closed form
 which vanishes only at marginal operating points, where the gains diverge.
 The power gains are closed forms in D, G_I = 4 gamma1^2 (K^2 + gamma3^2)
 E^2 / |D|^2 and G_S = |D - 2 gamma1 z_w|^2 / |D|^2 with z_w = gamma +
-2 gamma3 E - i (omega + omega0 - omega_p + 2 K E).  :func:`_resolvent` is
-the one home of D, of |D| and of its tests (singular below SINGULAR_TOL
-gamma^2, OverflowError where not finite); the gains, the transfer
-coefficients and the homodyne extrema (:mod:`noise`) take what it returns.
-The gains and the extrema are written once, in real arithmetic that runs
-unchanged on Python floats and on NumPy arrays, so :func:`gains_array` is
-bit-identical to its one-point functions by construction;
+2 gamma3 E - i (omega + omega0 - omega_p + 2 K E).  The gains, the
+transfer coefficients and the homodyne extrema (:mod:`noise`) take D from
+:func:`_resolvent`.  The gains are written once, in real arithmetic that
+runs unchanged on Python floats and on NumPy arrays, so :func:`gains_array`
+is bit-identical to its one-point functions by construction;
 :func:`transfer_coefficients` is the one path for the six coefficients.
 """
 
@@ -96,8 +94,13 @@ def linearize(params: DeviceParams, state: SteadyState, drive: PumpDrive):
 def _resolvent(params: DeviceParams, energy, delta, omega):
     """(Re D, Im D, |D|, singular) at photon number ``energy``, detuning
     ``delta`` = omega0 - omega_p and offset ``omega``, from floats or arrays
-    alike; singular is |D| < SINGULAR_TOL gamma^2, an operating point at an
-    instability; OverflowError where |D| is not finite (offsets > 1.3e154)."""
+    alike: the one home of D, |D| and their tests.  singular is |D| <
+    SINGULAR_TOL gamma^2, an operating point at an instability, where the
+    gains read inf, the homodyne extrema are marked diverged and
+    :func:`transfer_coefficients` raises SingularResponse.  OverflowError
+    where |D| is not finite (above an offset of about 1.3e154, omega^2
+    overflows), so no gain, transfer or extrema function returns NaN
+    there."""
     d_re = _h(energy, delta, params.kerr, params.gamma3,
               params.gamma)[1] - omega * omega
     d_im = -2.0 * omega * (params.gamma + 2.0 * params.gamma3 * energy)

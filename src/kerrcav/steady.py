@@ -10,18 +10,17 @@ whose squared modulus turns the photon number E = B^2 into a real cubic,
 h(E) = E |z(E)|^2 = P with z(E) = i (omega0 - omega_p + K E) + gamma
 + gamma3 E and P = 2 gamma1 b_in^2, with one, two (fold tangency) or three
 nonnegative roots; with three the middle branch is unstable (bistability).
-h rises except between its folds, the roots of the quadratic h', so the
-branch count is a closed form; Cardano's formula on h's Taylor cubic at a
-fold starts Newton just past each root, and a step or two reach it from
-that side: two or three passes over the rows, one for both folds.  The
-relaxation roots of the linearized dynamics give each branch's stability,
-and the drive balance the cavity phase psi - phi1 + atan2(gamma + gamma3 E,
--(delta + K E)) and the reflection coefficient r = (z - 2 gamma1) / z.
-:func:`branch_states` evaluates every branch of a batch of drives in one
-NumPy pass; :func:`settled_states` picks the branch a slowly swept drive
-settles on by stability alone (:func:`_settle`) and builds its record only.
-The one-drive functions (:func:`solve_pump_energy`, :func:`steady_state`,
-:func:`steady_states`, :func:`settled_state`) are a batch of one.
+:func:`_branch_energies` is the one pump solve.  The rest of a branch's
+record is closed-form real arithmetic in z(E), the same on floats and on
+arrays: the relaxation roots of the linearized dynamics give its
+stability, and the drive balance the cavity phase psi - phi1 +
+atan2(gamma + gamma3 E, -(delta + K E)) and the reflection coefficient
+(:func:`_reflection`).  :func:`branch_states` evaluates every branch of a
+batch of drives in one NumPy pass; :func:`settled_states` picks the branch
+a slowly swept drive settles on by stability alone (:func:`_settle`) and
+builds its record only.  The one-drive functions (:func:`solve_pump_energy`,
+:func:`steady_state`, :func:`steady_states`, :func:`settled_state`) are a
+batch of one.
 """
 
 import math
@@ -162,12 +161,16 @@ class BranchStates:
 
 def _coefficients(delta, k, g3, g):
     """(c3, c2, c1) of h(E) = c3 E^3 + c2 E^2 + c1 E at detuning delta =
-    omega0 - omega_p; runs unchanged on floats and on arrays."""
+    omega0 - omega_p; runs unchanged on floats and on arrays.  The one home
+    of the coefficients: :func:`cubic_coefficients`, the solve, the fold
+    locus and the fit's Jacobian take them from here."""
     return k * k + g3 * g3, 2.0 * (delta * k + g * g3), delta * delta + g * g
 
 
 def _checked_coefficients(delta, k, g3, g):
-    """:func:`_coefficients`; OverflowError if one is infinite or NaN."""
+    """:func:`_coefficients`; OverflowError if one is infinite or NaN.  The
+    fold locus and the fit's Jacobian take the unchecked form: the check
+    would cost the locus about a fifth of its time."""
     return tuple(_finite(c, "cubic coefficient is not finite")
                  for c in _coefficients(delta, k, g3, g))
 
@@ -219,26 +222,19 @@ def _newton(x, delta, c2, p, c3, k, g3, g):
     ArithmeticError
         If a row still moves after MAX_STEPS steps.
     """
-    e = np.empty_like(x)
-    live = np.arange(x.size)
-    toward = None
+    live, toward = True, None
     for _ in range(MAX_STEPS):
         h, slope = _h(x, delta, k, g3, g)
         step = (p - h) / slope
         if toward is None:
             toward = np.sign(step)
         nxt = x + step
-        move = (nxt - x) * toward > 0.0
-        go = move & (np.abs(3.0 * c3 * x + c2) * (step * step)
-                     > FLOOR * x * slope)
+        move = live & ((nxt - x) * toward > 0.0)
+        live = move & (np.abs(3.0 * c3 * x + c2) * (step * step)
+                       > FLOOR * x * slope)
         x = np.where(move, nxt, x)
-        if not go.any():
-            e[live] = x
-            return e
-        if not go.all():
-            e[live[~go]] = x[~go]
-            live, x, delta, c2, p, toward = (
-                live[go], x[go], delta[go], c2[go], p[go], toward[go])
+        if not live.any():
+            return x
     raise ArithmeticError("pump cubic: Newton steps did not settle")
 
 
@@ -286,12 +282,17 @@ def _branch_energies(omega0, omega_p, p, k, g3, g):
     a row has three roots exactly when h(E+) < p < h(E-): the lowest below
     E-, where h is concave, the highest above E+, where it is convex, and
     the middle one from their product, p / c3.  Without a fold the
-    inflection -c2/(3 c3), clamped at 0, stands in for both.  Where p is
-    within the rounding floor of h(E-) or h(E+) the double root there is
-    the fold, and within that of both (coalesced folds: the critical point,
-    or no drive) the one root is the inflection (:func:`_one_branch_at`
-    for one row).  h and h' are evaluated in factored form: the expanded
-    coefficients lose the branch count to cancellation.
+    inflection -c2/(3 c3), clamped at 0, stands in for both.  Newton
+    (:func:`_newton`) starts just past each outer root, from its side
+    (:func:`_start_offset`): a solve makes two or three NumPy passes over
+    its rows, one of them for both folds (two on a fit's rows and on the
+    README sweep grid, three on 400,001 far-detuned rows at 1000x
+    critical).  Where p is within the rounding floor of h(E-) or h(E+) the
+    double root there is the fold, and within that of both (coalesced
+    folds: the critical point, or no drive) the one root is the inflection
+    (:func:`_one_branch_at` for one row).  h and h' are evaluated in
+    factored form: the expanded coefficients lose the branch count to
+    cancellation.
 
     Raises
     ------

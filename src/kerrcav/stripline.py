@@ -17,15 +17,14 @@ Mode k is found in a closed-form bracket.  Its eigenvalue omega_k^2 is the
 minimax of the energy quotient sum(mid (du)^2) / (h^2 sum(L0 u^2)), with
 mid = 1/C at the cell midpoints, so by Courant-Fischer it lies within
 [min(mid) / max(L0), max(mid) / min(L0)] times the uniform line's
-4 sin^2(k pi / (2 (m + 1))) / h^2 (m interior nodes, spacing h).  omega_k
-is the energy quotient of the computed vector: a ratio of sums of positive
-terms, accurate to rounding where a bisection for the eigenvalue is not.
+4 sin^2(k pi / (2 (m + 1))) / h^2 (m interior nodes, spacing h), widened
+by 8 eps times a bound on ||T|| for rounding.  omega_k is the energy
+quotient of the computed vector: a ratio of sums of positive terms,
+accurate to rounding where a bisection for the eigenvalue is not.
 
-The eigensolver is NumPy alone.  One odd-even (cyclic) reduction of the
-tridiagonal T - sigma I gives both the solves of Rayleigh-quotient
-iteration, which give the vector, and its Sturm counts, which narrow the
-bracket when the iteration from the uniform line's sine does not certify
-mode k at once.
+The eigensolver (:func:`solve_mode`) is NumPy alone: one odd-even
+reduction of the tridiagonal T - sigma I (:func:`_odd_even`) gives both its
+solves and its Sturm counts.
 """
 
 import math
@@ -300,7 +299,10 @@ def solve_mode(profile: LineProfile, index: int) -> ModeSolution:
 
     def rayleigh(v):
         """v's Rayleigh-quotient iterate once converged and certified, or
-        None if it settles outside the bracket or does not settle."""
+        None if it settles outside the bracket, reaches another mode's
+        exact eigenvector or does not settle.  A quotient that merely
+        settled on a wrong node count iterates on: it can settle before the
+        vector has converged."""
         q = quotient(v)
         for step in range(MAX_STEPS + 1):
             settled = False
@@ -312,11 +314,14 @@ def solve_mode(profile: LineProfile, index: int) -> ModeSolution:
                 # a Rayleigh step converges cubically: one that no longer
                 # moves the quotient has converged
                 settled = inside and abs(q - last) <= 8.0 * EPS * q
-            if settled or _is_eigenpair(diag, off, v, q):
+            exact = not settled and _is_eigenpair(diag, off, v, q)
+            if settled or exact:
                 if not lo < q <= hi:  # a neighbour's vector
                     return None
                 if _sign_changes(v) == index - 1:
                     return v
+                if exact:  # iteration cannot leave an exact eigenvector
+                    return None
         return None
 
     def halve():  # False if no float splits the bracket

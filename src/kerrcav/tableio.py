@@ -1,25 +1,19 @@
 """Deterministic tabular output: CSV and JSON with fixed float formatting.
 
-A :class:`Table` holds one typed column per name: a 1-d NumPy array of
-floats, integers, booleans or strings, never a mix.  A sweep hands its
-result arrays over as they are, and a one-row record is ``Table(columns,
-[row])``.
-
 Floats are always written as ``"%.16e"`` (17 significant digits) so
 identical inputs produce byte-identical files; non-finite values render as
 "nan"/"inf"/"-inf" (quoted strings in JSON, which has no literals for
-them).  A table renders in blocks of 16,384 cells, the float cells of a
-block in one NumPy pass: for zero and 1e-290 <= |x| < 1e290, |x| times a
-double-double power of ten (Dekker's exact products, Numer. Math. 18, 1971)
-gives the 17-digit integer with a bound on its error (after Adams, "Ryu:
-fast float-to-string conversion", PLDI 2018), and table lookups turn its
-digit groups and the exponent into the six 4-byte words of a cell's slot,
-exactly CPython's text.  Where the bound cannot certify the rounding
-(within about 1e-14 of the last digit's halfway point, exact ties
-included) the cell falls back to ``"%.16e" %``, as do NaN, infinities and
-all other |x|, once per distinct value.  The slots go into a row template
-and their NUL padding is dropped.  :func:`render_blocks` returns the
-blocks, :func:`render` joins them.  Parsing an emitted JSON table and
+them).  The float cells of a block of rows (:func:`_body`) are formatted
+in one NumPy pass (:func:`_float_cells`): for zero and 1e-290 <= |x| <
+1e290, |x| times a double-double power of ten (Dekker's exact products,
+Numer. Math. 18, 1971) gives the 17-digit integer with a bound on its error
+(after Adams, "Ryu: fast float-to-string conversion", PLDI 2018), and table
+lookups (:func:`_tables`) turn its digit groups and the exponent into the
+six 4-byte words of a cell's slot, exactly CPython's text.  Where the bound
+cannot certify the rounding (within about 1e-14 of the last digit's
+halfway point, exact ties included) the cell falls back to ``"%.16e" %``,
+as do NaN, infinities, subnormals and the normal |x| below 1e-290 or from
+1e290 up, once per distinct value.  Parsing an emitted JSON table and
 re-emitting it reproduces the bytes exactly.
 """
 
@@ -59,9 +53,12 @@ def _typed(values) -> np.ndarray:
 class Table:
     """Named, typed columns of equal length.
 
-    ``rows`` gives the cells row by row; :meth:`from_columns` takes one
-    array per column instead.  A column of zero rows has no cell type yet.
-    A str cell may not hold a NUL character.
+    Each column is a 1-d NumPy array of floats, integers, booleans or
+    strings, never a mix.  ``rows`` gives the cells row by row (a one-row
+    record is ``Table(columns, [row])``); :meth:`from_columns` takes one
+    array per column instead, as a sweep hands its result arrays over.  A
+    column of zero rows has no cell type yet.  A str cell may not hold a
+    NUL character, since the row template drops NUL padding (:func:`_rows`).
     """
 
     def __init__(self, columns: list[str], rows=()):

@@ -729,3 +729,28 @@ def test_bistable_fit_reruns_byte_identical(tmp_path, capsys):
     assert kerrcav.cli.main(["fit", "--config", str(path)]) == 0
     outputs.append(capsys.readouterr().out.encode())
     assert outputs[0] == outputs[1] == outputs[2]
+
+
+def test_no_free_parameters_is_a_config_error():
+    with pytest.raises(ConfigError, match="no free parameters"):
+        FitProblem(initial=TRUE, free=(), bounds={},
+                   refl_data=synth_refl_rows(TRUE, n_points=5))
+
+
+def test_rejected_step_below_xtol_ends_converged(monkeypatch):
+    """Every trial point reads worse than the start, so each is rejected and
+    the damping rises until a step moves the scaled parameters by less than
+    XTOL: that rejected trial ends the fit as converged at the start, after
+    more than one evaluation."""
+    def fault(call, evaluated):
+        energy, values = evaluated
+        return evaluated if call == 1 else (energy, values + 1e3)
+
+    initial = guessed(TRUE, 0.1)
+    problem = FitProblem(initial=initial, free=FREE, bounds=BOUNDS,
+                         refl_data=synth_refl_rows(TRUE, n_points=21))
+    calls = count_model_calls(monkeypatch, fault)
+    result = run_fit(problem)
+    assert result.converged
+    assert result.params == initial
+    assert 1 < result.n_evaluations == len(calls)

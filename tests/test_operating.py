@@ -6,7 +6,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from kerrcav import steady
+from kerrcav import operating, steady
 from kerrcav import (DeviceParams, PumpDrive, branch_states, critical_point,
                      curve_omega_p, instability_locus, max_curve_energy,
                      cubic_coefficients, response_peak_detuning,
@@ -575,3 +575,31 @@ def test_brute_force_detection_across_random_devices():
         assert amplitude == pytest.approx(crit.drive, rel=1e-6)
         assert omega_p == pytest.approx(crit.omega_p, rel=1e-6)
         assert energy == pytest.approx(crit.energy, rel=1e-6)
+
+
+def test_fold_locus_step_cap_is_arithmetic_error(monkeypatch):
+    """A fold that takes more steps than MAX_STEPS is an ArithmeticError:
+    at 2x critical each fold takes more than one."""
+    device = DeviceParams(omega0=1.0, kerr=-1e-4, gamma1=0.01, gamma2=0.011,
+                          gamma3=5.8e-7)
+    crit = critical_point(device)
+    drive = PumpDrive(omega_p=crit.omega_p, amplitude=2.0 * crit.drive)
+    assert len(instability_locus(device, drive)) == 2
+    monkeypatch.setattr(operating, "MAX_STEPS", 1)
+    with pytest.raises(ArithmeticError,
+                       match="fold locus: Newton steps did not settle"):
+        instability_locus(device, drive)
+
+
+def test_critical_drive_past_float_range_is_overflow():
+    """With gamma = 1e250 and K = -1 the critical photon number and
+    detuning are finite (about 1.2e250 and 1.7e250), but b_c is about
+    1e375: its scaled root overflows, and the point is an OverflowError."""
+    device = DeviceParams(omega0=1.0, kerr=-1.0, gamma1=1.0, gamma2=1e250,
+                          gamma3=0.0)
+    gamma = device.gamma
+    assert math.isfinite(2.0 * gamma / SQRT3)  # E_c
+    assert math.isfinite(gamma * SQRT3)  # omega0 - omega_pc
+    with pytest.raises(OverflowError,
+                       match="^critical point beyond the float range$"):
+        critical_point(device)

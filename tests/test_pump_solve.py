@@ -240,3 +240,19 @@ def test_pump_solve_takes_few_passes(monkeypatch):
     omega_p = np.tile(np.linspace(0.9, 1.005, 2000), 2)
     b_in = np.repeat([0.5 * b_c, 2.0 * b_c], 2000)
     assert h_passes(monkeypatch, readme, omega_p, b_in) <= 3
+
+
+def test_newton_step_cap_is_arithmetic_error(monkeypatch):
+    """A root that needs more Newton steps than MAX_STEPS is an
+    ArithmeticError, never a half-converged root: this far-detuned drive at
+    1000x critical (three branches) takes two steps, so a cap of one stops
+    it."""
+    readme = DeviceParams(omega0=1.0, kerr=-1e-4, gamma1=0.01, gamma2=0.011,
+                          gamma3=5.8e-7)
+    drive = PumpDrive(omega_p=-50.0,
+                      amplitude=1000.0 * critical_point(readme).drive)
+    assert len(solve_pump_energy(readme, drive)) == 3
+    monkeypatch.setattr(steady, "MAX_STEPS", 1)
+    with pytest.raises(ArithmeticError,
+                       match="pump cubic: Newton steps did not settle"):
+        solve_pump_energy(readme, drive)

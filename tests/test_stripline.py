@@ -186,6 +186,18 @@ def test_uncertified_vector_is_arithmetic_error(monkeypatch):
         solve_mode(profile, 3)
 
 
+def test_singular_solve_returns_the_null_vector():
+    """A zero final pivot leaves the matrix singular to working precision:
+    the solve returns its null vector, the limit of inverse iteration, for
+    any right-hand side."""
+    a, b = np.array([1.0, 1.0]), np.array([-1.0])
+    for f in (np.array([1.0, 0.0]), np.array([0.3, -2.0])):
+        x = stripline._solve(a, b, f)
+        assert x.tolist() == [1.0, 1.0]
+        assert (a * x + np.r_[b * x[1:], 0.0] + np.r_[0.0, b * x[:-1]]
+                ).tolist() == [0.0, 0.0]
+
+
 def random_tridiagonals(seed, count):
     """Seeded symmetric tridiagonals (a, b) of 1-80 unknowns with normal
     entries, every fifth with one zero off-diagonal."""
@@ -390,6 +402,24 @@ def test_profile_validation():
                dL=np.ones(32), R0=np.ones(32), dR=np.ones(31))
     with pytest.raises(ValueError):
         LineProfile(**bad)
+
+
+@pytest.mark.parametrize("key, value, message", [
+    ("C", np.r_[np.ones(31), np.inf], "profile array 'C' must be finite"),
+    ("dR", np.r_[np.nan, np.ones(31)], "profile array 'dR' must be finite"),
+    ("length", math.inf, "length must be finite, got inf"),
+    ("hbar", math.nan, "hbar must be finite, got nan"),
+])
+def test_profile_built_in_python_rejects_non_finite_values(key, value,
+                                                           message):
+    """A LineProfile built in Python checks every array and scalar for
+    finite values itself, as the file loader does."""
+    fields = dict(length=1.0, I_c=1.0, hbar=1.0, C=np.ones(32),
+                  L0=np.ones(32), dL=np.ones(32), R0=np.ones(32),
+                  dR=np.ones(32))
+    fields[key] = value
+    with pytest.raises(ValueError, match=f"^{message}$"):
+        LineProfile(**fields)
 
 
 def test_profile_file_round_trip(tmp_path, uniform_profile):

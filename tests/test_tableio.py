@@ -270,3 +270,14 @@ def test_tables_across_block_edges_match_the_row_wise_renderer(offset):
     table = block_edge_table(n_rows, step)
     assert to_csv(table) == reference_csv(table)
     assert to_json(table) == reference_json(table)
+
+
+@pytest.mark.parametrize("columns, arrays, message", [
+    (["a"], [np.zeros((2, 2))], "a column must be 1-d"),
+    (["a", "b"], [np.zeros(2)], "1 columns of data for 2 names"),
+    (["a", "b"], [np.zeros(2), np.zeros(3)],
+     "every column needs the same length"),
+])
+def test_from_columns_rejects_misshapen_data(columns, arrays, message):
+    with pytest.raises(ValueError, match=f"^{message}$"):
+        Table.from_columns(columns, arrays)
