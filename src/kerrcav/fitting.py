@@ -108,7 +108,7 @@ def _model(params: DeviceParams, omega_p, b1_in, n_refl):
     """(settled E, model values) at the drives (1-D arrays of one length):
     |reflection| on the first ``n_refl`` rows (UndefinedForZeroDrive if one
     has zero drive), G_I(0) on the rest."""
-    if np.any(b1_in[:n_refl] == 0.0):
+    if np.count_nonzero(b1_in[:n_refl] == 0.0):
         raise UndefinedForZeroDrive("reflection coefficient needs b_in > 0")
     energy = _settle(params, omega_p, b1_in)[0]
     delta = params.omega0 - omega_p
@@ -170,28 +170,25 @@ def _jacobian(params: DeviceParams, energy, omega_p, b_in, free,
 
     The photon number solves h(E) = c3 E^3 + c2 E^2 + c1 E = 2 gamma1 b^2,
     so dE = (d(2 gamma1 b^2) - dh at fixed E) / h'(E).  With A = gamma +
-    gamma3 E and B = delta + K E, |r|^2 = ((A - 2 gamma1)^2 + B^2) /
-    (A^2 + B^2); and the resolvent at zero offset is D(0) = h'(E), so
-    G_I(0) = 4 c3 q^2 with q = gamma1 E / h'(E).  Entries are non-finite at
-    a fold (h' = 0) and where |r| = 0.
+    gamma3 E and B = delta + K E (:func:`steady._h` gives both with h'),
+    |r|^2 = ((A - 2 gamma1)^2 + B^2) / (A^2 + B^2); and the resolvent at
+    zero offset is D(0) = h'(E), so G_I(0) = 4 c3 q^2 with q = gamma1 E /
+    h'(E).  Entries are non-finite at a fold (h' = 0) and where |r| = 0.
     """
     dd, dk, dg, dg3, dg1 = np.array([_PARTIALS[n] for n in free],
                                     dtype=float).T
     k, g3, g, g1 = params.kerr, params.gamma3, params.gamma, params.gamma1
-    e = energy[:, None]
-    b = b_in[:, None]
+    e, b = energy[:, None], b_in[:, None]
     delta = (params.omega0 - omega_p)[:, None]
     with np.errstate(all="ignore"):
         dc3 = 2.0 * (k * dk + g3 * dg3)
         dc2 = 2.0 * (dd * k + delta * dk + dg * g3 + g * dg3)
         dc1 = 2.0 * (delta * dd + g * dg)
-        slope = _h(e, delta, k, g3, g)[1]
+        _, slope, bb, a = _h(e, delta, k, g3, g)
         de = (2.0 * b * b * dg1 - e * (dc1 + e * (dc2 + e * dc3))) / slope
 
-        er, der = e[:n_refl], de[:n_refl]
-        a = g + g3 * er
+        er, der, a, bb = e[:n_refl], de[:n_refl], a[:n_refl], bb[:n_refl]
         u = a - 2.0 * g1
-        bb = delta[:n_refl] + k * er
         da = dg + dg3 * er + g3 * der
         db = dd + dk * er + k * der
         m = a * a + bb * bb
@@ -260,7 +257,7 @@ def run_fit(problem: FitProblem, max_evaluations: int = MAX_EVALUATIONS) -> FitR
             if validate(params).ok:
                 energy, model = _model(params, omega_p, b1_in, n_refl)
                 r = model - observed
-                if np.all(np.isfinite(r)):
+                if np.isfinite(r).all():
                     return params, energy, r
         except (ArithmeticError, ValueError):
             pass
@@ -278,7 +275,7 @@ def run_fit(problem: FitProblem, max_evaluations: int = MAX_EVALUATIONS) -> FitR
         if stop:
             return best
         jac = _jacobian(params, energy, omega_p, b1_in, names, n_refl) * scale
-        if not np.all(np.isfinite(jac)):
+        if not np.isfinite(jac).all():
             raise NonConvergence(best)
         grad = r @ jac
         if np.max(np.abs(z - np.clip(z - grad, lo, hi))) < GTOL:

@@ -133,8 +133,8 @@ def instability_locus(params: DeviceParams, drive: PumpDrive):
         return []
     omega0, k, g3, g = params.omega0, params.kerr, params.gamma3, params.gamma
     delta_c = omega0 - crit.omega_p
-    h_c = _h(crit.energy, delta_c, k, g3, g)[0]
-    if _at_fold(crit.energy, h_c, omega0, crit.omega_p, p, k, g3, g):
+    h_c, _, a, b = _h(crit.energy, delta_c, k, g3, g)
+    if _at_fold(crit.energy, abs(h_c - p), a, b, omega0, crit.omega_p, k):
         return [(crit.omega_p, crit.energy)]
     if p < h_c:
         return []

@@ -168,43 +168,43 @@ def _coefficients(delta, k, g3, g):
 
 
 def _checked_coefficients(delta, k, g3, g):
-    """:func:`_coefficients`; OverflowError if one is infinite or NaN.  The
-    fold locus and the fit's Jacobian take the unchecked form: the check
-    would cost the locus about a fifth of its time."""
-    return tuple(_finite(c, "cubic coefficient is not finite")
-                 for c in _coefficients(delta, k, g3, g))
+    """:func:`_coefficients`; OverflowError if one is infinite or NaN, in
+    one test of c3 (c2 . c1), and of each only where that is not finite.
+    The fold locus and the fit's Jacobian take the unchecked form: the
+    check would cost the locus about a quarter of its time."""
+    c = _coefficients(delta, k, g3, g)
+    return c if math.isfinite(c[0] * np.dot(c[1], c[2])) else tuple(
+        _finite(x, "cubic coefficient is not finite") for x in c)
 
 
 def _h(e, delta, k, g3, g):
-    """h(E) = E (a^2 + b^2) and h'(E) = a^2 + b^2 + 2 E (a K + b gamma3),
-    with a = delta + K E and b = gamma + gamma3 E."""
+    """(h(E), h'(E), a, b): h = E (a^2 + b^2) and h' = a^2 + b^2
+    + 2 E (a K + b gamma3), with a = delta + K E and b = gamma + gamma3 E."""
     a = delta + k * e
     b = g + g3 * e
     s = a * a + b * b
-    return e * s, s + 2.0 * e * (a * k + b * g3)
+    return e * s, s + 2.0 * e * (a * k + b * g3), a, b
 
 
 def _fold_energies(c3, c2, c1):
-    """The discriminant disc = c2^2 - 3 c3 c1 of h'(E) = 3 c3 E^2 + 2 c2 E
-    + c1 and its roots, the folds E- = c1/q <= E+ = q/(3 c3) with
-    q = -c2 + sqrt(disc), so that neither cancels.  They are folds of h
-    where c2 < 0 and disc > 0, and NaN where disc < 0.  Runs unchanged on
+    """Whether h has folds, c2 < 0 and disc > 0 for the discriminant
+    disc = c2^2 - 3 c3 c1 of h'(E) = 3 c3 E^2 + 2 c2 E + c1, and the roots
+    of h', the folds E- = c1/q <= E+ = q/(3 c3) with q = -c2 + sqrt(disc),
+    so that neither cancels (NaN where disc < 0).  Runs unchanged on
     floats and on arrays."""
     disc = c2 * c2 - 3.0 * c3 * c1
     q = -c2 + np.sqrt(disc)
-    return disc, c1 / q, q / (3.0 * c3)
+    return (c2 < 0.0) & (disc > 0.0), c1 / q, q / (3.0 * c3)
 
 
-def _at_fold(e, h, omega0, omega_p, p, k, g3, g):
-    """Whether p is within the rounding floor of h = h(e) at a fold e (or
-    the inflection standing in for the folds): FLOOR times h with every
-    term's magnitude, e (|a| (|omega0| + |omega_p| + |K| e) + b^2), so that
-    a fold the rounding of the pump frequency can move onto p counts as on
-    it.  Runs unchanged on floats and on arrays."""
-    a = (omega0 - omega_p) + k * e
-    b = g + g3 * e
+def _at_fold(e, gap, a, b, omega0, omega_p, k):
+    """Whether ``gap`` = |h(e) - p| is within the rounding floor at a fold
+    e (or the inflection standing in for the folds), a and b those of
+    :func:`_h`: FLOOR times h with every term's magnitude, e (|a| (|omega0|
+    + |omega_p| + |K| e) + b^2), so that a fold the rounding of the pump
+    frequency can move onto p counts as on it.  Runs on floats and arrays."""
     span = abs(omega0) + abs(omega_p) + abs(k) * e
-    return abs(h - p) <= FLOOR * (e * (abs(a) * span + b * b))
+    return gap <= FLOOR * (e * (abs(a) * span + b * b))
 
 
 def _newton(x, delta, c2, p, c3, k, g3, g):
@@ -224,7 +224,7 @@ def _newton(x, delta, c2, p, c3, k, g3, g):
     """
     live, toward = True, None
     for _ in range(MAX_STEPS):
-        h, slope = _h(x, delta, k, g3, g)
+        h, slope, _, _ = _h(x, delta, k, g3, g)
         step = (p - h) / slope
         if toward is None:
             toward = np.sign(step)
@@ -233,7 +233,7 @@ def _newton(x, delta, c2, p, c3, k, g3, g):
         live = move & (np.abs(3.0 * c3 * x + c2) * (step * step)
                        > FLOOR * x * slope)
         x = np.where(move, nxt, x)
-        if not live.any():
+        if not np.count_nonzero(live):
             return x
     raise ArithmeticError("pump cubic: Newton steps did not settle")
 
@@ -264,9 +264,10 @@ def _start_offset(gap, slope, half_curve, c3):
     m_root_m = m * root_m
     cos3 = n / m_root_m
     three = cos3 < 1.0
+    trig = np.count_nonzero(three)
     # each form where some row takes it; a row's bits are its form's
-    v = 2.0 * root_m * np.cos(np.arccos(cos3) / 3.0) if three.any() else None
-    if v is None or not three.all():
+    v = 2.0 * root_m * np.cos(np.arccos(cos3) / 3.0) if trig else None
+    if v is None or trig < three.size:
         w = np.cbrt(n + np.sqrt(np.abs(n * n - m_root_m * m_root_m)))
         v = w + m / w if v is None else np.where(three, v, w + m / w)
     # fmin: a NaN (no root resolved) starts from T
@@ -284,15 +285,15 @@ def _branch_energies(omega0, omega_p, p, k, g3, g):
     the middle one from their product, p / c3.  Without a fold the
     inflection -c2/(3 c3), clamped at 0, stands in for both.  Newton
     (:func:`_newton`) starts just past each outer root, from its side
-    (:func:`_start_offset`): a solve makes two or three NumPy passes over
-    its rows, one of them for both folds (two on a fit's rows and on the
-    README sweep grid, three on 400,001 far-detuned rows at 1000x
-    critical).  Where p is within the rounding floor of h(E-) or h(E+) the
-    double root there is the fold, and within that of both (coalesced
-    folds: the critical point, or no drive) the one root is the inflection
-    (:func:`_one_branch_at` for one row).  h and h' are evaluated in
-    factored form: the expanded coefficients lose the branch count to
-    cancellation.
+    (:func:`_start_offset`).  A solve makes two or three NumPy passes over
+    its rows, one for both folds, or for the inflection alone where no row
+    folds (two on a fit's rows and on the README sweep grid, three on
+    400,001 far-detuned rows at 1000x critical).  Where p is within the
+    rounding floor of h(E-) or h(E+) the double root there is the fold,
+    and within that of both (coalesced folds: the critical point, or no
+    drive) the one root is the inflection (:func:`_one_branch_at` for one
+    row).  h and h' are evaluated in factored form: the expanded
+    coefficients lose the branch count to cancellation.
 
     Raises
     ------
@@ -304,54 +305,63 @@ def _branch_energies(omega0, omega_p, p, k, g3, g):
     """
     delta = omega0 - omega_p
     c3, c2, c1 = _checked_coefficients(delta, k, g3, g)
-    n = p.size
-    out = np.full((n, 3), np.nan)
+    out = np.full((p.size, 3), np.nan)
     if c3 == 0.0:
         # a linear device: h(E) = c1 E
         out[:, 0] = _finite(p / c1, "cubic root beyond the float range")
         return out
-    disc, e_lo, e_hi = _fold_energies(c3, c2, c1)
-    fold = (c2 < 0.0) & (disc > 0.0)
+    fold, e_lo, e_hi = _fold_energies(c3, c2, c1)
+    folds = np.count_nonzero(fold)
     inflection = np.maximum(-c2 / (3.0 * c3), 0.0)
-    # E- and E+ as rows 0 and 1, so that one pass evaluates both
-    ends = np.where(fold, np.stack([e_lo, e_hi]), inflection)
-    h_end, slope_end = _h(ends, delta, k, g3, g)
-    near = _at_fold(ends, h_end, omega0, omega_p, p, k, g3, g)
-    has_lo = ~near[0] & (p < h_end[0])
-    has_hi = ~near[1] & (p > h_end[1])
-    below = np.flatnonzero(has_lo)
-    above = np.flatnonzero(has_hi)
+    # E- and E+ as rows 0 and -1, so that one pass evaluates both, or the
+    # inflection alone where no row folds
+    ends = (np.where(fold, np.stack([e_lo, e_hi]), inflection) if folds
+            else inflection[None])
+    h_end, slope, a, b = _h(ends, delta, k, g3, g)
+    miss = p - h_end
+    gap, side = abs(miss), np.sign(miss)
+    near = _at_fold(ends, gap, a, b, omega0, omega_p, k)
+    # a root lies past an end on the side of p
+    live = ~near & (gap > 0.0)
+    if folds:
+        # below E- and above E+ only; h' is 0 at a fold
+        live &= side == [[-1.0], [1.0]]
+        slope = np.where(fold, 0.0, slope)
 
     # Newton from just past each root, from its side of the fold (or of the
-    # clamped inflection): h' is 0 at a fold, and the curvature counts where
-    # it bends h away
-    at = np.concatenate([below, above])
-    end = np.repeat([0, 1], [below.size, above.size])
-    side = end * 2.0 - 1.0
-    x, c2 = ends[end, at], c2[at]
-    reach = _start_offset(side * (p[at] - h_end[end, at]),
-                          np.where(fold[at], 0.0,
-                                   np.maximum(slope_end[end, at], 0.0)),
+    # clamped inflection), on the ends in place where each has a root: the
+    # curvature counts where it bends h away
+    every = np.count_nonzero(live) == live.size
+    x, row = ends, slice(None)
+    if not every:
+        row = np.nonzero(live)[1]
+        x, gap, side, slope = (v[live] for v in (ends, gap, side, slope))
+    c2 = c2[row]
+    reach = _start_offset(gap, np.maximum(slope, 0.0),
                           np.maximum(side * (3.0 * c3 * x + c2), 0.0), c3)
     # h < 0 below 0, so no root of h = p >= 0 lies there
     root = _finite(np.maximum(_newton(np.maximum(x + side * reach, 0.0),
-                                      delta[at], c2, p[at], c3, k, g3, g),
+                                      delta[row], c2, p[row], c3, k, g3, g),
                               0.0), "cubic root beyond the float range")
+    if not every:
+        # an end without a root keeps its place; neither the ends nor,
+        # without a fold, the inflection they view is read again
+        ends[live] = root
+        root = ends
 
+    if not folds:
+        # a row with no root has p within the floor of h at the inflection
+        out[:, 0] = root[0]
+        return out
+    lo, hi = root
+    double_lo, double_hi = near[0] & live[1], near[1] & live[0]
     # a row with neither root has p within the floor of both folds' h
-    out[:, 0] = inflection
-    out[above, 0] = root[below.size:]
-    out[below, 0] = root[:below.size]
-    double_hi = near[1] & has_lo
-    out[double_hi, 1] = ends[1, double_hi]
-    double_lo = near[0] & has_hi
-    out[double_lo, 1] = out[double_lo, 0]
-    out[double_lo, 0] = ends[0, double_lo]
-    three = np.flatnonzero(has_lo & has_hi)
+    out[:, 0] = np.where(live[0] | double_lo, lo,
+                         np.where(live[1], hi, inflection))
+    out[:, 1] = np.where(double_lo | double_hi, hi, np.nan)
+    three = np.flatnonzero(live[0] & live[1])
     if three.size:
-        hi = np.empty(n)
-        hi[above] = root[below.size:]
-        lo, hi = out[three, 0], hi[three]
+        lo, hi = lo[three], hi[three]
         out[three] = np.sort(np.column_stack([lo, p[three] / (c3 * lo * hi),
                                               hi]), axis=1)
     return out
@@ -359,7 +369,7 @@ def _branch_energies(omega0, omega_p, p, k, g3, g):
 
 def _finite(x, message, skip=False):
     """``x`` if it is finite where not ``skip``, else OverflowError."""
-    ok = skip | (abs(x) < math.inf)
+    ok = abs(x) < math.inf if skip is False else skip | (abs(x) < math.inf)
     if not (ok if isinstance(ok, bool) else ok.all()):
         raise OverflowError(message)
     return x
@@ -379,11 +389,12 @@ def _one_branch_at(omega0, omega_p, p, k, g3, g) -> bool:
     fold, where a NumPy pass would cost several times the arithmetic."""
     delta = omega0 - omega_p
     c3, c2, c1 = _coefficients(delta, k, g3, g)
-    disc, e_lo, e_hi = _fold_energies(c3, c2, c1)
-    if not (c2 < 0.0 and disc > 0.0):
+    fold, e_lo, e_hi = _fold_energies(c3, c2, c1)
+    if not fold:
         e_lo = e_hi = max(-c2 / (3.0 * c3), 0.0)
-    return all(_at_fold(e, _h(e, delta, k, g3, g)[0], omega0, omega_p, p, k,
-                        g3, g) for e in (e_lo, e_hi))
+    return all(_at_fold(e, abs(h - p), a, b, omega0, omega_p, k)
+               for e in (e_lo, e_hi)
+               for h, _, a, b in [_h(e, delta, k, g3, g)])
 
 
 def _rows(*values):
@@ -535,7 +546,7 @@ def _settle(params: DeviceParams, omega_p, b_in):
     DegenerateModel if gamma1 + gamma2 == 0."""
     energy = _solve(params, omega_p, b_in)
     count = 3 - np.isnan(energy).sum(axis=1)
-    if (count == 1).all():
+    if np.count_nonzero(count == 1) == count.size:
         # one branch at every drive, as at a fit's sub-critical drives
         return energy[:, 0], np.zeros(count.size, dtype=int), count
     with np.errstate(all="ignore"):

@@ -69,16 +69,11 @@ def load_device(block, path, base_dir="."):
                          minimum=0.0)
         params = derive_device(load_profile(profile_path), mode_index, gamma1)
     else:
-        params = DeviceParams(
-            omega0=_number(_require(block, "omega0", path), f"{path}.omega0"),
-            kerr=_number(_require(block, "kerr", path), f"{path}.kerr"),
-            gamma1=_number(_require(block, "gamma1", path), f"{path}.gamma1"),
-            gamma2=_number(_require(block, "gamma2", path), f"{path}.gamma2"),
-            gamma3=_number(_require(block, "gamma3", path), f"{path}.gamma3"),
-            phi1=_number(block.get("phi1", 0.0), f"{path}.phi1"),
-            phi2=_number(block.get("phi2", 0.0), f"{path}.phi2"),
-            phi3=_number(block.get("phi3", 0.0), f"{path}.phi3"),
-        )
+        params = DeviceParams(**{
+            name: _number(_require(block, name, path), f"{path}.{name}")
+            for name in ("omega0", "kerr", "gamma1", "gamma2", "gamma3")}, **{
+            name: _number(block.get(name, 0.0), f"{path}.{name}")
+            for name in ("phi1", "phi2", "phi3")})
     report = validate(params)
     if not report.ok:
         raise ConfigError(path, "; ".join(report.violations))
@@ -146,11 +141,8 @@ def load_config(data, base_dir=".") -> SweepConfig:
         block = data["env"]
         if not isinstance(block, dict):
             raise ConfigError("env", "expected an object")
-        env = ThermalEnv(
-            theta1=_theta(block.get("theta1", "inf"), "env.theta1"),
-            theta2=_theta(block.get("theta2", "inf"), "env.theta2"),
-            theta3=_theta(block.get("theta3", "inf"), "env.theta3"),
-        )
+        env = ThermalEnv(**{name: _theta(block.get(name, "inf"), f"env.{name}")
+                            for name in ("theta1", "theta2", "theta3")})
 
     if "offsets" in data and "signal_frequencies" in data:
         raise ConfigError("offsets", "give offsets or signal_frequencies, not both")

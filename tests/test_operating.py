@@ -268,7 +268,8 @@ def test_locus_and_branch_count_agree_inside_the_rounding_floor():
 def near_both_folds(params, omega_p, p):
     """Row by row, the test of :func:`steady._branch_energies` that p lies
     within the rounding floor of h at both folds, as the batch ran it: one
-    call on the stacked folds, E- in row 0 and E+ in row 1."""
+    call on the stacked folds, E- in row 0 and E+ in row -1 (the one row
+    of inflections where no row of the batch folds)."""
     at_fold = steady._at_fold
     near = []
 
@@ -281,8 +282,8 @@ def near_both_folds(params, omega_p, p):
         steady._branch_energies(params.omega0, np.array(omega_p),
                                 np.full(len(omega_p), p), params.kerr,
                                 params.gamma3, params.gamma)
-    (near_lo, near_hi), = near
-    return (near_lo & near_hi).tolist()
+    near, = near
+    return (near[0] & near[-1]).tolist()
 
 
 def ulps_away(x, n):

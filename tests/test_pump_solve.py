@@ -10,10 +10,27 @@ import pytest
 from conftest import float_bits
 from kerrcav import steady
 from kerrcav import (DeviceParams, PumpDrive, branch_states, critical_point,
-                     cubic_coefficients, instability_locus, solve_pump_energy)
+                     cubic_coefficients, instability_locus, settled_states,
+                     solve_pump_energy)
+from oracles import scalar_solve_pump_energy, scalar_steady_states
 
 LOSSLESS = DeviceParams(omega0=1.0, kerr=-1e-6, gamma1=0.01, gamma2=0.0,
                         gamma3=0.0)
+README = DeviceParams(omega0=1.0, kerr=-1e-4, gamma1=0.01, gamma2=0.011,
+                      gamma3=5.8e-7)
+# criterion 8: the device that makes the fit's data, and the fit's start
+FIT_TRUTH = DeviceParams(omega0=1.0, kerr=-1e-4, gamma1=0.01, gamma2=0.011,
+                         gamma3=3e-5)
+FIT_START = DeviceParams(omega0=1.0002, kerr=-1.15e-4, gamma1=0.009,
+                         gamma2=0.0121, gamma3=3.9e-5)
+
+
+def fit_rows():
+    """The drives of criterion 8's 162 reflection rows: 81 pump
+    frequencies at 0.4x and at 0.9x the truth's critical drive."""
+    b_c = critical_point(FIT_TRUTH).drive
+    return (np.tile(np.linspace(0.95, 1.005, 81), 2),
+            np.repeat([0.4 * b_c, 0.9 * b_c], 81))
 
 
 def mp_cubic(params, omega_p, b_in):
@@ -222,24 +239,127 @@ def h_passes(monkeypatch, params, omega_p, b_in):
 
 def test_pump_solve_takes_few_passes(monkeypatch):
     """One pass evaluates h at both folds, and from its closed-form start
-    each root takes one or two Newton steps: on a fit's 162 rows (a device
-    off the one that made the data, below critical) and on the README grid
-    of 4,000 drives, three passes at most, where the one-term bounds took
-    ten and eleven."""
-    truth = DeviceParams(omega0=1.0, kerr=-1e-4, gamma1=0.01, gamma2=0.011,
-                         gamma3=3e-5)
-    guess = DeviceParams(omega0=1.0002, kerr=-1.15e-4, gamma1=0.009,
-                         gamma2=0.0121, gamma3=3.9e-5)
-    b_c = critical_point(truth).drive
-    omega_p = np.tile(np.linspace(0.95, 1.005, 81), 2)
-    b_in = np.repeat([0.4 * b_c, 0.9 * b_c], 81)
-    assert h_passes(monkeypatch, guess, omega_p, b_in) <= 3
-    readme = DeviceParams(omega0=1.0, kerr=-1e-4, gamma1=0.01, gamma2=0.011,
-                          gamma3=5.8e-7)
-    b_c = critical_point(readme).drive
+    each root takes one Newton step: on a fit's 162 rows (a device off the
+    one that made the data, below critical) and on the README grid of
+    4,000 drives, two passes at most, where the one-term bounds took ten
+    and eleven."""
+    assert h_passes(monkeypatch, FIT_START, *fit_rows()) <= 2
+    b_c = critical_point(README).drive
     omega_p = np.tile(np.linspace(0.9, 1.005, 2000), 2)
     b_in = np.repeat([0.5 * b_c, 2.0 * b_c], 2000)
-    assert h_passes(monkeypatch, readme, omega_p, b_in) <= 3
+    assert h_passes(monkeypatch, README, omega_p, b_in) <= 2
+
+
+def inflection_sides(params, omega_p, b_in):
+    """Row by row: 1 where P lies above h at the clamped inflection of a
+    row without a fold, -1 below it, 0 on it, and None where the row
+    folds; from the float coefficients, as the solve tests them."""
+    sides = []
+    for w, b in zip(omega_p, b_in):
+        drive = PumpDrive(omega_p=float(w), amplitude=float(b))
+        c3, c2, c1, c0 = cubic_coefficients(params, drive)
+        if c2 < 0.0 and c2 * c2 - 3.0 * c3 * c1 > 0.0:
+            sides.append(None)
+            continue
+        e = max(-c2 / (3.0 * c3), 0.0)
+        h = ((c3 * e + c2) * e + c1) * e
+        sides.append((-c0 > h) - (-c0 < h))
+    return sides
+
+
+def assert_bits_of_the_scalar_path(params, omega_p, b_in):
+    """Every branch of every row, bit for bit, as the scalar reference
+    gives it drive by drive: the solve's roots, each branch's record and
+    the branch a slow sweep settles on."""
+    batch = branch_states(params, omega_p, b_in)
+    settled = settled_states(params, omega_p, b_in)
+    energy = steady._solve(params, *steady._rows(omega_p, b_in))
+    for i, (w, b) in enumerate(zip(omega_p, b_in)):
+        drive = PumpDrive(omega_p=float(w), amplitude=float(b))
+        roots = scalar_solve_pump_energy(params, drive)
+        branches = scalar_steady_states(params, drive)
+        assert float_bits(energy[i, :len(roots)].tolist()) \
+            == float_bits(roots)
+        assert np.isnan(energy[i, len(roots):]).all()
+        assert float_bits([batch.state(j) for j in
+                           np.flatnonzero(batch.row == i)]) \
+            == float_bits(branches)
+        assert float_bits(settled.state(i)) == float_bits(
+            next((s for s in branches if s.stable), branches[0]))
+
+
+def test_rows_above_a_fold_free_inflection_match_the_scalar_path():
+    """Criterion 8's rows at 0.9x critical at the fit's start: no row
+    folds, and each lies above the inflection, so each has its one root
+    above it."""
+    omega_p, b_in = (x[81:] for x in fit_rows())
+    assert set(inflection_sides(FIT_START, omega_p, b_in)) == {1}
+    assert_bits_of_the_scalar_path(FIT_START, omega_p, b_in)
+
+
+def test_fit_rows_on_both_sides_of_the_inflection_match_the_scalar_path():
+    """All 162 of criterion 8's rows at the fit's start, the batch a fit
+    evaluates: no row folds, and the 15 farthest below resonance at 0.4x
+    critical lie below the inflection, the rest above it."""
+    omega_p, b_in = fit_rows()
+    assert inflection_sides(FIT_START, omega_p, b_in) == [-1] * 15 + [1] * 147
+    assert_bits_of_the_scalar_path(FIT_START, omega_p, b_in)
+
+
+def test_rows_below_a_fold_free_inflection_match_the_scalar_path():
+    """A device without folds (|K| < sqrt(3) gamma3) driven weakly where
+    the inflection is positive: each row's one root lies below it."""
+    params = DeviceParams(omega0=1.0, kerr=-1e-4, gamma1=0.01, gamma2=0.011,
+                          gamma3=1e-4)
+    omega_p = np.linspace(0.5, 0.95, 46)
+    b_in = np.full(46, 0.01)
+    assert set(inflection_sides(params, omega_p, b_in)) == {-1}
+    assert_bits_of_the_scalar_path(params, omega_p, b_in)
+
+
+@pytest.mark.parametrize("params", [README, FIT_START, LOSSLESS])
+def test_undriven_rows_match_the_scalar_path(params):
+    """Every row undriven, across and far from the resonance."""
+    omega_p = np.linspace(0.5, 1.5, 41)
+    assert_bits_of_the_scalar_path(params, omega_p, np.zeros(41))
+
+
+def test_linear_device_rows_match_the_scalar_path():
+    """K = gamma3 = 0 (c3 = 0): the root p / c1 of every row, undriven
+    rows and drives up to 1e150 among them."""
+    params = DeviceParams(omega0=1.0, kerr=0.0, gamma1=0.01, gamma2=0.005,
+                          gamma3=0.0)
+    omega_p = np.linspace(0.9, 1.1, 24)
+    b_in = np.resize([0.0, 1e-155, 0.3, 7.0, 1e100, 1e150], 24)
+    assert_bits_of_the_scalar_path(params, omega_p, b_in)
+
+
+def test_one_three_branch_row_among_one_branch_rows():
+    """The README device at 2x critical: one row inside the fold band
+    among rows far from it on both sides."""
+    b_in = 2.0 * critical_point(README).drive
+    lo, hi = sorted(w for w, _ in instability_locus(
+        README, PumpDrive(omega_p=1.0, amplitude=b_in)))
+    omega_p = np.concatenate([np.linspace(0.5, lo - 0.05, 20),
+                              [0.5 * (lo + hi)],
+                              np.linspace(hi + 0.05, 1.5, 20)])
+    counts = [len(scalar_solve_pump_energy(
+        README, PumpDrive(omega_p=float(w), amplitude=b_in)))
+        for w in omega_p]
+    assert counts == [1] * 20 + [3] + [1] * 20
+    assert_bits_of_the_scalar_path(README, omega_p, np.full(41, b_in))
+
+
+@pytest.mark.parametrize("params, omega_p, b_in", [
+    (FIT_START, 0.97, 0.9 * critical_point(FIT_TRUTH).drive),
+    (README, 0.99, 2.0 * critical_point(README).drive),
+    (README, 1.0, 0.0),
+])
+def test_a_single_row_matches_the_scalar_path(params, omega_p, b_in):
+    """A batch of one row: one branch above the inflection, three branches,
+    and no drive."""
+    assert_bits_of_the_scalar_path(params, np.array([omega_p]),
+                                   np.array([b_in]))
 
 
 def test_newton_step_cap_is_arithmetic_error(monkeypatch):

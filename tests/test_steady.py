@@ -14,7 +14,7 @@ from kerrcav import (DegenerateModel, DeviceParams, PumpDrive,
                      predict_reflection, reflection_coefficient,
                      settled_state, settled_states,
                      solve_pump_energy, steady_state, steady_states)
-from kerrcav.steady import _atan2, _hypot, _rows, _settle
+from kerrcav.steady import _atan2, _hypot, _rows, _settle, _solve
 from oracles import (mp_record_errors, scalar_reflection,
                      scalar_solve_pump_energy, scalar_steady_state,
                      scalar_steady_states)
@@ -136,6 +136,26 @@ def test_cubic_coefficients_share_the_solve_check(fig_device, kerr, omega_p):
         with pytest.raises(OverflowError) as excinfo:
             solve(params, drive)
         assert str(excinfo.value) == "cubic coefficient is not finite"
+
+
+def solve_batch_of_one(params, drive):
+    """The pump solve of one drive as a batch: ``steady._solve``."""
+    return _solve(params, *_rows(drive.omega_p, drive.amplitude))
+
+
+@pytest.mark.parametrize("amplitude", [math.inf, math.nan])
+@pytest.mark.parametrize("kerr, omega_p", [(-1e-4, 1e200), (-1e200, 1.0)])
+def test_drive_power_is_checked_before_the_coefficients(fig_device, kerr,
+                                                        omega_p, amplitude):
+    """A drive power and a cubic coefficient that are both not finite name
+    the drive power, from the solve, the steady states and
+    cubic_coefficients alike."""
+    params = dataclasses.replace(fig_device, kerr=kerr)
+    drive = PumpDrive(omega_p=omega_p, amplitude=amplitude)
+    for solve in (solve_batch_of_one, steady_states, cubic_coefficients):
+        with pytest.raises(OverflowError) as excinfo:
+            solve(params, drive)
+        assert str(excinfo.value) == "drive power 2 gamma1 b_in^2 is not finite"
 
 
 def test_degenerate_model_raises():
@@ -492,13 +512,20 @@ def test_settled_states_match_scalar_path(case):
 
 def test_linear_device_root_beyond_float_range_is_overflow():
     """K = gamma3 = 0 leaves h(E) = c1 E, whose root p / c1 overflows at
-    b_in = 1e154; it fails the same finiteness check as a Kerr root."""
+    b_in = 1e154 while the coefficients are finite; it fails the same
+    finiteness check as a Kerr root, with the root's message from every
+    solve.  Only a linear device gets there: with c3 > 0 the root is at
+    most (P / c3)^(1/3), below 4e210 for any finite P and c3 at least the
+    smallest subnormal."""
     params = DeviceParams(omega0=1.0, kerr=0.0, gamma1=0.01, gamma2=0.011,
                           gamma3=0.0)
     drive = PumpDrive(omega_p=1.0, amplitude=1e154)
-    for solve in (steady_states, solve_pump_energy, scalar_steady_states):
-        with pytest.raises(OverflowError, match="beyond the float range"):
+    assert all(map(math.isfinite, cubic_coefficients(params, drive)))
+    for solve in (solve_batch_of_one, steady_states, solve_pump_energy,
+                  settled_state, scalar_steady_states):
+        with pytest.raises(OverflowError) as excinfo:
             solve(params, drive)
+        assert str(excinfo.value) == "cubic root beyond the float range"
     assert math.isfinite(solve_pump_energy(
         params, PumpDrive(omega_p=1.0, amplitude=1e150))[0])
 
