@@ -9,9 +9,11 @@ photon number E of all data rows in one batched pass (:func:`steady._settle`,
 which builds no record), and both observables are closed forms in E
 (:func:`_jacobian` gives them and differentiates them).  :func:`run_fit`
 is a Levenberg-Marquardt loop over parameters projected onto where
-:func:`model.validate` holds.
+:func:`model.validate` holds; a step costs one model pass per evaluation,
+one Jacobian per accepted point and one ``lstsq`` per trial.
 """
 
+import functools
 import math
 from dataclasses import dataclass, replace
 
@@ -20,8 +22,8 @@ import numpy as np
 from .jsonfile import ConfigError, _floats, _header, _number, _read_config
 from .model import DeviceParams, validate
 from .smallsignal import _gains
-from .steady import (UndefinedForZeroDrive, _coefficients, _h, _reflection,
-                     _rows, _settle)
+from .steady import (UndefinedForZeroDrive, _coefficients, _h,
+                     _reflection_modulus, _rows, _settle)
 from .sweeps import load_device
 
 FREE_NAMES = ("omega0", "kerr", "gamma1", "gamma2", "gamma3")
@@ -112,7 +114,7 @@ def _model(params: DeviceParams, omega_p, b1_in, n_refl):
         raise UndefinedForZeroDrive("reflection coefficient needs b_in > 0")
     energy = _settle(params, omega_p, b1_in)[0]
     delta = params.omega0 - omega_p
-    values = _reflection(params, energy[:n_refl], delta[:n_refl])[0]
+    values = _reflection_modulus(params, energy[:n_refl], delta[:n_refl])
     # the gain pass costs tens of microseconds even on no rows
     if n_refl < energy.size:
         values = np.concatenate([values, _gains(
@@ -154,11 +156,13 @@ def predict_gain(params: DeviceParams, omega_p, b1_in):
     return _predict(params, omega_p, b1_in, False)
 
 
-# The partials of (delta, kerr, gamma, gamma3, gamma1) with respect to each
-# free parameter, where delta = omega0 - omega_p and gamma = gamma1 + gamma2.
+# The partials of (delta, kerr, gamma, gamma3, gamma1), delta = omega0 -
+# omega_p and gamma = gamma1 + gamma2, by each free parameter, cached as rows.
 _PARTIALS = {"omega0": (1, 0, 0, 0, 0), "kerr": (0, 1, 0, 0, 0),
              "gamma1": (0, 0, 1, 0, 1), "gamma2": (0, 0, 1, 0, 0),
              "gamma3": (0, 0, 0, 1, 0)}
+_partials = functools.lru_cache(lambda free: tuple(
+    np.array([_PARTIALS[n] for n in free], dtype=float).T))
 
 
 def _jacobian(params: DeviceParams, energy, omega_p, b_in, free,
@@ -175,8 +179,7 @@ def _jacobian(params: DeviceParams, energy, omega_p, b_in, free,
     zero offset is D(0) = h'(E), so G_I(0) = 4 c3 q^2 with q = gamma1 E /
     h'(E).  Entries are non-finite at a fold (h' = 0) and where |r| = 0.
     """
-    dd, dk, dg, dg3, dg1 = np.array([_PARTIALS[n] for n in free],
-                                    dtype=float).T
+    dd, dk, dg, dg3, dg1 = _partials(tuple(free))
     k, g3, g, g1 = params.kerr, params.gamma3, params.gamma, params.gamma1
     e, b = energy[:, None], b_in[:, None]
     delta = (params.omega0 - omega_p)[:, None]
@@ -228,23 +231,25 @@ def run_fit(problem: FitProblem, max_evaluations: int = MAX_EVALUATIONS) -> FitR
     criterion 8's noisy data it agrees with that function's ``trf`` method
     to 1e-5 relative.  Identical inputs give identical fits.
 
-    Returns the last accepted point, the best evaluated, with its RMS
-    residual.  The Jacobian (:func:`_jacobian`) is built only at accepted
-    points, from the settled energies of the model evaluation there, so
-    ``n_evaluations`` and ``max_evaluations`` count model evaluations only.
-    Raises :class:`NonConvergence` (carrying the best-so-far result) if the
-    budget is spent first, if the model is undefined at the initial guess,
-    if the Jacobian is not finite (at a fold, or where |reflection| = 0) or
-    if the damping overflows.
+    A step pays one :func:`_model` pass per evaluation, one :func:`_jacobian`
+    (from that pass's energies) per accepted point and one ``lstsq`` per trial,
+    on a system allocated once per fit whose damping block alone a trial
+    rewrites; ``n_evaluations`` counts model passes.  Returns the last accepted
+    point, the best evaluated.  Raises :class:`NonConvergence` (carrying the
+    best-so-far result) if the budget is spent first, if the model is undefined
+    at the initial guess, if the Jacobian is not finite (at a fold, or where
+    |reflection| = 0) or if the damping overflows.
     """
     names = problem.free
     x0 = np.array([getattr(problem.initial, n) for n in names], dtype=float)
     scale = np.where(x0 != 0.0, np.abs(x0), 1.0)
     lo, hi = np.array([problem.search_bounds(n) for n in names]).T / scale
-    refl = np.array(problem.refl_data, dtype=float).reshape(-1, 3)
-    gain = np.array(problem.gain_data, dtype=float).reshape(-1, 3)
-    omega_p, b1_in, observed = np.concatenate([refl, gain]).T.copy()
-    n_refl = len(refl)
+    omega_p, b1_in, observed = np.array(
+        [*problem.refl_data, *problem.gain_data], dtype=float).T.copy()
+    n_refl, m, n = len(problem.refl_data), observed.size, x0.size
+    # [J; sqrt(mu) D] and [-r; 0], with views of J and of D's diagonal
+    system, rhs = np.zeros((m + n, n)), np.zeros(m + n)
+    jac, damping = system[:m], system[m:].reshape(-1)[::n + 1]
     evaluations = 0
 
     def evaluate(z):
@@ -274,29 +279,32 @@ def run_fit(problem: FitProblem, max_evaluations: int = MAX_EVALUATIONS) -> FitR
         best = FitResult(params, math.sqrt(ssr / r.size), evaluations, stop)
         if stop:
             return best
-        jac = _jacobian(params, energy, omega_p, b1_in, names, n_refl) * scale
+        np.multiply(_jacobian(params, energy, omega_p, b1_in, names, n_refl),
+                    scale, out=jac)
         if not np.isfinite(jac).all():
             raise NonConvergence(best)
         grad = r @ jac
-        if np.max(np.abs(z - np.clip(z - grad, lo, hi))) < GTOL:
+        if np.abs(z - np.minimum(np.maximum(z - grad, lo), hi)).max() < GTOL:
             return replace(best, converged=True)
-        d = np.maximum(d, np.linalg.norm(jac, axis=0))
+        d = np.maximum(d, np.sqrt(np.add.reduce(jac * jac)))
+        np.negative(r, out=rhs[:m])
+        grad2, z_norm = 2.0 * grad, math.sqrt(np.dot(z, z))
         while True:
             if evaluations >= max_evaluations or not math.isfinite(mu):
                 raise NonConvergence(replace(best, n_evaluations=evaluations))
-            p = np.linalg.lstsq(np.vstack([jac, np.diag(math.sqrt(mu) * d)]),
-                                np.concatenate([-r, 0.0 * d]))[0]
-            trial = np.clip(z + p, lo, hi)
+            np.multiply(d, math.sqrt(mu), out=damping)
+            trial = np.minimum(np.maximum(
+                z + np.linalg.lstsq(system, rhs)[0], lo), hi)
             new, step = evaluate(trial), trial - z
             if new is None:
                 mu, nu = mu * nu, 2.0 * nu
                 continue
             reduction = ssr - float(np.dot(new[2], new[2]))
-            predicted = -float(2.0 * grad @ step + np.sum((jac @ step) ** 2))
+            predicted = -float(grad2 @ step + np.square(jac @ step).sum())
             ratio = reduction / predicted if predicted > 0.0 else 0.0
             stop = bool(reduction < FTOL * ssr and ratio > 0.25
-                        or np.linalg.norm(step)
-                        < XTOL * (XTOL + np.linalg.norm(z)))
+                        or math.sqrt(np.dot(step, step))
+                        < XTOL * (XTOL + z_norm))
             if reduction > 0.0:
                 z, point, nu = trial, new, 2.0
                 mu = max(mu * max(1.0 / 3.0, 1.0 - (2.0 * ratio - 1.0) ** 3),

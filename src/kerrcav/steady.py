@@ -7,24 +7,23 @@ intracavity amplitude B and phase solve
         = -i * sqrt(2*gamma1) * b_in * exp(i*(phi1 + phase - psi1)),
 
 whose squared modulus turns the photon number E = B^2 into a real cubic,
-h(E) = E |z(E)|^2 = P with z(E) = i (omega0 - omega_p + K E) + gamma
-+ gamma3 E and P = 2 gamma1 b_in^2, with one, two (fold tangency) or three
+h(E) = E |z(E)|^2 = P with z(E) = i (omega0 - omega_p + K E) + gamma +
+gamma3 E and P = 2 gamma1 b_in^2, with one, two (fold tangency) or three
 nonnegative roots; with three the middle branch is unstable (bistability).
-:func:`_branch_energies` is the one pump solve.  The rest of a branch's
-record is closed-form real arithmetic in z(E), the same on floats and on
-arrays: the relaxation roots of the linearized dynamics give its
-stability, and the drive balance the cavity phase psi - phi1 +
-atan2(gamma + gamma3 E, -(delta + K E)) and the reflection coefficient
-(:func:`_reflection`).  :func:`branch_states` evaluates every branch of a
-batch of drives in one NumPy pass; :func:`settled_states` picks the branch
-a slowly swept drive settles on by stability alone (:func:`_settle`) and
-builds its record only.  The one-drive functions (:func:`solve_pump_energy`,
-:func:`steady_state`, :func:`steady_states`, :func:`settled_state`) are a
-batch of one.
+:func:`_branch_energies` is the one pump solve.  The rest of a branch's record
+is closed-form real arithmetic in z(E), the same on floats and on arrays: the
+relaxation roots of the linearized dynamics give its stability, and the drive
+balance the cavity phase psi - phi1 + atan2(gamma + gamma3 E, -(delta + K E))
+and the reflection coefficient (:func:`_reflection_modulus`,
+:func:`_reflection_parts`).  A batch of drives is one NumPy pass:
+:func:`branch_states` of every branch, and :func:`settled_states` of the
+branch a slowly swept drive settles on, by stability alone (:func:`_settle`).
+The one-drive functions (:func:`solve_pump_energy`, :func:`steady_state`,
+:func:`steady_states`, :func:`settled_state`) are a batch of one.
 """
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 import numpy as np
 
@@ -107,7 +106,7 @@ def steady_state(params: DeviceParams, drive: PumpDrive, energy: float,
     # the record drops the branch count, not known for a lone root
     return _records(params, *_rows(drive.omega_p, drive.amplitude,
                                    drive.phase, energy),
-                    zero, zero + branch_index, zero + 1).state(0)
+                    zero, zero + branch_index, zero + 1)[0].state(0)
 
 
 def steady_states(params: DeviceParams, drive: PumpDrive) -> list[SteadyState]:
@@ -141,22 +140,13 @@ class BranchStates:
     branch_index: np.ndarray
 
     def drive(self, i: int) -> PumpDrive:
-        return PumpDrive(omega_p=float(self.omega_p[i]),
-                         amplitude=float(self.b_in[i]),
-                         phase=float(self.drive_phase[i]))
+        return PumpDrive(*(float(x[i]) for x in (self.omega_p, self.b_in,
+                                                 self.drive_phase)))
 
     def state(self, i: int) -> SteadyState:
-        return SteadyState(
-            energy=float(self.energy[i]),
-            amplitude=float(self.amplitude[i]),
-            phase=float(self.phase[i]),
-            reflected=complex(self.reflected[i]),
-            lambda_slow=complex(self.lambda_slow[i]),
-            lambda_fast=complex(self.lambda_fast[i]),
-            stable=bool(self.stable[i]),
-            marginal=bool(self.marginal[i]),
-            branch_index=int(self.branch_index[i]),
-        )
+        # entry i of each field, as the Python type SteadyState declares
+        return SteadyState(**{f.name: f.type(getattr(self, f.name)[i])
+                              for f in fields(SteadyState)})
 
 
 def _coefficients(delta, k, g3, g):
@@ -312,11 +302,11 @@ def _branch_energies(omega0, omega_p, p, k, g3, g):
         return out
     fold, e_lo, e_hi = _fold_energies(c3, c2, c1)
     folds = np.count_nonzero(fold)
-    inflection = np.maximum(-c2 / (3.0 * c3), 0.0)
-    # E- and E+ as rows 0 and -1, so that one pass evaluates both, or the
-    # inflection alone where no row folds
+    inflection = np.maximum(c2 / (-3.0 * c3), 0.0)
+    # E- and E+ as rows 0 and 1, so that one pass evaluates both, or the
+    # inflection alone, a row of ends, where no row folds
     ends = (np.where(fold, np.stack([e_lo, e_hi]), inflection) if folds
-            else inflection[None])
+            else inflection)
     h_end, slope, a, b = _h(ends, delta, k, g3, g)
     miss = p - h_end
     gap, side = abs(miss), np.sign(miss)
@@ -332,16 +322,16 @@ def _branch_energies(omega0, omega_p, p, k, g3, g):
     # clamped inflection), on the ends in place where each has a root: the
     # curvature counts where it bends h away
     every = np.count_nonzero(live) == live.size
-    x, row = ends, slice(None)
+    x, p_x = ends, p
     if not every:
-        row = np.nonzero(live)[1]
+        row = np.nonzero(live)[-1]
         x, gap, side, slope = (v[live] for v in (ends, gap, side, slope))
-    c2 = c2[row]
+        c2, delta, p_x = c2[row], delta[row], p[row]
     reach = _start_offset(gap, np.maximum(slope, 0.0),
                           np.maximum(side * (3.0 * c3 * x + c2), 0.0), c3)
     # h < 0 below 0, so no root of h = p >= 0 lies there
     root = _finite(np.maximum(_newton(np.maximum(x + side * reach, 0.0),
-                                      delta[row], c2, p[row], c3, k, g3, g),
+                                      delta, c2, p_x, c3, k, g3, g),
                               0.0), "cubic root beyond the float range")
     if not every:
         # an end without a root keeps its place; neither the ends nor,
@@ -351,7 +341,7 @@ def _branch_energies(omega0, omega_p, p, k, g3, g):
 
     if not folds:
         # a row with no root has p within the floor of h at the inflection
-        out[:, 0] = root[0]
+        out[:, 0] = root
         return out
     lo, hi = root
     double_lo, double_hi = near[0] & live[1], near[1] & live[0]
@@ -368,9 +358,10 @@ def _branch_energies(omega0, omega_p, p, k, g3, g):
 
 
 def _finite(x, message, skip=False):
-    """``x`` if it is finite where not ``skip``, else OverflowError."""
-    ok = abs(x) < math.inf if skip is False else skip | (abs(x) < math.inf)
-    if not (ok if isinstance(ok, bool) else ok.all()):
+    """``x`` if finite where not ``skip``, else OverflowError (x . x first)."""
+    if not (skip is False and math.isfinite(
+            np.vdot(x, x) if isinstance(x, np.ndarray) else x)
+            or np.all(skip | (abs(x) < math.inf))):
         raise OverflowError(message)
     return x
 
@@ -450,19 +441,20 @@ def _z(params: DeviceParams, energy, delta):
     return params.gamma + params.gamma3 * energy, delta + params.kerr * energy
 
 
-def _reflection(params: DeviceParams, energy, delta):
-    """(|r|, Re r, Im r) of the reflection coefficient r = (z - 2 gamma1)/z
-    = 1 - 2 gamma1 conj(z) / |z|^2, from floats or arrays alike.
-
-    The drive balance E |z|^2 = 2 gamma1 b_in^2 makes r a function of E
-    alone.  |r| is the ratio of the moduli |z - 2 gamma1| / |z|, and the
-    parts are ((a - 2 gamma1) a + b^2, 2 gamma1 b) / |z|^2 with z = a + ib;
-    |z| >= gamma > 0, so |r| <= 1 + 2 gamma1 / gamma <= 3.
-    """
+def _reflection_modulus(params: DeviceParams, energy, delta):
+    """|r| = |z - 2 gamma1| / |z| <= 3 of r = (z - 2 gamma1)/z (|z| >= gamma),
+    for the fit's model and the steady sweep's ``refl_mag``."""
     a, b = _z(params, energy, delta)
-    u = a - 2.0 * params.gamma1
-    m = a * a + b * b
-    return (_hypot(u, b) / _hypot(a, b), (u * a + b * b) / m,
+    return _hypot(a - 2.0 * params.gamma1, b) / _hypot(a, b)
+
+
+def _reflection_parts(params: DeviceParams, energy, delta):
+    """(Re r, Im r) = ((a - 2 gamma1) a + b^2, 2 gamma1 b) / |z|^2, z = a +
+    ib: the records take them alone, for b_in r and the sweep's phase."""
+    a, b = _z(params, energy, delta)
+    bb = b * b
+    m = a * a + bb
+    return (((a - 2.0 * params.gamma1) * a + bb) / m,
             2.0 * params.gamma1 * b / m)
 
 
@@ -500,7 +492,7 @@ def branch_states(params: DeviceParams, omega_p, b_in,
     omega_p, b_in, psi = _rows(omega_p, b_in, phase)
     row, index, energy, count = _branches(params, omega_p, b_in)
     return _records(params, omega_p[row], b_in[row], psi[row], energy, row,
-                    index, count)
+                    index, count)[0]
 
 
 def _branches(params: DeviceParams, omega_p, b_in):
@@ -514,10 +506,10 @@ def _branches(params: DeviceParams, omega_p, b_in):
 
 
 def _records(params: DeviceParams, omega_p, b_in, psi, energy, row, index,
-             n_branches) -> BranchStates:
+             n_branches):
     """The record of photon number ``energy`` at drive (``omega_p``,
-    ``b_in``, ``psi``), entry by entry; ``row``, ``index`` and
-    ``n_branches`` pass through."""
+    ``b_in``, ``psi``), entry by entry, and the (Re r, Im r) it was built
+    from; ``row``, ``index`` and ``n_branches`` pass through."""
     e = energy
     with np.errstate(all="ignore"):
         delta = params.omega0 - omega_p
@@ -528,14 +520,14 @@ def _records(params: DeviceParams, omega_p, b_in, psi, energy, row, index,
         a, b = _z(params, e, delta)
         cavity_phase = np.where(amp == 0.0, 0.0,
                                 (psi - params.phi1) + _atan2(a, -b))
-        _, r_re, r_im = _reflection(params, e, delta)
+        r_re, r_im = _reflection_parts(params, e, delta)
     return BranchStates(
         row=row, omega_p=omega_p, b_in=b_in, drive_phase=psi,
         n_branches=n_branches, energy=e, amplitude=amp, phase=cavity_phase,
         reflected=_complex(b_in * r_re, b_in * r_im),
         lambda_slow=_complex(base - s_re, 0.0 - s_im),
         lambda_fast=_complex(base + s_re, 0.0 + s_im),
-        stable=stable, marginal=marginal, branch_index=index)
+        stable=stable, marginal=marginal, branch_index=index), r_re, r_im
 
 
 def _settle(params: DeviceParams, omega_p, b_in):
@@ -545,10 +537,10 @@ def _settle(params: DeviceParams, omega_p, b_in):
     test (:func:`_relaxation`, :func:`_stability`), building no record.
     DegenerateModel if gamma1 + gamma2 == 0."""
     energy = _solve(params, omega_p, b_in)
-    count = 3 - np.isnan(energy).sum(axis=1)
-    if np.count_nonzero(count == 1) == count.size:
-        # one branch at every drive, as at a fit's sub-critical drives
-        return energy[:, 0], np.zeros(count.size, dtype=int), count
+    if np.count_nonzero(nan := np.isnan(energy)) == 2 * len(energy):
+        # one branch at every drive (the lowest root is never NaN)
+        return energy[:, 0], np.zeros(len(nan), int), np.ones(len(nan), int)
+    count = 3 - nan.sum(axis=1)
     with np.errstate(all="ignore"):
         base, s_re, _ = _relaxation(params, energy,
                                     (params.omega0 - omega_p)[:, None])
@@ -572,7 +564,7 @@ def settled_states(params: DeviceParams, omega_p, b_in,
     omega_p, b_in, psi = _rows(omega_p, b_in, phase)
     energy, index, count = _settle(params, omega_p, b_in)
     return _records(params, omega_p, b_in, psi, energy,
-                    np.arange(energy.size), index, count)
+                    np.arange(energy.size), index, count)[0]
 
 
 def settled_state(params: DeviceParams, drive: PumpDrive) -> SteadyState:

@@ -21,7 +21,8 @@ from .model import DeviceParams, validate
 from .noise import ThermalEnv, squeeze_columns
 from .operating import critical_point, require_critical_point
 from .smallsignal import _gains
-from .steady import _atan2, _branches, _reflection, branch_states
+from .steady import (_atan2, _branches, _records, _reflection_modulus,
+                     _rows)
 from .stripline import (derive_device, load_profile, mode_coefficients,
                         solve_mode)
 from .tableio import Table
@@ -167,8 +168,10 @@ def load_device_file(path) -> DeviceParams:
     return _config_device(*_read_config(path))
 
 
-def _grid(config: SweepConfig):
-    """The grid's drives (omega_p, b_in), amplitude-major."""
+def _grid(config: SweepConfig, command: str):
+    """The grid's drives (omega_p, b_in), amplitude-major, for ``command``."""
+    if not config.omega_p_grid or not config.amplitudes:
+        raise ConfigError("drive", f"{command} needs drive.omega_p and drive.b1_in")
     n_omega, n_amp = len(config.omega_p_grid), len(config.amplitudes)
     return (np.tile(np.array(config.omega_p_grid), n_amp),
             np.repeat(np.array(config.amplitudes), n_omega))
@@ -178,20 +181,19 @@ def run_steady_sweep(config: SweepConfig) -> Table:
     """Pump response over the frequency grid, one row per branch.
 
     Multivalued regions appear as several rows at the same frequency; the
-    reflection columns are |r| and arg r of the closed form
-    r = (z - 2 gamma1) / z (:func:`steady._reflection`), NaN for rows with
-    zero drive, where the coefficient is undefined.
+    reflection columns are |r| (:func:`steady._reflection_modulus`) and arg r
+    of the parts the records were built from, NaN for rows with zero drive,
+    where the coefficient is undefined.
     """
-    if not config.omega_p_grid or not config.amplitudes:
-        raise ConfigError("drive", "steady-sweep needs drive.omega_p and drive.b1_in")
-    states = branch_states(config.device, *_grid(config), config.psi1)
+    device = config.device
+    omega_p, b_in, psi = _rows(*_grid(config, "steady-sweep"), config.psi1)
+    row, index, energy, count = _branches(device, omega_p, b_in)
+    states, re, im = _records(device, omega_p[row], b_in[row], psi[row],
+                              energy, row, index, count)
     driven = states.b_in > 0.0
-    mag = np.full(driven.shape, math.nan)
-    ang = np.full(driven.shape, math.nan)
-    mag[driven], re, im = _reflection(
-        config.device, states.energy[driven],
-        config.device.omega0 - states.omega_p[driven])
-    ang[driven] = _atan2(im, re)
+    mag = np.where(driven, _reflection_modulus(
+        device, energy, device.omega0 - states.omega_p), math.nan)
+    ang = np.where(driven, _atan2(im, re), math.nan)
     return Table.from_columns(STEADY_COLUMNS, [
         states.b_in, states.omega_p, states.branch_index, states.energy,
         states.amplitude, states.phase, mag, ang, states.lambda_slow.real,
@@ -205,11 +207,9 @@ def run_gain_sweep(config: SweepConfig) -> Table:
     are inf there; no grid point is dropped.  A |D| beyond the float range
     (an offset above about 1.3e154) is an OverflowError.
     """
-    if not config.omega_p_grid or not config.amplitudes:
-        raise ConfigError("drive", "gain-sweep needs drive.omega_p and drive.b1_in")
+    omega_p, b_in = _grid(config, "gain-sweep")
     if not config.offsets:
         raise ConfigError("offsets", "gain-sweep needs offsets or signal_frequencies")
-    omega_p, b_in = _grid(config)
     # the branches' energies only: the gains need no other field of a record
     row, index, energy, _ = _branches(config.device, omega_p, b_in)
     omega_p = omega_p[row]

@@ -12,7 +12,9 @@ The row-wise table renderer (``reference_csv``, ``reference_json``) is the
 byte reference for ``tableio``: Python's own formatting, cell by cell.
 ``fold_points_mpmath`` is the 60-digit reference for the fold locus,
 ``reference_jacobian`` the bit reference for the fit's analytic Jacobian,
-and ``trf_fit`` SciPy's trust-region solver on the fit's own model.
+``trf_fit`` SciPy's trust-region solver on the fit's own model, and
+``stacked_run_fit`` the bit reference for the fit's Levenberg-Marquardt
+loop.
 """
 
 import cmath
@@ -25,7 +27,10 @@ import numpy as np
 from kerrcav import (DegenerateModel, PumpDrive, SingularResponse,
                      SteadyState, branch_states, cubic_coefficients,
                      transfer_coefficients)
-from kerrcav.fitting import _PARTIALS, _jacobian, _model
+from kerrcav.fitting import (_PARTIALS, FTOL, GTOL, MAX_EVALUATIONS,
+                             MU_START, XTOL, FitResult, NonConvergence,
+                             _jacobian, _model)
+from kerrcav.model import validate
 from kerrcav.steady import FLOOR, MARGIN, MARGINAL_TOL, MAX_STEPS
 
 
@@ -199,6 +204,19 @@ def scalar_reflection(params, drive, energy: float):
     u = a - 2.0 * params.gamma1
     m = a * a + b * b
     return (abs(complex(u, b)) / abs(complex(a, b)), (u * a + b * b) / m,
+            2.0 * params.gamma1 * b / m)
+
+
+def joint_reflection(params, energy, delta):
+    """(|r|, Re r, Im r) of arrays of photon numbers and detunings, as
+    steady evaluated them together before each caller took its own part:
+    |r| = hypot(a - 2 gamma1, b) / hypot(a, b) and the parts
+    ((a - 2 gamma1) a + b^2, 2 gamma1 b) / |z|^2 with z = a + ib."""
+    a = params.gamma + params.gamma3 * energy
+    b = delta + params.kerr * energy
+    u = a - 2.0 * params.gamma1
+    m = a * a + b * b
+    return (np.hypot(u, b) / np.hypot(a, b), (u * a + b * b) / m,
             2.0 * params.gamma1 * b / m)
 
 
@@ -676,6 +694,84 @@ def trf_fit(problem) -> dict:
                            x_scale="jac", max_nfev=1000)
     assert result.success
     return dict(zip(names, (result.x * scale).tolist()))
+
+
+# ------------------------------------------------- stacked LM loop
+# fitting.run_fit's Levenberg-Marquardt loop as it was before the damped
+# system was allocated once per fit, kept as it was: each trial stacks
+# [J; sqrt(mu) D] with np.vstack and np.diag, clips with np.clip and
+# takes np.linalg.norm, over the fit's own _model and _jacobian.
+
+def stacked_run_fit(problem, max_evaluations=MAX_EVALUATIONS):
+    names = problem.free
+    x0 = np.array([getattr(problem.initial, n) for n in names], dtype=float)
+    scale = np.where(x0 != 0.0, np.abs(x0), 1.0)
+    lo, hi = np.array([problem.search_bounds(n) for n in names]).T / scale
+    refl = np.array(problem.refl_data, dtype=float).reshape(-1, 3)
+    gain = np.array(problem.gain_data, dtype=float).reshape(-1, 3)
+    omega_p, b1_in, observed = np.concatenate([refl, gain]).T.copy()
+    n_refl = len(refl)
+    evaluations = 0
+
+    def evaluate(z):
+        nonlocal evaluations
+        evaluations += 1
+        params = dataclasses.replace(
+            problem.initial, **dict(zip(names, (z * scale).tolist())))
+        try:
+            if validate(params).ok:
+                energy, model = _model(params, omega_p, b1_in, n_refl)
+                r = model - observed
+                if np.isfinite(r).all():
+                    return params, energy, r
+        except (ArithmeticError, ValueError):
+            pass
+        return None
+
+    z = x0 / scale
+    point = evaluate(z)
+    if point is None:
+        raise NonConvergence(FitResult(problem.initial, math.nan, 1, False))
+    mu, nu, d, stop = MU_START, 2.0, 0.0, False
+    while True:
+        params, energy, r = point
+        ssr = float(np.dot(r, r))
+        best = FitResult(params, math.sqrt(ssr / r.size), evaluations, stop)
+        if stop:
+            return best
+        jac = _jacobian(params, energy, omega_p, b1_in, names, n_refl) * scale
+        if not np.isfinite(jac).all():
+            raise NonConvergence(best)
+        grad = r @ jac
+        if np.max(np.abs(z - np.clip(z - grad, lo, hi))) < GTOL:
+            return dataclasses.replace(best, converged=True)
+        d = np.maximum(d, np.linalg.norm(jac, axis=0))
+        while True:
+            if evaluations >= max_evaluations or not math.isfinite(mu):
+                raise NonConvergence(dataclasses.replace(
+                    best, n_evaluations=evaluations))
+            p = np.linalg.lstsq(np.vstack([jac, np.diag(math.sqrt(mu) * d)]),
+                                np.concatenate([-r, 0.0 * d]))[0]
+            trial = np.clip(z + p, lo, hi)
+            new, step = evaluate(trial), trial - z
+            if new is None:
+                mu, nu = mu * nu, 2.0 * nu
+                continue
+            reduction = ssr - float(np.dot(new[2], new[2]))
+            predicted = -float(2.0 * grad @ step + np.sum((jac @ step) ** 2))
+            ratio = reduction / predicted if predicted > 0.0 else 0.0
+            stop = bool(reduction < FTOL * ssr and ratio > 0.25
+                        or np.linalg.norm(step)
+                        < XTOL * (XTOL + np.linalg.norm(z)))
+            if reduction > 0.0:
+                z, point, nu = trial, new, 2.0
+                mu = max(mu * max(1.0 / 3.0, 1.0 - (2.0 * ratio - 1.0) ** 3),
+                         MU_START)
+                break
+            if stop:
+                return dataclasses.replace(best, n_evaluations=evaluations,
+                                           converged=True)
+            mu, nu = mu * nu, 2.0 * nu
 
 
 # ------------------------------------------------- row-wise table renderer

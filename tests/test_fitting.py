@@ -17,7 +17,8 @@ from kerrcav import fitting, smallsignal
 from kerrcav.cli import main
 from kerrcav.sweeps import _number
 from conftest import float_bits
-from oracles import reference_jacobian, scalar_reflection, trf_fit
+from oracles import (reference_jacobian, scalar_reflection, stacked_run_fit,
+                     trf_fit)
 
 SQRT3 = math.sqrt(3.0)
 
@@ -754,3 +755,115 @@ def test_rejected_step_below_xtol_ends_converged(monkeypatch):
     assert result.converged
     assert result.params == initial
     assert 1 < result.n_evaluations == len(calls)
+
+
+# ------------------------------------------------ the step and its kernels
+
+def fit_or_best(problem, max_evaluations=fitting.MAX_EVALUATIONS,
+                fit=run_fit):
+    """The fit's result, or the best-so-far one it stopped with."""
+    try:
+        return fit(problem, max_evaluations)
+    except NonConvergence as exc:
+        return "no convergence", exc.best
+
+
+def criterion_8_problems():
+    """Criterion 8's clean set and its 20 noisy sets, all five parameters
+    free, from its start."""
+    rows = synth_refl_rows(TRUE, n_points=81)
+    start = DeviceParams(omega0=TRUE.omega0 * (1.0 + 2e-4),
+                         kerr=TRUE.kerr * 1.15, gamma1=TRUE.gamma1 * 0.9,
+                         gamma2=TRUE.gamma2 * 1.1, gamma3=TRUE.gamma3 * 1.3)
+    sets = [rows]
+    for seed in range(20):
+        rng = np.random.default_rng(1000 + seed)
+        sets.append(tuple((w, b, r * (1.0 + 0.01 * rng.standard_normal()))
+                          for w, b, r in rows))
+    return [FitProblem(initial=start, free=FREE, bounds={}, refl_data=data)
+            for data in sets]
+
+
+def test_fit_bits_match_the_stacked_loop():
+    """run_fit returns, bit for bit, the FitResult of the loop that stacked
+    [J; sqrt(mu) D] afresh for every trial (oracles.stacked_run_fit): every
+    parameter, the rms residual, n_evaluations and converged, on criterion
+    8's clean and 20 noisy sets, a fit that ends on an active bound, one
+    that runs into a user bound and one whose budget runs out."""
+    true = dataclasses.replace(TRUE, gamma3=0.0)
+    problems = criterion_8_problems() + [
+        FitProblem(initial=guessed(TRUE, 0.15), free=FREE, bounds={},
+                   refl_data=synth_refl_rows(true)),
+        FitProblem(initial=guessed(TRUE, 0.2), free=FREE,
+                   bounds={**BOUNDS, "kerr": (-1.3e-4, -1.1e-4)},
+                   refl_data=synth_refl_rows(TRUE, fractions=(0.7,),
+                                             n_points=41))]
+    results = [fit_or_best(problem) for problem in problems]
+    # the gamma3 bound 0 is reached, and the kerr bound stops the fit
+    assert results[21].params.gamma3 == 0.0
+    assert abs(results[22].params.kerr + 1.1e-4) < 1e-18
+    results.append(fit_or_best(problems[0], 4))
+    expected = [fit_or_best(problem, fit=stacked_run_fit)
+                for problem in problems] + [
+        fit_or_best(problems[0], 4, stacked_run_fit)]
+    assert float_bits(results) == float_bits(expected)
+
+
+def test_rejected_steps_below_xtol_match_the_stacked_loop(monkeypatch):
+    """The fit whose every trial is rejected until a step falls below XTOL
+    ends as the stacked loop does, bit for bit."""
+    import oracles
+
+    def fault(call, evaluated):
+        energy, values = evaluated
+        return evaluated if call == 1 else (energy, values + 1e3)
+
+    problem = FitProblem(initial=guessed(TRUE, 0.1), free=FREE, bounds=BOUNDS,
+                         refl_data=synth_refl_rows(TRUE, n_points=21))
+    calls = count_model_calls(monkeypatch, fault)
+    result = run_fit(problem)
+    monkeypatch.setattr(oracles, "_model", fitting._model)
+    del calls[:]
+    expected = stacked_run_fit(problem)
+    assert result.converged and result.n_evaluations > 1
+    assert float_bits(result) == float_bits(expected)
+
+
+def test_a_step_costs_one_model_pass_jacobian_and_solve(monkeypatch):
+    """_model runs once per evaluation, _jacobian once per accepted point
+    (a trial that lowers the cost, and the start) and np.linalg.lstsq once
+    per trial: no Jacobian at a rejected point, no second solve."""
+    problem = criterion_8_problems()[1]
+    observed = np.array([r for _, _, r in problem.refl_data])
+    evaluated, jacobians, solves = [], [], []
+    model, jacobian, lstsq = fitting._model, fitting._jacobian, \
+        np.linalg.lstsq
+
+    def model_spy(params, *args):
+        energy, values = model(params, *args)
+        residual = values - observed
+        evaluated.append((params, float(np.dot(residual, residual))))
+        return energy, values
+
+    def jacobian_spy(params, *args):
+        jacobians.append(params)
+        return jacobian(params, *args)
+
+    def lstsq_spy(*args, **kwargs):
+        solves.append(None)
+        return lstsq(*args, **kwargs)
+
+    monkeypatch.setattr(fitting, "_model", model_spy)
+    monkeypatch.setattr(fitting, "_jacobian", jacobian_spy)
+    monkeypatch.setattr(np.linalg, "lstsq", lstsq_spy)
+    result = run_fit(problem)
+    accepted = [evaluated[0]]
+    for point in evaluated[1:]:
+        if point[1] < accepted[-1][1]:
+            accepted.append(point)
+    assert result.converged and result.params == accepted[-1][0]
+    assert len(evaluated) == result.n_evaluations
+    assert len(solves) == result.n_evaluations - 1
+    # a fit that stops at an accepted point builds no Jacobian there
+    assert jacobians == [params for params, _ in accepted][:len(jacobians)]
+    assert len(accepted) - 1 <= len(jacobians) <= len(accepted)

@@ -14,8 +14,9 @@ from kerrcav import (DegenerateModel, DeviceParams, PumpDrive,
                      predict_reflection, reflection_coefficient,
                      settled_state, settled_states,
                      solve_pump_energy, steady_state, steady_states)
-from kerrcav.steady import _atan2, _hypot, _rows, _settle, _solve
-from oracles import (mp_record_errors, scalar_reflection,
+from kerrcav.steady import (_atan2, _hypot, _reflection_modulus,
+                            _reflection_parts, _rows, _settle, _solve)
+from oracles import (joint_reflection, mp_record_errors, scalar_reflection,
                      scalar_solve_pump_energy, scalar_steady_state,
                      scalar_steady_states)
 
@@ -668,3 +669,34 @@ def test_rows_repeat_scalars_and_reject_other_sizes():
     assert all(a.dtype == float for a in (w, b, psi))
     with pytest.raises(ValueError, match="sizes"):
         _rows([0.9, 1.0], [0.5, 0.6, 0.7])
+
+
+def test_reflection_split_keeps_every_bit():
+    """|r| alone and (Re r, Im r) alone equal, bit for bit, the parts of the
+    joint evaluation they were split from, on every branch of the README
+    grid (0.5x and 2x critical, 2,000 pump frequencies) and on criterion
+    8's 162 rows settled at the fit's start; and the scalar closed form
+    still agrees with both."""
+    readme = DeviceParams(omega0=1.0, kerr=-1e-4, gamma1=0.01, gamma2=0.011,
+                          gamma3=5.8e-7)
+    truth = DeviceParams(omega0=1.0, kerr=-1e-4, gamma1=0.01, gamma2=0.011,
+                         gamma3=3e-5)
+    start = DeviceParams(omega0=1.0002, kerr=-1.15e-4, gamma1=0.009,
+                         gamma2=0.0121, gamma3=3.9e-5)
+    b_c, b_fit = critical_point(readme).drive, critical_point(truth).drive
+    cases = [branch_states(readme, np.tile(np.linspace(0.9, 1.005, 2000), 2),
+                           np.repeat([0.5 * b_c, 2.0 * b_c], 2000)),
+             settled_states(start, np.tile(np.linspace(0.95, 1.005, 81), 2),
+                            np.repeat([0.4 * b_fit, 0.9 * b_fit], 81))]
+    for params, states in zip((readme, start), cases):
+        delta = params.omega0 - states.omega_p
+        joint = joint_reflection(params, states.energy, delta)
+        modulus = _reflection_modulus(params, states.energy, delta)
+        parts = _reflection_parts(params, states.energy, delta)
+        assert modulus.tobytes() == joint[0].tobytes()
+        assert np.array(parts).tobytes() == np.array(joint[1:]).tobytes()
+        for i in range(0, states.energy.size, 37):
+            scalar = scalar_reflection(params, states.drive(i),
+                                       float(states.energy[i]))
+            assert float_bits(scalar) == float_bits(
+                (float(modulus[i]), float(parts[0][i]), float(parts[1][i])))
