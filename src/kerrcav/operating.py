@@ -144,8 +144,8 @@ def instability_locus(params: DeviceParams, drive: PumpDrive):
     with np.errstate(invalid="ignore"):
         far = _fold_root(params, p, 2, delta_c, crit.energy, delta_c,
                          delta_out)
-        near = _fold_root(params, p, 1, far[0], float(_fold_energies(
-            *_coefficients(far[0], k, g3, g))[1]), delta_c, far[0])
+        near = _fold_root(params, p, 1, far[0], _fold_energies(
+            *_coefficients(far[0], k, g3, g))[1], delta_c, far[0])
         folds = [(omega0 - delta, e) for delta, e in (near, far)]
         if any(_one_branch_at(omega0, omega_p, p, k, g3, g)
                for omega_p, _ in folds):
@@ -182,7 +182,7 @@ def _fold_root(params: DeviceParams, p: float, curve: int, delta: float,
             if nxt == inner or nxt == outer:
                 break
         delta = nxt
-        e = float(_fold_energies(*_coefficients(delta, k, g3, g))[curve])
+        e = _fold_energies(*_coefficients(delta, k, g3, g))[curve]
     else:
         raise ArithmeticError("fold locus: Newton steps did not settle")
     return delta, e

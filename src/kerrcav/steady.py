@@ -180,10 +180,11 @@ def _fold_energies(c3, c2, c1):
     """Whether h has folds, c2 < 0 and disc > 0 for the discriminant
     disc = c2^2 - 3 c3 c1 of h'(E) = 3 c3 E^2 + 2 c2 E + c1, and the roots
     of h', the folds E- = c1/q <= E+ = q/(3 c3) with q = -c2 + sqrt(disc),
-    so that neither cancels (NaN where disc < 0).  Runs unchanged on
-    floats and on arrays."""
+    so that neither cancels (NaN where disc < 0).  Floats stay Python
+    floats (``math.sqrt``), arrays take ``np.sqrt``: the same bits."""
     disc = c2 * c2 - 3.0 * c3 * c1
-    q = -c2 + np.sqrt(disc)
+    q = -c2 + (np.sqrt(disc) if not isinstance(disc, float)
+               else math.sqrt(disc) if disc >= 0.0 else math.nan)
     return (c2 < 0.0) & (disc > 0.0), c1 / q, q / (3.0 * c3)
 
 
@@ -419,12 +420,10 @@ def _hypot(x, y):
 
 
 def _atan2(y, x):
-    """``math.atan2`` of floats, or of 1-D arrays elementwise
-    (``np.arctan2`` differs from it in the last bit on 6-8 % of random
-    arguments)."""
-    if isinstance(x, float):
-        return math.atan2(y, x)
-    return np.fromiter(map(math.atan2, y.tolist(), x.tolist()), float, x.size)
+    """``np.arctan2`` of arrays, and of floats as a Python float, which
+    keeps the scalar callers' later arithmetic off NumPy scalars."""
+    angle = np.arctan2(y, x)
+    return float(angle) if isinstance(x, float) else angle
 
 
 def _complex(re, im):

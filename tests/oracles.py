@@ -5,7 +5,8 @@ scanning only, never from the closed-form operating-point formulas it is
 used to check.  The scalar pump path (``scalar_solve_pump_energy`` through
 ``scalar_steady_states``) is the one-point reference the batched kernels
 are held to bit for bit: plain Python floats and ``cmath``, root by root,
-with the record's phase and reflection in the kernels' closed forms.
+with the record's phase and reflection in the kernels' closed forms, and
+NumPy's ``arccos``, ``cbrt`` and ``arctan2`` where the kernels take them.
 ``mp_record_errors`` holds those closed forms to the record's definition
 in 50-digit mpmath.
 The row-wise table renderer (``reference_csv``, ``reference_json``) is the
@@ -235,9 +236,9 @@ def scalar_steady_state(params, drive, energy: float,
     if amp == 0.0:
         phase = 0.0
     else:
-        phase = (drive.phase - params.phi1) + math.atan2(
+        phase = (drive.phase - params.phi1) + float(np.arctan2(
             params.gamma + params.gamma3 * energy,
-            -(delta + params.kerr * energy))
+            -(delta + params.kerr * energy)))
     _, re, im = scalar_reflection(params, drive, energy)
     reflected = complex(drive.amplitude * re, drive.amplitude * im)
     lam_slow, lam_fast = scalar_relaxation_roots(params, drive, energy)

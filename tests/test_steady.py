@@ -14,8 +14,9 @@ from kerrcav import (DegenerateModel, DeviceParams, PumpDrive,
                      predict_reflection, reflection_coefficient,
                      settled_state, settled_states,
                      solve_pump_energy, steady_state, steady_states)
-from kerrcav.steady import (_atan2, _hypot, _reflection_modulus,
-                            _reflection_parts, _rows, _settle, _solve)
+from kerrcav.steady import (_atan2, _coefficients, _fold_energies, _hypot,
+                            _reflection_modulus, _reflection_parts, _rows,
+                            _settle, _solve)
 from oracles import (joint_reflection, mp_record_errors, scalar_reflection,
                      scalar_solve_pump_energy, scalar_steady_state,
                      scalar_steady_states)
@@ -636,20 +637,67 @@ def test_settle_kernel_on_every_branch_count(fig_device):
 
 # ------------------------------------------------- real-arithmetic helpers
 
-def test_atan2_is_math_atan2_on_floats_and_arrays():
-    """steady._atan2 takes math.atan2 for floats and elementwise for
-    arrays, with the signs of zero and the infinities (np.arctan2 differs
-    from it in the last bit on some arguments)."""
+def test_atan2_is_one_numpy_call_on_floats_and_arrays():
+    """steady._atan2 is np.arctan2 for floats (returned as Python floats),
+    1-element, n-element and strided arrays alike, bit for bit; it gives
+    math.atan2's values at the signs of zero, the infinities, the smallest
+    subnormal and NaN, and is within 1 ulp of it elsewhere (NumPy's build
+    may round the last bit the other way)."""
     rng = np.random.default_rng(2024)
-    special = [0.0, -0.0, 5e-324, -1.0, 1.0, math.inf, -math.inf, 1e300]
-    y = np.concatenate([rng.normal(size=2000) * 10.0 ** rng.uniform(
-        -8, 8, 2000), np.repeat(special, len(special))])
-    x = np.concatenate([rng.normal(size=2000) * 10.0 ** rng.uniform(
-        -8, 8, 2000), np.tile(special, len(special))])
-    expected = [math.atan2(a, b) for a, b in zip(y.tolist(), x.tolist())]
-    assert float_bits(_atan2(y, x).tolist()) == float_bits(expected)
-    assert float_bits([_atan2(a, b) for a, b in zip(
-        y.tolist(), x.tolist())]) == float_bits(expected)
+    special = [0.0, -0.0, 5e-324, -5e-324, -1.0, 1.0, math.inf, -math.inf,
+               1e300, math.nan]
+    n = 2000
+    y = np.concatenate([rng.normal(size=n) * 10.0 ** rng.uniform(-8, 8, n),
+                        np.repeat(special, len(special))])
+    x = np.concatenate([rng.normal(size=n) * 10.0 ** rng.uniform(-8, 8, n),
+                        np.tile(special, len(special))])
+    whole = _atan2(y, x)
+    floats = [_atan2(a, b) for a, b in zip(y.tolist(), x.tolist())]
+    assert {type(v) for v in floats} == {float}
+    assert float_bits(floats) == float_bits(whole.tolist())
+    assert float_bits([_atan2(y[i:i + 1], x[i:i + 1])[0].item()
+                       for i in range(y.size)]) == float_bits(whole.tolist())
+    # forward strides only: NumPy may take another loop for a reversed view
+    for step in (2, 3):
+        assert float_bits(_atan2(y[::step], x[::step]).tolist()) == (
+            float_bits(whole[::step].tolist()))
+    expected = np.array([math.atan2(a, b)
+                         for a, b in zip(y.tolist(), x.tolist())])
+    assert float_bits(whole[n:].tolist()) == float_bits(expected[n:].tolist())
+    assert np.all(abs(whole[:n] - expected[:n])
+                  <= np.spacing(abs(expected[:n])))
+
+
+def test_fold_energies_agree_on_floats_and_arrays(fig_device):
+    """steady._fold_energies of Python floats (math.sqrt, NaN where disc <
+    0) gives the fold flag and the E- and E+ bits of the same call on
+    1-element arrays (np.sqrt), as Python floats: with folds, at disc = 0,
+    at disc < 0 and at c2 >= 0, and on a device's coefficients across the
+    detuning; the fold locus built on it returns Python floats."""
+    cases = [(1.0, -3.0, 3.0), (1.0, -3.0, 2.0), (1.0, -1.0, 1.0),
+             (1.0, 2.0, 3.0), (1.0, 2.0, 1.0), (1.0, 3.0, 3.0),
+             (1.0, -0.0, -1.0)]
+    params = fig_device
+    cases += [_coefficients(delta, params.kerr, params.gamma3, params.gamma)
+              for delta in np.linspace(-0.05, 0.05, 201).tolist()]
+    seen = set()
+    for c3, c2, c1 in cases:
+        disc = c2 * c2 - 3.0 * c3 * c1
+        seen.add((c2 >= 0.0, (disc > 0.0) - (disc < 0.0)))
+        fold, e_lo, e_hi = _fold_energies(c3, c2, c1)
+        with np.errstate(invalid="ignore"):
+            arrays = _fold_energies(*(np.array([c]) for c in (c3, c2, c1)))
+        assert {type(e_lo), type(e_hi)} == {float}
+        assert fold is bool(arrays[0][0])
+        assert float_bits([e_lo, e_hi]) == float_bits(
+            [arrays[1][0].item(), arrays[2][0].item()])
+        assert math.isnan(e_lo) == math.isnan(e_hi) == (disc < 0.0)
+    assert seen == {(a, b) for a in (False, True) for b in (-1, 0, 1)}
+    crit = critical_point(params)
+    for scale in (1.0, 2.0, 1e3):
+        points = instability_locus(params, PumpDrive(
+            omega_p=1.0, amplitude=scale * crit.drive))
+        assert points and {type(v) for p in points for v in p} == {float}
 
 
 def test_hypot_is_one_function_on_floats_and_arrays():

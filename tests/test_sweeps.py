@@ -435,7 +435,7 @@ def scalar_steady_rows(config):
                 if amp > 0.0:
                     mag, re, im = scalar_reflection(config.device, drive,
                                                     state.energy)
-                    ang = math.atan2(im, re)
+                    ang = float(np.arctan2(im, re))
                 yield [amp, omega_p, state.branch_index, state.energy,
                        state.amplitude, state.phase, mag, ang,
                        state.lambda_slow.real, state.lambda_slow.imag,
