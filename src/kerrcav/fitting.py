@@ -127,9 +127,8 @@ def _predict(params, omega_p, b1_in, refl):
     drives."""
     w, b = _rows(omega_p, b1_in)
     values = _model(params, w, b, w.size if refl else 0)[1]
-    if np.ndim(omega_p) == 0 and np.ndim(b1_in) == 0:
-        return float(values[0])
-    return values
+    return float(values[0]) if np.ndim(omega_p) == np.ndim(b1_in) == 0 \
+        else values
 
 
 def predict_reflection(params: DeviceParams, omega_p, b1_in):

@@ -124,8 +124,7 @@ class ConfigError(ValueError):
     (``drive.b1_in[0]``, ``C[7]``) and ``detail`` says how."""
 
     def __init__(self, field_path: str, detail: str):
-        self.field_path = field_path
-        self.detail = detail
+        self.field_path, self.detail = field_path, detail
         super().__init__(f"config field {field_path!r}: {detail}")
 
 
@@ -144,11 +143,9 @@ def _number(value, path, minimum=None, strict=False):
         v = math.inf
     if not math.isfinite(v):
         raise ConfigError(path, f"must be finite (got {v!r})")
-    if minimum is not None:
-        if strict and not v > minimum:
-            raise ConfigError(path, f"must be > {minimum} (got {v!r})")
-        if not strict and not v >= minimum:
-            raise ConfigError(path, f"must be >= {minimum} (got {v!r})")
+    if minimum is not None and not (v > minimum if strict else v >= minimum):
+        raise ConfigError(path, f"must be {'>' if strict else '>='} {minimum} "
+                          f"(got {v!r})")
     return v
 
 

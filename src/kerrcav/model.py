@@ -97,12 +97,9 @@ def validate(params: DeviceParams) -> DeviceValidation:
                   if not math.isfinite(getattr(params, name))]
     if not params.omega0 > 0.0:
         violations.append("omega0 must be > 0")
-    if params.gamma1 < 0.0:
-        violations.append("gamma1 must be >= 0")
-    if params.gamma2 < 0.0:
-        violations.append("gamma2 must be >= 0")
-    if params.gamma3 < 0.0:
-        violations.append("gamma3 must be >= 0")
+    violations += [f"{name} must be >= 0"
+                   for name in ("gamma1", "gamma2", "gamma3")
+                   if getattr(params, name) < 0.0]
     if not params.gamma > 0.0:
         violations.append("gamma1 + gamma2 must be > 0 (zero total damping)")
     reachable = abs(params.kerr) > SQRT3 * params.gamma3

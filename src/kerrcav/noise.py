@@ -49,9 +49,8 @@ class ThermalEnv:
                 raise ValueError(f"{name} must be > 0 (inf for T = 0)")
 
     def occupations(self) -> tuple[float, float, float]:
-        return (thermal_occupation(self.theta1),
-                thermal_occupation(self.theta2),
-                thermal_occupation(self.theta3))
+        return tuple(map(thermal_occupation,
+                         (self.theta1, self.theta2, self.theta3)))
 
 
 def thermal_occupation(theta: float) -> float:
@@ -124,8 +123,7 @@ def _extrema(params: DeviceParams, energy, delta, phase, omega, occupations,
     c3 = 8.0 * g1 * params.gamma3 * energy
     shift = delta + 2.0 * params.kerr * energy
     # D, z_w(+omega) and z_w(-omega) over |D|: (dr, di), (zr, zp), (zr, zm)
-    dr = d_re / d
-    di = d_im / d
+    dr, di = d_re / d, d_im / d
     zr = (params.gamma + 2.0 * params.gamma3 * energy) / d
     zp = -(omega + shift) / d
     zm = (omega - shift) / d

@@ -131,10 +131,15 @@ def instability_locus(params: DeviceParams, drive: PumpDrive):
     crit = critical_point(params)
     if not crit.exists:
         return []
-    omega0, k, g3, g = params.omega0, params.kerr, params.gamma3, params.gamma
+    # h(E; K, gamma3) = t h(E/t; K t, gamma3 t) for t = 2^n, exactly: solved
+    # at |K t| in [1/2, 1), K^2 + gamma3^2 stays a normal float
+    n = -math.frexp(params.kerr)[1]
+    omega0, g = params.omega0, params.gamma
+    k, g3 = math.ldexp(params.kerr, n), math.ldexp(params.gamma3, n)
+    p, e_c = math.ldexp(p, -n), math.ldexp(crit.energy, -n)
     delta_c = omega0 - crit.omega_p
-    h_c, _, a, b = _h(crit.energy, delta_c, k, g3, g)
-    if _at_fold(crit.energy, abs(h_c - p), a, b, omega0, crit.omega_p, k):
+    h_c, _, a, b = _h(e_c, delta_c, k, g3, g)
+    if _at_fold(e_c, abs(h_c - p), a, b, omega0, crit.omega_p, k):
         return [(crit.omega_p, crit.energy)]
     if p < h_c:
         return []
@@ -142,19 +147,18 @@ def instability_locus(params: DeviceParams, drive: PumpDrive):
         3.0 * (k * k + g3 * g3) * p / (2.0 * g * g * abs(k))
         + g * g3 / abs(k), k), "fold locus bracket beyond the float range")
     with np.errstate(invalid="ignore"):
-        far = _fold_root(params, p, 2, delta_c, crit.energy, delta_c,
-                         delta_out)
-        near = _fold_root(params, p, 1, far[0], _fold_energies(
+        far = _fold_root(p, k, g3, g, 2, delta_c, e_c, delta_c, delta_out)
+        near = _fold_root(p, k, g3, g, 1, far[0], _fold_energies(
             *_coefficients(far[0], k, g3, g))[1], delta_c, far[0])
-        folds = [(omega0 - delta, e) for delta, e in (near, far)]
+        folds = [(omega0 - d, math.ldexp(e, n)) for d, e in (near, far)]
         if any(_one_branch_at(omega0, omega_p, p, k, g3, g)
                for omega_p, _ in folds):
             return [(crit.omega_p, crit.energy)]
     return sorted(folds, key=lambda fold: fold[1])
 
 
-def _fold_root(params: DeviceParams, p: float, curve: int, delta: float,
-               e: float, inner: float, outer: float):
+def _fold_root(p: float, k: float, g3: float, g: float, curve: int,
+               delta: float, e: float, inner: float, outer: float):
     """(delta, E) where fold curve ``curve`` (1: H-, 2: H+, the index into
     :func:`steady._fold_energies`) reaches p, from delta with fold energy e.
 
@@ -162,15 +166,11 @@ def _fold_root(params: DeviceParams, p: float, curve: int, delta: float,
     the end of that bracket on its side.  A detuning where rounding leaves
     no fold (NaN, next to the cusp) counts as on the cusp's side.
     """
-    k, g3, g = params.kerr, params.gamma3, params.gamma
     for _ in range(MAX_STEPS):
         h = _h(e, delta, k, g3, g)[0]
         if h == p:
             break
-        if h > p:
-            outer = delta
-        else:
-            inner = delta
+        inner, outer = (inner, delta) if h > p else (delta, outer)
         # the log-log step, clipped to the bracket: x = log(p/h) /
         # (d log H / d log|delta|)
         x = math.log1p((p - h) / h) * h / (delta * 2.0 * e * (delta + k * e))

@@ -84,8 +84,7 @@ def linearize(params: DeviceParams, state: SteadyState, drive: PumpDrive):
         conj_coupling = (i*K + g3) * B^2 * exp(-2i * phase).
     """
     delta = drive.detuning(params)
-    b2 = state.energy
-    nonlin = (1j * params.kerr + params.gamma3) * b2
+    nonlin = (1j * params.kerr + params.gamma3) * state.energy
     self_coupling = 1j * delta + params.gamma + 2.0 * nonlin
     conj_coupling = nonlin * cmath.exp(-2j * state.phase)
     return self_coupling, conj_coupling
@@ -148,11 +147,8 @@ def transfer_coefficients(params: DeviceParams, state: SteadyState,
             f"resolvent |D({omega:g})| = {d_abs:.3e} is singular")
     d = complex(d_re, d_im)
     zw = -1j * omega + w.conjugate()
-    g1 = params.gamma1
-    g2 = params.gamma2
-    g3 = params.gamma3
-    amp = state.amplitude
-    phase = state.phase
+    g1, g2, g3 = params.gamma1, params.gamma2, params.gamma3
+    amp, phase = state.amplitude, state.phase
     p1, p2, p3 = params.phi1, params.phi2, params.phi3
     refl_signal = (d - 2.0 * g1 * zw) / d
     refl_conj = 2.0 * g1 * v * cmath.exp(-2j * p1) / d

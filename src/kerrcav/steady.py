@@ -158,20 +158,17 @@ def _coefficients(delta, k, g3, g):
 
 
 def _checked_coefficients(delta, k, g3, g):
-    """:func:`_coefficients`; OverflowError if one is infinite or NaN, in
-    one test of c3 (c2 . c1), and of each only where that is not finite.
-    The fold locus and the fit's Jacobian take the unchecked form: the
-    check would cost the locus about a quarter of its time."""
-    c = _coefficients(delta, k, g3, g)
-    return c if math.isfinite(c[0] * np.dot(c[1], c[2])) else tuple(
-        _finite(x, "cubic coefficient is not finite") for x in c)
+    """:func:`_coefficients`; OverflowError if one is infinite or NaN.  The
+    fold locus and the fit's Jacobian take the unchecked form: the check
+    would cost the locus about a quarter of its time."""
+    return tuple(_finite(c, "cubic coefficient is not finite")
+                 for c in _coefficients(delta, k, g3, g))
 
 
 def _h(e, delta, k, g3, g):
     """(h(E), h'(E), a, b): h = E (a^2 + b^2) and h' = a^2 + b^2
     + 2 E (a K + b gamma3), with a = delta + K E and b = gamma + gamma3 E."""
-    a = delta + k * e
-    b = g + g3 * e
+    a, b = delta + k * e, g + g3 * e
     s = a * a + b * b
     return e * s, s + 2.0 * e * (a * k + b * g3), a, b
 
@@ -359,9 +356,10 @@ def _branch_energies(omega0, omega_p, p, k, g3, g):
 
 
 def _finite(x, message, skip=False):
-    """``x`` if finite where not ``skip``, else OverflowError (x . x first)."""
+    """``x`` if finite where not ``skip``, else OverflowError: one test of an
+    array's sum (no BLAS call, which wakes its threads), then of each cell."""
     if not (skip is False and math.isfinite(
-            np.vdot(x, x) if isinstance(x, np.ndarray) else x)
+            np.add.reduce(x, None) if isinstance(x, np.ndarray) else x)
             or np.all(skip | (abs(x) < math.inf))):
         raise OverflowError(message)
     return x
@@ -429,8 +427,7 @@ def _atan2(y, x):
 def _complex(re, im):
     """A complex array from its parts, without rounding."""
     out = np.empty(np.broadcast(re, im).shape, dtype=complex)
-    out.real = re
-    out.imag = im
+    out.real, out.imag = re, im
     return out
 
 

@@ -122,17 +122,14 @@ def load_config(data, base_dir=".") -> SweepConfig:
     """Build a :class:`SweepConfig` from a parsed JSON document."""
     device = _config_device(data, base_dir)
 
-    omega_grid: tuple[float, ...] = ()
-    amplitudes: tuple[float, ...] = ()
-    psi1 = 0.0
+    omega_grid, amplitudes, psi1 = (), (), 0.0
     if "drive" in data:
         drive = data["drive"]
         if not isinstance(drive, dict):
             raise ConfigError("drive", "expected an object")
         omega_grid = _load_grid(_require(drive, "omega_p", "drive"), "drive.omega_p")
         raw = _require(drive, "b1_in", "drive")
-        if not isinstance(raw, list):
-            raw = [raw]
+        raw = raw if isinstance(raw, list) else [raw]
         amplitudes = tuple(_resolve_amplitude(v, f"drive.b1_in[{i}]", device)
                            for i, v in enumerate(raw))
         psi1 = _number(drive.get("psi1", 0.0), "drive.psi1")
@@ -169,12 +166,13 @@ def load_device_file(path) -> DeviceParams:
 
 
 def _grid(config: SweepConfig, command: str):
-    """The grid's drives (omega_p, b_in), amplitude-major, for ``command``."""
+    """The grid's drives, amplitude-major, for ``command``: its b1_in and
+    omega_p values, each with the index of every row's value in them."""
     if not config.omega_p_grid or not config.amplitudes:
         raise ConfigError("drive", f"{command} needs drive.omega_p and drive.b1_in")
-    n_omega, n_amp = len(config.omega_p_grid), len(config.amplitudes)
-    return (np.tile(np.array(config.omega_p_grid), n_amp),
-            np.repeat(np.array(config.amplitudes), n_omega))
+    amps, freqs = np.array(config.amplitudes), np.array(config.omega_p_grid)
+    amp, freq = np.divmod(np.arange(amps.size * freqs.size), freqs.size)
+    return (amps, amp), (freqs, freq)
 
 
 def run_steady_sweep(config: SweepConfig) -> Table:
@@ -186,7 +184,8 @@ def run_steady_sweep(config: SweepConfig) -> Table:
     where the coefficient is undefined.
     """
     device = config.device
-    omega_p, b_in, psi = _rows(*_grid(config, "steady-sweep"), config.psi1)
+    (amps, amp), (freqs, freq) = _grid(config, "steady-sweep")
+    omega_p, b_in, psi = _rows(freqs[freq], amps[amp], config.psi1)
     row, index, energy, count = _branches(device, omega_p, b_in)
     states, re, im = _records(device, omega_p[row], b_in[row], psi[row],
                               energy, row, index, count)
@@ -195,9 +194,9 @@ def run_steady_sweep(config: SweepConfig) -> Table:
         device, energy, device.omega0 - states.omega_p), math.nan)
     ang = np.where(driven, _atan2(im, re), math.nan)
     return Table.from_columns(STEADY_COLUMNS, [
-        states.b_in, states.omega_p, states.branch_index, states.energy,
-        states.amplitude, states.phase, mag, ang, states.lambda_slow.real,
-        states.lambda_slow.imag, states.stable])
+        (amps, amp[row]), (freqs, freq[row]), states.branch_index,
+        states.energy, states.amplitude, states.phase, mag, ang,
+        states.lambda_slow.real, states.lambda_slow.imag, states.stable])
 
 
 def run_gain_sweep(config: SweepConfig) -> Table:
@@ -207,26 +206,23 @@ def run_gain_sweep(config: SweepConfig) -> Table:
     are inf there; no grid point is dropped.  A |D| beyond the float range
     (an offset above about 1.3e154) is an OverflowError.
     """
-    omega_p, b_in = _grid(config, "gain-sweep")
+    (amps, amp), (freqs, freq) = _grid(config, "gain-sweep")
     if not config.offsets:
         raise ConfigError("offsets", "gain-sweep needs offsets or signal_frequencies")
     # the branches' energies only: the gains need no other field of a record
-    row, index, energy, _ = _branches(config.device, omega_p, b_in)
-    omega_p = omega_p[row]
-    # one row per (branch, offset), branch-major
-    omega = np.array(config.offsets)[None, :]
-    if config.offsets_absolute:
-        omega = omega - omega_p[:, None]
-    omega = np.broadcast_to(omega, (energy.size, omega.shape[1]))
+    row, index, energy, _ = _branches(config.device, freqs[freq], amps[amp])
+    omega_p = freqs[freq[row]]
+    offsets = np.array(config.offsets)
+    omega = offsets - omega_p[:, None] if config.offsets_absolute else offsets
     gs, gi, diverged = (g.ravel() for g in _gains(
         config.device, energy[:, None],
         (config.device.omega0 - omega_p)[:, None], omega))
-
-    def per_row(x):
-        return np.repeat(x, omega.shape[1])
-
+    # one row per (branch, offset), branch-major; a drive has up to 3 branches
+    entry, offset = np.divmod(np.arange(gs.size), offsets.size)
+    row = row[entry]
     return Table.from_columns(GAIN_COLUMNS, [
-        per_row(b_in[row]), per_row(omega_p), per_row(index), omega.ravel(),
+        (amps, amp[row]), (freqs, freq[row]), (np.arange(3), index[entry]),
+        omega.ravel() if config.offsets_absolute else (offsets, offset),
         gs, gi, diverged])
 
 

@@ -3,8 +3,10 @@
 Floats are always written as ``"%.16e"`` (17 significant digits) so
 identical inputs produce byte-identical files; non-finite values render as
 "nan"/"inf"/"-inf" (quoted strings in JSON, which has no literals for
-them).  The float cells of a block of rows (:func:`_body`) are formatted
-in one NumPy pass (:func:`_float_cells`): for zero and 1e-290 <= |x| <
+them).  A column handed over as ``(values, index)`` (:class:`Table`) has
+its values formatted once per table, and each row gathers its cell; the
+other float cells of a block of rows (:func:`_body`) are formatted in one
+NumPy pass (:func:`_float_cells`): for zero and 1e-290 <= |x| <
 1e290, |x| times a double-double power of ten (Dekker's exact products,
 Numer. Math. 18, 1971) gives the 17-digit integer with a bound on its error
 (after Adams, "Ryu: fast float-to-string conversion", PLDI 2018), and table
@@ -27,8 +29,9 @@ _KINDS = {"b": bool, "i": int, "u": int, "f": float, "U": str}
 _NON_FINITE = ("nan", "inf", "-inf")
 
 
-def _typed(values) -> np.ndarray:
-    """``values`` as a read-only 1-d array of one cell type."""
+def _typed(values, size=None) -> np.ndarray:
+    """``values`` as a read-only 1-d array of one cell type; with ``size``,
+    an index into that many values."""
     if isinstance(values, np.ndarray) and values.dtype.kind in _KINDS:
         array = values
     else:
@@ -45,9 +48,20 @@ def _typed(values) -> np.ndarray:
         array = array.astype(np.float64, copy=False)
     if array.dtype.kind == "U" and any("\0" in v for v in array.tolist()):
         raise ValueError("a str cell may not hold a NUL character")
+    if size is not None and (array.dtype.kind not in "iu" or array.size and
+                             not 0 <= array.min() <= array.max() < size):
+        raise ValueError(f"a column index must hold integers in [0, {size})")
     view = array.view()
     view.flags.writeable = False
     return view
+
+
+def _column(data):
+    """A column as (values, index), the column values[index]: an array is
+    taken as it is, with index None."""
+    values, index = data if isinstance(data, tuple) else (data, None)
+    values = _typed(values)
+    return values, None if index is None else _typed(index, values.size)
 
 
 class Table:
@@ -56,16 +70,18 @@ class Table:
     Each column is a 1-d NumPy array of floats, integers, booleans or
     strings, never a mix.  ``rows`` gives the cells row by row (a one-row
     record is ``Table(columns, [row])``); :meth:`from_columns` takes one
-    array per column instead, as a sweep hands its result arrays over.  A
-    column of zero rows has no cell type yet.  A str cell may not hold a
-    NUL character, since the row template drops NUL padding (:func:`_rows`).
+    array per column instead, as a sweep hands its result arrays over, or a
+    pair ``(values, index)``, the column ``values[index]`` kept encoded
+    (:func:`_body`), which ``rows`` and :meth:`column` expand.  A column of
+    zero rows has no cell type yet.  A str cell may not hold a NUL
+    character, since the row template drops NUL padding (:func:`_rows`).
     """
 
     def __init__(self, columns: list[str], rows=()):
         rows = list(rows)
         if not set(map(len, rows)) <= {len(columns)}:
             raise ValueError(f"every row needs {len(columns)} cells")
-        self._set(columns, list(zip(*rows)) or [()] * len(columns))
+        self._set(columns, list(map(list, zip(*rows))) or [[]] * len(columns))
 
     @classmethod
     def from_columns(cls, columns: list[str], arrays) -> "Table":
@@ -80,18 +96,22 @@ class Table:
             raise ValueError(f"{len(data)} columns of data for "
                              f"{len(columns)} names")
         self.columns = list(columns)
-        self._data = list(map(_typed, data))
-        if len(set(map(len, self._data))) > 1:
+        self._data = list(map(_column, data))
+        self._length, *other = {len(v if i is None else i)
+                                for v, i in self._data}
+        if other:
             raise ValueError("every column needs the same length")
 
     @property
     def rows(self) -> list[tuple]:
         """The cells row by row, as Python values (a copy)."""
-        return list(zip(*(column.tolist() for column in self._data)))
+        return list(zip(*((v if i is None else v[i]).tolist()
+                          for v, i in self._data)))
 
     def column(self, name: str) -> np.ndarray:
-        """The stored (read-only) column."""
-        return self._data[self.columns.index(name)]
+        """The stored (read-only) column, or an encoded one expanded."""
+        values, index = self._data[self.columns.index(name)]
+        return values if index is None else _typed(values[index])
 
 
 def format_float(x: float) -> str:
@@ -225,33 +245,32 @@ def _float_cells(x: np.ndarray, quote: bool):
     return buf.view(np.uint8)
 
 
-def _other_cells(column: np.ndarray, quote: bool):
-    """Slots of a bool, int or str column, NUL-padded, each distinct value
-    formatted once."""
-    if column.dtype.kind == "b":
-        return _bool_slots().take(column.view(np.uint8), axis=0)
-    values, index = np.unique(column, return_inverse=True)
-    text = json.dumps if quote and column.dtype.kind == "U" else str
-    return _padded(list(map(text, values.tolist()))).take(index, axis=0)
+def _encoded(values, index, quote: bool):
+    """An encoded column's slots, each value formatted once, and its index;
+    a stored bool column is encoded over [False, True] by its uint8 view,
+    an int or str one over its distinct values."""
+    kind = values.dtype.kind
+    if index is None:
+        values, index = (np.unique(values, return_inverse=True) if kind != "b"
+                         else (np.array([False, True]), values.view(np.uint8)))
+    if kind == "f":
+        return _float_cells(values, quote), index
+    text = json.dumps if quote or kind == "b" else str
+    return _padded(list(map(text, values.tolist()))), index
 
 
-@functools.cache
-def _bool_slots():
-    return _padded(["false", "true"])
-
-
-def _rows(columns: list[np.ndarray], lead: bytes, sep: bytes, end: bytes,
+def _rows(data, rows: slice, lead: bytes, sep: bytes, end: bytes,
           quote: bool) -> bytes:
-    """Every row as ``lead + cells joined by sep + end``: each column's
+    """Rows ``rows`` as ``lead + cells joined by sep + end``: each column's
     fixed-width cell slots written into a row template, then the unused
-    (NUL) bytes dropped.  The float cells of all columns form one pass."""
-    n = len(columns[0])
-    floats = [c for c in columns if c.dtype.kind == "f"]
+    (NUL) bytes dropped.  The stored float columns form one kernel pass."""
+    n = rows.stop - rows.start
+    floats = [values[rows] for values, index in data if index is None]
     if floats:
         float_cells = iter(_float_cells(np.stack(floats, 1).ravel(), quote)
                            .reshape(n, len(floats), _WIDTH).transpose(1, 0, 2))
-    cells = [next(float_cells) if column.dtype.kind == "f"
-             else _other_cells(column, quote) for column in columns]
+    cells = [next(float_cells) if index is None
+             else values.take(index[rows], axis=0) for values, index in data]
     row = lead + sep.join(bytes(cell.shape[1]) for cell in cells) + end
     text = np.tile(np.frombuffer(row, np.uint8), (n, 1))
     start = len(lead)
@@ -264,11 +283,12 @@ def _rows(columns: list[np.ndarray], lead: bytes, sep: bytes, end: bytes,
 def _body(table: Table, lead: bytes, sep: bytes, end: bytes,
           quote: bool) -> list[bytes]:
     """The rows' text (see :func:`_rows`) in blocks of about _BLOCK_CELLS
-    cells, which bounds the working memory of a long table (and keeps a
-    block's arrays in cache)."""
-    step = max(1, _BLOCK_CELLS // len(table.columns))
-    n = len(table._data[0])
-    return [_rows([c[i:i + step] for c in table._data], lead, sep, end, quote)
+    cells, which bounds a long table's working memory (and keeps a block's
+    arrays in cache), all but stored float columns encoded once (_encoded)."""
+    data = [(v, i) if i is None and v.dtype.kind == "f"
+            else _encoded(v, i, quote) for v, i in table._data]
+    n, step = table._length, max(1, _BLOCK_CELLS // len(data))
+    return [_rows(data, slice(i, min(i + step, n)), lead, sep, end, quote)
             for i in range(0, n, step)]
 
 

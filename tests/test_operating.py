@@ -394,6 +394,46 @@ def test_locus_positive_kerr_mirror(fig_device):
     assert all(omega_p > mirrored.omega0 for omega_p, _ in points)
 
 
+def folds_at_twice_critical(params):
+    crit = critical_point(params)
+    return instability_locus(params, PumpDrive(omega_p=crit.omega_p,
+                                               amplitude=2.0 * crit.drive))
+
+
+@pytest.mark.parametrize("kerr", [-1e-160, -1e-163, -1e-170, -1e-200,
+                                  -3e-200, -1e-300])
+def test_locus_with_a_tiny_kerr_constant(kerr):
+    """K^2 is subnormal or 0 here, but with gamma3 = 0 the folds at 2x
+    critical lie at the same pump frequencies for every K, at photon
+    numbers proportional to 1/|K|: the locus finds them, as it does at
+    K = -1e-4."""
+    def device(k):
+        return DeviceParams(omega0=1.0, kerr=k, gamma1=1e-4, gamma2=1e-4,
+                            gamma3=0.0)
+    points = folds_at_twice_critical(device(kerr))
+    expected = folds_at_twice_critical(device(-1e-4))
+    assert len(points) == len(expected) == 2
+    for (omega_p, energy), (w, e) in zip(points, expected):
+        assert omega_p == pytest.approx(w, rel=1e-15)
+        assert energy * -kerr == pytest.approx(e * 1e-4, rel=1e-13)
+
+
+@pytest.mark.parametrize("scale", [-400, -600, -1000, 400])
+def test_locus_scales_exactly_with_a_power_of_two(scale):
+    """h(E) = P keeps its roots under K, gamma3, E, P -> K t, gamma3 t,
+    E/t, P/t: with t a power of two the critical drive scales by sqrt(1/t)
+    and the folds keep their pump frequencies and scale E bit for bit,
+    also where K^2 + gamma3^2 underflows (t = 2^-600 and 2^-1000)."""
+    def device(t):
+        return DeviceParams(omega0=1.0, kerr=math.ldexp(-0.75, t),
+                            gamma1=0.01, gamma2=0.011,
+                            gamma3=math.ldexp(0.25, t))
+    points = folds_at_twice_critical(device(scale))
+    expected = folds_at_twice_critical(device(0))
+    assert len(expected) == 2
+    assert points == [(w, math.ldexp(e, -scale)) for w, e in expected]
+
+
 # -------------------------------------------------------------- critical point
 
 def test_critical_point_reductions_at_zero_gamma3():

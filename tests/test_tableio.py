@@ -7,8 +7,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from kerrcav import (Table, format_float, parse_json, render, tableio, to_csv,
-                     to_json)
+from kerrcav import (Table, format_float, load_config, parse_json, render,
+                     run_gain_sweep, tableio, to_csv, to_json)
 from kerrcav.tableio import _BLOCK_CELLS
 from oracles import reference_csv, reference_json
 
@@ -281,3 +281,124 @@ def test_tables_across_block_edges_match_the_row_wise_renderer(offset):
 def test_from_columns_rejects_misshapen_data(columns, arrays, message):
     with pytest.raises(ValueError, match=f"^{message}$"):
         Table.from_columns(columns, arrays)
+
+
+# ------------------------------------------------------- encoded columns
+
+ENCODED_NAMES = ["f", "b", "n", "s", "x"]
+
+
+def encoded_columns(n_rows):
+    """(values, index) pairs of a float, a bool, an int and a str column of
+    ``n_rows`` rows, and a stored float column.  The float values hold NaN,
+    +-inf, both zeros, an exact tie of the 17th digit and 1e-300, which
+    take the ``"%.16e"`` fallback, and a 17th-digit round-up."""
+    rng = np.random.default_rng(n_rows)
+    floats = np.array([math.nan, math.inf, -math.inf, -0.0, 0.0, 0.1,
+                       2.0**49 + 0.125, 1e-300, -7.25e12, round_ups()[0]])
+    pairs = [(floats, rng.integers(0, floats.size, n_rows)),
+             (np.array([True, False]), rng.integers(0, 2, n_rows)),
+             (np.array([-2**63, 0, 7, 2**63 - 1]),
+              rng.integers(0, 4, n_rows, dtype=np.uint8)),
+             (np.array(["lo", 'q"d', "ünï", ""]), rng.integers(0, 4, n_rows))]
+    return pairs, rng.standard_normal(n_rows)
+
+
+def expanded(pairs, x):
+    return Table.from_columns(ENCODED_NAMES,
+                              [values[index] for values, index in pairs] + [x])
+
+
+@pytest.mark.parametrize("n_rows", [1, _BLOCK_CELLS // 5 - 1, _BLOCK_CELLS // 5,
+                                    _BLOCK_CELLS // 5 + 1,
+                                    2 * (_BLOCK_CELLS // 5) + 1])
+def test_encoded_columns_render_as_their_expanded_arrays(n_rows, monkeypatch):
+    """Up to a block, one block, and across one and two block edges: the
+    bytes of the expanded arrays, each float value formatted once (the
+    fallback values too) for the whole table."""
+    pairs, x = encoded_columns(n_rows)
+    table = Table.from_columns(ENCODED_NAMES, [*pairs, x])
+    reference = expanded(pairs, x)
+    fallen = []
+    fallback = tableio._float_text
+    monkeypatch.setattr(tableio, "_float_text",
+                        lambda v, quote: fallen.append(v) or fallback(v, quote))
+    for fmt in ("csv", "json"):
+        fallen.clear()
+        text = render(table, fmt)
+        assert fallen.count(1e-300) == 1
+        assert text == render(reference, fmt)
+    assert to_csv(table) == reference_csv(reference)
+    assert to_json(table) == reference_json(reference)
+
+
+def test_encoded_columns_read_back_expanded():
+    """``column()`` gives the expanded read-only array in the values'
+    dtype, ``rows`` the expanded cells, and a JSON round trip the same
+    table."""
+    pairs, x = encoded_columns(40)
+    table = Table.from_columns(ENCODED_NAMES, [*pairs, x])
+    reference = expanded(pairs, x)
+    for name, (values, index) in zip(ENCODED_NAMES, pairs):
+        column = table.column(name)
+        assert column.dtype == values.dtype
+        assert column.tobytes() == values[index].tobytes()
+        assert not column.flags.writeable
+    assert repr(table.rows) == repr(reference.rows)
+    parsed = parse_json(to_json(table))
+    assert repr(parsed.rows) == repr(reference.rows)
+    assert to_json(parsed) == to_json(table)
+
+
+def test_row_built_tables_take_no_tuple_column_for_a_pair():
+    table = Table(["a", "b"], [(0.5, 1), (0.25, 0)])
+    assert table.rows == [(0.5, 1), (0.25, 0)]
+    assert table.column("b").tolist() == [1, 0]
+
+
+@pytest.mark.parametrize("pair, message", [
+    ((np.zeros(3), np.array([0, 3])), r"a column index must hold integers "
+     r"in \[0, 3\)"),
+    ((np.zeros(3), np.array([-1, 0])), r"a column index must hold integers "
+     r"in \[0, 3\)"),
+    ((np.zeros(0), np.array([0])), r"a column index must hold integers "
+     r"in \[0, 0\)"),
+    ((np.zeros(3), np.array([0.0, 1.0])), r"a column index must hold "
+     r"integers in \[0, 3\)"),
+    ((np.zeros(3), np.array([True, False])), r"a column index must hold "
+     r"integers in \[0, 3\)"),
+    ((np.zeros(3), np.zeros((2, 1), np.intp)), "a column must be 1-d"),
+    ((np.zeros((3, 2)), np.array([0, 1])), "a column must be 1-d"),
+    ((np.zeros(3), np.array([0, 1, 2])), "every column needs the same length"),
+    ((np.zeros(3), np.array([0, 1]), None),
+     r"too many values to unpack \(expected 2\)"),
+])
+def test_from_columns_rejects_misshapen_pairs(pair, message):
+    with pytest.raises(ValueError, match=f"^{message}$"):
+        Table.from_columns(["a", "b"], [pair, np.zeros(2)])
+
+
+def test_gain_sweep_formats_each_grid_value_once(monkeypatch):
+    """The README gain sweep hands the float kernel its grid values (drive
+    amplitudes, pump frequencies and offsets) once, and the G_S and G_I
+    cells: not a cell per row of the grid columns."""
+    config = load_config({
+        "schema": 1,
+        "device": {"omega0": 1.0, "kerr": -1e-4, "gamma1": 0.01,
+                   "gamma2": 0.011, "gamma3": 5.8e-7},
+        "drive": {"omega_p": {"start": 0.9, "stop": 1.005, "count": 2000},
+                  "b1_in": [{"times_critical": 0.5}, {"times_critical": 2.0}]},
+        "offsets": [0.0, 1e-3]})
+    table = run_gain_sweep(config)
+    n_rows = table.column("G_S").size
+    grid = (len(config.amplitudes) + len(config.omega_p_grid)
+            + len(config.offsets))
+    sizes = []
+    kernel = tableio._float_cells
+    monkeypatch.setattr(tableio, "_float_cells",
+                        lambda x, quote: sizes.append(x.size) or kernel(x, quote))
+    for fmt in ("csv", "json"):
+        sizes.clear()
+        render(table, fmt)
+        assert n_rows > grid
+        assert 2 * n_rows < sum(sizes) <= grid + 2 * n_rows
