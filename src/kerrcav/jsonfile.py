@@ -159,15 +159,15 @@ def _integer(value, path, minimum):
 
 def _floats(values, path_of, minimum=None):
     """A list's cells as finite floats >= minimum; errors name path_of(i)."""
-    if {type(v) for v in values} <= {int, float}:
-        # the common case in one pass; on any doubt, _number names the cell
+    if (types := set(map(type, values))) <= {int, float}:
+        # in C passes (a sum is finite only if its terms are); else per cell
         try:
-            floats = tuple(map(float, values))
+            floats = values if types <= {float} else list(map(float, values))
         except OverflowError:
-            floats = (math.inf,)
-        if all(map(math.isfinite, floats)) and (
+            floats = [math.inf]
+        if math.isfinite(sum(floats)) and (
                 minimum is None or min(floats, default=minimum) >= minimum):
-            return floats
+            return tuple(floats)
     return tuple(_number(v, path_of(i), minimum=minimum)
                  for i, v in enumerate(values))
 

@@ -158,11 +158,12 @@ def _coefficients(delta, k, g3, g):
 
 
 def _checked_coefficients(delta, k, g3, g):
-    """:func:`_coefficients`; OverflowError if one is infinite or NaN.  The
-    fold locus and the fit's Jacobian take the unchecked form: the check
-    would cost the locus about a quarter of its time."""
-    return tuple(_finite(c, "cubic coefficient is not finite")
-                 for c in _coefficients(delta, k, g3, g))
+    """:func:`_coefficients`; OverflowError if one is infinite or NaN (one
+    test of c3 sum(c2 c1) first).  The fold locus and the fit's Jacobian
+    take the unchecked form: it would cost the locus a quarter of its time."""
+    c = _coefficients(delta, k, g3, g)
+    return c if math.isfinite(c[0] * np.add.reduce(c[1] * c[2], None)) \
+        else tuple(_finite(x, "cubic coefficient is not finite") for x in c)
 
 
 def _h(e, delta, k, g3, g):

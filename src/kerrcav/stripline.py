@@ -298,11 +298,11 @@ def solve_mode(profile: LineProfile, index: int) -> ModeSolution:
         return np.sum(mid * du * du) / (h * h * np.sum(v * v))
 
     def rayleigh(v):
-        """v's Rayleigh-quotient iterate once converged and certified, or
-        None if it settles outside the bracket, reaches another mode's
-        exact eigenvector or does not settle.  A quotient that merely
-        settled on a wrong node count iterates on: it can settle before the
-        vector has converged."""
+        """v's Rayleigh-quotient iterate and its quotient once converged
+        and certified, or None if it settles outside the bracket, reaches
+        another mode's exact eigenvector or does not settle.  A quotient
+        that merely settled on a wrong node count iterates on: it can
+        settle before the vector has converged."""
         q = quotient(v)
         for step in range(MAX_STEPS + 1):
             settled = False
@@ -319,7 +319,7 @@ def solve_mode(profile: LineProfile, index: int) -> ModeSolution:
                 if not lo < q <= hi:  # a neighbour's vector
                     return None
                 if _sign_changes(v) == index - 1:
-                    return v
+                    return v, q
                 if exact:  # iteration cannot leave an exact eigenvector
                     return None
         return None
@@ -337,7 +337,7 @@ def solve_mode(profile: LineProfile, index: int) -> ModeSolution:
         return True
 
     sine = np.sin(index * math.pi / (w.size + 1) * np.arange(1, w.size + 1))
-    if (vec := rayleigh(sine)) is None:
+    if (found := rayleigh(sine)) is None:
         # eigenvalues below -slack, lo and hi
         base, n_lo, n_hi = _below(diag - np.array([[-slack], [lo], [hi]]),
                                   off).tolist()
@@ -345,18 +345,17 @@ def solve_mode(profile: LineProfile, index: int) -> ModeSolution:
         if not n_lo < target <= n_hi:
             raise ArithmeticError(
                 f"mode {index} is outside ({lo:.17g}, {hi:.17g}]")
-        while n_hi - n_lo > 1 or (vec := rayleigh(sine)) is None:
+        while n_hi - n_lo > 1 or (found := rayleigh(sine)) is None:
             if not halve():
                 raise ArithmeticError(
                     f"mode {index} has no certified vector in ({lo:.17g}, "
                     f"{hi:.17g}], and no float splits that")
-    omega = math.sqrt(quotient(vec))
-    u = np.zeros(profile.n_grid)
-    u[1:-1] = vec / root_w
+    vec, q = found
+    u = np.concatenate(([0.0], vec / root_w, [0.0]))  # the boundary zeros
     u /= np.sqrt(np.trapezoid(profile.L0 * u * u, x))
     if u[1] < 0.0:
         u = -u
-    return ModeSolution(index=index, omega_n=omega, u=u)
+    return ModeSolution(index=index, omega_n=math.sqrt(q), u=u)
 
 
 def solve_modes(profile: LineProfile, n_modes: int) -> list[ModeSolution]:
@@ -381,8 +380,8 @@ def mode_coefficients(profile: LineProfile,
     integral(u^4 dR dx), the mode's frequency as the resonance frequency.
     """
     u2 = mode.u * mode.u  # products: NumPy's pow is slower, its bits vary
-    u4 = u2 * u2
-    u4_dl, u2_r0, u4_dr = (float(np.trapezoid(f, profile.x)) for f in (
+    u4, x = u2 * u2, profile.x
+    u4_dl, u2_r0, u4_dr = (float(np.trapezoid(f, x)) for f in (
         u4 * profile.dL, u2 * profile.R0, u4 * profile.dR))
     omega, hbar, i_c = mode.omega_n, profile.hbar, profile.I_c
     return ModeCoefficients(-(hbar * omega**2 / i_c**2) * u4_dl, 0.5 * u2_r0,

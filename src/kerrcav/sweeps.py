@@ -194,7 +194,7 @@ def run_steady_sweep(config: SweepConfig) -> Table:
         device, energy, device.omega0 - states.omega_p), math.nan)
     ang = np.where(driven, _atan2(im, re), math.nan)
     return Table.from_columns(STEADY_COLUMNS, [
-        (amps, amp[row]), (freqs, freq[row]), states.branch_index,
+        (amps, amp[row]), (freqs, freq[row]), (np.arange(3), index),
         states.energy, states.amplitude, states.phase, mag, ang,
         states.lambda_slow.real, states.lambda_slow.imag, states.stable])
 

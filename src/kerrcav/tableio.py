@@ -27,6 +27,7 @@ import numpy as np
 # the Python type of a column by NumPy dtype kind
 _KINDS = {"b": bool, "i": int, "u": int, "f": float, "U": str}
 _NON_FINITE = ("nan", "inf", "-inf")
+_BOOLS = np.frombuffer(b"falsetrue\0", np.uint8).reshape(2, 5)  # bool slots
 
 
 def _typed(values, size=None) -> np.ndarray:
@@ -209,7 +210,7 @@ def _float_cells(x: np.ndarray, quote: bool):
     # s = hi + lo whether it lies in [1e16, 1e17), and rescale where not
     # (1e16 - hi is exact wherever lo can tip the comparison)
     step = (1e16 - hi > lo).astype(np.intp) - (1e17 - hi <= lo)
-    fix = np.flatnonzero(step)
+    fix = step.nonzero()[0]
     if fix.size:
         i[fix] += step[fix]
         hi[fix], lo[fix] = _scaled(v[fix], i[fix])
@@ -237,7 +238,7 @@ def _float_cells(x: np.ndarray, quote: bool):
     buf[:, 4] = tails.take(low - q * 1000)
     buf[:, 5] = exponents.take(i)
 
-    rest = np.flatnonzero(nonzero & ~certain)
+    rest = (nonzero & ~certain).nonzero()[0]
     if rest.size:
         bits, index = np.unique(x[rest].view(np.int64), return_inverse=True)
         texts = [_float_text(b, quote) for b in bits.view(np.float64).tolist()]
@@ -248,11 +249,10 @@ def _float_cells(x: np.ndarray, quote: bool):
 def _encoded(values, index, quote: bool):
     """An encoded column's slots, each value formatted once, and its index;
     a stored bool column is encoded over [False, True] by its uint8 view,
-    an int or str one over its distinct values."""
+    and a block of a stored int or str one has a slot per row (index None)."""
     kind = values.dtype.kind
-    if index is None:
-        values, index = (np.unique(values, return_inverse=True) if kind != "b"
-                         else (np.array([False, True]), values.view(np.uint8)))
+    if kind == "b" and index is None:
+        return _BOOLS, values.view(np.uint8)
     if kind == "f":
         return _float_cells(values, quote), index
     text = json.dumps if quote or kind == "b" else str
@@ -265,14 +265,15 @@ def _rows(data, rows: slice, lead: bytes, sep: bytes, end: bytes,
     fixed-width cell slots written into a row template, then the unused
     (NUL) bytes dropped.  The stored float columns form one kernel pass."""
     n = rows.stop - rows.start
-    floats = [values[rows] for values, index in data if index is None]
+    floats = [values[rows] for values, _ in data if values.dtype.kind == "f"]
     if floats:
         float_cells = iter(_float_cells(np.stack(floats, 1).ravel(), quote)
                            .reshape(n, len(floats), _WIDTH).transpose(1, 0, 2))
-    cells = [next(float_cells) if index is None
+    cells = [next(float_cells) if values.dtype.kind == "f"
+             else _encoded(values[rows], None, quote)[0] if index is None
              else values.take(index[rows], axis=0) for values, index in data]
     row = lead + sep.join(bytes(cell.shape[1]) for cell in cells) + end
-    text = np.tile(np.frombuffer(row, np.uint8), (n, 1))
+    text = np.frombuffer(row, np.uint8)[None].repeat(n, axis=0)
     start = len(lead)
     for cell in cells:
         text[:, start:start + cell.shape[1]] = cell
@@ -284,8 +285,8 @@ def _body(table: Table, lead: bytes, sep: bytes, end: bytes,
           quote: bool) -> list[bytes]:
     """The rows' text (see :func:`_rows`) in blocks of about _BLOCK_CELLS
     cells, which bounds a long table's working memory (and keeps a block's
-    arrays in cache), all but stored float columns encoded once (_encoded)."""
-    data = [(v, i) if i is None and v.dtype.kind == "f"
+    arrays in cache), encoded and bool columns formatted once (_encoded)."""
+    data = [(v, i) if i is None and v.dtype.kind != "b"
             else _encoded(v, i, quote) for v, i in table._data]
     n, step = table._length, max(1, _BLOCK_CELLS // len(data))
     return [_rows(data, slice(i, min(i + step, n)), lead, sep, end, quote)

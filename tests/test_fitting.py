@@ -570,6 +570,38 @@ def test_fit_file_loader_applies_the_cli_rules(tmp_path, capsys, document,
     assert capsys.readouterr().err == f"error: {message}\n"
 
 
+@pytest.mark.parametrize("refl_data, field", [
+    (ZERO_DRIVE["fit"]["refl_data"], "fit.refl_data[3][1]"),
+    ([[1.0 - 0.01 * i, 0.0, 0.5] for i in range(6)], "fit.refl_data[0][1]"),
+])
+def test_drive_rule_is_the_fit_files_alone(tmp_path, refl_data, field):
+    """load_fit_problem builds a FitProblem from zero reflection drives,
+    one or all, as the benchmark's cold start parses its degenerate fit
+    file with it; load_fit_file rejects the same block and names the first
+    zero drive."""
+    block = {**ZERO_DRIVE["fit"], "refl_data": refl_data}
+    problem = load_fit_problem(block)
+    assert isinstance(problem, FitProblem)
+    assert [b for _, b, _ in problem.refl_data] == [b for _, b, _ in refl_data]
+    path = tmp_path / "fit.json"
+    path.write_text(json.dumps({"schema": 1, "fit": block}))
+    with pytest.raises(ConfigError) as excinfo:
+        fitting.load_fit_file(str(path))
+    assert excinfo.value.field_path == field
+
+
+@pytest.mark.parametrize("bad_row", [(1.0, 0.1), (1.0, 0.1, 0.5, 0.5),
+                                     (1.0, 0.1, 0.5, 0.5, 0.5)])
+def test_rows_of_other_widths_are_rejected(bad_row):
+    """A FitProblem built in Python is not checked, but run_fit takes no
+    row that is not (omega_p, b1_in, value)."""
+    rows = synth_refl_rows(TRUE, fractions=(0.7,), n_points=6)
+    problem = FitProblem(initial=TRUE, free=("kerr",), bounds={},
+                         refl_data=rows[:-1] + (bad_row,))
+    with pytest.raises(ValueError):
+        run_fit(problem)
+
+
 def test_fixed_parameters_stay_fixed():
     rows = synth_refl_rows(TRUE, fractions=(0.7,), n_points=41)
     start = guessed(TRUE, 0.05)
@@ -629,6 +661,20 @@ def test_load_fit_problem_rejects_non_numbers():
                             + [[1.0, None, 0.5]]}, r"refl_data\[1\]'"),
                           ({"gain_data": [[1.0, 0.1, -math.inf]]},
                            r"gain_data\[0\]\[2\]'"),
+                          # a row that is not a list
+                          ({"refl_data": rows[:-1] + [0.5]},
+                           r"refl_data\[5\]'"),
+                          ({"refl_data": rows[:-1] + [{"b1_in": 0.1}]},
+                           r"refl_data\[5\]'"),
+                          ({"gain_data": [rows[0], "row"]},
+                           r"gain_data\[1\]'"),
+                          ({"gain_data": [rows[0], [1.0, False, 0.5]]},
+                           r"gain_data\[1\]\[1\]'"),
+                          # faults in both keys: refl_data's is named first
+                          ({"refl_data": rows[:-1] + [[1.0, None, 0.5]],
+                            "gain_data": [[None, 0.1, 0.5]]}, bad_cell),
+                          ({"refl_data": rows[:-1] + [5],
+                            "gain_data": [[1.0, 0.1]]}, r"refl_data\[5\]'"),
                           ({"refl_data": 5}, "refl_data"),
                           ({"psi1": math.nan}, "psi1")):
         with pytest.raises(ConfigError, match=field):
